@@ -1,8 +1,7 @@
 // Benchmarks for the adaptive query kernels: the O(tiles) count
 // pushdown against the streamed reference it replaced, the chunked
 // intra-query parallel kernel across forced worker counts, and the
-// early-stopping existence probe. `make bench-query` records these into
-// BENCH_4.json.
+// early-stopping existence probe.
 package twolayer_test
 
 import (

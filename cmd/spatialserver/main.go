@@ -1,10 +1,10 @@
 // Command spatialserver serves spatial queries over a two-layer index as
-// a long-lived HTTP/JSON service: POST /query/{window,disk,knn,batch},
-// with GET /metrics, /stats, and /healthz for observability. The index is
+// a long-lived HTTP/JSON service: POST /v1/{window,disk,knn,batch}, with
+// GET /v1/stats, /metrics, and /healthz for observability. The index is
 // built once from a dataset file (or loaded from a binary snapshot) and
 // then served concurrently; with -live it additionally accepts updates on
-// POST /insert, /delete, and /bulk, serving every query from an immutable
-// copy-on-write snapshot. The process shuts down gracefully on SIGINT or
+// POST /v1/insert, /v1/delete, and /v1/bulk, serving every query from an
+// immutable copy-on-write snapshot. The process shuts down gracefully on SIGINT or
 // SIGTERM.
 //
 // Usage:
@@ -27,7 +27,7 @@
 //
 // With -data-dir the server runs durably: mutations are written ahead to
 // a segmented log before they are acknowledged, checkpoints are taken in
-// the background (and on POST /checkpoint), and startup recovers the
+// the background (and on POST /v1/checkpoint), and startup recovers the
 // acknowledged state — tolerating a torn log tail from a crash. See
 // docs/DURABILITY.md for the engine and docs/SERVER.md for the API.
 package main
@@ -132,10 +132,10 @@ func main() {
 	decompose := flag.Bool("decompose", true, "build 2-layer+ decomposed tables")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request evaluation deadline")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
-	stats := flag.Bool("stats", true, "aggregate per-query core counters for GET /stats")
+	stats := flag.Bool("stats", true, "aggregate per-query core counters for GET /v1/stats")
 	trace := flag.Bool("trace", false, "attach a per-stage trace to every single-query response (clients can also opt in per request)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log single queries slower than this many milliseconds, with their trace (0 = off)")
-	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /insert, /delete, /bulk (disables exact-geometry queries)")
+	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /v1/insert, /v1/delete, /v1/bulk (disables exact-geometry queries)")
 	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded, negative = one per CPU)")
 	rebuildEvery := flag.Int("rebuild-every", 0, "live mode: re-run the decomposed build after this many mutations (0 = default, negative = never)")
 	dataDir := flag.String("data-dir", "", "durable live mode: directory for the write-ahead log and checkpoints; implies -live, recovers automatically on startup")

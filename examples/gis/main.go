@@ -65,16 +65,15 @@ func main() {
 	for _, mode := range []twolayer.RefineMode{
 		twolayer.RefineSimple, twolayer.RefineAvoid, twolayer.RefineAvoidPlus,
 	} {
-		stats := idx.EnableStats()
+		view, stats := idx.Instrumented()
 		start := time.Now()
 		results := 0
 		for _, w := range viewports {
-			idx.WindowExact(w, mode, func(twolayer.ID) { results++ })
+			view.WindowExact(w, mode, func(twolayer.ID) { results++ })
 		}
 		elapsed := time.Since(start)
 		fmt.Printf("%-9s %8d results  %8d exact tests  %8d filter hits  %v\n",
 			mode, results, stats.RefinementTests, stats.SecondaryFilterHits, elapsed)
-		idx.DisableStats()
 	}
 
 	// Proximity search: all roads within 500m (~0.005) of an incident.

@@ -10,25 +10,18 @@ import (
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
-// TestWindowParallelMatchesSerial across thread counts and window sizes.
-func TestWindowParallelMatchesSerial(t *testing.T) {
+// TestWindowOrderedMatchesSerial across worker counts (0 = GOMAXPROCS)
+// and window sizes.
+func TestWindowOrderedMatchesSerial(t *testing.T) {
 	rnd := rand.New(rand.NewSource(211))
 	ix, _ := buildRandom(rnd, 2000, 0.05, Options{NX: 32, NY: 32})
 	for q := 0; q < 30; q++ {
 		w := randWindow(rnd, 0.5)
 		want := sortIDs(ix.WindowIDs(w, nil))
-		for _, threads := range []int{1, 2, 8, 0} {
-			var mu sync.Mutex
+		for _, workers := range []int{1, 2, 8, 0} {
 			var got []spatial.ID
-			ix.WindowParallel(w, threads, func(e spatial.Entry) {
-				mu.Lock()
-				got = append(got, e.ID)
-				mu.Unlock()
-			})
+			ix.WindowOrdered(w, workers, func(e spatial.Entry) { got = append(got, e.ID) })
 			sameIDs(t, got, want, "parallel window")
-			if n := ix.WindowParallelCount(w, threads); n != len(want) {
-				t.Fatalf("parallel count %d, want %d", n, len(want))
-			}
 		}
 	}
 }

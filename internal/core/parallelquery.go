@@ -14,11 +14,10 @@ import (
 // that per-tile operations are fully independent; the Lemma 1-2 class
 // selection is purely position-based, so disjoint runs of tile rows can
 // be scanned by different workers with no synchronization and no
-// duplicate results. Unlike WindowParallel (whose callback must be
-// concurrency-safe and whose delivery order is arbitrary), the chunked
-// kernel here buffers each chunk privately and merges in row order on
-// the caller's goroutine — callers observe the exact sequential
-// semantics, just faster. Because buffering and goroutine startup have
+// duplicate results. The chunked kernel here buffers each chunk
+// privately and merges in row order on the caller's goroutine, so the
+// callback needs no synchronization and callers observe the exact
+// sequential semantics, just faster. Because buffering and goroutine startup have
 // real costs, the kernel only engages when a selectivity estimate says
 // the query is large enough to pay for them; small queries keep the
 // zero-overhead sequential path.
@@ -197,8 +196,8 @@ func (ix *Index) windowChunked(w geom.Rect, ix0, iy0, ix1, iy1, workers int, unt
 
 // WindowOrdered evaluates one window query over the given number of
 // workers, delivering results to fn on the caller's goroutine in exactly
-// the sequential scan order — unlike WindowParallel, fn needs no
-// synchronization and observes a deterministic order. workers <= 0 uses
+// the sequential scan order: fn needs no synchronization and observes a
+// deterministic order. workers <= 0 uses
 // GOMAXPROCS; 1, or a cover too small to chunk, runs the plain
 // sequential scan. This is the forced-parallelism entry point; Window
 // and Search apply the same kernel automatically behind the cost gate.

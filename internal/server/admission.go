@@ -21,10 +21,10 @@ import (
 // Requests fall into three endpoint classes, each with its own
 // in-flight semaphore and bounded FIFO wait queue:
 //
-//   - read:   /v1/window, /v1/disk, /v1/knn and their legacy aliases
-//   - mutate: /v1/insert, /v1/delete, /v1/bulk, /v1/checkpoint + aliases
-//   - batch:  /v1/batch + alias (a single batch is worth thousands of
-//     reads, so it must not share the read class's slots)
+//   - read:   /v1/window, /v1/disk, /v1/knn
+//   - mutate: /v1/insert, /v1/delete, /v1/bulk, /v1/checkpoint
+//   - batch:  /v1/batch (a single batch is worth thousands of reads, so
+//     it must not share the read class's slots)
 //
 // A request that finds a free slot is admitted immediately (one failed
 // channel receive — the uncontended fast path costs a few atomics).
@@ -44,7 +44,7 @@ import (
 // Shedding answers 429 Too Many Requests with a Retry-After hint derived
 // from the same prediction. A request whose deadline expires while it is
 // queued answers 503 (the existing timeout status) with Retry-After.
-// /stats, /healthz, and /metrics bypass admission entirely: the
+// /v1/stats, /healthz, and /metrics bypass admission entirely: the
 // observability surface must stay reachable on an overloaded node.
 //
 // Mutation backpressure is the second half of the valve: the apply
@@ -66,7 +66,7 @@ const (
 )
 
 // classNames are the label values of the twolayer_admission_* metric
-// group and the keys of the /stats "admission" section.
+// group and the keys of the /v1/stats "admission" section.
 var classNames = [numClasses]string{"read", "mutate", "batch"}
 
 // shedReason reports why acquire did not admit a request.
@@ -113,7 +113,7 @@ func defaultMaxInflight() int {
 
 // classGate is one endpoint class's admission state: a token-channel
 // semaphore (capacity = in-flight limit; receiving a token admits),
-// occupancy counters, outcome counters for /stats and /metrics, and the
+// occupancy counters, outcome counters for /v1/stats and /metrics, and the
 // EWMAs behind the wait prediction. Goroutines blocked on the token
 // channel are served in arrival order by the runtime, and a released
 // token is handed to the oldest waiter before it can land in the buffer,

@@ -180,13 +180,13 @@ func TestAdmissionDisabled(t *testing.T) {
 		t.Fatal("MaxInflight < 0 should disable admission")
 	}
 	var resp rangeResponse
-	w := do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
+	w := do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
 	var stats statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &stats)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &stats)
 	if stats.Admission != nil {
 		t.Fatal("/stats has an admission section with admission disabled")
 	}
@@ -201,13 +201,13 @@ func TestAdmissionDisabled(t *testing.T) {
 func TestAdmissionStatsAndMetrics(t *testing.T) {
 	s := testServer(t, nil) // default-on admission
 	var resp rangeResponse
-	w := do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
+	w := do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
 	var stats statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &stats)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &stats)
 	if stats.Admission == nil {
 		t.Fatal("/stats is missing the admission section")
 	}
@@ -249,6 +249,39 @@ func TestAdmissionTraceQueueWait(t *testing.T) {
 	}
 }
 
+// TestBatchValidatedBeforeAdmission: a batch with a malformed element is
+// rejected naming the element, before it takes a batch slot — otherwise
+// its ~0 service time is folded into the gate's EWMA and drags the
+// deadline-shedding predictor low.
+func TestBatchValidatedBeforeAdmission(t *testing.T) {
+	s := testServer(t, nil)
+	h := s.Handler()
+	admitted := func() uint64 {
+		var st statsResponse
+		do(t, h, "GET", "/v1/stats", "", &st)
+		return st.Admission.Classes["batch"].Admitted
+	}
+	for _, c := range []struct{ body, want string }{
+		{`{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1},{"min_x":1,"min_y":0,"max_x":0,"max_y":1}]}`, "windows[1]"},
+		{`{"disks":[{"center":{"x":0,"y":0},"radius":1},{"center":{"x":0,"y":0},"radius":1},{"center":{"x":0,"y":0},"radius":-1}]}`, "disks[2]"},
+	} {
+		w := do(t, h, "POST", "/v1/batch", c.body, nil)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), c.want) {
+			t.Errorf("status %d body %s, want 400 naming %s", w.Code, w.Body.String(), c.want)
+		}
+	}
+	if got := admitted(); got != 0 {
+		t.Errorf("batch admitted_total = %d after two rejected batches, want 0", got)
+	}
+	if got := s.adm.gate(classBatch).ewmaServiceNS.Load(); got != 0 {
+		t.Errorf("rejected batches fed the service-time EWMA (%d ns)", got)
+	}
+	do(t, h, "POST", "/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`, nil)
+	if got := admitted(); got != 1 {
+		t.Errorf("batch admitted_total = %d after one valid batch, want 1", got)
+	}
+}
+
 // TestOverloadShedding is the overload regression: with the read class
 // pinned at 4 in-flight slots and an 8-deep queue, 64 concurrent window
 // queries must split into 8 admitted completions and 56 prompt 429s
@@ -278,8 +311,8 @@ func TestOverloadShedding(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := httptest.NewRequest("POST", "/query/window",
-				strings.NewReader(`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`))
+			req := httptest.NewRequest("POST", "/v1/window",
+				strings.NewReader(`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, req)
 			codes <- w
@@ -393,7 +426,7 @@ func TestBacklogRejection(t *testing.T) {
 				body := fmt.Sprintf(
 					`{"id":%d,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`,
 					1000+wk*perWorker+i)
-				req := httptest.NewRequest("POST", "/insert", strings.NewReader(body))
+				req := httptest.NewRequest("POST", "/v1/insert", strings.NewReader(body))
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, req)
 				switch w.Code {
@@ -424,7 +457,7 @@ func TestBacklogRejection(t *testing.T) {
 	}
 
 	var stats statsResponse
-	do(t, h, "GET", "/stats", "", &stats)
+	do(t, h, "GET", "/v1/stats", "", &stats)
 	if stats.Admission == nil || stats.Admission.Backlog == nil {
 		t.Fatal("/stats is missing the admission backlog section on a live server")
 	}

@@ -34,28 +34,28 @@ func TestConcurrentQueries(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				switch (wkr + i) % 4 {
 				case 0: // full-space window: exactly 100 results
-					dec, code, _ := post("/query/window",
-						`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`)
+					dec, code, _ := post("/v1/window",
+						`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`)
 					var resp rangeResponse
 					if err := dec.Decode(&resp); err != nil || code != http.StatusOK || resp.Count != 100 {
 						errs <- fmt.Errorf("window: code=%d count=%d err=%v", code, resp.Count, err)
 					}
 				case 1: // disk around the center
-					dec, code, _ := post("/query/disk",
-						`{"center":{"x":0.5,"y":0.5},"radius":0.2,"count_only":true}`)
+					dec, code, _ := post("/v1/disk",
+						`{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.2},"count_only":true}`)
 					var resp rangeResponse
 					if err := dec.Decode(&resp); err != nil || code != http.StatusOK || resp.Count == 0 {
 						errs <- fmt.Errorf("disk: code=%d count=%d err=%v", code, resp.Count, err)
 					}
 				case 2: // kNN exercises per-view scratch space
-					dec, code, _ := post("/query/knn",
+					dec, code, _ := post("/v1/knn",
 						`{"center":{"x":0.31,"y":0.64},"k":9}`)
 					var resp knnResponse
 					if err := dec.Decode(&resp); err != nil || code != http.StatusOK || len(resp.Neighbors) != 9 {
 						errs <- fmt.Errorf("knn: code=%d n=%d err=%v", code, len(resp.Neighbors), err)
 					}
 				case 3: // parallel tiles-based batch inside a concurrent request
-					dec, code, _ := post("/query/batch",
+					dec, code, _ := post("/v1/batch",
 						`{"windows":[{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15},
 						             {"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`)
 					var resp batchResponse
@@ -76,13 +76,13 @@ func TestConcurrentQueries(t *testing.T) {
 	// The aggregate must have observed every instrumented single query
 	// (batches are uninstrumented by design).
 	var stats statsResponse
-	do(t, h, "GET", "/stats", "", &stats)
+	do(t, h, "GET", "/v1/stats", "", &stats)
 	wantObserved := int64(workers * perWorker * 3 / 4)
 	if stats.QueriesObserved != wantObserved {
 		t.Errorf("queries_observed = %d, want %d", stats.QueriesObserved, wantObserved)
 	}
 	m := scrapeMetrics(t, h)
-	for _, ep := range []string{"query/window", "query/disk", "query/knn", "query/batch"} {
+	for _, ep := range []string{"v1/window", "v1/disk", "v1/knn", "v1/batch"} {
 		if got := m[fmt.Sprintf(`twolayer_http_requests_total{endpoint=%q}`, ep)]; got != float64(workers*perWorker/4) {
 			t.Errorf("%s requests = %v, want %d", ep, got, workers*perWorker/4)
 		}

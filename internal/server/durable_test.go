@@ -48,7 +48,7 @@ func TestDurableServerRecovery(t *testing.T) {
 	s, dl := durableServer(t, dir)
 	for id := 1; id <= 25; id++ {
 		var ins insertResponse
-		w := do(t, s.Handler(), "POST", "/insert", insertBody(id), &ins)
+		w := do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), &ins)
 		if w.Code != http.StatusOK {
 			t.Fatalf("insert %d: status %d", id, w.Code)
 		}
@@ -59,36 +59,36 @@ func TestDurableServerRecovery(t *testing.T) {
 
 	s2, _ := durableServer(t, dir)
 	var win rangeResponse
-	do(t, s2.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
+	do(t, s2.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
 	if win.Count != 25 {
 		t.Fatalf("recovered server serves %d objects, want 25", win.Count)
 	}
 }
 
-// TestCheckpointEndpoint: POST /checkpoint writes a checkpoint, reports
+// TestCheckpointEndpoint: POST /v1/checkpoint writes a checkpoint, reports
 // its epoch, and the durability stats section reflects it.
 func TestCheckpointEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableServer(t, dir)
 	for id := 1; id <= 10; id++ {
-		do(t, s.Handler(), "POST", "/insert", insertBody(id), nil)
+		do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), nil)
 	}
 	var ck struct {
 		Epoch     uint64 `json:"epoch"`
 		ElapsedUS int64  `json:"elapsed_us"`
 	}
-	w := do(t, s.Handler(), "POST", "/checkpoint", "", &ck)
+	w := do(t, s.Handler(), "POST", "/v1/checkpoint", "", &ck)
 	if w.Code != http.StatusOK || ck.Epoch != 10 {
 		t.Fatalf("checkpoint: status %d epoch %d, want 200 and epoch 10", w.Code, ck.Epoch)
 	}
 	ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
 	if len(ckpts) == 0 {
-		t.Fatal("no checkpoint file on disk after POST /checkpoint")
+		t.Fatal("no checkpoint file on disk after POST /v1/checkpoint")
 	}
 
 	var st statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &st)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &st)
 	if st.Durability == nil {
 		t.Fatal("stats response has no durability section in durable mode")
 	}
@@ -105,12 +105,12 @@ func TestCheckpointEndpoint(t *testing.T) {
 // section only exist with Config.Durable.
 func TestCheckpointAbsentOutsideDurableMode(t *testing.T) {
 	s, _ := liveServer(t, nil)
-	w := do(t, s.Handler(), "POST", "/checkpoint", "", nil)
+	w := do(t, s.Handler(), "POST", "/v1/checkpoint", "", nil)
 	if w.Code != http.StatusNotFound {
-		t.Fatalf("POST /checkpoint in plain live mode: status %d, want 404", w.Code)
+		t.Fatalf("POST /v1/checkpoint in plain live mode: status %d, want 404", w.Code)
 	}
 	var st statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &st)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &st)
 	if st.Durability != nil {
 		t.Fatal("plain live mode reports a durability stats section")
 	}
@@ -123,7 +123,7 @@ func TestDurableServerCorruptTail(t *testing.T) {
 	dir := t.TempDir()
 	s, dl := durableServer(t, dir)
 	for id := 1; id <= 20; id++ {
-		do(t, s.Handler(), "POST", "/insert", insertBody(id), nil)
+		do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), nil)
 	}
 	if err := dl.Close(); err != nil {
 		t.Fatal(err)
@@ -145,13 +145,13 @@ func TestDurableServerCorruptTail(t *testing.T) {
 
 	s2, _ := durableServer(t, dir)
 	var st statsResponse
-	do(t, s2.Handler(), "GET", "/stats", "", &st)
+	do(t, s2.Handler(), "GET", "/v1/stats", "", &st)
 	if st.Durability == nil || !st.Durability.RecoveryTruncatedLog {
 		t.Fatalf("recovery did not report log truncation: %+v", st.Durability)
 	}
 	var win rangeResponse
-	do(t, s2.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
+	do(t, s2.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
 	if win.Count < 15 || win.Count >= 20 {
 		t.Fatalf("recovered %d of 20 inserts after tail corruption", win.Count)
 	}
@@ -162,9 +162,9 @@ func TestDurableServerCorruptTail(t *testing.T) {
 func TestDurableMetricsIncludeCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableServer(t, dir)
-	do(t, s.Handler(), "POST", "/checkpoint", "", nil)
+	do(t, s.Handler(), "POST", "/v1/checkpoint", "", nil)
 	m := scrapeMetrics(t, s.Handler())
-	if got := m[`twolayer_http_requests_total{endpoint="checkpoint"}`]; got != 1 {
+	if got := m[`twolayer_http_requests_total{endpoint="v1/checkpoint"}`]; got != 1 {
 		t.Fatalf("checkpoint endpoint requests = %v, want 1", got)
 	}
 	// Durable mode also exports the WAL/checkpoint engine group.

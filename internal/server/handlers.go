@@ -61,23 +61,6 @@ func (p pointJSON) validate() string {
 	return ""
 }
 
-type windowRequest struct {
-	Rect      rectJSON `json:"rect"`
-	Exact     bool     `json:"exact"`
-	CountOnly bool     `json:"count_only"`
-	Limit     int      `json:"limit"`
-	Trace     bool     `json:"trace"`
-}
-
-type diskRequest struct {
-	Center    pointJSON `json:"center"`
-	Radius    float64   `json:"radius"`
-	Exact     bool      `json:"exact"`
-	CountOnly bool      `json:"count_only"`
-	Limit     int       `json:"limit"`
-	Trace     bool      `json:"trace"`
-}
-
 type knnRequest struct {
 	Center pointJSON `json:"center"`
 	K      int       `json:"k"`
@@ -239,87 +222,6 @@ type batchResponse struct {
 
 // ---- shared helpers -------------------------------------------------------
 
-// index returns the unsharded index this request should read: the
-// current pinned snapshot in live mode (immutable; later mutations go
-// into later snapshots), or the static shared index. nil on a sharded
-// server — use shardedSnap there.
-func (s *Server) index() *twolayer.Index {
-	if s.live != nil {
-		return s.live.Snapshot()
-	}
-	return s.idx
-}
-
-// shardedSnap returns the sharded engine this request should read (the
-// current snapshot in sharded live mode), or nil on an unsharded server.
-func (s *Server) shardedSnap() *twolayer.Sharded {
-	if s.sharded != nil {
-		return s.sharded
-	}
-	if s.shardedLive != nil {
-		return s.shardedLive.Snapshot()
-	}
-	return nil
-}
-
-// reader returns the introspection surface of the served engine.
-func (s *Server) reader() reader {
-	if sh := s.shardedSnap(); sh != nil {
-		return sh
-	}
-	return s.index()
-}
-
-// estimateWindow returns the engine's O(tiles) cardinality estimate for
-// a window, routing to the sharded engine (per-shard sums) or the
-// unsharded index of the current snapshot.
-func (s *Server) estimateWindow(rect twolayer.Rect) float64 {
-	if sh := s.shardedSnap(); sh != nil {
-		return sh.EstimateWindow(rect)
-	}
-	return s.index().EstimateWindow(rect)
-}
-
-// shardCount returns the number of shards, or 0 on an unsharded server.
-func (s *Server) shardCount() int {
-	if s.sharded != nil {
-		return s.sharded.Shards()
-	}
-	if s.shardedLive != nil {
-		return s.shardedLive.Shards()
-	}
-	return 0
-}
-
-// shardedStats snapshots the scatter-gather counters; only called on a
-// sharded server.
-func (s *Server) shardedStats() twolayer.ShardedStats {
-	if s.sharded != nil {
-		return s.sharded.Stats()
-	}
-	return s.shardedLive.ShardStats()
-}
-
-// view returns the index view this request should query through, plus a
-// flush to call once the query finished successfully. Live snapshots are
-// already private read views; static indices get one here. Unsharded
-// servers only.
-func (s *Server) view() (view *twolayer.Index, flush func()) {
-	if s.live != nil {
-		snap := s.live.Snapshot()
-		if s.cfg.CollectStats {
-			v, stats := snap.Instrumented()
-			return v, func() { s.agg.Observe(stats) }
-		}
-		return snap, func() {}
-	}
-	if s.cfg.CollectStats {
-		v, stats := s.idx.Instrumented()
-		return v, func() { s.agg.Observe(stats) }
-	}
-	return s.idx.ReadView(), func() {}
-}
-
 // headerTrace reports whether the request asked for a trace through the
 // X-Trace header (any value but "0" and "false" enables it).
 func headerTrace(r *http.Request) bool {
@@ -327,98 +229,44 @@ func headerTrace(r *http.Request) bool {
 	return v != "" && v != "0" && v != "false"
 }
 
-// beginQuery prepares the searcher one single query evaluates on,
-// honoring CollectStats, tracing (Config.EnableTracing, the request's
-// "trace" field, or an X-Trace header), and the slow-query threshold.
-// It returns the searcher and a finish func to call exactly once after
-// a successful evaluation: finish merges counters into the /stats
-// aggregate, logs the query if it crossed SlowQueryThreshold, and —
-// when the client or config asked for a trace — sets a compact X-Trace
-// response header and returns the trace to embed in the response (nil
-// otherwise).
-//
-// On a sharded server the searcher is a (possibly traced) engine
-// snapshot: traces carry per-shard fan-out spans instead of core
-// counters, and CollectStats aggregation does not apply (the merged
-// scatter-gather counters live under twolayer_shard_* instead).
+// beginQuery opens the searcher one single query evaluates on, honoring
+// CollectStats, tracing (Config.EnableTracing, the request's "trace"
+// field, or an X-Trace header), and the slow-query threshold. It returns
+// the searcher and a finish func to call exactly once after a successful
+// evaluation: finish merges counters into the /v1/stats aggregate, logs
+// the query if it crossed SlowQueryThreshold, and — when the client or
+// config asked for a trace — sets a compact X-Trace response header and
+// returns the trace to embed in the response (nil otherwise).
 func (s *Server) beginQuery(w http.ResponseWriter, r *http.Request, kind string, reqTrace bool) (searcher, func() *traceJSON) {
 	want := s.cfg.EnableTracing || reqTrace || headerTrace(r)
-
-	if sh := s.shardedSnap(); sh != nil {
-		if !want && s.cfg.SlowQueryThreshold <= 0 {
-			return sh, func() *traceJSON { return nil }
-		}
-		v := sh.Traced()
-		start := time.Now()
-		return v, func() *traceJSON {
-			elapsed := time.Since(start)
-			if thr := s.cfg.SlowQueryThreshold; thr > 0 && elapsed >= thr {
-				s.metrics.slow.Inc()
-				s.cfg.Logger.Warn("slow query",
-					"kind", kind,
-					"threshold", thr,
-					"elapsed_us", elapsed.Microseconds(),
-					"shards_scanned", len(v.Spans))
-			}
-			if !want {
-				return nil
-			}
-			s.metrics.traced.Inc()
-			w.Header().Set("X-Trace", fmt.Sprintf("kind=%s elapsed_us=%d shards=%d",
-				kind, elapsed.Microseconds(), len(v.Spans)))
-			tj := &traceJSON{Kind: kind, ElapsedUS: elapsed.Microseconds()}
-			for _, sp := range v.Spans {
-				tj.Shards = append(tj.Shards, shardSpanJSON(sp))
-			}
-			return tj
-		}
+	thr := s.cfg.SlowQueryThreshold
+	// The slow-query log needs timings too, so it traces internally even
+	// when no client asked.
+	view, done := s.eng.open(kind, want || thr > 0)
+	if done == nil {
+		return view, noTrace
 	}
-
-	if !want && s.cfg.SlowQueryThreshold <= 0 {
-		view, flush := s.view()
-		return view, func() *traceJSON { flush(); return nil }
-	}
-
-	// Traced path: also used trace-internally when only the slow-query
-	// log needs timings. The trace embeds the Stats counters, so the
-	// /stats aggregation works exactly as on the instrumented path.
-	base := s.idx
-	if s.live != nil {
-		base = s.live.Snapshot()
-	}
-	view, tr := base.Traced()
-	tr.Kind = kind
-	start := time.Now()
 	return view, func() *traceJSON {
-		tr.Finish(start)
-		if s.cfg.CollectStats {
-			s.agg.Observe(&tr.Stats)
+		tr := done()
+		if tr == nil {
+			return nil
 		}
-		if thr := s.cfg.SlowQueryThreshold; thr > 0 && tr.Elapsed() >= thr {
+		if thr > 0 && tr.Elapsed() >= thr {
 			s.metrics.slow.Inc()
 			s.cfg.Logger.Warn("slow query",
-				"kind", tr.Kind,
-				"threshold", thr,
-				"elapsed_us", tr.ElapsedNS/1000,
-				"filter_us", tr.FilterNS()/1000,
-				"refine_us", tr.RefineNS/1000,
-				"tiles_visited", tr.TilesVisited,
-				"entries_scanned", tr.EntriesScanned,
-				"comparisons", tr.Comparisons,
-				"refinement_tests", tr.RefinementTests,
-				"results", tr.Results)
+				append([]any{"kind", kind, "threshold", thr}, tr.slowAttrs()...)...)
 		}
 		if !want {
 			return nil
 		}
 		s.metrics.traced.Inc()
-		w.Header().Set("X-Trace", fmt.Sprintf(
-			"kind=%s elapsed_us=%d filter_us=%d refine_us=%d tiles=%d entries=%d results=%d",
-			tr.Kind, tr.ElapsedNS/1000, tr.FilterNS()/1000, tr.RefineNS/1000,
-			tr.TilesVisited, tr.EntriesScanned, tr.Results))
-		return newTraceJSON(tr)
+		header, body := tr.render()
+		w.Header().Set("X-Trace", header)
+		return body
 	}
 }
+
+func noTrace() *traceJSON { return nil }
 
 // clampLimit resolves a request's result limit. ok=false means the value
 // was invalid.
@@ -439,7 +287,7 @@ func clampLimit(limit int) (int, bool) {
 // geometries, which snapshot-loaded indices and live snapshots (whose
 // objects can be inserted after the build) do not carry.
 func (s *Server) requireExactable(w http.ResponseWriter) bool {
-	if s.mut != nil || !s.reader().HasExactGeometries() {
+	if s.mut != nil || !s.eng.pin().HasExactGeometries() {
 		writeError(w, http.StatusBadRequest,
 			"exact queries unavailable: snapshot-loaded and live indices do not carry exact geometries")
 		return false
@@ -448,180 +296,6 @@ func (s *Server) requireExactable(w http.ResponseWriter) bool {
 }
 
 // ---- handlers -------------------------------------------------------------
-
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	var req windowRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if msg := req.Rect.validate(); msg != "" {
-		writeError(w, http.StatusBadRequest, msg)
-		return
-	}
-	limit, ok := clampLimit(req.Limit)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "limit must be >= 0")
-		return
-	}
-	if req.Exact && !s.requireExactable(w) {
-		return
-	}
-
-	ctx := r.Context()
-	rect := req.Rect.toRect()
-	// Legacy window semantics count every match regardless of the limit,
-	// so the full estimate prices the request.
-	release, queueWait, admitted := s.admit(ctx, w, classRead, func() float64 {
-		return s.estimateWindow(rect)
-	})
-	if !admitted {
-		return
-	}
-	defer release()
-	view, finish := s.beginQuery(w, r, "window", req.Trace)
-	if ctx.Err() != nil {
-		writeTimeout(w)
-		return
-	}
-	resp := rangeResponse{}
-	start := time.Now()
-
-	switch {
-	case req.Exact:
-		// Exact queries are not interruptible; the deadline was checked
-		// once before the (refinement-heavy) evaluation starts. Legacy
-		// semantics: count every match, cap only the result list.
-		q := twolayer.Query{Window: &rect, Exact: true, Mode: twolayer.RefineAvoidPlus}
-		if _, err := view.Search(q, func(id twolayer.ID, _ twolayer.Rect) bool {
-			resp.Count++
-			if req.CountOnly {
-				return true
-			}
-			if len(resp.Results) < limit {
-				resp.Results = append(resp.Results, resultJSON{ID: id})
-			} else {
-				resp.Truncated = true
-			}
-			return true
-		}); err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	case req.CountOnly:
-		interrupted := false
-		view.Search(twolayer.Query{Window: &rect}, func(id twolayer.ID, _ twolayer.Rect) bool {
-			resp.Count++
-			if resp.Count%ctxPollInterval == 0 && ctx.Err() != nil {
-				interrupted = true
-				return false
-			}
-			return true
-		})
-		if interrupted {
-			writeTimeout(w)
-			return
-		}
-	default:
-		interrupted := false
-		view.Search(twolayer.Query{Window: &rect}, func(id twolayer.ID, mbr twolayer.Rect) bool {
-			resp.Count++
-			resp.Results = append(resp.Results, resultJSON{ID: id, MBR: fromRect(mbr)})
-			if len(resp.Results) >= limit {
-				resp.Truncated = true
-				return false
-			}
-			if resp.Count%ctxPollInterval == 0 && ctx.Err() != nil {
-				interrupted = true
-				return false
-			}
-			return true
-		})
-		if interrupted {
-			writeTimeout(w)
-			return
-		}
-	}
-	resp.ElapsedUS = time.Since(start).Microseconds()
-	resp.Trace = finish()
-	if resp.Trace != nil {
-		resp.Trace.QueueWaitUS = queueWait.Microseconds()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleDisk(w http.ResponseWriter, r *http.Request) {
-	var req diskRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if msg := req.Center.validate(); msg != "" {
-		writeError(w, http.StatusBadRequest, msg)
-		return
-	}
-	if math.IsNaN(req.Radius) || math.IsInf(req.Radius, 0) || req.Radius < 0 {
-		writeError(w, http.StatusBadRequest, "radius must be finite and >= 0")
-		return
-	}
-	limit, ok := clampLimit(req.Limit)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "limit must be >= 0")
-		return
-	}
-	if req.Exact && !s.requireExactable(w) {
-		return
-	}
-
-	center := twolayer.Point{X: req.Center.X, Y: req.Center.Y}
-	disk := twolayer.Disk{Center: center, Radius: req.Radius}
-	release, queueWait, admitted := s.admit(r.Context(), w, classRead, func() float64 {
-		return s.estimateWindow(costRect(twolayer.Query{Disk: &disk}))
-	})
-	if !admitted {
-		return
-	}
-	defer release()
-	view, finish := s.beginQuery(w, r, "disk", req.Trace)
-	if r.Context().Err() != nil {
-		// Disk evaluation has no early-exit hook; honor an already
-		// expired deadline before starting.
-		writeTimeout(w)
-		return
-	}
-	resp := rangeResponse{}
-	start := time.Now()
-
-	// Legacy semantics: count every match, cap only the result list;
-	// exact results omit the MBR.
-	collect := func(id twolayer.ID, mbr *rectJSON) {
-		resp.Count++
-		if req.CountOnly {
-			return
-		}
-		if len(resp.Results) < limit {
-			resp.Results = append(resp.Results, resultJSON{ID: id, MBR: mbr})
-		} else {
-			resp.Truncated = true
-		}
-	}
-	q := twolayer.Query{Disk: &disk, Exact: req.Exact, Mode: twolayer.RefineAvoidPlus}
-	if _, err := view.Search(q, func(id twolayer.ID, mbr twolayer.Rect) bool {
-		if req.Exact {
-			collect(id, nil)
-		} else {
-			collect(id, fromRect(mbr))
-		}
-		return true
-	}); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp.ElapsedUS = time.Since(start).Microseconds()
-	resp.Trace = finish()
-	if resp.Trace != nil {
-		resp.Trace.QueueWaitUS = queueWait.Microseconds()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req knnRequest
@@ -710,6 +384,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Validate and convert every element before admission, so a malformed
+	// batch is rejected without taking a slot (its ~0 service time would
+	// otherwise drag the gate's deadline-shedding predictor low).
+	rects := make([]twolayer.Rect, len(req.Windows))
+	for i, rj := range req.Windows {
+		if msg := rj.validate(); msg != "" {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("windows[%d]: %s", i, msg))
+			return
+		}
+		rects[i] = rj.toRect()
+	}
+	disks := make([]twolayer.Disk, len(req.Disks))
+	for i, dj := range req.Disks {
+		if msg := dj.Center.validate(); msg != "" {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("disks[%d]: %s", i, msg))
+			return
+		}
+		if math.IsNaN(dj.Radius) || math.IsInf(dj.Radius, 0) || dj.Radius < 0 {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("disks[%d]: radius must be finite and >= 0", i))
+			return
+		}
+		disks[i] = twolayer.Disk{
+			Center: twolayer.Point{X: dj.Center.X, Y: dj.Center.Y},
+			Radius: dj.Radius,
+		}
+	}
+
 	// A batch's cost scales with its query count, so the count is the
 	// cost hint within the batch class.
 	release, _, admitted := s.admit(r.Context(), w, classBatch, func() float64 {
@@ -720,77 +424,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Batches run uninstrumented on the shared index (or one pinned live
-	// snapshot): the tiles-based strategy interleaves queries across
-	// worker goroutines, so a single per-request Stats would race (see
-	// docs/SERVER.md).
+	// Batches run uninstrumented on one pinned snapshot: the tiles-based
+	// strategy interleaves queries across worker goroutines, so a single
+	// per-request Stats would race (see docs/SERVER.md).
 	if r.Context().Err() != nil {
 		writeTimeout(w)
 		return
 	}
-	sh := s.shardedSnap()
-	var idx *twolayer.Index
-	if sh == nil {
-		idx = s.index()
-	}
+	snap := s.eng.pin()
 	resp := batchResponse{Mode: req.Mode, Threads: threads}
 	start := time.Now()
-	if len(req.Windows) > 0 {
-		rects := make([]twolayer.Rect, len(req.Windows))
-		for i, rj := range req.Windows {
-			if msg := rj.validate(); msg != "" {
-				writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("windows[%d]: %s", i, msg))
-				return
-			}
-			rects[i] = rj.toRect()
-		}
-		if sh != nil {
-			qs := make([]twolayer.Query, len(rects))
-			for i := range rects {
-				qs[i] = twolayer.Query{Window: &rects[i]}
-			}
-			counts, err := sh.BatchCounts(qs, strategy, threads)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			resp.Counts = counts
-		} else {
-			resp.Counts = idx.BatchWindowCounts(rects, strategy, threads)
-		}
+	if len(rects) > 0 {
+		resp.Counts = snap.BatchWindowCounts(rects, strategy, threads)
 	} else {
-		disks := make([]twolayer.Disk, len(req.Disks))
-		for i, dj := range req.Disks {
-			if msg := dj.Center.validate(); msg != "" {
-				writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("disks[%d]: %s", i, msg))
-				return
-			}
-			if math.IsNaN(dj.Radius) || math.IsInf(dj.Radius, 0) || dj.Radius < 0 {
-				writeError(w, http.StatusBadRequest,
-					fmt.Sprintf("disks[%d]: radius must be finite and >= 0", i))
-				return
-			}
-			disks[i] = twolayer.Disk{
-				Center: twolayer.Point{X: dj.Center.X, Y: dj.Center.Y},
-				Radius: dj.Radius,
-			}
-		}
-		if sh != nil {
-			qs := make([]twolayer.Query, len(disks))
-			for i := range disks {
-				qs[i] = twolayer.Query{Disk: &disks[i]}
-			}
-			counts, err := sh.BatchCounts(qs, strategy, threads)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			resp.Counts = counts
-		} else {
-			resp.Counts = idx.BatchDiskCounts(disks, strategy, threads)
-		}
+		resp.Counts = snap.BatchDiskCounts(disks, strategy, threads)
 	}
 	for _, c := range resp.Counts {
 		resp.Total += c
@@ -826,7 +473,7 @@ type countersJSON struct {
 }
 
 // partitionsJSON reports the shape of the served index's partitioning
-// (Index.PartitionStats), recomputed per /stats request.
+// (Index.PartitionStats), recomputed per /v1/stats request.
 type partitionsJSON struct {
 	GridTiles         int             `json:"grid_tiles"`
 	OccupiedTiles     int             `json:"occupied_tiles"`
@@ -843,7 +490,7 @@ type partitionsJSON struct {
 
 // liveStatsJSON reports the apply loop of a live-mode server: the
 // published epoch, the mutation backlog, and publish totals/latency.
-// Naming follows the /stats conventions (docs/OBSERVABILITY.md):
+// Naming follows the /v1/stats conventions (docs/OBSERVABILITY.md):
 // snake_case, cumulative counters end in _total, durations are float
 // seconds with a _seconds suffix.
 type liveStatsJSON struct {
@@ -949,11 +596,11 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	idx := s.reader()
+	idx := s.eng.pin()
 	nx, ny := idx.GridDims()
 	var shards *shardsJSON
-	if s.shardCount() > 0 {
-		st := s.shardedStats()
+	if s.shardStats != nil {
+		st := s.shardStats()
 		shards = &shardsJSON{
 			Count:              len(st.PerShard),
 			SingleShardQueries: st.SingleShard,
@@ -1090,7 +737,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCheckpoint (POST /checkpoint, durable mode) forces a checkpoint
+// handleCheckpoint (POST /v1/checkpoint, durable mode) forces a checkpoint
 // of the current snapshot and prunes the log segments it covers.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	release, _, admitted := s.admit(r.Context(), w, classMutate, nil)
@@ -1114,7 +761,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":  "ok",
-		"objects": s.reader().Len(),
+		"objects": s.eng.pin().Len(),
 	}
 	if s.mut != nil {
 		body["epoch"] = s.mut.Stats().Epoch

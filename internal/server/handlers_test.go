@@ -69,7 +69,7 @@ func do(t *testing.T, h http.Handler, method, path, body string, out any) *httpt
 
 // scrapeMetrics fetches /metrics and parses the Prometheus text format
 // into a map keyed by the full series identity (`name{labels}`), e.g.
-// `twolayer_http_requests_total{endpoint="query/window"}`.
+// `twolayer_http_requests_total{endpoint="v1/window"}`.
 func scrapeMetrics(t *testing.T, h http.Handler) map[string]float64 {
 	t.Helper()
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -103,8 +103,8 @@ func TestWindowHappyPath(t *testing.T) {
 	s := testServer(t, nil)
 	var resp rangeResponse
 	// Covers the 4 squares with corners in [0, 0.15]^2.
-	w := do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15}}`, &resp)
+	w := do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15}}`, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -124,8 +124,8 @@ func TestWindowHappyPath(t *testing.T) {
 func TestWindowExactAndCountOnly(t *testing.T) {
 	s := testServer(t, nil)
 	var resp rangeResponse
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15},"exact":true}`, &resp)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15},"exact":true}`, &resp)
 	if resp.Count != 4 {
 		t.Errorf("exact count=%d, want 4", resp.Count)
 	}
@@ -136,8 +136,8 @@ func TestWindowExactAndCountOnly(t *testing.T) {
 	}
 
 	resp = rangeResponse{}
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &resp)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &resp)
 	if resp.Count != 100 {
 		t.Errorf("count_only count=%d, want 100", resp.Count)
 	}
@@ -149,8 +149,8 @@ func TestWindowExactAndCountOnly(t *testing.T) {
 func TestWindowLimitTruncates(t *testing.T) {
 	s := testServer(t, nil)
 	var resp rangeResponse
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"limit":7}`, &resp)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"limit":7}`, &resp)
 	if len(resp.Results) != 7 || !resp.Truncated {
 		t.Errorf("limit=7: got %d results truncated=%v", len(resp.Results), resp.Truncated)
 	}
@@ -161,15 +161,15 @@ func TestWindowBadRequests(t *testing.T) {
 	cases := []struct {
 		name, body string
 	}{
-		{"malformed JSON", `{"rect":`},
-		{"trailing garbage", `{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}} extra`},
+		{"malformed JSON", `{"window":`},
+		{"trailing garbage", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}} extra`},
 		{"unknown field", `{"rectangle":{"min_x":0}}`},
-		{"inverted rect", `{"rect":{"min_x":1,"min_y":0,"max_x":0,"max_y":1}}`},
-		{"NaN rect", `{"rect":{"min_x":null,"min_y":0,"max_x":"NaN","max_y":1}}`},
-		{"negative limit", `{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"limit":-1}`},
+		{"inverted rect", `{"window":{"min_x":1,"min_y":0,"max_x":0,"max_y":1}}`},
+		{"NaN rect", `{"window":{"min_x":null,"min_y":0,"max_x":"NaN","max_y":1}}`},
+		{"negative limit", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"limit":-1}`},
 	}
 	for _, c := range cases {
-		w := do(t, s.Handler(), "POST", "/query/window", c.body, nil)
+		w := do(t, s.Handler(), "POST", "/v1/window", c.body, nil)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, w.Code, w.Body.String())
 		}
@@ -182,8 +182,8 @@ func TestWindowBadRequests(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	s := testServer(t, nil)
-	if w := do(t, s.Handler(), "GET", "/query/window", "", nil); w.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /query/window: status %d, want 405", w.Code)
+	if w := do(t, s.Handler(), "GET", "/v1/window", "", nil); w.Code != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/window: status %d, want 405", w.Code)
 	}
 	if w := do(t, s.Handler(), "POST", "/metrics", "", nil); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /metrics: status %d, want 405", w.Code)
@@ -194,8 +194,8 @@ func TestWindowTimeout(t *testing.T) {
 	// A deadline that has certainly expired by the first poll: every
 	// streaming query must answer 503, deterministically.
 	s := testServer(t, func(c *Config) { c.RequestTimeout = time.Nanosecond })
-	w := do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
+	w := do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%s)", w.Code, w.Body.String())
 	}
@@ -206,7 +206,7 @@ func TestWindowTimeout(t *testing.T) {
 	}
 	// The timeout must be visible in metrics.
 	m := scrapeMetrics(t, s.Handler())
-	if got := m[`twolayer_http_request_timeouts_total{endpoint="query/window"}`]; got != 1 {
+	if got := m[`twolayer_http_request_timeouts_total{endpoint="v1/window"}`]; got != 1 {
 		t.Errorf("metrics timeouts = %v, want 1", got)
 	}
 }
@@ -214,20 +214,20 @@ func TestWindowTimeout(t *testing.T) {
 func TestDiskQueries(t *testing.T) {
 	s := testServer(t, nil)
 	var resp rangeResponse
-	do(t, s.Handler(), "POST", "/query/disk",
-		`{"center":{"x":0.5,"y":0.5},"radius":0.06}`, &resp)
+	do(t, s.Handler(), "POST", "/v1/disk",
+		`{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.06}}`, &resp)
 	if resp.Count == 0 {
 		t.Error("disk query found nothing around (0.5,0.5)")
 	}
 	exact := rangeResponse{}
-	do(t, s.Handler(), "POST", "/query/disk",
-		`{"center":{"x":0.5,"y":0.5},"radius":0.06,"exact":true}`, &exact)
+	do(t, s.Handler(), "POST", "/v1/disk",
+		`{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.06},"exact":true}`, &exact)
 	if exact.Count == 0 || exact.Count > resp.Count {
 		t.Errorf("exact disk count %d vs filter count %d", exact.Count, resp.Count)
 	}
 
-	if w := do(t, s.Handler(), "POST", "/query/disk",
-		`{"center":{"x":0.5,"y":0.5},"radius":-1}`, nil); w.Code != http.StatusBadRequest {
+	if w := do(t, s.Handler(), "POST", "/v1/disk",
+		`{"disk":{"center":{"x":0.5,"y":0.5},"radius":-1}}`, nil); w.Code != http.StatusBadRequest {
 		t.Errorf("negative radius: status %d, want 400", w.Code)
 	}
 }
@@ -235,7 +235,7 @@ func TestDiskQueries(t *testing.T) {
 func TestKNNQueries(t *testing.T) {
 	s := testServer(t, nil)
 	var resp knnResponse
-	do(t, s.Handler(), "POST", "/query/knn",
+	do(t, s.Handler(), "POST", "/v1/knn",
 		`{"center":{"x":0.52,"y":0.52},"k":5}`, &resp)
 	if len(resp.Neighbors) != 5 {
 		t.Fatalf("got %d neighbors, want 5", len(resp.Neighbors))
@@ -245,7 +245,7 @@ func TestKNNQueries(t *testing.T) {
 			t.Error("neighbors not sorted by distance")
 		}
 	}
-	if w := do(t, s.Handler(), "POST", "/query/knn",
+	if w := do(t, s.Handler(), "POST", "/v1/knn",
 		`{"center":{"x":0.5,"y":0.5},"k":0}`, nil); w.Code != http.StatusBadRequest {
 		t.Errorf("k=0: status %d, want 400", w.Code)
 	}
@@ -254,7 +254,7 @@ func TestKNNQueries(t *testing.T) {
 func TestBatchQueries(t *testing.T) {
 	s := testServer(t, nil)
 	var resp batchResponse
-	do(t, s.Handler(), "POST", "/query/batch",
+	do(t, s.Handler(), "POST", "/v1/batch",
 		`{"mode":"tiles","windows":[
 			{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15},
 			{"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`, &resp)
@@ -266,7 +266,7 @@ func TestBatchQueries(t *testing.T) {
 	}
 
 	disk := batchResponse{}
-	do(t, s.Handler(), "POST", "/query/batch",
+	do(t, s.Handler(), "POST", "/v1/batch",
 		`{"mode":"queries","threads":1,"disks":[{"center":{"x":0.5,"y":0.5},"radius":0.06}]}`, &disk)
 	if len(disk.Counts) != 1 || disk.Counts[0] == 0 {
 		t.Errorf("disk batch counts = %v", disk.Counts)
@@ -279,7 +279,7 @@ func TestBatchQueries(t *testing.T) {
 		`{"windows":[{"min_x":1,"min_y":0,"max_x":0,"max_y":1}]}`,
 	}
 	for _, b := range bad {
-		if w := do(t, s.Handler(), "POST", "/query/batch", b, nil); w.Code != http.StatusBadRequest {
+		if w := do(t, s.Handler(), "POST", "/v1/batch", b, nil); w.Code != http.StatusBadRequest {
 			t.Errorf("body %s: status %d, want 400", b, w.Code)
 		}
 	}
@@ -289,9 +289,9 @@ func TestBodyTooLarge(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.MaxBodyBytes = 64 })
 	// Valid JSON whose object spans more than the body limit, so the
 	// decoder must hit the MaxBytesReader cutoff to finish it.
-	body := fmt.Sprintf(`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}%s}`,
+	body := fmt.Sprintf(`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}%s}`,
 		strings.Repeat(" ", 200))
-	if w := do(t, s.Handler(), "POST", "/query/window", body, nil); w.Code != http.StatusRequestEntityTooLarge {
+	if w := do(t, s.Handler(), "POST", "/v1/window", body, nil); w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("status %d, want 413", w.Code)
 	}
 }
@@ -299,11 +299,11 @@ func TestBodyTooLarge(t *testing.T) {
 func TestStatsAggregation(t *testing.T) {
 	s := testServer(t, nil)
 	for i := 0; i < 3; i++ {
-		do(t, s.Handler(), "POST", "/query/window",
-			`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
+		do(t, s.Handler(), "POST", "/v1/window",
+			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
 	}
 	var resp statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &resp)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &resp)
 	if !resp.StatsEnabled {
 		t.Fatal("stats_enabled = false")
 	}
@@ -323,10 +323,10 @@ func TestStatsAggregation(t *testing.T) {
 
 func TestStatsDisabled(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.CollectStats = false })
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
 	var resp statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &resp)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &resp)
 	if resp.StatsEnabled || resp.QueriesObserved != 0 || resp.Counters.Results != 0 {
 		t.Errorf("disabled stats leaked counters: %+v", resp)
 	}
@@ -345,8 +345,8 @@ func TestExactRejectedOnSnapshotIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := testServer(t, func(c *Config) { c.Index = loaded })
-	w := do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`, nil)
+	w := do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("exact on snapshot index: status %d, want 400", w.Code)
 	}
@@ -355,8 +355,8 @@ func TestExactRejectedOnSnapshotIndex(t *testing.T) {
 	}
 	// Filtering queries still work on the loaded index.
 	var resp rangeResponse
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &resp)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &resp)
 	if resp.Count != 100 {
 		t.Errorf("loaded index count = %d, want 100", resp.Count)
 	}
@@ -372,19 +372,19 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Errorf("healthz = %v", h)
 	}
 
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, nil)
-	do(t, s.Handler(), "POST", "/query/window", `not json`, nil)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, nil)
+	do(t, s.Handler(), "POST", "/v1/window", `not json`, nil)
 	m := scrapeMetrics(t, s.Handler())
-	if req, errs := m[`twolayer_http_requests_total{endpoint="query/window"}`],
-		m[`twolayer_http_request_errors_total{endpoint="query/window"}`]; req != 2 || errs != 1 {
-		t.Errorf("query/window metrics = %v requests / %v errors, want 2 / 1", req, errs)
+	if req, errs := m[`twolayer_http_requests_total{endpoint="v1/window"}`],
+		m[`twolayer_http_request_errors_total{endpoint="v1/window"}`]; req != 2 || errs != 1 {
+		t.Errorf("v1/window metrics = %v requests / %v errors, want 2 / 1", req, errs)
 	}
 	// The histogram's +Inf bucket and count must both cover every request.
-	if inf := m[`twolayer_http_request_duration_seconds_bucket{endpoint="query/window",le="+Inf"}`]; inf != 2 {
+	if inf := m[`twolayer_http_request_duration_seconds_bucket{endpoint="v1/window",le="+Inf"}`]; inf != 2 {
 		t.Errorf("+Inf bucket = %v, want 2", inf)
 	}
-	if cnt := m[`twolayer_http_request_duration_seconds_count{endpoint="query/window"}`]; cnt != 2 {
+	if cnt := m[`twolayer_http_request_duration_seconds_count{endpoint="v1/window"}`]; cnt != 2 {
 		t.Errorf("histogram count = %v, want 2", cnt)
 	}
 	// Engine gauges are present alongside the http group.

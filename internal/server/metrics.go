@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,14 +41,13 @@ import (
 type Metrics struct {
 	reg *obsv.Registry
 
-	requests   *obsv.CounterVec
-	errors     *obsv.CounterVec
-	timeouts   *obsv.CounterVec
-	latency    *obsv.HistogramVec
-	deprecated *obsv.CounterVec
-	traced     *obsv.Counter
-	slow       *obsv.Counter
-	buildDur   *obsv.Gauge
+	requests *obsv.CounterVec
+	errors   *obsv.CounterVec
+	timeouts *obsv.CounterVec
+	latency  *obsv.HistogramVec
+	traced   *obsv.Counter
+	slow     *obsv.Counter
+	buildDur *obsv.Gauge
 
 	// admQueueWait is the only write-side admission instrument; the rest
 	// of the twolayer_admission_* group reads the gates' own counters at
@@ -84,10 +82,10 @@ func (p *partitionCache) get() twolayer.PartitionStats {
 // classLabels maps core class indices (A..D) to label values.
 var classLabels = [4]string{"A", "B", "C", "D"}
 
-// newMetrics builds the registry for s. endpointNames pre-registers the
-// http series of every routed endpoint, so all series exist (at zero)
-// from the first scrape.
-func newMetrics(s *Server, endpointNames []string) *Metrics {
+// newMetrics builds the registry for s, pre-registering the http series
+// of every routed endpoint so all series exist (at zero) from the first
+// scrape.
+func newMetrics(s *Server, routes []route) *Metrics {
 	r := obsv.NewRegistry()
 	m := &Metrics{reg: r}
 
@@ -100,20 +98,12 @@ func newMetrics(s *Server, endpointNames []string) *Metrics {
 		"Responses with status 503 (evaluation deadline exceeded), per endpoint.", "endpoint")
 	m.latency = r.HistogramVec("twolayer_http_request_duration_seconds",
 		"End-to-end request latency, per endpoint.", nil, "endpoint")
-	for _, n := range endpointNames {
+	for _, rt := range routes {
+		n := rt.endpoint()
 		m.requests.With(n)
 		m.errors.With(n)
 		m.timeouts.With(n)
 		m.latency.With(n)
-	}
-	m.deprecated = r.CounterVec("twolayer_deprecated_requests_total",
-		"Requests answered by a deprecated unversioned endpoint (use the /v1 successor).", "endpoint")
-	for _, n := range endpointNames {
-		// Legacy aliases are exactly the non-v1 query/mutation names;
-		// healthz is never marked deprecated (infra probes).
-		if !strings.HasPrefix(n, "v1/") && n != "healthz" {
-			m.deprecated.With(n)
-		}
 	}
 	m.traced = r.Counter("twolayer_traced_queries_total",
 		"Queries evaluated with per-request tracing attached.")
@@ -166,16 +156,16 @@ func newMetrics(s *Server, endpointNames []string) *Metrics {
 		"Wall time of the initial index build or snapshot load, 0 if unknown.")
 	r.GaugeFunc("twolayer_index_objects",
 		"Distinct objects in the served index (current snapshot in live mode).",
-		func() float64 { return float64(s.reader().Len()) })
+		func() float64 { return float64(s.eng.pin().Len()) })
 	r.GaugeFunc("twolayer_index_epoch",
 		"Copy-on-write epoch of the served index; 0 for a static build.",
-		func() float64 { return float64(s.reader().Epoch()) })
+		func() float64 { return float64(s.eng.pin().Epoch()) })
 	r.GaugeFunc("twolayer_index_memory_bytes",
 		"Approximate entry storage of the served index.",
-		func() float64 { return float64(s.reader().MemoryFootprint()) })
+		func() float64 { return float64(s.eng.pin().MemoryFootprint()) })
 
 	parts := &partitionCache{fetch: func() twolayer.PartitionStats {
-		return s.reader().PartitionStats()
+		return s.eng.pin().PartitionStats()
 	}}
 	r.GaugeFunc("twolayer_partition_grid_tiles",
 		"Total tiles of the primary grid (NX*NY).",
@@ -271,7 +261,7 @@ func newMetrics(s *Server, endpointNames []string) *Metrics {
 	// regardless of Config.CollectStats.
 	pathCounter := func(name, help string, get func(twolayer.PathStats) int64) {
 		r.CounterFunc(name, help, func() float64 {
-			return float64(get(s.reader().QueryPathStats()))
+			return float64(get(s.eng.pin().QueryPathStats()))
 		})
 	}
 	pathCounter("twolayer_query_fastpath_counts_total",
@@ -378,15 +368,16 @@ func newMetrics(s *Server, endpointNames []string) *Metrics {
 	}
 
 	// ---- shard group ------------------------------------------------------
-	if nShards := s.shardCount(); nShards > 0 {
+	if s.shardStats != nil {
+		nShards := len(s.shardStats().PerShard)
 		r.Gauge("twolayer_shard_count",
 			"Spatial shards of the scatter-gather engine.").Set(float64(nShards))
 		r.CounterFunc("twolayer_shard_single_queries_total",
 			"Queries answered by one shard (fast path, no fan-out).",
-			func() float64 { return float64(s.shardedStats().SingleShard) })
+			func() float64 { return float64(s.shardStats().SingleShard) })
 		r.CounterFunc("twolayer_shard_fanout_queries_total",
 			"Queries fanned out to two or more shards and merged.",
-			func() float64 { return float64(s.shardedStats().Fanout) })
+			func() float64 { return float64(s.shardStats().Fanout) })
 		queries := r.CounterVecFunc("twolayer_shard_queries_total",
 			"Queries routed to each shard (fan-out counts every shard scanned).", "shard")
 		busy := r.CounterVecFunc("twolayer_shard_busy_seconds_total",
@@ -401,19 +392,19 @@ func newMetrics(s *Server, endpointNames []string) *Metrics {
 			i := i
 			label := strconv.Itoa(i)
 			queries.Add(func() float64 {
-				return float64(s.shardedStats().PerShard[i].Queries)
+				return float64(s.shardStats().PerShard[i].Queries)
 			}, label)
 			busy.Add(func() float64 {
-				return float64(s.shardedStats().PerShard[i].BusyNS) / 1e9
+				return float64(s.shardStats().PerShard[i].BusyNS) / 1e9
 			}, label)
 			results.Add(func() float64 {
-				return float64(s.shardedStats().PerShard[i].Results)
+				return float64(s.shardStats().PerShard[i].Results)
 			}, label)
 			objects.Add(func() float64 {
-				return float64(s.shardedStats().PerShard[i].Objects)
+				return float64(s.shardStats().PerShard[i].Objects)
 			}, label)
 			epoch.Add(func() float64 {
-				return float64(s.shardedStats().PerShard[i].Epoch)
+				return float64(s.shardStats().PerShard[i].Epoch)
 			}, label)
 		}
 	}

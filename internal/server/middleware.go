@@ -63,19 +63,6 @@ func (s *Server) limitBody(h http.Handler) http.Handler {
 	})
 }
 
-// deprecate marks a legacy (unversioned) endpoint: every response
-// carries a Deprecation header plus a Link to the /v1 successor, and the
-// request is counted in twolayer_deprecated_requests_total{endpoint}.
-// Behavior is otherwise untouched — aliases answer exactly as before.
-func (s *Server) deprecate(name, successor string, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		s.metrics.deprecated.With(name).Inc()
-		h.ServeHTTP(w, r)
-	})
-}
-
 // withTimeout attaches the per-request evaluation deadline to the
 // request context. Handlers poll the context and answer 503 when the
 // deadline expires mid-query.

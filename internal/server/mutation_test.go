@@ -36,7 +36,7 @@ func TestMutationEndpoints(t *testing.T) {
 	s, _ := liveServer(t, nil)
 
 	var ins insertResponse
-	w := do(t, s.Handler(), "POST", "/insert",
+	w := do(t, s.Handler(), "POST", "/v1/insert",
 		`{"id":1,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`, &ins)
 	if w.Code != http.StatusOK || ins.Epoch == 0 {
 		t.Fatalf("insert: status %d epoch %d, want 200 and epoch > 0", w.Code, ins.Epoch)
@@ -44,14 +44,14 @@ func TestMutationEndpoints(t *testing.T) {
 
 	// The insert is visible to a query issued afterward.
 	var win rangeResponse
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &win)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &win)
 	if win.Count != 1 {
 		t.Fatalf("window after insert: count %d, want 1", win.Count)
 	}
 
 	var bulk bulkResponse
-	w = do(t, s.Handler(), "POST", "/bulk",
+	w = do(t, s.Handler(), "POST", "/v1/bulk",
 		`{"mutations":[
 			{"op":"insert","id":2,"mbr":{"min_x":0.5,"min_y":0.5,"max_x":0.6,"max_y":0.6}},
 			{"op":"delete","id":1,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}},
@@ -68,13 +68,13 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 
 	var del deleteResponse
-	do(t, s.Handler(), "POST", "/delete",
+	do(t, s.Handler(), "POST", "/v1/delete",
 		`{"id":2,"mbr":{"min_x":0.5,"min_y":0.5,"max_x":0.6,"max_y":0.6}}`, &del)
 	if !del.Found {
 		t.Fatal("delete: object 2 not found")
 	}
-	do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
+	do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
 	if win.Count != 0 {
 		t.Fatalf("window after deletes: count %d, want 0", win.Count)
 	}
@@ -85,29 +85,29 @@ func TestMutationValidation(t *testing.T) {
 
 	// Inverted rectangle: 400 from every mutation endpoint.
 	bad := `{"id":1,"mbr":{"min_x":0.5,"min_y":0.5,"max_x":0.1,"max_y":0.1}}`
-	for _, path := range []string{"/insert", "/delete"} {
+	for _, path := range []string{"/v1/insert", "/v1/delete"} {
 		if w := do(t, s.Handler(), "POST", path, bad, nil); w.Code != http.StatusBadRequest {
 			t.Errorf("%s with inverted rect: status %d, want 400", path, w.Code)
 		}
 	}
-	w := do(t, s.Handler(), "POST", "/bulk",
+	w := do(t, s.Handler(), "POST", "/v1/bulk",
 		`{"mutations":[{"op":"insert","id":1,"mbr":{"min_x":0.5,"max_x":0.1}}]}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("bulk with inverted rect: status %d, want 400", w.Code)
 	}
-	w = do(t, s.Handler(), "POST", "/bulk",
+	w = do(t, s.Handler(), "POST", "/v1/bulk",
 		`{"mutations":[{"op":"upsert","id":1,"mbr":{"max_x":0.1,"max_y":0.1}}]}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("bulk with unknown op: status %d, want 400", w.Code)
 	}
-	w = do(t, s.Handler(), "POST", "/bulk", `{"mutations":[]}`, nil)
+	w = do(t, s.Handler(), "POST", "/v1/bulk", `{"mutations":[]}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("empty bulk: status %d, want 400", w.Code)
 	}
 
 	// A closed Live maps to 503.
 	l.Close()
-	w = do(t, s.Handler(), "POST", "/insert",
+	w = do(t, s.Handler(), "POST", "/v1/insert",
 		`{"id":1,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`, nil)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Errorf("insert on closed live: status %d, want 503", w.Code)
@@ -116,7 +116,7 @@ func TestMutationValidation(t *testing.T) {
 
 func TestMutationEndpointsAbsentInStaticMode(t *testing.T) {
 	s := testServer(t, nil)
-	w := do(t, s.Handler(), "POST", "/insert",
+	w := do(t, s.Handler(), "POST", "/v1/insert",
 		`{"id":1,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`, nil)
 	if w.Code == http.StatusOK {
 		t.Fatalf("static server accepted a mutation (status %d)", w.Code)
@@ -147,11 +147,11 @@ func TestConfigRequiresExactlyOneIndex(t *testing.T) {
 func TestLiveStatsExposed(t *testing.T) {
 	s, _ := liveServer(t, func(c *Config) { c.CollectStats = true })
 
-	do(t, s.Handler(), "POST", "/insert",
+	do(t, s.Handler(), "POST", "/v1/insert",
 		`{"id":7,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`, nil)
 
 	var st statsResponse
-	do(t, s.Handler(), "GET", "/stats", "", &st)
+	do(t, s.Handler(), "GET", "/v1/stats", "", &st)
 	if st.Live == nil {
 		t.Fatal("live stats section missing on a live-mode server")
 	}
@@ -170,7 +170,7 @@ func TestLiveStatsExposed(t *testing.T) {
 
 	// Static servers omit the live section.
 	var stStatic statsResponse
-	do(t, testServer(t, nil).Handler(), "GET", "/stats", "", &stStatic)
+	do(t, testServer(t, nil).Handler(), "GET", "/v1/stats", "", &stStatic)
 	if stStatic.Live != nil {
 		t.Fatal("static server reported live stats")
 	}
@@ -178,8 +178,8 @@ func TestLiveStatsExposed(t *testing.T) {
 
 func TestExactRejectedInLiveMode(t *testing.T) {
 	s, _ := liveServer(t, nil)
-	w := do(t, s.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`, nil)
+	w := do(t, s.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("exact query in live mode: status %d, want 400", w.Code)
 	}
@@ -204,12 +204,12 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 				body := fmt.Sprintf(
 					`{"id":%d,"mbr":{"min_x":%g,"min_y":%g,"max_x":%g,"max_y":%g}}`,
 					id, x, x, x+0.02, x+0.02)
-				if w := do(t, h, "POST", "/insert", body, nil); w.Code != http.StatusOK {
+				if w := do(t, h, "POST", "/v1/insert", body, nil); w.Code != http.StatusOK {
 					t.Errorf("insert %d: status %d", id, w.Code)
 					return
 				}
 				if i%3 == 0 {
-					if w := do(t, h, "POST", "/delete", body, nil); w.Code != http.StatusOK {
+					if w := do(t, h, "POST", "/v1/delete", body, nil); w.Code != http.StatusOK {
 						t.Errorf("delete %d: status %d", id, w.Code)
 						return
 					}
@@ -223,19 +223,19 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
 				var win rangeResponse
-				do(t, h, "POST", "/query/window",
-					`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &win)
+				do(t, h, "POST", "/v1/window",
+					`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &win)
 				if win.Count != len(win.Results) && !win.Truncated {
 					t.Error("window count does not match results")
 					return
 				}
-				do(t, h, "POST", "/query/disk",
-					`{"center":{"x":0.5,"y":0.5},"radius":0.3,"count_only":true}`, nil)
-				do(t, h, "POST", "/query/knn", `{"center":{"x":0.5,"y":0.5},"k":3}`, nil)
-				do(t, h, "POST", "/query/batch",
+				do(t, h, "POST", "/v1/disk",
+					`{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.3},"count_only":true}`, nil)
+				do(t, h, "POST", "/v1/knn", `{"center":{"x":0.5,"y":0.5},"k":3}`, nil)
+				do(t, h, "POST", "/v1/batch",
 					`{"windows":[{"min_x":0,"min_y":0,"max_x":0.5,"max_y":0.5},
 					             {"min_x":0.5,"min_y":0.5,"max_x":1,"max_y":1}]}`, nil)
-				do(t, h, "GET", "/stats", "", nil)
+				do(t, h, "GET", "/v1/stats", "", nil)
 			}
 		}()
 	}
@@ -250,13 +250,13 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 		}
 	}
 	var win rangeResponse
-	do(t, h, "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
+	do(t, h, "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
 	if win.Count != want {
 		t.Fatalf("final count %d, want %d", win.Count, want)
 	}
 	var st statsResponse
-	do(t, h, "GET", "/stats", "", &st)
+	do(t, h, "GET", "/v1/stats", "", &st)
 	if st.Live.PendingMutations != 0 {
 		t.Fatalf("pending mutations %d after quiescence, want 0", st.Live.PendingMutations)
 	}

@@ -8,12 +8,15 @@
 // what makes lock-free concurrent reads safe. In live mode (Config.Live)
 // the server fronts an updatable twolayer.Live: every query pins one
 // immutable copy-on-write snapshot — still a single atomic load, still no
-// locks on the read path — and mutation endpoints (POST /insert, /delete,
-// /bulk) feed the single-writer apply loop. In both modes each request
-// queries through a private read view (Index.ReadView /
+// locks on the read path — and mutation endpoints (POST /v1/insert,
+// /v1/delete, /v1/bulk) feed the single-writer apply loop. In both modes
+// each request queries through a private read view (Index.ReadView /
 // Index.Instrumented or a pinned snapshot), so kNN scratch space and
 // stats counters are per-request; aggregated counters are published on
-// GET /stats and per-endpoint latency/error metrics on GET /metrics.
+// GET /v1/stats and per-endpoint latency/error metrics on GET /metrics.
+// Either mode can be served by one index or by a sharded scatter-gather
+// engine; New picks the topology once (see engine.go) and every handler
+// reads through the same pinned-snapshot surface.
 //
 // See docs/SERVER.md for the full API reference and operator guide.
 package server
@@ -24,6 +27,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -49,15 +53,15 @@ type Config struct {
 	Index *twolayer.Index
 
 	// Live is an updatable index (live mode): queries pin per-request
-	// snapshots and the mutation endpoints POST /insert, /delete, and
-	// /bulk are mounted. The server does not close it; the owner should
-	// Close it after shutdown.
+	// snapshots and the mutation endpoints POST /v1/insert, /v1/delete,
+	// and /v1/bulk are mounted. The server does not close it; the owner
+	// should Close it after shutdown.
 	Live *twolayer.Live
 
 	// Durable is an updatable index backed by the durability engine
 	// (write-ahead log + checkpoints). It implies live mode — all Live
-	// endpoints are mounted — and additionally mounts POST /checkpoint
-	// and a "durability" section on GET /stats. The server does not
+	// endpoints are mounted — and additionally mounts POST /v1/checkpoint
+	// and a "durability" section on GET /v1/stats. The server does not
 	// close it; the owner should Close it after shutdown (a clean close
 	// fsyncs the log tail).
 	Durable *twolayer.DurableLive
@@ -73,7 +77,7 @@ type Config struct {
 	ShardedLive *twolayer.ShardedLive
 
 	// ShardedDurable is the sharded durability engine (one write-ahead
-	// log per shard): sharded live mode plus POST /checkpoint and the
+	// log per shard): sharded live mode plus POST /v1/checkpoint and the
 	// "durability" stats section.
 	ShardedDurable *twolayer.ShardedDurable
 
@@ -106,7 +110,7 @@ type Config struct {
 	QueueDepth int
 
 	// CollectStats, when true, runs single queries on instrumented views
-	// and aggregates their core counters for GET /stats.
+	// and aggregates their core counters for GET /v1/stats.
 	CollectStats bool
 
 	// EnableTracing, when true, evaluates every single query on a traced
@@ -145,63 +149,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// searcher is the query surface every request evaluates on: a private
-// read view of a *twolayer.Index, a *twolayer.Sharded snapshot, or
-// their traced variants. All query handlers — /v1 and legacy — go
-// through it, so the same handler code serves every engine topology.
-type searcher interface {
-	Search(q twolayer.Query, fn func(id twolayer.ID, mbr twolayer.Rect) bool) (bool, error)
-	SearchCount(q twolayer.Query) (int, error)
-	KNN(q twolayer.Point, k int) []twolayer.Neighbor
-	KNNExact(q twolayer.Point, k int) []twolayer.Neighbor
-}
-
-// reader is the introspection surface (/stats, /healthz, index gauges),
-// satisfied by *twolayer.Index and *twolayer.Sharded alike.
-type reader interface {
-	Len() int
-	Epoch() uint64
-	GridDims() (int, int)
-	MemoryFootprint() int
-	ReplicationFactor() float64
-	PartitionStats() twolayer.PartitionStats
-	HasExactGeometries() bool
-	QueryPathStats() twolayer.PathStats
-}
-
-// mutator is the mutation surface of a live-mode server, satisfied by
-// *twolayer.Live and *twolayer.ShardedLive.
-type mutator interface {
-	Insert(id twolayer.ID, mbr twolayer.Rect) (uint64, error)
-	Delete(id twolayer.ID, mbr twolayer.Rect) (found bool, epoch uint64, err error)
-	Apply(muts []twolayer.Mutation) (twolayer.ApplyResult, error)
-	Stats() twolayer.LiveStats
-}
-
-// checkpointer is the durability surface of a durable-mode server,
-// satisfied by *twolayer.DurableLive and *twolayer.ShardedDurable.
-type checkpointer interface {
-	Checkpoint() (uint64, error)
-	Stats() twolayer.DurabilityStats
-}
-
 // Server serves spatial queries over one shared two-layer index.
 type Server struct {
-	cfg         Config
-	idx         *twolayer.Index   // static unsharded mode; nil otherwise
-	live        *twolayer.Live    // unsharded live mode; nil otherwise
-	sharded     *twolayer.Sharded // static sharded mode; nil otherwise
-	shardedLive *twolayer.ShardedLive
-	mut         mutator      // non-nil in any live mode
-	ckpt        checkpointer // non-nil in any durable mode
-	adm         *admission   // nil when admission control is disabled
-	metrics     *Metrics
-	agg         *twolayer.AtomicStats
-	mux         *http.ServeMux
+	cfg  Config
+	eng  engine       // the served topology; pins every snapshot read
+	mut  mutator      // non-nil in any live mode
+	ckpt checkpointer // non-nil in any durable mode
+	// shardStats snapshots the scatter-gather counters; nil unless the
+	// served topology is sharded.
+	shardStats func() twolayer.ShardedStats
+	adm        *admission // nil when admission control is disabled
+	metrics    *Metrics
+	agg        *twolayer.AtomicStats
+	mux        *http.ServeMux
 }
 
 // New builds a Server from cfg. It panics unless exactly one of the six
 // engine fields is set (a programming error, not a runtime condition).
+// This is the only place the served topology is inspected: everything
+// downstream reads through s.eng, s.mut, s.ckpt and s.shardStats.
 func New(cfg Config) *Server {
 	set := 0
 	for _, on := range []bool{
@@ -218,118 +184,105 @@ func New(cfg Config) *Server {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		idx:         cfg.Index,
-		live:        cfg.Live,
-		sharded:     cfg.Sharded,
-		shardedLive: cfg.ShardedLive,
-		agg:         &twolayer.AtomicStats{},
-		mux:         http.NewServeMux(),
+		cfg: cfg,
+		agg: &twolayer.AtomicStats{},
+		mux: http.NewServeMux(),
 	}
 	// Durable modes are their live modes plus a WAL.
+	live, shardedLive := cfg.Live, cfg.ShardedLive
 	if cfg.Durable != nil {
-		s.live = cfg.Durable.Live()
-		s.ckpt = cfg.Durable
+		live, s.ckpt = cfg.Durable.Live(), cfg.Durable
 	}
 	if cfg.ShardedDurable != nil {
-		s.shardedLive = cfg.ShardedDurable.Live()
-		s.ckpt = cfg.ShardedDurable
+		shardedLive, s.ckpt = cfg.ShardedDurable.Live(), cfg.ShardedDurable
 	}
-	if s.live != nil {
-		s.mut = s.live
+	var collect *twolayer.AtomicStats // single queries feed s.agg only when asked
+	if cfg.CollectStats {
+		collect = s.agg
 	}
-	if s.shardedLive != nil {
-		s.mut = s.shardedLive
+	switch {
+	case cfg.Index != nil:
+		s.eng = indexEngine{
+			current: func() *twolayer.Index { return cfg.Index },
+			static:  true,
+			agg:     collect,
+		}
+	case live != nil:
+		s.eng, s.mut = indexEngine{current: live.Snapshot, agg: collect}, live
+	case cfg.Sharded != nil:
+		s.eng = shardedEngine{current: func() *twolayer.Sharded { return cfg.Sharded }}
+		s.shardStats = cfg.Sharded.Stats
+	default:
+		s.eng, s.mut = shardedEngine{current: shardedLive.Snapshot}, shardedLive
+		s.shardStats = shardedLive.ShardStats
 	}
 	if cfg.MaxInflight >= 0 {
 		s.adm = newAdmission(cfg.MaxInflight, cfg.QueueDepth)
 	}
-	names := []string{
-		"query/window", "query/disk", "query/knn", "query/batch",
-		"v1/window", "v1/disk", "v1/knn", "v1/batch",
-		"stats", "healthz", "v1/stats", "v1/healthz",
-	}
-	if s.mut != nil {
-		names = append(names,
-			"mutate/insert", "mutate/delete", "mutate/bulk",
-			"v1/insert", "v1/delete", "v1/bulk")
-	}
-	if s.ckpt != nil {
-		names = append(names, "checkpoint", "v1/checkpoint")
-	}
-	s.metrics = newMetrics(s, names)
+	routes := s.routes()
+	s.metrics = newMetrics(s, routes)
 	s.metrics.buildDur.Set(cfg.BuildDuration.Seconds())
-	s.routes()
-	return s
-}
-
-// routes registers all endpoints. Every name registered here must be
-// listed in newMetrics above and documented in docs/SERVER.md.
-//
-// The /v1/ prefix is the current API: every query and mutation endpoint
-// lives there with the unified request envelope. The unversioned paths
-// are deprecated aliases kept for existing clients — identical
-// semantics, plus a Deprecation header, a Link to the /v1 successor,
-// and a twolayer_deprecated_requests_total sample per request.
-func (s *Server) routes() {
-	query := func(name string, h http.HandlerFunc) http.Handler {
-		return s.instrument(name, s.limitBody(s.withTimeout(h)))
+	for _, rt := range routes {
+		s.mux.Handle(rt.pattern, s.instrument(rt.endpoint(), rt.handler))
 	}
-	s.mux.Handle("POST /v1/window", query("v1/window", s.handleV1Window))
-	s.mux.Handle("POST /v1/disk", query("v1/disk", s.handleV1Disk))
-	s.mux.Handle("POST /v1/knn", query("v1/knn", s.handleKNN))
-	s.mux.Handle("POST /v1/batch", query("v1/batch", s.handleBatch))
-	s.mux.Handle("POST /query/window",
-		s.deprecate("query/window", "/v1/window", query("query/window", s.handleWindow)))
-	s.mux.Handle("POST /query/disk",
-		s.deprecate("query/disk", "/v1/disk", query("query/disk", s.handleDisk)))
-	s.mux.Handle("POST /query/knn",
-		s.deprecate("query/knn", "/v1/knn", query("query/knn", s.handleKNN)))
-	s.mux.Handle("POST /query/batch",
-		s.deprecate("query/batch", "/v1/batch", query("query/batch", s.handleBatch)))
-
-	if s.mut != nil {
-		// Mutations skip withTimeout: a submission blocks until its batch
-		// is published, and canceling mid-apply cannot undo the accepted
-		// mutation — the ack must be reported to the client.
-		mutate := func(name string, h http.HandlerFunc) http.Handler {
-			return s.instrument(name, s.limitBody(h))
-		}
-		s.mux.Handle("POST /v1/insert", mutate("v1/insert", s.handleInsert))
-		s.mux.Handle("POST /v1/delete", mutate("v1/delete", s.handleDelete))
-		s.mux.Handle("POST /v1/bulk", mutate("v1/bulk", s.handleBulk))
-		s.mux.Handle("POST /insert",
-			s.deprecate("mutate/insert", "/v1/insert", mutate("mutate/insert", s.handleInsert)))
-		s.mux.Handle("POST /delete",
-			s.deprecate("mutate/delete", "/v1/delete", mutate("mutate/delete", s.handleDelete)))
-		s.mux.Handle("POST /bulk",
-			s.deprecate("mutate/bulk", "/v1/bulk", mutate("mutate/bulk", s.handleBulk)))
-	}
-	if s.ckpt != nil {
-		// No withTimeout: a checkpoint runs to completion once started.
-		s.mux.Handle("POST /v1/checkpoint",
-			s.instrument("v1/checkpoint", http.HandlerFunc(s.handleCheckpoint)))
-		s.mux.Handle("POST /checkpoint",
-			s.deprecate("checkpoint", "/v1/checkpoint",
-				s.instrument("checkpoint", http.HandlerFunc(s.handleCheckpoint))))
-	}
-
-	s.mux.Handle("GET /v1/stats", s.instrument("v1/stats", http.HandlerFunc(s.handleStats)))
-	s.mux.Handle("GET /v1/healthz", s.instrument("v1/healthz", http.HandlerFunc(s.handleHealthz)))
-	s.mux.Handle("GET /stats",
-		s.deprecate("stats", "/v1/stats", s.instrument("stats", http.HandlerFunc(s.handleStats))))
-	// /healthz stays undecorated: infra probes should not see Deprecation
-	// headers, and /metrics is a scrape surface, not an API.
-	s.mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
+	// /metrics is a scrape surface, not an API: served raw, never counted.
 	s.mux.Handle("GET /metrics", s.metrics)
-
-	if s.cfg.EnablePprof {
+	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+	return s
+}
+
+// route is one instrumented endpoint: a ServeMux pattern ("METHOD /path")
+// and the handler behind the instrument middleware.
+type route struct {
+	pattern string
+	handler http.Handler
+}
+
+// endpoint is the route's name in logs, pprof labels and the endpoint
+// label of the twolayer_http_* metrics: its path without the leading
+// slash ("v1/window", "healthz").
+func (rt route) endpoint() string {
+	return rt.pattern[strings.Index(rt.pattern, "/")+1:]
+}
+
+// routes is the server's one route table: New derives both the mux
+// registrations and the pre-registered metric series from it, and every
+// path in it is documented in docs/SERVER.md. The API lives under /v1/;
+// /healthz is additionally served unversioned for infrastructure probes.
+func (s *Server) routes() []route {
+	query := func(h http.HandlerFunc) http.Handler {
+		return s.limitBody(s.withTimeout(h))
+	}
+	routes := []route{
+		{"POST /v1/window", query(s.handleV1Window)},
+		{"POST /v1/disk", query(s.handleV1Disk)},
+		{"POST /v1/knn", query(s.handleKNN)},
+		{"POST /v1/batch", query(s.handleBatch)},
+		{"GET /v1/stats", http.HandlerFunc(s.handleStats)},
+		{"GET /v1/healthz", http.HandlerFunc(s.handleHealthz)},
+		{"GET /healthz", http.HandlerFunc(s.handleHealthz)},
+	}
+	if s.mut != nil {
+		// Mutations skip withTimeout: a submission blocks until its batch
+		// is published, and canceling mid-apply cannot undo the accepted
+		// mutation — the ack must be reported to the client.
+		routes = append(routes,
+			route{"POST /v1/insert", s.limitBody(http.HandlerFunc(s.handleInsert))},
+			route{"POST /v1/delete", s.limitBody(http.HandlerFunc(s.handleDelete))},
+			route{"POST /v1/bulk", s.limitBody(http.HandlerFunc(s.handleBulk))})
+	}
+	if s.ckpt != nil {
+		// No withTimeout: a checkpoint runs to completion once started.
+		routes = append(routes,
+			route{"POST /v1/checkpoint", http.HandlerFunc(s.handleCheckpoint)})
+	}
+	return routes
 }
 
 // Handler returns the root handler (for tests and embedding).

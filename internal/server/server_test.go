@@ -46,8 +46,8 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	qresp, err := http.Post(url+"/query/window", "application/json",
-		strings.NewReader(`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`))
+	qresp, err := http.Post(url+"/v1/window", "application/json",
+		strings.NewReader(`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,53 +97,92 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestEveryMetricsEndpointRegistered guards the /metrics registry against
-// drift: every routed query/observability endpoint must have a metrics
-// slot, so a new route without metrics fails this test.
+// drift, on the topology that mounts every route (durable): each entry of
+// the route table has a pre-registered series that moves when the route
+// is hit, and the registry holds no series the table does not.
 func TestEveryMetricsEndpointRegistered(t *testing.T) {
-	s := testServer(t, nil)
-	paths := map[string]string{
-		"query/window": "/query/window",
-		"query/disk":   "/query/disk",
-		"query/knn":    "/query/knn",
-		"query/batch":  "/query/batch",
-		"v1/window":    "/v1/window",
-		"v1/disk":      "/v1/disk",
-		"v1/knn":       "/v1/knn",
-		"v1/batch":     "/v1/batch",
-		"stats":        "/stats",
-		"healthz":      "/healthz",
-		"v1/stats":     "/v1/stats",
-		"v1/healthz":   "/v1/healthz",
+	s, _ := durableServer(t, t.TempDir())
+	routes := s.routes()
+	series := func(rt route) string {
+		return fmt.Sprintf(`twolayer_http_requests_total{endpoint=%q}`, rt.endpoint())
 	}
 	// Every routed endpoint's series exists (at zero) before any traffic.
 	before := scrapeMetrics(t, s.Handler())
-	for name := range paths {
-		key := fmt.Sprintf(`twolayer_http_requests_total{endpoint=%q}`, name)
-		if _, ok := before[key]; !ok {
-			t.Errorf("endpoint %s has no pre-registered %s series", name, key)
+	for _, rt := range routes {
+		if v, ok := before[series(rt)]; !ok || v != 0 {
+			t.Errorf("%s: series %s = %v (present %v), want pre-registered at 0",
+				rt.pattern, series(rt), v, ok)
 		}
 	}
-	for name, path := range paths {
-		method := "POST"
-		body := `{}`
-		if strings.HasSuffix(name, "stats") || strings.HasSuffix(name, "healthz") {
-			method, body = "GET", ""
+	for _, rt := range routes {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		body := ""
+		if method == "POST" {
+			body = `{}`
 		}
 		do(t, s.Handler(), method, path, body, nil)
-		m := scrapeMetrics(t, s.Handler())
-		if m[fmt.Sprintf(`twolayer_http_requests_total{endpoint=%q}`, name)] == 0 {
-			t.Errorf("endpoint %s (%s) not recorded in /metrics", name, path)
+		if m := scrapeMetrics(t, s.Handler()); m[series(rt)] != 1 {
+			t.Errorf("%s not recorded in /metrics as %s", rt.pattern, series(rt))
 		}
 	}
-	// And nothing extra: the registry holds exactly one requests series
-	// per routed endpoint (the /metrics scrape above includes them all).
-	series := 0
+	// And nothing extra: exactly one requests series per routed endpoint.
+	n := 0
 	for key := range before {
 		if strings.HasPrefix(key, "twolayer_http_requests_total{") {
-			series++
+			n++
 		}
 	}
-	if series != len(paths) {
-		t.Errorf("metrics registry has %d endpoint series, routes table has %d", series, len(paths))
+	if n != len(routes) {
+		t.Errorf("metrics registry has %d endpoint series, route table has %d", n, len(routes))
+	}
+	if _, ok := before[`twolayer_deprecated_requests_total{endpoint="query/window"}`]; ok {
+		t.Error("twolayer_deprecated_requests_total is still exported")
+	}
+}
+
+// TestRouteTable pins the served surface: exactly the /v1 API plus the
+// unversioned /healthz and /metrics, with the mutation and checkpoint
+// routes mounted only in the modes that back them.
+func TestRouteTable(t *testing.T) {
+	patterns := func(s *Server) string {
+		var out []string
+		for _, rt := range s.routes() {
+			out = append(out, rt.pattern)
+		}
+		return strings.Join(out, ", ")
+	}
+	const read = "POST /v1/window, POST /v1/disk, POST /v1/knn, POST /v1/batch, " +
+		"GET /v1/stats, GET /v1/healthz, GET /healthz"
+	const mutate = ", POST /v1/insert, POST /v1/delete, POST /v1/bulk"
+	static := testServer(t, nil)
+	if got := patterns(static); got != read {
+		t.Errorf("static routes = %s", got)
+	}
+	live, _ := liveServer(t, nil)
+	if got := patterns(live); got != read+mutate {
+		t.Errorf("live routes = %s", got)
+	}
+	durable, _ := durableServer(t, t.TempDir())
+	if got := patterns(durable); got != read+mutate+", POST /v1/checkpoint" {
+		t.Errorf("durable routes = %s", got)
+	}
+	if w := do(t, static.Handler(), "GET", "/metrics", "", nil); w.Code != http.StatusOK {
+		t.Errorf("GET /metrics: status %d", w.Code)
+	}
+}
+
+// TestRemovedRoutesAnswer404: the nine unversioned routes deleted in
+// favor of /v1 are gone in every mode, not redirected or aliased.
+func TestRemovedRoutesAnswer404(t *testing.T) {
+	s, _ := durableServer(t, t.TempDir())
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/query/window"}, {"POST", "/query/disk"},
+		{"POST", "/query/knn"}, {"POST", "/query/batch"},
+		{"POST", "/insert"}, {"POST", "/delete"}, {"POST", "/bulk"},
+		{"POST", "/checkpoint"}, {"GET", "/stats"},
+	} {
+		if w := do(t, s.Handler(), rt.method, rt.path, `{}`, nil); w.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, w.Code)
+		}
 	}
 }

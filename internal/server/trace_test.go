@@ -14,8 +14,8 @@ func TestTraceInResponse(t *testing.T) {
 	srv := testServer(t, nil)
 
 	var resp rangeResponse
-	w := do(t, srv.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"trace":true}`, &resp)
+	w := do(t, srv.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"trace":true}`, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -46,8 +46,8 @@ func TestTraceInResponse(t *testing.T) {
 
 	// Untraced request: no trace field, no header.
 	var plain rangeResponse
-	w = do(t, srv.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &plain)
+	w = do(t, srv.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &plain)
 	if plain.Trace != nil || w.Header().Get("X-Trace") != "" {
 		t.Fatal("untraced request carried a trace")
 	}
@@ -63,9 +63,9 @@ func TestTraceHeaderRequest(t *testing.T) {
 	cases := []struct {
 		path, body, kind string
 	}{
-		{"/query/window", `{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, "window"},
-		{"/query/disk", `{"center":{"x":0.5,"y":0.5},"radius":0.4}`, "disk"},
-		{"/query/knn", `{"center":{"x":0.5,"y":0.5},"k":5}`, "knn"},
+		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, "window"},
+		{"/v1/disk", `{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.4}}`, "disk"},
+		{"/v1/knn", `{"center":{"x":0.5,"y":0.5},"k":5}`, "knn"},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body))
@@ -85,8 +85,8 @@ func TestTraceHeaderRequest(t *testing.T) {
 
 	// X-Trace: 0 and false are explicit opt-outs.
 	for _, v := range []string{"0", "false"} {
-		req := httptest.NewRequest("POST", "/query/window",
-			strings.NewReader(`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`))
+		req := httptest.NewRequest("POST", "/v1/window",
+			strings.NewReader(`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`))
 		req.Header.Set("X-Trace", v)
 		w := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(w, req)
@@ -107,14 +107,14 @@ func TestEnableTracingConfig(t *testing.T) {
 	srv := testServer(t, func(cfg *Config) { cfg.EnableTracing = true })
 
 	var resp rangeResponse
-	do(t, srv.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
+	do(t, srv.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
 	if resp.Trace == nil {
 		t.Fatal("EnableTracing did not attach a trace")
 	}
 
 	var st statsResponse
-	do(t, srv.Handler(), "GET", "/stats", "", &st)
+	do(t, srv.Handler(), "GET", "/v1/stats", "", &st)
 	if !st.TracingEnabled {
 		t.Fatal("/stats tracing_enabled = false with EnableTracing on")
 	}
@@ -131,8 +131,8 @@ func TestSlowQueryLog(t *testing.T) {
 	srv := testServer(t, func(cfg *Config) { cfg.SlowQueryThreshold = time.Nanosecond })
 
 	var resp rangeResponse
-	w := do(t, srv.Handler(), "POST", "/query/window",
-		`{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
+	w := do(t, srv.Handler(), "POST", "/v1/window",
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, &resp)
 	if resp.Trace != nil || w.Header().Get("X-Trace") != "" {
 		t.Fatal("slow-query accounting must not leak traces into responses")
 	}
@@ -146,7 +146,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	// The threshold path still feeds the stats aggregate.
 	var st statsResponse
-	do(t, srv.Handler(), "GET", "/stats", "", &st)
+	do(t, srv.Handler(), "GET", "/v1/stats", "", &st)
 	if st.QueriesObserved != 1 {
 		t.Fatalf("queries_observed = %d, want 1", st.QueriesObserved)
 	}

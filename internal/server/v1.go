@@ -11,10 +11,10 @@ import (
 // The /v1 range endpoints (POST /v1/window, POST /v1/disk) share one
 // request envelope mirroring twolayer.Query: a shape, an optional exact
 // refinement with a selectable mode, and count/limit/trace controls.
-// Unlike the legacy endpoints their semantics are uniform: a limit stops
-// the evaluation (count == len(results), truncated=true when more
-// matches existed), and count_only counts everything, ignoring the
-// limit. See docs/SERVER.md#v1-api.
+// Their semantics are uniform: a limit stops the evaluation (count ==
+// len(results), truncated=true when more matches existed), and
+// count_only counts everything, ignoring the limit. See
+// docs/SERVER.md#post-v1window-and-v1disk.
 
 // diskJSON is the disk shape of the envelope.
 type diskJSON struct {
@@ -43,7 +43,7 @@ type queryEnvelope struct {
 	// Estimate (window endpoint only) additionally returns the planner's
 	// O(tiles) cardinality estimate in the "estimate" response field.
 	// The estimate sums class-A tile histograms, so it skews low for
-	// heavily replicated data; see docs/SERVER.md#v1-api.
+	// heavily replicated data; see docs/SERVER.md#post-v1window-and-v1disk.
 	Estimate bool `json:"estimate"`
 }
 
@@ -152,7 +152,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		if q.Window != nil && env.CountOnly && !q.Exact {
 			return 1
 		}
-		est := s.estimateWindow(costRect(q))
+		est := s.eng.pin().EstimateWindow(costRect(q))
 		if !env.CountOnly {
 			// The limit caps delivery, so it caps the cost too.
 			return minf(est, float64(limit))
@@ -170,7 +170,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 	}
 	resp := rangeResponse{}
 	if env.Estimate {
-		est := s.estimateWindow(*q.Window)
+		est := s.eng.pin().EstimateWindow(*q.Window)
 		resp.Estimate = &est
 	}
 	start := time.Now()

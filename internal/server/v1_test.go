@@ -50,9 +50,7 @@ func TestV1WindowSemantics(t *testing.T) {
 	}
 
 	// A limit stops the evaluation: count == len(results) == limit,
-	// truncated reports the cut. This is the /v1 semantic difference
-	// from the legacy window endpoint (which also stops) and the legacy
-	// disk endpoint (which counts everything).
+	// truncated reports the cut.
 	resp = rangeResponse{}
 	do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"limit":30}`, &resp)
 	if resp.Count != 30 || len(resp.Results) != 30 || !resp.Truncated {
@@ -118,9 +116,7 @@ func TestV1DiskSemantics(t *testing.T) {
 		t.Fatalf("full disk: count=%d truncated=%v", resp.Count, resp.Truncated)
 	}
 
-	// Unlike the legacy /query/disk (which counts all matches while
-	// capping the results list), /v1/disk folds the limit into the
-	// evaluation.
+	// The limit folds into the evaluation, exactly as on /v1/window.
 	resp = rangeResponse{}
 	do(t, h, "POST", "/v1/disk", `{"disk":{"center":{"x":0.5,"y":0.5},"radius":2},"limit":10}`, &resp)
 	if resp.Count != 10 || len(resp.Results) != 10 || !resp.Truncated {
@@ -139,53 +135,9 @@ func TestV1DiskSemantics(t *testing.T) {
 	}
 }
 
-// TestDeprecationSignaling checks that every legacy endpoint advertises
-// its /v1 successor and counts into the deprecation metric, while /v1
-// and infrastructure endpoints stay silent.
-func TestDeprecationSignaling(t *testing.T) {
-	s := testServer(t, nil)
-	h := s.Handler()
-
-	before := scrapeMetrics(t, h)
-	key := `twolayer_deprecated_requests_total{endpoint="query/window"}`
-	if v, ok := before[key]; !ok || v != 0 {
-		t.Fatalf("deprecation counter not pre-registered at zero: %v (present %v)", v, ok)
-	}
-
-	w := do(t, h, "POST", "/query/window", `{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("legacy query status %d", w.Code)
-	}
-	if got := w.Header().Get("Deprecation"); got != "true" {
-		t.Errorf("Deprecation header = %q, want \"true\"", got)
-	}
-	if link := w.Header().Get("Link"); !strings.Contains(link, "</v1/window>") ||
-		!strings.Contains(link, `rel="successor-version"`) {
-		t.Errorf("Link header = %q, want /v1/window successor", link)
-	}
-	if after := scrapeMetrics(t, h); after[key] != 1 {
-		t.Errorf("deprecation counter = %v after one legacy call, want 1", after[key])
-	}
-
-	// Every other legacy endpoint signals too (spot-check stats).
-	if w := do(t, h, "GET", "/stats", "", nil); w.Header().Get("Deprecation") != "true" {
-		t.Error("/stats does not signal deprecation")
-	}
-
-	// /v1 endpoints and infrastructure probes carry no deprecation.
-	if w := do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true}`, nil); w.Header().Get("Deprecation") != "" {
-		t.Error("/v1/window signals deprecation")
-	}
-	for _, path := range []string{"/healthz", "/metrics"} {
-		if w := do(t, h, "GET", path, "", nil); w.Header().Get("Deprecation") != "" {
-			t.Errorf("%s signals deprecation", path)
-		}
-	}
-}
-
 // TestShardedServerEquivalence runs the same queries against an
 // unsharded and a sharded server over the same dataset and requires
-// identical responses on both the legacy and /v1 surfaces.
+// identical responses.
 func TestShardedServerEquivalence(t *testing.T) {
 	geoms := testGeoms()
 	opts := twolayer.Options{GridSize: 16, Decompose: true}
@@ -197,10 +149,9 @@ func TestShardedServerEquivalence(t *testing.T) {
 	})
 
 	queries := []struct{ path, body string }{
-		{"/query/window", `{"rect":{"min_x":0.12,"min_y":0.12,"max_x":0.58,"max_y":0.58}}`},
-		{"/query/window", `{"rect":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`},
-		{"/query/disk", `{"center":{"x":0.5,"y":0.5},"radius":0.3}`},
 		{"/v1/window", `{"window":{"min_x":0.12,"min_y":0.12,"max_x":0.58,"max_y":0.58}}`},
+		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`},
+		{"/v1/disk", `{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.3}}`},
 		{"/v1/disk", `{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.3},"exact":true}`},
 	}
 	for _, q := range queries {
@@ -234,8 +185,8 @@ func TestShardedServerEquivalence(t *testing.T) {
 	// kNN agrees through both engines.
 	var ka, kb knnResponse
 	knn := `{"center":{"x":0.33,"y":0.71},"k":7}`
-	do(t, single.Handler(), "POST", "/query/knn", knn, &ka)
-	do(t, sharded.Handler(), "POST", "/query/knn", knn, &kb)
+	do(t, single.Handler(), "POST", "/v1/knn", knn, &ka)
+	do(t, sharded.Handler(), "POST", "/v1/knn", knn, &kb)
 	if len(ka.Neighbors) != len(kb.Neighbors) {
 		t.Fatalf("knn: %d vs %d neighbors", len(ka.Neighbors), len(kb.Neighbors))
 	}
@@ -248,10 +199,17 @@ func TestShardedServerEquivalence(t *testing.T) {
 	// Batch counts agree.
 	var ba, bb batchResponse
 	batch := `{"windows":[{"min_x":0,"min_y":0,"max_x":0.5,"max_y":0.5},{"min_x":0.4,"min_y":0.4,"max_x":1,"max_y":1}]}`
-	do(t, single.Handler(), "POST", "/query/batch", batch, &ba)
-	do(t, sharded.Handler(), "POST", "/query/batch", batch, &bb)
+	do(t, single.Handler(), "POST", "/v1/batch", batch, &ba)
+	do(t, sharded.Handler(), "POST", "/v1/batch", batch, &bb)
 	if fmt.Sprint(ba.Counts) != fmt.Sprint(bb.Counts) {
 		t.Fatalf("batch counts: %v vs %v", ba.Counts, bb.Counts)
+	}
+	ba, bb = batchResponse{}, batchResponse{}
+	batch = `{"mode":"queries","disks":[{"center":{"x":0.5,"y":0.5},"radius":0.3},{"center":{"x":0.1,"y":0.9},"radius":0.15}]}`
+	do(t, single.Handler(), "POST", "/v1/batch", batch, &ba)
+	do(t, sharded.Handler(), "POST", "/v1/batch", batch, &bb)
+	if len(ba.Counts) != 2 || fmt.Sprint(ba.Counts) != fmt.Sprint(bb.Counts) {
+		t.Fatalf("disk batch counts: %v vs %v", ba.Counts, bb.Counts)
 	}
 
 	// Traced queries expose per-shard spans in both the header and body.
@@ -326,15 +284,11 @@ func TestShardedLiveServer(t *testing.T) {
 		t.Fatalf("delete: %d found=%v", w.Code, del.Found)
 	}
 
-	// Bulk apply through the legacy alias still works (and deprecates).
-	w := do(t, h, "POST", "/bulk",
+	w := do(t, h, "POST", "/v1/bulk",
 		`{"mutations":[{"op":"insert","id":1,"mbr":{"min_x":0.2,"min_y":0.2,"max_x":0.3,"max_y":0.3}},
 		               {"op":"insert","id":2,"mbr":{"min_x":0.7,"min_y":0.7,"max_x":0.8,"max_y":0.8}}]}`, nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("bulk: %d %s", w.Code, w.Body.String())
-	}
-	if w.Header().Get("Deprecation") != "true" {
-		t.Error("/bulk does not signal deprecation")
 	}
 
 	var st statsResponse

@@ -94,6 +94,19 @@ func (s *Sharded) KNNExact(q Point, k int) []Neighbor {
 	return s.eng.KNN(q, k, true, nil)
 }
 
+// BatchWindowCounts evaluates a batch of window queries and returns
+// per-query result counts, like Index.BatchWindowCounts: each shard runs
+// its local batch kernel over the windows covering it.
+func (s *Sharded) BatchWindowCounts(queries []Rect, strategy BatchStrategy, threads int) []int {
+	return s.eng.BatchWindowCounts(queries, strategy, threads)
+}
+
+// BatchDiskCounts evaluates a disk batch and returns per-query counts,
+// like Index.BatchDiskCounts.
+func (s *Sharded) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads int) []int {
+	return s.eng.BatchDiskCounts(queries, strategy, threads)
+}
+
 // BatchCounts evaluates a batch of queries and returns per-query result
 // counts. Every query must be a plain (non-exact, unlimited) window or
 // disk; each shard runs its local batch kernel with the given strategy

@@ -10,9 +10,8 @@ import (
 )
 
 // Sharded-engine benchmarks: scatter-gather query latency and live
-// mutation throughput across shard counts. `make bench-shard` records
-// them into BENCH_3.json; docs/SHARDING.md discusses the expected
-// scaling (Apply throughput grows with shards because each shard
+// mutation throughput across shard counts. docs/SHARDING.md discusses
+// the expected scaling (Apply throughput grows with shards because each shard
 // publishes a copy-on-write clone of only its own slab).
 
 func shardedBenchRects(n int) []twolayer.Rect {

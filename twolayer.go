@@ -26,8 +26,7 @@ type (
 	Geometry = geom.Geometry
 	// ID identifies an object; a dataset of n objects uses IDs 0..n-1.
 	ID = spatial.ID
-	// Stats carries instrumentation counters (see Index.EnableStats and
-	// Index.Instrumented).
+	// Stats carries instrumentation counters (see Index.Instrumented).
 	Stats = core.Stats
 	// AtomicStats merges per-query Stats concurrently (see
 	// Index.Instrumented).
@@ -138,10 +137,10 @@ func (o Options) toCore() core.Options {
 }
 
 // Index is a two-layer partitioned spatial index. It is safe for
-// concurrent readers; updates, kNN search, and EnableStats collection
-// require external synchronization. On a static index, ReadView and
-// Instrumented lift the kNN and stats restrictions by giving each
-// goroutine its own cheap read view. For concurrent readers AND
+// concurrent readers; updates and kNN search require external
+// synchronization. On a static index, ReadView lifts the kNN restriction
+// and Instrumented collects stats by giving each goroutine its own cheap
+// read view. For concurrent readers AND
 // writers, wrap the index in a Live handle (NewLive, LiveFrom): readers
 // then pin immutable copy-on-write snapshots instead of locking.
 type Index struct {
@@ -412,17 +411,10 @@ func (ix *Index) JoinErr(other *Index, fn func(rID, sID ID)) error {
 // indices.
 func (ix *Index) JoinCount(other *Index) int { return ix.core.JoinCount(other.core) }
 
-// WindowParallel evaluates one (large) window query with the cover's
-// tile rows spread over threads; fn must be safe for concurrent use.
-// Small covers fall back to the serial path.
-func (ix *Index) WindowParallel(w Rect, threads int, fn func(id ID, mbr Rect)) {
-	ix.core.WindowParallel(w, threads, func(e spatial.Entry) { fn(e.ID, e.Rect) })
-}
-
 // WindowOrdered evaluates one window query over the given number of
 // workers with the results delivered to fn on the caller's goroutine in
-// exactly the sequential scan order: unlike WindowParallel, fn needs no
-// synchronization. workers <= 0 uses all cores; 1 runs the plain
+// exactly the sequential scan order, so fn needs no synchronization.
+// workers <= 0 uses all cores; 1 runs the plain
 // sequential scan. Window and Search apply the same kernel automatically
 // to large windows behind a cost gate (see Index.QueryPathStats), so
 // this entry point is for callers that want to force a worker count.
@@ -494,24 +486,6 @@ func Load(r io.Reader) (*Index, error) {
 	}
 	return &Index{core: inner}, nil
 }
-
-// EnableStats attaches a counter set that queries will update (exclusive
-// mode). Queries become single-threaded while stats are enabled. Returns
-// the live Stats.
-//
-// Deprecated: exclusive-mode stats serialize all queries on the index.
-// Use Instrumented for a per-goroutine counting view, and merge finished
-// views into a shared AtomicStats with its Observe method.
-func (ix *Index) EnableStats() *Stats {
-	s := &Stats{}
-	ix.core.Stats = s
-	return s
-}
-
-// DisableStats detaches the counter set.
-//
-// Deprecated: see EnableStats; Instrumented views need no detach step.
-func (ix *Index) DisableStats() { ix.core.Stats = nil }
 
 // ReadView returns a shallow read view of the index with private kNN
 // scratch space. Any number of views can evaluate queries — including KNN

@@ -154,16 +154,16 @@ func TestPublicUpdateAPI(t *testing.T) {
 func TestPublicStatsAPI(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	idx := twolayer.BuildRects(randRects(rnd, 500, 0.1), twolayer.Options{GridSize: 16})
-	s := idx.EnableStats()
-	idx.WindowCount(twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
+	view, s := idx.Instrumented()
+	view.WindowCount(twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
 	if s.TilesVisited == 0 || s.Results == 0 {
 		t.Errorf("stats not collected: %+v", s)
 	}
-	idx.DisableStats()
+	// Only the view counts: the index it was taken from stays uninstrumented.
 	before := s.Results
 	idx.WindowCount(twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
 	if s.Results != before {
-		t.Error("stats still collected after DisableStats")
+		t.Error("queries on the base index leaked into the view's stats")
 	}
 	if idx.ReplicationFactor() < 1 || idx.MemoryFootprint() <= 0 {
 		t.Error("reporting helpers wrong")
@@ -215,15 +215,10 @@ func TestPublicParallelEstimateUntil(t *testing.T) {
 	w := twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
 	want := idx.WindowCount(w)
 
-	var n int64
-	var mu sync.Mutex
-	idx.WindowParallel(w, 4, func(twolayer.ID, twolayer.Rect) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})
-	if int(n) != want {
-		t.Fatalf("WindowParallel found %d, want %d", n, want)
+	n := 0
+	idx.WindowOrdered(w, 4, func(twolayer.ID, twolayer.Rect) { n++ })
+	if n != want {
+		t.Fatalf("WindowOrdered found %d, want %d", n, want)
 	}
 
 	if est := idx.EstimateWindow(w); est <= 0 {
@@ -244,6 +239,7 @@ func TestPublicParallelEstimateUntil(t *testing.T) {
 	other := twolayer.BuildRects(randRects(rnd, 1000, 0.05), twolayer.Options{GridSize: 32, Space: space})
 	serialPairs := idx.JoinCount(other)
 	var pairs int64
+	var mu sync.Mutex
 	idx.JoinParallel(other, 4, func(_, _ twolayer.ID) {
 		mu.Lock()
 		pairs++
