@@ -113,7 +113,7 @@ func (ix *Index) batchTilesBased(queries []geom.Rect, threads int, fn func(int, 
 	// sweep first (the same two-pass idiom as the parallel build): the
 	// per-slot buckets are carved exact-size out of one slab, so large
 	// batches never pay append regrowth or per-bucket allocations.
-	counts := make([]int32, len(ix.tiles))
+	counts := make([]int32, ix.numTiles)
 	total := 0
 	for q := range queries {
 		w := queries[q]
@@ -131,7 +131,7 @@ func (ix *Index) batchTilesBased(queries []geom.Rect, threads int, fn func(int, 
 		}
 	}
 	slab := make([]int32, total)
-	perSlot := make([][]int32, len(ix.tiles))
+	perSlot := make([][]int32, ix.numTiles)
 	numTasks, off := 0, 0
 	for slot, ct := range counts {
 		if ct > 0 {
@@ -164,9 +164,8 @@ func (ix *Index) batchTilesBased(queries []geom.Rect, threads int, fn func(int, 
 	// Step 2: process tile by tile; each worker owns whole tiles so the
 	// tile's secondary partitions stay cache resident across subtasks.
 	process := func(task tileSubtasks) {
-		t := &ix.tiles[task.slot]
-		tid := ix.tileIDs[task.slot]
-		tx, ty := ix.g.TileCoords(int(tid))
+		t := ix.tile(int(task.slot))
+		tx, ty := ix.g.TileCoords(int(ix.tileID(int(task.slot))))
 		for _, q := range task.queries {
 			w := queries[q]
 			qx0, qy0, _, _ := ix.g.CoverRect(w)
@@ -202,16 +201,3 @@ func (ix *Index) batchTilesBased(queries []geom.Rect, threads int, fn func(int, 
 // defaultThreads is the worker count used when the caller passes
 // threads <= 0.
 func defaultThreads() int { return runtime.NumCPU() }
-
-// slotAt returns the tile-pool slot for (tx,ty), or -1 when the tile is
-// empty.
-func (ix *Index) slotAt(tx, ty int) int32 {
-	id := int32(ix.g.TileID(tx, ty))
-	if ix.dense != nil {
-		return ix.dense[id]
-	}
-	if slot, ok := ix.sparse[id]; ok {
-		return slot
-	}
-	return -1
-}

@@ -67,7 +67,7 @@ func (ix *Index) batchDiskTilesBased(queries []geom.Disk, threads int, fn func(i
 	// Step 1: compute each disk's tile cover once and accumulate
 	// subtasks per tile; the covers are reused during evaluation.
 	covers := make([]*diskCover, len(queries))
-	perSlot := make([][]int32, len(ix.tiles))
+	perSlot := make([][]int32, ix.numTiles)
 	for q := range queries {
 		dc := ix.diskCoverFor(queries[q].Center, queries[q].Radius)
 		covers[q] = dc
@@ -83,7 +83,7 @@ func (ix *Index) batchDiskTilesBased(queries []geom.Disk, threads int, fn func(i
 			}
 		}
 	}
-	tasks := make([]diskSubtask, 0, len(ix.tiles))
+	tasks := make([]diskSubtask, 0, ix.numTiles)
 	for slot, qs := range perSlot {
 		if len(qs) > 0 {
 			tasks = append(tasks, diskSubtask{slot: int32(slot), queries: qs})
@@ -92,8 +92,8 @@ func (ix *Index) batchDiskTilesBased(queries []geom.Disk, threads int, fn func(i
 
 	// Step 2: per tile, evaluate every subtask against that tile only.
 	process := func(task diskSubtask) {
-		t := &ix.tiles[task.slot]
-		tx, ty := ix.g.TileCoords(int(ix.tileIDs[task.slot]))
+		t := ix.tile(int(task.slot))
+		tx, ty := ix.g.TileCoords(int(ix.tileID(int(task.slot))))
 		for _, q := range task.queries {
 			disk := queries[q]
 			qi := int(q)

@@ -82,7 +82,7 @@ func (ix *Index) bulkLoad(entries []spatial.Entry) {
 // count. It requires a freshly constructed (empty) index and reports
 // whether it ran; on false the caller falls back to sequential inserts.
 func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
-	if len(ix.tiles) != 0 || ix.size != 0 || ix.epoch != 0 {
+	if ix.numTiles != 0 || ix.size != 0 || ix.epoch != 0 {
 		return false
 	}
 	numTiles := ix.g.NumTiles()
@@ -145,8 +145,13 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 	if total > math.MaxInt32 {
 		return false // int32 fill cursors would overflow; unreachable in-memory
 	}
-	ix.tiles = make([]tile, occupied)
-	ix.tileIDs = make([]int32, 0, occupied)
+	// The tile table is built in place: all pages are carved from one
+	// slab, exactly as the entry storage below is.
+	pageSlab := make([]tilePage, (occupied+tilePageMask)>>tilePageShift)
+	ix.pages = make([]*tilePage, len(pageSlab))
+	for i := range pageSlab {
+		ix.pages[i] = &pageSlab[i]
+	}
 	slab := make([]spatial.Entry, total)
 	fill := make([]int32, 4*occupied) // per (slot, class) write cursor
 
@@ -165,14 +170,9 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 		if ct == 0 {
 			continue
 		}
-		slot := len(ix.tileIDs)
-		ix.tileIDs = append(ix.tileIDs, int32(id))
-		if ix.dense != nil {
-			ix.dense[id] = int32(slot)
-		} else {
-			ix.sparse[int32(id)] = int32(slot)
-		}
-		t := &ix.tiles[slot]
+		slot := ix.appendTile(int32(id))
+		ix.setSlot(int32(id), slot)
+		t := ix.tile(int(slot))
 		for c := 0; c < 4; c++ {
 			if n := int(counts[base+c]); n > 0 {
 				t.classes[c] = slab[off : off+n : off+n]
@@ -218,15 +218,10 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 						txe = hi - 1 - row
 					}
 					for tx := txs; tx <= txe; tx++ {
-						var slot int32
-						if ix.dense != nil {
-							slot = ix.dense[row+tx]
-						} else {
-							slot = ix.sparse[int32(row+tx)]
-						}
+						slot := int(ix.slotOf(int32(row + tx)))
 						c := classify(tx, ty, ax, ay)
-						k := int(slot)*4 + int(c)
-						ix.tiles[slot].classes[c][fill[k]] = *e
+						k := slot*4 + int(c)
+						ix.tile(slot).classes[c][fill[k]] = *e
 						fill[k]++
 					}
 				}
@@ -240,11 +235,11 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 }
 
 // buildDecomposedParallel fans the per-tile table construction of
-// BuildDecomposed across a worker pool. Tiles are independent (each
-// worker writes only the dec pointer of tiles it claimed), so no
+// BuildDecomposed across a worker pool. Workers claim whole tile pages:
+// a page's tiles, and its reference in ix.pages should the page have to
+// be copied first, are written by the one worker that claimed it, so no
 // synchronization beyond the claim cursor is needed.
 func (ix *Index) buildDecomposedParallel(threads int) {
-	const chunk = 64 // tiles claimed per cursor bump
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < threads; w++ {
@@ -252,16 +247,11 @@ func (ix *Index) buildDecomposedParallel(threads int) {
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= len(ix.tiles) {
+				pi := int(next.Add(1)) - 1
+				if pi >= len(ix.pages) {
 					return
 				}
-				hi := min(lo+chunk, len(ix.tiles))
-				for i := lo; i < hi; i++ {
-					if t := &ix.tiles[i]; t.dec == nil {
-						t.dec = buildDecTile(t)
-					}
-				}
+				ix.decomposePage(pi)
 			}
 		}()
 	}

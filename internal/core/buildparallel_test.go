@@ -29,14 +29,8 @@ func lowerBuildGates(t *testing.T) {
 
 // tileByID returns the tile with the given tile ID, or nil.
 func tileByID(ix *Index, id int32) *tile {
-	if ix.dense != nil {
-		if slot := ix.dense[id]; slot >= 0 {
-			return &ix.tiles[slot]
-		}
-		return nil
-	}
-	if slot, ok := ix.sparse[id]; ok {
-		return &ix.tiles[slot]
+	if slot := ix.slotOf(id); slot >= 0 {
+		return ix.tile(int(slot))
 	}
 	return nil
 }
@@ -120,13 +114,14 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		if seq.Len() != par.Len() {
 			t.Fatalf("%s: size %d (seq) vs %d (par)", cfg, seq.Len(), par.Len())
 		}
-		if len(seq.tileIDs) != len(par.tileIDs) {
-			t.Fatalf("%s: %d tiles (seq) vs %d (par)", cfg, len(seq.tileIDs), len(par.tileIDs))
+		if seq.numTiles != par.numTiles {
+			t.Fatalf("%s: %d tiles (seq) vs %d (par)", cfg, seq.numTiles, par.numTiles)
 		}
 		if par.Epoch() != 0 {
 			t.Fatalf("%s: parallel build published epoch %d, want 0", cfg, par.Epoch())
 		}
-		for _, id := range seq.tileIDs {
+		for slot := 0; slot < seq.numTiles; slot++ {
+			id := seq.tileID(slot)
 			st, pt := tileByID(seq, id), tileByID(par, id)
 			if pt == nil {
 				t.Fatalf("%s: tile %d missing from parallel build", cfg, id)

@@ -152,9 +152,11 @@ type tile struct {
 	classes [4][]spatial.Entry
 	dec     *decTile // nil until built; invalidated by updates
 	// epoch is the copy-on-write generation that privately owns the class
-	// slices. Mutations compare it against the index epoch: on a mismatch
-	// (the tile is shared with an older published snapshot) the slices are
-	// cloned first. Directly built indices — sequential or parallel —
+	// slices — the second level of sharing, below the tile page (see
+	// pagetable.go): copying a page copies this header, slice headers
+	// included, but the entry storage behind them stays shared until a
+	// mutation finds epoch different from the index epoch and clones the
+	// slices (ownTile). Directly built indices — sequential or parallel —
 	// stay at epoch 0 throughout, so the check never copies anything on
 	// the non-MVCC path.
 	epoch uint64
@@ -172,11 +174,13 @@ type Index struct {
 	g    *grid.Grid
 	opts Options
 
-	// Tile directory: exactly one of dense/sparse is used.
-	dense   []int32         // tile ID -> index into tiles, -1 if empty
-	sparse  map[int32]int32 // tile ID -> index into tiles
-	tiles   []tile
-	tileIDs []int32 // slot -> grid tile ID (reverse directory)
+	// Tile table and tile directory, both paged for copy-on-write (see
+	// pagetable.go). Slots number the tiles in allocation order; exactly
+	// one of dense/sparse is used, both keyed by tile ID >> dirPageShift.
+	pages    []*tilePage        // slot >> tilePageShift -> page
+	numTiles int                // slots in use (the tail page may be partial)
+	dense    []*dirPage         // every page present
+	sparse   map[int32]*dirPage // pages with at least one tile
 
 	dataset *spatial.Dataset // for refinement; may be nil
 	size    int              // number of distinct objects inserted
@@ -186,9 +190,10 @@ type Index struct {
 	// directly built index, the publish sequence number for snapshots
 	// descending from CloneCOW (see Live).
 	epoch uint64
-	// sharedDir marks the tile directory (dense/sparse plus tileIDs) as
-	// shared with an older snapshot; it is copied before the first tile
-	// allocation (existing-tile lookups never mutate it).
+	// sharedDir marks the directory's page references (the dense slice or
+	// the sparse map itself, not the pages) as shared with an older
+	// snapshot; unshareDir copies them before the first tile allocation
+	// (existing-tile lookups never write the directory).
 	sharedDir bool
 
 	// Stats, when non-nil, accumulates instrumentation counters during
@@ -256,63 +261,24 @@ func (ix *Index) SetBuildThreads(n int) { ix.opts.BuildThreads = n }
 
 // CloneCOW returns a writable copy of the index for the next epoch, while
 // ix remains a consistent immutable snapshot that concurrent readers may
-// keep querying. The copy shares all entry storage (class slices and
-// decomposed tables) with ix: Insert and Delete on the copy clone the
-// class slices of a touched tile on first touch (copy-on-write at tile
-// granularity), and the tile directory is copied only if a previously
-// empty tile is populated. The fixed per-clone cost is a shallow copy of
-// the tile table — one small struct per occupied tile — which batching
-// writers (see Live) amortize over many mutations per publish.
+// keep querying. The copy shares every tile page, directory page, class
+// slice and decomposed table with ix; the only thing copied here is the
+// slice of tile-page references (8 bytes per tilePageSize tiles). Insert,
+// Delete and BuildDecomposed on the copy then take ownership of what
+// they write, on first touch: the tile's page, the tile's class slices,
+// and — only when a previously empty tile is populated — the directory's
+// page references and the one directory page written. A publish
+// therefore costs O(pages the batch touched), independent of the number
+// of tiles and grid cells (see pagetable.go for the ownership rule).
 func (ix *Index) CloneCOW() *Index {
 	cp := *ix
 	cp.epoch++
-	cp.tiles = make([]tile, len(ix.tiles))
-	copy(cp.tiles, ix.tiles)
+	cp.pages = append(make([]*tilePage, 0, len(ix.pages)+1), ix.pages...)
 	cp.sharedDir = true
 	cp.knn = nil
 	cp.Stats = nil
 	cp.trace = nil
 	return &cp
-}
-
-// unshareDir gives a cloned index a private tile directory before its
-// first tile allocation. Appends to tileIDs and directory writes would
-// otherwise be visible to (or race with) readers of older snapshots.
-func (ix *Index) unshareDir() {
-	if ix.dense != nil {
-		d := make([]int32, len(ix.dense))
-		copy(d, ix.dense)
-		ix.dense = d
-	} else {
-		m := make(map[int32]int32, len(ix.sparse)+1)
-		for k, v := range ix.sparse {
-			m[k] = v
-		}
-		ix.sparse = m
-	}
-	ids := make([]int32, len(ix.tileIDs), len(ix.tileIDs)+1)
-	copy(ids, ix.tileIDs)
-	ix.tileIDs = ids
-	ix.sharedDir = false
-}
-
-// cowTile makes t's class slices privately owned by the current epoch,
-// cloning them on the first mutation after CloneCOW. On a directly built
-// index (epoch 0 everywhere) this is a single predictable branch.
-func (ix *Index) cowTile(t *tile) {
-	if t.epoch == ix.epoch {
-		return
-	}
-	for c := range t.classes {
-		if n := len(t.classes[c]); n > 0 {
-			cl := make([]spatial.Entry, n)
-			copy(cl, t.classes[c])
-			t.classes[c] = cl
-		} else {
-			t.classes[c] = nil // drop any backing shared with older epochs
-		}
-	}
-	t.epoch = ix.epoch
 }
 
 // New builds an empty two-layer index.
@@ -324,12 +290,9 @@ func New(opts Options) *Index {
 		met:  &pathMetrics{},
 	}
 	if !opts.SparseDirectory && opts.NX*opts.NY <= opts.DenseDirectoryLimit {
-		ix.dense = make([]int32, opts.NX*opts.NY)
-		for i := range ix.dense {
-			ix.dense[i] = -1
-		}
+		ix.dense = newDenseDir(opts.NX*opts.NY, 0)
 	} else {
-		ix.sparse = make(map[int32]int32)
+		ix.sparse = make(map[int32]*dirPage)
 	}
 	return ix
 }
@@ -388,8 +351,8 @@ func (ix *Index) Len() int { return ix.size }
 // reference tile (the tile its clamped bottom-left corner falls in) —
 // so scanning the A lists enumerates the index without deduplication.
 func (ix *Index) ForEach(fn func(e spatial.Entry)) {
-	for i := range ix.tiles {
-		for _, e := range ix.tiles[i].classes[ClassA] {
+	for slot := 0; slot < ix.numTiles; slot++ {
+		for _, e := range ix.tile(slot).classes[ClassA] {
 			fn(e)
 		}
 	}
@@ -405,43 +368,31 @@ func (ix *Index) Dataset() *spatial.Dataset { return ix.dataset }
 // global ID stay correct.
 func (ix *Index) SetDataset(d *spatial.Dataset) { ix.dataset = d }
 
-// tileAt returns the tile stored for (ix,iy), or nil when empty.
+// slotAt returns the tile-table slot for (tx,ty), or -1 when the tile is
+// empty.
+func (ix *Index) slotAt(tx, ty int) int32 {
+	return ix.slotOf(int32(ix.g.TileID(tx, ty)))
+}
+
+// tileAt returns the tile stored for (tx,ty), or nil when empty. The
+// result is for reading; writers go through ownTile.
 func (ix *Index) tileAt(tx, ty int) *tile {
-	id := int32(ix.g.TileID(tx, ty))
-	if ix.dense != nil {
-		if slot := ix.dense[id]; slot >= 0 {
-			return &ix.tiles[slot]
-		}
-		return nil
-	}
-	if slot, ok := ix.sparse[id]; ok {
-		return &ix.tiles[slot]
+	if slot := ix.slotAt(tx, ty); slot >= 0 {
+		return ix.tile(int(slot))
 	}
 	return nil
 }
 
-// tileFor returns the tile for (ix,iy), allocating it if needed.
-func (ix *Index) tileFor(tx, ty int) *tile {
+// slotFor returns the slot of the tile for (tx,ty), allocating the tile
+// if needed.
+func (ix *Index) slotFor(tx, ty int) int32 {
 	id := int32(ix.g.TileID(tx, ty))
-	if ix.dense != nil {
-		if slot := ix.dense[id]; slot >= 0 {
-			return &ix.tiles[slot]
-		}
-	} else if slot, ok := ix.sparse[id]; ok {
-		return &ix.tiles[slot]
+	slot := ix.slotOf(id)
+	if slot < 0 {
+		slot = ix.appendTile(id)
+		ix.setSlot(id, slot)
 	}
-	if ix.sharedDir {
-		ix.unshareDir()
-	}
-	ix.tiles = append(ix.tiles, tile{})
-	ix.tileIDs = append(ix.tileIDs, id)
-	slot := int32(len(ix.tiles) - 1)
-	if ix.dense != nil {
-		ix.dense[id] = slot
-	} else {
-		ix.sparse[id] = slot
-	}
-	return &ix.tiles[slot]
+	return slot
 }
 
 // classify returns the class of an entry in tile (tx,ty), given the cover
@@ -475,8 +426,7 @@ func (ix *Index) insert(e spatial.Entry) {
 	ax, ay, bx, by := ix.g.CoverRect(e.Rect)
 	for ty := ay; ty <= by; ty++ {
 		for tx := ax; tx <= bx; tx++ {
-			t := ix.tileFor(tx, ty)
-			ix.cowTile(t)
+			t := ix.ownTile(ix.slotFor(tx, ty))
 			c := classify(tx, ty, ax, ay)
 			t.classes[c] = append(t.classes[c], e)
 			t.dec = nil // decomposed tables are now stale
@@ -495,22 +445,21 @@ func (ix *Index) Insert(e spatial.Entry) { ix.insert(e) }
 // determines the replication tiles. It reports whether the object was
 // found.
 func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
-	ix.counts = nil // prefix-sum count table is now stale
 	ax, ay, bx, by := ix.g.CoverRect(r)
 	found := false
 	for ty := ay; ty <= by; ty++ {
 		for tx := ax; tx <= bx; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
+			slot := ix.slotAt(tx, ty)
+			if slot < 0 {
 				continue
 			}
 			c := classify(tx, ty, ax, ay)
-			list := t.classes[c]
+			list := ix.tile(int(slot)).classes[c]
 			for i := range list {
 				if list[i].ID == id {
-					// Clone shared storage before the in-place swap-remove;
-					// the clone invalidates list, so re-fetch it.
-					ix.cowTile(t)
+					// Own the page and the class slices before the in-place
+					// swap-remove; owning may move both, so re-fetch them.
+					t := ix.ownTile(slot)
 					list = t.classes[c]
 					list[i] = list[len(list)-1]
 					t.classes[c] = list[:len(list)-1]
@@ -523,6 +472,7 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 	}
 	if found {
 		ix.size--
+		ix.counts = nil // prefix-sum count table is now stale
 	}
 	return found
 }
@@ -530,20 +480,16 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 // MemoryFootprint returns the approximate memory used by entry storage, in
 // bytes. Used by the tuning experiments (Figure 7).
 func (ix *Index) MemoryFootprint() int {
-	const entryBytes = 40 // 4 float64 + id + padding
 	total := 0
-	for i := range ix.tiles {
-		t := &ix.tiles[i]
-		total += t.size() * entryBytes
+	for slot := 0; slot < ix.numTiles; slot++ {
+		t := ix.tile(slot)
+		total += t.size() * int(entryBytes)
 		if t.dec != nil {
 			total += t.dec.footprint()
 		}
 	}
-	if ix.dense != nil {
-		total += 4 * len(ix.dense)
-	} else {
-		total += 16 * len(ix.sparse)
-	}
+	// The directory: 4 bytes per entry of every page present.
+	total += 4 * dirPageSize * (len(ix.dense) + len(ix.sparse))
 	return total
 }
 
@@ -554,8 +500,8 @@ func (ix *Index) ReplicationFactor() float64 {
 		return 0
 	}
 	stored := 0
-	for i := range ix.tiles {
-		stored += ix.tiles[i].size()
+	for slot := 0; slot < ix.numTiles; slot++ {
+		stored += ix.tile(slot).size()
 	}
 	return float64(stored) / float64(ix.size)
 }
@@ -564,9 +510,10 @@ func (ix *Index) ReplicationFactor() float64 {
 // by tests and the experiment reports.
 func (ix *Index) ClassCounts() [4]int {
 	var n [4]int
-	for i := range ix.tiles {
+	for slot := 0; slot < ix.numTiles; slot++ {
+		t := ix.tile(slot)
 		for c := 0; c < 4; c++ {
-			n[c] += len(ix.tiles[i].classes[c])
+			n[c] += len(t.classes[c])
 		}
 	}
 	return n

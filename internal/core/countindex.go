@@ -49,18 +49,9 @@ func (ix *Index) buildCountIndex() {
 	}
 	w := nx + 1
 	sums := make([]int64, w*(ny+1))
-	if ix.dense != nil {
-		for id, slot := range ix.dense {
-			if slot >= 0 {
-				tx, ty := id%nx, id/nx
-				sums[(ty+1)*w+tx+1] = int64(len(ix.tiles[slot].classes[ClassA]))
-			}
-		}
-	} else {
-		for id, slot := range ix.sparse {
-			tx, ty := int(id)%nx, int(id)/nx
-			sums[(ty+1)*w+tx+1] = int64(len(ix.tiles[slot].classes[ClassA]))
-		}
+	for slot := 0; slot < ix.numTiles; slot++ {
+		tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
+		sums[(ty+1)*w+tx+1] = int64(len(ix.tile(slot).classes[ClassA]))
 	}
 	for ty := 1; ty <= ny; ty++ {
 		row, prev := sums[ty*w:(ty+1)*w], sums[(ty-1)*w:ty*w]

@@ -104,20 +104,33 @@ func buildDecTile(t *tile) *decTile {
 // rebuilt. With Options.BuildThreads resolving to more than one worker
 // (and enough tiles to matter), the per-tile table construction is fanned
 // across a worker pool — tiles are independent, so the result is
-// identical to the sequential build.
+// identical to the sequential build. On a copy-on-write clone the stale
+// tiles may sit in pages still shared with older snapshots, so a page is
+// owned before the first table pointer is written into it; pages whose
+// tables are all current are not touched.
 func (ix *Index) BuildDecomposed() {
 	ix.opts.Decompose = true
 	// This is the batch refresh point after updates, so the count
 	// pushdown's prefix table is rebuilt here too.
 	defer ix.buildCountIndex()
 	if threads := resolveBuildThreads(ix.opts.BuildThreads); threads > 1 &&
-		len(ix.tiles) >= minParallelDecTiles {
+		ix.numTiles >= minParallelDecTiles {
 		ix.buildDecomposedParallel(threads)
 		return
 	}
-	for i := range ix.tiles {
-		if t := &ix.tiles[i]; t.dec == nil {
-			t.dec = buildDecTile(t)
+	for pi := range ix.pages {
+		ix.decomposePage(pi)
+	}
+}
+
+// decomposePage builds the missing decomposed tables of tile page pi.
+func (ix *Index) decomposePage(pi int) {
+	p := ix.pages[pi]
+	n := min(tilePageSize, ix.numTiles-pi<<tilePageShift)
+	for i := 0; i < n; i++ {
+		if p.tiles[i].dec == nil {
+			p = ix.ownTilePage(pi) // no-op once owned
+			p.tiles[i].dec = buildDecTile(&p.tiles[i])
 		}
 	}
 }

@@ -88,8 +88,8 @@ func TestDecTableSearch(t *testing.T) {
 func TestTableIIStorage(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	ix, _ := buildRandom(rnd, 500, 0.3, Options{NX: 8, NY: 8, Decompose: true})
-	for i := range ix.tiles {
-		tl := &ix.tiles[i]
+	for i := 0; i < ix.numTiles; i++ {
+		tl := ix.tile(i)
 		if tl.dec == nil {
 			t.Fatal("tile missing decomposed tables after Build with Decompose")
 		}
@@ -133,8 +133,8 @@ func TestDecomposedStaleAfterInsert(t *testing.T) {
 	allEntries := append(append([]spatial.Entry{}, d.Entries...), spatial.Entry{Rect: extra, ID: spatial.ID(len(rects))})
 
 	stale := 0
-	for i := range ix.tiles {
-		if ix.tiles[i].dec == nil {
+	for i := 0; i < ix.numTiles; i++ {
+		if ix.tile(i).dec == nil {
 			stale++
 		}
 	}
@@ -147,8 +147,8 @@ func TestDecomposedStaleAfterInsert(t *testing.T) {
 	}
 
 	ix.BuildDecomposed()
-	for i := range ix.tiles {
-		if ix.tiles[i].dec == nil {
+	for i := 0; i < ix.numTiles; i++ {
+		if ix.tile(i).dec == nil {
 			t.Fatal("BuildDecomposed left a stale tile")
 		}
 	}

@@ -112,3 +112,151 @@ func FuzzSnapshotDecode(f *testing.F) {
 		_ = loaded.Len()
 	})
 }
+
+// Op codes of the FuzzCOWChain byte stream (opcode byte modulo
+// chainOpCount, then the operand bytes named here).
+const (
+	chainOpInsert  = iota // x y w h
+	chainOpDelete         // pick
+	chainOpMove           // pick x y w h
+	chainOpPublish        // retain the head as a snapshot, open the next epoch
+	chainOpDropOldest
+	chainOpRebuild // BuildDecomposed on the head
+	chainOpCount
+)
+
+// chainFuzzBase builds the shared epoch-0 ancestor of every FuzzCOWChain
+// execution with the given configuration: one small object alone in each
+// of the first tilePageSize-2 tiles of the bottom row, so two inserts
+// elsewhere fill the tail page and the third appends a new one, and any
+// delete of a base object empties its tile.
+func chainFuzzBase(sparse, decompose bool) (*Index, []spatial.Entry) {
+	rects := make([]geom.Rect, tilePageSize-2)
+	for i := range rects {
+		x := (float64(i) + 0.25) / chainGrid
+		rects[i] = geom.Rect{MinX: x, MinY: 0.25 / chainGrid, MaxX: x + 0.5/chainGrid, MaxY: 0.75 / chainGrid}
+	}
+	d := spatial.NewDataset(rects)
+	ix := Build(d, Options{NX: chainGrid, NY: chainGrid, Space: unitSquare,
+		SparseDirectory: sparse, Decompose: decompose, BuildThreads: 1})
+	return ix, d.Entries
+}
+
+// runChainOps decodes data as a configuration byte plus an op stream and
+// runs it against a cowChain, verifying every retained snapshot after
+// every publish and once more at the end.
+func runChainOps(t *testing.T, data []byte) *cowChain {
+	if len(data) == 0 {
+		return nil
+	}
+	base, entries := chainFuzzBase(data[0]&1 != 0, data[0]&2 != 0)
+	c := newCowChain(base, entries)
+	data = data[1:]
+	// rect decodes four operand bytes: a corner anywhere in the space and
+	// sides of up to two tiles.
+	rect := func(b []byte) geom.Rect {
+		x, y := float64(b[0])/256, float64(b[1])/256
+		return geom.Rect{MinX: x, MinY: y,
+			MaxX: x + float64(b[2])/128/chainGrid, MaxY: y + float64(b[3])/128/chainGrid}
+	}
+	operands := [chainOpCount]int{chainOpInsert: 4, chainOpDelete: 1, chainOpMove: 5}
+	for len(data) > 0 {
+		op := int(data[0]) % chainOpCount
+		if len(data) < 1+operands[op] {
+			break
+		}
+		arg := data[1 : 1+operands[op]]
+		data = data[1+operands[op]:]
+		var err error
+		switch op {
+		case chainOpInsert:
+			err = c.applyHead(c.insertOp(rect(arg)))
+		case chainOpDelete:
+			err = c.applyHead(c.removeOp(int(arg[0])))
+		case chainOpMove:
+			err = c.applyHead(c.moveOp(int(arg[0]), rect(arg[1:])))
+		case chainOpPublish:
+			c.publish(true)
+			if len(c.retained) > 6 {
+				c.dropOldest()
+			}
+			err = c.checkAll()
+		case chainOpDropOldest:
+			c.dropOldest()
+		case chainOpRebuild:
+			c.head.BuildDecomposed()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.publish(true)
+	if err := c.checkAll(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// Seed streams of FuzzCOWChain, one per structural case the paged
+// tables must get right (TestCOWChainSeeds asserts each reaches its
+// case).
+var (
+	// Four inserts into empty tiles: the second fills the shared tail
+	// page, the third appends a page; published in between.
+	chainSeedTailAppend = []byte{0,
+		chainOpInsert, 10, 128, 20, 20, chainOpInsert, 60, 128, 20, 20, chainOpPublish,
+		chainOpInsert, 110, 128, 20, 20, chainOpInsert, 160, 200, 20, 20, chainOpPublish}
+	// Publish, then write tiles of the base's slab-carved page from two
+	// later epochs, with a rebuild of the decomposed tables in between.
+	chainSeedFirstTouch = []byte{2,
+		chainOpPublish, chainOpMove, 3, 4, 1, 60, 60, chainOpPublish,
+		chainOpRebuild, chainOpPublish, chainOpDelete, 5, chainOpPublish}
+	// Delete an object that is alone in its tile, publish, repopulate the
+	// emptied tile, drop the oldest snapshot; sparse directory.
+	chainSeedEmptyTile = []byte{1,
+		chainOpDelete, 0, chainOpPublish, chainOpInsert, 2, 2, 30, 30, chainOpPublish,
+		chainOpDropOldest, chainOpDelete, 1, chainOpPublish}
+)
+
+// FuzzCOWChain feeds arbitrary op streams — inserts, deletes, moves,
+// publishes, dropped snapshots, decomposed rebuilds — to the snapshot
+// chain harness of cow_chain_test.go: whatever the interleaving, every
+// retained snapshot must keep matching the naive model it was published
+// with. Run with `go test -fuzz=FuzzCOWChain ./internal/core`.
+func FuzzCOWChain(f *testing.F) {
+	f.Add(chainSeedTailAppend)
+	f.Add(chainSeedFirstTouch)
+	f.Add(chainSeedEmptyTile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			t.Skip() // verification is quadratic in the number of publishes
+		}
+		runChainOps(t, data)
+	})
+}
+
+// TestCOWChainSeeds pins what each FuzzCOWChain seed is for.
+func TestCOWChainSeeds(t *testing.T) {
+	c := runChainOps(t, chainSeedTailAppend)
+	if first, last := c.retained[0].ix, c.head; len(first.pages) != 1 || len(last.pages) != 2 {
+		t.Errorf("tail-append seed: %d tile pages grew to %d, want 1 to 2", len(first.pages), len(last.pages))
+	}
+
+	c = runChainOps(t, chainSeedFirstTouch)
+	if first, last := c.retained[0].ix, c.head; first.pages[0] == last.pages[0] {
+		t.Error("first-touch seed: the head still references the base's page")
+	} else if first.pages[0].epoch != 0 {
+		t.Errorf("first-touch seed: the base's page changed owner to epoch %d", first.pages[0].epoch)
+	}
+
+	c = runChainOps(t, chainSeedEmptyTile)
+	empty := 0
+	for slot := 0; slot < c.head.numTiles; slot++ {
+		if c.head.tile(slot).size() == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Error("empty-tile seed: no tile of the head is empty")
+	}
+}

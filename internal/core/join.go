@@ -62,10 +62,9 @@ func (ix *Index) Join(other *Index, fn func(r, s spatial.Entry)) {
 			s.Results++
 			inner(r, e)
 		}
-		for slot := range ix.tiles {
-			tR := &ix.tiles[slot]
-			tid := ix.tileIDs[slot]
-			tx, ty := ix.g.TileCoords(int(tid))
+		for slot := 0; slot < ix.numTiles; slot++ {
+			tR := ix.tile(slot)
+			tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
 			tS := other.tileAt(tx, ty)
 			if tS == nil {
 				continue
@@ -76,10 +75,9 @@ func (ix *Index) Join(other *Index, fn func(r, s spatial.Entry)) {
 		return
 	}
 	// Drive from the smaller tile set.
-	for slot := range ix.tiles {
-		tR := &ix.tiles[slot]
-		tid := ix.tileIDs[slot]
-		tx, ty := ix.g.TileCoords(int(tid))
+	for slot := 0; slot < ix.numTiles; slot++ {
+		tR := ix.tile(slot)
+		tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
 		tS := other.tileAt(tx, ty)
 		if tS == nil {
 			continue

@@ -20,8 +20,10 @@ import (
 // reader sees one consistent epoch for its whole request. Writers submit
 // mutations to a single-writer apply loop that batches whatever is
 // pending, applies the batch copy-on-write to a clone of the current
-// snapshot (CloneCOW: only touched tiles deep-copy their entry storage —
-// grid replication keeps the touched-tile set small per mutation), and
+// snapshot (CloneCOW: the clone shares the paged tile table with its
+// parent and copies, on first touch, only the tile pages and class
+// slices the batch writes — grid replication keeps the touched-tile set
+// small per mutation, so a publish costs O(touched), not O(tiles)), and
 // atomically publishes the clone as the next epoch. Submissions block
 // until their batch is published, so a writer that got its ack observes
 // its own write in every later Snapshot (read-your-writes).
@@ -47,10 +49,12 @@ var ErrBacklogFull = errors.New("core: live mutation backlog is full")
 
 // LiveOptions tune the apply loop of a Live index.
 type LiveOptions struct {
-	// MaxBatch caps the mutations applied per published snapshot.
-	// Larger batches amortize the per-publish snapshot clone over more
-	// mutations; smaller ones reduce writer-observed latency.
-	// Defaults to 256.
+	// MaxBatch caps the mutations applied per published snapshot. A
+	// publish has a small fixed cost (copying the tile-page references,
+	// one journal append, one snapshot swap) and otherwise scales with
+	// the pages the batch touches, so larger batches save little work;
+	// they mainly share one journal fsync between more submitters, while
+	// smaller ones reduce writer-observed latency. Defaults to 256.
 	MaxBatch int
 	// QueueDepth is the capacity of the mutation queue; submissions
 	// beyond it block (backpressure). Defaults to 1024.
@@ -139,6 +143,17 @@ type LiveStats struct {
 	// together with Publishes it yields a mean publish latency, and as a
 	// monotone counter it rates cleanly in monitoring systems.
 	PublishTotal time.Duration
+	// JournalTotal and RebuildTotal split PublishTotal: the time spent in
+	// the LiveOptions.Journal hook (write-ahead append and, by policy,
+	// fsync) and in periodic BuildDecomposed rebuilds. What remains is
+	// the clone, the copy-on-write apply and the snapshot swap.
+	JournalTotal time.Duration
+	RebuildTotal time.Duration
+	// COWBytes counts the bytes copied on first touch by copy-on-write
+	// mutations since the index was created: tile pages, directory pages
+	// and class slices. Divided by Applied it is the write amplification
+	// of a mutation; it does not grow with the index.
+	COWBytes int64
 }
 
 // Live is an updatable two-layer index serving lock-free reads: Snapshot
@@ -163,6 +178,8 @@ type Live struct {
 	lastBatch     atomic.Int64
 	lastPublishNS atomic.Int64
 	publishNS     atomic.Int64
+	journalNS     atomic.Int64
+	rebuildNS     atomic.Int64
 }
 
 // NewLive wraps ix, which becomes epoch-0 snapshot of the Live index.
@@ -274,6 +291,9 @@ func (l *Live) Stats() LiveStats {
 		BacklogLimit: l.opt.MaxBacklog,
 		Rejected:     l.rejected.Load(),
 		PublishTotal: time.Duration(l.publishNS.Load()),
+		JournalTotal: time.Duration(l.journalNS.Load()),
+		RebuildTotal: time.Duration(l.rebuildNS.Load()),
+		COWBytes:     s.met.cowBytes.Load(),
 	}
 }
 
@@ -351,6 +371,7 @@ func (l *Live) publish(batch []applyReq, n int, rebuild bool) {
 			}
 			return
 		}
+		l.journalNS.Add(time.Since(start).Nanoseconds())
 	}
 	next := l.Snapshot().CloneCOW()
 	found := make([][]bool, len(batch))
@@ -367,8 +388,10 @@ func (l *Live) publish(batch []applyReq, n int, rebuild bool) {
 		found[bi] = f
 	}
 	if rebuild {
+		rebuildStart := time.Now()
 		next.BuildDecomposed()
 		l.rebuilds.Add(1)
+		l.rebuildNS.Add(time.Since(rebuildStart).Nanoseconds())
 	}
 	l.snap.Store(next)
 

@@ -30,9 +30,9 @@ func (ix *Index) JoinParallel(other *Index, threads int, fn func(r, s spatial.En
 		tR, tS *tile
 	}
 	var tasks []task
-	for slot := range ix.tiles {
-		tR := &ix.tiles[slot]
-		tx, ty := ix.g.TileCoords(int(ix.tileIDs[slot]))
+	for slot := 0; slot < ix.numTiles; slot++ {
+		tR := ix.tile(slot)
+		tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
 		if tS := other.tileAt(tx, ty); tS != nil {
 			tasks = append(tasks, task{tR: tR, tS: tS})
 		}

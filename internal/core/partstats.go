@@ -54,8 +54,8 @@ func (ix *Index) PartitionStats() PartitionStats {
 		GridTiles: ix.g.NX * ix.g.NY,
 		Objects:   ix.size,
 	}
-	for i := range ix.tiles {
-		t := &ix.tiles[i]
+	for slot := 0; slot < ix.numTiles; slot++ {
+		t := ix.tile(slot)
 		n := t.size()
 		if n == 0 {
 			continue

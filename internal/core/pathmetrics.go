@@ -42,6 +42,11 @@ type pathMetrics struct {
 	parallelQueries   atomic.Int64
 	parallelChunks    atomic.Int64
 	sequentialQueries atomic.Int64
+
+	// cowBytes is the write-side sibling of the counters above: bytes of
+	// tile pages, directory pages and class slices copied on first touch
+	// by copy-on-write mutations (LiveStats.COWBytes).
+	cowBytes atomic.Int64
 }
 
 // pathTally accumulates per-query kernel work on the stack; flush merges

@@ -46,62 +46,79 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return ix.writeVersion(w, persistVersion)
 }
 
+// Fixed record widths of the layout above.
+const (
+	persistHeaderMax = 4 + 4 + 4 + 4*8 + 4 + 8 + 8 + 8 // version .. tileCount, v2
+	persistEntry     = 4 + 4*8                         // id, MBR
+)
+
 // writeVersion emits the snapshot in the given format version. Only the
 // current version is written in production; older versions remain
-// writable so the cross-version tests exercise real v1 bytes.
+// writable so the cross-version tests exercise real v1 bytes. Records
+// are encoded by hand into one reused buffer, a tile at a time (the
+// reflective encoding/binary path allocates per field, five times per
+// entry); persist_test.go keeps that reflective encoder as the reference
+// the bytes are compared against.
 func (ix *Index) writeVersion(w io.Writer, version uint32) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &countWriter{w: bw}
+	le := binary.LittleEndian
 
-	write := func(v any) error { return binary.Write(cw, binary.LittleEndian, v) }
-
-	if _, err := cw.Write([]byte(persistMagic)); err != nil {
-		return cw.n, err
-	}
-	if err := write(version); err != nil {
-		return cw.n, err
-	}
-	sp := ix.opts.Space
-	hdr := []any{
-		uint32(ix.g.NX), uint32(ix.g.NY),
-		sp.MinX, sp.MinY, sp.MaxX, sp.MaxY,
-		ix.flags(), uint64(ix.size),
-	}
+	buf := make([]byte, 0, 4096)
+	buf = append(buf, persistMagic...)
+	buf = le.AppendUint32(buf, version)
+	buf = le.AppendUint32(buf, uint32(ix.g.NX))
+	buf = le.AppendUint32(buf, uint32(ix.g.NY))
+	buf = appendRect(buf, ix.opts.Space)
+	buf = le.AppendUint32(buf, ix.flags())
+	buf = le.AppendUint64(buf, uint64(ix.size))
 	if version >= 2 {
-		hdr = append(hdr, ix.epoch)
+		buf = le.AppendUint64(buf, ix.epoch)
 	}
-	hdr = append(hdr, uint64(len(ix.tiles)))
-	for _, v := range hdr {
-		if err := write(v); err != nil {
-			return cw.n, err
-		}
+	buf = le.AppendUint64(buf, uint64(ix.numTiles))
+	if _, err := cw.Write(buf); err != nil {
+		return cw.n, err
 	}
-	for slot := range ix.tiles {
-		t := &ix.tiles[slot]
-		if err := write(uint32(ix.tileIDs[slot])); err != nil {
-			return cw.n, err
-		}
+	for slot := 0; slot < ix.numTiles; slot++ {
+		t := ix.tile(slot)
+		buf = le.AppendUint32(buf[:0], uint32(ix.tileID(slot)))
 		for c := 0; c < 4; c++ {
-			if err := write(uint32(len(t.classes[c]))); err != nil {
-				return cw.n, err
-			}
+			buf = le.AppendUint32(buf, uint32(len(t.classes[c])))
 		}
 		for c := 0; c < 4; c++ {
 			for i := range t.classes[c] {
 				e := &t.classes[c][i]
-				rec := []any{e.ID, e.Rect.MinX, e.Rect.MinY, e.Rect.MaxX, e.Rect.MaxY}
-				for _, v := range rec {
-					if err := write(v); err != nil {
-						return cw.n, err
-					}
-				}
+				buf = le.AppendUint32(buf, e.ID)
+				buf = appendRect(buf, e.Rect)
 			}
+		}
+		if _, err := cw.Write(buf); err != nil {
+			return cw.n, err
 		}
 	}
 	if err := bw.Flush(); err != nil {
 		return cw.n, err
 	}
 	return cw.n, nil
+}
+
+func appendRect(buf []byte, r geom.Rect) []byte {
+	le := binary.LittleEndian
+	buf = le.AppendUint64(buf, math.Float64bits(r.MinX))
+	buf = le.AppendUint64(buf, math.Float64bits(r.MinY))
+	buf = le.AppendUint64(buf, math.Float64bits(r.MaxX))
+	return le.AppendUint64(buf, math.Float64bits(r.MaxY))
+}
+
+// decodeRect reads the four little-endian float64s appendRect wrote.
+func decodeRect(b []byte) geom.Rect {
+	le := binary.LittleEndian
+	return geom.Rect{
+		MinX: math.Float64frombits(le.Uint64(b)),
+		MinY: math.Float64frombits(le.Uint64(b[8:])),
+		MaxX: math.Float64frombits(le.Uint64(b[16:])),
+		MaxY: math.Float64frombits(le.Uint64(b[24:])),
+	}
 }
 
 func (ix *Index) flags() uint32 {
@@ -127,37 +144,45 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // Load reads an index snapshot written by WriteTo.
 func Load(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
+	le := binary.LittleEndian
+	// Every fixed-width record is read into this one scratch buffer.
+	var scratch [persistHeaderMax]byte
+	read := func(n int) ([]byte, error) {
+		_, err := io.ReadFull(br, scratch[:n])
+		return scratch[:n], err
+	}
 
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	magic, err := read(4)
+	if err != nil {
 		return nil, fmt.Errorf("core: reading snapshot magic: %w", err)
 	}
 	if string(magic) != persistMagic {
 		return nil, fmt.Errorf("core: not an index snapshot (magic %q)", magic)
 	}
-	var version uint32
-	if err := read(&version); err != nil {
+	b, err := read(4)
+	if err != nil {
 		return nil, err
 	}
+	version := le.Uint32(b)
 	if version < 1 || version > persistVersion {
 		return nil, fmt.Errorf("core: unsupported snapshot version %d", version)
 	}
 
-	var nx, ny, flags uint32
-	var size, epoch, tileCount uint64
-	var space geom.Rect
-	fields := []any{&nx, &ny, &space.MinX, &space.MinY, &space.MaxX, &space.MaxY,
-		&flags, &size}
+	hdrLen := persistHeaderMax - 4
+	if version < 2 {
+		hdrLen -= 8 // no epoch field
+	}
+	if b, err = read(hdrLen); err != nil {
+		return nil, fmt.Errorf("core: reading snapshot header: %w", err)
+	}
+	nx, ny := le.Uint32(b), le.Uint32(b[4:])
+	space := decodeRect(b[8:])
+	flags, size := le.Uint32(b[40:]), le.Uint64(b[44:])
+	var epoch uint64
 	if version >= 2 {
-		fields = append(fields, &epoch)
+		epoch = le.Uint64(b[52:])
 	}
-	fields = append(fields, &tileCount)
-	for _, v := range fields {
-		if err := read(v); err != nil {
-			return nil, fmt.Errorf("core: reading snapshot header: %w", err)
-		}
-	}
+	tileCount := le.Uint64(b[hdrLen-8:])
 	if nx == 0 || ny == 0 || nx > 1<<20 || ny > 1<<20 {
 		return nil, fmt.Errorf("core: implausible grid %dx%d in snapshot", nx, ny)
 	}
@@ -168,62 +193,53 @@ func Load(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("core: %d tiles for a %dx%d grid", tileCount, nx, ny)
 	}
 
-	// Decode through the sparse directory regardless of grid size: a
-	// dense directory is O(nx*ny) to allocate, which a corrupt header
-	// could demand before a single tile byte has been validated. The
-	// directory is densified below once the whole snapshot decoded.
+	// Decode without a directory: a dense one is O(nx*ny) to allocate,
+	// which a corrupt header could demand before a single tile byte has
+	// been validated. The tile table records each slot's tile ID, and the
+	// directory is derived from it below once the whole snapshot decoded.
+	// Claimed counts are likewise untrusted until the bytes backing them
+	// have actually been read: tile pages are allocated one at a time as
+	// tiles arrive and entry preallocations are capped, so a corrupt
+	// header cannot demand gigabytes before the decoder hits EOF.
 	ix := New(Options{NX: int(nx), NY: int(ny), Space: space,
 		Decompose: flags&flagDecompose != 0, SparseDirectory: true})
 	ix.opts.SparseDirectory = false // restore the default directory policy
 	ix.size = int(size)
 	ix.epoch = epoch
-	// Claimed counts are untrusted until the bytes backing them have
-	// actually been read: preallocations are capped so a corrupt header
-	// cannot demand gigabytes before the decoder hits EOF.
 	const preallocCap = 1 << 10
-	ix.tiles = make([]tile, 0, min(tileCount, preallocCap))
-	ix.tileIDs = make([]int32, 0, min(tileCount, preallocCap))
 
 	maxTileID := uint32(nx) * uint32(ny)
 	for slot := uint64(0); slot < tileCount; slot++ {
-		var tileID uint32
-		if err := read(&tileID); err != nil {
+		if b, err = read(4); err != nil {
 			return nil, fmt.Errorf("core: reading tile %d: %w", slot, err)
 		}
+		tileID := le.Uint32(b)
 		if tileID >= maxTileID {
 			return nil, fmt.Errorf("core: tile ID %d out of range", tileID)
 		}
-		ix.tiles = append(ix.tiles, tile{})
-		ix.tileIDs = append(ix.tileIDs, int32(tileID))
-		if ix.dense != nil {
-			ix.dense[tileID] = int32(slot)
-		} else {
-			ix.sparse[int32(tileID)] = int32(slot)
+		t := ix.tile(int(ix.appendTile(int32(tileID))))
+		if b, err = read(4 * 4); err != nil { // four class lengths
+			return nil, err
 		}
 		var lens [4]uint32
 		total := uint64(0)
 		for c := 0; c < 4; c++ {
-			if err := read(&lens[c]); err != nil {
-				return nil, err
-			}
+			lens[c] = le.Uint32(b[4*c:])
 			total += uint64(lens[c])
 		}
 		if total > size*4+4 {
 			return nil, fmt.Errorf("core: tile %d claims %d entries for %d objects", slot, total, size)
 		}
-		t := &ix.tiles[slot]
 		for c := 0; c < 4; c++ {
 			if lens[c] == 0 {
 				continue
 			}
 			entries := make([]spatial.Entry, 0, min(uint64(lens[c]), preallocCap))
 			for i := uint64(0); i < uint64(lens[c]); i++ {
-				var e spatial.Entry
-				for _, v := range []any{&e.ID, &e.Rect.MinX, &e.Rect.MinY, &e.Rect.MaxX, &e.Rect.MaxY} {
-					if err := read(v); err != nil {
-						return nil, fmt.Errorf("core: reading tile %d entries: %w", slot, err)
-					}
+				if b, err = read(persistEntry); err != nil {
+					return nil, fmt.Errorf("core: reading tile %d entries: %w", slot, err)
 				}
+				e := spatial.Entry{ID: le.Uint32(b), Rect: decodeRect(b[4:])}
 				if !e.Rect.Valid() || math.IsInf(e.Rect.MinX, 0) {
 					return nil, fmt.Errorf("core: corrupt entry rect %v", e.Rect)
 				}
@@ -232,22 +248,19 @@ func Load(r io.Reader) (*Index, error) {
 			t.classes[c] = entries
 		}
 	}
-	// Densify under the same size cutoff New applies, with one extra
-	// guard: the directory must be within a constant factor of the tile
-	// data it indexes. A near-empty snapshot of a huge grid keeps the
-	// sparse map — the right call memory-wise, and it keeps the directory
-	// allocation proportional to the bytes actually decoded (a corrupt
-	// header cannot demand a 128 MB directory for three tiles of data).
+	// Use the dense directory under the same size cutoff New applies, with
+	// one extra guard: the directory must be within a constant factor of
+	// the tile data it indexes. A near-empty snapshot of a huge grid keeps
+	// the sparse map — the right call memory-wise, and it keeps the
+	// directory allocation proportional to the bytes actually decoded (a
+	// corrupt header cannot demand a 128 MB directory for three tiles of
+	// data).
 	if n := int(nx) * int(ny); n <= ix.opts.DenseDirectoryLimit &&
-		n <= max(1<<20, 256*len(ix.tiles)) {
-		dense := make([]int32, n)
-		for i := range dense {
-			dense[i] = -1
-		}
-		for id, slot := range ix.sparse {
-			dense[id] = slot
-		}
-		ix.dense, ix.sparse = dense, nil
+		n <= max(1<<20, 256*ix.numTiles) {
+		ix.dense, ix.sparse = newDenseDir(n, ix.epoch), nil
+	}
+	for slot := 0; slot < ix.numTiles; slot++ {
+		ix.setSlot(ix.tileID(slot), int32(slot))
 	}
 	if ix.opts.Decompose {
 		ix.BuildDecomposed()

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
+	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
@@ -154,5 +156,103 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	bad[8], bad[9], bad[10], bad[11] = 0, 0, 0, 0 // nx = 0
 	if _, err := Load(bytes.NewReader(bad)); err == nil {
 		t.Error("nx=0: expected error")
+	}
+}
+
+// referenceEncode is the snapshot writer as it was before the hand-rolled
+// codec: every field goes through the reflective binary.Write. It stays
+// here as the definition of the on-disk format — format versions 1 and 2
+// must keep these exact bytes.
+func referenceEncode(ix *Index, version uint32) []byte {
+	var buf bytes.Buffer
+	write := func(v any) {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			panic(err) // a bytes.Buffer does not fail; only an unsupported type can
+		}
+	}
+	buf.WriteString(persistMagic)
+	write(version)
+	sp := ix.opts.Space
+	hdr := []any{
+		uint32(ix.g.NX), uint32(ix.g.NY),
+		sp.MinX, sp.MinY, sp.MaxX, sp.MaxY,
+		ix.flags(), uint64(ix.size),
+	}
+	if version >= 2 {
+		hdr = append(hdr, ix.epoch)
+	}
+	hdr = append(hdr, uint64(ix.numTiles))
+	for _, v := range hdr {
+		write(v)
+	}
+	for slot := 0; slot < ix.numTiles; slot++ {
+		t := ix.tile(slot)
+		write(uint32(ix.tileID(slot)))
+		for c := 0; c < 4; c++ {
+			write(uint32(len(t.classes[c])))
+		}
+		for c := 0; c < 4; c++ {
+			for i := range t.classes[c] {
+				e := &t.classes[c][i]
+				for _, v := range []any{e.ID, e.Rect.MinX, e.Rect.MinY, e.Rect.MaxX, e.Rect.MaxY} {
+					write(v)
+				}
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestPersistMatchesReferenceEncoder: the hand-rolled codec writes the
+// reference encoder's bytes, in both format versions, for plain,
+// decomposed, sparse and parallel-built indices and for a mutated
+// copy-on-write descendant with appended, emptied and rewritten tiles.
+func TestPersistMatchesReferenceEncoder(t *testing.T) {
+	lowerBuildGates(t)
+	rnd := rand.New(rand.NewSource(185))
+	indices := map[string]*Index{}
+	for name, opts := range map[string]Options{
+		"plain":      {NX: 16, NY: 16, BuildThreads: 1},
+		"decomposed": {NX: 16, NY: 16, Decompose: true, BuildThreads: 1},
+		"sparse":     {NX: 40, NY: 40, SparseDirectory: true, BuildThreads: 1},
+		"parallel":   {NX: 16, NY: 16, BuildThreads: 3},
+		"one tile":   {NX: 1, NY: 1},
+	} {
+		indices[name], _ = buildRandom(rnd, 600, 0.1, opts)
+	}
+	indices["empty"] = New(Options{NX: 8, NY: 8})
+
+	mutated := indices["plain"].CloneCOW()
+	d := indices["plain"].Dataset()
+	for i := 0; i < 200; i++ {
+		e := d.Entries[i]
+		if !mutated.Delete(e.ID, e.Rect) {
+			t.Fatalf("delete of %d failed", e.ID)
+		}
+		if i%2 == 0 {
+			e.Rect = randRects(rnd, 1, 0.05)[0]
+			mutated.Insert(e)
+		}
+	}
+	mutated = mutated.CloneCOW()
+	mutated.Insert(spatial.Entry{ID: 5000, Rect: geom.Rect{MinX: -3, MinY: -3, MaxX: 4, MaxY: 4}})
+	indices["post-mutation"] = mutated
+
+	for name, ix := range indices {
+		for version := uint32(1); version <= persistVersion; version++ {
+			var got bytes.Buffer
+			n, err := ix.writeVersion(&got, version)
+			if err != nil {
+				t.Fatalf("%s v%d: %v", name, version, err)
+			}
+			want := referenceEncode(ix, version)
+			if n != int64(len(want)) || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s v%d: codec wrote %d bytes that differ from the reference encoder's %d",
+					name, version, got.Len(), len(want))
+			}
+			if _, err := Load(bytes.NewReader(want)); err != nil {
+				t.Errorf("%s v%d: Load of the reference bytes: %v", name, version, err)
+			}
+		}
 	}
 }

@@ -61,9 +61,9 @@ func TestDeleteRemovesFromAllTiles(t *testing.T) {
 		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(remaining, w), "after delete")
 	}
 	// No replica of a deleted object may remain anywhere.
-	for i := range ix.tiles {
+	for i := 0; i < ix.numTiles; i++ {
 		for c := ClassA; c <= ClassD; c++ {
-			for _, e := range ix.tiles[i].classes[c] {
+			for _, e := range ix.tile(i).classes[c] {
 				if e.ID%3 == 0 {
 					t.Fatalf("deleted object %d still stored", e.ID)
 				}
@@ -84,6 +84,64 @@ func TestDeleteMissing(t *testing.T) {
 	}
 	if ix.Len() != before {
 		t.Error("Len changed on failed delete")
+	}
+}
+
+// TestDeleteMissKeepsCountIndex: a Delete that finds nothing (wrong id,
+// stale MBR, replayed delete) changes nothing, so it must not drop the
+// count pushdown's prefix table either — on a plain index and on the
+// snapshot a Live index publishes for a batch of misses.
+func TestDeleteMissKeepsCountIndex(t *testing.T) {
+	rnd := rand.New(rand.NewSource(75))
+	rects := randRects(rnd, 400, 0.1)
+	ix := Build(spatial.NewDataset(rects), Options{NX: 16, NY: 16, Space: unitSquare})
+	entries := ix.Dataset().Entries
+	check := func(ix *Index, what string) {
+		t.Helper()
+		if ix.counts == nil {
+			t.Fatalf("%s: the prefix table is gone", what)
+		}
+		for q := 0; q < 40; q++ {
+			w := randWindow(rnd, 0.5)
+			if got, want := ix.WindowCountFast(w), len(spatial.BruteWindow(entries, w)); got != want {
+				t.Fatalf("%s: WindowCountFast(%v) = %d, want %d", what, w, got, want)
+			}
+		}
+	}
+	check(ix, "built index")
+
+	misses := []Mutation{
+		{Delete: true, Entry: spatial.Entry{ID: 9999, Rect: rects[0]}}, // absent id
+		{Delete: true, Entry: spatial.Entry{ID: 0, Rect: geom.Rect{ // stale MBR, other tiles
+			MinX: rects[0].MinX + 0.4, MinY: rects[0].MinY, MaxX: rects[0].MaxX + 0.4, MaxY: rects[0].MaxY}}},
+	}
+	for _, m := range misses {
+		if ix.Delete(m.Entry.ID, m.Entry.Rect) {
+			t.Fatalf("Delete(%d, %v) reported true", m.Entry.ID, m.Entry.Rect)
+		}
+	}
+	check(ix, "after missed deletes")
+
+	l := NewLive(ix, LiveOptions{})
+	defer l.Close()
+	res, err := l.Apply(misses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Found[0] || res.Found[1] {
+		t.Fatalf("Live reported %v for two misses", res.Found)
+	}
+	if snap := l.Snapshot(); snap.Epoch() != res.Epoch || snap == ix {
+		t.Fatalf("no new snapshot was published (epoch %d)", snap.Epoch())
+	}
+	check(l.Snapshot(), "next Live snapshot")
+
+	// A delete that does remove something still invalidates.
+	if found, _, err := l.Delete(0, rects[0]); err != nil || !found {
+		t.Fatalf("Delete of object 0: found %v, err %v", found, err)
+	}
+	if l.Snapshot().counts != nil {
+		t.Fatal("a successful delete left the stale prefix table in place")
 	}
 }
 

@@ -166,8 +166,8 @@ func TestClassAExactlyOnce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	ix, d := buildRandom(rnd, 500, 0.2, Options{NX: 16, NY: 16})
 	countA := make(map[spatial.ID]int)
-	for i := range ix.tiles {
-		for _, e := range ix.tiles[i].classes[ClassA] {
+	for i := 0; i < ix.numTiles; i++ {
+		for _, e := range ix.tile(i).classes[ClassA] {
 			countA[e.ID]++
 		}
 	}
@@ -187,9 +187,9 @@ func TestClassAExactlyOnce(t *testing.T) {
 func TestReplicationConsistency(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	ix, d := buildRandom(rnd, 200, 0.3, Options{NX: 8, NY: 8})
-	for i := range ix.tiles {
-		tl := &ix.tiles[i]
-		tid := ix.tileIDs[i]
+	for i := 0; i < ix.numTiles; i++ {
+		tl := ix.tile(i)
+		tid := ix.tileID(i)
 		tx, ty := ix.g.TileCoords(int(tid))
 		for c := ClassA; c <= ClassD; c++ {
 			for _, e := range tl.classes[c] {

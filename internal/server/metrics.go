@@ -310,6 +310,15 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		r.CounterFunc("twolayer_live_publish_seconds_total",
 			"Cumulative wall time spent publishing snapshots.",
 			func() float64 { return live.Stats().PublishTotal.Seconds() })
+		r.CounterFunc("twolayer_live_journal_seconds_total",
+			"Part of the publish time spent in the write-ahead journal hook (append and, by policy, fsync).",
+			func() float64 { return live.Stats().JournalTotal.Seconds() })
+		r.CounterFunc("twolayer_live_rebuild_seconds_total",
+			"Part of the publish time spent in periodic 2-layer+ decomposed-table rebuilds.",
+			func() float64 { return live.Stats().RebuildTotal.Seconds() })
+		r.CounterFunc("twolayer_live_cow_bytes_total",
+			"Bytes of tile pages, directory pages and class slices copied on first touch by copy-on-write publishes.",
+			func() float64 { return float64(live.Stats().COWBytes) })
 	}
 
 	// ---- wal / checkpoint group -------------------------------------------

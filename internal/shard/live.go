@@ -237,6 +237,9 @@ func (l *Live) Stats() core.LiveStats {
 		}
 		out.Rejected += st.Rejected
 		out.PublishTotal += st.PublishTotal
+		out.JournalTotal += st.JournalTotal
+		out.RebuildTotal += st.RebuildTotal
+		out.COWBytes += st.COWBytes
 	}
 	out.Rejected += l.rejected.Load()
 	out.Objects = l.Len()

@@ -19,10 +19,11 @@ var ErrBacklogFull = core.ErrBacklogFull
 
 // LiveOptions tune a Live index's single-writer apply loop.
 type LiveOptions struct {
-	// MaxBatch caps the mutations applied per published snapshot. Larger
-	// batches amortize the per-publish copy-on-write clone over more
-	// mutations; smaller ones reduce writer-observed latency. Defaults
-	// to 256.
+	// MaxBatch caps the mutations applied per published snapshot. A
+	// publish copies only the tile pages its batch touches, so there is
+	// little fixed cost for larger batches to amortize — they mainly
+	// share one journal append and fsync; smaller ones reduce
+	// writer-observed latency. Defaults to 256.
 	MaxBatch int
 	// QueueDepth is the capacity of the mutation queue; submissions
 	// beyond it block (backpressure). Defaults to 1024.
@@ -74,8 +75,9 @@ type LiveStats = core.LiveStats
 // MVCC-style snapshot isolation. Readers call Snapshot — one atomic load
 // — and query the returned immutable Index like a static one; writers
 // submit mutations that a single apply goroutine batches, applies
-// copy-on-write (only touched tiles clone their entry storage), and
-// publishes atomically as the next epoch. A mutation call returns once
+// copy-on-write (only the tile pages and class slices a batch touches
+// are copied, whatever the index size), and publishes atomically as the
+// next epoch. A mutation call returns once
 // its batch is published, so the caller observes its own write in every
 // later Snapshot. All methods are safe for concurrent use.
 //
