@@ -1,10 +1,10 @@
 // Benchmarks for the adaptive query kernels: the O(tiles) count
-// pushdown against the streamed reference it replaced, the chunked
-// intra-query parallel kernel across forced worker counts, and the
-// early-stopping existence probe.
+// pushdown against the streamed reference it replaced, the sequential
+// scan on large windows, and the early-stopping existence probe.
 package twolayer_test
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/core"
@@ -15,7 +15,8 @@ import (
 
 // BenchmarkWindowCountFast: count-only window queries on the Table-5
 // ROADS workload. "streamed" is the pre-pushdown reference (walk every
-// matching entry through a callback); "pushdown" is WindowCountFast,
+// matching entry through a callback on the sequential scan, 0
+// allocs/op at every area); "pushdown" is WindowCountFast,
 // which answers interior tiles with len() and 1-comparison decomposed
 // classes with a binary-search run length. The streamed/pushdown ratio
 // is the kernel's speedup at each query size.
@@ -65,24 +66,22 @@ func ftoa2(f float64) string {
 	return ftoa(f)
 }
 
-// BenchmarkWindowParallel: one large window (>= 25% of the space) per
-// op through the chunked kernel at forced worker counts. On a
-// single-core host this measures the kernel's coordination overhead,
-// not speedup; with more cores the per-op time should drop as workers
-// increase.
-func BenchmarkWindowParallel(b *testing.B) {
+// BenchmarkWindowLarge: one large window per op through Window, the
+// one sequential tile scan, at the extents where covers reach thousands
+// of tiles. Expect 0 allocs/op.
+func BenchmarkWindowLarge(b *testing.B) {
 	benchData()
 	ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid})
-	queries := datagen.Windows(benchRoads, datagen.QuerySpec{
-		N: 64, RelExtent: 0.25, Seed: benchSeed + 9})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
+	for _, extent := range []float64{0.1, 0.25, 0.5} {
+		queries := datagen.Windows(benchRoads, datagen.QuerySpec{
+			N: 64, RelExtent: extent, Seed: benchSeed + 9})
+		b.Run(fmt.Sprintf("extent=%g", extent), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			total := 0
 			for i := 0; i < b.N; i++ {
 				n := 0
-				ix.WindowOrdered(queries[i%len(queries)], workers, func(spatial.Entry) { n++ })
+				ix.Window(queries[i%len(queries)], func(spatial.Entry) { n++ })
 				total += n
 			}
 			benchSink = total
@@ -91,9 +90,8 @@ func BenchmarkWindowParallel(b *testing.B) {
 }
 
 // BenchmarkIntersects: the early-stopping existence probe on the Table-5
-// workload. This path is gated off the parallel kernel (a probe that
-// stops at the first match must never pay a full fan-out scan), so it
-// should stay near-constant per op.
+// workload. The probe stops at the first match, so it should stay
+// near-constant per op.
 func BenchmarkIntersects(b *testing.B) {
 	benchData()
 	ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid})

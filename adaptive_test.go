@@ -100,27 +100,3 @@ func TestShardedQueryPathStats(t *testing.T) {
 		t.Errorf("FastCounts did not advance: %d -> %d", before.FastCounts, after.FastCounts)
 	}
 }
-
-// TestPublicWindowOrdered checks the facade's forced-parallel window
-// against the sequential callback order.
-func TestPublicWindowOrdered(t *testing.T) {
-	rnd := rand.New(rand.NewSource(8))
-	rects := randRects(rnd, 2000, 0.03)
-	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 64})
-	w := twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
-	var want []twolayer.ID
-	idx.Window(w, func(id twolayer.ID, _ twolayer.Rect) { want = append(want, id) })
-	for _, workers := range []int{1, 2, 4, 8} {
-		var got []twolayer.ID
-		idx.WindowOrdered(w, workers, func(id twolayer.ID, _ twolayer.Rect) { got = append(got, id) })
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result %d = %d, want %d (order must match sequential)",
-					workers, i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -5,7 +5,7 @@
 // On a single-core host the parallel variants measure pipeline overhead,
 // not speedup; run on a multi-core machine to see the scaling (the
 // two-pass build targets near-linear scaling up to the memory bandwidth
-// limit); the ncpu variant uses BuildThreads=0, i.e. runtime.NumCPU().
+// limit); the ncpu variant uses BuildThreads=0, i.e. GOMAXPROCS.
 package twolayer_test
 
 import (
@@ -38,7 +38,7 @@ func buildBenchData() *spatial.Dataset {
 }
 
 // buildThreadVariants are the sub-benchmark axis shared by the build
-// benchmarks: the sequential path, fixed worker counts, and NumCPU.
+// benchmarks: the sequential path, fixed worker counts, and the default.
 var buildThreadVariants = []struct {
 	name    string
 	threads int

@@ -1,12 +1,15 @@
 // Command docscheck keeps the documentation honest. It runs two checks
 // and exits non-zero if either fails:
 //
-//  1. Metric coverage: every metric family the server registers (the
-//     names served on GET /metrics) must appear verbatim in
-//     docs/OBSERVABILITY.md. The name set is obtained by constructing a
-//     real durable-mode server — the mode that registers every group
-//     (http, query, index, partition, live, WAL, checkpoint, process) —
-//     so the check cannot drift from the code.
+//  1. Metric coverage, in both directions: every metric family the
+//     server registers (the names served on GET /metrics) must appear
+//     verbatim in docs/OBSERVABILITY.md, and every family a metric-table
+//     row of that file documents must be registered, so a deleted family
+//     cannot outlive its code in the docs. The name set is obtained by
+//     constructing real servers — durable mode, which registers every
+//     unsharded group (http, query, index, partition, live, WAL,
+//     checkpoint, process), and sharded live mode — so the check cannot
+//     drift from the code.
 //  2. Link integrity: every relative markdown link in README.md and
 //     docs/*.md must point at a file that exists in the repository.
 //
@@ -75,6 +78,11 @@ func registeredMetricNames() ([]string, error) {
 	return names, nil
 }
 
+// metricRowRe matches the first cell of a metric-table row: a line that
+// opens with a backquoted twolayer_* family name. Names in prose are not
+// rows and are not checked.
+var metricRowRe = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
+
 func checkMetricsDocumented(docPath string) (failures []string) {
 	doc, err := os.ReadFile(docPath)
 	if err != nil {
@@ -84,10 +92,18 @@ func checkMetricsDocumented(docPath string) (failures []string) {
 	if err != nil {
 		return []string{fmt.Sprintf("building metric registry: %v", err)}
 	}
+	registered := make(map[string]bool, len(names))
 	for _, name := range names {
+		registered[name] = true
 		if !strings.Contains(string(doc), name) {
 			failures = append(failures,
 				fmt.Sprintf("metric %s is registered but not documented in %s", name, docPath))
+		}
+	}
+	for _, m := range metricRowRe.FindAllStringSubmatch(string(doc), -1) {
+		if !registered[m[1]] {
+			failures = append(failures,
+				fmt.Sprintf("metric %s has a table row in %s but no server registers it", m[1], docPath))
 		}
 	}
 	return failures

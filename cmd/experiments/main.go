@@ -25,7 +25,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	budget := flag.Duration("budget", 5*time.Second, "time budget per measurement point")
 	seed := flag.Int64("seed", 0, "workload seed (0 = default)")
-	buildThreads := flag.Int("build-threads", 0, "worker count for the build experiment's parallel column (0 = NumCPU)")
+	buildThreads := flag.Int("build-threads", 0, "worker count for the build experiment's parallel column (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	cfg := bench.Config{

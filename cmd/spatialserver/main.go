@@ -136,7 +136,7 @@ func main() {
 	trace := flag.Bool("trace", false, "attach a per-stage trace to every single-query response (clients can also opt in per request)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log single queries slower than this many milliseconds, with their trace (0 = off)")
 	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /v1/insert, /v1/delete, /v1/bulk (disables exact-geometry queries)")
-	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded, negative = one per CPU)")
+	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded, negative = one per GOMAXPROCS)")
 	rebuildEvery := flag.Int("rebuild-every", 0, "live mode: re-run the decomposed build after this many mutations (0 = default, negative = never)")
 	dataDir := flag.String("data-dir", "", "durable live mode: directory for the write-ahead log and checkpoints; implies -live, recovers automatically on startup")
 	fsync := flag.String("fsync", "interval", `durable mode fsync policy: "always", "interval", or "none"`)

@@ -40,7 +40,7 @@ type Config struct {
 	Seed int64
 	// BuildThreads is the worker count the "build" experiment uses for
 	// its parallel column (core.Options.BuildThreads semantics: 0 means
-	// runtime.NumCPU()). Other experiments build their indices with the
+	// core.DefaultThreads()). Other experiments build their indices with the
 	// default pipeline.
 	BuildThreads int
 }

@@ -17,7 +17,7 @@ func BuildExp(cfg Config) {
 	cfg = cfg.withDefaults()
 	par := cfg.BuildThreads
 	if par <= 0 {
-		par = runtime.NumCPU()
+		par = core.DefaultThreads()
 	}
 	if par < 2 {
 		// The parallel column must actually run the two-pass pipeline,

@@ -32,18 +32,17 @@ func Fig6(c Config) {
 		c.printf("-- %s, window queries (avg us/query) --\n", kind)
 		for _, mode := range []core.RefineMode{core.RefineSimple, core.RefineAvoid, core.RefineAvoidPlus} {
 			stats := &core.Stats{}
-			ix.Stats = stats
+			v := ix.View(stats)
 			start := time.Now()
 			done := 0
 			for _, w := range windows {
-				ix.WindowExact(w, mode, func(spatial.ID) {})
+				v.WindowExact(w, mode, func(spatial.ID) {})
 				done++
 				if done%16 == 0 && time.Since(start) > c.TimePerPoint {
 					break
 				}
 			}
 			el := time.Since(start)
-			ix.Stats = nil
 			c.printf("  %-9s %8.1f us/query   refinements=%d filter-hits=%d\n",
 				mode, float64(el.Microseconds())/float64(done),
 				stats.RefinementTests, stats.SecondaryFilterHits)
@@ -52,18 +51,17 @@ func Fig6(c Config) {
 		c.printf("-- %s, disk queries (avg us/query; RefAvoid+ not applicable) --\n", kind)
 		for _, mode := range []core.RefineMode{core.RefineSimple, core.RefineAvoid} {
 			stats := &core.Stats{}
-			ix.Stats = stats
+			v := ix.View(stats)
 			start := time.Now()
 			done := 0
 			for _, q := range disks {
-				ix.DiskExact(q.Center, q.Radius, mode, func(spatial.ID) {})
+				v.DiskExact(q.Center, q.Radius, mode, func(spatial.ID) {})
 				done++
 				if done%16 == 0 && time.Since(start) > c.TimePerPoint {
 					break
 				}
 			}
 			el := time.Since(start)
-			ix.Stats = nil
 			c.printf("  %-9s %8.1f us/query   refinements=%d filter-hits=%d distances=%d\n",
 				mode, float64(el.Microseconds())/float64(done),
 				stats.RefinementTests, stats.SecondaryFilterHits, stats.DistanceComputations)

@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/twolayer/twolayer/internal/spatial"
 )
@@ -84,46 +82,5 @@ func TestLiveBacklogUnbounded(t *testing.T) {
 	st := l.Stats()
 	if st.BacklogLimit != 0 || st.Rejected != 0 {
 		t.Fatalf("BacklogLimit/Rejected = %d/%d, want 0/0", st.BacklogLimit, st.Rejected)
-	}
-}
-
-// TestParallelWindowNoGoroutineLeak is the fan-out leak regression: the
-// chunked parallel window kernel spawns a worker pool per query, and a
-// delivery that stops early (the server's cancellation/shedding path —
-// until returns false) must still leave no goroutine behind. Hammer
-// early-stopped and completed parallel queries, then require the
-// goroutine count to return to baseline.
-func TestParallelWindowNoGoroutineLeak(t *testing.T) {
-	rnd := rand.New(rand.NewSource(41))
-	ix, _ := buildRandom(rnd, 5000, 0.02, Options{NX: 64, NY: 64, Space: unitSquare})
-	w := unitSquare // full-space cover: every tile row participates
-
-	baseline := runtime.NumGoroutine()
-	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
-	for i := 0; i < 100; i++ {
-		stopAfter := -1 // run to completion
-		if i%2 == 0 {
-			stopAfter = 1 + i%7 // abort delivery mid-stream
-		}
-		seen := 0
-		ix.windowChunked(w, ix0, iy0, ix1, iy1, 4, func(spatial.Entry) bool {
-			seen++
-			return stopAfter < 0 || seen < stopAfter
-		})
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutines did not return to baseline %d (at %d)\n%s",
-				baseline, runtime.NumGoroutine(), buf)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -37,14 +37,14 @@ func (s BatchStrategy) String() string {
 // (BatchWindow, BatchDisk and their Counts forms) shares: any strategy
 // other than TilesBased — including out-of-range values — falls back to
 // the QueriesBased zero value, and threads <= 0 selects
-// runtime.NumCPU(). Keeping this in one place guarantees the window and
+// DefaultThreads(). Keeping this in one place guarantees the window and
 // disk paths cannot drift apart again.
 func normalizeBatch(strategy BatchStrategy, threads int) (BatchStrategy, int) {
 	if strategy != TilesBased {
 		strategy = QueriesBased
 	}
 	if threads <= 0 {
-		threads = defaultThreads()
+		threads = DefaultThreads()
 	}
 	return strategy, threads
 }
@@ -56,7 +56,7 @@ func normalizeBatch(strategy BatchStrategy, threads int) (BatchStrategy, int) {
 // concurrent use; with TilesBased this holds even for a single query
 // index, because a query's tiles are processed by different workers.
 // Unknown strategies fall back to QueriesBased; threads <= 0 selects
-// runtime.NumCPU(). BatchDisk resolves both identically.
+// DefaultThreads(). BatchDisk resolves both identically.
 func (ix *Index) BatchWindow(queries []geom.Rect, strategy BatchStrategy, threads int, fn func(q int, e spatial.Entry)) {
 	strategy, threads = normalizeBatch(strategy, threads)
 	if strategy == TilesBased {
@@ -198,6 +198,9 @@ func (ix *Index) batchTilesBased(queries []geom.Rect, threads int, fn func(int, 
 	wg.Wait()
 }
 
-// defaultThreads is the worker count used when the caller passes
-// threads <= 0.
-func defaultThreads() int { return runtime.NumCPU() }
+// DefaultThreads is the worker count every "<= 0 selects the default"
+// parameter resolves to (batch and join threads, BuildThreads, the shard
+// count, the server's batch clamp): GOMAXPROCS, the number of goroutines
+// that can actually run at once, which a CPU-limited deployment sets
+// below the machine's core count.
+func DefaultThreads() int { return runtime.GOMAXPROCS(0) }

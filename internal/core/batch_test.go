@@ -84,7 +84,7 @@ func TestBatchStrategyString(t *testing.T) {
 	}
 }
 
-// TestBatchDefaultThreads: threads <= 0 must select NumCPU and still be
+// TestBatchDefaultThreads: threads <= 0 must select DefaultThreads and still be
 // correct.
 func TestBatchDefaultThreads(t *testing.T) {
 	rnd := rand.New(rand.NewSource(64))

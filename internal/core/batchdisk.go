@@ -14,7 +14,7 @@ import (
 // query index with each result and must be concurrency-safe when
 // threads != 1. Parameter handling matches BatchWindow exactly: unknown
 // strategies fall back to QueriesBased, threads <= 0 selects
-// runtime.NumCPU().
+// DefaultThreads().
 func (ix *Index) BatchDisk(queries []geom.Disk, strategy BatchStrategy, threads int, fn func(q int, e spatial.Entry)) {
 	strategy, threads = normalizeBatch(strategy, threads)
 	if strategy == TilesBased {

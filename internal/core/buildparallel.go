@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -49,11 +48,11 @@ var (
 )
 
 // resolveBuildThreads maps the Options.BuildThreads convention onto a
-// concrete worker count: <= 0 selects runtime.NumCPU(), 1 forces the
+// concrete worker count: <= 0 selects DefaultThreads(), 1 forces the
 // sequential path, anything else is taken as given.
 func resolveBuildThreads(requested int) int {
 	if requested <= 0 {
-		return runtime.NumCPU()
+		return DefaultThreads()
 	}
 	return requested
 }

@@ -164,7 +164,7 @@ func TestParallelBuildFallbacks(t *testing.T) {
 	})
 	t.Run("auto-threads", func(t *testing.T) {
 		lowerBuildGates(t)
-		// BuildThreads <= 0 resolves to NumCPU; whatever it resolves to,
+		// BuildThreads <= 0 resolves to DefaultThreads(); whatever it resolves to,
 		// the index must be correct.
 		for _, threads := range []int{0, -3} {
 			ix := Build(d, Options{NX: 8, NY: 8, Space: d.MBR(), BuildThreads: threads})

@@ -68,7 +68,7 @@ type Options struct {
 	// rebuilt lazily after updates.
 	Decompose bool
 	// BuildThreads is the worker count of the construction pipeline used
-	// by Build and BuildDecomposed: <= 0 selects runtime.NumCPU(), 1
+	// by Build and BuildDecomposed: <= 0 selects DefaultThreads(), 1
 	// forces the sequential single-threaded path. With more than one
 	// worker, Build uses a two-pass counting pipeline (count replicas
 	// per tile and class, then fill exact-size class slices in parallel)
@@ -168,8 +168,8 @@ func (t *tile) size() int {
 
 // Index is the two-layer grid index. It is safe for concurrent readers;
 // updates require external synchronization, as do kNN queries (shared
-// scratch space) and exclusive-mode stats collection. Use View to obtain
-// per-goroutine read views that lift both restrictions on a static index.
+// scratch space). Use View to obtain per-goroutine read views, which
+// lift that restriction on a static index and carry the Stats counters.
 type Index struct {
 	g    *grid.Grid
 	opts Options
@@ -196,15 +196,14 @@ type Index struct {
 	// (existing-tile lookups never write the directory).
 	sharedDir bool
 
-	// Stats, when non-nil, accumulates instrumentation counters during
-	// queries (exclusive mode: see the Stats type). Setting it on a shared
-	// Index makes queries unsafe for concurrent use; for concurrent
-	// collection attach a private Stats to each View instead.
-	Stats *Stats
+	// stats, when non-nil, accumulates instrumentation counters during
+	// queries, unsynchronized. Only View and ViewTraced set it, on the
+	// private copy they return.
+	stats *Stats
 
 	// trace, when non-nil, extends Stats collection with per-query stage
 	// timings. It is only ever set on private views (ViewTraced) and
-	// always aliases the Trace whose embedded Stats this index's Stats
+	// always aliases the Trace whose embedded Stats this index's stats
 	// field points to.
 	trace *Trace
 
@@ -233,7 +232,7 @@ type Index struct {
 func (ix *Index) View(s *Stats) *Index {
 	cp := *ix
 	cp.knn = nil // detach shared kNN scratch; the view grows its own
-	cp.Stats = s
+	cp.stats = s
 	cp.trace = nil
 	return &cp
 }
@@ -276,7 +275,7 @@ func (ix *Index) CloneCOW() *Index {
 	cp.pages = append(make([]*tilePage, 0, len(ix.pages)+1), ix.pages...)
 	cp.sharedDir = true
 	cp.knn = nil
-	cp.Stats = nil
+	cp.stats = nil
 	cp.trace = nil
 	return &cp
 }

@@ -23,7 +23,7 @@ func (ix *Index) WindowCountFast(w geom.Rect) int {
 	if !w.Valid() {
 		return 0
 	}
-	if ix.Stats != nil {
+	if ix.stats != nil {
 		n := 0
 		ix.Window(w, func(spatial.Entry) { n++ })
 		return n
@@ -229,7 +229,7 @@ func (ix *Index) WindowCountFiltered(w geom.Rect, minX float64) int {
 	if !w.Valid() {
 		return 0
 	}
-	if ix.Stats != nil {
+	if ix.stats != nil {
 		n := 0
 		ix.Window(w, func(e spatial.Entry) {
 			if e.Rect.MinX >= minX {

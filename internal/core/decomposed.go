@@ -233,8 +233,8 @@ func (ix *Index) decClassQuery(t *tile, c Class, w geom.Rect, p tileComparisonPl
 		ix.scanClass(entries, w, p, fn)
 		return
 	}
-	if ix.Stats != nil {
-		ix.Stats.PartitionsScanned++
+	if ix.stats != nil {
+		ix.stats.PartitionsScanned++
 	}
 	d := &t.dec.cls[c]
 
@@ -260,9 +260,9 @@ func (ix *Index) decClassQuery(t *tile, c Class, w geom.Rect, p tileComparisonPl
 
 	if n == 0 {
 		// Every entry of the class qualifies: emit without comparisons.
-		if ix.Stats != nil {
-			ix.Stats.EntriesScanned += int64(len(entries))
-			ix.Stats.Results += int64(len(entries))
+		if ix.stats != nil {
+			ix.stats.EntriesScanned += int64(len(entries))
+			ix.stats.Results += int64(len(entries))
 		}
 		for i := range entries {
 			fn(entries[i])
@@ -285,12 +285,12 @@ func (ix *Index) decClassQuery(t *tile, c Class, w geom.Rect, p tileComparisonPl
 	} else {
 		bestLo, bestHi = comps[best].table.suffixGE(comps[best].bound), len(comps[best].table)
 	}
-	if ix.Stats != nil {
-		ix.Stats.BinarySearches++
+	if ix.stats != nil {
+		ix.stats.BinarySearches++
 	}
 
 	table := comps[best].table
-	stats := ix.Stats
+	stats := ix.stats
 	if stats != nil {
 		stats.EntriesScanned += int64(bestHi - bestLo)
 	}

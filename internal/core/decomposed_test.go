@@ -31,11 +31,11 @@ func TestDecomposedMatchesPlain(t *testing.T) {
 	}
 	// The dense configurations must actually exercise binary searches.
 	dense := Build(spatial.NewDataset(randRects(rnd, 8000, 0.05)), Options{NX: 8, NY: 8, Decompose: true})
-	dense.Stats = &Stats{}
+	dense.stats = &Stats{}
 	for q := 0; q < 20; q++ {
 		dense.WindowCount(randWindow(rnd, 0.3))
 	}
-	if dense.Stats.BinarySearches == 0 {
+	if dense.stats.BinarySearches == 0 {
 		t.Fatal("dense decomposed index never used its sorted tables")
 	}
 }

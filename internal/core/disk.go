@@ -144,7 +144,7 @@ func (ix *Index) DiskIDs(center geom.Point, radius float64, buf []spatial.ID) []
 // An index with Stats attached falls back to the instrumented streamed
 // path so the documented counter semantics are preserved.
 func (ix *Index) DiskCount(center geom.Point, radius float64) int {
-	if ix.Stats != nil {
+	if ix.stats != nil {
 		n := 0
 		ix.Disk(center, radius, func(spatial.Entry) { n++ })
 		return n
@@ -243,23 +243,23 @@ func (ix *Index) diskOnTile(t *tile, tx, ty int, dc *diskCover, center geom.Poin
 	hasUp := dc.contains(tx, ty-1)
 	covered := ix.effectiveTile(tx, ty).InsideDisk(center, radius)
 
-	if ix.Stats != nil {
-		ix.Stats.TilesVisited++
+	if ix.stats != nil {
+		ix.stats.TilesVisited++
 		if hasLeft {
-			ix.Stats.DuplicatesAvoided += int64(len(t.classes[ClassC]))
+			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassC]))
 		}
 		if hasUp {
-			ix.Stats.DuplicatesAvoided += int64(len(t.classes[ClassB]))
+			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassB]))
 		}
 		if hasLeft || hasUp {
-			ix.Stats.DuplicatesAvoided += int64(len(t.classes[ClassD]))
+			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassD]))
 		}
 	}
 
 	emit := func(c Class, e *spatial.Entry) {
 		if !covered {
-			if ix.Stats != nil {
-				ix.Stats.DistanceComputations++
+			if ix.stats != nil {
+				ix.stats.DistanceComputations++
 			}
 			if e.Rect.DistSqToPoint(center) > r2 {
 				return
@@ -273,18 +273,18 @@ func (ix *Index) diskOnTile(t *tile, tx, ty int, dc *diskCover, center geom.Poin
 				return
 			}
 		}
-		if ix.Stats != nil {
-			ix.Stats.Results++
+		if ix.stats != nil {
+			ix.stats.Results++
 		}
 		fn(*e)
 	}
 
 	scan := func(c Class) {
 		entries := t.classes[c]
-		if ix.Stats != nil && len(entries) > 0 {
-			ix.Stats.PartitionsScanned++
-			ix.Stats.EntriesScanned += int64(len(entries))
-			ix.Stats.ClassScanned[c] += int64(len(entries))
+		if ix.stats != nil && len(entries) > 0 {
+			ix.stats.PartitionsScanned++
+			ix.stats.EntriesScanned += int64(len(entries))
+			ix.stats.ClassScanned[c] += int64(len(entries))
 		}
 		for i := range entries {
 			emit(c, &entries[i])

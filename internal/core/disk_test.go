@@ -113,19 +113,19 @@ func TestDiskCoverGeometry(t *testing.T) {
 func TestDiskCoveredTilesSkipDistance(t *testing.T) {
 	rnd := rand.New(rand.NewSource(35))
 	ix, d := buildRandom(rnd, 2000, 0.01, Options{NX: 32, NY: 32})
-	ix.Stats = &Stats{}
+	ix.stats = &Stats{}
 	c := geom.Point{X: 0.5, Y: 0.5}
 	got := ix.DiskIDs(c, 0.45, nil)
 	sameIDs(t, got, spatial.BruteDisk(d.Entries, c, 0.45), "covered-tile disk")
 	// A 0.45-radius disk on a 32x32 grid covers hundreds of interior
 	// tiles; the distance computations must be far fewer than the number
 	// of candidates scanned.
-	if ix.Stats.DistanceComputations >= ix.Stats.EntriesScanned {
+	if ix.stats.DistanceComputations >= ix.stats.EntriesScanned {
 		t.Errorf("distance computed for every candidate: %d distances, %d scanned",
-			ix.Stats.DistanceComputations, ix.Stats.EntriesScanned)
+			ix.stats.DistanceComputations, ix.stats.EntriesScanned)
 	}
-	if ix.Stats.Results != int64(len(got)) {
-		t.Errorf("stats results %d != %d", ix.Stats.Results, len(got))
+	if ix.stats.Results != int64(len(got)) {
+		t.Errorf("stats results %d != %d", ix.stats.Results, len(got))
 	}
 }
 
@@ -135,9 +135,9 @@ func TestDiskCoveredTilesSkipDistance(t *testing.T) {
 func TestDiskClassSelection(t *testing.T) {
 	rnd := rand.New(rand.NewSource(36))
 	ix, _ := buildRandom(rnd, 3000, 0.08, Options{NX: 32, NY: 32})
-	ix.Stats = &Stats{}
+	ix.stats = &Stats{}
 	ix.DiskCount(geom.Point{X: 0.5, Y: 0.5}, 0.3)
-	if ix.Stats.DuplicatesAvoided == 0 {
+	if ix.stats.DuplicatesAvoided == 0 {
 		t.Error("disk query avoided no duplicates on replicated data")
 	}
 }

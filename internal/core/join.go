@@ -54,9 +54,9 @@ var joinCombos = [...][2]Class{
 // supported (build a second index over the same data instead).
 func (ix *Index) Join(other *Index, fn func(r, s spatial.Entry)) {
 	checkJoinable(ix, other)
-	if s := ix.Stats; s != nil {
+	if s := ix.stats; s != nil {
 		// Instrumented path: count common tiles and reported pairs. The
-		// receiver's Stats governs, matching the exclusive-mode convention.
+		// receiver's Stats governs.
 		inner := fn
 		fn = func(r, e spatial.Entry) {
 			s.Results++

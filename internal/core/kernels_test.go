@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"sync"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -11,34 +13,39 @@ import (
 
 // kernelConfigs builds the index variants the adaptive kernels must stay
 // equivalent on: plain grids coarse enough that random windows cover
-// interior tiles, a decomposed (2-layer+) build, and a Stats-attached
-// view (which pins the instrumented fallback path).
+// interior tiles, a decomposed (2-layer+) build, Stats-attached views
+// (which pin the instrumented fallback path) and Live snapshots. The
+// 32- and 64-tile-wide variants can cover 1024 tiles and more, the sizes
+// TestLargeWindowEquivalence needs.
 func kernelConfigs(t *testing.T, rnd *rand.Rand, n int) map[string]*Index {
 	t.Helper()
-	rects := randRects(rnd, n, 0.03)
-	d := spatial.NewDataset(rects)
-	cfgs := map[string]*Index{
-		"plain-8x8":       Build(d, Options{NX: 8, NY: 8, Space: unitSquare}),
-		"plain-64x64":     Build(d, Options{NX: 64, NY: 64, Space: unitSquare}),
-		"decomposed-8x8":  Build(d, Options{NX: 8, NY: 8, Space: unitSquare, Decompose: true}),
-		"decomposed-64":   Build(d, Options{NX: 64, NY: 64, Space: unitSquare, Decompose: true}),
-		"sparse-dir":      Build(d, Options{NX: 32, NY: 32, Space: unitSquare, SparseDirectory: true}),
-		"stats-view-8x8":  nil, // filled below
-		"live-snap-16x16": nil,
-	}
-	var stats Stats
-	v := Build(d, Options{NX: 8, NY: 8, Space: unitSquare}).View(&stats)
-	cfgs["stats-view-8x8"] = v
+	return kernelConfigsOver(t, randRects(rnd, n, 0.03))
+}
 
-	l := NewLive(New(Options{NX: 16, NY: 16, Space: unitSquare}), LiveOptions{})
-	t.Cleanup(l.Close)
-	for i, r := range rects {
-		if _, err := l.Insert(spatial.Entry{ID: spatial.ID(i), Rect: r}); err != nil {
-			t.Fatalf("live insert: %v", err)
+func kernelConfigsOver(t *testing.T, rects []geom.Rect) map[string]*Index {
+	t.Helper()
+	d := spatial.NewDataset(rects)
+	liveSnap := func(n int) *Index {
+		l := NewLive(New(Options{NX: n, NY: n, Space: unitSquare}), LiveOptions{})
+		t.Cleanup(l.Close)
+		for i, r := range rects {
+			if _, err := l.Insert(spatial.Entry{ID: spatial.ID(i), Rect: r}); err != nil {
+				t.Fatalf("live insert: %v", err)
+			}
 		}
+		return l.Snapshot()
 	}
-	cfgs["live-snap-16x16"] = l.Snapshot()
-	return cfgs
+	return map[string]*Index{
+		"plain-8x8":        Build(d, Options{NX: 8, NY: 8, Space: unitSquare}),
+		"plain-64x64":      Build(d, Options{NX: 64, NY: 64, Space: unitSquare}),
+		"decomposed-8x8":   Build(d, Options{NX: 8, NY: 8, Space: unitSquare, Decompose: true}),
+		"decomposed-64":    Build(d, Options{NX: 64, NY: 64, Space: unitSquare, Decompose: true}),
+		"sparse-dir":       Build(d, Options{NX: 32, NY: 32, Space: unitSquare, SparseDirectory: true}),
+		"stats-view-8x8":   Build(d, Options{NX: 8, NY: 8, Space: unitSquare}).View(&Stats{}),
+		"stats-view-64x64": Build(d, Options{NX: 64, NY: 64, Space: unitSquare}).View(&Stats{}),
+		"live-snap-16x16":  liveSnap(16),
+		"live-snap-64x64":  liveSnap(64),
+	}
 }
 
 // TestWindowCountFastEquivalence checks the count pushdown against the
@@ -119,75 +126,128 @@ func TestDiskCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowOrderedMatchesSequential checks the chunked parallel kernel
-// byte-for-byte: for every worker count the emission order must equal
-// the sequential tile scan exactly, not merely as a set.
-func TestWindowOrderedMatchesSequential(t *testing.T) {
+// TestLargeWindowEquivalence checks the sequential scan on large
+// windows: covers of at least 1024 tiles with at least 4096 results, so
+// one query walks thousands of tiles. Window must return exactly the
+// naive scan's IDs, and WindowIDs, WindowUntil and Search must deliver
+// Window's sequence (or the documented prefix of it) in Window's order.
+func TestLargeWindowEquivalence(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
-	cfgs := kernelConfigs(t, rnd, 4000)
-	for name, ix := range cfgs {
-		for i := 0; i < 20; i++ {
-			w := randWindow(rnd, 0.8)
-			var want []spatial.Entry
-			ix.Window(w, func(e spatial.Entry) { want = append(want, e) })
-			for _, workers := range []int{1, 2, 3, 4, 8} {
-				var got []spatial.Entry
-				ix.WindowOrdered(w, workers, func(e spatial.Entry) { got = append(got, e) })
-				if len(got) != len(want) {
-					t.Fatalf("%s window %d workers=%d: %d results, want %d",
-						name, i, workers, len(got), len(want))
-				}
-				for j := range got {
-					if got[j].ID != want[j].ID || got[j].Rect != want[j].Rect {
-						t.Fatalf("%s window %d workers=%d: result %d = %v, want %v",
-							name, i, workers, j, got[j], want[j])
-					}
+	rects := randRects(rnd, 6000, 0.03)
+	windows := []geom.Rect{
+		unitSquare,
+		{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2},
+		{MinX: 0.04, MinY: 0.07, MaxX: 0.97, MaxY: 0.95},
+		{MinX: 0.1, MinY: -0.5, MaxX: 1.5, MaxY: 0.93},
+	}
+	for name, ix := range kernelConfigsOver(t, rects) {
+		large := 0
+		for wi, w := range windows {
+			var naive []spatial.ID
+			for i, r := range rects {
+				if r.Intersects(w) {
+					naive = append(naive, spatial.ID(i))
 				}
 			}
+			ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
+			if (ix1-ix0+1)*(iy1-iy0+1) < 1024 || len(naive) < 4096 {
+				continue
+			}
+			large++
+			ctx := fmt.Sprintf("%s window %d", name, wi)
+
+			var want []spatial.ID
+			ix.Window(w, func(e spatial.Entry) { want = append(want, e.ID) })
+			sameIDs(t, append([]spatial.ID(nil), want...), naive, ctx+": Window vs naive")
+			total := len(want)
+			sameOrder(t, ix.WindowIDs(w, nil), want, ctx+": WindowIDs")
+
+			for _, k := range []int{1, total / 2, total, total + 1} {
+				var got []spatial.ID
+				complete := ix.WindowUntil(w, func(e spatial.Entry) bool {
+					got = append(got, e.ID)
+					return len(got) < k
+				})
+				sameOrder(t, got, want[:min(k, total)], fmt.Sprintf("%s: WindowUntil k=%d", ctx, k))
+				if complete != (k > total) {
+					t.Errorf("%s: WindowUntil k=%d complete = %v", ctx, k, complete)
+				}
+			}
+
+			for _, limit := range []int{0, 1, total - 1, total, total + 1} {
+				var got []spatial.ID
+				complete, err := ix.Search(Query{Window: &w, Limit: limit}, func(e spatial.Entry) bool {
+					got = append(got, e.ID)
+					return true
+				})
+				if err != nil {
+					t.Fatalf("%s: Search limit=%d: %v", ctx, limit, err)
+				}
+				n := total
+				if limit > 0 && limit < total {
+					n = limit
+				}
+				sameOrder(t, got, want[:n], fmt.Sprintf("%s: Search limit=%d", ctx, limit))
+				// A Limit that is reached reports incomplete, even when it
+				// equals the result count.
+				if wantComplete := limit == 0 || limit > total; complete != wantComplete {
+					t.Errorf("%s: Search limit=%d complete = %v, want %v", ctx, limit, complete, wantComplete)
+				}
+			}
+		}
+		if nx, ny := ix.g.NX, ix.g.NY; nx*ny >= 1024 && large == 0 {
+			t.Errorf("%s: no test window reached 1024 tiles and 4096 results", name)
 		}
 	}
 }
 
-// TestWindowOrderedStress hammers the parallel kernel from concurrent
-// callers on one shared index; run with -race this doubles as the data
-// race check for the chunk dispatch, pooled buffers, and path metrics.
-func TestWindowOrderedStress(t *testing.T) {
-	rnd := rand.New(rand.NewSource(99))
+// sameOrder fails the test unless got equals want element by element.
+func sameOrder(t *testing.T, got, want []spatial.ID, context string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %d results differ from the expected %d (or their order does)", context, len(got), len(want))
+	}
+}
+
+// TestWindowStartsNoGoroutine pins the window scan to the caller's
+// goroutine: whatever the window size, Window, WindowIDs and Search
+// leave the goroutine count where it was, so the only parallelism in a
+// serving process is what the caller asked for (batch threads, parallel
+// join, shard fan-out).
+func TestWindowStartsNoGoroutine(t *testing.T) {
+	rnd := rand.New(rand.NewSource(41))
 	ix, _ := buildRandom(rnd, 5000, 0.02, Options{NX: 64, NY: 64, Space: unitSquare})
-	windows := make([]geom.Rect, 16)
-	wants := make([]int, 16)
-	for i := range windows {
-		windows[i] = randWindow(rnd, 0.7)
-		ix.Window(windows[i], func(spatial.Entry) { wants[i]++ })
+	w := unitSquare
+	peak := 0
+	observe := func(spatial.Entry) {
+		if n := runtime.NumGoroutine(); n > peak {
+			peak = n
+		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < 20; rep++ {
-				i := (g + rep) % len(windows)
-				n := 0
-				ix.WindowOrdered(windows[i], 1+(g+rep)%4, func(spatial.Entry) { n++ })
-				if n != wants[i] {
-					t.Errorf("goroutine %d window %d: %d results, want %d", g, i, n, wants[i])
-					return
-				}
-				if c := ix.WindowCountFast(windows[i]); c != wants[i] {
-					t.Errorf("goroutine %d window %d: count %d, want %d", g, i, c, wants[i])
-					return
-				}
-			}
-		}()
+	baseline := runtime.NumGoroutine()
+	ix.Window(w, observe)
+	for _, id := range ix.WindowIDs(w, nil) {
+		observe(spatial.Entry{ID: id})
 	}
-	wg.Wait()
+	if _, err := ix.Search(Query{Window: &w}, func(e spatial.Entry) bool {
+		observe(e)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Only growth is a failure: a goroutine an earlier test left winding
+	// down may exit meanwhile.
+	if peak > baseline {
+		t.Errorf("goroutines during window scans peaked at %d, baseline %d", peak, baseline)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("goroutines after window scans = %d, baseline %d", n, baseline)
+	}
 }
 
 // TestQueryPathStatsCounters checks that the always-on path counters
 // move: pushdown counts bump FastCounts, interior tiles bump
-// FastTiles/BulkEntries, and forced-parallel queries bump
-// ParallelQueries/ParallelChunks.
+// FastTiles/BulkEntries, and a view feeds the same counters.
 func TestQueryPathStatsCounters(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	ix, _ := buildRandom(rnd, 4000, 0.02, Options{NX: 8, NY: 8, Space: unitSquare})
@@ -211,22 +271,9 @@ func TestQueryPathStatsCounters(t *testing.T) {
 	}
 
 	// A view shares the same counters.
-	var stats Stats
-	v := ix.View(&stats)
-	_ = v.WindowIDs(unitSquare, nil)
-	if got := ix.QueryPathStats(); got.SequentialQueries <= after.SequentialQueries {
-		t.Errorf("SequentialQueries did not advance through a view: %d -> %d",
-			after.SequentialQueries, got.SequentialQueries)
-	}
-
-	before = ix.QueryPathStats()
-	ix.WindowOrdered(unitSquare, 4, func(spatial.Entry) {})
-	after = ix.QueryPathStats()
-	if after.ParallelQueries != before.ParallelQueries+1 {
-		t.Errorf("ParallelQueries = %d, want %d", after.ParallelQueries, before.ParallelQueries+1)
-	}
-	if after.ParallelChunks <= before.ParallelChunks {
-		t.Errorf("ParallelChunks did not advance: %d -> %d", before.ParallelChunks, after.ParallelChunks)
+	_ = ix.View(nil).WindowCountFast(unitSquare)
+	if got := ix.QueryPathStats(); got.FastCounts != after.FastCounts+1 {
+		t.Errorf("FastCounts through a view = %d, want %d", got.FastCounts, after.FastCounts+1)
 	}
 }
 

@@ -80,7 +80,7 @@ func (ix *Index) KNN(q geom.Point, k int) []Neighbor {
 	kth := math.Inf(1)
 
 	consider := func(t *tile) {
-		s := ix.Stats
+		s := ix.stats
 		if s != nil {
 			s.TilesVisited++
 		}
@@ -135,8 +135,8 @@ func (ix *Index) KNN(q geom.Point, k int) []Neighbor {
 		n.Dist = math.Sqrt(n.Dist)
 		out[i] = n
 	}
-	if ix.Stats != nil {
-		ix.Stats.Results += int64(len(out))
+	if ix.stats != nil {
+		ix.stats.Results += int64(len(out))
 	}
 	return out
 }
@@ -167,7 +167,7 @@ func (ix *Index) KNNExact(q geom.Point, k int) []Neighbor {
 	kth := math.Inf(1)
 
 	consider := func(t *tile) {
-		s := ix.Stats
+		s := ix.stats
 		if s != nil {
 			s.TilesVisited++
 		}
@@ -231,8 +231,8 @@ func (ix *Index) KNNExact(q geom.Point, k int) []Neighbor {
 		n.Dist = math.Sqrt(n.Dist)
 		out[i] = n
 	}
-	if ix.Stats != nil {
-		ix.Stats.Results += int64(len(out))
+	if ix.stats != nil {
+		ix.stats.Results += int64(len(out))
 	}
 	return out
 }

@@ -190,7 +190,7 @@ type Live struct {
 // apply goroutine.
 func NewLive(ix *Index, opt LiveOptions) *Live {
 	ix.dataset = nil
-	ix.Stats = nil
+	ix.stats = nil
 	ix.trace = nil
 	ix.knn = nil
 	l := &Live{

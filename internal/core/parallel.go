@@ -11,15 +11,14 @@ import (
 // (Section IV-D) that "the operations at each tile are totally
 // independent to each other and they can be parallelized without the
 // need of any synchronization"; the common tiles of the two inputs are
-// distributed over workers. (Intra-query window parallelism lives in
-// parallelquery.go.)
+// distributed over workers.
 
 // JoinParallel runs the spatial join with common tiles distributed over
 // threads. fn must be safe for concurrent invocation. threads <= 0 uses
-// all cores.
+// DefaultThreads().
 func (ix *Index) JoinParallel(other *Index, threads int, fn func(r, s spatial.Entry)) {
 	if threads <= 0 {
-		threads = defaultThreads()
+		threads = DefaultThreads()
 	}
 	if threads == 1 {
 		ix.Join(other, fn)

@@ -10,22 +10,6 @@ import (
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
-// TestWindowOrderedMatchesSerial across worker counts (0 = GOMAXPROCS)
-// and window sizes.
-func TestWindowOrderedMatchesSerial(t *testing.T) {
-	rnd := rand.New(rand.NewSource(211))
-	ix, _ := buildRandom(rnd, 2000, 0.05, Options{NX: 32, NY: 32})
-	for q := 0; q < 30; q++ {
-		w := randWindow(rnd, 0.5)
-		want := sortIDs(ix.WindowIDs(w, nil))
-		for _, workers := range []int{1, 2, 8, 0} {
-			var got []spatial.ID
-			ix.WindowOrdered(w, workers, func(e spatial.Entry) { got = append(got, e.ID) })
-			sameIDs(t, got, want, "parallel window")
-		}
-	}
-}
-
 // TestJoinParallelMatchesSerial.
 func TestJoinParallelMatchesSerial(t *testing.T) {
 	rnd := rand.New(rand.NewSource(212))

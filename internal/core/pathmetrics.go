@@ -3,8 +3,8 @@ package core
 import "sync/atomic"
 
 // PathStats is a snapshot of the adaptive query-execution counters: how
-// often the planner picked each kernel and how much per-entry work the
-// fast paths avoided. Unlike Stats (opt-in, per query), these counters
+// often the count pushdown answered a query and how much per-entry work
+// the fast paths avoided. Unlike Stats (opt-in, per query), these counters
 // are always on — they are engine-lifetime totals shared by every View
 // and copy-on-write snapshot descending from the same index, updated
 // with one batched atomic flush per query.
@@ -21,14 +21,6 @@ type PathStats struct {
 	// BulkEntries counts entries counted or emitted in bulk — whole
 	// class slices accepted with zero per-entry comparisons.
 	BulkEntries int64
-	// ParallelQueries counts window queries executed by the chunked
-	// intra-query parallel kernel.
-	ParallelQueries int64
-	// ParallelChunks counts tile-row chunks dispatched by those queries.
-	ParallelChunks int64
-	// SequentialQueries counts window queries the cost gate kept on the
-	// zero-overhead sequential path.
-	SequentialQueries int64
 }
 
 // pathMetrics is the always-on atomic accumulator behind PathStats. One
@@ -36,12 +28,9 @@ type PathStats struct {
 // and CloneCOW snapshot, so server-side snapshots keep feeding the same
 // engine-lifetime counters.
 type pathMetrics struct {
-	fastCounts        atomic.Int64
-	fastTiles         atomic.Int64
-	bulkEntries       atomic.Int64
-	parallelQueries   atomic.Int64
-	parallelChunks    atomic.Int64
-	sequentialQueries atomic.Int64
+	fastCounts  atomic.Int64
+	fastTiles   atomic.Int64
+	bulkEntries atomic.Int64
 
 	// cowBytes is the write-side sibling of the counters above: bytes of
 	// tile pages, directory pages and class slices copied on first touch
@@ -74,12 +63,9 @@ func (m *pathMetrics) snapshot() PathStats {
 		return PathStats{}
 	}
 	return PathStats{
-		FastCounts:        m.fastCounts.Load(),
-		FastTiles:         m.fastTiles.Load(),
-		BulkEntries:       m.bulkEntries.Load(),
-		ParallelQueries:   m.parallelQueries.Load(),
-		ParallelChunks:    m.parallelChunks.Load(),
-		SequentialQueries: m.sequentialQueries.Load(),
+		FastCounts:  m.fastCounts.Load(),
+		FastTiles:   m.fastTiles.Load(),
+		BulkEntries: m.bulkEntries.Load(),
 	}
 }
 
@@ -89,9 +75,6 @@ func (s *PathStats) Add(o PathStats) {
 	s.FastCounts += o.FastCounts
 	s.FastTiles += o.FastTiles
 	s.BulkEntries += o.BulkEntries
-	s.ParallelQueries += o.ParallelQueries
-	s.ParallelChunks += o.ParallelChunks
-	s.SequentialQueries += o.SequentialQueries
 }
 
 // QueryPathStats snapshots the adaptive-kernel counters. Counters are

@@ -123,7 +123,7 @@ func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, 
 	case q.Window != nil && q.Exact:
 		ix.windowExactEntries(*q.Window, q.Mode, sink)
 	case q.Window != nil:
-		ix.searchWindow(*q.Window, q.Limit, deliver)
+		ix.WindowUntil(*q.Window, deliver)
 	case q.Disk != nil && q.Exact:
 		ix.diskExactEntries(q.Disk.Center, q.Disk.Radius, q.Mode, sink)
 	case q.Disk != nil:
@@ -132,28 +132,6 @@ func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, 
 		ix.Query(q.Region, sink)
 	}
 	return complete, nil
-}
-
-// searchWindow evaluates the plain (non-exact) window shape of a Search:
-// the cost gate routes large unlimited (or effectively unlimited)
-// queries to the chunked parallel kernel and everything else to the
-// early-terminating sequential scan.
-func (ix *Index) searchWindow(w geom.Rect, limit int, deliver func(e spatial.Entry) bool) {
-	if !w.Valid() {
-		return
-	}
-	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
-	if workers := ix.autoWindowWorkers(ix0, iy0, ix1, iy1, w, limit); workers > 1 {
-		ix.windowChunked(w, ix0, iy0, ix1, iy1, workers, deliver)
-		return
-	}
-	// The gate ran and chose the sequential kernel; count the decision
-	// here because WindowUntil is also the substrate of probes
-	// (Intersects), which never consult the gate.
-	if ix.met != nil {
-		ix.met.sequentialQueries.Add(1)
-	}
-	ix.WindowUntil(w, deliver)
 }
 
 // searchIDCollector pools the append sink of SearchIDs; the closure is

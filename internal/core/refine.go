@@ -73,8 +73,8 @@ func (ix *Index) windowExactOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, m
 	first := tx == qx0
 	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
-	if ix.Stats != nil {
-		ix.Stats.TilesVisited++
+	if ix.stats != nil {
+		ix.stats.TilesVisited++
 	}
 
 	// Class knowledge for RefAvoid+ (Section V): when the window starts
@@ -112,7 +112,7 @@ func (ix *Index) windowExactOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, m
 // windowVerifier builds the per-candidate refinement callback for one
 // class of one tile.
 func (ix *Index) windowVerifier(c Class, w geom.Rect, mode RefineMode, knownXLow, knownYLow bool, fn func(spatial.Entry)) func(spatial.Entry) {
-	s := ix.Stats
+	s := ix.stats
 	refine := func(e spatial.Entry) {
 		if s != nil {
 			s.RefinementTests++
@@ -191,7 +191,7 @@ func (ix *Index) DiskExact(center geom.Point, radius float64, mode RefineMode, f
 // MBR) per result, for the same reason as windowExactEntries. The caller
 // must have checked ix.dataset.
 func (ix *Index) diskExactEntries(center geom.Point, radius float64, mode RefineMode, fn func(e spatial.Entry)) {
-	s := ix.Stats
+	s := ix.stats
 	r2 := radius * radius
 	ix.Disk(center, radius, func(e spatial.Entry) {
 		if mode != RefineSimple {

@@ -81,7 +81,7 @@ func TestRefAvoidReducesRefinements(t *testing.T) {
 	rnd := rand.New(rand.NewSource(53))
 	d := spatial.NewGeomDataset(randGeoms(rnd, 3000, 0.01))
 	ix := Build(d, Options{NX: 32, NY: 32})
-	ix.Stats = &Stats{}
+	ix.stats = &Stats{}
 
 	queries := make([]geom.Rect, 50)
 	for i := range queries {
@@ -90,11 +90,11 @@ func TestRefAvoidReducesRefinements(t *testing.T) {
 	}
 
 	run := func(mode RefineMode) (refines, hits int64) {
-		ix.Stats.Reset()
+		ix.stats.Reset()
 		for _, w := range queries {
 			ix.WindowExact(w, mode, func(spatial.ID) {})
 		}
-		return ix.Stats.RefinementTests, ix.Stats.SecondaryFilterHits
+		return ix.stats.RefinementTests, ix.stats.SecondaryFilterHits
 	}
 
 	simpleRefines, _ := run(RefineSimple)

@@ -121,8 +121,8 @@ func (ix *Index) regionOnTile(t *tile, tx, ty int, rc *regionCover, region Regio
 	hasUp := rc.contains(tx, ty-1)
 	covered := coverer != nil && coverer.ContainsRect(ix.g.Tile(tx, ty)) &&
 		tx > 0 && ty > 0 && tx < ix.g.NX-1 && ty < ix.g.NY-1
-	if ix.Stats != nil {
-		ix.Stats.TilesVisited++
+	if ix.stats != nil {
+		ix.stats.TilesVisited++
 	}
 
 	emit := func(c Class, e *spatial.Entry) {
@@ -132,17 +132,17 @@ func (ix *Index) regionOnTile(t *tile, tx, ty int, rc *regionCover, region Regio
 		if c != ClassA && !ix.ownsRegionEntry(e.Rect, c, tx, ty, rc) {
 			return
 		}
-		if ix.Stats != nil {
-			ix.Stats.Results++
+		if ix.stats != nil {
+			ix.stats.Results++
 		}
 		fn(*e)
 	}
 	scan := func(c Class) {
 		entries := t.classes[c]
-		if ix.Stats != nil && len(entries) > 0 {
-			ix.Stats.PartitionsScanned++
-			ix.Stats.EntriesScanned += int64(len(entries))
-			ix.Stats.ClassScanned[c] += int64(len(entries))
+		if ix.stats != nil && len(entries) > 0 {
+			ix.stats.PartitionsScanned++
+			ix.stats.EntriesScanned += int64(len(entries))
+			ix.stats.ClassScanned[c] += int64(len(entries))
 		}
 		for i := range entries {
 			emit(c, &entries[i])

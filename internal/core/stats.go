@@ -7,19 +7,13 @@ import "sync/atomic"
 // Corollary 1: at most two comparisons per rectangle in relevant tiles of
 // a multi-tile window query) and power the Figure 6 work breakdowns.
 //
-// There are two ways to collect stats, for two different situations:
-//
-//   - Exclusive mode: attach a Stats directly to Index.Stats. Queries then
-//     take the instrumented path and write the counters without
-//     synchronization, so queries must not run concurrently while the
-//     field is set. This is the right mode for single-threaded
-//     experiments and tests.
-//
-//   - Concurrent mode: give each in-flight query its own view of the
-//     index via Index.View, each carrying a private Stats, and merge the
-//     per-query counters into a shared AtomicStats afterwards. Any number
-//     of views can run queries concurrently (with each other and with
-//     uninstrumented readers). This is the right mode for servers.
+// To collect stats, give each in-flight query (or each single-threaded
+// experiment loop) its own view of the index via Index.View, carrying a
+// private Stats, and merge per-query counters into a shared AtomicStats
+// afterwards where a total is wanted. Any number of views can run
+// queries concurrently, with each other and with uninstrumented readers;
+// a view writes its Stats without synchronization, so one Stats belongs
+// to one view used by one goroutine at a time.
 type Stats struct {
 	// TilesVisited counts tiles examined across queries.
 	TilesVisited int64

@@ -14,7 +14,7 @@ import (
 func TestCorollary1(t *testing.T) {
 	rnd := rand.New(rand.NewSource(41))
 	ix, _ := buildRandom(rnd, 2000, 0.05, Options{NX: 16, NY: 16})
-	ix.Stats = &Stats{}
+	ix.stats = &Stats{}
 	space := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	_ = space
 	for q := 0; q < 200; q++ {
@@ -27,11 +27,11 @@ func TestCorollary1(t *testing.T) {
 		if ix1 == ix0 || iy1 == iy0 {
 			continue // only multi-tile-per-dimension queries
 		}
-		ix.Stats.Reset()
+		ix.stats.Reset()
 		ix.WindowCount(w)
-		if ix.Stats.EntriesScanned > 0 && ix.Stats.Comparisons > 2*ix.Stats.EntriesScanned {
+		if ix.stats.EntriesScanned > 0 && ix.stats.Comparisons > 2*ix.stats.EntriesScanned {
 			t.Fatalf("window %v: %d comparisons for %d scanned entries (> 2 per entry)",
-				w, ix.Stats.Comparisons, ix.Stats.EntriesScanned)
+				w, ix.stats.Comparisons, ix.stats.EntriesScanned)
 		}
 	}
 }
@@ -53,15 +53,15 @@ func TestInteriorTilesNoComparisons(t *testing.T) {
 	d := spatial.NewDataset(rects)
 	unit := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	ix := Build(d, Options{NX: 8, NY: 8, Space: unit})
-	ix.Stats = &Stats{}
+	ix.stats = &Stats{}
 	// Window covering tiles (1..5, 1..5) fully: [0.125, 0.75].
 	w := geom.Rect{MinX: 0.125, MinY: 0.125, MaxX: 0.75, MaxY: 0.75}
 	n := ix.WindowCount(w)
 	if n != 100 {
 		t.Fatalf("expected all 100 objects, got %d", n)
 	}
-	if ix.Stats.Comparisons != 0 {
-		t.Errorf("interior-tile scan performed %d comparisons, want 0", ix.Stats.Comparisons)
+	if ix.stats.Comparisons != 0 {
+		t.Errorf("interior-tile scan performed %d comparisons, want 0", ix.stats.Comparisons)
 	}
 }
 
@@ -71,9 +71,9 @@ func TestInteriorTilesNoComparisons(t *testing.T) {
 func TestDuplicatesAvoidedCounting(t *testing.T) {
 	rnd := rand.New(rand.NewSource(43))
 	ix, _ := buildRandom(rnd, 1000, 0.2, Options{NX: 16, NY: 16})
-	ix.Stats = &Stats{}
+	ix.stats = &Stats{}
 	ix.WindowCount(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9})
-	if ix.Stats.DuplicatesAvoided == 0 {
+	if ix.stats.DuplicatesAvoided == 0 {
 		t.Error("large window avoided no duplicates over replicated data")
 	}
 }
@@ -84,13 +84,13 @@ func TestStatsResultsMatchCallback(t *testing.T) {
 	rnd := rand.New(rand.NewSource(44))
 	for _, dec := range []bool{false, true} {
 		ix, _ := buildRandom(rnd, 800, 0.1, Options{NX: 16, NY: 16, Decompose: dec})
-		ix.Stats = &Stats{}
+		ix.stats = &Stats{}
 		for q := 0; q < 30; q++ {
 			w := randWindow(rnd, 0.3)
-			ix.Stats.Reset()
+			ix.stats.Reset()
 			n := ix.WindowCount(w)
-			if ix.Stats.Results != int64(n) {
-				t.Fatalf("dec=%v: stats results %d != callback count %d", dec, ix.Stats.Results, n)
+			if ix.stats.Results != int64(n) {
+				t.Fatalf("dec=%v: stats results %d != callback count %d", dec, ix.stats.Results, n)
 			}
 		}
 	}
@@ -104,19 +104,19 @@ func TestDecomposedBinarySearchReducesComparisons(t *testing.T) {
 	rects := randRects(rnd, 5000, 0.02)
 	plain := Build(spatial.NewDataset(rects), Options{NX: 8, NY: 8})
 	dec := Build(spatial.NewDataset(rects), Options{NX: 8, NY: 8, Decompose: true})
-	plain.Stats = &Stats{}
-	dec.Stats = &Stats{}
+	plain.stats = &Stats{}
+	dec.stats = &Stats{}
 	for q := 0; q < 50; q++ {
 		w := randWindow(rnd, 0.3)
 		plain.WindowCount(w)
 		dec.WindowCount(w)
 	}
-	if dec.Stats.BinarySearches == 0 {
+	if dec.stats.BinarySearches == 0 {
 		t.Fatal("decomposed index performed no binary searches")
 	}
-	if dec.Stats.Comparisons >= plain.Stats.Comparisons {
+	if dec.stats.Comparisons >= plain.stats.Comparisons {
 		t.Errorf("decomposed comparisons %d not below plain %d",
-			dec.Stats.Comparisons, plain.Stats.Comparisons)
+			dec.stats.Comparisons, plain.stats.Comparisons)
 	}
 }
 

@@ -26,21 +26,6 @@ type Trace struct {
 	// RefineNS is the wall time spent in exact-geometry refinement tests
 	// (WindowExact, DiskExact, KNNExact). Zero for filter-only queries.
 	RefineNS int64
-
-	// Parallel reports that the query was evaluated by the chunked
-	// intra-query parallel kernel (see parallelquery.go); Chunks then
-	// holds one span per tile-row chunk, in row order.
-	Parallel bool
-	Chunks   []ChunkSpan
-}
-
-// ChunkSpan records one tile-row chunk of a parallel window query: the
-// inclusive row range it scanned, its wall time inside the worker, and
-// how many entries it contributed.
-type ChunkSpan struct {
-	Row0, Row1 int
-	ElapsedNS  int64
-	Results    int
 }
 
 // Finish stamps the total elapsed time from the given start.

@@ -10,8 +10,8 @@ import (
 
 // TestViewConcurrentStats checks the concurrent stats mode: queries on
 // per-goroutine views with private Stats, merged into one AtomicStats,
-// must produce exactly the counters of the same queries run serially in
-// exclusive mode. Run with -race to exercise the safety claim.
+// must produce exactly the counters of the same queries run serially
+// through one view. Run with -race to exercise the safety claim.
 func TestViewConcurrentStats(t *testing.T) {
 	ix, _ := buildRandom(rand.New(rand.NewSource(7)), 4000, 0.05, Options{NX: 64, NY: 64})
 
@@ -22,14 +22,13 @@ func TestViewConcurrentStats(t *testing.T) {
 		queries[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + 0.2, MaxY: y + 0.2}
 	}
 
-	// Serial exclusive-mode reference.
+	// Serial single-view reference.
 	want := Stats{}
-	ix.Stats = &want
+	ref := ix.View(&want)
 	serialResults := 0
 	for _, q := range queries {
-		serialResults += ix.WindowCount(q)
+		serialResults += ref.WindowCount(q)
 	}
-	ix.Stats = nil
 
 	var agg AtomicStats
 	var wg sync.WaitGroup

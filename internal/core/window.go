@@ -11,29 +11,12 @@ import (
 // Window runs the filtering step of a window query: fn is invoked exactly
 // once for every entry whose MBR intersects w. No duplicates are ever
 // produced, so no result deduplication happens anywhere (Algorithm 1 of
-// the paper). Large windows (by the cost gate of autoWindowWorkers) are
-// evaluated by the chunked parallel kernel; fn still runs on the
-// caller's goroutine and still observes the sequential delivery order.
+// the paper).
 func (ix *Index) Window(w geom.Rect, fn func(e spatial.Entry)) {
 	if !w.Valid() {
 		return
 	}
 	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
-	if workers := ix.autoWindowWorkers(ix0, iy0, ix1, iy1, w, 0); workers > 1 {
-		ix.windowChunked(w, ix0, iy0, ix1, iy1, workers, func(e spatial.Entry) bool {
-			fn(e)
-			return true
-		})
-		return
-	}
-	ix.windowSeq(w, ix0, iy0, ix1, iy1, fn)
-}
-
-// windowSeq is the classic sequential tile loop over a precomputed cover.
-func (ix *Index) windowSeq(w geom.Rect, ix0, iy0, ix1, iy1 int, fn func(e spatial.Entry)) {
-	if ix.met != nil {
-		ix.met.sequentialQueries.Add(1)
-	}
 	for ty := iy0; ty <= iy1; ty++ {
 		for tx := ix0; tx <= ix1; tx++ {
 			t := ix.tileAt(tx, ty)
@@ -138,23 +121,23 @@ func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, fn fun
 	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
 
-	if ix.Stats != nil {
-		ix.Stats.TilesVisited++
-		ix.Stats.ClassScanned[ClassA] += int64(len(t.classes[ClassA]))
+	if ix.stats != nil {
+		ix.stats.TilesVisited++
+		ix.stats.ClassScanned[ClassA] += int64(len(t.classes[ClassA]))
 		if top {
-			ix.Stats.ClassScanned[ClassB] += int64(len(t.classes[ClassB]))
+			ix.stats.ClassScanned[ClassB] += int64(len(t.classes[ClassB]))
 		} else {
-			ix.Stats.DuplicatesAvoided += int64(len(t.classes[ClassB]))
+			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassB]))
 		}
 		if first {
-			ix.Stats.ClassScanned[ClassC] += int64(len(t.classes[ClassC]))
+			ix.stats.ClassScanned[ClassC] += int64(len(t.classes[ClassC]))
 		} else {
-			ix.Stats.DuplicatesAvoided += int64(len(t.classes[ClassC]))
+			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassC]))
 		}
 		if first && top {
-			ix.Stats.ClassScanned[ClassD] += int64(len(t.classes[ClassD]))
+			ix.stats.ClassScanned[ClassD] += int64(len(t.classes[ClassD]))
 		} else {
-			ix.Stats.DuplicatesAvoided += int64(len(t.classes[ClassD]))
+			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassD]))
 		}
 	}
 
@@ -209,7 +192,7 @@ func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileCompariso
 	if len(entries) == 0 {
 		return
 	}
-	if ix.Stats != nil {
+	if ix.stats != nil {
 		ix.scanClassCounted(entries, w, p, fn)
 		return
 	}
@@ -233,7 +216,7 @@ func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileCompariso
 
 // scanClassCounted is the instrumented twin of scanClass.
 func (ix *Index) scanClassCounted(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, fn func(spatial.Entry)) {
-	s := ix.Stats
+	s := ix.stats
 	s.PartitionsScanned++
 	s.EntriesScanned += int64(len(entries))
 	for i := range entries {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -72,7 +71,7 @@ type batchRequest struct {
 	// Mode selects the paper's batch evaluation strategy: "tiles"
 	// (cache-conscious, the default) or "queries" (cache-agnostic).
 	Mode string `json:"mode"`
-	// Threads is the worker count; 0 means all cores.
+	// Threads is the worker count; 0 (or more than GOMAXPROCS) means GOMAXPROCS.
 	Threads int `json:"threads"`
 	// Exactly one of Windows/Disks must be non-empty.
 	Windows []rectJSON `json:"windows"`
@@ -137,16 +136,6 @@ type shardSpanJSON struct {
 	Results   int   `json:"results"`
 }
 
-// chunkSpanJSON is one tile-row chunk of a parallel window evaluation in
-// a trace: the inclusive tile-row range it scanned, its wall time, and
-// the results it buffered.
-type chunkSpanJSON struct {
-	Row0      int   `json:"row0"`
-	Row1      int   `json:"row1"`
-	ElapsedUS int64 `json:"elapsed_us"`
-	Results   int   `json:"results"`
-}
-
 // traceJSON is the per-query trace attached to responses (the "trace"
 // field) when tracing was requested: wall-clock stage timings plus the
 // full core counter set of this one evaluation. On a sharded server the
@@ -159,8 +148,6 @@ type traceJSON struct {
 	// before evaluation started (0 on the uncontended fast path).
 	QueueWaitUS          int64           `json:"queue_wait_us,omitempty"`
 	Shards               []shardSpanJSON `json:"shards,omitempty"`
-	Parallel             bool            `json:"parallel,omitempty"`
-	Chunks               []chunkSpanJSON `json:"chunks,omitempty"`
 	FilterUS             int64           `json:"filter_us"`
 	RefineUS             int64           `json:"refine_us"`
 	TilesVisited         int64           `json:"tiles_visited"`
@@ -178,23 +165,9 @@ type traceJSON struct {
 }
 
 func newTraceJSON(tr *twolayer.Trace) *traceJSON {
-	var chunks []chunkSpanJSON
-	if len(tr.Chunks) > 0 {
-		chunks = make([]chunkSpanJSON, len(tr.Chunks))
-		for i, c := range tr.Chunks {
-			chunks[i] = chunkSpanJSON{
-				Row0:      c.Row0,
-				Row1:      c.Row1,
-				ElapsedUS: c.ElapsedNS / 1000,
-				Results:   c.Results,
-			}
-		}
-	}
 	return &traceJSON{
 		Kind:                 tr.Kind,
 		ElapsedUS:            tr.ElapsedNS / 1000,
-		Parallel:             tr.Parallel,
-		Chunks:               chunks,
 		FilterUS:             tr.FilterNS() / 1000,
 		RefineUS:             tr.RefineNS / 1000,
 		TilesVisited:         tr.TilesVisited,
@@ -369,8 +342,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	threads := req.Threads
-	if threads == 0 || threads > runtime.NumCPU() {
-		threads = runtime.NumCPU()
+	if n := twolayer.DefaultThreads(); threads == 0 || threads > n {
+		threads = n
 	}
 	if (len(req.Windows) > 0) == (len(req.Disks) > 0) {
 		writeError(w, http.StatusBadRequest,

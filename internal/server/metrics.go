@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -273,15 +274,6 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	pathCounter("twolayer_query_fastpath_bulk_entries_total",
 		"Entries counted or emitted in bulk with zero per-entry comparisons.",
 		func(ps twolayer.PathStats) int64 { return ps.BulkEntries })
-	pathCounter("twolayer_query_parallel_queries_total",
-		"Window queries executed by the chunked intra-query parallel kernel.",
-		func(ps twolayer.PathStats) int64 { return ps.ParallelQueries })
-	pathCounter("twolayer_query_parallel_chunks_total",
-		"Tile-row chunks dispatched by parallel window queries.",
-		func(ps twolayer.PathStats) int64 { return ps.ParallelChunks })
-	pathCounter("twolayer_query_sequential_queries_total",
-		"Window queries the cost gate kept on the zero-overhead sequential path.",
-		func(ps twolayer.PathStats) int64 { return ps.SequentialQueries })
 
 	// ---- live group -------------------------------------------------------
 	if s.mut != nil {
@@ -428,20 +420,26 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.GaugeFunc("twolayer_process_heap_alloc_bytes",
 		"Bytes of allocated heap objects.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.HeapAlloc)
-		})
+		runtimeMetric("/memory/classes/heap/objects:bytes"))
 	r.CounterFunc("twolayer_process_gc_total",
 		"Completed GC cycles.",
-		func() float64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return float64(ms.NumGC)
-		})
+		runtimeMetric("/gc/cycles/total:gc-cycles"))
 
 	return m
+}
+
+// runtimeMetric returns a reader of one uint64 runtime/metrics sample.
+// Unlike runtime.ReadMemStats it does not stop the world, so a scrape
+// adds no pause to the latencies the other families report.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		sample := []metrics.Sample{{Name: name}}
+		metrics.Read(sample)
+		if sample[0].Value.Kind() != metrics.KindUint64 {
+			return 0
+		}
+		return float64(sample[0].Value.Uint64())
+	}
 }
 
 // observe records one finished request into the http group.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"time"
 
 	"github.com/twolayer/twolayer/internal/core"
@@ -15,14 +14,14 @@ import (
 // ShardedOptions configure the sharded engine on top of Options.
 type ShardedOptions struct {
 	// Shards is the number of spatial shards. <= 0 selects
-	// runtime.NumCPU(); the count is always clamped to the grid's column
+	// DefaultThreads(); the count is always clamped to the grid's column
 	// count (a shard owns at least one tile column).
 	Shards int
 }
 
 func (so ShardedOptions) resolved() int {
 	if so.Shards <= 0 {
-		return runtime.NumCPU()
+		return DefaultThreads()
 	}
 	return so.Shards
 }

@@ -726,10 +726,10 @@ func TestShardedConstructorValidation(t *testing.T) {
 	if sh.Shards() > 4 {
 		t.Errorf("Shards = %d, want <= grid columns (4)", sh.Shards())
 	}
-	// Zero/negative resolve to one shard per CPU, clamped likewise.
+	// Zero/negative resolve to DefaultThreads() shards, clamped likewise.
 	sh = twolayer.BuildShardedRects(randRects(rnd, 100, 0.1),
 		twolayer.Options{GridSize: 64}, twolayer.ShardedOptions{})
-	if want := min(runtime.NumCPU(), 64); sh.Shards() != want {
+	if want := min(twolayer.DefaultThreads(), 64); sh.Shards() != want {
 		t.Errorf("default Shards = %d, want %d", sh.Shards(), want)
 	}
 }

@@ -34,9 +34,6 @@ type (
 	// Trace is a per-query observability record: the Stats counters plus
 	// wall-clock stage timings (see Index.Traced).
 	Trace = core.Trace
-	// ChunkSpan records one tile-row chunk of a window query evaluated by
-	// the intra-query parallel kernel (see Trace.Chunks).
-	ChunkSpan = core.ChunkSpan
 	// PathStats snapshots the always-on adaptive query-execution counters
 	// (see Index.QueryPathStats and Sharded.QueryPathStats).
 	PathStats = core.PathStats
@@ -99,7 +96,7 @@ type Options struct {
 	// variant: faster window queries on static data for ~2x the memory.
 	Decompose bool
 	// BuildThreads is the worker count of the construction pipeline:
-	// <= 0 selects runtime.NumCPU(), 1 forces the classic sequential
+	// <= 0 selects DefaultThreads(), 1 forces the classic sequential
 	// build. With more than one worker, construction runs a two-pass
 	// counting pipeline that shards the input across cores and fills
 	// exact-size partitions in parallel — the resulting index contents
@@ -326,9 +323,13 @@ func (ix *Index) DiskExact(center Point, radius float64, mode RefineMode, fn fun
 	}
 }
 
+// DefaultThreads is the worker count every "<= 0" thread or shard
+// parameter of this package resolves to: runtime.GOMAXPROCS(0).
+func DefaultThreads() int { return core.DefaultThreads() }
+
 // BatchWindow evaluates a batch of window queries; fn receives the query
 // index with each result and must be safe for concurrent use when
-// threads != 1. threads <= 0 uses all cores.
+// threads != 1. threads <= 0 uses DefaultThreads().
 func (ix *Index) BatchWindow(queries []Rect, strategy BatchStrategy, threads int, fn func(q int, id ID)) {
 	ix.core.BatchWindow(queries, strategy, threads, func(q int, e spatial.Entry) { fn(q, e.ID) })
 }
@@ -411,22 +412,10 @@ func (ix *Index) JoinErr(other *Index, fn func(rID, sID ID)) error {
 // indices.
 func (ix *Index) JoinCount(other *Index) int { return ix.core.JoinCount(other.core) }
 
-// WindowOrdered evaluates one window query over the given number of
-// workers with the results delivered to fn on the caller's goroutine in
-// exactly the sequential scan order, so fn needs no synchronization.
-// workers <= 0 uses all cores; 1 runs the plain
-// sequential scan. Window and Search apply the same kernel automatically
-// to large windows behind a cost gate (see Index.QueryPathStats), so
-// this entry point is for callers that want to force a worker count.
-func (ix *Index) WindowOrdered(w Rect, workers int, fn func(id ID, mbr Rect)) {
-	ix.core.WindowOrdered(w, workers, func(e spatial.Entry) { fn(e.ID, e.Rect) })
-}
-
 // QueryPathStats snapshots the always-on adaptive query-execution
 // counters: how often count-only queries took the O(tiles) pushdown
-// kernel, how many tiles and entries were answered in bulk with zero
-// comparisons, and how often the cost gate engaged (or skipped)
-// intra-query parallelism. Counters are cumulative over the index
+// kernel and how many tiles and entries were answered in bulk with zero
+// comparisons. Counters are cumulative over the index
 // lifetime and shared with all read views and Live snapshots of the
 // same engine.
 func (ix *Index) QueryPathStats() PathStats { return ix.core.QueryPathStats() }

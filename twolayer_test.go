@@ -213,13 +213,6 @@ func TestPublicParallelEstimateUntil(t *testing.T) {
 	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 32, Space: space})
 
 	w := twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9}
-	want := idx.WindowCount(w)
-
-	n := 0
-	idx.WindowOrdered(w, 4, func(twolayer.ID, twolayer.Rect) { n++ })
-	if n != want {
-		t.Fatalf("WindowOrdered found %d, want %d", n, want)
-	}
 
 	if est := idx.EstimateWindow(w); est <= 0 {
 		t.Fatalf("EstimateWindow = %v", est)
