@@ -40,9 +40,10 @@ test-shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
 # The concurrency-heavy packages only — a faster race pass for iterating
-# on the live (copy-on-write) index and the HTTP server.
+# on the live (copy-on-write) index, the batch scheduler, the shard
+# fan-out and the HTTP server.
 race-hot:
-	$(GO) test -race ./internal/core ./internal/server
+	$(GO) test -race ./internal/core ./internal/shard ./internal/server
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): drives
 # the real spatialserver over HTTP through four workloads and prints the

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -336,6 +337,17 @@ func eToa(f float64) string {
 	return "?"
 }
 
+// streamBatch is one op of the Fig. 10/11 benchmarks: the batch streamed
+// through BatchWindow into a per-query counter, because Section VI times
+// per-result evaluation. BatchWindowCounts answers from the count
+// pushdown and skips the per-entry work the two strategies differ in;
+// BenchmarkBatchCounts measures that path.
+func streamBatch(ix *core.Index, batch []geom.Rect, s core.BatchStrategy, threads int) int {
+	counts := make([]atomic.Int64, len(batch))
+	ix.BatchWindow(batch, s, threads, func(q int, _ spatial.Entry) { counts[q].Add(1) })
+	return len(counts)
+}
+
 // BenchmarkFig10Batch: one op = a 1000-query batch, per strategy.
 func BenchmarkFig10Batch(b *testing.B) {
 	benchData()
@@ -344,14 +356,14 @@ func BenchmarkFig10Batch(b *testing.B) {
 	for _, s := range []core.BatchStrategy{core.QueriesBased, core.TilesBased} {
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = len(ix.BatchWindowCounts(batch, s, 1))
+				benchSink = streamBatch(ix, batch, s, 1)
 			}
 		})
 	}
 }
 
 // BenchmarkFig11Parallel: the same batch with increasing thread counts
-// (on a single-core host this measures goroutine overhead, not speedup).
+// (speedup stops at the host's CPU count).
 func BenchmarkFig11Parallel(b *testing.B) {
 	benchData()
 	ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid})
@@ -360,7 +372,34 @@ func BenchmarkFig11Parallel(b *testing.B) {
 		for _, s := range []core.BatchStrategy{core.QueriesBased, core.TilesBased} {
 			b.Run(s.String()+"/threads="+itoa(threads), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					benchSink = len(ix.BatchWindowCounts(batch, s, threads))
+					benchSink = streamBatch(ix, batch, s, threads)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBatchCounts: the counted batch forms (what /v1/batch runs),
+// 1000 queries per op on the decomposed index, with allocations reported
+// so the tiles-based accumulation (offsets, not a slice header per grid
+// tile) stays visible.
+func BenchmarkBatchCounts(b *testing.B) {
+	benchData()
+	ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid, Decompose: true})
+	windows, disks := benchWindows[:1000], benchDisks[:1000]
+	for _, s := range []core.BatchStrategy{core.QueriesBased, core.TilesBased} {
+		for _, threads := range []int{1, 2} {
+			name := s.String() + "/threads=" + itoa(threads)
+			b.Run("window/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = len(ix.BatchWindowCounts(windows, s, threads))
+				}
+			})
+			b.Run("disk/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink = len(ix.BatchDiskCounts(disks, s, threads))
 				}
 			})
 		}

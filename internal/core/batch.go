@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,20 +34,142 @@ func (s BatchStrategy) String() string {
 	return "queries-based"
 }
 
-// normalizeBatch resolves the parameter contract every batch entry point
-// (BatchWindow, BatchDisk and their Counts forms) shares: any strategy
-// other than TilesBased — including out-of-range values — falls back to
-// the QueriesBased zero value, and threads <= 0 selects
-// DefaultThreads(). Keeping this in one place guarantees the window and
-// disk paths cannot drift apart again.
-func normalizeBatch(strategy BatchStrategy, threads int) (BatchStrategy, int) {
-	if strategy != TilesBased {
-		strategy = QueriesBased
-	}
+// batchShape describes one batch of range queries to runBatch: the three
+// things Section VI needs to know about a query kind. Both strategies
+// are schedules over them.
+type batchShape struct {
+	n int // queries in the batch
+	// whole evaluates query q over its whole cover: the queries-based
+	// unit of work.
+	whole func(q int)
+	// cover calls visit for every grid tile the evaluation of query q
+	// reads (none for a query that matches nothing by construction).
+	// runBatch calls it from one goroutine, twice per query, before the
+	// first onTile.
+	cover func(q int, visit func(tx, ty int))
+	// onTile evaluates query q on one non-empty tile of its cover: the
+	// tiles-based subtask. tally is the calling worker's; runBatch
+	// flushes it when the worker is done.
+	onTile func(q int, t *tile, tx, ty int, tally *pathTally)
+}
+
+// runBatch is the one scheduler behind every batch entry point, so the
+// window and disk forms cannot drift apart: any strategy other than
+// TilesBased, out-of-range values included, is QueriesBased, and
+// threads <= 0 selects DefaultThreads(). It never starts more workers
+// than it has tasks, and a single worker runs on the caller's goroutine.
+func (ix *Index) runBatch(s batchShape, strategy BatchStrategy, threads int) {
 	if threads <= 0 {
 		threads = DefaultThreads()
 	}
-	return strategy, threads
+	if strategy != TilesBased {
+		workers := min(threads, s.n)
+		runWorkers(workers, func(w int) {
+			// Round-robin assignment, as in the paper.
+			for q := w; q < s.n; q += workers {
+				s.whole(q)
+			}
+		})
+		return
+	}
+
+	// Step 1: accumulate the subtasks of every non-empty tile, with a
+	// counting sweep first (the same two-pass idiom as the parallel
+	// build). The accumulation is offsets into one slab, never a slice
+	// header per tile: on a 1024x1024 grid that is 4 bytes per tile and
+	// nothing for the collector to scan, however small the batch.
+	start := make([]int32, ix.numTiles+1)
+	total := 0
+	count := func(tx, ty int) {
+		if slot := ix.slotAt(tx, ty); slot >= 0 {
+			start[slot]++
+			total++
+		}
+	}
+	for q := 0; q < s.n; q++ {
+		s.cover(q, count)
+	}
+	slots := make([]int32, 0, min(total, ix.numTiles))
+	end := int32(0)
+	for slot := 0; slot < ix.numTiles; slot++ {
+		if start[slot] > 0 {
+			slots = append(slots, int32(slot))
+		}
+		end += start[slot]
+		start[slot] = end
+	}
+	start[ix.numTiles] = end
+	// Filling from the last query down turns each tile's end offset into
+	// its start offset and leaves its subtasks in query order; tile
+	// slot's subtasks are then subtasks[start[slot]:start[slot+1]].
+	subtasks := make([]int32, total)
+	var q int
+	fill := func(tx, ty int) {
+		if slot := ix.slotAt(tx, ty); slot >= 0 {
+			start[slot]--
+			subtasks[start[slot]] = int32(q)
+		}
+	}
+	for q = s.n - 1; q >= 0; q-- {
+		s.cover(q, fill)
+	}
+
+	// Step 2: process tile by tile; each worker owns whole tiles so the
+	// tile's secondary partitions stay cache resident across subtasks.
+	var next atomic.Int64
+	runWorkers(min(threads, len(slots)), func(int) {
+		var tally pathTally
+		for i := int(next.Add(1)) - 1; i < len(slots); i = int(next.Add(1)) - 1 {
+			slot := int(slots[i])
+			t := ix.tile(slot)
+			tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
+			for _, q := range subtasks[start[slot]:start[slot+1]] {
+				s.onTile(int(q), t, tx, ty, &tally)
+			}
+		}
+		ix.met.flush(&tally)
+	})
+}
+
+// runWorkers runs fn(0..n-1) concurrently and waits for all of them; a
+// single worker runs on the caller's goroutine.
+func runWorkers(n int, fn func(w int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// windowCovers is the cover half of a window batchShape. It also
+// returns where it records each query's cover origin, the (qx0, qy0)
+// the per-tile kernels select classes against, so no subtask
+// recomputes it; only a tiles-based run calls cover, so only that one
+// pays for the record.
+func (ix *Index) windowCovers(queries []geom.Rect, strategy BatchStrategy) (origin [][2]int, cover func(q int, visit func(tx, ty int))) {
+	if strategy == TilesBased {
+		origin = make([][2]int, len(queries))
+	}
+	return origin, func(q int, visit func(tx, ty int)) {
+		if !queries[q].Valid() {
+			return
+		}
+		x0, y0, x1, y1 := ix.g.CoverRect(queries[q])
+		origin[q] = [2]int{x0, y0}
+		for ty := y0; ty <= y1; ty++ {
+			for tx := x0; tx <= x1; tx++ {
+				visit(tx, ty)
+			}
+		}
+	}
 }
 
 // BatchWindow evaluates a batch of window queries and streams results to
@@ -58,144 +181,127 @@ func normalizeBatch(strategy BatchStrategy, threads int) (BatchStrategy, int) {
 // Unknown strategies fall back to QueriesBased; threads <= 0 selects
 // DefaultThreads(). BatchDisk resolves both identically.
 func (ix *Index) BatchWindow(queries []geom.Rect, strategy BatchStrategy, threads int, fn func(q int, e spatial.Entry)) {
-	strategy, threads = normalizeBatch(strategy, threads)
-	if strategy == TilesBased {
-		ix.batchTilesBased(queries, threads, fn)
-		return
-	}
-	ix.batchQueriesBased(queries, threads, fn)
+	origin, cover := ix.windowCovers(queries, strategy)
+	ix.runBatch(batchShape{
+		n:     len(queries),
+		whole: func(q int) { ix.Window(queries[q], func(e spatial.Entry) { fn(q, e) }) },
+		cover: cover,
+		onTile: func(q int, t *tile, tx, ty int, _ *pathTally) {
+			ix.windowOnTile(t, tx, ty, origin[q][0], origin[q][1], queries[q], func(e spatial.Entry) { fn(q, e) })
+		},
+	}, strategy, threads)
 }
 
-// BatchWindowCounts evaluates the batch and returns the result cardinality
-// of every query. This is the form the batch experiments use.
+// BatchWindowCounts evaluates the batch and returns the result
+// cardinality of every query, from the count pushdown: no per-result
+// callback runs. An index with Stats attached falls back to the counted
+// scan on the caller's goroutine (one Stats is single-goroutine), as
+// WindowCountFast does.
 func (ix *Index) BatchWindowCounts(queries []geom.Rect, strategy BatchStrategy, threads int) []int {
-	counts := make([]int64, len(queries))
-	ix.BatchWindow(queries, strategy, threads, func(q int, _ spatial.Entry) {
-		atomic.AddInt64(&counts[q], 1)
-	})
-	out := make([]int, len(queries))
-	for i, c := range counts {
-		out[i] = int(c)
-	}
-	return out
+	return ix.BatchWindowCountsFiltered(queries, func(int) float64 { return math.Inf(-1) }, strategy, threads)
 }
 
-func (ix *Index) batchQueriesBased(queries []geom.Rect, threads int, fn func(int, spatial.Entry)) {
-	if threads == 1 {
-		for q := range queries {
-			ix.Window(queries[q], func(e spatial.Entry) { fn(q, e) })
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Round-robin assignment, as in the paper.
-			for q := w; q < len(queries); q += threads {
-				ix.Window(queries[q], func(e spatial.Entry) { fn(q, e) })
+// BatchWindowCountsFiltered is BatchWindowCounts counting, for query q,
+// only the entries with Rect.MinX >= minX(q): WindowCountFiltered's
+// rule, which the sharded engine applies per shard and query.
+func (ix *Index) BatchWindowCountsFiltered(queries []geom.Rect, minX func(q int) float64, strategy BatchStrategy, threads int) []int {
+	counts := make([]int, len(queries))
+	if ix.stats != nil {
+		ix.BatchWindow(queries, strategy, 1, func(q int, e spatial.Entry) {
+			if e.Rect.MinX >= minX(q) {
+				counts[q]++
 			}
-		}(w)
+		})
+		return counts
 	}
-	wg.Wait()
+	// Queries-based has one writer per query. Tiles-based spreads a
+	// query's tiles over the workers, which add each subtask's count to
+	// perTile.
+	perTile := make([]atomic.Int64, len(queries))
+	origin, cover := ix.windowCovers(queries, strategy)
+	ix.runBatch(batchShape{
+		n:     len(queries),
+		whole: func(q int) { counts[q] = ix.windowCount(queries[q], minX(q)) },
+		cover: cover,
+		onTile: func(q int, t *tile, tx, ty int, tally *pathTally) {
+			perTile[q].Add(int64(ix.windowCountOnTile(t, tx, ty, origin[q][0], origin[q][1], queries[q], minX(q), tally)))
+		},
+	}, strategy, threads)
+	for q := range perTile {
+		counts[q] += int(perTile[q].Load())
+	}
+	return counts
 }
 
-// tileSubtasks is the per-tile accumulation of step one of tiles-based
-// processing: the indices of all queries that intersect the tile.
-type tileSubtasks struct {
-	slot    int32
-	queries []int32
+// BatchDisk evaluates a batch of disk queries under the chosen strategy
+// (Section VI applies to any range query; the tiles-based schedule
+// computes each disk's tile cover once, for accumulation and evaluation
+// alike). fn receives the query index with each result and must be
+// concurrency-safe when threads != 1. Parameter handling matches
+// BatchWindow exactly.
+func (ix *Index) BatchDisk(queries []geom.Disk, strategy BatchStrategy, threads int, fn func(q int, e spatial.Entry)) {
+	covers, cover := ix.diskCovers(queries, strategy)
+	ix.runBatch(batchShape{
+		n: len(queries),
+		whole: func(q int) {
+			ix.Disk(queries[q].Center, queries[q].Radius, func(e spatial.Entry) { fn(q, e) })
+		},
+		cover: cover,
+		onTile: func(q int, t *tile, tx, ty int, _ *pathTally) {
+			d := queries[q]
+			ix.diskOnTile(t, tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius,
+				func(e spatial.Entry) { fn(q, e) })
+		},
+	}, strategy, threads)
 }
 
-func (ix *Index) batchTilesBased(queries []geom.Rect, threads int, fn func(int, spatial.Entry)) {
-	// Step 1: accumulate subtasks per non-empty tile, with a counting
-	// sweep first (the same two-pass idiom as the parallel build): the
-	// per-slot buckets are carved exact-size out of one slab, so large
-	// batches never pay append regrowth or per-bucket allocations.
-	counts := make([]int32, ix.numTiles)
-	total := 0
-	for q := range queries {
-		w := queries[q]
-		if !w.Valid() {
-			continue
-		}
-		qx0, qy0, qx1, qy1 := ix.g.CoverRect(w)
-		for ty := qy0; ty <= qy1; ty++ {
-			for tx := qx0; tx <= qx1; tx++ {
-				if slot := ix.slotAt(tx, ty); slot >= 0 {
-					counts[slot]++
-					total++
-				}
-			}
-		}
+// BatchDiskCounts evaluates the batch and returns per-query result
+// counts from the disk count kernel, with BatchWindowCounts' Stats
+// fallback.
+func (ix *Index) BatchDiskCounts(queries []geom.Disk, strategy BatchStrategy, threads int) []int {
+	counts := make([]int, len(queries))
+	if ix.stats != nil {
+		ix.BatchDisk(queries, strategy, 1, func(q int, _ spatial.Entry) { counts[q]++ })
+		return counts
 	}
-	slab := make([]int32, total)
-	perSlot := make([][]int32, ix.numTiles)
-	numTasks, off := 0, 0
-	for slot, ct := range counts {
-		if ct > 0 {
-			perSlot[slot] = slab[off : off : off+int(ct)]
-			off += int(ct)
-			numTasks++
-		}
+	perTile := make([]atomic.Int64, len(queries))
+	covers, cover := ix.diskCovers(queries, strategy)
+	ix.runBatch(batchShape{
+		n:     len(queries),
+		whole: func(q int) { counts[q] = ix.DiskCount(queries[q].Center, queries[q].Radius) },
+		cover: cover,
+		onTile: func(q int, t *tile, tx, ty int, tally *pathTally) {
+			d := queries[q]
+			perTile[q].Add(int64(ix.diskCountOnTile(t, tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius, tally)))
+		},
+	}, strategy, threads)
+	for q := range perTile {
+		counts[q] += int(perTile[q].Load())
 	}
-	for q := range queries {
-		w := queries[q]
-		if !w.Valid() {
-			continue
-		}
-		qx0, qy0, qx1, qy1 := ix.g.CoverRect(w)
-		for ty := qy0; ty <= qy1; ty++ {
-			for tx := qx0; tx <= qx1; tx++ {
-				if slot := ix.slotAt(tx, ty); slot >= 0 {
-					perSlot[slot] = append(perSlot[slot], int32(q))
-				}
-			}
-		}
-	}
-	tasks := make([]tileSubtasks, 0, numTasks)
-	for slot, qs := range perSlot {
-		if len(qs) > 0 {
-			tasks = append(tasks, tileSubtasks{slot: int32(slot), queries: qs})
-		}
-	}
+	return counts
+}
 
-	// Step 2: process tile by tile; each worker owns whole tiles so the
-	// tile's secondary partitions stay cache resident across subtasks.
-	process := func(task tileSubtasks) {
-		t := ix.tile(int(task.slot))
-		tx, ty := ix.g.TileCoords(int(ix.tileID(int(task.slot))))
-		for _, q := range task.queries {
-			w := queries[q]
-			qx0, qy0, _, _ := ix.g.CoverRect(w)
-			qi := int(q)
-			ix.windowOnTile(t, tx, ty, qx0, qy0, w, func(e spatial.Entry) { fn(qi, e) })
-		}
+// diskCovers is the cover half of a disk batchShape: each disk's tile
+// cover is computed on first use and kept for the per-tile kernels (by
+// a tiles-based run, the only one that calls cover).
+func (ix *Index) diskCovers(queries []geom.Disk, strategy BatchStrategy) (covers []*diskCover, cover func(q int, visit func(tx, ty int))) {
+	if strategy == TilesBased {
+		covers = make([]*diskCover, len(queries))
 	}
-
-	if threads == 1 {
-		for _, task := range tasks {
-			process(task)
+	return covers, func(q int, visit func(tx, ty int)) {
+		if covers[q] == nil {
+			covers[q] = ix.diskCoverFor(queries[q].Center, queries[q].Radius)
 		}
-		return
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := atomic.AddInt64(&next, 1)
-				if i >= int64(len(tasks)) {
-					return
-				}
-				process(tasks[i])
+		dc := covers[q]
+		if dc == nil {
+			return // negative radius
+		}
+		for ty := dc.y0; ty <= dc.y1; ty++ {
+			for tx := dc.rowMin[ty-dc.y0]; tx <= dc.rowMax[ty-dc.y0]; tx++ {
+				visit(tx, ty)
 			}
-		}()
+		}
 	}
-	wg.Wait()
 }
 
 // DefaultThreads is the worker count every "<= 0 selects the default"

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -95,5 +100,276 @@ func TestBatchDefaultThreads(t *testing.T) {
 		if want := len(spatial.BruteWindow(d.Entries, w)); counts[i] != want {
 			t.Fatalf("query %d count %d, want %d", i, counts[i], want)
 		}
+	}
+}
+
+// batchQueries is the input of the batch equivalence matrix: random
+// windows and disks plus the shapes a batch must survive — an inverted
+// window, one missing the space, a point window, the whole space, a
+// negative radius, a zero radius and a disk swallowing the grid.
+func batchQueries(rnd *rand.Rand, n int) ([]geom.Rect, []geom.Disk) {
+	windows := []geom.Rect{
+		{MinX: 0.2, MinY: 0.2, MaxX: 0.1, MaxY: 0.1},
+		{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6},
+		{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5},
+		{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2},
+	}
+	disks := []geom.Disk{
+		{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: -1},
+		{Center: geom.Point{X: 0.3, Y: 0.7}, Radius: 0},
+		{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 3},
+	}
+	for i := 0; i < n; i++ {
+		windows = append(windows, randWindow(rnd, 0.4))
+		disks = append(disks, geom.Disk{
+			Center: geom.Point{X: rnd.Float64()*1.2 - 0.1, Y: rnd.Float64()*1.2 - 0.1},
+			Radius: rnd.Float64() * 0.3,
+		})
+	}
+	return windows, disks
+}
+
+// mutatedSnapshot returns a copy-on-write snapshot of a decomposed index
+// over rects after deletes and inserts, with the entries it now holds:
+// the count pushdown's prefix table is gone and the touched tiles have
+// lost their decomposed tables, the state a Live index serves between
+// rebuilds.
+func mutatedSnapshot(t *testing.T, rnd *rand.Rand, rects []geom.Rect) (*Index, []spatial.Entry) {
+	t.Helper()
+	d := spatial.NewDataset(rects)
+	ix := Build(d, Options{NX: 32, NY: 32, Space: unitSquare, Decompose: true}).CloneCOW()
+	var entries []spatial.Entry
+	for i, e := range d.Entries {
+		if i%7 == 0 {
+			if !ix.Delete(e.ID, e.Rect) {
+				t.Fatalf("delete of %d found nothing", e.ID)
+			}
+			continue
+		}
+		entries = append(entries, e)
+	}
+	for i, r := range randRects(rnd, 200, 0.05) {
+		e := spatial.Entry{ID: spatial.ID(len(rects) + i), Rect: r}
+		ix.Insert(e)
+		entries = append(entries, e)
+	}
+	stale, current := 0, 0
+	for slot := 0; slot < ix.numTiles; slot++ {
+		if ix.tile(slot).dec == nil {
+			stale++
+		} else {
+			current++
+		}
+	}
+	if ix.counts != nil || stale == 0 || current == 0 {
+		t.Fatalf("mutated snapshot: counts table %v, %d stale and %d current decomposed tiles",
+			ix.counts != nil, stale, current)
+	}
+	return ix, entries
+}
+
+// TestBatchCountsEquivalence is the one equivalence matrix of the
+// counted batch forms: on every index variant the kernels must agree on
+// (kernelConfigs) and on a snapshot taken after mutations,
+// BatchWindowCounts and BatchDiskCounts under both strategies and at
+// thread counts below, at and above the batch size equal the per-query
+// counts streamed through BatchWindow/BatchDisk and the naive scan.
+func TestBatchCountsEquivalence(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2201))
+	rects := randRects(rnd, 3000, 0.03)
+	type variant struct {
+		ix      *Index
+		entries []spatial.Entry
+	}
+	variants := map[string]variant{}
+	for name, ix := range kernelConfigsOver(t, rects) {
+		variants[name] = variant{ix, spatial.NewDataset(rects).Entries}
+	}
+	mut, mutEntries := mutatedSnapshot(t, rnd, rects)
+	variants["mutated-snapshot"] = variant{mut, mutEntries}
+
+	windows, disks := batchQueries(rnd, 40)
+	batches := []struct {
+		name    string
+		windows []geom.Rect
+		disks   []geom.Disk
+	}{
+		{"full", windows, disks},
+		{"three", windows[:3], disks[:3]}, // fewer queries than most thread counts
+		{"empty", nil, nil},
+	}
+	for name, v := range variants {
+		for _, b := range batches {
+			wantW := make([]int, len(b.windows))
+			for i, w := range b.windows {
+				if w.Valid() { // an inverted window matches nothing
+					wantW[i] = len(spatial.BruteWindow(v.entries, w))
+				}
+			}
+			wantD := make([]int, len(b.disks))
+			for i, d := range b.disks {
+				if d.Radius >= 0 { // a negative radius matches nothing
+					wantD[i] = len(spatial.BruteDisk(v.entries, d.Center, d.Radius))
+				}
+			}
+			for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
+				for _, threads := range []int{1, 2, 8} {
+					ctx := fmt.Sprintf("%s/%s/%v/threads=%d", name, b.name, strategy, threads)
+					// One Stats is single-goroutine: a stats view streams on
+					// one thread only.
+					if v.ix.stats == nil || threads == 1 {
+						gotW := make([]atomic.Int64, len(b.windows))
+						v.ix.BatchWindow(b.windows, strategy, threads, func(q int, _ spatial.Entry) { gotW[q].Add(1) })
+						gotD := make([]atomic.Int64, len(b.disks))
+						v.ix.BatchDisk(b.disks, strategy, threads, func(q int, _ spatial.Entry) { gotD[q].Add(1) })
+						for q := range gotW {
+							if int(gotW[q].Load()) != wantW[q] {
+								t.Fatalf("%s: BatchWindow streamed %d results for window %d, naive scan has %d",
+									ctx, gotW[q].Load(), q, wantW[q])
+							}
+						}
+						for q := range gotD {
+							if int(gotD[q].Load()) != wantD[q] {
+								t.Fatalf("%s: BatchDisk streamed %d results for disk %d, naive scan has %d",
+									ctx, gotD[q].Load(), q, wantD[q])
+							}
+						}
+					}
+					if got := v.ix.BatchWindowCounts(b.windows, strategy, threads); !slices.Equal(got, wantW) {
+						t.Fatalf("%s: BatchWindowCounts = %v, want %v", ctx, got, wantW)
+					}
+					if got := v.ix.BatchDiskCounts(b.disks, strategy, threads); !slices.Equal(got, wantD) {
+						t.Fatalf("%s: BatchDiskCounts = %v, want %v", ctx, got, wantD)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBatchCountsFilteredEquivalence checks the per-query MinX filter
+// the sharded engine pushes into a counted batch against a filtered
+// streamed reference, with bounds that keep, reject and split each
+// window's matches.
+func TestBatchCountsFilteredEquivalence(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2202))
+	rects := randRects(rnd, 3000, 0.03)
+	variants := kernelConfigsOver(t, rects)
+	variants["mutated-snapshot"], _ = mutatedSnapshot(t, rnd, rects)
+	windows, _ := batchQueries(rnd, 40)
+	bounds := []float64{math.Inf(-1), -1, 0, 0.25, 0.499999, 0.5, 0.75, 1, 2}
+	minX := func(q int) float64 { return bounds[q%len(bounds)] }
+	for name, ix := range variants {
+		want := make([]int, len(windows))
+		ix.BatchWindow(windows, QueriesBased, 1, func(q int, e spatial.Entry) {
+			if e.Rect.MinX >= minX(q) {
+				want[q]++
+			}
+		})
+		for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
+			for _, threads := range []int{1, 2, 8} {
+				if got := ix.BatchWindowCountsFiltered(windows, minX, strategy, threads); !slices.Equal(got, want) {
+					t.Fatalf("%s/%v/threads=%d: BatchWindowCountsFiltered = %v, want %v",
+						name, strategy, threads, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchCountsOnStatsView pins that a counted batch on an
+// Instrumented view falls back to the counted scan, as WindowCountFast
+// and DiskCount do: the view's Stats advance exactly as they do under
+// the streamed batch (Corollary 1 counters included) and the always-on
+// fast-path counters do not move.
+func TestBatchCountsOnStatsView(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2203))
+	ix, _ := buildRandom(rnd, 3000, 0.03, Options{NX: 16, NY: 16, Space: unitSquare, Decompose: true})
+	windows, disks := batchQueries(rnd, 30)
+	for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
+		var streamed, counted Stats
+		ix.View(&streamed).BatchWindow(windows, strategy, 1, func(int, spatial.Entry) {})
+		ix.View(&streamed).BatchDisk(disks, strategy, 1, func(int, spatial.Entry) {})
+		before := ix.QueryPathStats()
+		ix.View(&counted).BatchWindowCounts(windows, strategy, 1)
+		ix.View(&counted).BatchDiskCounts(disks, strategy, 1)
+		if counted != streamed {
+			t.Errorf("%v: counted batch left Stats %+v, streamed batch %+v", strategy, counted, streamed)
+		}
+		if counted.TilesVisited == 0 || counted.Results == 0 {
+			t.Errorf("%v: counted batch on a stats view recorded nothing: %+v", strategy, counted)
+		}
+		if after := ix.QueryPathStats(); after != before {
+			t.Errorf("%v: fast-path counters moved under a stats view: %+v -> %+v", strategy, before, after)
+		}
+	}
+}
+
+// TestBatchWorkersClamped: a batch never starts more workers than it
+// has tasks (queries, or non-empty tiles), whatever threads asks for,
+// and a batch with one task runs on the caller's goroutine.
+func TestBatchWorkersClamped(t *testing.T) {
+	rnd := rand.New(rand.NewSource(2204))
+	ix, _ := buildRandom(rnd, 2000, 0.02, Options{NX: 16, NY: 16, Space: unitSquare})
+	three := []geom.Rect{randWindow(rnd, 0.2), randWindow(rnd, 0.2), unitSquare}
+	oneTile := []geom.Rect{{MinX: 0.51, MinY: 0.51, MaxX: 0.52, MaxY: 0.52}}
+	cases := []struct {
+		name     string
+		queries  []geom.Rect
+		strategy BatchStrategy
+		max      int // goroutines above the baseline
+	}{
+		{"three queries", three, QueriesBased, 3},
+		{"one query", three[:1], QueriesBased, 0},
+		{"one tile", oneTile, TilesBased, 0},
+	}
+	for _, c := range cases {
+		baseline := runtime.NumGoroutine()
+		var peak atomic.Int64
+		ix.BatchWindow(c.queries, c.strategy, 64, func(int, spatial.Entry) {
+			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+				peak.Store(n) // racy max: only ever understates the peak
+			}
+		})
+		if peak.Load() == 0 {
+			t.Fatalf("%s: no result observed", c.name)
+		}
+		// Only growth is a failure: a goroutine an earlier test left
+		// winding down may exit meanwhile.
+		if got := int(peak.Load()) - baseline; got > c.max {
+			t.Errorf("%s with threads=64: %d goroutines above the baseline, want at most %d", c.name, got, c.max)
+		}
+	}
+}
+
+// TestBatchTilesAccumulationIsOffsets is the allocation guard of the
+// tiles-based scheduler: the per-tile accumulation is offsets into one
+// slab, so a one-query batch on a 1024x1024 grid with over 400K occupied
+// tiles allocates a few bytes per tile, not a slice header (24 bytes,
+// with a pointer for the collector to scan) per tile.
+func TestBatchTilesAccumulationIsOffsets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1024x1024 index")
+	}
+	rnd := rand.New(rand.NewSource(2205))
+	ix, _ := buildRandom(rnd, 600_000, 0.0005, Options{NX: 1024, NY: 1024, Space: unitSquare})
+	if ix.numTiles < 400_000 {
+		t.Fatalf("only %d occupied tiles, the guard needs 400K", ix.numTiles)
+	}
+	limit := uint64(8*ix.numTiles + 64<<10)
+	window := []geom.Rect{{MinX: 0.5, MinY: 0.5, MaxX: 0.505, MaxY: 0.505}}
+	disk := []geom.Disk{{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 0.003}}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := allocated(func() { ix.BatchWindowCounts(window, TilesBased, 1) }); got > limit {
+		t.Errorf("one-window tiles-based batch allocated %d bytes over %d tiles, want at most %d", got, ix.numTiles, limit)
+	}
+	if got := allocated(func() { ix.BatchDiskCounts(disk, TilesBased, 1) }); got > limit {
+		t.Errorf("one-disk tiles-based batch allocated %d bytes over %d tiles, want at most %d", got, ix.numTiles, limit)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
@@ -19,50 +21,64 @@ import (
 // count-pushdown kernel. On an index with Stats attached it falls back
 // to the classic instrumented scan so the documented counter semantics
 // (Corollary 1, per-class breakdowns) are preserved exactly.
-func (ix *Index) WindowCountFast(w geom.Rect) int {
+func (ix *Index) WindowCountFast(w geom.Rect) int { return ix.windowCount(w, math.Inf(-1)) }
+
+// WindowCountFiltered counts the entries intersecting w whose
+// Rect.MinX >= minX. The sharded engine pushes fan-out counts down with
+// it: a fan-out shard contributes exactly the matches homed to it —
+// those beginning at or after its slab's left edge — so per-shard counts
+// sum to the distinct total without buffering results (docs/SHARDING.md).
+// A minX of -Inf filters nothing: it is WindowCountFast.
+func (ix *Index) WindowCountFiltered(w geom.Rect, minX float64) int { return ix.windowCount(w, minX) }
+
+// windowCount is the one cover walk behind both entries. A finite minX
+// keeps the bulk fast paths wherever they are provably safe (classes A
+// and B of a tile column at or right of minX begin inside that column,
+// so the filter cannot reject them); classes C and D, which begin left
+// of their tile, and column 0 are then counted entry by entry.
+func (ix *Index) windowCount(w geom.Rect, minX float64) int {
 	if !w.Valid() {
 		return 0
 	}
 	if ix.stats != nil {
 		n := 0
-		ix.Window(w, func(spatial.Entry) { n++ })
+		ix.Window(w, func(e spatial.Entry) {
+			if e.Rect.MinX >= minX {
+				n++
+			}
+		})
 		return n
 	}
 	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
 	n := 0
 	var tally pathTally
+	// Strict interior of the cover: fully covered, class A only, so one
+	// prefix-rectangle lookup answers interior columns lo..ix1-1 and only
+	// the rest of the cover still visits tiles. lo is the first interior
+	// column whose class-A entries are all provably at or right of minX
+	// (class A begins inside its column, so TileMin.X >= minX suffices);
+	// ix1 means the table answers nothing.
+	lo := ix1
 	if ix.counts != nil && ix1-ix0 >= 2 && iy1-iy0 >= 2 {
-		// Strict interior of the cover: fully covered, class A only —
-		// one prefix-rectangle lookup replaces the whole inner loop.
-		// Only the cover's perimeter ring still visits tiles.
-		inner := ix.counts.rect(ix0+1, iy0+1, ix1-1, iy1-1)
+		lo = ix0 + 1
+		for lo < ix1 && ix.g.TileMin(lo, iy0).X < minX {
+			lo++
+		}
+	}
+	if lo < ix1 {
+		inner := ix.counts.rect(lo, iy0+1, ix1-1, iy1-1)
 		n += int(inner)
-		tally.fastTiles += int64((ix1 - ix0 - 1) * (iy1 - iy0 - 1))
+		tally.fastTiles += int64((ix1 - lo) * (iy1 - iy0 - 1))
 		tally.bulkEntries += inner
+	}
+	for ty := iy0; ty <= iy1; ty++ {
 		for tx := ix0; tx <= ix1; tx++ {
-			if t := ix.tileAt(tx, iy0); t != nil {
-				n += ix.windowCountOnTile(t, tx, iy0, ix0, iy0, w, &tally)
+			if tx == lo && lo < ix1 && ty > iy0 && ty < iy1 {
+				tx = ix1 - 1 // the table's share of this row
+				continue
 			}
-			if t := ix.tileAt(tx, iy1); t != nil {
-				n += ix.windowCountOnTile(t, tx, iy1, ix0, iy0, w, &tally)
-			}
-		}
-		for ty := iy0 + 1; ty <= iy1-1; ty++ {
-			if t := ix.tileAt(ix0, ty); t != nil {
-				n += ix.windowCountOnTile(t, ix0, ty, ix0, iy0, w, &tally)
-			}
-			if t := ix.tileAt(ix1, ty); t != nil {
-				n += ix.windowCountOnTile(t, ix1, ty, ix0, iy0, w, &tally)
-			}
-		}
-	} else {
-		for ty := iy0; ty <= iy1; ty++ {
-			for tx := ix0; tx <= ix1; tx++ {
-				t := ix.tileAt(tx, ty)
-				if t == nil {
-					continue
-				}
-				n += ix.windowCountOnTile(t, tx, ty, ix0, iy0, w, &tally)
+			if t := ix.tileAt(tx, ty); t != nil {
+				n += ix.windowCountOnTile(t, tx, ty, ix0, iy0, w, minX, &tally)
 			}
 		}
 	}
@@ -73,14 +89,16 @@ func (ix *Index) WindowCountFast(w geom.Rect) int {
 	return n
 }
 
-// windowCountOnTile counts w's matches on one tile. Class selection and
-// comparison planning are identical to windowOnTile; only the per-entry
-// work is replaced by the cheapest counting strategy available.
-func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, tally *pathTally) int {
+// windowCountOnTile counts w's matches with Rect.MinX >= minX on one
+// tile. Class selection and comparison planning are identical to
+// windowOnTile; only the per-entry work is replaced by the cheapest
+// counting strategy the filter leaves available.
+func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, minX float64, tally *pathTally) int {
 	first := tx == qx0
 	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
-	if plan == (tileComparisonPlan{}) {
+	unfiltered := math.IsInf(minX, -1)
+	if unfiltered && plan == (tileComparisonPlan{}) {
 		// Interior tile: every entry of every selected class intersects
 		// the window, so the tile contributes class lengths in O(1).
 		n := len(t.classes[ClassA])
@@ -98,6 +116,10 @@ func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, t
 		return n
 	}
 	plans := classPlans(first, top, plan)
+	// ownColumn: the column's left edge is at or right of a finite minX,
+	// so the classes that begin inside the column (A and B) pass the
+	// filter whole. Column 0 reaches -inf and never qualifies.
+	ownColumn := !unfiltered && tx > 0 && ix.g.TileMin(tx, ty).X >= minX
 	n := 0
 	fracReady := false
 	var frac [4]float64
@@ -110,44 +132,24 @@ func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, t
 			continue
 		}
 		p := plans[c].plan
-		if p == (tileComparisonPlan{}) {
+		// safe: minX cannot reject an entry of this class, so the
+		// shortcuts that never look at one still apply.
+		safe := unfiltered || (ownColumn && c <= ClassB)
+		switch {
+		case safe && p == (tileComparisonPlan{}):
 			// All remaining comparisons are implied by the class'
 			// position: the whole partition qualifies.
 			n += len(entries)
 			tally.bulkEntries += int64(len(entries))
-			continue
-		}
-		if t.dec != nil && len(entries) >= decSmallClass {
+		case safe && t.dec != nil && len(entries) >= decSmallClass:
 			if !fracReady {
 				frac = ix.compFractions(tx, ty, w)
 				fracReady = true
 			}
 			n += decClassCount(&t.dec.cls[c], entries, w, p, &frac)
-			continue
+		default:
+			n += countClass(entries, w, p, minX)
 		}
-		n += countClass(entries, w, p)
-	}
-	return n
-}
-
-// countClass is the closure-free counting twin of scanClass.
-func countClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan) int {
-	n := 0
-	for i := range entries {
-		e := &entries[i]
-		if p.needXU && e.Rect.MaxX < w.MinX {
-			continue
-		}
-		if p.needXL && e.Rect.MinX > w.MaxX {
-			continue
-		}
-		if p.needYU && e.Rect.MaxY < w.MinY {
-			continue
-		}
-		if p.needYL && e.Rect.MinY > w.MaxY {
-			continue
-		}
-		n++
 	}
 	return n
 }
@@ -213,130 +215,10 @@ func decClassCount(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComp
 	return count
 }
 
-// WindowCountFiltered counts the entries intersecting w whose
-// Rect.MinX >= minX. The sharded engine pushes fan-out counts down with
-// it: a fan-out shard contributes exactly the matches homed to it —
-// those beginning at or after its slab's left edge — so per-shard counts
-// sum to the distinct total without buffering results (docs/SHARDING.md).
-//
-// The filter keeps the bulk fast paths wherever they are provably safe:
-// classes A and B of tile column tx begin inside that column in x, so
-// when the column's left edge is at or beyond minX the filter cannot
-// reject anything and whole-slice counting still applies. Column 0
-// (whose effective extent reaches -inf) and classes C/D (which begin
-// left of their tile) are counted entry by entry.
-func (ix *Index) WindowCountFiltered(w geom.Rect, minX float64) int {
-	if !w.Valid() {
-		return 0
-	}
-	if ix.stats != nil {
-		n := 0
-		ix.Window(w, func(e spatial.Entry) {
-			if e.Rect.MinX >= minX {
-				n++
-			}
-		})
-		return n
-	}
-	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
-	n := 0
-	var tally pathTally
-	// lo is the first interior tile column whose class-A entries are all
-	// provably at or right of minX (class A begins inside its column, so
-	// TileMin.X >= minX suffices). Interior tiles from lo on are answered
-	// by the prefix table; interior columns left of lo and the perimeter
-	// ring take the per-tile filtered kernel.
-	lo := ix1 + 1
-	if ix.counts != nil && ix1-ix0 >= 2 && iy1-iy0 >= 2 {
-		lo = ix0 + 1
-		for lo <= ix1-1 && ix.g.TileMin(lo, iy0).X < minX {
-			lo++
-		}
-	}
-	if lo <= ix1-1 {
-		inner := ix.counts.rect(lo, iy0+1, ix1-1, iy1-1)
-		n += int(inner)
-		tally.fastTiles += int64((ix1 - lo) * (iy1 - iy0 - 1))
-		tally.bulkEntries += inner
-		for tx := ix0; tx <= ix1; tx++ {
-			if t := ix.tileAt(tx, iy0); t != nil {
-				n += ix.windowCountOnTileFiltered(t, tx, iy0, ix0, iy0, w, minX, &tally)
-			}
-			if t := ix.tileAt(tx, iy1); t != nil {
-				n += ix.windowCountOnTileFiltered(t, tx, iy1, ix0, iy0, w, minX, &tally)
-			}
-		}
-		for ty := iy0 + 1; ty <= iy1-1; ty++ {
-			for tx := ix0; tx < lo; tx++ {
-				if t := ix.tileAt(tx, ty); t != nil {
-					n += ix.windowCountOnTileFiltered(t, tx, ty, ix0, iy0, w, minX, &tally)
-				}
-			}
-			if t := ix.tileAt(ix1, ty); t != nil {
-				n += ix.windowCountOnTileFiltered(t, ix1, ty, ix0, iy0, w, minX, &tally)
-			}
-		}
-	} else {
-		for ty := iy0; ty <= iy1; ty++ {
-			for tx := ix0; tx <= ix1; tx++ {
-				t := ix.tileAt(tx, ty)
-				if t == nil {
-					continue
-				}
-				n += ix.windowCountOnTileFiltered(t, tx, ty, ix0, iy0, w, minX, &tally)
-			}
-		}
-	}
-	if ix.met != nil {
-		ix.met.fastCounts.Add(1)
-		ix.met.flush(&tally)
-	}
-	return n
-}
-
-func (ix *Index) windowCountOnTileFiltered(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, minX float64, tally *pathTally) int {
-	first := tx == qx0
-	top := ty == qy0
-	plan := ix.planFor(tx, ty, w)
-	plans := classPlans(first, top, plan)
-	abSafe := tx > 0 && ix.g.TileMin(tx, ty).X >= minX
-	n := 0
-	fracReady := false
-	var frac [4]float64
-	for c := ClassA; c <= ClassD; c++ {
-		if !plans[c].scan {
-			continue
-		}
-		entries := t.classes[c]
-		if len(entries) == 0 {
-			continue
-		}
-		p := plans[c].plan
-		if abSafe && (c == ClassA || c == ClassB) {
-			if p == (tileComparisonPlan{}) {
-				n += len(entries)
-				tally.bulkEntries += int64(len(entries))
-				continue
-			}
-			if t.dec != nil && len(entries) >= decSmallClass {
-				if !fracReady {
-					frac = ix.compFractions(tx, ty, w)
-					fracReady = true
-				}
-				n += decClassCount(&t.dec.cls[c], entries, w, p, &frac)
-				continue
-			}
-			n += countClass(entries, w, p)
-			continue
-		}
-		n += countClassMinX(entries, w, p, minX)
-	}
-	return n
-}
-
-// countClassMinX is countClass with the shard-ownership filter applied
-// per entry.
-func countClassMinX(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, minX float64) int {
+// countClass is the closure-free counting twin of scanClass, with the
+// shard-ownership filter Rect.MinX >= minX applied per entry (-Inf
+// rejects nothing).
+func countClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, minX float64) int {
 	n := 0
 	for i := range entries {
 		e := &entries[i]

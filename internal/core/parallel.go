@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -36,22 +35,12 @@ func (ix *Index) JoinParallel(other *Index, threads int, fn func(r, s spatial.En
 			tasks = append(tasks, task{tR: tR, tS: tS})
 		}
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := atomic.AddInt64(&next, 1)
-				if i >= int64(len(tasks)) {
-					return
-				}
-				joinTile(tasks[i].tR, tasks[i].tS, fn)
-			}
-		}()
-	}
-	wg.Wait()
+	var next atomic.Int64
+	runWorkers(threads, func(int) {
+		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+			joinTile(tasks[i].tR, tasks[i].tS, fn)
+		}
+	})
 }
 
 // JoinParallelCount counts join pairs with tile-level parallelism.

@@ -68,8 +68,10 @@ type knnRequest struct {
 }
 
 type batchRequest struct {
-	// Mode selects the paper's batch evaluation strategy: "tiles"
-	// (cache-conscious, the default) or "queries" (cache-agnostic).
+	// Mode selects the paper's batch evaluation strategy: "queries"
+	// (each query on its own, the default: measured ahead of "tiles" at
+	// every batch shape below ~10000 windows, EXPERIMENTS.md Figure 11)
+	// or "tiles" (tile by tile, cache-conscious).
 	Mode string `json:"mode"`
 	// Threads is the worker count; 0 (or more than GOMAXPROCS) means GOMAXPROCS.
 	Threads int `json:"threads"`
@@ -329,10 +331,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var strategy twolayer.BatchStrategy
 	switch req.Mode {
-	case "", "tiles":
-		req.Mode, strategy = "tiles", twolayer.TilesBased
-	case "queries":
-		strategy = twolayer.QueriesBased
+	case "", "queries":
+		req.Mode, strategy = "queries", twolayer.QueriesBased
+	case "tiles":
+		strategy = twolayer.TilesBased
 	default:
 		writeError(w, http.StatusBadRequest, `mode must be "tiles" or "queries"`)
 		return

@@ -264,6 +264,18 @@ func TestBatchQueries(t *testing.T) {
 	if resp.Total != 104 {
 		t.Errorf("total = %d, want 104", resp.Total)
 	}
+	if resp.Mode != "tiles" {
+		t.Errorf(`mode echoed as %q, want "tiles"`, resp.Mode)
+	}
+
+	// An absent mode selects queries-based evaluation (the measured
+	// winner, EXPERIMENTS.md Figure 11) and the response says so.
+	var def batchResponse
+	do(t, s.Handler(), "POST", "/v1/batch",
+		`{"windows":[{"min_x":0,"min_y":0,"max_x":0.15,"max_y":0.15}]}`, &def)
+	if def.Mode != "queries" || len(def.Counts) != 1 || def.Counts[0] != 4 {
+		t.Errorf(`default batch = mode %q counts %v, want "queries" [4]`, def.Mode, def.Counts)
+	}
 
 	disk := batchResponse{}
 	do(t, s.Handler(), "POST", "/v1/batch",

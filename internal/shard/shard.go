@@ -23,6 +23,7 @@ package shard
 import (
 	"container/heap"
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,6 +83,18 @@ func (l layout) shardCount() int { return len(l.starts) - 1 }
 // shard.
 func (l layout) shardOf(x float64) int {
 	return sort.Search(len(l.bounds), func(i int) bool { return l.bounds[i] > x })
+}
+
+// ownedFrom returns the least Rect.MinX of the matches shard s reports
+// for a query whose cover starts at shard lo: the first shard of the
+// cover reports every match, every other shard those homed to it. An
+// entry stored in shard s always begins left of the slab's right edge,
+// so "homed to s" reduces to MinX >= bounds[s-1].
+func (l layout) ownedFrom(s, lo int) float64 {
+	if s == lo {
+		return math.Inf(-1)
+	}
+	return l.bounds[s-1]
 }
 
 // rangeOf returns the closed range of shards whose slabs r intersects.
@@ -361,13 +374,10 @@ func (e *Engine) SearchIDs(q core.Query, buf []spatial.ID) ([]spatial.ID, error)
 // independently and the counts sum. A Limit caps the total like it caps
 // streamed results.
 //
-// Plain window queries push the count all the way down: the cover's
-// first shard runs the O(tiles)-biased WindowCountFast kernel and every
-// other shard runs WindowCountFiltered against its slab's left edge —
-// the home-shard dedup rule expressed as a coordinate filter (an entry
-// stored in shard s always begins left of the slab's right edge, so
-// "homed to s" reduces to MinX >= bounds[s-1]). No entry is streamed
-// through a callback anywhere on that path.
+// Plain window queries push the count all the way down: every shard of
+// the cover runs the count kernel under the home-shard dedup rule
+// expressed as a coordinate filter (layout.ownedFrom). No entry is
+// streamed through a callback anywhere on that path.
 func (e *Engine) SearchCount(q core.Query, spans *[]Span) (int, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -407,11 +417,7 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (int, error) {
 			n := 0
 			switch {
 			case q.Window != nil && !q.Exact:
-				if s == lo {
-					n = e.shards[s].WindowCountFast(*q.Window)
-				} else {
-					n = e.shards[s].WindowCountFiltered(*q.Window, e.lay.bounds[s-1])
-				}
+				n = e.shards[s].WindowCountFiltered(*q.Window, e.lay.ownedFrom(s, lo))
 			default:
 				e.shards[s].Search(sub, func(ent spatial.Entry) bool {
 					if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
@@ -542,86 +548,69 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 }
 
 // BatchWindowCounts evaluates a batch of window queries and returns
-// per-query result counts. Each shard runs its local batch kernel (with
-// the requested strategy and thread count) over the subset of queries
-// covering it; per-result ownership dedup keeps the totals identical to
-// an unsharded batch.
+// per-query result counts. Each shard runs its local counted batch (with
+// the requested strategy and thread count) over the queries covering
+// it, each under SearchCount's rule (layout.ownedFrom), so the per-shard
+// counts sum to an unsharded batch's with no per-result work.
 func (e *Engine) BatchWindowCounts(queries []geom.Rect, strategy core.BatchStrategy, threads int) []int {
-	counts := make([]int64, len(queries))
-	qLo := make([]int, len(queries))
-	qHi := make([]int, len(queries))
-	for q := range queries {
-		if !queries[q].Valid() {
-			qLo[q], qHi[q] = 1, 0 // cover no shard; core would skip it too
-			continue
-		}
-		qLo[q], qHi[q] = e.lay.rangeOf(queries[q])
-	}
-	for s := range e.shards {
-		var local []geom.Rect
-		var global []int32
-		for q := range queries {
-			if qLo[q] <= s && s <= qHi[q] {
-				local = append(local, queries[q])
-				global = append(global, int32(q))
-			}
-		}
-		if len(local) == 0 {
-			continue
-		}
-		s := s
-		e.shards[s].BatchWindow(local, strategy, threads, func(lq int, ent spatial.Entry) {
-			gq := int(global[lq])
-			if s == qLo[gq] || e.lay.shardOf(ent.Rect.MinX) == s {
-				atomic.AddInt64(&counts[gq], 1)
+	counts := make([]int, len(queries))
+	splitBatch(e, queries, func(w geom.Rect) geom.Rect { return w },
+		func(s int, local []geom.Rect, global []int32, lo []int) {
+			minX := func(i int) float64 { return e.lay.ownedFrom(s, lo[global[i]]) }
+			for i, n := range e.shards[s].BatchWindowCountsFiltered(local, minX, strategy, threads) {
+				counts[global[i]] += n
 			}
 		})
-	}
+	return counts
+}
+
+// BatchDiskCounts is BatchWindowCounts for disk queries. There is no
+// filtered disk count kernel, so a shard streams its local batch and
+// the ownership test runs per result.
+func (e *Engine) BatchDiskCounts(queries []geom.Disk, strategy core.BatchStrategy, threads int) []int {
+	counts := make([]atomic.Int64, len(queries))
+	splitBatch(e, queries, geom.Disk.MBR,
+		func(s int, local []geom.Disk, global []int32, lo []int) {
+			e.shards[s].BatchDisk(local, strategy, threads, func(i int, ent spatial.Entry) {
+				if gq := global[i]; s == lo[gq] || e.lay.shardOf(ent.Rect.MinX) == s {
+					counts[gq].Add(1)
+				}
+			})
+		})
 	out := make([]int, len(queries))
-	for i, c := range counts {
-		out[i] = int(c)
+	for q := range counts {
+		out[q] = int(counts[q].Load())
 	}
 	return out
 }
 
-// BatchDiskCounts is BatchWindowCounts for disk queries.
-func (e *Engine) BatchDiskCounts(queries []geom.Disk, strategy core.BatchStrategy, threads int) []int {
-	counts := make([]int64, len(queries))
-	qLo := make([]int, len(queries))
-	qHi := make([]int, len(queries))
+// splitBatch is the query-to-shard split of both batch forms: for every
+// shard that some query's MBR covers, in shard order, run receives the
+// queries covering it, their indices in the batch, and lo, the first
+// shard of every query's cover. An invalid MBR (inverted window,
+// negative radius) covers no shard; core would skip it too.
+func splitBatch[Q any](e *Engine, queries []Q, mbr func(Q) geom.Rect, run func(s int, local []Q, global []int32, lo []int)) {
+	lo := make([]int, len(queries))
+	hi := make([]int, len(queries))
 	for q := range queries {
-		mbr := queries[q].MBR()
-		if !mbr.Valid() {
-			qLo[q], qHi[q] = 1, 0
-			continue
+		lo[q], hi[q] = 1, 0
+		if r := mbr(queries[q]); r.Valid() {
+			lo[q], hi[q] = e.lay.rangeOf(r)
 		}
-		qLo[q], qHi[q] = e.lay.rangeOf(mbr)
 	}
 	for s := range e.shards {
-		var local []geom.Disk
+		var local []Q
 		var global []int32
 		for q := range queries {
-			if qLo[q] <= s && s <= qHi[q] {
+			if lo[q] <= s && s <= hi[q] {
 				local = append(local, queries[q])
 				global = append(global, int32(q))
 			}
 		}
-		if len(local) == 0 {
-			continue
+		if len(local) > 0 {
+			run(s, local, global, lo)
 		}
-		s := s
-		e.shards[s].BatchDisk(local, strategy, threads, func(lq int, ent spatial.Entry) {
-			gq := int(global[lq])
-			if s == qLo[gq] || e.lay.shardOf(ent.Rect.MinX) == s {
-				atomic.AddInt64(&counts[gq], 1)
-			}
-		})
 	}
-	out := make([]int, len(queries))
-	for i, c := range counts {
-		out[i] = int(c)
-	}
-	return out
 }
 
 // Len returns the number of distinct objects across all shards

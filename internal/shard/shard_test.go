@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -249,5 +250,101 @@ func TestDurableManifestWins(t *testing.T) {
 	}
 	if got := shardDir(dir, 0); got != filepath.Join(dir, "shard-000") {
 		t.Errorf("shardDir = %s", got)
+	}
+}
+
+// TestBatchCountsAcrossSlabEdges is the shard-level batch matrix: window
+// and disk batch counts at S in {1, 2, 7} equal the naive scan for
+// queries that stay inside one slab, straddle one, two and all slab
+// edges, miss the space or are invalid — on a static engine and on a
+// Live snapshot after mutations (count tables dropped), under both
+// strategies and thread counts.
+func TestBatchCountsAcrossSlabEdges(t *testing.T) {
+	opts := core.Options{NX: 28, NY: 28, Space: geom.Rect{MaxX: 1, MaxY: 1}, Decompose: true}
+	d := testDataset(31, 2500, 0.2) // sides up to 0.2: many objects cross a slab edge
+	rnd := rand.New(rand.NewSource(32))
+
+	windows := []geom.Rect{
+		{MinX: 0.02, MinY: 0.1, MaxX: 0.1, MaxY: 0.9},                  // inside the first slab at every S
+		{MinX: 1.0/7 - 0.02, MinY: 0.2, MaxX: 1.0/7 + 0.02, MaxY: 0.6}, // one edge at S=7
+		{MinX: 0.45, MinY: 0, MaxX: 0.55, MaxY: 1},                     // the edge at S=2, one at S=7
+		{MinX: 1.0/7 - 0.02, MinY: 0.3, MaxX: 3.0/7 + 0.02, MaxY: 0.7}, // three edges at S=7
+		{MinX: 2.0 / 7, MinY: 0.3, MaxX: 4.0 / 7, MaxY: 0.7},           // begins and ends on an edge
+		{MinX: 0.01, MinY: 0.4, MaxX: 0.99, MaxY: 0.5},                 // all edges
+		{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2},                         // sticks out everywhere
+		{MinX: 0.6, MinY: 0.6, MaxX: 0.5, MaxY: 0.5},                   // invalid
+		{MinX: 3, MinY: 3, MaxX: 4, MaxY: 4},                           // misses the space
+	}
+	disks := []geom.Disk{
+		{Center: geom.Point{X: 0.05, Y: 0.5}, Radius: 0.03},
+		{Center: geom.Point{X: 1.0 / 7, Y: 0.5}, Radius: 0.05},
+		{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 0.2},
+		{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 0.49},
+		{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 3},
+		{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: -1},
+	}
+	for i := 0; i < 30; i++ {
+		x, y := rnd.Float64(), rnd.Float64()
+		windows = append(windows, geom.Rect{MinX: x, MinY: y, MaxX: x + rnd.Float64()*0.5, MaxY: y + rnd.Float64()*0.5})
+		disks = append(disks, geom.Disk{Center: geom.Point{X: rnd.Float64(), Y: rnd.Float64()}, Radius: rnd.Float64() * 0.3})
+	}
+
+	check := func(ctx string, e *Engine, entries []spatial.Entry) {
+		t.Helper()
+		for _, strategy := range []core.BatchStrategy{core.QueriesBased, core.TilesBased} {
+			for _, threads := range []int{1, 2} {
+				gotW := e.BatchWindowCounts(windows, strategy, threads)
+				for q, w := range windows {
+					want := 0
+					if w.Valid() { // an inverted window matches nothing
+						want = len(spatial.BruteWindow(entries, w))
+					}
+					if gotW[q] != want {
+						t.Fatalf("%s %v threads=%d: window %d %v counted %d, want %d",
+							ctx, strategy, threads, q, w, gotW[q], want)
+					}
+				}
+				gotD := e.BatchDiskCounts(disks, strategy, threads)
+				for q, dk := range disks {
+					want := 0
+					if dk.Radius >= 0 { // a negative radius matches nothing
+						want = len(spatial.BruteDisk(entries, dk.Center, dk.Radius))
+					}
+					if gotD[q] != want {
+						t.Fatalf("%s %v threads=%d: disk %d %+v counted %d, want %d",
+							ctx, strategy, threads, q, dk, gotD[q], want)
+					}
+				}
+			}
+		}
+	}
+
+	for _, shards := range []int{1, 2, 7} {
+		e := Build(d, opts, shards)
+		if e.Shards() != shards {
+			t.Fatalf("built %d shards, want %d", e.Shards(), shards)
+		}
+		check(fmt.Sprintf("static S=%d", shards), e, d.Entries)
+
+		l := LiveFrom(Build(d, opts, shards), core.LiveOptions{})
+		var muts []core.Mutation
+		var entries []spatial.Entry
+		for i, ent := range d.Entries {
+			if i%5 == 0 {
+				muts = append(muts, core.Mutation{Delete: true, Entry: ent})
+			} else {
+				entries = append(entries, ent)
+			}
+		}
+		for i, ent := range testDataset(33, 300, 0.3).Entries {
+			ent.ID = spatial.ID(d.Len() + i)
+			muts = append(muts, core.Mutation{Entry: ent})
+			entries = append(entries, ent)
+		}
+		if _, err := l.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("live S=%d", shards), l.Snapshot(), entries)
+		l.Close()
 	}
 }

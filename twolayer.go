@@ -75,8 +75,8 @@ type BatchStrategy = core.BatchStrategy
 const (
 	// QueriesBased evaluates queries independently (cache agnostic).
 	QueriesBased = core.QueriesBased
-	// TilesBased groups work per tile for cache locality; it scales
-	// better with threads. The recommended default for large batches.
+	// TilesBased groups work per tile for cache locality. It pays on
+	// large, dense batches (EXPERIMENTS.md, Figures 10 and 11).
 	TilesBased = core.TilesBased
 )
 
@@ -334,7 +334,8 @@ func (ix *Index) BatchWindow(queries []Rect, strategy BatchStrategy, threads int
 	ix.core.BatchWindow(queries, strategy, threads, func(q int, e spatial.Entry) { fn(q, e.ID) })
 }
 
-// BatchWindowCounts evaluates a batch and returns per-query result counts.
+// BatchWindowCounts evaluates a batch and returns per-query result
+// counts, through the count pushdown (no per-result callback runs).
 func (ix *Index) BatchWindowCounts(queries []Rect, strategy BatchStrategy, threads int) []int {
 	return ix.core.BatchWindowCounts(queries, strategy, threads)
 }
