@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt-check vet test test-race test-shuffle race-hot bench bench-test bench-smoke fuzz-short experiments docs-check
+.PHONY: check build fmt-check vet test test-race test-shuffle race-hot bench bench-test bench-smoke fuzz-short experiments docs-check loc
 
 check: build fmt-check vet test-race bench-test docs-check
 
@@ -60,10 +60,16 @@ bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
 # One iteration of every Go micro-benchmark in the root package, so they
-# keep compiling and running (CI runs this); use
+# keep compiling and running (CI runs this), with allocs/op in the log: a
+# callback that starts escaping shows there before it shows in ns/op. Use
 # `go test -run '^$$' -bench <regexp> -benchmem .` to measure one.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
+
+# Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
+# every simplicity PR reports before and after.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
 
 # Short fuzz pass over every fuzz target (CI runs this): seconds per
 # target, catching format-level regressions without a long campaign.

@@ -187,7 +187,7 @@ func (ix *Index) BatchWindow(queries []geom.Rect, strategy BatchStrategy, thread
 		whole: func(q int) { ix.Window(queries[q], func(e spatial.Entry) { fn(q, e) }) },
 		cover: cover,
 		onTile: func(q int, t *tile, tx, ty int, _ *pathTally) {
-			ix.windowOnTile(t, tx, ty, origin[q][0], origin[q][1], queries[q], func(e spatial.Entry) { fn(q, e) })
+			ix.windowOnTile(t, tx, ty, origin[q][0], origin[q][1], queries[q], refiner{}, func(e spatial.Entry) { fn(q, e) })
 		},
 	}, strategy, threads)
 }
@@ -250,7 +250,7 @@ func (ix *Index) BatchDisk(queries []geom.Disk, strategy BatchStrategy, threads 
 		onTile: func(q int, t *tile, tx, ty int, _ *pathTally) {
 			d := queries[q]
 			ix.diskOnTile(t, tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius,
-				func(e spatial.Entry) { fn(q, e) })
+				refiner{}, func(e spatial.Entry) { fn(q, e) })
 		},
 	}, strategy, threads)
 }

@@ -180,33 +180,6 @@ func (c *decComparison) isLE() bool { return c.kind == cmpXL || c.kind == cmpYL 
 // handful of entries scan faster directly).
 const decSmallClass = 16
 
-// windowOnTileDecomposed answers one tile using the decomposed tables.
-// Following Section IV-C, one comparison — the one in the dimension the
-// window covers least, i.e. the most selective — is resolved by binary
-// search, and only the qualifying run is verified against the remaining
-// comparisons.
-func (ix *Index) windowOnTileDecomposed(t *tile, tx, ty int, first, top bool, w geom.Rect, plan tileComparisonPlan, fn func(spatial.Entry)) {
-	plans := classPlans(first, top, plan)
-	// Selectivity estimates are only needed when some partition is big
-	// enough for the binary-search path.
-	var frac [4]float64
-	needFrac := false
-	for c := ClassA; c <= ClassD; c++ {
-		if plans[c].scan && len(t.classes[c]) >= decSmallClass {
-			needFrac = true
-			break
-		}
-	}
-	if needFrac {
-		frac = ix.compFractions(tx, ty, w)
-	}
-	for c := ClassA; c <= ClassD; c++ {
-		if plans[c].scan {
-			ix.decClassQuery(t, c, w, plans[c].plan, &frac, fn)
-		}
-	}
-}
-
 // compFractions returns, per comparison kind, the fraction of tile
 // (tx,ty)'s extent satisfying it (smaller = more selective) — the
 // paper's "dimension covered the least" heuristic for picking the one
@@ -222,21 +195,16 @@ func (ix *Index) compFractions(tx, ty int, w geom.Rect) [4]float64 {
 	return frac
 }
 
-// decClassQuery evaluates one secondary partition through its decomposed
-// tables.
-func (ix *Index) decClassQuery(t *tile, c Class, w geom.Rect, p tileComparisonPlan, frac *[4]float64, fn func(spatial.Entry)) {
-	entries := t.classes[c]
-	if len(entries) == 0 {
-		return
-	}
-	if len(entries) < decSmallClass {
-		ix.scanClass(entries, w, p, fn)
-		return
-	}
+// decClassQuery evaluates one secondary partition (of at least
+// decSmallClass entries) through its decomposed tables d. Following
+// Section IV-C, one comparison — the one in the dimension the window
+// covers least, i.e. the most selective — is resolved by binary search,
+// and only the qualifying run is verified against the remaining
+// comparisons.
+func (ix *Index) decClassQuery(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, frac *[4]float64, rf *refiner, fn func(spatial.Entry)) {
 	if ix.stats != nil {
 		ix.stats.PartitionsScanned++
 	}
-	d := &t.dec.cls[c]
 
 	// Collect the comparisons this class still needs.
 	var comps [4]decComparison
@@ -265,6 +233,9 @@ func (ix *Index) decClassQuery(t *tile, c Class, w geom.Rect, p tileComparisonPl
 			ix.stats.Results += int64(len(entries))
 		}
 		for i := range entries {
+			if rf.exact && !ix.refineWindow(rf, &entries[i], w) {
+				continue
+			}
 			fn(entries[i])
 		}
 		return
@@ -312,6 +283,9 @@ func (ix *Index) decClassQuery(t *tile, c Class, w geom.Rect, p tileComparisonPl
 		if ok {
 			if stats != nil {
 				stats.Results++
+			}
+			if rf.exact && !ix.refineWindow(rf, e, w) {
+				continue
 			}
 			fn(*e)
 		}

@@ -79,19 +79,24 @@ func (ix *Index) diskCoverFor(center geom.Point, radius float64) *diskCover {
 // of one tile and class C of another) are resolved by a deterministic
 // owner rule over the disk's tile cover.
 func (ix *Index) Disk(center geom.Point, radius float64, fn func(e spatial.Entry)) {
+	stop := false
+	ix.diskScan(center, radius, refiner{}, fn, &stop)
+}
+
+// diskScan is the one streamed walk over a disk's tile cover, behind
+// Disk, DiskUntil, DiskExact and Search; rf, fn and stop are windowScan's.
+func (ix *Index) diskScan(center geom.Point, radius float64, rf refiner, fn func(spatial.Entry), stop *bool) {
 	dc := ix.diskCoverFor(center, radius)
 	if dc == nil {
 		return
 	}
 	r2 := radius * radius
-	for ty := dc.y0; ty <= dc.y1; ty++ {
+	for ty := dc.y0; ty <= dc.y1 && !*stop; ty++ {
 		lo, hi := dc.rowMin[ty-dc.y0], dc.rowMax[ty-dc.y0]
-		for tx := lo; tx <= hi; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
-				continue
+		for tx := lo; tx <= hi && !*stop; tx++ {
+			if t := ix.tileAt(tx, ty); t != nil {
+				ix.diskOnTile(t, tx, ty, dc, center, radius, r2, rf, fn)
 			}
-			ix.diskOnTile(t, tx, ty, dc, center, radius, r2, fn)
 		}
 	}
 }
@@ -101,39 +106,18 @@ func (ix *Index) Disk(center geom.Point, radius float64, fn func(e spatial.Entry
 // tile-granular: results already produced by the current tile still
 // arrive at fn before the scan stops.
 func (ix *Index) DiskUntil(center geom.Point, radius float64, fn func(e spatial.Entry) bool) bool {
-	dc := ix.diskCoverFor(center, radius)
-	if dc == nil {
-		return true
-	}
-	r2 := radius * radius
 	stopped := false
-	sink := func(e spatial.Entry) {
+	ix.diskScan(center, radius, refiner{}, func(e spatial.Entry) {
 		if !stopped && !fn(e) {
 			stopped = true
 		}
-	}
-	for ty := dc.y0; ty <= dc.y1 && !stopped; ty++ {
-		lo, hi := dc.rowMin[ty-dc.y0], dc.rowMax[ty-dc.y0]
-		for tx := lo; tx <= hi && !stopped; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
-				continue
-			}
-			ix.diskOnTile(t, tx, ty, dc, center, radius, r2, sink)
-		}
-	}
+	}, &stopped)
 	return !stopped
 }
 
 // DiskIDs runs Disk and collects result IDs into buf.
 func (ix *Index) DiskIDs(center geom.Point, radius float64, buf []spatial.ID) []spatial.ID {
-	c := idCollectorPool.Get().(*idCollector)
-	c.ids = buf[:0]
-	ix.Disk(center, radius, c.emit)
-	out := c.ids
-	c.ids = nil
-	idCollectorPool.Put(c)
-	return out
+	return collectIDs(buf[:0], func(c *idCollector) { ix.Disk(center, radius, c.emit) })
 }
 
 // DiskCount returns the number of MBRs intersecting the disk, through a
@@ -237,8 +221,8 @@ func (ix *Index) countDiskOwned(entries []spatial.Entry, tx, ty int, dc *diskCov
 // diskOnTile evaluates the disk on one tile. Classes whose entries are
 // also assigned to an in-cover previous tile are skipped (the disk-query
 // analogue of Lemmas 1-2); tiles fully inside the disk report without
-// distance verification.
-func (ix *Index) diskOnTile(t *tile, tx, ty int, dc *diskCover, center geom.Point, radius, r2 float64, fn func(spatial.Entry)) {
+// distance verification. An exact query's rf is consulted last.
+func (ix *Index) diskOnTile(t *tile, tx, ty int, dc *diskCover, center geom.Point, radius, r2 float64, rf refiner, fn func(spatial.Entry)) {
 	hasLeft := dc.contains(tx-1, ty)
 	hasUp := dc.contains(tx, ty-1)
 	covered := ix.effectiveTile(tx, ty).InsideDisk(center, radius)
@@ -275,6 +259,9 @@ func (ix *Index) diskOnTile(t *tile, tx, ty int, dc *diskCover, center geom.Poin
 		}
 		if ix.stats != nil {
 			ix.stats.Results++
+		}
+		if rf.exact && !ix.refineDisk(&rf, e, center, radius, r2) {
+			return
 		}
 		fn(*e)
 	}

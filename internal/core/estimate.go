@@ -60,25 +60,12 @@ func (ix *Index) EstimateWindow(w geom.Rect) float64 {
 // partitions or tiles are read. It reports whether the query ran to
 // completion (true) or was stopped (false).
 func (ix *Index) WindowUntil(w geom.Rect, fn func(e spatial.Entry) bool) bool {
-	if !w.Valid() {
-		return true
-	}
-	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
 	stopped := false
-	sink := func(e spatial.Entry) {
+	ix.windowScan(w, refiner{}, func(e spatial.Entry) {
 		if !stopped && !fn(e) {
 			stopped = true
 		}
-	}
-	for ty := iy0; ty <= iy1 && !stopped; ty++ {
-		for tx := ix0; tx <= ix1 && !stopped; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
-				continue
-			}
-			ix.windowOnTile(t, tx, ty, ix0, iy0, w, sink)
-		}
-	}
+	}, &stopped)
 	return !stopped
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -24,12 +26,18 @@ func kernelConfigs(t *testing.T, rnd *rand.Rand, n int) map[string]*Index {
 
 func kernelConfigsOver(t *testing.T, rects []geom.Rect) map[string]*Index {
 	t.Helper()
-	d := spatial.NewDataset(rects)
+	return kernelConfigsOverDataset(t, spatial.NewDataset(rects))
+}
+
+// kernelConfigsOverDataset builds the variants over d; the built ones
+// (not the live snapshots) keep d for exact queries.
+func kernelConfigsOverDataset(t *testing.T, d *spatial.Dataset) map[string]*Index {
+	t.Helper()
 	liveSnap := func(n int) *Index {
 		l := NewLive(New(Options{NX: n, NY: n, Space: unitSquare}), LiveOptions{})
 		t.Cleanup(l.Close)
-		for i, r := range rects {
-			if _, err := l.Insert(spatial.Entry{ID: spatial.ID(i), Rect: r}); err != nil {
+		for _, e := range d.Entries {
+			if _, err := l.Insert(e); err != nil {
 				t.Fatalf("live insert: %v", err)
 			}
 		}
@@ -201,6 +209,177 @@ func TestLargeWindowEquivalence(t *testing.T) {
 	}
 }
 
+// TestStreamedQueryMatrix runs every streamed entry point of every query
+// shape on every index variant against the brute-force oracles: Window,
+// WindowUntil, Disk, DiskUntil and Query on a polygon; WindowExact and
+// DiskExact in every refinement mode on the variants that keep the
+// dataset; Search on each shape, plain and exact, with Limit 0, 1 and k;
+// KNN and KNNExact in brute-force order. Each object is delivered once,
+// a stopped or limited query delivers exactly the prefix it asked for,
+// and on a Stats view a Limit of 1 stops the walk of every shape at tile
+// granularity (for a region that is the early stop a plain Query never
+// had).
+func TestStreamedQueryMatrix(t *testing.T) {
+	rnd := rand.New(rand.NewSource(77))
+	d := spatial.NewGeomDataset(randGeoms(rnd, 1500, 0.06))
+	windows := []geom.Rect{
+		unitSquare,
+		{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2},
+		{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5},
+		{MinX: 0.2, MinY: 0.2, MaxX: 0.1, MaxY: 0.1}, // invalid
+	}
+	for i := 0; i < 6; i++ {
+		windows = append(windows, randWindow(rnd, 0.5))
+	}
+	disks := []geom.Disk{{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 0.45}, {Center: geom.Point{X: 0.3, Y: 0.7}}}
+	for i := 0; i < 5; i++ {
+		disks = append(disks, geom.Disk{
+			Center: geom.Point{X: rnd.Float64()*1.2 - 0.1, Y: rnd.Float64()*1.2 - 0.1},
+			Radius: rnd.Float64() * 0.4,
+		})
+	}
+	polygons := []*geom.Polygon{
+		uPolygon(0.1, 0.15, 0.7, 0.6, 0.2),
+		geom.NewPolygon(geom.Point{X: 0.2, Y: 0.1}, geom.Point{X: 0.9, Y: 0.4}, geom.Point{X: 0.4, Y: 0.95}),
+	}
+	modes := []RefineMode{RefineSimple, RefineAvoid, RefineAvoidPlus}
+
+	for name, ix := range kernelConfigsOverDataset(t, d) {
+		// check runs one query through its streamed forms: all must deliver
+		// want, each object once; until is the stoppable form and search
+		// the descriptor (both deliver in all's order).
+		check := func(ctx string, want []spatial.ID, all func(fn func(spatial.Entry)),
+			until func(fn func(spatial.Entry) bool) bool, q Query) {
+			t.Helper()
+			var order []spatial.ID
+			all(func(e spatial.Entry) { order = append(order, e.ID) })
+			noDuplicates(t, order, ctx)
+			sameIDs(t, slices.Clone(order), want, ctx)
+			total := len(order)
+			for _, k := range []int{0, 1, 7} {
+				n := total
+				if k > 0 && k < total {
+					n = k
+				}
+				if until != nil {
+					var got []spatial.ID
+					complete := until(func(e spatial.Entry) bool {
+						got = append(got, e.ID)
+						return len(got) != k
+					})
+					sameOrder(t, got, order[:n], fmt.Sprintf("%s: until k=%d", ctx, k))
+					if complete != (k == 0 || k > total) {
+						t.Errorf("%s: until k=%d complete = %v with %d results", ctx, k, complete, total)
+					}
+				}
+				q.Limit = k
+				var got []spatial.ID
+				complete, err := ix.Search(q, func(e spatial.Entry) bool {
+					got = append(got, e.ID)
+					return true
+				})
+				if err != nil {
+					t.Fatalf("%s: Search limit=%d: %v", ctx, k, err)
+				}
+				sameOrder(t, got, order[:n], fmt.Sprintf("%s: Search limit=%d", ctx, k))
+				if complete != (k == 0 || k > total) {
+					t.Errorf("%s: Search limit=%d complete = %v with %d results", ctx, k, complete, total)
+				}
+			}
+			// Tile-granular stop, visible on a Stats view: one result is
+			// enough to leave most of a many-tile cover unread.
+			if ix.stats != nil && total > 50 {
+				q.Limit = 0
+				*ix.stats = Stats{}
+				_, _ = ix.Search(q, func(spatial.Entry) bool { return true })
+				full := ix.stats.TilesVisited
+				q.Limit = 1
+				*ix.stats = Stats{}
+				_, _ = ix.Search(q, func(spatial.Entry) bool { return true })
+				if one := ix.stats.TilesVisited; one >= full {
+					t.Errorf("%s: Limit 1 visited %d tiles, the unlimited query %d", ctx, one, full)
+				}
+			}
+		}
+
+		for wi, w := range windows {
+			ctx := fmt.Sprintf("%s window %d", name, wi)
+			check(ctx, spatial.BruteWindow(d.Entries, w),
+				func(fn func(spatial.Entry)) { ix.Window(w, fn) },
+				func(fn func(spatial.Entry) bool) bool { return ix.WindowUntil(w, fn) },
+				Query{Window: &w})
+			if ix.Dataset() == nil {
+				continue
+			}
+			for _, mode := range modes {
+				check(fmt.Sprintf("%s exact %v", ctx, mode), spatial.BruteWindowExact(d, w),
+					func(fn func(spatial.Entry)) {
+						ix.WindowExact(w, mode, func(id spatial.ID) { fn(spatial.Entry{ID: id}) })
+					}, nil, Query{Window: &w, Exact: true, Mode: mode})
+			}
+		}
+		for di, dk := range disks {
+			ctx := fmt.Sprintf("%s disk %d", name, di)
+			check(ctx, spatial.BruteDisk(d.Entries, dk.Center, dk.Radius),
+				func(fn func(spatial.Entry)) { ix.Disk(dk.Center, dk.Radius, fn) },
+				func(fn func(spatial.Entry) bool) bool { return ix.DiskUntil(dk.Center, dk.Radius, fn) },
+				Query{Disk: &dk})
+			if ix.Dataset() == nil {
+				continue
+			}
+			for _, mode := range modes[:2] {
+				check(fmt.Sprintf("%s exact %v", ctx, mode), spatial.BruteDiskExact(d, dk.Center, dk.Radius),
+					func(fn func(spatial.Entry)) {
+						ix.DiskExact(dk.Center, dk.Radius, mode, func(id spatial.ID) { fn(spatial.Entry{ID: id}) })
+					}, nil, Query{Disk: &dk, Exact: true, Mode: mode})
+			}
+		}
+		for pi, poly := range polygons {
+			check(fmt.Sprintf("%s polygon %d", name, pi), bruteRegion(d.Entries, poly),
+				func(fn func(spatial.Entry)) { ix.Query(poly, fn) }, nil, Query{Region: poly})
+		}
+
+		for _, k := range []int{1, 10, d.Len() + 1} {
+			for _, q := range []geom.Point{{X: 0.31, Y: 0.64}, {X: 1.2, Y: -0.1}} {
+				sameDists(t, fmt.Sprintf("%s KNN k=%d", name, k), ix.KNN(q, k), bruteKNN(d.Entries, q, k))
+				if ix.Dataset() != nil {
+					sameDists(t, fmt.Sprintf("%s KNNExact k=%d", name, k), ix.KNNExact(q, k), bruteKNNExact(d, q, k))
+				}
+			}
+		}
+	}
+}
+
+// bruteKNNExact returns the k objects nearest by exact geometry distance,
+// by exhaustive scan.
+func bruteKNNExact(d *spatial.Dataset, q geom.Point, k int) []Neighbor {
+	all := make([]Neighbor, d.Len())
+	for i, e := range d.Entries {
+		all[i] = Neighbor{ID: e.ID, Dist: math.Sqrt(exactDistSq(d.Geom(e.ID), q))}
+	}
+	slices.SortFunc(all, func(a, b Neighbor) int { return cmp.Compare(a.Dist, b.Dist) })
+	return all[:min(k, len(all))]
+}
+
+// sameDists fails the test unless got is want's distance sequence over
+// distinct objects (IDs may differ on ties).
+func sameDists(t *testing.T, ctx string, got, want []Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d neighbors, want %d", ctx, len(got), len(want))
+	}
+	seen := make(map[spatial.ID]bool, len(got))
+	for i := range got {
+		if math.Abs(got[i].Dist-want[i].Dist) > 1e-12 {
+			t.Fatalf("%s: neighbor %d at distance %v, want %v", ctx, i, got[i].Dist, want[i].Dist)
+		}
+		if seen[got[i].ID] {
+			t.Fatalf("%s: duplicate neighbor %d", ctx, got[i].ID)
+		}
+		seen[got[i].ID] = true
+	}
+}
+
 // sameOrder fails the test unless got equals want element by element.
 func sameOrder(t *testing.T, got, want []spatial.ID, context string) {
 	t.Helper()
@@ -277,30 +456,60 @@ func TestQueryPathStatsCounters(t *testing.T) {
 	}
 }
 
-// TestWindowCollectionAllocs pins the pooled collection paths at zero
-// allocations per query once the pools and result buffer are warm.
+// TestWindowCollectionAllocs pins what the streamed paths may allocate per
+// query once the pools and result buffer are warm: nothing on the pooled
+// collection and count paths, nothing for a capturing callback handed to
+// Window, WindowUntil, Intersects, Search or WindowExact (the callback
+// must not escape through the cover walk or its refinement hook; exact
+// queries read a dataset with stored geometries, and measured 0 at the
+// parent of the one-walk change as well), and only the cover's five
+// slices for a disk.
 func TestWindowCollectionAllocs(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
-	ix, _ := buildRandom(rnd, 10000, 0.01, Options{NX: 64, NY: 64, Space: unitSquare})
+	d := spatial.NewGeomDataset(randGeoms(rnd, 10000, 0.01))
+	ix := Build(d, Options{NX: 64, NY: 64, Space: unitSquare})
 	w := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
+	c, r := geom.Point{X: 0.4, Y: 0.4}, 0.2
 	buf := ix.WindowIDs(w, nil)
 	if len(buf) == 0 {
 		t.Fatal("test window matched nothing")
 	}
-
-	if avg := testing.AllocsPerRun(100, func() {
-		buf = ix.WindowIDs(w, buf[:0])
-	}); avg != 0 {
-		t.Errorf("WindowIDs allocates %.1f times per run, want 0", avg)
+	// Every callback below is a fresh capturing literal, as in real use: it
+	// is what would be heap-allocated per call if a walk let it escape.
+	n := 0
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func()
+	}{
+		{"WindowIDs", 0, func() { buf = ix.WindowIDs(w, buf[:0]) }},
+		{"DiskIDs", 5, func() { buf = ix.DiskIDs(c, r, buf[:0]) }},
+		{"SearchIDs", 0, func() { buf, _ = ix.SearchIDs(Query{Window: &w}, buf[:0]) }},
+		{"WindowCount", 0, func() { _ = ix.WindowCount(w) }},
+		{"SearchCount", 0, func() { _, _ = ix.SearchCount(Query{Window: &w}) }},
+		{"Window", 0, func() { ix.Window(w, func(spatial.Entry) { n++ }) }},
+		{"WindowUntil", 0, func() { ix.WindowUntil(w, func(spatial.Entry) bool { n++; return true }) }},
+		{"Intersects", 0, func() {
+			if ix.Intersects(w) {
+				n++
+			}
+		}},
+		{"Search", 0, func() {
+			_, _ = ix.Search(Query{Window: &w}, func(spatial.Entry) bool { n++; return true })
+		}},
+		{"Search exact", 0, func() {
+			_, _ = ix.Search(Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}, func(spatial.Entry) bool { n++; return true })
+		}},
+		{"WindowExact", 0, func() { ix.WindowExact(w, RefineAvoidPlus, func(spatial.ID) { n++ }) }},
+		{"Disk", 5, func() { ix.Disk(c, r, func(spatial.Entry) { n++ }) }},
+		{"DiskUntil", 5, func() { ix.DiskUntil(c, r, func(spatial.Entry) bool { n++; return true }) }},
+		{"DiskExact", 5, func() { ix.DiskExact(c, r, RefineAvoid, func(spatial.ID) { n++ }) }},
+	} {
+		if avg := testing.AllocsPerRun(100, tc.run); avg > tc.max {
+			t.Errorf("%s allocates %.1f times per run, want at most %.0f", tc.name, avg, tc.max)
+		}
 	}
-	if avg := testing.AllocsPerRun(100, func() {
-		_ = ix.WindowCount(w)
-	}); avg != 0 {
-		t.Errorf("WindowCount allocates %.1f times per run, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		_, _ = ix.SearchCount(Query{Window: &w})
-	}); avg != 0 {
-		t.Errorf("SearchCount allocates %.1f times per run, want 0", avg)
+	if n == 0 {
+		t.Fatal("callbacks never ran")
 	}
 }

@@ -63,7 +63,24 @@ func (s *knnState) markSeen(id spatial.ID) bool {
 // ascending distance. Ties are broken arbitrarily. It allocates only the
 // result slice on the steady state; the seen table is owned by the index
 // and makes KNN unsafe for concurrent use (like updates and Stats).
-func (ix *Index) KNN(q geom.Point, k int) []Neighbor {
+func (ix *Index) KNN(q geom.Point, k int) []Neighbor { return ix.knnSearch(q, k, false) }
+
+// KNNExact returns the k objects whose exact geometries are nearest to q,
+// ascending by true geometric distance. MBR distances lower-bound exact
+// distances, so candidates are pruned by MBR before the geometry is
+// consulted; the ring-expansion stop criterion remains valid because tile
+// distance lower-bounds MBR distance lower-bounds exact distance. The
+// index must have been built over a Dataset.
+func (ix *Index) KNNExact(q geom.Point, k int) []Neighbor {
+	if ix.dataset == nil {
+		panic("core: KNNExact requires an index built over a Dataset")
+	}
+	return ix.knnSearch(q, k, true)
+}
+
+// knnSearch is the one ring expansion behind KNN and KNNExact; exact
+// ranks candidates by geometry distance instead of MBR distance.
+func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 	if k <= 0 || ix.size == 0 {
 		return nil
 	}
@@ -99,6 +116,21 @@ func (ix *Index) KNN(q geom.Point, k int) []Neighbor {
 					s.DistanceComputations++
 				}
 				d2 := e.Rect.DistSqToPoint(q)
+				if exact {
+					if len(best) == k && d2 > kth {
+						continue // MBR lower bound prunes the geometry test
+					}
+					if s != nil {
+						s.RefinementTests++
+					}
+					if tr := ix.trace; tr != nil {
+						t0 := time.Now()
+						d2 = exactDistSq(ix.dataset.Geom(e.ID), q)
+						tr.RefineNS += time.Since(t0).Nanoseconds()
+					} else {
+						d2 = exactDistSq(ix.dataset.Geom(e.ID), q)
+					}
+				}
 				if len(best) < k {
 					heap.Push(&best, Neighbor{ID: e.ID, Dist: d2})
 					if len(best) == k {
@@ -125,106 +157,10 @@ func (ix *Index) KNN(q geom.Point, k int) []Neighbor {
 		if len(best) == k && ringDistSq(ix, q, cx, cy, ring) > kth {
 			break
 		}
-		ix.forEachRingTile(cx, cy, ring, func(t *tile) { consider(t) })
+		ix.forEachRingTile(cx, cy, ring, consider)
 	}
 
 	// Extract ascending and convert squared distances.
-	out := make([]Neighbor, len(best))
-	for i := len(best) - 1; i >= 0; i-- {
-		n := heap.Pop(&best).(Neighbor)
-		n.Dist = math.Sqrt(n.Dist)
-		out[i] = n
-	}
-	if ix.stats != nil {
-		ix.stats.Results += int64(len(out))
-	}
-	return out
-}
-
-// KNNExact returns the k objects whose exact geometries are nearest to q,
-// ascending by true geometric distance. MBR distances lower-bound exact
-// distances, so candidates are pruned by MBR before the geometry is
-// consulted; the ring-expansion stop criterion remains valid because tile
-// distance lower-bounds MBR distance lower-bounds exact distance. The
-// index must have been built over a Dataset.
-func (ix *Index) KNNExact(q geom.Point, k int) []Neighbor {
-	if ix.dataset == nil {
-		panic("core: KNNExact requires an index built over a Dataset")
-	}
-	if k <= 0 || ix.size == 0 {
-		return nil
-	}
-	if ix.knn == nil {
-		ix.knn = &knnState{}
-	}
-	ix.knn.epoch++
-	if ix.knn.epoch == 0 {
-		ix.knn.seen = nil
-		ix.knn.epoch = 1
-	}
-
-	best := make(neighborHeap, 0, k)
-	kth := math.Inf(1)
-
-	consider := func(t *tile) {
-		s := ix.stats
-		if s != nil {
-			s.TilesVisited++
-		}
-		for c := ClassA; c <= ClassD; c++ {
-			if s != nil && len(t.classes[c]) > 0 {
-				s.PartitionsScanned++
-				s.EntriesScanned += int64(len(t.classes[c]))
-				s.ClassScanned[c] += int64(len(t.classes[c]))
-			}
-			for i := range t.classes[c] {
-				e := &t.classes[c][i]
-				if ix.knn.markSeen(e.ID) {
-					continue
-				}
-				if s != nil {
-					s.DistanceComputations++
-				}
-				if len(best) == k && e.Rect.DistSqToPoint(q) > kth {
-					continue // MBR lower bound prunes the geometry test
-				}
-				if s != nil {
-					s.RefinementTests++
-				}
-				var d2 float64
-				if tr := ix.trace; tr != nil {
-					t0 := time.Now()
-					d2 = exactDistSq(ix.dataset.Geom(e.ID), q)
-					tr.RefineNS += time.Since(t0).Nanoseconds()
-				} else {
-					d2 = exactDistSq(ix.dataset.Geom(e.ID), q)
-				}
-				if len(best) < k {
-					heap.Push(&best, Neighbor{ID: e.ID, Dist: d2})
-					if len(best) == k {
-						kth = best[0].Dist
-					}
-				} else if d2 < kth {
-					best[0] = Neighbor{ID: e.ID, Dist: d2}
-					heap.Fix(&best, 0)
-					kth = best[0].Dist
-				}
-			}
-		}
-	}
-
-	cx, cy := ix.g.CellOf(q)
-	maxRing := ix.g.NX
-	if ix.g.NY > maxRing {
-		maxRing = ix.g.NY
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		if len(best) == k && ringDistSq(ix, q, cx, cy, ring) > kth {
-			break
-		}
-		ix.forEachRingTile(cx, cy, ring, func(t *tile) { consider(t) })
-	}
-
 	out := make([]Neighbor, len(best))
 	for i := len(best) - 1; i >= 0; i-- {
 		n := heap.Pop(&best).(Neighbor)

@@ -42,10 +42,3 @@ func (ix *Index) JoinParallel(other *Index, threads int, fn func(r, s spatial.En
 		}
 	})
 }
-
-// JoinParallelCount counts join pairs with tile-level parallelism.
-func (ix *Index) JoinParallelCount(other *Index, threads int) int {
-	var n int64
-	ix.JoinParallel(other, threads, func(_, _ spatial.Entry) { atomic.AddInt64(&n, 1) })
-	return int(n)
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -18,8 +19,10 @@ func TestJoinParallelMatchesSerial(t *testing.T) {
 	b := Build(spatial.NewDataset(randRects(rnd, 500, 0.1)), Options{NX: 16, NY: 16, Space: space})
 	want := a.JoinCount(b)
 	for _, threads := range []int{1, 3, 0} {
-		if got := a.JoinParallelCount(b, threads); got != want {
-			t.Fatalf("threads=%d: %d pairs, want %d", threads, got, want)
+		var got atomic.Int64
+		a.JoinParallel(b, threads, func(_, _ spatial.Entry) { got.Add(1) })
+		if int(got.Load()) != want {
+			t.Fatalf("threads=%d: %d pairs, want %d", threads, got.Load(), want)
 		}
 	}
 	// Pair-level equality, not just counts.

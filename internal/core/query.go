@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -11,9 +10,9 @@ import (
 
 // Query is the unified range-query descriptor: one shape (window, disk,
 // or arbitrary region), an optional exact-geometry refinement step, and
-// an optional result limit. Search evaluates it through the same
-// two-layer machinery the shape-specific entry points use; those entry
-// points (Window, Disk, WindowExact, ...) are thin wrappers over Search.
+// an optional result limit. Search evaluates it through the same cover
+// walks (windowScan, diskScan, regionScan) the shape-specific entry
+// points (Window, Disk, WindowExact, ...) wrap.
 //
 // The zero Mode is RefineSimple; callers wanting the paper's recommended
 // refinement set Mode to RefineAvoidPlus explicitly. Mode is ignored
@@ -82,11 +81,11 @@ func (q Query) MBR() geom.Rect {
 var errExactNeedsDataset = errors.New("core: exact queries require an index built over a Dataset")
 
 // Search evaluates q and streams every matching entry to fn, which
-// returns false to stop early (tile-granular, like WindowUntil). Each
-// matching object is delivered exactly once. Exact queries deliver the
-// object's MBR alongside its ID, like filtering queries. It reports
-// whether the evaluation ran to completion: false when fn stopped it or
-// a Limit was reached.
+// returns false to stop early (tile-granular for every shape, like
+// WindowUntil). Each matching object is delivered exactly once. Exact
+// queries deliver the object's MBR alongside its ID, like filtering
+// queries. It reports whether the evaluation ran to completion: false
+// when fn stopped it or a Limit was reached.
 func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, err error) {
 	if err := q.Validate(); err != nil {
 		return false, err
@@ -94,72 +93,34 @@ func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, 
 	if q.Exact && ix.dataset == nil {
 		return false, errExactNeedsDataset
 	}
-	remaining := q.Limit
-	complete = true
-	// deliver forwards one result and reports whether to keep going,
-	// folding the Limit into the same early-termination path fn uses.
-	deliver := func(e spatial.Entry) bool {
-		if !fn(e) {
-			complete = false
-			return false
-		}
-		if q.Limit > 0 {
-			if remaining--; remaining == 0 {
-				complete = false
-				return false
-			}
-		}
-		return true
-	}
-	// The exact and region paths have no *Until variant; a stopped flag
-	// turns their unconditional sinks into early-terminating ones.
+	// One sink for every shape: it folds fn's verdict and the Limit into
+	// the stop flag the cover walks check per tile. Without a Limit,
+	// remaining starts at 0 and never returns to it.
 	stopped := false
+	remaining := q.Limit
 	sink := func(e spatial.Entry) {
-		if !stopped && !deliver(e) {
-			stopped = true
+		if !stopped {
+			remaining--
+			stopped = !fn(e) || remaining == 0
 		}
 	}
+	rf := refiner{exact: q.Exact, mode: q.Mode}
 	switch {
-	case q.Window != nil && q.Exact:
-		ix.windowExactEntries(*q.Window, q.Mode, sink)
 	case q.Window != nil:
-		ix.WindowUntil(*q.Window, deliver)
-	case q.Disk != nil && q.Exact:
-		ix.diskExactEntries(q.Disk.Center, q.Disk.Radius, q.Mode, sink)
+		ix.windowScan(*q.Window, rf, sink, &stopped)
 	case q.Disk != nil:
-		ix.DiskUntil(q.Disk.Center, q.Disk.Radius, deliver)
+		ix.diskScan(q.Disk.Center, q.Disk.Radius, rf, sink, &stopped)
 	default:
-		ix.Query(q.Region, sink)
+		ix.regionScan(q.Region, sink, &stopped)
 	}
-	return complete, nil
+	return !stopped, nil
 }
-
-// searchIDCollector pools the append sink of SearchIDs; the closure is
-// bound once at pool construction so the collection path stays at zero
-// allocations per call (beyond slice growth).
-type searchIDCollector struct {
-	ids []spatial.ID
-	fn  func(spatial.Entry) bool
-}
-
-var searchIDPool = sync.Pool{New: func() any {
-	c := &searchIDCollector{}
-	c.fn = func(e spatial.Entry) bool {
-		c.ids = append(c.ids, e.ID)
-		return true
-	}
-	return c
-}}
 
 // SearchIDs evaluates q and returns the IDs of all matching objects,
 // appending to buf (which may be nil).
 func (ix *Index) SearchIDs(q Query, buf []spatial.ID) ([]spatial.ID, error) {
-	c := searchIDPool.Get().(*searchIDCollector)
-	c.ids = buf
-	_, err := ix.Search(q, c.fn)
-	out := c.ids
-	c.ids = nil
-	searchIDPool.Put(c)
+	var err error
+	out := collectIDs(buf, func(c *idCollector) { _, err = ix.Search(q, c.more) })
 	if err != nil {
 		return nil, err
 	}

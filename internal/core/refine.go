@@ -46,135 +46,8 @@ func (ix *Index) WindowExact(w geom.Rect, mode RefineMode, fn func(id spatial.ID
 	if ix.dataset == nil {
 		panic("core: WindowExact requires an index built over a Dataset")
 	}
-	ix.windowExactEntries(w, mode, func(e spatial.Entry) { fn(e.ID) })
-}
-
-// windowExactEntries is WindowExact delivering the full grid entry (ID
-// plus MBR) per result — sharding needs the MBR to apply its ownership
-// rule to refined results too. The caller must have checked ix.dataset.
-func (ix *Index) windowExactEntries(w geom.Rect, mode RefineMode, fn func(e spatial.Entry)) {
-	if !w.Valid() {
-		return
-	}
-	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
-	for ty := iy0; ty <= iy1; ty++ {
-		for tx := ix0; tx <= ix1; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
-				continue
-			}
-			ix.windowExactOnTile(t, tx, ty, ix0, iy0, w, mode, fn)
-		}
-	}
-}
-
-// windowExactOnTile runs filtering plus refinement on one tile.
-func (ix *Index) windowExactOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, mode RefineMode, fn func(spatial.Entry)) {
-	first := tx == qx0
-	top := ty == qy0
-	plan := ix.planFor(tx, ty, w)
-	if ix.stats != nil {
-		ix.stats.TilesVisited++
-	}
-
-	// Class knowledge for RefAvoid+ (Section V): when the window starts
-	// before this tile in a dimension, every scanned class starts inside
-	// the tile in that dimension, so the lower half of the coverage test
-	// is already known to hold. Effective extents keep border tiles
-	// conservative for out-of-space data.
-	eff := ix.effectiveTile(tx, ty)
-	knownXLow := w.MinX < eff.MinX // implies w.MinX <= r.MinX for classes A, B
-	knownYLow := w.MinY < eff.MinY // implies w.MinY <= r.MinY for classes A, C
-
-	var frac [4]float64
-	if t.dec != nil {
-		tMin := ix.g.TileMin(tx, ty)
-		invW, invH := 1/ix.g.CellW(), 1/ix.g.CellH()
-		frac[cmpXU] = (tMin.X + ix.g.CellW() - w.MinX) * invW
-		frac[cmpXL] = (w.MaxX - tMin.X) * invW
-		frac[cmpYU] = (tMin.Y + ix.g.CellH() - w.MinY) * invH
-		frac[cmpYL] = (w.MaxY - tMin.Y) * invH
-	}
-	plans := classPlans(first, top, plan)
-	for c := ClassA; c <= ClassD; c++ {
-		if !plans[c].scan {
-			continue
-		}
-		verify := ix.windowVerifier(c, w, mode, knownXLow, knownYLow, fn)
-		if t.dec != nil {
-			ix.decClassQuery(t, c, w, plans[c].plan, &frac, verify)
-		} else {
-			ix.scanClass(t.classes[c], w, plans[c].plan, verify)
-		}
-	}
-}
-
-// windowVerifier builds the per-candidate refinement callback for one
-// class of one tile.
-func (ix *Index) windowVerifier(c Class, w geom.Rect, mode RefineMode, knownXLow, knownYLow bool, fn func(spatial.Entry)) func(spatial.Entry) {
-	s := ix.stats
-	refine := func(e spatial.Entry) {
-		if s != nil {
-			s.RefinementTests++
-		}
-		if tr := ix.trace; tr != nil {
-			// Traced path: attribute the exact geometry test's wall time to
-			// the refinement stage.
-			t0 := time.Now()
-			hit := ix.dataset.Geom(e.ID).IntersectsRect(w)
-			tr.RefineNS += time.Since(t0).Nanoseconds()
-			if hit {
-				fn(e)
-			}
-			return
-		}
-		if ix.dataset.Geom(e.ID).IntersectsRect(w) {
-			fn(e)
-		}
-	}
-	if mode == RefineSimple {
-		return refine
-	}
-	// startsInsideX/Y: whether this class's entries begin inside the tile
-	// in each dimension; classes that start before the tile can never be
-	// covered by the window in that dimension when the class knowledge
-	// applies (RefAvoid+ skips those comparisons entirely).
-	startsInsideX := c == ClassA || c == ClassB
-	startsInsideY := c == ClassA || c == ClassC
-	plus := mode == RefineAvoidPlus
-	return func(e spatial.Entry) {
-		if s != nil {
-			s.SecondaryFilterTests++
-		}
-		coveredX := false
-		if !plus || startsInsideX {
-			if plus && knownXLow && startsInsideX {
-				coveredX = e.Rect.MaxX <= w.MaxX
-			} else {
-				coveredX = w.MinX <= e.Rect.MinX && e.Rect.MaxX <= w.MaxX
-			}
-		}
-		coveredY := false
-		if !coveredX {
-			if !plus || startsInsideY {
-				if plus && knownYLow && startsInsideY {
-					coveredY = e.Rect.MaxY <= w.MaxY
-				} else {
-					coveredY = w.MinY <= e.Rect.MinY && e.Rect.MaxY <= w.MaxY
-				}
-			}
-		}
-		if coveredX || coveredY {
-			// Lemma 5: one side of the MBR lies inside w, so the exact
-			// geometry must intersect w.
-			if s != nil {
-				s.SecondaryFilterHits++
-			}
-			fn(e)
-			return
-		}
-		refine(e)
-	}
+	stop := false
+	ix.windowScan(w, refiner{exact: true, mode: mode}, func(e spatial.Entry) { fn(e.ID) }, &stop)
 }
 
 // DiskExact answers a disk query over the exact object geometries: fn is
@@ -184,57 +57,107 @@ func (ix *Index) DiskExact(center geom.Point, radius float64, mode RefineMode, f
 	if ix.dataset == nil {
 		panic("core: DiskExact requires an index built over a Dataset")
 	}
-	ix.diskExactEntries(center, radius, mode, func(e spatial.Entry) { fn(e.ID) })
+	stop := false
+	ix.diskScan(center, radius, refiner{exact: true, mode: mode}, func(e spatial.Entry) { fn(e.ID) }, &stop)
 }
 
-// diskExactEntries is DiskExact delivering the full grid entry (ID plus
-// MBR) per result, for the same reason as windowExactEntries. The caller
-// must have checked ix.dataset.
-func (ix *Index) diskExactEntries(center geom.Point, radius float64, mode RefineMode, fn func(e spatial.Entry)) {
+// refiner is the refinement step of a range query as the per-tile bodies
+// see it: a per-candidate test applied after the MBR filter and before
+// the caller's callback. It is a plain value (the zero value refines
+// nothing: a filtering query), never a closure around the callback, so
+// the callback does not escape through it and an exact scan allocates
+// nothing per class or tile. An exact refiner needs ix.dataset.
+type refiner struct {
+	exact bool
+	mode  RefineMode
+	// The rest is the class knowledge of a RefAvoid+ window query, set by
+	// windowOnTile: the class being scanned, and whether the window starts
+	// before the tile in x and in y (false in every other mode).
+	class                Class
+	knownXLow, knownYLow bool
+}
+
+// refineWindow reports whether candidate e, whose MBR intersects w, is a
+// result of the exact window query.
+func (ix *Index) refineWindow(rf *refiner, e *spatial.Entry, w geom.Rect) bool {
 	s := ix.stats
-	r2 := radius * radius
-	ix.Disk(center, radius, func(e spatial.Entry) {
-		if mode != RefineSimple {
-			// Lemma 5 for disks: if at least two corners of the MBR are
-			// inside the disk, one full side of the MBR is inside it, so
-			// the object is a guaranteed result.
-			if s != nil {
-				s.SecondaryFilterTests++
-			}
-			inside := 0
-			for _, corner := range e.Rect.Corners() {
-				if s != nil {
-					s.DistanceComputations++
-				}
-				if corner.DistSq(center) <= r2 {
-					inside++
-					if inside == 2 {
-						break
-					}
-				}
-			}
-			if inside >= 2 {
-				if s != nil {
-					s.SecondaryFilterHits++
-				}
-				fn(e)
-				return
-			}
-		}
+	if rf.mode != RefineSimple {
 		if s != nil {
-			s.RefinementTests++
+			s.SecondaryFilterTests++
 		}
-		if tr := ix.trace; tr != nil {
-			t0 := time.Now()
-			hit := ix.dataset.Geom(e.ID).IntersectsDisk(center, radius)
-			tr.RefineNS += time.Since(t0).Nanoseconds()
-			if hit {
-				fn(e)
+		// startsInsideX/Y: whether this class's entries begin inside the
+		// tile in each dimension; classes that start before the tile can
+		// never be covered by the window in that dimension when the class
+		// knowledge applies (RefAvoid+ skips those comparisons entirely).
+		plus := rf.mode == RefineAvoidPlus
+		startsInsideX := rf.class == ClassA || rf.class == ClassB
+		startsInsideY := rf.class == ClassA || rf.class == ClassC
+		covered := false
+		if !plus || startsInsideX {
+			covered = (rf.knownXLow || w.MinX <= e.Rect.MinX) && e.Rect.MaxX <= w.MaxX
+		}
+		if !covered && (!plus || startsInsideY) {
+			covered = (rf.knownYLow || w.MinY <= e.Rect.MinY) && e.Rect.MaxY <= w.MaxY
+		}
+		if covered {
+			// Lemma 5: one side of the MBR lies inside w, so the exact
+			// geometry must intersect w.
+			if s != nil {
+				s.SecondaryFilterHits++
 			}
-			return
+			return true
 		}
-		if ix.dataset.Geom(e.ID).IntersectsDisk(center, radius) {
-			fn(e)
+	}
+	if s != nil {
+		s.RefinementTests++
+	}
+	tr := ix.trace
+	if tr == nil {
+		return ix.dataset.Geom(e.ID).IntersectsRect(w)
+	}
+	// Traced path: attribute the exact geometry test's wall time to the
+	// refinement stage.
+	t0 := time.Now()
+	hit := ix.dataset.Geom(e.ID).IntersectsRect(w)
+	tr.RefineNS += time.Since(t0).Nanoseconds()
+	return hit
+}
+
+// refineDisk reports whether candidate e, whose MBR intersects the disk,
+// is a result of the exact disk query.
+func (ix *Index) refineDisk(rf *refiner, e *spatial.Entry, center geom.Point, radius, r2 float64) bool {
+	s := ix.stats
+	if rf.mode != RefineSimple {
+		// Lemma 5 for disks: if at least two corners of the MBR are inside
+		// the disk, one full side of the MBR is inside it, so the object is
+		// a guaranteed result.
+		if s != nil {
+			s.SecondaryFilterTests++
 		}
-	})
+		inside := 0
+		for _, corner := range e.Rect.Corners() {
+			if s != nil {
+				s.DistanceComputations++
+			}
+			if corner.DistSq(center) <= r2 {
+				if inside++; inside == 2 {
+					if s != nil {
+						s.SecondaryFilterHits++
+					}
+					return true
+				}
+			}
+		}
+	}
+	if s != nil {
+		s.RefinementTests++
+	}
+	tr := ix.trace
+	if tr == nil {
+		return ix.dataset.Geom(e.ID).IntersectsDisk(center, radius)
+	}
+	t0 := time.Now()
+	hit := ix.dataset.Geom(e.ID).IntersectsDisk(center, radius)
+	tr.RefineNS += time.Since(t0).Nanoseconds()
+	return hit
 }

@@ -72,6 +72,13 @@ func (rc *regionCover) firstInColumn(tx, yLo, yHi int) int {
 // region. Tiles fully covered by the region (when it implements
 // RegionCoverer) skip per-entry verification.
 func (ix *Index) Query(region Region, fn func(e spatial.Entry)) {
+	stop := false
+	ix.regionScan(region, fn, &stop)
+}
+
+// regionScan is the one streamed walk over a region's tile cover, behind
+// Query and Search; fn and stop are windowScan's.
+func (ix *Index) regionScan(region Region, fn func(spatial.Entry), stop *bool) {
 	mbr := region.MBR()
 	if !mbr.Valid() {
 		return
@@ -88,16 +95,14 @@ func (ix *Index) Query(region Region, fn func(e spatial.Entry)) {
 	}
 	coverer, _ := region.(RegionCoverer)
 
-	for ty := y0; ty <= y1; ty++ {
-		for tx := x0; tx <= x1; tx++ {
+	for ty := y0; ty <= y1 && !*stop; ty++ {
+		for tx := x0; tx <= x1 && !*stop; tx++ {
 			if !rc.contains(tx, ty) {
 				continue
 			}
-			t := ix.tileAt(tx, ty)
-			if t == nil {
-				continue
+			if t := ix.tileAt(tx, ty); t != nil {
+				ix.regionOnTile(t, tx, ty, rc, region, coverer, fn)
 			}
-			ix.regionOnTile(t, tx, ty, rc, region, coverer, fn)
 		}
 	}
 }

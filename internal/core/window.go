@@ -13,46 +13,68 @@ import (
 // produced, so no result deduplication happens anywhere (Algorithm 1 of
 // the paper).
 func (ix *Index) Window(w geom.Rect, fn func(e spatial.Entry)) {
+	stop := false
+	ix.windowScan(w, refiner{}, fn, &stop)
+}
+
+// windowScan is the one streamed walk over a window's tile cover, behind
+// Window, WindowUntil, WindowExact and Search: every non-empty tile of
+// the cover goes through windowOnTile until *stop, which fn may set, is
+// seen. It is checked per tile: the tile being scanned when fn sets it is
+// scanned to its end, and fn drops what that yields if it must.
+//
+// fn is only ever called, never stored or wrapped, here and in everything
+// below (windowOnTile, scanClass, decClassQuery): that is what lets a
+// caller's capturing callback stay on its stack. Refinement is therefore
+// a test the per-tile body applies before fn (refiner), not a closure
+// around it.
+func (ix *Index) windowScan(w geom.Rect, rf refiner, fn func(spatial.Entry), stop *bool) {
 	if !w.Valid() {
 		return
 	}
 	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
-	for ty := iy0; ty <= iy1; ty++ {
-		for tx := ix0; tx <= ix1; tx++ {
-			t := ix.tileAt(tx, ty)
-			if t == nil {
-				continue
+	for ty := iy0; ty <= iy1 && !*stop; ty++ {
+		for tx := ix0; tx <= ix1 && !*stop; tx++ {
+			if t := ix.tileAt(tx, ty); t != nil {
+				ix.windowOnTile(t, tx, ty, ix0, iy0, w, rf, fn)
 			}
-			ix.windowOnTile(t, tx, ty, ix0, iy0, w, fn)
 		}
 	}
 }
 
-// idCollector is a pooled ID sink whose append closure is bound once at
-// pool construction, so WindowIDs and DiskIDs stay at zero allocations
-// per call after warm-up (a fresh per-call closure would escape and
-// allocate on every query).
+// idCollector is a pooled ID sink whose append closures are bound once at
+// pool construction, so WindowIDs, DiskIDs and SearchIDs stay at zero
+// allocations per call after warm-up (a fresh per-call closure handed to
+// Search would escape and allocate on every query).
 type idCollector struct {
 	ids  []spatial.ID
-	emit func(spatial.Entry)
+	emit func(spatial.Entry)      // Window and Disk sink
+	more func(spatial.Entry) bool // Search sink: never stops
 }
 
 var idCollectorPool = sync.Pool{New: func() any {
 	c := &idCollector{}
 	c.emit = func(e spatial.Entry) { c.ids = append(c.ids, e.ID) }
+	c.more = func(e spatial.Entry) bool { c.ids = append(c.ids, e.ID); return true }
 	return c
 }}
 
-// WindowIDs runs Window and collects result IDs into buf, which may be nil
-// or a reused buffer.
-func (ix *Index) WindowIDs(w geom.Rect, buf []spatial.ID) []spatial.ID {
+// collectIDs runs scan with a pooled collector appending to buf and
+// returns the grown buffer.
+func collectIDs(buf []spatial.ID, scan func(c *idCollector)) []spatial.ID {
 	c := idCollectorPool.Get().(*idCollector)
-	c.ids = buf[:0]
-	ix.Window(w, c.emit)
+	c.ids = buf
+	scan(c)
 	out := c.ids
 	c.ids = nil
 	idCollectorPool.Put(c)
 	return out
+}
+
+// WindowIDs runs Window and collects result IDs into buf, which may be nil
+// or a reused buffer.
+func (ix *Index) WindowIDs(w geom.Rect, buf []spatial.ID) []spatial.ID {
+	return collectIDs(buf[:0], func(c *idCollector) { ix.Window(w, c.emit) })
 }
 
 // WindowCount returns the number of MBRs intersecting w. It is served by
@@ -111,12 +133,14 @@ func (ix *Index) effectiveTile(tx, ty int) geom.Rect {
 	return r
 }
 
-// windowOnTile evaluates w on one tile. (qx0,qy0) is the minimum tile
-// coordinate of the query's cover range; it drives the Lemma 1-2 class
-// selection: classes C and D are read only in the first column of the
-// range (otherwise the previous tile in x also holds their entries), and
-// classes B and D only in the first row.
-func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, fn func(spatial.Entry)) {
+// windowOnTile evaluates w on one tile: the one per-tile window body, for
+// plain and decomposed tiles, filtering and exact queries, single and
+// batch callers alike. (qx0,qy0) is the minimum tile coordinate of the
+// query's cover range; it drives the Lemma 1-2 class selection: classes C
+// and D are read only in the first column of the range (otherwise the
+// previous tile in x also holds their entries), and classes B and D only
+// in the first row.
+func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, rf refiner, fn func(spatial.Entry)) {
 	first := tx == qx0
 	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
@@ -141,16 +165,37 @@ func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, fn fun
 		}
 	}
 
-	if t.dec != nil {
-		ix.windowOnTileDecomposed(t, tx, ty, first, top, w, plan, fn)
-		return
+	if rf.exact && rf.mode == RefineAvoidPlus {
+		// Class knowledge for RefAvoid+ (Section V): when the window starts
+		// before this tile in a dimension, every class that starts inside
+		// the tile in that dimension has the lower half of the coverage
+		// test already known to hold. Effective extents keep border tiles
+		// conservative for out-of-space data.
+		eff := ix.effectiveTile(tx, ty)
+		rf.knownXLow = w.MinX < eff.MinX // implies w.MinX <= r.MinX for classes A, B
+		rf.knownYLow = w.MinY < eff.MinY // implies w.MinY <= r.MinY for classes A, C
 	}
 
 	plans := classPlans(first, top, plan)
+	// Selectivity estimates are only needed once some partition is big
+	// enough for the binary-search path (Section IV-C).
+	var frac [4]float64
+	fracReady := false
 	for c := ClassA; c <= ClassD; c++ {
-		if plans[c].scan {
-			ix.scanClass(t.classes[c], w, plans[c].plan, fn)
+		if !plans[c].scan {
+			continue
 		}
+		rf.class = c
+		entries := t.classes[c]
+		if t.dec == nil || len(entries) < decSmallClass {
+			ix.scanClass(entries, w, plans[c].plan, &rf, fn)
+			continue
+		}
+		if !fracReady {
+			frac = ix.compFractions(tx, ty, w)
+			fracReady = true
+		}
+		ix.decClassQuery(&t.dec.cls[c], entries, w, plans[c].plan, &frac, &rf, fn)
 	}
 }
 
@@ -187,15 +232,17 @@ func classPlans(first, top bool, plan tileComparisonPlan) [4]classPlan {
 }
 
 // scanClass reports the entries of one secondary partition that intersect
-// w, performing only the comparisons the plan requires.
-func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, fn func(spatial.Entry)) {
+// w (and, on an exact query, pass rf), performing only the comparisons
+// the plan requires.
+func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, rf *refiner, fn func(spatial.Entry)) {
 	if len(entries) == 0 {
 		return
 	}
 	if ix.stats != nil {
-		ix.scanClassCounted(entries, w, p, fn)
+		ix.scanClassCounted(entries, w, p, rf, fn)
 		return
 	}
+	exact := rf.exact
 	for i := range entries {
 		e := &entries[i]
 		if p.needXU && e.Rect.MaxX < w.MinX {
@@ -210,12 +257,15 @@ func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileCompariso
 		if p.needYL && e.Rect.MinY > w.MaxY {
 			continue
 		}
+		if exact && !ix.refineWindow(rf, e, w) {
+			continue
+		}
 		fn(*e)
 	}
 }
 
 // scanClassCounted is the instrumented twin of scanClass.
-func (ix *Index) scanClassCounted(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, fn func(spatial.Entry)) {
+func (ix *Index) scanClassCounted(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, rf *refiner, fn func(spatial.Entry)) {
 	s := ix.stats
 	s.PartitionsScanned++
 	s.EntriesScanned += int64(len(entries))
@@ -246,6 +296,9 @@ func (ix *Index) scanClassCounted(entries []spatial.Entry, w geom.Rect, p tileCo
 			}
 		}
 		s.Results++
+		if rf.exact && !ix.refineWindow(rf, e, w) {
+			continue
+		}
 		fn(*e)
 	}
 }

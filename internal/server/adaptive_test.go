@@ -52,32 +52,50 @@ func TestV1WindowEstimate(t *testing.T) {
 
 // TestAdaptiveKernelMetrics checks that the always-on path counters are
 // exported on /metrics regardless of CollectStats, and that a count-only
-// /v1 window query on an uninstrumented server advances the pushdown
-// counter.
+// /v1 window or disk query reaches the count pushdown on the default
+// (CollectStats) server as well as on an uninstrumented one: the pushdown
+// counter advances by one per request, the count is the streamed query's,
+// and the /v1/stats core counters, which the kernels cannot feed, do not
+// count the request as observed.
 func TestAdaptiveKernelMetrics(t *testing.T) {
-	s := testServer(t, func(c *Config) { c.CollectStats = false })
-	h := s.Handler()
+	const fastCounts = "twolayer_query_fastpath_counts_total"
+	for _, collect := range []bool{false, true} {
+		s := testServer(t, func(c *Config) { c.CollectStats = collect })
+		h := s.Handler()
 
-	before := scrapeMetrics(t, h)
-	for _, name := range []string{
-		"twolayer_query_fastpath_counts_total",
-		"twolayer_query_fastpath_tiles_total",
-		"twolayer_query_fastpath_bulk_entries_total",
-	} {
-		if _, ok := before[name]; !ok {
-			t.Errorf("metric %s not exported", name)
+		before := scrapeMetrics(t, h)
+		for _, name := range []string{
+			fastCounts,
+			"twolayer_query_fastpath_tiles_total",
+			"twolayer_query_fastpath_bulk_entries_total",
+		} {
+			if _, ok := before[name]; !ok {
+				t.Errorf("collect=%v: metric %s not exported", collect, name)
+			}
 		}
-	}
 
-	var resp rangeResponse
-	do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true}`, &resp)
-	if resp.Count != 100 {
-		t.Fatalf("count = %d, want 100", resp.Count)
-	}
-	after := scrapeMetrics(t, h)
-	if got := after["twolayer_query_fastpath_counts_total"]; got != before["twolayer_query_fastpath_counts_total"]+1 {
-		t.Errorf("fastpath_counts_total = %g, want %g",
-			got, before["twolayer_query_fastpath_counts_total"]+1)
+		for _, q := range []struct{ path, shape string }{
+			{"/v1/window", `"window":{"min_x":0.12,"min_y":0.12,"max_x":0.78,"max_y":0.58}`},
+			{"/v1/disk", `"disk":{"center":{"x":0.5,"y":0.5},"radius":0.3}`},
+		} {
+			var streamed, counted rangeResponse
+			do(t, h, "POST", q.path, `{`+q.shape+`}`, &streamed)
+			before = scrapeMetrics(t, h)
+			do(t, h, "POST", q.path, `{`+q.shape+`,"count_only":true}`, &counted)
+			after := scrapeMetrics(t, h)
+			if streamed.Count == 0 || counted.Count != streamed.Count {
+				t.Errorf("collect=%v %s: count_only = %d, streamed = %d",
+					collect, q.path, counted.Count, streamed.Count)
+			}
+			if got, want := after[fastCounts], before[fastCounts]+1; got != want {
+				t.Errorf("collect=%v %s: %s = %g, want %g", collect, q.path, fastCounts, got, want)
+			}
+			const observed = "twolayer_queries_observed_total"
+			if after[observed] != before[observed] {
+				t.Errorf("collect=%v %s: count_only moved %s %g -> %g",
+					collect, q.path, observed, before[observed], after[observed])
+			}
+		}
 	}
 }
 

@@ -65,8 +65,11 @@ type engine interface {
 	// query of the given kind evaluates on, plus done, to call once after
 	// a successful evaluation. With traced set done returns the
 	// evaluation's trace, otherwise nil; done itself is nil when there is
-	// nothing to collect.
-	open(kind string, traced bool) (view searcher, done func() queryTrace)
+	// nothing to collect. pushdown marks a count-only evaluation the count
+	// kernels answer: they have no per-entry counters to collect, and a
+	// Stats attached would turn them back into a counted scan, so an
+	// untraced one gets no instrumented view.
+	open(kind string, traced, pushdown bool) (view searcher, done func() queryTrace)
 }
 
 // queryTrace is one finished traced evaluation, in the terms its
@@ -97,7 +100,7 @@ type indexEngine struct {
 
 func (e indexEngine) pin() snapshot { return e.current() }
 
-func (e indexEngine) open(kind string, traced bool) (searcher, func() queryTrace) {
+func (e indexEngine) open(kind string, traced, pushdown bool) (searcher, func() queryTrace) {
 	ix := e.current()
 	switch {
 	case traced:
@@ -113,7 +116,7 @@ func (e indexEngine) open(kind string, traced bool) (searcher, func() queryTrace
 			}
 			return indexTrace{tr}
 		}
-	case e.agg != nil:
+	case e.agg != nil && !pushdown:
 		view, stats := ix.Instrumented()
 		return view, func() queryTrace { e.agg.Observe(stats); return nil }
 	case e.static:
@@ -157,7 +160,7 @@ type shardedEngine struct {
 
 func (e shardedEngine) pin() snapshot { return e.current() }
 
-func (e shardedEngine) open(kind string, traced bool) (searcher, func() queryTrace) {
+func (e shardedEngine) open(kind string, traced, _ bool) (searcher, func() queryTrace) {
 	sh := e.current()
 	if !traced {
 		return sh, nil

@@ -205,19 +205,20 @@ func headerTrace(r *http.Request) bool {
 }
 
 // beginQuery opens the searcher one single query evaluates on, honoring
-// CollectStats, tracing (Config.EnableTracing, the request's "trace"
-// field, or an X-Trace header), and the slow-query threshold. It returns
+// CollectStats (not for a count pushdown, see engine.open), tracing
+// (Config.EnableTracing, the request's "trace" field, or an X-Trace
+// header), and the slow-query threshold. It returns
 // the searcher and a finish func to call exactly once after a successful
 // evaluation: finish merges counters into the /v1/stats aggregate, logs
 // the query if it crossed SlowQueryThreshold, and — when the client or
 // config asked for a trace — sets a compact X-Trace response header and
 // returns the trace to embed in the response (nil otherwise).
-func (s *Server) beginQuery(w http.ResponseWriter, r *http.Request, kind string, reqTrace bool) (searcher, func() *traceJSON) {
+func (s *Server) beginQuery(w http.ResponseWriter, r *http.Request, kind string, reqTrace, pushdown bool) (searcher, func() *traceJSON) {
 	want := s.cfg.EnableTracing || reqTrace || headerTrace(r)
 	thr := s.cfg.SlowQueryThreshold
 	// The slow-query log needs timings too, so it traces internally even
 	// when no client asked.
-	view, done := s.eng.open(kind, want || thr > 0)
+	view, done := s.eng.open(kind, want || thr > 0, pushdown)
 	if done == nil {
 		return view, noTrace
 	}
@@ -297,7 +298,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	view, finish := s.beginQuery(w, r, "knn", req.Trace)
+	view, finish := s.beginQuery(w, r, "knn", req.Trace, false)
 	if r.Context().Err() != nil {
 		writeTimeout(w)
 		return

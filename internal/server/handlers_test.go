@@ -310,9 +310,11 @@ func TestBodyTooLarge(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	s := testServer(t, nil)
+	// Streamed queries: count_only ones run the count kernels, which have
+	// no per-entry counters to aggregate (TestAdaptiveKernelMetrics).
 	for i := 0; i < 3; i++ {
 		do(t, s.Handler(), "POST", "/v1/window",
-			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
+			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, nil)
 	}
 	var resp statsResponse
 	do(t, s.Handler(), "GET", "/v1/stats", "", &resp)

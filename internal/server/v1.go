@@ -148,8 +148,9 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 	// the O(perimeter) pushdown answers without touching entries. Under
 	// load the gate sheds the expensive streams first and keeps the
 	// cheap counts flowing.
+	pushdown := env.CountOnly && !q.Exact
 	release, queueWait, admitted := s.admit(ctx, w, classRead, func() float64 {
-		if q.Window != nil && env.CountOnly && !q.Exact {
+		if q.Window != nil && pushdown {
 			return 1
 		}
 		est := s.eng.pin().EstimateWindow(costRect(q))
@@ -163,7 +164,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		return
 	}
 	defer release()
-	view, finish := s.beginQuery(w, r, kind, env.Trace)
+	view, finish := s.beginQuery(w, r, kind, env.Trace, pushdown)
 	if ctx.Err() != nil {
 		writeTimeout(w)
 		return
@@ -176,7 +177,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 	start := time.Now()
 
 	switch {
-	case env.CountOnly && !q.Exact:
+	case pushdown:
 		n, err := view.SearchCount(q)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())

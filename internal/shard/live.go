@@ -207,10 +207,6 @@ func (l *Live) Len() int { return int(l.size.Load()) }
 // Shards returns the shard count.
 func (l *Live) Shards() int { return len(l.lives) }
 
-// ShardLive returns shard s's apply loop (used by the durability layer
-// and tests).
-func (l *Live) ShardLive(s int) *core.Live { return l.lives[s] }
-
 // Stats aggregates the per-shard apply-loop counters: sums for
 // throughput counters (Pending and Rejected included — backpressure is
 // enforced per shard, so the totals describe engine-wide pressure), the

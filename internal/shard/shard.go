@@ -261,6 +261,58 @@ func Build(d *spatial.Dataset, opts core.Options, shards int) *Engine {
 // their geometries (live snapshots).
 var errExactNeedsDataset = errors.New("shard: exact queries require an engine built over a Dataset")
 
+// scan runs work against shard s and accounts for it: the shard's
+// queries, busyNS and results counters and the Span it returns. work
+// returns the number of results the shard contributed. Every shard scan
+// of every query kind goes through here.
+func (e *Engine) scan(s int, work func(s int) int) Span {
+	sc := &e.met.perShard[s]
+	sc.queries.Add(1)
+	start := time.Now()
+	n := work(s)
+	elapsed := time.Since(start).Nanoseconds()
+	sc.busyNS.Add(elapsed)
+	sc.results.Add(uint64(n))
+	return Span{Shard: s, ElapsedNS: elapsed, Results: n}
+}
+
+// single runs a query that touches only shard s on the caller's
+// goroutine, counted as a single-shard query. work does not escape, so
+// the fast path of Search and SearchCount streams and counts without
+// allocating.
+func (e *Engine) single(s int, spans *[]Span, work func(s int) int) {
+	e.met.single.Add(1)
+	sp := e.scan(s, work)
+	if spans != nil {
+		*spans = append(*spans, sp)
+	}
+}
+
+// scatter runs work on every shard of [lo, hi] and appends their Spans
+// to spans (when non-nil) in shard order: concurrently, counted as one
+// fan-out, or as single when the range is one shard. The callers keep
+// only their per-shard work and their merge.
+func (e *Engine) scatter(lo, hi int, spans *[]Span, work func(s int) int) {
+	if lo == hi {
+		e.single(lo, spans, work)
+		return
+	}
+	e.met.fanout.Add(1)
+	spanBuf := make([]Span, hi-lo+1)
+	var wg sync.WaitGroup
+	for s := lo; s <= hi; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spanBuf[s-lo] = e.scan(s, work)
+		}()
+	}
+	wg.Wait()
+	if spans != nil {
+		*spans = append(*spans, spanBuf...)
+	}
+}
+
 // Search evaluates q scatter-gather and streams every matching entry to
 // fn exactly once, on the caller's goroutine. A query whose MBR lands in
 // one slab runs directly against that shard; otherwise all covered
@@ -280,25 +332,17 @@ func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span
 	if lo == hi {
 		// Single-shard fast path: the shard's own result stream is already
 		// duplicate free, no buffering needed.
-		e.met.single.Add(1)
-		sc := &e.met.perShard[lo]
-		sc.queries.Add(1)
-		start := time.Now()
-		n := 0
-		complete, err = e.shards[lo].Search(q, func(ent spatial.Entry) bool {
-			n++
-			return fn(ent)
+		e.single(lo, spans, func(s int) int {
+			n := 0
+			complete, err = e.shards[s].Search(q, func(ent spatial.Entry) bool {
+				n++
+				return fn(ent)
+			})
+			return n
 		})
-		elapsed := time.Since(start).Nanoseconds()
-		sc.busyNS.Add(elapsed)
-		sc.results.Add(uint64(n))
-		if spans != nil {
-			*spans = append(*spans, Span{Shard: lo, ElapsedNS: elapsed, Results: n})
-		}
 		return complete, err
 	}
 
-	e.met.fanout.Add(1)
 	// Scatter: each covered shard scans concurrently into a private
 	// buffer, keeping only entries it owns for this query. The per-shard
 	// limit still applies — no shard can contribute more than Limit
@@ -306,36 +350,20 @@ func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span
 	sub := q
 	sub.Limit = 0
 	bufs := make([][]spatial.Entry, hi-lo+1)
-	spanBuf := make([]Span, hi-lo+1)
-	var wg sync.WaitGroup
-	for s := lo; s <= hi; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sc := &e.met.perShard[s]
-			sc.queries.Add(1)
-			start := time.Now()
-			var kept []spatial.Entry
-			e.shards[s].Search(sub, func(ent spatial.Entry) bool {
-				if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
-					kept = append(kept, ent)
-					if q.Limit > 0 && len(kept) >= q.Limit {
-						return false
-					}
+	e.scatter(lo, hi, spans, func(s int) int {
+		var kept []spatial.Entry
+		e.shards[s].Search(sub, func(ent spatial.Entry) bool {
+			if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
+				kept = append(kept, ent)
+				if q.Limit > 0 && len(kept) >= q.Limit {
+					return false
 				}
-				return true
-			})
-			elapsed := time.Since(start).Nanoseconds()
-			sc.busyNS.Add(elapsed)
-			sc.results.Add(uint64(len(kept)))
-			bufs[s-lo] = kept
-			spanBuf[s-lo] = Span{Shard: s, ElapsedNS: elapsed, Results: len(kept)}
-		}(s)
-	}
-	wg.Wait()
-	if spans != nil {
-		*spans = append(*spans, spanBuf...)
-	}
+			}
+			return true
+		})
+		bufs[s-lo] = kept
+		return len(kept)
+	})
 
 	// Gather: emit in shard order on the caller's goroutine, honoring
 	// the limit across shards.
@@ -378,7 +406,7 @@ func (e *Engine) SearchIDs(q core.Query, buf []spatial.ID) ([]spatial.ID, error)
 // the cover runs the count kernel under the home-shard dedup rule
 // expressed as a coordinate filter (layout.ownedFrom). No entry is
 // streamed through a callback anywhere on that path.
-func (e *Engine) SearchCount(q core.Query, spans *[]Span) (int, error) {
+func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
@@ -387,60 +415,34 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (int, error) {
 	}
 	lo, hi := e.lay.rangeOf(q.MBR())
 	if lo == hi {
-		e.met.single.Add(1)
-		sc := &e.met.perShard[lo]
-		sc.queries.Add(1)
-		start := time.Now()
-		n, err := e.shards[lo].SearchCount(q)
-		elapsed := time.Since(start).Nanoseconds()
-		sc.busyNS.Add(elapsed)
-		sc.results.Add(uint64(n))
-		if spans != nil {
-			*spans = append(*spans, Span{Shard: lo, ElapsedNS: elapsed, Results: n})
-		}
-		return n, err
+		e.single(lo, spans, func(s int) int {
+			total, err = e.shards[s].SearchCount(q)
+			return total
+		})
+		return total, err
 	}
 
-	e.met.fanout.Add(1)
 	sub := q
 	sub.Limit = 0
 	perShard := make([]int, hi-lo+1)
-	spanBuf := make([]Span, hi-lo+1)
-	var wg sync.WaitGroup
-	for s := lo; s <= hi; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sc := &e.met.perShard[s]
-			sc.queries.Add(1)
-			start := time.Now()
-			n := 0
-			switch {
-			case q.Window != nil && !q.Exact:
-				n = e.shards[s].WindowCountFiltered(*q.Window, e.lay.ownedFrom(s, lo))
-			default:
-				e.shards[s].Search(sub, func(ent spatial.Entry) bool {
-					if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
-						n++
-						if q.Limit > 0 && n >= q.Limit {
-							return false
-						}
+	e.scatter(lo, hi, spans, func(s int) int {
+		n := 0
+		if q.Window != nil && !q.Exact {
+			n = e.shards[s].WindowCountFiltered(*q.Window, e.lay.ownedFrom(s, lo))
+		} else {
+			e.shards[s].Search(sub, func(ent spatial.Entry) bool {
+				if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
+					n++
+					if q.Limit > 0 && n >= q.Limit {
+						return false
 					}
-					return true
-				})
-			}
-			elapsed := time.Since(start).Nanoseconds()
-			sc.busyNS.Add(elapsed)
-			sc.results.Add(uint64(n))
-			perShard[s-lo] = n
-			spanBuf[s-lo] = Span{Shard: s, ElapsedNS: elapsed, Results: n}
-		}(s)
-	}
-	wg.Wait()
-	if spans != nil {
-		*spans = append(*spans, spanBuf...)
-	}
-	total := 0
+				}
+				return true
+			})
+		}
+		perShard[s-lo] = n
+		return n
+	})
 	for _, n := range perShard {
 		total += n
 	}
@@ -485,38 +487,17 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 	}
 	S := len(e.shards)
 	per := make([][]core.Neighbor, S)
-	spanBuf := make([]Span, S)
-	if S == 1 {
-		e.met.single.Add(1)
-	} else {
-		e.met.fanout.Add(1)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sc := &e.met.perShard[s]
-			sc.queries.Add(1)
-			start := time.Now()
-			// A private view per call: kNN uses per-index scratch space, and
-			// engine shards are shared by concurrent readers.
-			v := e.shards[s].View(nil)
-			if exact {
-				per[s] = v.KNNExact(q, k)
-			} else {
-				per[s] = v.KNN(q, k)
-			}
-			elapsed := time.Since(start).Nanoseconds()
-			sc.busyNS.Add(elapsed)
-			sc.results.Add(uint64(len(per[s])))
-			spanBuf[s] = Span{Shard: s, ElapsedNS: elapsed, Results: len(per[s])}
-		}(s)
-	}
-	wg.Wait()
-	if spans != nil {
-		*spans = append(*spans, spanBuf...)
-	}
+	e.scatter(0, S-1, spans, func(s int) int {
+		// A private view per call: kNN uses per-index scratch space, and
+		// engine shards are shared by concurrent readers.
+		v := e.shards[s].View(nil)
+		if exact {
+			per[s] = v.KNNExact(q, k)
+		} else {
+			per[s] = v.KNN(q, k)
+		}
+		return len(per[s])
+	})
 	if S == 1 {
 		return per[0]
 	}

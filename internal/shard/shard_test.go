@@ -154,6 +154,110 @@ func TestFanoutDeduplication(t *testing.T) {
 	}
 }
 
+// TestScatterBookkeeping pins what every query kind records about its
+// shard scans, whichever path answers it: one Span per scanned shard in
+// shard order, one single-shard or one fan-out query counted, and each
+// scanned shard's queries and results counters advanced by one and by
+// its Span's results.
+func TestScatterBookkeeping(t *testing.T) {
+	d := testDataset(21, 1500, 0.05)
+	opts := core.Options{NX: 28, NY: 28, Space: geom.Rect{MaxX: 1, MaxY: 1}}
+	narrow := geom.Rect{MinX: 0.02, MinY: 0.1, MaxX: 0.05, MaxY: 0.9} // inside the first of 7 slabs
+	wide := geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.95, MaxY: 0.8}
+	disk := geom.Disk{Center: geom.Point{X: 0.5, Y: 0.5}, Radius: 0.3}
+	center := geom.Point{X: 0.4, Y: 0.6}
+
+	for _, shards := range []int{1, 2, 7} {
+		e := Build(d, opts, shards)
+		search := func(q core.Query) func(*[]Span) int {
+			return func(spans *[]Span) int {
+				n := 0
+				if _, err := e.Search(q, func(spatial.Entry) bool { n++; return true }, spans); err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		count := func(q core.Query) func(*[]Span) int {
+			return func(spans *[]Span) int {
+				n, err := e.SearchCount(q, spans)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		knn := func(exact bool) func(*[]Span) int {
+			return func(spans *[]Span) int {
+				if got := e.KNN(center, 5, exact, spans); len(got) != 5 {
+					t.Fatalf("S=%d: KNN returned %d neighbors", shards, len(got))
+				}
+				return -1 // every shard reports its own top k
+			}
+		}
+		all := geom.Rect{MinX: -1, MaxX: 2}
+		for _, tc := range []struct {
+			name  string
+			cover geom.Rect // the shards scanned are the ones this covers
+			want  int       // distinct matches, -1 to skip
+			run   func(*[]Span) int
+		}{
+			{"Search narrow", narrow, len(spatial.BruteWindow(d.Entries, narrow)), search(core.Query{Window: &narrow})},
+			{"Search wide", wide, len(spatial.BruteWindow(d.Entries, wide)), search(core.Query{Window: &wide})},
+			{"Search wide limit", wide, 9, search(core.Query{Window: &wide, Limit: 9})},
+			{"Search exact", wide, len(spatial.BruteWindow(d.Entries, wide)), search(core.Query{Window: &wide, Exact: true})},
+			{"SearchCount narrow", narrow, len(spatial.BruteWindow(d.Entries, narrow)), count(core.Query{Window: &narrow})},
+			{"SearchCount wide", wide, len(spatial.BruteWindow(d.Entries, wide)), count(core.Query{Window: &wide})},
+			{"SearchCount disk", disk.MBR(), len(spatial.BruteDisk(d.Entries, disk.Center, disk.Radius)), count(core.Query{Disk: &disk})},
+			{"KNN", all, -1, knn(false)},
+			{"KNNExact", all, -1, knn(true)},
+		} {
+			ctx := fmt.Sprintf("S=%d %s", shards, tc.name)
+			lo, hi := e.lay.rangeOf(tc.cover)
+			before := e.Stats()
+			var spans []Span
+			got := tc.run(&spans)
+			after := e.Stats()
+
+			if tc.want >= 0 && got != tc.want {
+				t.Errorf("%s: %d results, want %d", ctx, got, tc.want)
+			}
+			wantSingle, wantFanout := uint64(0), uint64(1)
+			if lo == hi {
+				wantSingle, wantFanout = 1, 0
+			}
+			if ds, df := after.SingleShard-before.SingleShard, after.Fanout-before.Fanout; ds != wantSingle || df != wantFanout {
+				t.Errorf("%s over shards [%d,%d]: single +%d fanout +%d, want +%d +%d", ctx, lo, hi, ds, df, wantSingle, wantFanout)
+			}
+			if len(spans) != hi-lo+1 {
+				t.Fatalf("%s: %d spans over shards [%d,%d]", ctx, len(spans), lo, hi)
+			}
+			reported := make([]uint64, shards)
+			scanned := make([]uint64, shards)
+			sum := 0
+			for i, sp := range spans {
+				if sp.Shard != lo+i {
+					t.Errorf("%s: span %d is shard %d, want %d", ctx, i, sp.Shard, lo+i)
+				}
+				scanned[sp.Shard], reported[sp.Shard] = 1, uint64(sp.Results)
+				sum += sp.Results
+			}
+			// A limited fan-out buffers up to Limit results per shard, so only
+			// unlimited queries' spans sum to the answer.
+			if tc.want >= 0 && tc.name != "Search wide limit" && sum != got {
+				t.Errorf("%s: spans report %d results, the query %d", ctx, sum, got)
+			}
+			for s := range after.PerShard {
+				dq := after.PerShard[s].Queries - before.PerShard[s].Queries
+				dr := after.PerShard[s].Results - before.PerShard[s].Results
+				if dq != scanned[s] || dr != reported[s] {
+					t.Errorf("%s: shard %d queries +%d results +%d, want +%d +%d", ctx, s, dq, dr, scanned[s], reported[s])
+				}
+			}
+		}
+	}
+}
+
 func TestCountDistinct(t *testing.T) {
 	d := testDataset(12, 700, 0.3)
 	e := Build(d, core.Options{NX: 16, NY: 16, Space: geom.Rect{MaxX: 1, MaxY: 1}}, 5)

@@ -2,7 +2,6 @@ package twolayer
 
 import (
 	"errors"
-	"fmt"
 	"log/slog"
 	"time"
 
@@ -34,7 +33,7 @@ func (so ShardedOptions) resolved() int {
 // two-layer scheme uses inside a shard (see docs/SHARDING.md).
 //
 // Sharded exposes only the unified query surface — Search, SearchIDs,
-// SearchCount, KNN, KNNExact, BatchCounts — not the legacy
+// SearchCount, KNN, KNNExact, BatchWindowCounts, BatchDiskCounts — not the legacy
 // shape-specific variants. It is safe for any number of concurrent
 // readers.
 type Sharded struct {
@@ -104,46 +103,6 @@ func (s *Sharded) BatchWindowCounts(queries []Rect, strategy BatchStrategy, thre
 // like Index.BatchDiskCounts.
 func (s *Sharded) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads int) []int {
 	return s.eng.BatchDiskCounts(queries, strategy, threads)
-}
-
-// BatchCounts evaluates a batch of queries and returns per-query result
-// counts. Every query must be a plain (non-exact, unlimited) window or
-// disk; each shard runs its local batch kernel with the given strategy
-// and thread count over the queries covering it.
-func (s *Sharded) BatchCounts(queries []Query, strategy BatchStrategy, threads int) ([]int, error) {
-	counts := make([]int, len(queries))
-	var windows []Rect
-	var windowAt []int
-	var disks []Disk
-	var diskAt []int
-	for i, q := range queries {
-		if q.Exact || q.Limit != 0 || q.Region != nil {
-			return nil, fmt.Errorf(
-				"twolayer: BatchCounts query %d must be a plain window or disk (no Exact, Limit, or Region)", i)
-		}
-		switch {
-		case q.Window != nil && q.Disk == nil:
-			windows = append(windows, *q.Window)
-			windowAt = append(windowAt, i)
-		case q.Disk != nil && q.Window == nil:
-			disks = append(disks, *q.Disk)
-			diskAt = append(diskAt, i)
-		default:
-			return nil, fmt.Errorf(
-				"twolayer: BatchCounts query %d must set exactly one of Window and Disk", i)
-		}
-	}
-	if len(windows) > 0 {
-		for j, n := range s.eng.BatchWindowCounts(windows, strategy, threads) {
-			counts[windowAt[j]] = n
-		}
-	}
-	if len(disks) > 0 {
-		for j, n := range s.eng.BatchDiskCounts(disks, strategy, threads) {
-			counts[diskAt[j]] = n
-		}
-	}
-	return counts, nil
 }
 
 // ShardSpan records one shard's contribution to a traced query: which

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -247,9 +248,8 @@ func TestShardedExactEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedBatchCounts checks the batched counting path against both
-// the unsharded batch kernels and per-query counts, plus its
-// descriptor validation.
+// TestShardedBatchCounts checks the batched counting path against the
+// unsharded batch kernels across the shard-count sweep.
 func TestShardedBatchCounts(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	rects := randRects(rnd, 2000, 0.05)
@@ -258,57 +258,24 @@ func TestShardedBatchCounts(t *testing.T) {
 
 	var windows []twolayer.Rect
 	var disks []twolayer.Disk
-	var queries []twolayer.Query
-	for i := 0; i < 40; i++ {
-		if i%2 == 0 {
-			x, y := rnd.Float64(), rnd.Float64()
-			w := twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.25, MaxY: y + 0.25}
-			windows = append(windows, w)
-			queries = append(queries, twolayer.Query{Window: &windows[len(windows)-1]})
-		} else {
-			d := twolayer.Disk{
-				Center: twolayer.Point{X: rnd.Float64(), Y: rnd.Float64()},
-				Radius: rnd.Float64() * 0.2,
-			}
-			disks = append(disks, d)
-			queries = append(queries, twolayer.Query{Disk: &disks[len(disks)-1]})
-		}
+	for i := 0; i < 20; i++ {
+		x, y := rnd.Float64(), rnd.Float64()
+		windows = append(windows, twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.25, MaxY: y + 0.25})
+		disks = append(disks, twolayer.Disk{
+			Center: twolayer.Point{X: rnd.Float64(), Y: rnd.Float64()},
+			Radius: rnd.Float64() * 0.2,
+		})
 	}
 	wantW := oracle.BatchWindowCounts(windows, twolayer.QueriesBased, 4)
 	wantD := oracle.BatchDiskCounts(disks, twolayer.QueriesBased, 4)
 
 	for _, shards := range shardCountsUnderTest() {
 		sh := twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: shards})
-		got, err := sh.BatchCounts(queries, twolayer.QueriesBased, 4)
-		if err != nil {
-			t.Fatalf("shards=%d: BatchCounts: %v", shards, err)
+		if got := sh.BatchWindowCounts(windows, twolayer.QueriesBased, 4); !slices.Equal(got, wantW) {
+			t.Fatalf("shards=%d: window counts = %v, want %v", shards, got, wantW)
 		}
-		wi, di := 0, 0
-		for i, q := range queries {
-			var want int
-			if q.Window != nil {
-				want = wantW[wi]
-				wi++
-			} else {
-				want = wantD[di]
-				di++
-			}
-			if got[i] != want {
-				t.Fatalf("shards=%d: query %d count = %d, want %d", shards, i, got[i], want)
-			}
-		}
-	}
-
-	// Only plain window/disk descriptors are batchable.
-	sh := twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: 4})
-	w := twolayer.Rect{MaxX: 1, MaxY: 1}
-	for _, bad := range []twolayer.Query{
-		{Window: &w, Exact: true},
-		{Window: &w, Limit: 5},
-		{Region: twolayer.NewPolygon(twolayer.Point{}, twolayer.Point{X: 1}, twolayer.Point{Y: 1})},
-	} {
-		if _, err := sh.BatchCounts([]twolayer.Query{bad}, twolayer.QueriesBased, 0); err == nil {
-			t.Errorf("BatchCounts accepted unsupported descriptor %+v", bad)
+		if got := sh.BatchDiskCounts(disks, twolayer.QueriesBased, 4); !slices.Equal(got, wantD) {
+			t.Fatalf("shards=%d: disk counts = %v, want %v", shards, got, wantD)
 		}
 	}
 }
