@@ -59,12 +59,13 @@ bench:
 bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
-# One iteration of every Go micro-benchmark in the root package, so they
-# keep compiling and running (CI runs this), with allocs/op in the log: a
-# callback that starts escaping shows there before it shows in ns/op. Use
+# One iteration of every Go micro-benchmark in the root package and of
+# the CSV reader's, so they keep compiling and running (CI runs this),
+# with allocs/op in the log: a callback that starts escaping shows there
+# before it shows in ns/op. Use
 # `go test -run '^$$' -bench <regexp> -benchmem .` to measure one.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/dataio
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
 # every simplicity PR reports before and after.
@@ -81,6 +82,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzCOWChain$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzV1Envelope$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDataset$$' -fuzztime $(FUZZTIME) ./internal/dataio
 
 experiments:
 	$(GO) run ./cmd/experiments -exp all

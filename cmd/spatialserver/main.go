@@ -54,25 +54,31 @@ func fail(err error) {
 }
 
 // loadGeoms reads the dataset file (CSV, or WKT if the name ends in
-// .wkt) and returns its geometries.
-func loadGeoms(dataPath string) []twolayer.Geometry {
+// .wkt), logs how long that took, and returns its geometries.
+func loadGeoms(dataPath string, logger *slog.Logger) []twolayer.Geometry {
 	f, err := os.Open(dataPath)
 	if err != nil {
 		fail(err)
 	}
 	defer f.Close()
-	if strings.HasSuffix(dataPath, ".wkt") {
-		d, err := dataio.ReadWKT(f)
-		if err != nil {
-			fail(fmt.Errorf("%s: %w", dataPath, err))
-		}
-		return datasetGeoms(d.Len(), d.Geom)
+	fi, err := f.Stat()
+	if err != nil {
+		fail(err)
 	}
-	d, err := dataio.ReadDataset(f)
+	read := dataio.ReadDataset
+	if strings.HasSuffix(dataPath, ".wkt") {
+		read = dataio.ReadWKT
+	}
+	start := time.Now()
+	d, err := read(f)
 	if err != nil {
 		fail(fmt.Errorf("%s: %w", dataPath, err))
 	}
-	return datasetGeoms(d.Len(), d.Geom)
+	logger.Info("dataset read",
+		"objects", d.Len(),
+		"bytes", fi.Size(),
+		"elapsed", time.Since(start).Round(time.Millisecond))
+	return d.Geoms
 }
 
 // loadIndex builds the index from -data (CSV or WKT, with exact
@@ -83,7 +89,7 @@ func loadIndex(dataPath, snapshotPath string, gridSize int, decompose bool, logg
 	case dataPath != "" && snapshotPath != "":
 		fail(fmt.Errorf("-data and -snapshot are mutually exclusive"))
 	case dataPath != "":
-		geoms := loadGeoms(dataPath)
+		geoms := loadGeoms(dataPath, logger)
 		start := time.Now()
 		idx := twolayer.BuildGeoms(geoms, twolayer.Options{GridSize: gridSize, Decompose: decompose})
 		elapsed := time.Since(start)
@@ -113,14 +119,6 @@ func loadIndex(dataPath, snapshotPath string, gridSize int, decompose bool, logg
 	}
 	fail(fmt.Errorf("one of -data or -snapshot is required"))
 	panic("unreachable")
-}
-
-func datasetGeoms(n int, geom func(uint32) twolayer.Geometry) []twolayer.Geometry {
-	geoms := make([]twolayer.Geometry, n)
-	for i := range geoms {
-		geoms[i] = geom(uint32(i))
-	}
-	return geoms
 }
 
 func main() {
@@ -183,7 +181,7 @@ func main() {
 			fail(fmt.Errorf("-shards requires -data (or -data-dir to recover)"))
 		}
 		if *dataPath != "" {
-			geoms := loadGeoms(*dataPath)
+			geoms := loadGeoms(*dataPath, logger)
 			start := time.Now()
 			shardedIdx = twolayer.BuildShardedGeoms(geoms,
 				twolayer.Options{GridSize: *gridSize, Decompose: *decompose},
