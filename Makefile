@@ -21,8 +21,9 @@ vet:
 	$(GO) vet ./...
 
 # Documentation gates: every registered /metrics family must be
-# documented in docs/OBSERVABILITY.md, and relative markdown links in
-# README.md and docs/ must resolve (see cmd/docscheck).
+# documented in docs/OBSERVABILITY.md, every spatialserver flag must have
+# a row in docs/SERVER.md's flag table (both ways round), and relative
+# markdown links in README.md and docs/ must resolve (see cmd/docscheck).
 docs-check:
 	$(GO) run ./cmd/docscheck
 

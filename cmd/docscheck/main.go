@@ -1,16 +1,19 @@
-// Command docscheck keeps the documentation honest. It runs two checks
-// and exits non-zero if either fails:
+// Command docscheck keeps the documentation honest. It runs three checks
+// and exits non-zero if any fails:
 //
 //  1. Metric coverage, in both directions: every metric family the
-//     server registers (the names served on GET /metrics) must appear
-//     verbatim in docs/OBSERVABILITY.md, and every family a metric-table
-//     row of that file documents must be registered, so a deleted family
-//     cannot outlive its code in the docs. The name set is obtained by
-//     constructing real servers — durable mode, which registers every
-//     unsharded group (http, query, index, partition, live, WAL,
-//     checkpoint, process), and sharded live mode — so the check cannot
-//     drift from the code.
-//  2. Link integrity: every relative markdown link in README.md and
+//     server registers (the names served on GET /metrics) must have a
+//     metric-table row in docs/OBSERVABILITY.md, and every row must name
+//     a registered family, so a deleted family cannot outlive its code
+//     in the docs. The name set is obtained by constructing real
+//     servers — durable mode, which registers every unsharded group
+//     (http, query, index, partition, live, WAL, checkpoint, process),
+//     and sharded live mode — so the check cannot drift from the code.
+//  2. Flag coverage, in both directions: every flag cmd/spatialserver
+//     registers (a flag.<Type>("name", …) call in its main.go, read with
+//     go/parser) must have a row in docs/SERVER.md's flag table, and
+//     every row must name a registered flag.
+//  3. Link integrity: every relative markdown link in README.md and
 //     docs/*.md must point at a file that exists in the repository.
 //
 // CI runs it via `make docs-check`.
@@ -18,11 +21,17 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -78,32 +87,55 @@ func registeredMetricNames() ([]string, error) {
 	return names, nil
 }
 
-// metricRowRe matches the first cell of a metric-table row: a line that
-// opens with a backquoted twolayer_* family name. Names in prose are not
-// rows and are not checked.
-var metricRowRe = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
+// metricRowRe and flagRowRe match the first cell of a table row: a line
+// that opens with a backquoted twolayer_* family name or -flag name.
+// Names in prose are not rows.
+var (
+	metricRowRe = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
+	flagRowRe   = regexp.MustCompile("(?m)^\\|\\s*`(-[a-z0-9-]+)`\\s*\\|")
+)
 
-func checkMetricsDocumented(docPath string) (failures []string) {
+// registeredFlags returns the flags the Go file at path registers, as
+// -name: the string literal opening every flag.<Type>(…) call.
+func registeredFlags(path string) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 &&
+			strings.HasPrefix(types.ExprString(call.Fun), "flag.") {
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				names = append(names, "-"+name)
+			}
+		}
+		return true
+	})
+	return names, nil
+}
+
+// checkRows fails every registered name without a row in docPath (rows
+// are what rowRe captures) and every row naming nothing registered.
+func checkRows(kind string, names []string, err error, docPath string, rowRe *regexp.Regexp) (failures []string) {
+	if err != nil {
+		return []string{fmt.Sprintf("listing %ss: %v", kind, err)}
+	}
 	doc, err := os.ReadFile(docPath)
 	if err != nil {
 		return []string{err.Error()}
 	}
-	names, err := registeredMetricNames()
-	if err != nil {
-		return []string{fmt.Sprintf("building metric registry: %v", err)}
-	}
-	registered := make(map[string]bool, len(names))
-	for _, name := range names {
-		registered[name] = true
-		if !strings.Contains(string(doc), name) {
-			failures = append(failures,
-				fmt.Sprintf("metric %s is registered but not documented in %s", name, docPath))
+	rows := make(map[string]bool)
+	for _, m := range rowRe.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = true
+		if !slices.Contains(names, m[1]) {
+			failures = append(failures, fmt.Sprintf("%s %s has a row in %s but is not registered", kind, m[1], docPath))
 		}
 	}
-	for _, m := range metricRowRe.FindAllStringSubmatch(string(doc), -1) {
-		if !registered[m[1]] {
-			failures = append(failures,
-				fmt.Sprintf("metric %s has a table row in %s but no server registers it", m[1], docPath))
+	for _, name := range names {
+		if !rows[name] {
+			failures = append(failures, fmt.Sprintf("%s %s is registered but has no row in %s", kind, name, docPath))
 		}
 	}
 	return failures
@@ -164,9 +196,10 @@ func main() {
 	}
 	mdFiles = append(mdFiles, docs...)
 
-	var failures []string
-	failures = append(failures,
-		checkMetricsDocumented(filepath.Join(root, "docs", "OBSERVABILITY.md"))...)
+	metrics, err := registeredMetricNames()
+	failures := checkRows("metric", metrics, err, filepath.Join(root, "docs", "OBSERVABILITY.md"), metricRowRe)
+	flags, err := registeredFlags(filepath.Join(root, "cmd", "spatialserver", "main.go"))
+	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), flagRowRe)...)
 	failures = append(failures, checkLinks(root, mdFiles)...)
 
 	if len(failures) > 0 {
@@ -175,5 +208,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok (%d markdown files, metric names covered)\n", len(mdFiles))
+	fmt.Printf("docscheck: ok (%d markdown files, metric names and server flags covered)\n", len(mdFiles))
 }

@@ -12,7 +12,7 @@
 //	spatialserver -data roads.csv -addr :8080
 //	spatialserver -data roads.wkt -grid 1024 -save roads.idx
 //	spatialserver -snapshot roads.idx -pprof
-//	spatialserver -snapshot roads.idx -live -rebuild-every 4096
+//	spatialserver -snapshot roads.idx -live -max-backlog 4096
 //	spatialserver -data roads.csv -data-dir /var/lib/spatial -fsync always
 //	spatialserver -data-dir /var/lib/spatial   # recover and keep serving
 //	spatialserver -data roads.csv -shards 8    # scatter-gather serving
@@ -84,14 +84,14 @@ func loadGeoms(dataPath string, logger *slog.Logger) []twolayer.Geometry {
 // loadIndex builds the index from -data (CSV or WKT, with exact
 // geometries) or loads a -snapshot (MBR-only). The returned duration is
 // the build/load wall time, exported as twolayer_index_build_seconds.
-func loadIndex(dataPath, snapshotPath string, gridSize int, decompose bool, logger *slog.Logger) (*twolayer.Index, time.Duration) {
+func loadIndex(dataPath, snapshotPath string, gridSize int, logger *slog.Logger) (*twolayer.Index, time.Duration) {
 	switch {
 	case dataPath != "" && snapshotPath != "":
 		fail(fmt.Errorf("-data and -snapshot are mutually exclusive"))
 	case dataPath != "":
 		geoms := loadGeoms(dataPath, logger)
 		start := time.Now()
-		idx := twolayer.BuildGeoms(geoms, twolayer.Options{GridSize: gridSize, Decompose: decompose})
+		idx := twolayer.BuildGeoms(geoms, twolayer.Options{GridSize: gridSize})
 		elapsed := time.Since(start)
 		nx, ny := idx.GridDims()
 		logger.Info("index built",
@@ -127,7 +127,6 @@ func main() {
 	snapshotPath := flag.String("snapshot", "", "binary index snapshot to load instead of -data (MBR queries only)")
 	savePath := flag.String("save", "", "after building from -data, write a snapshot here")
 	gridSize := flag.Int("grid", 0, "grid tiles per dimension (0 = auto-tune from data size)")
-	decompose := flag.Bool("decompose", true, "build 2-layer+ decomposed tables")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request evaluation deadline")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
 	stats := flag.Bool("stats", true, "aggregate per-query core counters for GET /v1/stats")
@@ -135,7 +134,6 @@ func main() {
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log single queries slower than this many milliseconds, with their trace (0 = off)")
 	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /v1/insert, /v1/delete, /v1/bulk (disables exact-geometry queries)")
 	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded, negative = one per GOMAXPROCS)")
-	rebuildEvery := flag.Int("rebuild-every", 0, "live mode: re-run the decomposed build after this many mutations (0 = default, negative = never)")
 	dataDir := flag.String("data-dir", "", "durable live mode: directory for the write-ahead log and checkpoints; implies -live, recovers automatically on startup")
 	fsync := flag.String("fsync", "interval", `durable mode fsync policy: "always", "interval", or "none"`)
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "durable mode: background fsync period under -fsync=interval")
@@ -160,6 +158,21 @@ func main() {
 
 	durable := *dataDir != ""
 	sharded := *shards != 0
+	// A mode-only flag fails outside its mode instead of being ignored
+	// (-fsync always without -data-dir would promise absent durability).
+	active := map[string]bool{"-live": *live || durable, "-data-dir": durable}
+	requires := map[string]string{
+		"max-backlog":      "-live",
+		"fsync":            "-data-dir",
+		"fsync-interval":   "-data-dir",
+		"checkpoint-every": "-data-dir",
+		"segment-bytes":    "-data-dir",
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if mode, ok := requires[f.Name]; ok && !active[mode] {
+			fail(fmt.Errorf("-%s requires %s", f.Name, mode))
+		}
+	})
 	if sharded {
 		// A snapshot deserializes into a single index without the source
 		// dataset, so it can neither become nor be produced from shards.
@@ -184,7 +197,7 @@ func main() {
 			geoms := loadGeoms(*dataPath, logger)
 			start := time.Now()
 			shardedIdx = twolayer.BuildShardedGeoms(geoms,
-				twolayer.Options{GridSize: *gridSize, Decompose: *decompose},
+				twolayer.Options{GridSize: *gridSize},
 				twolayer.ShardedOptions{Shards: *shards})
 			buildDur = time.Since(start)
 			nx, ny := shardedIdx.GridDims()
@@ -196,7 +209,7 @@ func main() {
 				"elapsed", buildDur.Round(time.Millisecond))
 		}
 	case !durable || *dataPath != "" || *snapshotPath != "":
-		idx, buildDur = loadIndex(*dataPath, *snapshotPath, *gridSize, *decompose, logger)
+		idx, buildDur = loadIndex(*dataPath, *snapshotPath, *gridSize, logger)
 	}
 	if *savePath != "" {
 		if *dataPath == "" {
@@ -238,8 +251,8 @@ func main() {
 			fail(err)
 		}
 		dl, infos, err := twolayer.OpenShardedDurable(
-			twolayer.Options{GridSize: *gridSize, Decompose: *decompose},
-			twolayer.LiveOptions{RebuildEvery: *rebuildEvery, MaxBacklog: *maxBacklog},
+			twolayer.Options{GridSize: *gridSize},
+			twolayer.LiveOptions{MaxBacklog: *maxBacklog},
 			twolayer.ShardedDurableOptions{
 				Dir:             *dataDir,
 				Fsync:           policy,
@@ -274,8 +287,8 @@ func main() {
 			fail(err)
 		}
 		dl, info, err := twolayer.OpenDurable(
-			twolayer.Options{GridSize: *gridSize, Decompose: *decompose},
-			twolayer.LiveOptions{RebuildEvery: *rebuildEvery, MaxBacklog: *maxBacklog},
+			twolayer.Options{GridSize: *gridSize},
+			twolayer.LiveOptions{MaxBacklog: *maxBacklog},
 			twolayer.DurableOptions{
 				Dir:             *dataDir,
 				Fsync:           policy,
@@ -302,22 +315,16 @@ func main() {
 			"replayed_records", info.ReplayedRecords,
 			"truncated_tail", info.TruncatedTail)
 	case *live && sharded:
-		lv := twolayer.ShardedLiveFrom(shardedIdx, twolayer.LiveOptions{RebuildEvery: *rebuildEvery, MaxBacklog: *maxBacklog})
+		lv := twolayer.ShardedLiveFrom(shardedIdx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
 		defer lv.Close()
 		cfg.ShardedLive = lv
-		logger.Info("sharded live mode", "shards", lv.Shards(), "rebuild_every", *rebuildEvery)
+		logger.Info("sharded live mode", "shards", lv.Shards())
 	case *live:
-		lv := twolayer.LiveFrom(idx, twolayer.LiveOptions{RebuildEvery: *rebuildEvery, MaxBacklog: *maxBacklog})
+		lv := twolayer.LiveFrom(idx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
 		defer lv.Close()
 		cfg.Live = lv
-		logger.Info("live mode", "rebuild_every", *rebuildEvery)
+		logger.Info("live mode")
 	default:
-		if *rebuildEvery != 0 {
-			fail(fmt.Errorf("-rebuild-every requires -live"))
-		}
-		if *maxBacklog != 0 {
-			fail(fmt.Errorf("-max-backlog requires -live"))
-		}
 		if sharded {
 			cfg.Sharded = shardedIdx
 		} else {

@@ -12,7 +12,7 @@ import (
 // with and without decomposed tables, on every emulated real dataset.
 // This is not a paper experiment — the paper builds its indices once,
 // offline — but it documents the cost the serving layer pays on every
-// recovery rebuild and Live redecompose.
+// start-up build and recovery rebuild.
 func BuildExp(cfg Config) {
 	cfg = cfg.withDefaults()
 	par := cfg.BuildThreads

@@ -132,8 +132,8 @@ func batchQueries(rnd *rand.Rand, n int) ([]geom.Rect, []geom.Disk) {
 // mutatedSnapshot returns a copy-on-write snapshot of a decomposed index
 // over rects after deletes and inserts, with the entries it now holds:
 // the count pushdown's prefix table is gone and the touched tiles have
-// lost their decomposed tables, the state a Live index serves between
-// rebuilds.
+// lost their decomposed tables, the state a Live index over a
+// decomposed seed serves after its first writes.
 func mutatedSnapshot(t *testing.T, rnd *rand.Rand, rects []geom.Rect) (*Index, []spatial.Entry) {
 	t.Helper()
 	d := spatial.NewDataset(rects)

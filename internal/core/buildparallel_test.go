@@ -281,47 +281,3 @@ func TestParallelBuildConcurrentReaders(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-// TestLiveParallelRebuild runs a Live index whose periodic decomposed
-// rebuilds execute on the parallel path, with concurrent readers — the
-// rebuild must never be observable as anything but fresh tables.
-func TestLiveParallelRebuild(t *testing.T) {
-	lowerBuildGates(t)
-	rnd := rand.New(rand.NewSource(17))
-	d := spatial.NewDataset(randRects(rnd, 2000, 0.05))
-	seed := Build(d, Options{NX: 16, NY: 16, Space: d.MBR(), Decompose: true, BuildThreads: 4})
-	l := NewLive(seed, LiveOptions{MaxBatch: 32, RebuildEvery: 64})
-	defer l.Close()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rrnd := rand.New(rand.NewSource(23))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				w := randWindow(rrnd, 0.2)
-				snap := l.Snapshot()
-				got := snap.WindowIDs(w, nil)
-				noDuplicates(t, got, "live rebuild reader")
-			}
-		}()
-	}
-	for i := 0; i < 500; i++ {
-		r := randRects(rnd, 1, 0.05)[0]
-		if _, err := l.Insert(spatial.Entry{Rect: r, ID: spatial.ID(100_000 + i)}); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if l.Stats().Rebuilds == 0 {
-		t.Fatalf("expected at least one decomposed rebuild")
-	}
-}

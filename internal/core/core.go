@@ -75,8 +75,7 @@ type Options struct {
 	// that yields partition contents identical to the sequential path.
 	// Small datasets and grids larger than the counting-array budget
 	// fall back to the sequential path regardless of the setting. The
-	// value also parallelizes decomposed-table (re)builds, including the
-	// periodic rebuilds a Live index performs.
+	// value also parallelizes decomposed-table (re)builds.
 	BuildThreads int
 	// SparseDirectory forces the hash-map tile directory. By default the
 	// index uses a dense directory when NX*NY <= DenseDirectoryLimit.
@@ -195,6 +194,9 @@ type Index struct {
 	// snapshot; unshareDir copies them before the first tile allocation
 	// (existing-tile lookups never write the directory).
 	sharedDir bool
+	// published marks a Live snapshot and its views, which readers share:
+	// Insert, Delete and BuildDecomposed panic on it; CloneCOW unmarks.
+	published bool
 
 	// stats, when non-nil, accumulates instrumentation counters during
 	// queries, unsynchronized. Only View and ViewTraced set it, on the
@@ -224,8 +226,8 @@ type Index struct {
 // storage with ix but owns its Stats slot (set to s, which may be nil)
 // and its kNN scratch space. Any number of views can evaluate queries —
 // including kNN and stats-instrumented queries — concurrently, as long as
-// no goroutine updates the underlying index. Views are read-only: calling
-// Insert, Delete, or BuildDecomposed on a view corrupts the shared state.
+// no goroutine updates the underlying index. Views are read-only: writing
+// through one corrupts the shared state (a Live snapshot's view panics).
 //
 // A view costs one small allocation, so creating one per request (or per
 // worker) is cheap. Merge per-view counters with AtomicStats.Observe.
@@ -251,13 +253,6 @@ func (ix *Index) Epoch() uint64 { return ix.epoch }
 // on an index shared with concurrent readers.
 func (ix *Index) SetEpoch(e uint64) { ix.epoch = e }
 
-// SetBuildThreads overrides Options.BuildThreads on an existing index,
-// so later decomposed-table rebuilds (BuildDecomposed, Live's periodic
-// rebuilds) use the requested parallelism. Snapshot loading cannot
-// carry the option — it is not part of the persisted format — so crash
-// recovery (internal/wal) re-applies the configured value here.
-func (ix *Index) SetBuildThreads(n int) { ix.opts.BuildThreads = n }
-
 // CloneCOW returns a writable copy of the index for the next epoch, while
 // ix remains a consistent immutable snapshot that concurrent readers may
 // keep querying. The copy shares every tile page, directory page, class
@@ -274,6 +269,7 @@ func (ix *Index) CloneCOW() *Index {
 	cp.epoch++
 	cp.pages = append(make([]*tilePage, 0, len(ix.pages)+1), ix.pages...)
 	cp.sharedDir = true
+	cp.published = false
 	cp.knn = nil
 	cp.stats = nil
 	cp.trace = nil
@@ -416,6 +412,7 @@ func classify(tx, ty, ax, ay int) Class {
 // insert replicates e into every tile its MBR intersects, classifying it
 // per tile.
 func (ix *Index) insert(e spatial.Entry) {
+	ix.mustBeWritable("Insert")
 	if !e.Rect.Valid() {
 		// A NaN or inverted rectangle would be silently clamped into
 		// arbitrary tiles and then never found; fail loudly instead.
@@ -435,15 +432,25 @@ func (ix *Index) insert(e spatial.Entry) {
 }
 
 // Insert adds one object to the index. If decomposed tables were built,
-// the affected tiles fall back to plain scans until BuildDecomposed is
-// called again (batch update strategy, as the paper suggests).
+// the affected tiles drop them and are scanned plain until
+// BuildDecomposed is called again; a Live index never calls it, so under
+// Live a written tile stays plain.
 func (ix *Index) Insert(e spatial.Entry) { ix.insert(e) }
+
+// mustBeWritable panics on a published Live snapshot, which every reader
+// that pinned it shares; its writes go through Live.Apply instead.
+func (ix *Index) mustBeWritable(op string) {
+	if ix.published {
+		panic("core: " + op + " on a published Live snapshot; submit mutations through Live.Apply")
+	}
+}
 
 // Delete removes the object with the given id and MBR from the index. The
 // MBR must be the exact rectangle the object was inserted with, since it
 // determines the replication tiles. It reports whether the object was
 // found.
 func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
+	ix.mustBeWritable("Delete")
 	ax, ay, bx, by := ix.g.CoverRect(r)
 	found := false
 	for ty := ay; ty <= by; ty++ {

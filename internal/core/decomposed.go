@@ -109,6 +109,7 @@ func buildDecTile(t *tile) *decTile {
 // owned before the first table pointer is written into it; pages whose
 // tables are all current are not touched.
 func (ix *Index) BuildDecomposed() {
+	ix.mustBeWritable("BuildDecomposed")
 	ix.opts.Decompose = true
 	// This is the batch refresh point after updates, so the count
 	// pushdown's prefix table is rebuilt here too.

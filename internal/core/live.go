@@ -28,14 +28,10 @@ import (
 // until their batch is published, so a writer that got its ack observes
 // its own write in every later Snapshot (read-your-writes).
 //
-// The extended journal version of the paper ("Two-layer Space-oriented
-// Partitioning for Non-point Data") studies updatable two-layer grids and
-// recommends batch maintenance of the decomposed tables; Live follows
-// that advice by re-running BuildDecomposed every RebuildEvery mutations
-// on 2-layer+ indices, inside the apply loop, so rebuilds never block
-// readers either. The rebuilds follow Options.BuildThreads: with more
-// than one worker resolved, stale tiles are redecomposed by a worker
-// pool instead of a single sequential sweep.
+// The apply loop does no periodic maintenance. A seed built with
+// Decompose keeps its 2-layer+ tables on the tiles no batch has written;
+// a written tile drops them and is scanned plain from then on, which
+// answers the same. The first write drops the count prefix table for good.
 
 // ErrLiveClosed is returned for mutations submitted after Close.
 var ErrLiveClosed = errors.New("core: live index is closed")
@@ -59,12 +55,6 @@ type LiveOptions struct {
 	// QueueDepth is the capacity of the mutation queue; submissions
 	// beyond it block (backpressure). Defaults to 1024.
 	QueueDepth int
-	// RebuildEvery re-runs BuildDecomposed after this many applied
-	// mutations on indices built with Decompose, restoring the 2-layer+
-	// binary-search path for tiles dirtied by updates. 0 means the
-	// default of 4096; negative disables rebuilding. Rebuilds run with
-	// the parallelism of the index's Options.BuildThreads.
-	RebuildEvery int
 	// MaxBacklog bounds the accepted-but-unpublished mutation backlog:
 	// a submission that would push the pending count beyond it fails
 	// immediately with ErrBacklogFull instead of queuing. This is the
@@ -90,9 +80,6 @@ func (o LiveOptions) withDefaults() LiveOptions {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
-	}
-	if o.RebuildEvery == 0 {
-		o.RebuildEvery = 4096
 	}
 	return o
 }
@@ -130,7 +117,6 @@ type LiveStats struct {
 	Pending     int64         // mutations accepted but not yet published
 	Applied     uint64        // mutations applied since NewLive
 	Publishes   uint64        // snapshots published
-	Rebuilds    uint64        // decomposed-table rebuilds performed
 	LastBatch   int64         // mutations in the most recent publish
 	LastPublish time.Duration // wall time of the most recent publish
 	// BacklogLimit echoes LiveOptions.MaxBacklog (0 = unbounded) and
@@ -139,16 +125,15 @@ type LiveStats struct {
 	BacklogLimit int
 	Rejected     uint64
 	// PublishTotal is the cumulative wall time spent in publish (journal
-	// write, copy-on-write apply, rebuild, snapshot swap) since NewLive;
-	// together with Publishes it yields a mean publish latency, and as a
-	// monotone counter it rates cleanly in monitoring systems.
+	// write, copy-on-write apply, snapshot swap) since NewLive; together
+	// with Publishes it yields a mean publish latency, and as a monotone
+	// counter it rates cleanly in monitoring systems.
 	PublishTotal time.Duration
-	// JournalTotal and RebuildTotal split PublishTotal: the time spent in
-	// the LiveOptions.Journal hook (write-ahead append and, by policy,
-	// fsync) and in periodic BuildDecomposed rebuilds. What remains is
-	// the clone, the copy-on-write apply and the snapshot swap.
+	// JournalTotal is the part of PublishTotal spent in the
+	// LiveOptions.Journal hook (write-ahead append and, by policy,
+	// fsync). What remains is the clone, the copy-on-write apply and the
+	// snapshot swap.
 	JournalTotal time.Duration
-	RebuildTotal time.Duration
 	// COWBytes counts the bytes copied on first touch by copy-on-write
 	// mutations since the index was created: tile pages, directory pages
 	// and class slices. Divided by Applied it is the write amplification
@@ -174,12 +159,10 @@ type Live struct {
 	rejected      atomic.Uint64
 	applied       atomic.Uint64
 	publishes     atomic.Uint64
-	rebuilds      atomic.Uint64
 	lastBatch     atomic.Int64
 	lastPublishNS atomic.Int64
 	publishNS     atomic.Int64
 	journalNS     atomic.Int64
-	rebuildNS     atomic.Int64
 }
 
 // NewLive wraps ix, which becomes epoch-0 snapshot of the Live index.
@@ -193,6 +176,7 @@ func NewLive(ix *Index, opt LiveOptions) *Live {
 	ix.stats = nil
 	ix.trace = nil
 	ix.knn = nil
+	ix.published = true
 	l := &Live{
 		opt: opt.withDefaults(),
 	}
@@ -205,8 +189,9 @@ func NewLive(ix *Index, opt LiveOptions) *Live {
 
 // Snapshot returns the current published snapshot: one atomic load, no
 // locks. The result is immutable — it never changes as later mutations
-// are published — and safe for any number of concurrent readers; as with
-// any shared Index, run kNN or stats-instrumented queries through
+// are published, and Insert, Delete or BuildDecomposed on it (or on a
+// view of it) panic — and safe for any number of concurrent readers; as
+// with any shared Index, run kNN or stats-instrumented queries through
 // per-goroutine views (Index.View).
 func (l *Live) Snapshot() *Index { return l.snap.Load() }
 
@@ -285,14 +270,12 @@ func (l *Live) Stats() LiveStats {
 		Pending:      l.pending.Load(),
 		Applied:      l.applied.Load(),
 		Publishes:    l.publishes.Load(),
-		Rebuilds:     l.rebuilds.Load(),
 		LastBatch:    l.lastBatch.Load(),
 		LastPublish:  time.Duration(l.lastPublishNS.Load()),
 		BacklogLimit: l.opt.MaxBacklog,
 		Rejected:     l.rejected.Load(),
 		PublishTotal: time.Duration(l.publishNS.Load()),
 		JournalTotal: time.Duration(l.journalNS.Load()),
-		RebuildTotal: time.Duration(l.rebuildNS.Load()),
 		COWBytes:     s.met.cowBytes.Load(),
 	}
 }
@@ -319,7 +302,6 @@ func (l *Live) Close() {
 func (l *Live) run() {
 	defer l.wg.Done()
 	var batch []applyReq
-	opsSinceRebuild := 0
 	for {
 		first, ok := <-l.ops
 		if !ok {
@@ -340,14 +322,7 @@ func (l *Live) run() {
 				break drain
 			}
 		}
-		opsSinceRebuild += n
-		rebuild := false
-		if l.opt.RebuildEvery > 0 && opsSinceRebuild >= l.opt.RebuildEvery &&
-			l.Snapshot().opts.Decompose {
-			rebuild = true
-			opsSinceRebuild = 0
-		}
-		l.publish(batch, n, rebuild)
+		l.publish(batch, n)
 	}
 }
 
@@ -356,7 +331,7 @@ func (l *Live) run() {
 // journaled first (write-ahead): only after the journal accepts it — i.e.
 // the batch is durable under the journal's sync policy — is it applied
 // and published, and only then are submitters acked.
-func (l *Live) publish(batch []applyReq, n int, rebuild bool) {
+func (l *Live) publish(batch []applyReq, n int) {
 	start := time.Now()
 	if l.opt.Journal != nil {
 		muts := make([]Mutation, 0, n)
@@ -387,12 +362,7 @@ func (l *Live) publish(batch []applyReq, n int, rebuild bool) {
 		}
 		found[bi] = f
 	}
-	if rebuild {
-		rebuildStart := time.Now()
-		next.BuildDecomposed()
-		l.rebuilds.Add(1)
-		l.rebuildNS.Add(time.Since(rebuildStart).Nanoseconds())
-	}
+	next.published = true
 	l.snap.Store(next)
 
 	l.applied.Add(uint64(n))

@@ -175,40 +175,6 @@ func TestLiveClose(t *testing.T) {
 	}
 }
 
-// TestLiveRebuildDecomposed: on a Decompose index, the apply loop
-// periodically restores the decomposed tables; queries stay exact
-// throughout.
-func TestLiveRebuildDecomposed(t *testing.T) {
-	rnd := rand.New(rand.NewSource(11))
-	d := spatial.NewDataset(randRects(rnd, 500, 0.05))
-	ix := Build(d, Options{NX: 16, NY: 16, Space: unitSquare, Decompose: true})
-	l := NewLive(ix, LiveOptions{MaxBatch: 8, RebuildEvery: 16})
-	defer l.Close()
-
-	for i := 0; i < 64; i++ {
-		r := randRects(rnd, 1, 0.05)[0]
-		if _, err := l.Insert(spatial.Entry{ID: spatial.ID(1000 + i), Rect: r}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if l.Stats().Rebuilds == 0 {
-		t.Fatal("no decomposed rebuilds after 64 mutations with RebuildEvery=16")
-	}
-	s := l.Snapshot()
-	got := s.WindowIDs(everything(), nil)
-	noDuplicates(t, got, "full scan after rebuilds")
-	if len(got) != 564 {
-		t.Fatalf("full scan returned %d, want 564", len(got))
-	}
-	// Spot-check a few windows against brute force over the same snapshot.
-	all := make([]spatial.Entry, 0, s.Len())
-	s.Window(everything(), func(e spatial.Entry) { all = append(all, e) })
-	for i := 0; i < 20; i++ {
-		w := randWindow(rnd, 0.3)
-		sameIDs(t, s.WindowIDs(w, nil), spatial.BruteWindow(all, w), "window after rebuilds")
-	}
-}
-
 // TestBuildErr covers the error-returning build variant.
 func TestBuildErr(t *testing.T) {
 	d := spatial.NewDataset(randRects(rand.New(rand.NewSource(3)), 10, 0.1))

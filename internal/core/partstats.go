@@ -40,7 +40,7 @@ type PartitionStats struct {
 	BoundaryRatio float64
 	// DecomposedTiles counts tiles whose 2-layer+ sorted tables are built
 	// and fresh; tiles dirtied by updates fall back to plain scans until
-	// the next decomposed rebuild.
+	// the next BuildDecomposed.
 	DecomposedTiles int
 }
 

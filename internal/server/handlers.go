@@ -474,7 +474,6 @@ type liveStatsJSON struct {
 	PendingMutations    int64   `json:"pending_mutations"`
 	AppliedMutations    uint64  `json:"applied_mutations_total"`
 	Publishes           uint64  `json:"publishes_total"`
-	Rebuilds            uint64  `json:"rebuilds_total"`
 	LastBatchMutations  int64   `json:"last_batch_mutations"`
 	LastPublishSeconds  float64 `json:"last_publish_seconds"`
 	PublishSecondsTotal float64 `json:"publish_seconds_total"`
@@ -602,7 +601,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			PendingMutations:    ls.Pending,
 			AppliedMutations:    ls.Applied,
 			Publishes:           ls.Publishes,
-			Rebuilds:            ls.Rebuilds,
 			LastBatchMutations:  ls.LastBatch,
 			LastPublishSeconds:  ls.LastPublish.Seconds(),
 			PublishSecondsTotal: ls.PublishTotal.Seconds(),

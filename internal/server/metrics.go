@@ -290,9 +290,6 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		r.CounterFunc("twolayer_live_publishes_total",
 			"Copy-on-write snapshots published.",
 			func() float64 { return float64(live.Stats().Publishes) })
-		r.CounterFunc("twolayer_live_rebuilds_total",
-			"Periodic 2-layer+ decomposed-table rebuilds performed by the apply loop.",
-			func() float64 { return float64(live.Stats().Rebuilds) })
 		r.GaugeFunc("twolayer_live_last_batch_mutations",
 			"Mutations in the most recent publish.",
 			func() float64 { return float64(live.Stats().LastBatch) })
@@ -305,9 +302,6 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		r.CounterFunc("twolayer_live_journal_seconds_total",
 			"Part of the publish time spent in the write-ahead journal hook (append and, by policy, fsync).",
 			func() float64 { return live.Stats().JournalTotal.Seconds() })
-		r.CounterFunc("twolayer_live_rebuild_seconds_total",
-			"Part of the publish time spent in periodic 2-layer+ decomposed-table rebuilds.",
-			func() float64 { return live.Stats().RebuildTotal.Seconds() })
 		r.CounterFunc("twolayer_live_cow_bytes_total",
 			"Bytes of tile pages, directory pages and class slices copied on first touch by copy-on-write publishes.",
 			func() float64 { return float64(live.Stats().COWBytes) })

@@ -223,7 +223,6 @@ func (l *Live) Stats() core.LiveStats {
 		out.Pending += st.Pending
 		out.Applied += st.Applied
 		out.Publishes += st.Publishes
-		out.Rebuilds += st.Rebuilds
 		out.LastBatch += st.LastBatch
 		if st.LastPublish > out.LastPublish {
 			out.LastPublish = st.LastPublish
@@ -234,7 +233,6 @@ func (l *Live) Stats() core.LiveStats {
 		out.Rejected += st.Rejected
 		out.PublishTotal += st.PublishTotal
 		out.JournalTotal += st.JournalTotal
-		out.RebuildTotal += st.RebuildTotal
 		out.COWBytes += st.COWBytes
 	}
 	out.Rejected += l.rejected.Load()

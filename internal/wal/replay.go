@@ -283,10 +283,6 @@ func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, [
 				err = fmt.Errorf("checkpoint epoch %d does not match file name", loaded.Epoch())
 			}
 			if err == nil {
-				// Snapshots do not persist build parallelism; re-apply the
-				// configured value so the post-checkpoint decomposed rebuild
-				// (and later Live rebuilds) use it.
-				loaded.SetBuildThreads(opts.BuildThreads)
 				ix = loaded
 				info.CheckpointEpoch = loaded.Epoch()
 				info.CheckpointLoaded = true

@@ -28,12 +28,6 @@ type LiveOptions struct {
 	// QueueDepth is the capacity of the mutation queue; submissions
 	// beyond it block (backpressure). Defaults to 1024.
 	QueueDepth int
-	// RebuildEvery re-runs the 2-layer+ decomposed-table build after this
-	// many applied mutations on indices built with Options.Decompose.
-	// 0 means the default of 4096; negative disables rebuilding. The
-	// rebuilds honor Options.BuildThreads, so a multi-core server can
-	// redecompose large indices in parallel inside the apply loop.
-	RebuildEvery int
 	// MaxBacklog bounds the accepted-but-unpublished mutation backlog
 	// (per shard on a sharded engine): a submission arriving while the
 	// backlog is at the bound fails immediately with ErrBacklogFull
@@ -44,10 +38,9 @@ type LiveOptions struct {
 
 func (o LiveOptions) toCore() core.LiveOptions {
 	return core.LiveOptions{
-		MaxBatch:     o.MaxBatch,
-		QueueDepth:   o.QueueDepth,
-		RebuildEvery: o.RebuildEvery,
-		MaxBacklog:   o.MaxBacklog,
+		MaxBatch:   o.MaxBatch,
+		QueueDepth: o.QueueDepth,
+		MaxBacklog: o.MaxBacklog,
 	}
 }
 
@@ -67,8 +60,8 @@ type ApplyResult = core.ApplyResult
 
 // LiveStats is a point-in-time view of a Live index's apply loop: the
 // current snapshot epoch and size, the pending-mutation backlog, totals
-// of applied mutations, publishes and decomposed rebuilds, and the size
-// and wall time of the most recent publish.
+// of applied mutations and publishes, and the size and wall time of the
+// most recent publish.
 type LiveStats = core.LiveStats
 
 // Live is an updatable index serving lock-free concurrent reads with
@@ -119,7 +112,8 @@ func LiveFrom(ix *Index, lo LiveOptions) *Live {
 // Snapshot returns the current published snapshot as a private read view:
 // immutable, consistent (it never reflects later mutations), and safe for
 // all queries — including KNN and iterator methods — without further
-// synchronization. Pin one snapshot per request or unit of work.
+// synchronization. Pin one snapshot per request or unit of work. Its
+// Insert, Delete and RebuildDecomposed panic: updates go through Apply.
 func (l *Live) Snapshot() *Index {
 	return &Index{core: l.live.Snapshot().View(nil)}
 }

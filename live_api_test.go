@@ -4,7 +4,9 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -237,5 +239,64 @@ func TestErrAPIs(t *testing.T) {
 	}
 	if want := idx.JoinCount(sameGrid); pairs != want {
 		t.Fatalf("JoinErr visited %d pairs, JoinCount %d", pairs, want)
+	}
+}
+
+// TestLiveSnapshotIsReadOnly: a Live snapshot is shared with every
+// reader that pinned it, so updating it in place — directly or through
+// a ReadView — panics with a pointer to Apply and leaves what later
+// snapshots see untouched, while a concurrent reader keeps querying.
+func TestLiveSnapshotIsReadOnly(t *testing.T) {
+	rects := randRects(rand.New(rand.NewSource(8)), 400, 0.05)
+	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 16, Decompose: true})
+	l := twolayer.LiveFrom(idx, twolayer.LiveOptions{})
+	defer l.Close()
+
+	first := l.Snapshot()
+	want := sorted(first.WindowIDs(unitSpace, nil))
+	wantDec := first.PartitionStats().DecomposedTiles
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reader := l.Snapshot()
+		for i := 0; i < 200; i++ {
+			reader.WindowCount(unitSpace)
+		}
+	}()
+
+	r := rects[0]
+	for name, write := range map[string]func(ix *twolayer.Index){
+		"Insert":            func(ix *twolayer.Index) { ix.Insert(9999, r) },
+		"Delete":            func(ix *twolayer.Index) { ix.Delete(0, r) },
+		"RebuildDecomposed": func(ix *twolayer.Index) { ix.RebuildDecomposed() },
+	} {
+		for _, ix := range []*twolayer.Index{first, first.ReadView()} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "Live.Apply") {
+						t.Errorf("%s on a snapshot: recovered %q, want a panic naming Live.Apply", name, msg)
+					}
+				}()
+				write(ix)
+			}()
+		}
+	}
+	<-done
+
+	second := l.Snapshot()
+	if got := sorted(second.WindowIDs(unitSpace, nil)); !slices.Equal(got, want) {
+		t.Fatalf("second snapshot holds %d objects, want the first's %d", len(got), len(want))
+	}
+	if second.Len() != len(rects) || second.Epoch() != first.Epoch() {
+		t.Fatalf("second snapshot: Len %d epoch %d, want %d and %d",
+			second.Len(), second.Epoch(), len(rects), first.Epoch())
+	}
+	if got := second.PartitionStats().DecomposedTiles; got != wantDec {
+		t.Fatalf("second snapshot: %d decomposed tiles, want %d", got, wantDec)
+	}
+	if _, err := l.Insert(9999, r); err != nil {
+		t.Fatalf("Apply path after the refused writes: %v", err)
 	}
 }

@@ -103,8 +103,7 @@ type Options struct {
 	// are identical to a sequential build. Small datasets (and very
 	// large grids) fall back to the sequential path automatically; see
 	// docs "Build performance" for the scaling profile. The setting also
-	// parallelizes 2-layer+ decomposed-table (re)builds, including the
-	// periodic rebuilds of a Live index.
+	// parallelizes 2-layer+ decomposed-table (re)builds.
 	BuildThreads int
 }
 
