@@ -69,9 +69,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/dataio
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
-# every simplicity PR reports before and after.
+# every simplicity PR reports before and after. One line per package the
+# ROADMAP quotes, one for everything else, then the total (always last).
+LOC_PKGS = core server shard wal dataio
+
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs wc -l | tail -1
+	@files="$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*')"; \
+	for p in $(LOC_PKGS); do \
+		printf '%6d internal/%s\n' "$$(echo "$$files" | grep "^./internal/$$p/" | xargs cat | wc -l)" "$$p"; \
+	done; \
+	printf '%6d other\n' "$$(echo "$$files" | grep -Ev "^./internal/($$(echo $(LOC_PKGS) | tr ' ' '|'))/" | xargs cat | wc -l)"; \
+	echo "$$files" | xargs wc -l | tail -1
 
 # Short fuzz pass over every fuzz target (CI runs this): seconds per
 # target, catching format-level regressions without a long campaign.

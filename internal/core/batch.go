@@ -47,10 +47,10 @@ type batchShape struct {
 	// runBatch calls it from one goroutine, twice per query, before the
 	// first onTile.
 	cover func(q int, visit func(tx, ty int))
-	// onTile evaluates query q on one non-empty tile of its cover: the
-	// tiles-based subtask. tally is the calling worker's; runBatch
-	// flushes it when the worker is done.
-	onTile func(q int, t *tile, tx, ty int, tally *pathTally)
+	// onTile evaluates query q on the non-empty tile at slot of its
+	// cover: the tiles-based subtask. tally is the calling worker's;
+	// runBatch flushes it when the worker is done.
+	onTile func(q int, slot int32, tx, ty int, tally *pathTally)
 }
 
 // runBatch is the one scheduler behind every batch entry point, so the
@@ -120,11 +120,10 @@ func (ix *Index) runBatch(s batchShape, strategy BatchStrategy, threads int) {
 	runWorkers(min(threads, len(slots)), func(int) {
 		var tally pathTally
 		for i := int(next.Add(1)) - 1; i < len(slots); i = int(next.Add(1)) - 1 {
-			slot := int(slots[i])
-			t := ix.tile(slot)
-			tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
+			slot := slots[i]
+			tx, ty := ix.g.TileCoords(int(ix.tileID(int(slot))))
 			for _, q := range subtasks[start[slot]:start[slot+1]] {
-				s.onTile(int(q), t, tx, ty, &tally)
+				s.onTile(int(q), slot, tx, ty, &tally)
 			}
 		}
 		ix.met.flush(&tally)
@@ -186,8 +185,8 @@ func (ix *Index) BatchWindow(queries []geom.Rect, strategy BatchStrategy, thread
 		n:     len(queries),
 		whole: func(q int) { ix.Window(queries[q], func(e spatial.Entry) { fn(q, e) }) },
 		cover: cover,
-		onTile: func(q int, t *tile, tx, ty int, _ *pathTally) {
-			ix.windowOnTile(t, tx, ty, origin[q][0], origin[q][1], queries[q], refiner{}, func(e spatial.Entry) { fn(q, e) })
+		onTile: func(q int, slot int32, tx, ty int, _ *pathTally) {
+			ix.windowOnTile(slot, tx, ty, origin[q][0], origin[q][1], queries[q], refiner{}, func(e spatial.Entry) { fn(q, e) })
 		},
 	}, strategy, threads)
 }
@@ -223,8 +222,8 @@ func (ix *Index) BatchWindowCountsFiltered(queries []geom.Rect, minX func(q int)
 		n:     len(queries),
 		whole: func(q int) { counts[q] = ix.windowCount(queries[q], minX(q)) },
 		cover: cover,
-		onTile: func(q int, t *tile, tx, ty int, tally *pathTally) {
-			perTile[q].Add(int64(ix.windowCountOnTile(t, tx, ty, origin[q][0], origin[q][1], queries[q], minX(q), tally)))
+		onTile: func(q int, slot int32, tx, ty int, tally *pathTally) {
+			perTile[q].Add(int64(ix.windowCountOnTile(slot, tx, ty, origin[q][0], origin[q][1], queries[q], minX(q), tally)))
 		},
 	}, strategy, threads)
 	for q := range perTile {
@@ -247,9 +246,9 @@ func (ix *Index) BatchDisk(queries []geom.Disk, strategy BatchStrategy, threads 
 			ix.Disk(queries[q].Center, queries[q].Radius, func(e spatial.Entry) { fn(q, e) })
 		},
 		cover: cover,
-		onTile: func(q int, t *tile, tx, ty int, _ *pathTally) {
+		onTile: func(q int, slot int32, tx, ty int, _ *pathTally) {
 			d := queries[q]
-			ix.diskOnTile(t, tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius,
+			ix.diskOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius,
 				refiner{}, func(e spatial.Entry) { fn(q, e) })
 		},
 	}, strategy, threads)
@@ -270,9 +269,9 @@ func (ix *Index) BatchDiskCounts(queries []geom.Disk, strategy BatchStrategy, th
 		n:     len(queries),
 		whole: func(q int) { counts[q] = ix.DiskCount(queries[q].Center, queries[q].Radius) },
 		cover: cover,
-		onTile: func(q int, t *tile, tx, ty int, tally *pathTally) {
+		onTile: func(q int, slot int32, tx, ty int, tally *pathTally) {
 			d := queries[q]
-			perTile[q].Add(int64(ix.diskCountOnTile(t, tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius, tally)))
+			perTile[q].Add(int64(ix.diskCountOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius, tally)))
 		},
 	}, strategy, threads)
 	for q := range perTile {

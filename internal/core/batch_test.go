@@ -131,13 +131,15 @@ func batchQueries(rnd *rand.Rand, n int) ([]geom.Rect, []geom.Disk) {
 
 // mutatedSnapshot returns a copy-on-write snapshot of a decomposed index
 // over rects after deletes and inserts, with the entries it now holds:
-// the count pushdown's prefix table is gone and the touched tiles have
-// lost their decomposed tables, the state a Live index over a
-// decomposed seed serves after its first writes.
+// the first write dropped both derived read tables (the count prefix
+// table and the 2-layer+ side table) while the seed kept its own, the
+// state a Live index over a decomposed seed serves after its first
+// writes.
 func mutatedSnapshot(t *testing.T, rnd *rand.Rand, rects []geom.Rect) (*Index, []spatial.Entry) {
 	t.Helper()
 	d := spatial.NewDataset(rects)
-	ix := Build(d, Options{NX: 32, NY: 32, Space: unitSquare, Decompose: true}).CloneCOW()
+	seed := Build(d, Options{NX: 32, NY: 32, Space: unitSquare, Decompose: true})
+	ix := seed.CloneCOW()
 	var entries []spatial.Entry
 	for i, e := range d.Entries {
 		if i%7 == 0 {
@@ -153,17 +155,9 @@ func mutatedSnapshot(t *testing.T, rnd *rand.Rand, rects []geom.Rect) (*Index, [
 		ix.Insert(e)
 		entries = append(entries, e)
 	}
-	stale, current := 0, 0
-	for slot := 0; slot < ix.numTiles; slot++ {
-		if ix.tile(slot).dec == nil {
-			stale++
-		} else {
-			current++
-		}
-	}
-	if ix.counts != nil || stale == 0 || current == 0 {
-		t.Fatalf("mutated snapshot: counts table %v, %d stale and %d current decomposed tiles",
-			ix.counts != nil, stale, current)
+	if ix.counts != nil || ix.Decomposed() || seed.counts == nil || !seed.Decomposed() {
+		t.Fatalf("read tables after writes: snapshot counts %v dec %v, seed counts %v dec %v; want the snapshot's dropped and the seed's kept",
+			ix.counts != nil, ix.Decomposed(), seed.counts != nil, seed.Decomposed())
 	}
 	return ix, entries
 }

@@ -11,8 +11,7 @@ import (
 
 // This file implements the parallel construction pipeline selected by
 // Options.BuildThreads: a two-pass counting build that produces per-tile
-// class slices byte-identical in content to the sequential insert loop,
-// plus the worker-pool variant of BuildDecomposed.
+// class slices byte-identical in content to the sequential insert loop.
 //
 // Pass 1 shards the entries across workers; each worker classifies every
 // replica of its shard and counts per (tile, class) with atomic adds into
@@ -231,28 +230,4 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 
 	ix.size = len(entries)
 	return true
-}
-
-// buildDecomposedParallel fans the per-tile table construction of
-// BuildDecomposed across a worker pool. Workers claim whole tile pages:
-// a page's tiles, and its reference in ix.pages should the page have to
-// be copied first, are written by the one worker that claimed it, so no
-// synchronization beyond the claim cursor is needed.
-func (ix *Index) buildDecomposedParallel(threads int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pi := int(next.Add(1)) - 1
-				if pi >= len(ix.pages) {
-					return
-				}
-				ix.decomposePage(pi)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -52,23 +52,23 @@ func sameClassSlices(t *testing.T, seq, par *tile, id int32) {
 	}
 }
 
-// sameDecTables fails unless the two tiles hold identical decomposed
-// tables (or are both missing them).
-func sameDecTables(t *testing.T, seq, par *tile, id int32) {
+// sameDecTables fails unless the two indexes hold identical decomposed
+// tables for the tile with the given ID (or both hold none). The side
+// tables are keyed by slot, which the two builds assign differently.
+func sameDecTables(t *testing.T, seq, par *Index, id int32) {
 	t.Helper()
-	if (seq.dec == nil) != (par.dec == nil) {
-		t.Fatalf("tile %d: dec built %v (seq) vs %v (par)", id, seq.dec != nil, par.dec != nil)
+	if seq.Decomposed() != par.Decomposed() {
+		t.Fatalf("tile %d: dec built %v (seq) vs %v (par)", id, seq.Decomposed(), par.Decomposed())
 	}
-	if seq.dec == nil {
+	if !seq.Decomposed() {
 		return
 	}
-	for c := range seq.dec.cls {
-		sc, pc := &seq.dec.cls[c], &par.dec.cls[c]
-		for name, pair := range map[string][2]decTable{
-			"xl": {sc.xl, pc.xl}, "xu": {sc.xu, pc.xu},
-			"yl": {sc.yl, pc.yl}, "yu": {sc.yu, pc.yu},
-		} {
-			a, b := pair[0], pair[1]
+	ss, ps := seq.slotOf(id), par.slotOf(id)
+	for c := ClassA; c <= ClassD; c++ {
+		sc := seq.dec.class(ss, seq.tile(int(ss)), c)
+		pc := par.dec.class(ps, par.tile(int(ps)), c)
+		for k, name := range [4]string{cmpXU: "xu", cmpXL: "xl", cmpYU: "yu", cmpYL: "yl"} {
+			a, b := sc[k], pc[k]
 			if len(a) != len(b) {
 				t.Fatalf("tile %d class %d table %s: len %d vs %d", id, c, name, len(a), len(b))
 			}
@@ -127,7 +127,7 @@ func TestParallelBuildEquivalence(t *testing.T) {
 				t.Fatalf("%s: tile %d missing from parallel build", cfg, id)
 			}
 			sameClassSlices(t, st, pt, id)
-			sameDecTables(t, st, pt, id)
+			sameDecTables(t, seq, par, id)
 		}
 		// And the parallel index must answer queries correctly.
 		for q := 0; q < 20; q++ {

@@ -18,7 +18,9 @@
 //
 // The optional decomposed storage ("2-layer+", Section IV-C of the paper)
 // keeps per-class sorted coordinate tables so border tiles are answered
-// with binary search instead of per-rectangle comparisons.
+// with binary search instead of per-rectangle comparisons. It is one
+// read-only side table per index (decomposed.go), never part of a tile:
+// built for static data, and dropped whole by the first write.
 package core
 
 import (
@@ -63,9 +65,9 @@ type Options struct {
 	// clamped into the border tiles. Defaults to the unit square.
 	Space geom.Rect
 	// Decompose additionally builds the sorted per-class coordinate
-	// tables of Section IV-C ("2-layer+"). Decomposed tables trade memory
-	// and build time for fewer comparisons on query borders. They are
-	// rebuilt lazily after updates.
+	// tables of Section IV-C ("2-layer+"), which trade memory and build
+	// time for fewer comparisons on query borders. The first Insert or
+	// Delete drops them; only BuildDecomposed builds them again.
 	Decompose bool
 	// BuildThreads is the worker count of the construction pipeline used
 	// by Build and BuildDecomposed: <= 0 selects DefaultThreads(), 1
@@ -75,7 +77,7 @@ type Options struct {
 	// that yields partition contents identical to the sequential path.
 	// Small datasets and grids larger than the counting-array budget
 	// fall back to the sequential path regardless of the setting. The
-	// value also parallelizes decomposed-table (re)builds.
+	// value also parallelizes decomposed-table builds.
 	BuildThreads int
 	// SparseDirectory forces the hash-map tile directory. By default the
 	// index uses a dense directory when NX*NY <= DenseDirectoryLimit.
@@ -142,14 +144,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// tile is one primary partition with its four secondary partitions and,
-// when decomposition is enabled, the sorted coordinate tables. Tiles are
-// populated either by the sequential insert loop or by the parallel
-// two-pass build (see buildparallel.go); the two paths produce identical
-// class contents and differ only in the slot order of the tile pool.
+// tile is one primary partition with its four secondary partitions.
+// Tiles are populated either by the sequential insert loop or by the
+// parallel two-pass build (see buildparallel.go); the two paths produce
+// identical class contents and differ only in the slot order of the tile
+// pool.
 type tile struct {
 	classes [4][]spatial.Entry
-	dec     *decTile // nil until built; invalidated by updates
 	// epoch is the copy-on-write generation that privately owns the class
 	// slices — the second level of sharing, below the tile page (see
 	// pagetable.go): copying a page copies this header, slice headers
@@ -214,12 +215,15 @@ type Index struct {
 	// snapshot, so the counters are engine-lifetime totals.
 	met *pathMetrics
 
-	// counts is the class-A prefix-sum table of the count pushdown
-	// (countindex.go), built by Build/Load/BuildDecomposed and cleared by
-	// mutations. Immutable once set; views and snapshots share it by
-	// pointer, and a mutating clone clears only its own copy of the
-	// field.
+	// counts and dec are the derived read tables: the class-A prefix-sum
+	// table of the count pushdown (countindex.go) and the 2-layer+ side
+	// table (decomposed.go). Both follow one rule: Build, Load and
+	// BuildDecomposed make them, they are immutable once set, views and
+	// copy-on-write clones share them by pointer, and the first Insert
+	// or successful Delete drops them with a nil store into its own copy
+	// of the field.
 	counts *countIndex
+	dec    *decIndex
 }
 
 // View returns a shallow read view of the index: it shares all partition
@@ -256,14 +260,16 @@ func (ix *Index) SetEpoch(e uint64) { ix.epoch = e }
 // CloneCOW returns a writable copy of the index for the next epoch, while
 // ix remains a consistent immutable snapshot that concurrent readers may
 // keep querying. The copy shares every tile page, directory page, class
-// slice and decomposed table with ix; the only thing copied here is the
-// slice of tile-page references (8 bytes per tilePageSize tiles). Insert,
-// Delete and BuildDecomposed on the copy then take ownership of what
-// they write, on first touch: the tile's page, the tile's class slices,
-// and — only when a previously empty tile is populated — the directory's
-// page references and the one directory page written. A publish
-// therefore costs O(pages the batch touched), independent of the number
-// of tiles and grid cells (see pagetable.go for the ownership rule).
+// slice and derived read table with ix; the only thing copied here is
+// the slice of tile-page references (8 bytes per tilePageSize tiles).
+// Insert and Delete on the copy then take ownership of what they write,
+// on first touch: the tile's page, the tile's class slices, and — only
+// when a previously empty tile is populated — the directory's page
+// references and the one directory page written. A publish therefore
+// costs O(pages the batch touched), independent of the number of tiles
+// and grid cells (see pagetable.go for the ownership rule).
+// BuildDecomposed on the copy writes no page: it only replaces the
+// copy's read tables.
 func (ix *Index) CloneCOW() *Index {
 	cp := *ix
 	cp.epoch++
@@ -307,10 +313,7 @@ func Build(d *spatial.Dataset, opts Options) *Index {
 	ix := New(opts)
 	ix.dataset = d
 	ix.bulkLoad(d.Entries)
-	if ix.opts.Decompose {
-		ix.BuildDecomposed()
-	}
-	ix.buildCountIndex()
+	ix.buildReadTables()
 	return ix
 }
 
@@ -418,23 +421,22 @@ func (ix *Index) insert(e spatial.Entry) {
 		// arbitrary tiles and then never found; fail loudly instead.
 		panic(fmt.Sprintf("core: inserting invalid rect %v (id %d)", e.Rect, e.ID))
 	}
-	ix.counts = nil // prefix-sum count table is now stale
+	ix.counts, ix.dec = nil, nil // the derived read tables are now stale
 	ax, ay, bx, by := ix.g.CoverRect(e.Rect)
 	for ty := ay; ty <= by; ty++ {
 		for tx := ax; tx <= bx; tx++ {
 			t := ix.ownTile(ix.slotFor(tx, ty))
 			c := classify(tx, ty, ax, ay)
 			t.classes[c] = append(t.classes[c], e)
-			t.dec = nil // decomposed tables are now stale
 		}
 	}
 	ix.size++
 }
 
-// Insert adds one object to the index. If decomposed tables were built,
-// the affected tiles drop them and are scanned plain until
-// BuildDecomposed is called again; a Live index never calls it, so under
-// Live a written tile stays plain.
+// Insert adds one object to the index. It drops the derived read tables
+// (the count prefix table and any 2-layer+ tables): queries then scan
+// every tile plain until BuildDecomposed builds both again, which a Live
+// index never does.
 func (ix *Index) Insert(e spatial.Entry) { ix.insert(e) }
 
 // mustBeWritable panics on a published Live snapshot, which every reader
@@ -448,7 +450,7 @@ func (ix *Index) mustBeWritable(op string) {
 // Delete removes the object with the given id and MBR from the index. The
 // MBR must be the exact rectangle the object was inserted with, since it
 // determines the replication tiles. It reports whether the object was
-// found.
+// found. Like Insert, a successful Delete drops the derived read tables.
 func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 	ix.mustBeWritable("Delete")
 	ax, ay, bx, by := ix.g.CoverRect(r)
@@ -469,7 +471,6 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 					list = t.classes[c]
 					list[i] = list[len(list)-1]
 					t.classes[c] = list[:len(list)-1]
-					t.dec = nil
 					found = true
 					break
 				}
@@ -478,24 +479,29 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 	}
 	if found {
 		ix.size--
-		ix.counts = nil // prefix-sum count table is now stale
+		ix.counts, ix.dec = nil, nil // the derived read tables are now stale
 	}
 	return found
 }
 
-// MemoryFootprint returns the approximate memory used by entry storage, in
-// bytes. Used by the tuning experiments (Figure 7).
+// MemoryFootprint returns the approximate memory of the index's data, in
+// bytes: the stored entries (replicas included), the tile directory, and
+// the derived read tables present — the count prefix table and the
+// 2-layer+ side table. Tile headers and page references are not counted.
+// Used by the tuning experiments (Figure 7).
 func (ix *Index) MemoryFootprint() int {
 	total := 0
 	for slot := 0; slot < ix.numTiles; slot++ {
-		t := ix.tile(slot)
-		total += t.size() * int(entryBytes)
-		if t.dec != nil {
-			total += t.dec.footprint()
-		}
+		total += ix.tile(slot).size() * int(entryBytes)
 	}
 	// The directory: 4 bytes per entry of every page present.
 	total += 4 * dirPageSize * (len(ix.dense) + len(ix.sparse))
+	if ix.counts != nil {
+		total += 8 * len(ix.counts.sums)
+	}
+	if ix.dec != nil {
+		total += ix.dec.footprint()
+	}
 	return total
 }
 

@@ -77,8 +77,8 @@ func (ix *Index) windowCount(w geom.Rect, minX float64) int {
 				tx = ix1 - 1 // the table's share of this row
 				continue
 			}
-			if t := ix.tileAt(tx, ty); t != nil {
-				n += ix.windowCountOnTile(t, tx, ty, ix0, iy0, w, minX, &tally)
+			if slot := ix.slotAt(tx, ty); slot >= 0 {
+				n += ix.windowCountOnTile(slot, tx, ty, ix0, iy0, w, minX, &tally)
 			}
 		}
 	}
@@ -89,11 +89,12 @@ func (ix *Index) windowCount(w geom.Rect, minX float64) int {
 	return n
 }
 
-// windowCountOnTile counts w's matches with Rect.MinX >= minX on one
-// tile. Class selection and comparison planning are identical to
+// windowCountOnTile counts w's matches with Rect.MinX >= minX on the
+// tile at slot. Class selection and comparison planning are identical to
 // windowOnTile; only the per-entry work is replaced by the cheapest
 // counting strategy the filter leaves available.
-func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, minX float64, tally *pathTally) int {
+func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, minX float64, tally *pathTally) int {
+	t := ix.tile(int(slot))
 	first := tx == qx0
 	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
@@ -141,12 +142,13 @@ func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, m
 			// position: the whole partition qualifies.
 			n += len(entries)
 			tally.bulkEntries += int64(len(entries))
-		case safe && t.dec != nil && len(entries) >= decSmallClass:
+		case safe && ix.dec != nil && len(entries) >= decSmallClass:
 			if !fracReady {
 				frac = ix.compFractions(tx, ty, w)
 				fracReady = true
 			}
-			n += decClassCount(&t.dec.cls[c], entries, w, p, &frac)
+			tabs := ix.dec.class(slot, t, c)
+			n += decClassCount(&tabs, entries, w, p, &frac)
 		default:
 			n += countClass(entries, w, p, minX)
 		}
@@ -161,54 +163,14 @@ func (ix *Index) windowCountOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, m
 // exactly like decClassQuery. The plan must be non-empty (empty plans
 // are bulk-counted by the caller).
 func decClassCount(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, frac *[4]float64) int {
-	var comps [4]decComparison
-	n := 0
-	if p.needXU {
-		comps[n] = decComparison{table: d.xu, bound: w.MinX, kind: cmpXU}
-		n++
+	var dp decPlan
+	dp.init(d, w, p, frac)
+	if dp.n == 0 {
+		return len(dp.run)
 	}
-	if p.needXL {
-		comps[n] = decComparison{table: d.xl, bound: w.MaxX, kind: cmpXL}
-		n++
-	}
-	if p.needYU {
-		comps[n] = decComparison{table: d.yu, bound: w.MinY, kind: cmpYU}
-		n++
-	}
-	if p.needYL {
-		comps[n] = decComparison{table: d.yl, bound: w.MaxY, kind: cmpYL}
-		n++
-	}
-	best := 0
-	for i := 1; i < n; i++ {
-		if frac[comps[i].kind] < frac[comps[best].kind] {
-			best = i
-		}
-	}
-	var lo, hi int
-	if comps[best].isLE() {
-		lo, hi = 0, comps[best].table.prefixLE(comps[best].bound)
-	} else {
-		lo, hi = comps[best].table.suffixGE(comps[best].bound), len(comps[best].table)
-	}
-	if n == 1 {
-		return hi - lo
-	}
-	table := comps[best].table
 	count := 0
-	for i := lo; i < hi; i++ {
-		e := &entries[table[i].ref]
-		ok := true
-		for j := 0; j < n; j++ {
-			if j == best {
-				continue
-			}
-			if !comps[j].verify(e) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+	for _, pr := range dp.run {
+		if ok, _ := dp.passes(&entries[pr.ref]); ok {
 			count++
 		}
 	}

@@ -9,12 +9,12 @@ package core
 // therefore one prefix-rectangle lookup — O(1) — and a count-only window
 // query costs O(perimeter of the cover), not O(tiles covered).
 //
-// The table is built by Build/Load and refreshed by BuildDecomposed (the
-// batch update point); Insert and Delete invalidate it, dropping the
-// affected index back to the per-tile counting loop until the next batch
-// refresh. Views and copy-on-write snapshots copy the pointer: the table
-// is immutable once published, and a mutating clone only clears its own
-// copy of the field.
+// The table is one of the index's two derived read tables, with the
+// 2-layer+ side table (decomposed.go), and follows their rule: Build,
+// Load and BuildDecomposed make it, views and copy-on-write clones share
+// it by pointer, and the first Insert or successful Delete drops it with
+// a nil store into its own copy of the field, leaving the per-tile
+// counting loop to answer.
 
 // maxCountIndexTiles caps the grids that carry a prefix table: beyond
 // this the table's memory (8 bytes per tile) stops being negligible next

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -26,6 +27,7 @@ import (
 type chainSnap struct {
 	ix   *Index
 	want []spatial.Entry // sorted by ID
+	dec  *decIndex       // the 2-layer+ table it was retained with
 }
 
 type cowChain struct {
@@ -93,7 +95,8 @@ func (c *cowChain) moveOp(pick int, r geom.Rect) []Mutation {
 }
 
 // applyHead applies muts to the writable head. Every delete names a live
-// object at its exact MBR, so one that finds nothing is a failure.
+// object at its exact MBR, so one that finds nothing is a failure. Any
+// write must drop the head's derived read tables, whole.
 func (c *cowChain) applyHead(muts []Mutation) error {
 	for _, m := range muts {
 		if !m.Delete {
@@ -101,6 +104,21 @@ func (c *cowChain) applyHead(muts []Mutation) error {
 		} else if !c.head.Delete(m.Entry.ID, m.Entry.Rect) {
 			return fmt.Errorf("delete of live object %d at %v found nothing", m.Entry.ID, m.Entry.Rect)
 		}
+	}
+	if len(muts) > 0 && (c.head.Decomposed() || c.head.counts != nil) {
+		return fmt.Errorf("a write left the head's read tables (2-layer+ %v, counts %v)",
+			c.head.Decomposed(), c.head.counts != nil)
+	}
+	return nil
+}
+
+// rebuild builds 2-layer+ tables on the head. That must write no tile
+// page: every page reference stays what it was.
+func (c *cowChain) rebuild() error {
+	pages := slices.Clone(c.head.pages)
+	c.head.BuildDecomposed()
+	if !slices.Equal(c.head.pages, pages) {
+		return fmt.Errorf("BuildDecomposed replaced tile pages of the head")
 	}
 	return nil
 }
@@ -121,7 +139,7 @@ func (c *cowChain) retain(ix *Index) {
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].ID < want[j].ID })
 	c.mu.Lock()
-	c.retained = append(c.retained, chainSnap{ix: ix, want: want})
+	c.retained = append(c.retained, chainSnap{ix: ix, want: want, dec: ix.dec})
 	c.mu.Unlock()
 }
 
@@ -202,10 +220,16 @@ var chainWindows = []geom.Rect{
 // checkSnap compares everything a snapshot can be asked against the
 // naive model: window results and counts, ForEach, the partition
 // summary, and — with roundTrip — the same window results from an index
-// loaded from the snapshot's WriteTo bytes. It only reads the snapshot,
-// so any number may run concurrently.
+// loaded from the snapshot's WriteTo bytes. It also checks that the
+// snapshot still holds the 2-layer+ table it was retained with, whatever
+// its successors wrote. It only reads the snapshot, so any number may
+// run concurrently.
 func checkSnap(s chainSnap, roundTrip bool) error {
 	ix, want := s.ix, s.want
+	if ix.dec != s.dec {
+		return fmt.Errorf("2-layer+ table changed under the snapshot (held one: %v, holds one: %v)",
+			s.dec != nil, ix.dec != nil)
+	}
 	if ix.Len() != len(want) {
 		return fmt.Errorf("Len = %d, model has %d", ix.Len(), len(want))
 	}
@@ -264,9 +288,9 @@ func checkSnap(s chainSnap, roundTrip bool) error {
 	if err != nil {
 		return fmt.Errorf("Load of the snapshot's own bytes: %w", err)
 	}
-	if loaded.Len() != len(want) || loaded.Epoch() != ix.Epoch() {
-		return fmt.Errorf("round trip: Len %d epoch %d, want %d and %d",
-			loaded.Len(), loaded.Epoch(), len(want), ix.Epoch())
+	if loaded.Len() != len(want) || loaded.Epoch() != ix.Epoch() || loaded.Decomposed() != ix.Decomposed() {
+		return fmt.Errorf("round trip: Len %d epoch %d 2-layer+ %v, want %d, %d and %v",
+			loaded.Len(), loaded.Epoch(), loaded.Decomposed(), len(want), ix.Epoch(), ix.Decomposed())
 	}
 	return checkWindows(loaded, want, "round trip")
 }
@@ -354,7 +378,11 @@ func (c *cowChain) randomOp(rnd *rand.Rand) []Mutation {
 // every retained snapshot re-verified after every later publish — while
 // reader goroutines verify retained snapshots concurrently with the
 // writes to the head, which is what turns a missed page copy into a
-// race report under -race.
+// race report under -race. The decomposed variants also build 2-layer+
+// tables on fresh clones, which must leave every page reference the
+// parent's, and retain them, so a retained snapshot keeps its table
+// while the head's next write drops the head's copy (applyHead and
+// checkSnap).
 func TestCOWChainProperty(t *testing.T) {
 	lowerBuildGates(t)
 	for ci, cfg := range chainConfigs {
@@ -387,10 +415,18 @@ func TestCOWChainProperty(t *testing.T) {
 						}
 					}
 				}
-				if cfg.decompose && step%7 == 6 {
-					c.head.BuildDecomposed()
+				rebuilt := cfg.decompose && step%7 == 6
+				if rebuilt {
+					parent := c.head
+					c.publish(false)
+					if err := c.rebuild(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if !slices.Equal(c.head.pages, parent.pages) {
+						t.Fatalf("step %d: a rebuilt clone's page references differ from its parent's", step)
+					}
 				}
-				c.publish(step%3 == 0)
+				c.publish(step%3 == 0 || rebuilt)
 				if step%9 == 8 {
 					c.dropOldest()
 				}
@@ -414,7 +450,8 @@ func TestCOWChainProperty(t *testing.T) {
 // the apply loop's CloneCOW, apply and swap — with the snapshots it
 // publishes retained and re-verified, and with concurrent readers, as
 // above. The apply loop never rebuilds 2-layer+ tables, so on a
-// decomposed seed the count of decomposed tiles can only fall.
+// decomposed seed the first publish drops them for good while the seed,
+// retained by the harness, keeps its own.
 func TestCOWChainLive(t *testing.T) {
 	lowerBuildGates(t)
 	for ci, cfg := range chainConfigs {
@@ -427,7 +464,9 @@ func TestCOWChainLive(t *testing.T) {
 			// The chain harness supplies the model and the retained list;
 			// its own head is unused, the Live index does the writing.
 			c := newCowChain(base, entries)
-			decTiles := base.PartitionStats().DecomposedTiles
+			if base.Decomposed() != cfg.decompose {
+				t.Fatalf("seed built with Decompose %v holds 2-layer+ tables: %v", cfg.decompose, base.Decomposed())
+			}
 			l := NewLive(base, LiveOptions{})
 			defer l.Close()
 
@@ -456,11 +495,9 @@ func TestCOWChainLive(t *testing.T) {
 				if err := c.checkAll(); err != nil {
 					t.Fatalf("after publish %d: %v", step, err)
 				}
-				n := l.Snapshot().PartitionStats().DecomposedTiles
-				if n > decTiles {
-					t.Fatalf("after publish %d: decomposed tiles rose from %d to %d", step, decTiles, n)
+				if l.Snapshot().Decomposed() {
+					t.Fatalf("after publish %d: the snapshot still holds 2-layer+ tables", step)
 				}
-				decTiles = n
 				c.kickReaders() // they read while the next step writes
 			}
 		})

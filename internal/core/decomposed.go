@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -31,121 +32,169 @@ func (t decTable) suffixGE(v float64) int {
 	return sort.Search(len(t), func(i int) bool { return t[i].coord >= v })
 }
 
-// decClass holds the decomposed tables of one secondary partition. Only
-// the tables Table II of the paper requires are built:
+// decClass holds the sorted tables of one secondary partition, indexed
+// by the comparison kind each one answers (cmpXU: xu, cmpXL: xl, cmpYU:
+// yu, cmpYL: yl). Only the tables Table II of the paper requires are
+// kept (tableII); the others stay nil.
+type decClass [4]decTable
+
+// tableII says, per class, which tables Table II keeps:
 //
 //	class A: xl, xu, yl, yu
 //	class B: xl, xu, yu
 //	class C: xu, yl, yu
 //	class D: xu, yu
-type decClass struct {
-	xl, xu, yl, yu decTable
+var tableII = [4][4]bool{
+	ClassA: {cmpXU: true, cmpXL: true, cmpYU: true, cmpYL: true},
+	ClassB: {cmpXU: true, cmpXL: true, cmpYU: true},
+	ClassC: {cmpXU: true, cmpYU: true, cmpYL: true},
+	ClassD: {cmpXU: true, cmpYU: true},
 }
 
-// decTile holds the decomposed tables of all four classes of one tile.
-type decTile struct {
-	cls [4]decClass
+// tablesPerClass counts the true entries of each row of tableII.
+var tablesPerClass = [4]int{ClassA: 4, ClassB: 3, ClassC: 3, ClassD: 2}
+
+// decIndex is the 2-layer+ side table of one index: the Table II tables
+// of every tile, indexed by slot and carved from one slab of pairs. A
+// tile's tables start at pairs[at[slot]] and follow class order, each
+// class's in comparison-kind order, each table as long as its class.
+// Like the count prefix table it is derived and read-only: Build, Load
+// and BuildDecomposed make a fresh one, View and CloneCOW share it by
+// pointer, and the first write drops it (Insert, Delete).
+type decIndex struct {
+	at    []int
+	pairs []decPair
 }
 
-func (d *decTile) footprint() int {
-	const pairBytes = 16
-	n := 0
-	for c := range d.cls {
-		n += len(d.cls[c].xl) + len(d.cls[c].xu) + len(d.cls[c].yl) + len(d.cls[c].yu)
+// class returns the tables of class c of the tile at slot, whose class
+// slices are t's.
+func (d *decIndex) class(slot int32, t *tile, c Class) decClass {
+	off := d.at[slot]
+	for p := ClassA; p < c; p++ {
+		off += tablesPerClass[p] * len(t.classes[p])
 	}
-	return n * pairBytes
-}
-
-// buildTable extracts one coordinate from every entry and sorts
-// (slices.SortFunc: pdqsort with no reflection — this is the hot loop of
-// decomposed construction). The sort is deterministic for a given input
-// order, so identical class slices always yield identical tables.
-func buildTable(entries []spatial.Entry, coord func(*spatial.Entry) float64) decTable {
-	t := make(decTable, len(entries))
-	for i := range entries {
-		t[i] = decPair{coord: coord(&entries[i]), ref: uint32(i)}
-	}
-	slices.SortFunc(t, func(a, b decPair) int {
-		switch {
-		case a.coord < b.coord:
-			return -1
-		case a.coord > b.coord:
-			return 1
-		default:
-			return 0
+	n := len(t.classes[c])
+	var tabs decClass
+	for k, kept := range tableII[c] {
+		if kept {
+			tabs[k] = d.pairs[off : off+n : off+n]
+			off += n
 		}
-	})
-	return t
+	}
+	return tabs
 }
 
-// buildDecTile constructs the decomposed tables of one tile.
-func buildDecTile(t *tile) *decTile {
-	d := &decTile{}
+// footprint is the table's size in bytes: 16 per pair, 8 per slot.
+func (d *decIndex) footprint() int { return 16*len(d.pairs) + 8*len(d.at) }
+
+// fill writes and sorts the tables of the tile at slot. The sort
+// (slices.SortFunc: pdqsort with no reflection, the hot loop of the
+// build) is deterministic for a given input order, so identical class
+// slices always yield identical tables.
+func (d *decIndex) fill(slot int32, t *tile) {
 	for c := ClassA; c <= ClassD; c++ {
 		entries := t.classes[c]
-		if len(entries) == 0 {
-			continue
+		for k, tab := range d.class(slot, t, c) {
+			for i := range tab {
+				tab[i] = decPair{coord: coordOf(k, &entries[i]), ref: uint32(i)}
+			}
+			slices.SortFunc(tab, func(a, b decPair) int {
+				switch {
+				case a.coord < b.coord:
+					return -1
+				case a.coord > b.coord:
+					return 1
+				default:
+					return 0
+				}
+			})
 		}
-		if c == ClassA || c == ClassB {
-			d.cls[c].xl = buildTable(entries, func(e *spatial.Entry) float64 { return e.Rect.MinX })
-		}
-		d.cls[c].xu = buildTable(entries, func(e *spatial.Entry) float64 { return e.Rect.MaxX })
-		if c == ClassA || c == ClassC {
-			d.cls[c].yl = buildTable(entries, func(e *spatial.Entry) float64 { return e.Rect.MinY })
-		}
-		d.cls[c].yu = buildTable(entries, func(e *spatial.Entry) float64 { return e.Rect.MaxY })
 	}
+}
+
+// coordOf returns the MBR coordinate comparison kind k tests.
+func coordOf(k int, e *spatial.Entry) float64 {
+	switch k {
+	case cmpXU:
+		return e.Rect.MaxX
+	case cmpXL:
+		return e.Rect.MinX
+	case cmpYU:
+		return e.Rect.MaxY
+	default:
+		return e.Rect.MinY
+	}
+}
+
+// decChunk is the number of slots a BuildDecomposed worker claims at a
+// time.
+const decChunk = 256
+
+// BuildDecomposed builds the sorted tables of Table II for every tile
+// into a fresh side table, turning the index into its "2-layer+" variant,
+// and rebuilds the count prefix table with it. It writes no tile page,
+// so it is legal on an unpublished copy-on-write clone and copies no
+// page there.
+func (ix *Index) BuildDecomposed() {
+	ix.mustBeWritable("BuildDecomposed")
+	ix.dec = ix.buildDecIndex()
+	ix.buildCountIndex()
+}
+
+// buildReadTables makes the derived read tables of a freshly built or
+// loaded index: the count prefix table, and the 2-layer+ side table when
+// Options.Decompose asks for it.
+func (ix *Index) buildReadTables() {
+	if ix.opts.Decompose {
+		ix.dec = ix.buildDecIndex()
+	}
+	ix.buildCountIndex()
+}
+
+// buildDecIndex builds a side table over the current tiles. One sweep
+// sizes every tile's tables and carves them from one slab; with
+// Options.BuildThreads resolving to more than one worker (and enough
+// tiles to matter), workers then fill and sort disjoint slot ranges —
+// tiles are independent, so the result is identical to the sequential
+// build.
+func (ix *Index) buildDecIndex() *decIndex {
+	d := &decIndex{at: make([]int, ix.numTiles)}
+	total := 0
+	for slot := range d.at {
+		d.at[slot] = total
+		for c, cl := range ix.tile(slot).classes {
+			total += tablesPerClass[c] * len(cl)
+		}
+	}
+	d.pairs = make([]decPair, total)
+	threads := resolveBuildThreads(ix.opts.BuildThreads)
+	if ix.numTiles < minParallelDecTiles {
+		threads = 1
+	}
+	var next atomic.Int64
+	runWorkers(threads, func(int) {
+		for {
+			lo := int(next.Add(decChunk)) - decChunk
+			if lo >= ix.numTiles {
+				return
+			}
+			for slot := lo; slot < min(lo+decChunk, ix.numTiles); slot++ {
+				d.fill(int32(slot), ix.tile(slot))
+			}
+		}
+	})
 	return d
 }
 
-// BuildDecomposed (re)builds the sorted decomposed tables for every tile
-// that does not have current ones, turning the index into its "2-layer+"
-// variant. Safe to call repeatedly; after updates only stale tiles are
-// rebuilt. With Options.BuildThreads resolving to more than one worker
-// (and enough tiles to matter), the per-tile table construction is fanned
-// across a worker pool — tiles are independent, so the result is
-// identical to the sequential build. On a copy-on-write clone the stale
-// tiles may sit in pages still shared with older snapshots, so a page is
-// owned before the first table pointer is written into it; pages whose
-// tables are all current are not touched.
-func (ix *Index) BuildDecomposed() {
-	ix.mustBeWritable("BuildDecomposed")
-	ix.opts.Decompose = true
-	// This is the batch refresh point after updates, so the count
-	// pushdown's prefix table is rebuilt here too.
-	defer ix.buildCountIndex()
-	if threads := resolveBuildThreads(ix.opts.BuildThreads); threads > 1 &&
-		ix.numTiles >= minParallelDecTiles {
-		ix.buildDecomposedParallel(threads)
-		return
-	}
-	for pi := range ix.pages {
-		ix.decomposePage(pi)
-	}
-}
+// Decomposed reports whether the index holds 2-layer+ tables: true from
+// a Build with Options.Decompose, a Load of such a snapshot, or
+// BuildDecomposed, until the first Insert or successful Delete.
+func (ix *Index) Decomposed() bool { return ix.dec != nil }
 
-// decomposePage builds the missing decomposed tables of tile page pi.
-func (ix *Index) decomposePage(pi int) {
-	p := ix.pages[pi]
-	n := min(tilePageSize, ix.numTiles-pi<<tilePageShift)
-	for i := 0; i < n; i++ {
-		if p.tiles[i].dec == nil {
-			p = ix.ownTilePage(pi) // no-op once owned
-			p.tiles[i].dec = buildDecTile(&p.tiles[i])
-		}
-	}
-}
-
-// Decomposed reports whether the index currently maintains decomposed
-// tables (the 2-layer+ variant).
-func (ix *Index) Decomposed() bool { return ix.opts.Decompose }
-
-// decComparison describes one pending comparison against the window,
-// bound to the decomposed table that can answer it. kind selects the
-// coordinate verified when another comparison wins the binary search
-// (closure-free: these live on the stack of one tile visit).
+// decComparison is one comparison against the window left to verify
+// on the entries of a binary-search run (closure-free: these live on
+// the stack of one tile visit).
 type decComparison struct {
-	table decTable
 	bound float64
 	kind  uint8 // cmpXU, cmpXL, cmpYU, cmpYL
 }
@@ -173,9 +222,6 @@ func (c *decComparison) verify(e *spatial.Entry) bool {
 	}
 }
 
-// isLE reports whether the comparison selects a sorted-table prefix.
-func (c *decComparison) isLE() bool { return c.kind == cmpXL || c.kind == cmpYL }
-
 // decSmallClass is the partition size below which a plain scan beats the
 // binary-search path (searching costs ~log n probes with indirection; a
 // handful of entries scan faster directly).
@@ -196,6 +242,52 @@ func (ix *Index) compFractions(tx, ty int, w geom.Rect) [4]float64 {
 	return frac
 }
 
+// decPlan is how one class of a tile answers a window through its
+// sorted tables (Section IV-C): the comparison in the dimension the
+// window covers least (frac, the paper's heuristic) is resolved by one
+// binary search, whose qualifying run is run, and only the other
+// comparisons the plan still needs are verified, on the run's entries.
+type decPlan struct {
+	run  decTable
+	rest [3]decComparison
+	n    int // comparisons in rest
+}
+
+// init plans class tables d against w for comparison plan p, which must
+// be non-empty (an empty plan qualifies the whole class).
+func (dp *decPlan) init(d *decClass, w geom.Rect, p tileComparisonPlan, frac *[4]float64) {
+	bounds := [4]float64{cmpXU: w.MinX, cmpXL: w.MaxX, cmpYU: w.MinY, cmpYL: w.MaxY}
+	need := [4]bool{cmpXU: p.needXU, cmpXL: p.needXL, cmpYU: p.needYU, cmpYL: p.needYL}
+	best := -1
+	for k := range need {
+		if need[k] && (best < 0 || frac[k] < frac[best]) {
+			best = k
+		}
+	}
+	if t := d[best]; best == cmpXL || best == cmpYL {
+		dp.run = t[:t.prefixLE(bounds[best])]
+	} else {
+		dp.run = t[t.suffixGE(bounds[best]):]
+	}
+	for k := range need {
+		if need[k] && k != best {
+			dp.rest[dp.n] = decComparison{bound: bounds[k], kind: uint8(k)}
+			dp.n++
+		}
+	}
+}
+
+// passes reports whether e, read from the run, passes the comparisons
+// left to verify, and how many of them it took to tell.
+func (dp *decPlan) passes(e *spatial.Entry) (bool, int) {
+	for j := 0; j < dp.n; j++ {
+		if !dp.rest[j].verify(e) {
+			return false, j + 1
+		}
+	}
+	return true, dp.n
+}
+
 // decClassQuery evaluates one secondary partition (of at least
 // decSmallClass entries) through its decomposed tables d. Following
 // Section IV-C, one comparison — the one in the dimension the window
@@ -207,27 +299,7 @@ func (ix *Index) decClassQuery(d *decClass, entries []spatial.Entry, w geom.Rect
 		ix.stats.PartitionsScanned++
 	}
 
-	// Collect the comparisons this class still needs.
-	var comps [4]decComparison
-	n := 0
-	if p.needXU {
-		comps[n] = decComparison{table: d.xu, bound: w.MinX, kind: cmpXU}
-		n++
-	}
-	if p.needXL {
-		comps[n] = decComparison{table: d.xl, bound: w.MaxX, kind: cmpXL}
-		n++
-	}
-	if p.needYU {
-		comps[n] = decComparison{table: d.yu, bound: w.MinY, kind: cmpYU}
-		n++
-	}
-	if p.needYL {
-		comps[n] = decComparison{table: d.yl, bound: w.MaxY, kind: cmpYL}
-		n++
-	}
-
-	if n == 0 {
+	if p == (tileComparisonPlan{}) {
 		// Every entry of the class qualifies: emit without comparisons.
 		if ix.stats != nil {
 			ix.stats.EntriesScanned += int64(len(entries))
@@ -242,53 +314,28 @@ func (ix *Index) decClassQuery(d *decClass, entries []spatial.Entry, w geom.Rect
 		return
 	}
 
-	// Pick the most selective comparison by the paper's "dimension
-	// covered the least" heuristic (one binary search total) and resolve
-	// it; the qualifying run is verified against the rest.
-	best := 0
-	for i := 1; i < n; i++ {
-		if frac[comps[i].kind] < frac[comps[best].kind] {
-			best = i
-		}
-	}
-	var bestLo, bestHi int
-	if comps[best].isLE() {
-		bestLo, bestHi = 0, comps[best].table.prefixLE(comps[best].bound)
-	} else {
-		bestLo, bestHi = comps[best].table.suffixGE(comps[best].bound), len(comps[best].table)
-	}
-	if ix.stats != nil {
-		ix.stats.BinarySearches++
-	}
-
-	table := comps[best].table
+	var dp decPlan
+	dp.init(d, w, p, frac)
 	stats := ix.stats
 	if stats != nil {
-		stats.EntriesScanned += int64(bestHi - bestLo)
+		stats.BinarySearches++
+		stats.EntriesScanned += int64(len(dp.run))
 	}
-	for i := bestLo; i < bestHi; i++ {
-		e := &entries[table[i].ref]
-		ok := true
-		for j := 0; j < n; j++ {
-			if j == best {
-				continue
-			}
-			if stats != nil {
-				stats.Comparisons++
-			}
-			if !comps[j].verify(e) {
-				ok = false
-				break
-			}
+	for _, pr := range dp.run {
+		e := &entries[pr.ref]
+		ok, made := dp.passes(e)
+		if stats != nil {
+			stats.Comparisons += int64(made)
 		}
-		if ok {
-			if stats != nil {
-				stats.Results++
-			}
-			if rf.exact && !ix.refineWindow(rf, e, w) {
-				continue
-			}
-			fn(*e)
+		if !ok {
+			continue
 		}
+		if stats != nil {
+			stats.Results++
+		}
+		if rf.exact && !ix.refineWindow(rf, e, w) {
+			continue
+		}
+		fn(*e)
 	}
 }

@@ -84,77 +84,96 @@ func TestDecTableSearch(t *testing.T) {
 }
 
 // TestTableIIStorage verifies that only the decomposed tables required by
-// Table II of the paper are materialized per class.
+// Table II of the paper are materialized per class, sorted, each row
+// referring to its own entry, and that the tables of all tiles are
+// carved from the one slab without gaps or overlap.
 func TestTableIIStorage(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	ix, _ := buildRandom(rnd, 500, 0.3, Options{NX: 8, NY: 8, Decompose: true})
+	if !ix.Decomposed() || len(ix.dec.at) != ix.numTiles {
+		t.Fatalf("side table: decomposed %v, %d slots for %d tiles", ix.Decomposed(), len(ix.dec.at), ix.numTiles)
+	}
+	carved := 0
 	for i := 0; i < ix.numTiles; i++ {
 		tl := ix.tile(i)
-		if tl.dec == nil {
-			t.Fatal("tile missing decomposed tables after Build with Decompose")
+		if ix.dec.at[i] != carved {
+			t.Fatalf("slot %d: tables start at pair %d, want %d", i, ix.dec.at[i], carved)
 		}
 		for c := ClassA; c <= ClassD; c++ {
-			d := &tl.dec.cls[c]
+			d := ix.dec.class(int32(i), tl, c)
 			n := len(tl.classes[c])
 			hasXL := c == ClassA || c == ClassB
 			hasYL := c == ClassA || c == ClassC
-			if got := len(d.xl); got != map[bool]int{true: n, false: 0}[hasXL] {
+			if got := len(d[cmpXL]); got != map[bool]int{true: n, false: 0}[hasXL] {
 				t.Fatalf("class %v: xl table has %d entries for %d objects", c, got, n)
 			}
-			if got := len(d.yl); got != map[bool]int{true: n, false: 0}[hasYL] {
+			if got := len(d[cmpYL]); got != map[bool]int{true: n, false: 0}[hasYL] {
 				t.Fatalf("class %v: yl table has %d entries for %d objects", c, got, n)
 			}
-			if len(d.xu) != n || len(d.yu) != n {
+			if len(d[cmpXU]) != n || len(d[cmpYU]) != n {
 				t.Fatalf("class %v: xu/yu tables must always exist", c)
 			}
-			// Tables must be sorted.
-			for _, tab := range []decTable{d.xl, d.xu, d.yl, d.yu} {
-				for j := 1; j < len(tab); j++ {
-					if tab[j].coord < tab[j-1].coord {
+			for k, tab := range d {
+				carved += len(tab)
+				// Tables must be sorted, on the coordinate of the entry
+				// each row refers to.
+				for j := range tab {
+					if j > 0 && tab[j].coord < tab[j-1].coord {
 						t.Fatal("decomposed table not sorted")
+					}
+					if tab[j].coord != coordOf(k, &tl.classes[c][tab[j].ref]) {
+						t.Fatalf("class %v table %d row %d: coord %v is not its entry's", c, k, j, tab[j].coord)
 					}
 				}
 			}
 		}
 	}
+	if carved != len(ix.dec.pairs) {
+		t.Fatalf("tables cover %d pairs of a %d-pair slab", carved, len(ix.dec.pairs))
+	}
 }
 
-// TestDecomposedStaleAfterInsert: updates invalidate a tile's decomposed
-// tables; queries must fall back to plain scans and stay correct, and
-// BuildDecomposed must restore the tables.
+// TestDecomposedStaleAfterInsert: the first write drops the whole side
+// table — the index holds 2-layer+ tables for every tile or for none —
+// and queries stay correct through plain scans; BuildDecomposed restores
+// the tables, and a successful Delete drops them again while one that
+// finds nothing leaves them.
 func TestDecomposedStaleAfterInsert(t *testing.T) {
 	rnd := rand.New(rand.NewSource(24))
 	rects := randRects(rnd, 300, 0.1)
 	d := spatial.NewDataset(rects)
 	ix := Build(d, Options{NX: 8, NY: 8, Decompose: true})
+	view := ix.View(nil)
 
 	extra := geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
 	ix.Insert(spatial.Entry{Rect: extra, ID: spatial.ID(len(rects))})
 	allEntries := append(append([]spatial.Entry{}, d.Entries...), spatial.Entry{Rect: extra, ID: spatial.ID(len(rects))})
 
-	stale := 0
-	for i := 0; i < ix.numTiles; i++ {
-		if ix.tile(i).dec == nil {
-			stale++
-		}
+	if ix.Decomposed() || ix.dec != nil {
+		t.Fatal("insert left the 2-layer+ side table in place")
 	}
-	if stale == 0 {
-		t.Fatal("insert did not invalidate any decomposed tile")
+	if !view.Decomposed() {
+		t.Fatal("insert dropped the table of a view taken before it")
 	}
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.4)
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(allEntries, w), "stale-dec window")
+		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(allEntries, w), "dropped-dec window")
 	}
 
 	ix.BuildDecomposed()
-	for i := 0; i < ix.numTiles; i++ {
-		if ix.tile(i).dec == nil {
-			t.Fatal("BuildDecomposed left a stale tile")
-		}
+	if !ix.Decomposed() || len(ix.dec.at) != ix.numTiles {
+		t.Fatalf("BuildDecomposed: decomposed %v over %d of %d slots", ix.Decomposed(), len(ix.dec.at), ix.numTiles)
 	}
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.4)
 		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(allEntries, w), "rebuilt-dec window")
+	}
+
+	if ix.Delete(spatial.ID(len(rects)+1), extra) || !ix.Decomposed() {
+		t.Fatal("a Delete that found nothing dropped the side table")
+	}
+	if !ix.Delete(spatial.ID(len(rects)), extra) || ix.Decomposed() {
+		t.Fatal("a successful Delete left the side table in place")
 	}
 }
 
@@ -168,5 +187,31 @@ func TestDecomposedFootprintGrowth(t *testing.T) {
 	if dec.MemoryFootprint() <= plain.MemoryFootprint() {
 		t.Errorf("decomposed footprint %d not larger than plain %d",
 			dec.MemoryFootprint(), plain.MemoryFootprint())
+	}
+}
+
+// TestMemoryFootprintCountsReadTables: the footprint includes the
+// derived read tables — the count prefix table, 8 bytes per cell of its
+// (NX+1)x(NY+1) array, and the 2-layer+ side table — so the Delete that
+// drops them shrinks it by exactly their size plus the removed entries.
+func TestMemoryFootprintCountsReadTables(t *testing.T) {
+	for _, decompose := range []bool{false, true} {
+		rnd := rand.New(rand.NewSource(26))
+		ix, d := buildRandom(rnd, 500, 0.05, Options{NX: 16, NY: 16, Decompose: decompose})
+		tables := 8 * 17 * 17
+		if decompose {
+			tables += ix.dec.footprint()
+		}
+		before := ix.MemoryFootprint()
+		e := d.Entries[0]
+		ax, ay, bx, by := ix.Grid().CoverRect(e.Rect)
+		removed := (bx - ax + 1) * (by - ay + 1) * int(entryBytes)
+		if !ix.Delete(e.ID, e.Rect) {
+			t.Fatalf("delete of %d found nothing", e.ID)
+		}
+		if got, want := before-ix.MemoryFootprint(), tables+removed; got != want {
+			t.Errorf("decompose=%v: footprint fell by %d bytes, want %d (%d of read tables, %d of entries)",
+				decompose, got, want, tables, removed)
+		}
 	}
 }

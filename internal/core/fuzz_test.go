@@ -184,7 +184,7 @@ func runChainOps(t *testing.T, data []byte) *cowChain {
 		case chainOpDropOldest:
 			c.dropOldest()
 		case chainOpRebuild:
-			c.head.BuildDecomposed()
+			err = c.rebuild()
 		}
 		if err != nil {
 			t.Fatal(err)

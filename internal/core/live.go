@@ -28,10 +28,11 @@ import (
 // until their batch is published, so a writer that got its ack observes
 // its own write in every later Snapshot (read-your-writes).
 //
-// The apply loop does no periodic maintenance. A seed built with
-// Decompose keeps its 2-layer+ tables on the tiles no batch has written;
-// a written tile drops them and is scanned plain from then on, which
-// answers the same. The first write drops the count prefix table for good.
+// The apply loop does no periodic maintenance. A seed's derived read
+// tables — the count prefix table and, when built with Decompose, the
+// 2-layer+ side table — are shared by every snapshot until the first
+// write, whose clone drops both for good; every later snapshot scans its
+// tiles plain, which answers the same.
 
 // ErrLiveClosed is returned for mutations submitted after Close.
 var ErrLiveClosed = errors.New("core: live index is closed")

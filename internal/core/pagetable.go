@@ -55,7 +55,7 @@ import (
 // grid cells) and a cheap copy.
 const (
 	tilePageShift = 5
-	tilePageSize  = 1 << tilePageShift // tiles per page (3.7 KB)
+	tilePageSize  = 1 << tilePageShift // tiles per page (3.3 KB)
 	tilePageMask  = tilePageSize - 1
 
 	dirPageShift = 10

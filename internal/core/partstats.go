@@ -38,10 +38,6 @@ type PartitionStats struct {
 	// the share of storage (and of border-tile scan work) paid for
 	// objects crossing tile boundaries.
 	BoundaryRatio float64
-	// DecomposedTiles counts tiles whose 2-layer+ sorted tables are built
-	// and fresh; tiles dirtied by updates fall back to plain scans until
-	// the next BuildDecomposed.
-	DecomposedTiles int
 }
 
 // PartitionStats walks the tile directory once (O(occupied tiles)) and
@@ -67,9 +63,6 @@ func (ix *Index) PartitionStats() PartitionStats {
 		}
 		for c := 0; c < 4; c++ {
 			ps.ClassCounts[c] += len(t.classes[c])
-		}
-		if t.dec != nil {
-			ps.DecomposedTiles++
 		}
 	}
 	if ps.OccupiedTiles > 0 {

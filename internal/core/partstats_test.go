@@ -111,21 +111,20 @@ func TestPartitionStatsInvariants(t *testing.T) {
 	if got, want := ps.BoundaryRatio, float64(ps.Replicas-ps.ClassCounts[0])/float64(ps.Replicas); got != want {
 		t.Fatalf("BoundaryRatio = %v, want %v", got, want)
 	}
-	if ps.DecomposedTiles != 0 {
-		t.Fatalf("DecomposedTiles = %d on a non-decomposed index", ps.DecomposedTiles)
-	}
 }
 
-// TestPartitionStatsDecomposed: a freshly decomposed index reports every
-// occupied tile as decomposed; an update dirties the touched tiles,
-// which drop out of the count until the next rebuild.
+// TestPartitionStatsDecomposed: the 2-layer+ side table is derived data
+// outside the tiles, so the partition summary is the same with and
+// without it, and an update that drops the table counts in the summary
+// like any other; BuildDecomposed restores the table and changes no
+// figure.
 func TestPartitionStatsDecomposed(t *testing.T) {
 	rnd := rand.New(rand.NewSource(8))
-	ix, _ := buildRandom(rnd, 2000, 0.05, Options{NX: 16, NY: 16, Decompose: true})
+	rects := randRects(rnd, 2000, 0.05)
+	ix := Build(spatial.NewDataset(rects), Options{NX: 16, NY: 16, Decompose: true})
 	ps := ix.PartitionStats()
-	if ps.DecomposedTiles != ps.OccupiedTiles {
-		t.Fatalf("DecomposedTiles = %d, want all %d occupied tiles",
-			ps.DecomposedTiles, ps.OccupiedTiles)
+	if plain := Build(spatial.NewDataset(rects), Options{NX: 16, NY: 16}).PartitionStats(); ps != plain {
+		t.Fatalf("decomposed summary %+v, plain %+v", ps, plain)
 	}
 
 	ix.Insert(spatial.Entry{
@@ -133,18 +132,14 @@ func TestPartitionStatsDecomposed(t *testing.T) {
 		Rect: geom.Rect{MinX: 0.501, MinY: 0.501, MaxX: 0.502, MaxY: 0.502},
 	})
 	after := ix.PartitionStats()
-	if after.Objects != ps.Objects+1 {
-		t.Fatalf("Objects = %d after insert, want %d", after.Objects, ps.Objects+1)
-	}
-	if after.DecomposedTiles >= after.OccupiedTiles {
-		t.Fatalf("insert did not dirty any decomposed tile: %d of %d",
-			after.DecomposedTiles, after.OccupiedTiles)
+	if after.Objects != ps.Objects+1 || ix.Decomposed() {
+		t.Fatalf("after insert: Objects = %d (want %d), decomposed %v (want false)",
+			after.Objects, ps.Objects+1, ix.Decomposed())
 	}
 
 	ix.BuildDecomposed()
-	rebuilt := ix.PartitionStats()
-	if rebuilt.DecomposedTiles != rebuilt.OccupiedTiles {
-		t.Fatalf("rebuild left dirty tiles: %d of %d",
-			rebuilt.DecomposedTiles, rebuilt.OccupiedTiles)
+	if rebuilt := ix.PartitionStats(); rebuilt != after || !ix.Decomposed() {
+		t.Fatalf("rebuild: summary %+v (want %+v), decomposed %v (want true)",
+			rebuilt, after, ix.Decomposed())
 	}
 }

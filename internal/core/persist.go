@@ -14,11 +14,11 @@ import (
 // Index persistence: a compact binary snapshot of the built structure so
 // a static index can be memory-mapped-in-spirit (read back) without
 // re-partitioning the data. The format stores the grid geometry and the
-// per-tile class partitions; decomposed tables are derived data and are
-// rebuilt on load when the index was saved in 2-layer+ mode. Exact
-// geometries are not part of the snapshot (persist them separately, e.g.
-// as WKT via package dataio) — a loaded index supports all MBR
-// (filtering) queries.
+// per-tile class partitions; decomposed tables are derived data, and the
+// flag bit records whether the saved index held them (Decomposed), so
+// Load rebuilds them only then. Exact geometries are not part of the
+// snapshot (persist them separately, e.g. as WKT via package dataio) — a
+// loaded index supports all MBR (filtering) queries.
 //
 // Layout (little endian):
 //
@@ -123,7 +123,7 @@ func decodeRect(b []byte) geom.Rect {
 
 func (ix *Index) flags() uint32 {
 	var f uint32
-	if ix.opts.Decompose {
+	if ix.Decomposed() {
 		f |= flagDecompose
 	}
 	return f
@@ -262,9 +262,6 @@ func Load(r io.Reader) (*Index, error) {
 	for slot := 0; slot < ix.numTiles; slot++ {
 		ix.setSlot(ix.tileID(slot), int32(slot))
 	}
-	if ix.opts.Decompose {
-		ix.BuildDecomposed()
-	}
-	ix.buildCountIndex()
+	ix.buildReadTables()
 	return ix, nil
 }

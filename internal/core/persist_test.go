@@ -256,3 +256,38 @@ func TestPersistMatchesReferenceEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestPersistFlagFollowsTables: a snapshot's 2-layer+ flag records
+// whether the index holds the tables, not the option it was built with.
+// A Live index over a decomposed seed drops them with its first write,
+// so a checkpoint of a later snapshot must load plain; a static
+// decomposed index still round-trips with its tables.
+func TestPersistFlagFollowsTables(t *testing.T) {
+	rnd := rand.New(rand.NewSource(186))
+	seed, _ := buildRandom(rnd, 400, 0.1, Options{NX: 16, NY: 16, Decompose: true})
+	l := NewLive(seed, LiveOptions{})
+	defer l.Close()
+	if _, err := l.Insert(spatial.Entry{ID: 10_000, Rect: geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.41, MaxY: 0.41}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ix   *Index
+		want bool
+	}{
+		{"static decomposed", seed, true},
+		{"live snapshot after a write", l.Snapshot(), false},
+	} {
+		var buf bytes.Buffer
+		if _, err := tc.ix.WriteTo(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if loaded.Decomposed() != tc.want {
+			t.Errorf("%s: loaded Decomposed() = %v, want %v", tc.name, loaded.Decomposed(), tc.want)
+		}
+	}
+}

@@ -35,8 +35,8 @@ func (ix *Index) windowScan(w geom.Rect, rf refiner, fn func(spatial.Entry), sto
 	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
 	for ty := iy0; ty <= iy1 && !*stop; ty++ {
 		for tx := ix0; tx <= ix1 && !*stop; tx++ {
-			if t := ix.tileAt(tx, ty); t != nil {
-				ix.windowOnTile(t, tx, ty, ix0, iy0, w, rf, fn)
+			if slot := ix.slotAt(tx, ty); slot >= 0 {
+				ix.windowOnTile(slot, tx, ty, ix0, iy0, w, rf, fn)
 			}
 		}
 	}
@@ -133,14 +133,16 @@ func (ix *Index) effectiveTile(tx, ty int) geom.Rect {
 	return r
 }
 
-// windowOnTile evaluates w on one tile: the one per-tile window body, for
-// plain and decomposed tiles, filtering and exact queries, single and
-// batch callers alike. (qx0,qy0) is the minimum tile coordinate of the
+// windowOnTile evaluates w on the tile at slot: the one per-tile window
+// body, for plain and decomposed indexes, filtering and exact queries,
+// single and batch callers alike. The slot is also the tile's key into
+// the 2-layer+ side table. (qx0,qy0) is the minimum tile coordinate of the
 // query's cover range; it drives the Lemma 1-2 class selection: classes C
 // and D are read only in the first column of the range (otherwise the
 // previous tile in x also holds their entries), and classes B and D only
 // in the first row.
-func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, rf refiner, fn func(spatial.Entry)) {
+func (ix *Index) windowOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, rf refiner, fn func(spatial.Entry)) {
+	t := ix.tile(int(slot))
 	first := tx == qx0
 	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
@@ -187,7 +189,7 @@ func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, rf ref
 		}
 		rf.class = c
 		entries := t.classes[c]
-		if t.dec == nil || len(entries) < decSmallClass {
+		if ix.dec == nil || len(entries) < decSmallClass {
 			ix.scanClass(entries, w, plans[c].plan, &rf, fn)
 			continue
 		}
@@ -195,7 +197,8 @@ func (ix *Index) windowOnTile(t *tile, tx, ty, qx0, qy0 int, w geom.Rect, rf ref
 			frac = ix.compFractions(tx, ty, w)
 			fracReady = true
 		}
-		ix.decClassQuery(&t.dec.cls[c], entries, w, plans[c].plan, &frac, &rf, fn)
+		tabs := ix.dec.class(slot, t, c)
+		ix.decClassQuery(&tabs, entries, w, plans[c].plan, &frac, &rf, fn)
 	}
 }
 

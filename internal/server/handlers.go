@@ -158,7 +158,6 @@ type traceJSON struct {
 	ClassEntriesScanned  classCountsJSON `json:"class_entries_scanned"`
 	Comparisons          int64           `json:"comparisons"`
 	DuplicatesAvoided    int64           `json:"duplicates_avoided"`
-	BinarySearches       int64           `json:"binary_searches"`
 	SecondaryFilterTests int64           `json:"secondary_filter_tests"`
 	SecondaryFilterHits  int64           `json:"secondary_filter_hits"`
 	RefinementTests      int64           `json:"refinement_tests"`
@@ -178,7 +177,6 @@ func newTraceJSON(tr *twolayer.Trace) *traceJSON {
 		ClassEntriesScanned:  classCounts64(tr.ClassScanned),
 		Comparisons:          tr.Comparisons,
 		DuplicatesAvoided:    tr.DuplicatesAvoided,
-		BinarySearches:       tr.BinarySearches,
 		SecondaryFilterTests: tr.SecondaryFilterTests,
 		SecondaryFilterHits:  tr.SecondaryFilterHits,
 		RefinementTests:      tr.RefinementTests,
@@ -441,7 +439,6 @@ type countersJSON struct {
 	Comparisons          int64           `json:"comparisons"`
 	Results              int64           `json:"results"`
 	DuplicatesAvoided    int64           `json:"duplicates_avoided"`
-	BinarySearches       int64           `json:"binary_searches"`
 	SecondaryFilterTests int64           `json:"secondary_filter_tests"`
 	SecondaryFilterHits  int64           `json:"secondary_filter_hits"`
 	RefinementTests      int64           `json:"refinement_tests"`
@@ -461,7 +458,6 @@ type partitionsJSON struct {
 	SkewRatio         float64         `json:"skew_ratio"`
 	ReplicationFactor float64         `json:"replication_factor"`
 	BoundaryRatio     float64         `json:"boundary_ratio"`
-	DecomposedTiles   int             `json:"decomposed_tiles"`
 }
 
 // liveStatsJSON reports the apply loop of a live-mode server: the
@@ -685,7 +681,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SkewRatio:         ps.SkewRatio,
 			ReplicationFactor: ps.ReplicationFactor,
 			BoundaryRatio:     ps.BoundaryRatio,
-			DecomposedTiles:   ps.DecomposedTiles,
 		},
 		Shards:          shards,
 		Live:            live,
@@ -702,7 +697,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Comparisons:          snap.Comparisons,
 			Results:              snap.Results,
 			DuplicatesAvoided:    snap.DuplicatesAvoided,
-			BinarySearches:       snap.BinarySearches,
 			SecondaryFilterTests: snap.SecondaryFilterTests,
 			SecondaryFilterHits:  snap.SecondaryFilterHits,
 			RefinementTests:      snap.RefinementTests,

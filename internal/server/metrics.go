@@ -162,7 +162,7 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		"Copy-on-write epoch of the served index; 0 for a static build.",
 		func() float64 { return float64(s.eng.pin().Epoch()) })
 	r.GaugeFunc("twolayer_index_memory_bytes",
-		"Approximate entry storage of the served index.",
+		"Approximate data size of the served index: entries, tile directory and read tables.",
 		func() float64 { return float64(s.eng.pin().MemoryFootprint()) })
 
 	parts := &partitionCache{fetch: func() twolayer.PartitionStats {
@@ -198,9 +198,6 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	r.GaugeFunc("twolayer_partition_boundary_ratio",
 		"Fraction of stored entries that are boundary replicas (classes B, C, D).",
 		func() float64 { return parts.get().BoundaryRatio })
-	r.GaugeFunc("twolayer_partition_decomposed_tiles",
-		"Tiles with fresh 2-layer+ decomposed tables.",
-		func() float64 { return float64(parts.get().DecomposedTiles) })
 
 	// ---- query counters group (CollectStats aggregation) ------------------
 	agg := s.agg
@@ -239,9 +236,6 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	queryCounter("twolayer_query_duplicates_avoided_total",
 		"Entries skipped wholesale by the duplicate-free class selection (Lemmas 1-2).",
 		func(st *twolayer.Stats) int64 { return st.DuplicatesAvoided })
-	queryCounter("twolayer_query_binary_searches_total",
-		"Binary searches on 2-layer+ decomposed tables.",
-		func(st *twolayer.Stats) int64 { return st.BinarySearches })
 	queryCounter("twolayer_query_secondary_filter_tests_total",
 		"Lemma 5 coverage tests performed before refinement.",
 		func(st *twolayer.Stats) int64 { return st.SecondaryFilterTests })

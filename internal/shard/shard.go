@@ -628,8 +628,8 @@ func (e *Engine) Space() geom.Rect { return e.lay.opts.Space }
 // queries.
 func (e *Engine) HasExactGeometries() bool { return e.dataset != nil }
 
-// MemoryFootprint sums the entry storage of all shards, including
-// cross-shard replicas.
+// MemoryFootprint sums the data size of all shards (core's
+// MemoryFootprint), including cross-shard replicas.
 func (e *Engine) MemoryFootprint() int {
 	total := 0
 	for _, six := range e.shards {
@@ -655,7 +655,6 @@ func (e *Engine) PartitionStats() core.PartitionStats {
 		if ps.MaxTileEntries > out.MaxTileEntries {
 			out.MaxTileEntries = ps.MaxTileEntries
 		}
-		out.DecomposedTiles += ps.DecomposedTiles
 	}
 	out.Objects = e.size
 	if out.OccupiedTiles > 0 {

@@ -254,7 +254,9 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 
 	first := l.Snapshot()
 	want := sorted(first.WindowIDs(unitSpace, nil))
-	wantDec := first.PartitionStats().DecomposedTiles
+	if !first.Decomposed() {
+		t.Fatal("a snapshot of a decomposed seed holds no 2-layer+ tables before any write")
+	}
 
 	done := make(chan struct{})
 	go func() {
@@ -293,10 +295,14 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 		t.Fatalf("second snapshot: Len %d epoch %d, want %d and %d",
 			second.Len(), second.Epoch(), len(rects), first.Epoch())
 	}
-	if got := second.PartitionStats().DecomposedTiles; got != wantDec {
-		t.Fatalf("second snapshot: %d decomposed tiles, want %d", got, wantDec)
+	if !second.Decomposed() {
+		t.Fatal("second snapshot lost the 2-layer+ tables to a refused write")
 	}
 	if _, err := l.Insert(9999, r); err != nil {
 		t.Fatalf("Apply path after the refused writes: %v", err)
+	}
+	if l.Snapshot().Decomposed() || !first.Decomposed() {
+		t.Fatalf("after a write: new snapshot decomposed %v (want false), first %v (want true)",
+			l.Snapshot().Decomposed(), first.Decomposed())
 	}
 }

@@ -194,8 +194,8 @@ func (s *Sharded) Space() Rect { return s.eng.Space() }
 // queries (Exact descriptors, KNNExact).
 func (s *Sharded) HasExactGeometries() bool { return s.eng.HasExactGeometries() }
 
-// MemoryFootprint approximates entry storage across all shards,
-// including cross-shard replicas.
+// MemoryFootprint approximates the data size across all shards (see
+// Index.MemoryFootprint), including cross-shard replicas.
 func (s *Sharded) MemoryFootprint() int { return s.eng.MemoryFootprint() }
 
 // ReplicationFactor reports stored entries (tile and shard replicas)

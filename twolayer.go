@@ -93,7 +93,12 @@ type Options struct {
 	// the data (objects may still stick out; border tiles absorb them).
 	Space Rect
 	// Decompose builds the sorted coordinate tables of the 2-layer+
-	// variant: faster window queries on static data for ~2x the memory.
+	// variant (Sec. IV-C) for static data: more memory and a slower
+	// build (Fig. 7) for fewer coordinate comparisons on border tiles. It
+	// is not a speedup at this repository's default workload: Table V
+	// measured 2-layer+ at 0.88x of plain 2-layer's throughput on ROADS
+	// and 0.94x on EDGES (EXPERIMENTS.md). The first Insert or Delete
+	// drops the tables; RebuildDecomposed builds them again.
 	Decompose bool
 	// BuildThreads is the worker count of the construction pipeline:
 	// <= 0 selects DefaultThreads(), 1 forces the classic sequential
@@ -103,7 +108,7 @@ type Options struct {
 	// are identical to a sequential build. Small datasets (and very
 	// large grids) fall back to the sequential path automatically; see
 	// docs "Build performance" for the scaling profile. The setting also
-	// parallelizes 2-layer+ decomposed-table (re)builds.
+	// parallelizes 2-layer+ decomposed-table builds.
 	BuildThreads int
 }
 
@@ -363,9 +368,14 @@ func (ix *Index) Insert(id ID, mbr Rect) {
 // found.
 func (ix *Index) Delete(id ID, mbr Rect) bool { return ix.core.Delete(id, mbr) }
 
-// RebuildDecomposed (re)builds the decomposed tables after updates, for
-// indices using the 2-layer+ mode.
+// RebuildDecomposed builds the 2-layer+ decomposed tables over the
+// current contents. An index holds them from a build with
+// Options.Decompose until its first Insert or Delete, which drops them
+// whole; this builds them again.
 func (ix *Index) RebuildDecomposed() { ix.core.BuildDecomposed() }
+
+// Decomposed reports whether the index currently holds 2-layer+ tables.
+func (ix *Index) Decomposed() bool { return ix.core.Decomposed() }
 
 // KNN returns the k objects whose MBRs are nearest to q, ascending by
 // distance. Like updates, KNN requires external synchronization (it
@@ -531,5 +541,7 @@ func (ix *Index) Space() Rect { return ix.core.Grid().Space }
 // ReplicationFactor reports stored entries (with replicas) per object.
 func (ix *Index) ReplicationFactor() float64 { return ix.core.ReplicationFactor() }
 
-// MemoryFootprint approximates the index's entry storage in bytes.
+// MemoryFootprint approximates the index's data size in bytes: stored
+// entries with their replicas, the tile directory, and the count prefix
+// and 2-layer+ tables when the index holds them.
 func (ix *Index) MemoryFootprint() int { return ix.core.MemoryFootprint() }
