@@ -16,7 +16,7 @@ import (
 // BenchmarkWindowCountFast: count-only window queries on the Table-5
 // ROADS workload. "streamed" is the pre-pushdown reference (walk every
 // matching entry through a callback on the sequential scan, 0
-// allocs/op at every area); "pushdown" is WindowCountFast,
+// allocs/op at every area); "pushdown" is WindowCount's kernel,
 // which answers interior tiles with len() and 1-comparison decomposed
 // classes with a binary-search run length. The streamed/pushdown ratio
 // is the kernel's speedup at each query size.
@@ -44,10 +44,10 @@ func BenchmarkWindowCountFast(b *testing.B) {
 			})
 		})
 		b.Run("pushdown/area="+ftoa2(area), func(b *testing.B) {
-			run(b, plain.WindowCountFast)
+			run(b, plain.WindowCount)
 		})
 		b.Run("pushdown-decomposed/area="+ftoa2(area), func(b *testing.B) {
-			run(b, dec.WindowCountFast)
+			run(b, dec.WindowCount)
 		})
 	}
 }
@@ -89,9 +89,11 @@ func BenchmarkWindowLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkIntersects: the early-stopping existence probe on the Table-5
-// workload. The probe stops at the first match, so it should stay
-// near-constant per op.
+// BenchmarkIntersects: the early-stopping existence probe (a Search with
+// Limit 1) on the Table-5 workload. The probe stops at the first match,
+// so it should stay near-constant per op. The window points into the
+// query set: Search keeps its Query (through the Region case), so a
+// window copied to the stack would cost one allocation per op.
 func BenchmarkIntersects(b *testing.B) {
 	benchData()
 	ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid})
@@ -99,7 +101,8 @@ func BenchmarkIntersects(b *testing.B) {
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		if ix.Intersects(benchWindows[i%len(benchWindows)]) {
+		q := core.Query{Window: &benchWindows[i%len(benchWindows)], Limit: 1}
+		if complete, _ := ix.Search(q, func(spatial.Entry) bool { return true }); !complete {
 			hits++
 		}
 	}

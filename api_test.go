@@ -1,0 +1,43 @@
+package twolayer_test
+
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	twolayer "github.com/twolayer/twolayer"
+)
+
+// TestPublicMethodSets pins the exported methods of the package's handle
+// types. Range queries have one surface — Search, SearchIDs and
+// SearchCount over a Query — so a shape-specific wrapper or a second
+// error-returning twin that grows back fails here and has to be argued
+// for by editing this list.
+func TestPublicMethodSets(t *testing.T) {
+	for _, tc := range []struct {
+		typ  reflect.Type
+		want string
+	}{
+		{reflect.TypeOf((*twolayer.Index)(nil)), "BatchDisk BatchDiskCounts BatchWindow BatchWindowCounts " +
+			"Decomposed Delete Epoch EstimateWindow GridDims HasExactGeometries Insert Instrumented " +
+			"Join JoinCount JoinParallel KNN KNNExact Len MemoryFootprint PartitionStats QueryPathStats " +
+			"ReadView RebuildDecomposed ReplicationFactor Save Search SearchCount SearchIDs Space Traced"},
+		{reflect.TypeOf((*twolayer.Sharded)(nil)), "BatchDiskCounts BatchWindowCounts Epoch EstimateWindow " +
+			"GridDims HasExactGeometries KNN KNNExact Len MemoryFootprint PartitionStats QueryPathStats " +
+			"ReplicationFactor Search SearchCount SearchIDs Shards Space Stats Traced"},
+		{reflect.TypeOf((*twolayer.ShardedView)(nil)), "KNN KNNExact Search SearchCount"},
+		{reflect.TypeOf((*twolayer.Live)(nil)), "Apply Close Delete Insert Len Snapshot Stats"},
+		{reflect.TypeOf((*twolayer.ShardedLive)(nil)), "Apply Close Delete Insert Len ShardStats Shards Snapshot Stats"},
+		{reflect.TypeOf((*twolayer.DurableLive)(nil)), "Checkpoint Close Live Snapshot Stats"},
+		{reflect.TypeOf((*twolayer.ShardedDurable)(nil)), "Checkpoint Close Live Snapshot Stats"},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumMethod(); i++ {
+			got = append(got, tc.typ.Method(i).Name)
+		}
+		if want := strings.Fields(tc.want); !slices.Equal(got, want) {
+			t.Errorf("%v methods:\n got %v\nwant %v", tc.typ, got, want)
+		}
+	}
+}

@@ -183,7 +183,9 @@ func BenchmarkFig6Refinement(b *testing.B) {
 			b.ResetTimer()
 			n := 0
 			for i := 0; i < b.N; i++ {
-				ix.WindowExact(benchWindows[i%len(benchWindows)], mode, func(spatial.ID) { n++ })
+				q := core.Query{Window: &benchWindows[i%len(benchWindows)], Exact: true, Mode: mode}
+				c, _ := ix.SearchCount(q)
+				n += c
 			}
 			benchSink = n
 		})
@@ -193,8 +195,9 @@ func BenchmarkFig6Refinement(b *testing.B) {
 			b.ResetTimer()
 			n := 0
 			for i := 0; i < b.N; i++ {
-				q := benchDisks[i%len(benchDisks)]
-				ix.DiskExact(q.Center, q.Radius, mode, func(spatial.ID) { n++ })
+				q := core.Query{Disk: &benchDisks[i%len(benchDisks)], Exact: true, Mode: mode}
+				c, _ := ix.SearchCount(q)
+				n += c
 			}
 			benchSink = n
 		})
@@ -544,7 +547,8 @@ func BenchmarkRegionQuery(b *testing.B) {
 		b.ResetTimer()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			total += ix.QueryCount(benchDisks[i%len(benchDisks)])
+			n, _ := ix.SearchCount(core.Query{Region: benchDisks[i%len(benchDisks)]})
+			total += n
 		}
 		benchSink = total
 	})
@@ -565,7 +569,8 @@ func BenchmarkRegionQuery(b *testing.B) {
 		b.ResetTimer()
 		total := 0
 		for i := 0; i < b.N; i++ {
-			total += ix.QueryCount(hexes[i%len(hexes)])
+			n, _ := ix.SearchCount(core.Query{Region: hexes[i%len(hexes)]})
+			total += n
 		}
 		benchSink = total
 	})

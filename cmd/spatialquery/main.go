@@ -116,14 +116,16 @@ func main() {
 		fail(fmt.Errorf("one of -data or -snapshot is required"))
 	}
 
+	count := func(q twolayer.Query) int {
+		n, err := idx.SearchCount(q)
+		if err != nil {
+			fail(err)
+		}
+		return n
+	}
 	runWindow := func(w twolayer.Rect) {
 		start := time.Now()
-		n := 0
-		if *exact {
-			idx.WindowExact(w, twolayer.RefineAvoidPlus, func(twolayer.ID) { n++ })
-		} else {
-			n = idx.WindowCount(w)
-		}
+		n := count(twolayer.Query{Window: &w, Exact: *exact, Mode: twolayer.RefineAvoidPlus})
 		fmt.Printf("window %v -> %d results in %v\n", w, n, time.Since(start))
 	}
 
@@ -139,14 +141,12 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		c := twolayer.Point{X: v[0], Y: v[1]}
 		start := time.Now()
-		n := 0
-		if *exact {
-			idx.DiskExact(c, v[2], twolayer.RefineAvoid, func(twolayer.ID) { n++ })
-		} else {
-			n = idx.DiskCount(c, v[2])
-		}
+		n := count(twolayer.Query{
+			Disk:  &twolayer.Disk{Center: twolayer.Point{X: v[0], Y: v[1]}, Radius: v[2]},
+			Exact: *exact,
+			Mode:  twolayer.RefineAvoid,
+		})
 		fmt.Printf("disk (%g,%g) r=%g -> %d results in %v\n", v[0], v[1], v[2], n, time.Since(start))
 	case *knn != "":
 		v, err := parseFloats(*knn, 3)
@@ -178,7 +178,7 @@ func main() {
 		start := time.Now()
 		total := 0
 		for _, w := range queries {
-			total += idx.WindowCount(w)
+			total += count(twolayer.Query{Window: &w})
 		}
 		el := time.Since(start)
 		fmt.Printf("%d queries, %d total results, %v (%.0f queries/s)\n",

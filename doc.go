@@ -13,13 +13,13 @@
 //
 // # Quick start
 //
-//	objects := []twolayer.Rect{
-//		{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
-//		{MinX: 0.5, MinY: 0.4, MaxX: 0.8, MaxY: 0.6},
-//	}
-//	idx := twolayer.BuildRects(objects, twolayer.Options{GridSize: 64})
-//	idx.Window(twolayer.Rect{MinX: 0, MinY: 0, MaxX: 0.5, MaxY: 0.5},
-//		func(id uint32, mbr twolayer.Rect) { fmt.Println(id, mbr) })
+// Build an index with [BuildRects] or [BuildGeoms], then describe every
+// range query — a window, a disk or an arbitrary [Region], optionally
+// refined against the exact geometries and capped by a Limit — as one
+// [Query] and run it with [Index.Search] (stream), [Index.SearchIDs]
+// (collect) or [Index.SearchCount] (count). ExampleBuildRects,
+// ExampleIndex_Search and ExampleIndex_SearchCount are compiled, tested
+// quick starts.
 //
 // Exact (non-rectangular) geometries are supported through BuildGeoms;
 // window and disk queries over them use a secondary filter that skips the

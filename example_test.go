@@ -20,15 +20,21 @@ func ExampleBuildRects() {
 	idx := twolayer.BuildRects(objects, twolayer.Options{GridSize: 8})
 
 	window := twolayer.Rect{MinX: 0, MinY: 0, MaxX: 0.55, MaxY: 0.55}
-	ids := idx.WindowIDs(window, nil)
+	ids, err := idx.SearchIDs(twolayer.Query{Window: &window}, nil)
+	if err != nil {
+		panic(err)
+	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	fmt.Println(ids)
 	// Output: [0 1 2]
 }
 
-// Exact geometries: refinement runs only when the secondary filter
-// cannot prove the result.
-func ExampleIndex_WindowExact() {
+// Every range query is one Query descriptor — a window, a disk or a
+// region, optionally refined against the exact geometries and capped by
+// a Limit — and Search streams its matches, each exactly once. Exact
+// refinement runs only when the secondary filter cannot prove the
+// result.
+func ExampleIndex_Search() {
 	triangle := twolayer.NewPolygon(
 		twolayer.Point{X: 0.0, Y: 0.0},
 		twolayer.Point{X: 0.4, Y: 0.0},
@@ -37,27 +43,42 @@ func ExampleIndex_WindowExact() {
 	idx := twolayer.BuildGeoms([]twolayer.Geometry{triangle}, twolayer.Options{GridSize: 8})
 
 	// This window intersects the triangle's MBR but not the triangle.
-	miss := twolayer.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.39, MaxY: 0.39}
-	n := 0
-	idx.WindowExact(miss, twolayer.RefineAvoidPlus, func(twolayer.ID) { n++ })
-	fmt.Println("corner window:", n)
-
-	hit := twolayer.Rect{MinX: 0.0, MinY: 0.0, MaxX: 0.1, MaxY: 0.1}
-	idx.WindowExact(hit, twolayer.RefineAvoidPlus, func(twolayer.ID) { n++ })
-	fmt.Println("origin window:", n)
+	corner := twolayer.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.39, MaxY: 0.39}
+	for _, q := range []twolayer.Query{
+		{Window: &corner}, // filtering: MBRs only
+		{Window: &corner, Exact: true, Mode: twolayer.RefineAvoidPlus},
+	} {
+		n := 0
+		complete, err := idx.Search(q, func(id twolayer.ID, mbr twolayer.Rect) bool {
+			n++
+			return true // false stops the scan
+		})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("exact=%v: %d results, complete=%v\n", q.Exact, n, complete)
+	}
 	// Output:
-	// corner window: 0
-	// origin window: 1
+	// exact=false: 1 results, complete=true
+	// exact=true: 0 results, complete=true
 }
 
-// Disk (distance) queries report every object within the radius.
-func ExampleIndex_DiskCount() {
+// SearchCount counts what Search would stream; a plain count runs the
+// count pushdown and never visits most entries. Here a disk (distance)
+// query counts every object within the radius.
+func ExampleIndex_SearchCount() {
 	objects := []twolayer.Rect{
 		{MinX: 0.48, MinY: 0.48, MaxX: 0.52, MaxY: 0.52}, // at the center
 		{MinX: 0.90, MinY: 0.90, MaxX: 0.95, MaxY: 0.95}, // far away
 	}
 	idx := twolayer.BuildRects(objects, twolayer.Options{GridSize: 8})
-	fmt.Println(idx.DiskCount(twolayer.Point{X: 0.5, Y: 0.5}, 0.1))
+	n, err := idx.SearchCount(twolayer.Query{
+		Disk: &twolayer.Disk{Center: twolayer.Point{X: 0.5, Y: 0.5}, Radius: 0.1},
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(n)
 	// Output: 1
 }
 
@@ -88,9 +109,12 @@ func ExampleIndex_Join() {
 		{MinX: 0.2, MinY: 0.1, MaxX: 0.3, MaxY: 0.3}, // crossed by the road
 		{MinX: 0.7, MinY: 0.7, MaxX: 0.8, MaxY: 0.8}, // not crossed
 	}, opts)
-	roads.Join(parcels, func(road, parcel twolayer.ID) {
+	err := roads.Join(parcels, func(road, parcel twolayer.ID) {
 		fmt.Printf("road %d crosses parcel %d\n", road, parcel)
 	})
+	if err != nil { // ErrGridMismatch or ErrSelfJoin
+		panic(err)
+	}
 	// Output: road 0 crosses parcel 0
 }
 
@@ -124,7 +148,11 @@ func ExampleIndex_Save() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(loaded.WindowCount(twolayer.Rect{MaxX: 1, MaxY: 1}))
+	n, err := loaded.SearchCount(twolayer.Query{Window: &twolayer.Rect{MaxX: 1, MaxY: 1}})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(n)
 	// Output: 1
 }
 
@@ -139,8 +167,11 @@ func ExampleIndex_Traced() {
 	view, tr := idx.Traced()
 	tr.Kind = "window"
 	start := time.Now()
-	n := view.WindowCount(twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
+	n, err := view.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}})
 	tr.Finish(start)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println(tr.Kind, "results:", n)
 	fmt.Println("counted work:", tr.TilesVisited > 0, tr.EntriesScanned > 0)
@@ -166,7 +197,7 @@ func ExampleAtomicStats() {
 		go func() {
 			defer wg.Done()
 			view, stats := idx.Instrumented()
-			view.WindowCount(twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
+			view.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}})
 			agg.Observe(stats) // one merge per finished query
 		}()
 	}

@@ -69,7 +69,10 @@ func main() {
 		start := time.Now()
 		results := 0
 		for _, w := range viewports {
-			view.WindowExact(w, mode, func(twolayer.ID) { results++ })
+			// SearchCount fails only on an invalid descriptor or an exact
+			// query without geometries, neither possible here.
+			n, _ := view.SearchCount(twolayer.Query{Window: &w, Exact: true, Mode: mode})
+			results += n
 		}
 		elapsed := time.Since(start)
 		fmt.Printf("%-9s %8d results  %8d exact tests  %8d filter hits  %v\n",
@@ -78,7 +81,10 @@ func main() {
 
 	// Proximity search: all roads within 500m (~0.005) of an incident.
 	incident := twolayer.Point{X: 0.5, Y: 0.5}
-	n := 0
-	idx.DiskExact(incident, 0.005, twolayer.RefineAvoid, func(twolayer.ID) { n++ })
+	n, _ := idx.SearchCount(twolayer.Query{
+		Disk:  &twolayer.Disk{Center: incident, Radius: 0.005},
+		Exact: true,
+		Mode:  twolayer.RefineAvoid,
+	})
 	fmt.Printf("roads within 0.005 of %v: %d\n", incident, n)
 }

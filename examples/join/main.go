@@ -48,7 +48,10 @@ func main() {
 	// Grid join with class-based duplicate avoidance.
 	start := time.Now()
 	pairs := 0
-	roadIdx.Join(parcelIdx, func(road, parcel twolayer.ID) { pairs++ })
+	// Join refuses (ErrGridMismatch) indices built over different grids.
+	if err := roadIdx.Join(parcelIdx, func(road, parcel twolayer.ID) { pairs++ }); err != nil {
+		panic(err)
+	}
 	joinTime := time.Since(start)
 	fmt.Printf("two-layer grid join:   %9d pairs in %v\n", pairs, joinTime)
 
@@ -56,7 +59,8 @@ func main() {
 	start = time.Now()
 	probePairs := 0
 	for _, r := range roads {
-		probePairs += parcelIdx.WindowCount(r)
+		n, _ := parcelIdx.SearchCount(twolayer.Query{Window: &r}) // a valid window cannot fail
+		probePairs += n
 	}
 	probeTime := time.Since(start)
 	fmt.Printf("index nested loop:     %9d pairs in %v (%.1fx slower)\n",
@@ -69,7 +73,9 @@ func main() {
 	// A local analytics question on top of the join: the parcel touched
 	// by the most roads.
 	counts := make(map[twolayer.ID]int)
-	roadIdx.Join(parcelIdx, func(_, parcel twolayer.ID) { counts[parcel]++ })
+	if err := roadIdx.Join(parcelIdx, func(_, parcel twolayer.ID) { counts[parcel]++ }); err != nil {
+		panic(err)
+	}
 	bestParcel, bestCount := twolayer.ID(0), 0
 	for id, c := range counts {
 		if c > bestCount {

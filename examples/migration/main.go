@@ -77,7 +77,7 @@ func main() {
 		if i%queryEvery == 0 {
 			// Dispatcher: who can serve this neighborhood right now?
 			x, y := rnd.Float64(), rnd.Float64()
-			idx.WindowCount(twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01})
+			idx.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.01, MaxY: y + 0.01}})
 			queries++
 		}
 	}

@@ -79,7 +79,7 @@ func main() {
 
 	// Single ad placement with exact geometry check.
 	spot := twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.505, MaxY: 0.505}
-	reach := 0
-	idx.WindowExact(spot, twolayer.RefineAvoidPlus, func(twolayer.ID) { reach++ })
+	// The index holds the geometries, so the exact count cannot fail.
+	reach, _ := idx.SearchCount(twolayer.Query{Window: &spot, Exact: true, Mode: twolayer.RefineAvoidPlus})
 	fmt.Printf("exact audience at %v: %d users\n", spot, reach)
 }

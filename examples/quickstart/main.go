@@ -24,31 +24,38 @@ func main() {
 	fmt.Printf("indexed %d objects, replication factor %.3f, ~%d MB\n",
 		idx.Len(), idx.ReplicationFactor(), idx.MemoryFootprint()/(1<<20))
 
-	// A window query: every object whose MBR intersects the window is
-	// reported exactly once — no duplicate elimination happens anywhere.
+	// Every range query is a Query descriptor: one shape, optionally
+	// exact refinement and a result limit. A window query reports every
+	// object whose MBR intersects the window exactly once — no duplicate
+	// elimination happens anywhere. The error is non-nil only for an
+	// invalid descriptor.
 	window := twolayer.Rect{MinX: 0.40, MinY: 0.40, MaxX: 0.43, MaxY: 0.43}
-	fmt.Printf("window %v -> %d objects\n", window, idx.WindowCount(window))
+	inWindow := twolayer.Query{Window: &window}
+	n, _ := idx.SearchCount(inWindow)
+	fmt.Printf("window %v -> %d objects\n", window, n)
 
-	// Stream results instead of counting; the iterator form supports
-	// early break (the scan stops, tile-granular).
+	// Stream results instead of counting; returning false stops the scan
+	// (tile-granular).
 	shown := 0
-	for id, mbr := range idx.WindowAll(window) {
+	idx.Search(inWindow, func(id twolayer.ID, mbr twolayer.Rect) bool {
 		fmt.Printf("  id=%d mbr=%v\n", id, mbr)
-		if shown++; shown == 3 {
-			break
-		}
-	}
+		shown++
+		return shown < 3
+	})
 
 	// A disk query: all objects within distance 0.02 of a point.
 	center := twolayer.Point{X: 0.5, Y: 0.5}
-	fmt.Printf("disk around %v -> %d objects\n", center, idx.DiskCount(center, 0.02))
+	n, _ = idx.SearchCount(twolayer.Query{Disk: &twolayer.Disk{Center: center, Radius: 0.02}})
+	fmt.Printf("disk around %v -> %d objects\n", center, n)
 
 	// The index is dynamic: insert and delete by (id, MBR).
 	extra := twolayer.Rect{MinX: 0.415, MinY: 0.415, MaxX: 0.418, MaxY: 0.418}
 	idx.Insert(twolayer.ID(len(rects)), extra)
-	fmt.Printf("after insert: %d objects in window\n", idx.WindowCount(window))
+	n, _ = idx.SearchCount(inWindow)
+	fmt.Printf("after insert: %d objects in window\n", n)
 	idx.Delete(twolayer.ID(len(rects)), extra)
-	fmt.Printf("after delete: %d objects in window\n", idx.WindowCount(window))
+	n, _ = idx.SearchCount(inWindow)
+	fmt.Printf("after delete: %d objects in window\n", n)
 
 	// For concurrent readers and writers, wrap the index in a Live
 	// handle: readers pin immutable snapshots (one atomic load, no
@@ -58,5 +65,6 @@ func main() {
 	defer live.Close()
 	epoch, _ := live.Insert(twolayer.ID(len(rects))+1, extra)
 	snap := live.Snapshot() // immutable; safe from any goroutine
-	fmt.Printf("live epoch %d: %d objects in window\n", epoch, snap.WindowCount(window))
+	n, _ = snap.SearchCount(inWindow)
+	fmt.Printf("live epoch %d: %d objects in window\n", epoch, n)
 }

@@ -35,8 +35,11 @@ func Fig6(c Config) {
 			v := ix.View(stats)
 			start := time.Now()
 			done := 0
-			for _, w := range windows {
-				v.WindowExact(w, mode, func(spatial.ID) {})
+			for i := range windows {
+				// ix holds its dataset, so an exact query cannot fail. The
+				// shape points into the query set: Search keeps its Query
+				// (the Region case), so a per-query copy would be allocated.
+				_, _ = v.Search(core.Query{Window: &windows[i], Exact: true, Mode: mode}, func(spatial.Entry) bool { return true })
 				done++
 				if done%16 == 0 && time.Since(start) > c.TimePerPoint {
 					break
@@ -54,8 +57,8 @@ func Fig6(c Config) {
 			v := ix.View(stats)
 			start := time.Now()
 			done := 0
-			for _, q := range disks {
-				v.DiskExact(q.Center, q.Radius, mode, func(spatial.ID) {})
+			for i := range disks {
+				_, _ = v.Search(core.Query{Disk: &disks[i], Exact: true, Mode: mode}, func(spatial.Entry) bool { return true })
 				done++
 				if done%16 == 0 && time.Since(start) > c.TimePerPoint {
 					break

@@ -195,7 +195,7 @@ func (ix *Index) BatchWindow(queries []geom.Rect, strategy BatchStrategy, thread
 // cardinality of every query, from the count pushdown: no per-result
 // callback runs. An index with Stats attached falls back to the counted
 // scan on the caller's goroutine (one Stats is single-goroutine), as
-// WindowCountFast does.
+// WindowCount does.
 func (ix *Index) BatchWindowCounts(queries []geom.Rect, strategy BatchStrategy, threads int) []int {
 	return ix.BatchWindowCountsFiltered(queries, func(int) float64 { return math.Inf(-1) }, strategy, threads)
 }

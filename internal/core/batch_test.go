@@ -28,7 +28,7 @@ func TestBatchStrategiesAgree(t *testing.T) {
 
 	want := make([][]spatial.ID, len(queries))
 	for i, w := range queries {
-		want[i] = sortIDs(ix.WindowIDs(w, nil))
+		want[i] = sortIDs(windowIDs(ix, w))
 	}
 
 	for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
@@ -272,7 +272,7 @@ func TestBatchCountsFilteredEquivalence(t *testing.T) {
 }
 
 // TestBatchCountsOnStatsView pins that a counted batch on an
-// Instrumented view falls back to the counted scan, as WindowCountFast
+// Instrumented view falls back to the counted scan, as WindowCount
 // and DiskCount do: the view's Stats advance exactly as they do under
 // the streamed batch (Corollary 1 counters included) and the always-on
 // fast-path counters do not move.

@@ -132,7 +132,7 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		// And the parallel index must answer queries correctly.
 		for q := 0; q < 20; q++ {
 			w := randWindow(rnd, 0.3)
-			got := par.WindowIDs(w, nil)
+			got := windowIDs(par, w)
 			noDuplicates(t, got, cfg)
 			sameIDs(t, got, spatial.BruteWindow(d.Entries, w), cfg)
 		}
@@ -160,7 +160,7 @@ func TestParallelBuildFallbacks(t *testing.T) {
 		t.Cleanup(func() { maxParallelBuildTiles = saved })
 		ix := Build(d, Options{NX: 8, NY: 8, Space: d.MBR(), BuildThreads: 8})
 		w := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(d.Entries, w), "tile budget fallback")
+		sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(d.Entries, w), "tile budget fallback")
 	})
 	t.Run("auto-threads", func(t *testing.T) {
 		lowerBuildGates(t)
@@ -169,7 +169,7 @@ func TestParallelBuildFallbacks(t *testing.T) {
 		for _, threads := range []int{0, -3} {
 			ix := Build(d, Options{NX: 8, NY: 8, Space: d.MBR(), BuildThreads: threads})
 			w := geom.Rect{MinX: 0.1, MinY: 0.3, MaxX: 0.7, MaxY: 0.8}
-			sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(d.Entries, w), "auto threads")
+			sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(d.Entries, w), "auto threads")
 		}
 	})
 }
@@ -226,7 +226,7 @@ func TestParallelBuildThenUpdate(t *testing.T) {
 	}
 	for q := 0; q < 30; q++ {
 		w := randWindow(rnd, 0.4)
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(entries, w), "post-update window")
+		sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(entries, w), "post-update window")
 	}
 }
 
@@ -264,7 +264,7 @@ func TestParallelBuildConcurrentReaders(t *testing.T) {
 				default:
 				}
 				q := (i + r) % len(windows)
-				got := sortIDs(published.View(nil).WindowIDs(windows[q], nil))
+				got := sortIDs(windowIDs(published.View(nil), windows[q]))
 				if len(got) != len(want[q]) {
 					t.Errorf("reader %d window %d: %d results, want %d", r, q, len(got), len(want[q]))
 					return

@@ -50,7 +50,8 @@ func TestConcurrentReaders(t *testing.T) {
 					return
 				}
 				ix.DiskCount(j.c, j.r)
-				ix.WindowExact(j.w, RefineAvoidPlus, func(spatial.ID) {})
+				w := j.w
+				_, _ = ix.Search(Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}, func(spatial.Entry) bool { return true })
 			}
 		}(g)
 	}

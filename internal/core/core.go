@@ -360,7 +360,7 @@ func (ix *Index) ForEach(fn func(e spatial.Entry)) {
 func (ix *Index) Dataset() *spatial.Dataset { return ix.dataset }
 
 // SetDataset replaces the dataset reference backing the refinement step
-// (WindowExact, DiskExact, KNNExact). The shard engine builds each shard
+// (exact Search and SearchCount, KNNExact). The shard engine builds each shard
 // over the subset of entries intersecting its slab, then points every
 // shard's refinement at the full dataset so exact-geometry lookups by
 // global ID stay correct.
@@ -449,8 +449,10 @@ func (ix *Index) mustBeWritable(op string) {
 
 // Delete removes the object with the given id and MBR from the index. The
 // MBR must be the exact rectangle the object was inserted with, since it
-// determines the replication tiles. It reports whether the object was
-// found. Like Insert, a successful Delete drops the derived read tables.
+// determines the replication tiles: a replica is removed only when both
+// its ID and its stored rectangle match, so a wrong MBR finds nothing and
+// leaves the object whole. It reports whether the object was found. Like
+// Insert, a successful Delete drops the derived read tables.
 func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 	ix.mustBeWritable("Delete")
 	ax, ay, bx, by := ix.g.CoverRect(r)
@@ -464,7 +466,7 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 			c := classify(tx, ty, ax, ay)
 			list := ix.tile(int(slot)).classes[c]
 			for i := range list {
-				if list[i].ID == id {
+				if list[i].ID == id && list[i].Rect == r {
 					// Own the page and the class slices before the in-place
 					// swap-remove; owning may move both, so re-fetch them.
 					t := ix.ownTile(slot)

@@ -17,18 +17,18 @@ import (
 // border partitions still count entry by entry, through a closure-free
 // loop.
 
-// WindowCountFast returns the number of MBRs intersecting w using the
+// WindowCount returns the number of MBRs intersecting w using the
 // count-pushdown kernel. On an index with Stats attached it falls back
 // to the classic instrumented scan so the documented counter semantics
 // (Corollary 1, per-class breakdowns) are preserved exactly.
-func (ix *Index) WindowCountFast(w geom.Rect) int { return ix.windowCount(w, math.Inf(-1)) }
+func (ix *Index) WindowCount(w geom.Rect) int { return ix.windowCount(w, math.Inf(-1)) }
 
 // WindowCountFiltered counts the entries intersecting w whose
 // Rect.MinX >= minX. The sharded engine pushes fan-out counts down with
 // it: a fan-out shard contributes exactly the matches homed to it —
 // those beginning at or after its slab's left edge — so per-shard counts
 // sum to the distinct total without buffering results (docs/SHARDING.md).
-// A minX of -Inf filters nothing: it is WindowCountFast.
+// A minX of -Inf filters nothing: it is WindowCount.
 func (ix *Index) WindowCountFiltered(w geom.Rect, minX float64) int { return ix.windowCount(w, minX) }
 
 // windowCount is the one cover walk behind both entries. A finite minX

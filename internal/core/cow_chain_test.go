@@ -297,7 +297,7 @@ func checkSnap(s chainSnap, roundTrip bool) error {
 
 func checkWindows(ix *Index, want []spatial.Entry, what string) error {
 	for _, w := range chainWindows {
-		got := sortIDs(ix.WindowIDs(w, nil))
+		got := sortIDs(windowIDs(ix, w))
 		exp := sortIDs(spatial.BruteWindow(want, w))
 		if len(got) != len(exp) {
 			return fmt.Errorf("%s: window %v returned %d ids, model has %d", what, w, len(got), len(exp))
@@ -307,8 +307,8 @@ func checkWindows(ix *Index, want []spatial.Entry, what string) error {
 				return fmt.Errorf("%s: window %v result %d = %d, model has %d", what, w, i, got[i], exp[i])
 			}
 		}
-		if n := ix.WindowCountFast(w); n != len(exp) {
-			return fmt.Errorf("%s: WindowCountFast(%v) = %d, model has %d", what, w, n, len(exp))
+		if n := ix.WindowCount(w); n != len(exp) {
+			return fmt.Errorf("%s: WindowCount(%v) = %d, model has %d", what, w, n, len(exp))
 		}
 	}
 	return nil

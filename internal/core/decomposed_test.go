@@ -26,7 +26,7 @@ func TestDecomposedMatchesPlain(t *testing.T) {
 		}
 		for q := 0; q < 80; q++ {
 			w := randWindow(rnd, 0.35)
-			sameIDs(t, dec.WindowIDs(w, nil), plain.WindowIDs(w, nil), "decomposed vs plain")
+			sameIDs(t, windowIDs(dec, w), windowIDs(plain, w), "decomposed vs plain")
 		}
 	}
 	// The dense configurations must actually exercise binary searches.
@@ -48,7 +48,7 @@ func TestDecomposedMatchesBruteForce(t *testing.T) {
 	ix := Build(d, Options{NX: 16, NY: 16, Decompose: true})
 	for q := 0; q < 60; q++ {
 		w := randWindow(rnd, 0.4)
-		got := ix.WindowIDs(w, nil)
+		got := windowIDs(ix, w)
 		noDuplicates(t, got, "decomposed window")
 		sameIDs(t, got, spatial.BruteWindow(d.Entries, w), "decomposed vs brute")
 	}
@@ -157,7 +157,7 @@ func TestDecomposedStaleAfterInsert(t *testing.T) {
 	}
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.4)
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(allEntries, w), "dropped-dec window")
+		sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(allEntries, w), "dropped-dec window")
 	}
 
 	ix.BuildDecomposed()
@@ -166,7 +166,7 @@ func TestDecomposedStaleAfterInsert(t *testing.T) {
 	}
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.4)
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(allEntries, w), "rebuilt-dec window")
+		sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(allEntries, w), "rebuilt-dec window")
 	}
 
 	if ix.Delete(spatial.ID(len(rects)+1), extra) || !ix.Decomposed() {

@@ -84,7 +84,7 @@ func (ix *Index) Disk(center geom.Point, radius float64, fn func(e spatial.Entry
 }
 
 // diskScan is the one streamed walk over a disk's tile cover, behind
-// Disk, DiskUntil, DiskExact and Search; rf, fn and stop are windowScan's.
+// Disk and Search; rf, fn and stop are windowScan's.
 func (ix *Index) diskScan(center geom.Point, radius float64, rf refiner, fn func(spatial.Entry), stop *bool) {
 	dc := ix.diskCoverFor(center, radius)
 	if dc == nil {
@@ -99,25 +99,6 @@ func (ix *Index) diskScan(center geom.Point, radius float64, rf refiner, fn func
 			}
 		}
 	}
-}
-
-// DiskUntil streams disk results until fn returns false, reporting
-// whether the query ran to completion. Like WindowUntil, termination is
-// tile-granular: results already produced by the current tile still
-// arrive at fn before the scan stops.
-func (ix *Index) DiskUntil(center geom.Point, radius float64, fn func(e spatial.Entry) bool) bool {
-	stopped := false
-	ix.diskScan(center, radius, refiner{}, func(e spatial.Entry) {
-		if !stopped && !fn(e) {
-			stopped = true
-		}
-	}, &stopped)
-	return !stopped
-}
-
-// DiskIDs runs Disk and collects result IDs into buf.
-func (ix *Index) DiskIDs(center geom.Point, radius float64, buf []spatial.ID) []spatial.ID {
-	return collectIDs(buf[:0], func(c *idCollector) { ix.Disk(center, radius, c.emit) })
 }
 
 // DiskCount returns the number of MBRs intersecting the disk, through a

@@ -20,7 +20,7 @@ func TestDiskMatchesBruteForce(t *testing.T) {
 			for q := 0; q < 50; q++ {
 				c := geom.Point{X: rnd.Float64()*1.2 - 0.1, Y: rnd.Float64()*1.2 - 0.1}
 				radius := rnd.Float64() * 0.3
-				got := ix.DiskIDs(c, radius, nil)
+				got := diskIDs(ix, c, radius)
 				noDuplicates(t, got, "disk")
 				want := spatial.BruteDisk(d.Entries, c, radius)
 				sameIDs(t, got, want, "disk vs brute force")
@@ -39,7 +39,7 @@ func TestDiskLargeObjects(t *testing.T) {
 	for q := 0; q < 100; q++ {
 		c := geom.Point{X: rnd.Float64(), Y: rnd.Float64()}
 		radius := 0.05 + rnd.Float64()*0.4
-		got := ix.DiskIDs(c, radius, nil)
+		got := diskIDs(ix, c, radius)
 		noDuplicates(t, got, "disk large objects")
 		sameIDs(t, got, spatial.BruteDisk(d.Entries, c, radius), "disk large objects")
 	}
@@ -55,18 +55,18 @@ func TestDiskEdgeCases(t *testing.T) {
 		t.Errorf("disk outside space returned %d results", n)
 	}
 
-	all := ix.DiskIDs(geom.Point{X: 0.5, Y: 0.5}, 10, nil)
+	all := diskIDs(ix, geom.Point{X: 0.5, Y: 0.5}, 10)
 	if len(all) != d.Len() {
 		t.Errorf("all-covering disk returned %d of %d", len(all), d.Len())
 	}
 	noDuplicates(t, all, "all-covering disk")
 
 	c := geom.Point{X: 0.5, Y: 0.5}
-	got := ix.DiskIDs(c, 0, nil)
+	got := diskIDs(ix, c, 0)
 	sameIDs(t, got, spatial.BruteDisk(d.Entries, c, 0), "zero-radius disk")
 
 	edge := geom.Point{X: -0.05, Y: 0.5} // center outside, disk overlaps space
-	got = ix.DiskIDs(edge, 0.2, nil)
+	got = diskIDs(ix, edge, 0.2)
 	noDuplicates(t, got, "edge disk")
 	sameIDs(t, got, spatial.BruteDisk(d.Entries, edge, 0.2), "edge disk")
 }
@@ -115,7 +115,7 @@ func TestDiskCoveredTilesSkipDistance(t *testing.T) {
 	ix, d := buildRandom(rnd, 2000, 0.01, Options{NX: 32, NY: 32})
 	ix.stats = &Stats{}
 	c := geom.Point{X: 0.5, Y: 0.5}
-	got := ix.DiskIDs(c, 0.45, nil)
+	got := diskIDs(ix, c, 0.45)
 	sameIDs(t, got, spatial.BruteDisk(d.Entries, c, 0.45), "covered-tile disk")
 	// A 0.45-radius disk on a 32x32 grid covers hundreds of interior
 	// tiles; the distance computations must be far fewer than the number

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/twolayer/twolayer/internal/geom"
-	"github.com/twolayer/twolayer/internal/spatial"
-)
+import "github.com/twolayer/twolayer/internal/geom"
 
 // Selectivity estimation: the grid doubles as an equi-width histogram, a
 // standard database component. EstimateWindow predicts a window query's
@@ -51,31 +48,4 @@ func (ix *Index) EstimateWindow(w geom.Rect) float64 {
 		}
 	}
 	return est
-}
-
-// WindowUntil evaluates the filtering step but stops early once fn
-// returns false; useful for existence tests and top-k style consumers.
-// Early termination is tile-granular: the partition currently being
-// scanned finishes before the stop takes effect, but no further
-// partitions or tiles are read. It reports whether the query ran to
-// completion (true) or was stopped (false).
-func (ix *Index) WindowUntil(w geom.Rect, fn func(e spatial.Entry) bool) bool {
-	stopped := false
-	ix.windowScan(w, refiner{}, func(e spatial.Entry) {
-		if !stopped && !fn(e) {
-			stopped = true
-		}
-	}, &stopped)
-	return !stopped
-}
-
-// Intersects reports whether any object MBR intersects w, stopping at the
-// first hit.
-func (ix *Index) Intersects(w geom.Rect) bool {
-	found := false
-	ix.WindowUntil(w, func(spatial.Entry) bool {
-		found = true
-		return false
-	})
-	return found
 }

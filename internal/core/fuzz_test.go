@@ -36,7 +36,7 @@ func FuzzWindow(f *testing.F) {
 		dec := Build(d, Options{NX: int(gridSize), NY: int(gridSize), Decompose: true})
 		query := geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
 
-		got := ix.WindowIDs(query, nil)
+		got := windowIDs(ix, query)
 		seen := make(map[spatial.ID]bool, len(got))
 		for _, id := range got {
 			if seen[id] {

@@ -79,11 +79,11 @@ func TestWindowCountFastEquivalence(t *testing.T) {
 			if w.Valid() {
 				ix.Window(w, func(spatial.Entry) { want++ })
 			}
-			if got := ix.WindowCountFast(w); got != want {
-				t.Errorf("%s window %d: WindowCountFast = %d, want %d", name, wi, got, want)
-			}
 			if got := ix.WindowCount(w); got != want {
 				t.Errorf("%s window %d: WindowCount = %d, want %d", name, wi, got, want)
+			}
+			if got, _ := ix.SearchCount(Query{Window: &w}); got != want {
+				t.Errorf("%s window %d: SearchCount = %d, want %d", name, wi, got, want)
 			}
 		}
 	}
@@ -137,8 +137,9 @@ func TestDiskCountEquivalence(t *testing.T) {
 // TestLargeWindowEquivalence checks the sequential scan on large
 // windows: covers of at least 1024 tiles with at least 4096 results, so
 // one query walks thousands of tiles. Window must return exactly the
-// naive scan's IDs, and WindowIDs, WindowUntil and Search must deliver
-// Window's sequence (or the documented prefix of it) in Window's order.
+// naive scan's IDs, and SearchIDs and Search (stopped by its callback or
+// by a Limit) must deliver Window's sequence (or the documented prefix of
+// it) in Window's order.
 func TestLargeWindowEquivalence(t *testing.T) {
 	rnd := rand.New(rand.NewSource(23))
 	rects := randRects(rnd, 6000, 0.03)
@@ -168,17 +169,20 @@ func TestLargeWindowEquivalence(t *testing.T) {
 			ix.Window(w, func(e spatial.Entry) { want = append(want, e.ID) })
 			sameIDs(t, append([]spatial.ID(nil), want...), naive, ctx+": Window vs naive")
 			total := len(want)
-			sameOrder(t, ix.WindowIDs(w, nil), want, ctx+": WindowIDs")
+			sameOrder(t, windowIDs(ix, w), want, ctx+": SearchIDs")
 
 			for _, k := range []int{1, total / 2, total, total + 1} {
 				var got []spatial.ID
-				complete := ix.WindowUntil(w, func(e spatial.Entry) bool {
+				complete, err := ix.Search(Query{Window: &w}, func(e spatial.Entry) bool {
 					got = append(got, e.ID)
 					return len(got) < k
 				})
-				sameOrder(t, got, want[:min(k, total)], fmt.Sprintf("%s: WindowUntil k=%d", ctx, k))
+				if err != nil {
+					t.Fatalf("%s: Search: %v", ctx, err)
+				}
+				sameOrder(t, got, want[:min(k, total)], fmt.Sprintf("%s: Search stopped at k=%d", ctx, k))
 				if complete != (k > total) {
-					t.Errorf("%s: WindowUntil k=%d complete = %v", ctx, k, complete)
+					t.Errorf("%s: Search stopped at k=%d complete = %v", ctx, k, complete)
 				}
 			}
 
@@ -210,15 +214,14 @@ func TestLargeWindowEquivalence(t *testing.T) {
 }
 
 // TestStreamedQueryMatrix runs every streamed entry point of every query
-// shape on every index variant against the brute-force oracles: Window,
-// WindowUntil, Disk, DiskUntil and Query on a polygon; WindowExact and
-// DiskExact in every refinement mode on the variants that keep the
-// dataset; Search on each shape, plain and exact, with Limit 0, 1 and k;
-// KNN and KNNExact in brute-force order. Each object is delivered once,
-// a stopped or limited query delivers exactly the prefix it asked for,
-// and on a Stats view a Limit of 1 stops the walk of every shape at tile
-// granularity (for a region that is the early stop a plain Query never
-// had).
+// shape on every index variant against the brute-force oracles: Search
+// on windows, disks and polygons, plain and (on the variants that keep
+// the dataset) exact in every refinement mode, unlimited, stopped by its
+// callback after 1 and k results, and with Limit 1 and k; Window and Disk
+// in Search's order; KNN and KNNExact in brute-force order. Each object
+// is delivered once, a stopped or limited query delivers exactly the
+// prefix it asked for, and on a Stats view a Limit of 1 stops the walk of
+// every shape at tile granularity.
 func TestStreamedQueryMatrix(t *testing.T) {
 	rnd := rand.New(rand.NewSource(77))
 	d := spatial.NewGeomDataset(randGeoms(rnd, 1500, 0.06))
@@ -245,42 +248,45 @@ func TestStreamedQueryMatrix(t *testing.T) {
 	modes := []RefineMode{RefineSimple, RefineAvoid, RefineAvoidPlus}
 
 	for name, ix := range kernelConfigsOverDataset(t, d) {
-		// check runs one query through its streamed forms: all must deliver
-		// want, each object once; until is the stoppable form and search
-		// the descriptor (both deliver in all's order).
-		check := func(ctx string, want []spatial.ID, all func(fn func(spatial.Entry)),
-			until func(fn func(spatial.Entry) bool) bool, q Query) {
+		// check runs one query through Search and, where all is set,
+		// through the comparator form all, which must deliver Search's
+		// sequence: want, each object once. Search stopped by its callback
+		// after k results and Search with Limit k must both deliver the
+		// first k of that sequence.
+		check := func(ctx string, want []spatial.ID, all func(fn func(spatial.Entry)), q Query) {
 			t.Helper()
-			var order []spatial.ID
-			all(func(e spatial.Entry) { order = append(order, e.ID) })
+			search := func(q Query, stopAt int) (got []spatial.ID, complete bool) {
+				complete, err := ix.Search(q, func(e spatial.Entry) bool {
+					got = append(got, e.ID)
+					return len(got) != stopAt
+				})
+				if err != nil {
+					t.Fatalf("%s: Search limit=%d: %v", ctx, q.Limit, err)
+				}
+				return got, complete
+			}
+			order, _ := search(q, 0)
 			noDuplicates(t, order, ctx)
 			sameIDs(t, slices.Clone(order), want, ctx)
+			if all != nil {
+				var got []spatial.ID
+				all(func(e spatial.Entry) { got = append(got, e.ID) })
+				sameOrder(t, got, order, ctx+": Window/Disk vs Search")
+			}
 			total := len(order)
 			for _, k := range []int{0, 1, 7} {
 				n := total
 				if k > 0 && k < total {
 					n = k
 				}
-				if until != nil {
-					var got []spatial.ID
-					complete := until(func(e spatial.Entry) bool {
-						got = append(got, e.ID)
-						return len(got) != k
-					})
-					sameOrder(t, got, order[:n], fmt.Sprintf("%s: until k=%d", ctx, k))
-					if complete != (k == 0 || k > total) {
-						t.Errorf("%s: until k=%d complete = %v with %d results", ctx, k, complete, total)
-					}
+				got, complete := search(q, k)
+				sameOrder(t, got, order[:n], fmt.Sprintf("%s: Search stopped at k=%d", ctx, k))
+				if complete != (k == 0 || k > total) {
+					t.Errorf("%s: Search stopped at k=%d complete = %v with %d results", ctx, k, complete, total)
 				}
-				q.Limit = k
-				var got []spatial.ID
-				complete, err := ix.Search(q, func(e spatial.Entry) bool {
-					got = append(got, e.ID)
-					return true
-				})
-				if err != nil {
-					t.Fatalf("%s: Search limit=%d: %v", ctx, k, err)
-				}
+				limited := q
+				limited.Limit = k
+				got, complete = search(limited, 0)
 				sameOrder(t, got, order[:n], fmt.Sprintf("%s: Search limit=%d", ctx, k))
 				if complete != (k == 0 || k > total) {
 					t.Errorf("%s: Search limit=%d complete = %v with %d results", ctx, k, complete, total)
@@ -305,38 +311,30 @@ func TestStreamedQueryMatrix(t *testing.T) {
 		for wi, w := range windows {
 			ctx := fmt.Sprintf("%s window %d", name, wi)
 			check(ctx, spatial.BruteWindow(d.Entries, w),
-				func(fn func(spatial.Entry)) { ix.Window(w, fn) },
-				func(fn func(spatial.Entry) bool) bool { return ix.WindowUntil(w, fn) },
-				Query{Window: &w})
+				func(fn func(spatial.Entry)) { ix.Window(w, fn) }, Query{Window: &w})
 			if ix.Dataset() == nil {
 				continue
 			}
 			for _, mode := range modes {
 				check(fmt.Sprintf("%s exact %v", ctx, mode), spatial.BruteWindowExact(d, w),
-					func(fn func(spatial.Entry)) {
-						ix.WindowExact(w, mode, func(id spatial.ID) { fn(spatial.Entry{ID: id}) })
-					}, nil, Query{Window: &w, Exact: true, Mode: mode})
+					nil, Query{Window: &w, Exact: true, Mode: mode})
 			}
 		}
 		for di, dk := range disks {
 			ctx := fmt.Sprintf("%s disk %d", name, di)
 			check(ctx, spatial.BruteDisk(d.Entries, dk.Center, dk.Radius),
-				func(fn func(spatial.Entry)) { ix.Disk(dk.Center, dk.Radius, fn) },
-				func(fn func(spatial.Entry) bool) bool { return ix.DiskUntil(dk.Center, dk.Radius, fn) },
-				Query{Disk: &dk})
+				func(fn func(spatial.Entry)) { ix.Disk(dk.Center, dk.Radius, fn) }, Query{Disk: &dk})
 			if ix.Dataset() == nil {
 				continue
 			}
 			for _, mode := range modes[:2] {
 				check(fmt.Sprintf("%s exact %v", ctx, mode), spatial.BruteDiskExact(d, dk.Center, dk.Radius),
-					func(fn func(spatial.Entry)) {
-						ix.DiskExact(dk.Center, dk.Radius, mode, func(id spatial.ID) { fn(spatial.Entry{ID: id}) })
-					}, nil, Query{Disk: &dk, Exact: true, Mode: mode})
+					nil, Query{Disk: &dk, Exact: true, Mode: mode})
 			}
 		}
 		for pi, poly := range polygons {
 			check(fmt.Sprintf("%s polygon %d", name, pi), bruteRegion(d.Entries, poly),
-				func(fn func(spatial.Entry)) { ix.Query(poly, fn) }, nil, Query{Region: poly})
+				nil, Query{Region: poly})
 		}
 
 		for _, k := range []int{1, 10, d.Len() + 1} {
@@ -389,7 +387,7 @@ func sameOrder(t *testing.T, got, want []spatial.ID, context string) {
 }
 
 // TestWindowStartsNoGoroutine pins the window scan to the caller's
-// goroutine: whatever the window size, Window, WindowIDs and Search
+// goroutine: whatever the window size, Window, SearchIDs and Search
 // leave the goroutine count where it was, so the only parallelism in a
 // serving process is what the caller asked for (batch threads, parallel
 // join, shard fan-out).
@@ -405,7 +403,7 @@ func TestWindowStartsNoGoroutine(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	ix.Window(w, observe)
-	for _, id := range ix.WindowIDs(w, nil) {
+	for _, id := range windowIDs(ix, w) {
 		observe(spatial.Entry{ID: id})
 	}
 	if _, err := ix.Search(Query{Window: &w}, func(e spatial.Entry) bool {
@@ -432,7 +430,7 @@ func TestQueryPathStatsCounters(t *testing.T) {
 	ix, _ := buildRandom(rnd, 4000, 0.02, Options{NX: 8, NY: 8, Space: unitSquare})
 
 	before := ix.QueryPathStats()
-	n := ix.WindowCountFast(unitSquare)
+	n := ix.WindowCount(unitSquare)
 	if n != 4000 {
 		t.Fatalf("whole-space count = %d, want 4000", n)
 	}
@@ -450,7 +448,7 @@ func TestQueryPathStatsCounters(t *testing.T) {
 	}
 
 	// A view shares the same counters.
-	_ = ix.View(nil).WindowCountFast(unitSquare)
+	_ = ix.View(nil).WindowCount(unitSquare)
 	if got := ix.QueryPathStats(); got.FastCounts != after.FastCounts+1 {
 		t.Errorf("FastCounts through a view = %d, want %d", got.FastCounts, after.FastCounts+1)
 	}
@@ -459,18 +457,18 @@ func TestQueryPathStatsCounters(t *testing.T) {
 // TestWindowCollectionAllocs pins what the streamed paths may allocate per
 // query once the pools and result buffer are warm: nothing on the pooled
 // collection and count paths, nothing for a capturing callback handed to
-// Window, WindowUntil, Intersects, Search or WindowExact (the callback
-// must not escape through the cover walk or its refinement hook; exact
-// queries read a dataset with stored geometries, and measured 0 at the
-// parent of the one-walk change as well), and only the cover's five
-// slices for a disk.
+// Window or Search, plain, limited or exact (the callback must not escape
+// through the cover walk or its refinement hook; exact queries read a
+// dataset with stored geometries), and only the cover's five slices for a
+// disk.
 func TestWindowCollectionAllocs(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	d := spatial.NewGeomDataset(randGeoms(rnd, 10000, 0.01))
 	ix := Build(d, Options{NX: 64, NY: 64, Space: unitSquare})
 	w := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
 	c, r := geom.Point{X: 0.4, Y: 0.4}, 0.2
-	buf := ix.WindowIDs(w, nil)
+	dk := geom.Disk{Center: c, Radius: r}
+	buf := windowIDs(ix, w)
 	if len(buf) == 0 {
 		t.Fatal("test window matched nothing")
 	}
@@ -482,28 +480,29 @@ func TestWindowCollectionAllocs(t *testing.T) {
 		max  float64
 		run  func()
 	}{
-		{"WindowIDs", 0, func() { buf = ix.WindowIDs(w, buf[:0]) }},
-		{"DiskIDs", 5, func() { buf = ix.DiskIDs(c, r, buf[:0]) }},
 		{"SearchIDs", 0, func() { buf, _ = ix.SearchIDs(Query{Window: &w}, buf[:0]) }},
+		{"SearchIDs disk", 5, func() { buf, _ = ix.SearchIDs(Query{Disk: &dk}, buf[:0]) }},
 		{"WindowCount", 0, func() { _ = ix.WindowCount(w) }},
 		{"SearchCount", 0, func() { _, _ = ix.SearchCount(Query{Window: &w}) }},
 		{"Window", 0, func() { ix.Window(w, func(spatial.Entry) { n++ }) }},
-		{"WindowUntil", 0, func() { ix.WindowUntil(w, func(spatial.Entry) bool { n++; return true }) }},
-		{"Intersects", 0, func() {
-			if ix.Intersects(w) {
-				n++
-			}
-		}},
 		{"Search", 0, func() {
 			_, _ = ix.Search(Query{Window: &w}, func(spatial.Entry) bool { n++; return true })
+		}},
+		{"Search limit 1", 0, func() {
+			if complete, _ := ix.Search(Query{Window: &w, Limit: 1}, func(spatial.Entry) bool { return true }); !complete {
+				n++
+			}
 		}},
 		{"Search exact", 0, func() {
 			_, _ = ix.Search(Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}, func(spatial.Entry) bool { n++; return true })
 		}},
-		{"WindowExact", 0, func() { ix.WindowExact(w, RefineAvoidPlus, func(spatial.ID) { n++ }) }},
 		{"Disk", 5, func() { ix.Disk(c, r, func(spatial.Entry) { n++ }) }},
-		{"DiskUntil", 5, func() { ix.DiskUntil(c, r, func(spatial.Entry) bool { n++; return true }) }},
-		{"DiskExact", 5, func() { ix.DiskExact(c, r, RefineAvoid, func(spatial.ID) { n++ }) }},
+		{"Search disk", 5, func() {
+			_, _ = ix.Search(Query{Disk: &dk}, func(spatial.Entry) bool { n++; return true })
+		}},
+		{"Search disk exact", 5, func() {
+			_, _ = ix.Search(Query{Disk: &dk, Exact: true, Mode: RefineAvoid}, func(spatial.Entry) bool { n++; return true })
+		}},
 	} {
 		if avg := testing.AllocsPerRun(100, tc.run); avg > tc.max {
 			t.Errorf("%s allocates %.1f times per run, want at most %.0f", tc.name, avg, tc.max)

@@ -121,13 +121,13 @@ func TestLiveStress(t *testing.T) {
 				// Window and disk queries agree with brute force over the
 				// same snapshot.
 				w := randWindow(rnd, 0.2)
-				if got, want := snap.WindowIDs(w, nil), spatial.BruteWindow(all, w); !equalIDSets(got, want) {
+				if got, want := windowIDs(snap, w), spatial.BruteWindow(all, w); !equalIDSets(got, want) {
 					fail("window result != brute force")
 					return
 				}
 				c := geom.Point{X: rnd.Float64(), Y: rnd.Float64()}
 				radius := rnd.Float64() * 0.2
-				if got, want := snap.DiskIDs(c, radius, nil), spatial.BruteDisk(all, c, radius); !equalIDSets(got, want) {
+				if got, want := diskIDs(snap, c, radius), spatial.BruteDisk(all, c, radius); !equalIDSets(got, want) {
 					fail("disk result != brute force")
 					return
 				}

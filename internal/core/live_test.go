@@ -21,7 +21,7 @@ func everything() geom.Rect {
 func TestCloneCOWIsolation(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	ix, d := buildRandom(rnd, 2000, 0.05, Options{NX: 32, NY: 32, Space: unitSquare})
-	wantIDs := ix.WindowIDs(everything(), nil)
+	wantIDs := windowIDs(ix, everything())
 
 	cl := ix.CloneCOW()
 	if cl.Epoch() != ix.Epoch()+1 {
@@ -39,7 +39,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 	}
 
 	// Original unchanged, exactly.
-	sameIDs(t, ix.WindowIDs(everything(), nil), wantIDs, "original after clone mutation")
+	sameIDs(t, windowIDs(ix, everything()), wantIDs, "original after clone mutation")
 	if ix.Len() != 2000 {
 		t.Fatalf("original Len = %d, want 2000", ix.Len())
 	}
@@ -47,7 +47,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 	if cl.Len() != 1500 {
 		t.Fatalf("clone Len = %d, want 1500", cl.Len())
 	}
-	got := cl.WindowIDs(everything(), nil)
+	got := windowIDs(cl, everything())
 	noDuplicates(t, got, "clone full scan")
 	if len(got) != 1500 {
 		t.Fatalf("clone full scan returned %d, want 1500", len(got))
@@ -225,22 +225,23 @@ func TestDiskUntil(t *testing.T) {
 	if total < 10 {
 		t.Fatalf("weak test: only %d disk results", total)
 	}
+	q := Query{Disk: &geom.Disk{Center: center, Radius: 0.2}}
 	var got []spatial.ID
-	if !ix.DiskUntil(center, 0.2, func(e spatial.Entry) bool {
+	if complete, _ := ix.Search(q, func(e spatial.Entry) bool {
 		got = append(got, e.ID)
 		return true
-	}) {
-		t.Fatal("uninterrupted DiskUntil reported early stop")
+	}); !complete {
+		t.Fatal("uninterrupted disk Search reported early stop")
 	}
-	sameIDs(t, got, ix.DiskIDs(center, 0.2, nil), "DiskUntil full run")
+	sameIDs(t, got, diskIDs(ix, center, 0.2), "disk Search full run")
 
 	seen := 0
-	completed := ix.DiskUntil(center, 0.2, func(spatial.Entry) bool {
+	completed, _ := ix.Search(q, func(spatial.Entry) bool {
 		seen++
 		return seen < 5
 	})
 	if completed {
-		t.Fatal("interrupted DiskUntil reported completion")
+		t.Fatal("interrupted disk Search reported completion")
 	}
 	if seen >= total {
 		t.Fatalf("early stop scanned all %d results", seen)

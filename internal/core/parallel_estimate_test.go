@@ -81,34 +81,37 @@ func TestEstimateWindow(t *testing.T) {
 	}
 }
 
-// TestWindowUntilAndIntersects.
+// TestWindowUntilAndIntersects: a window Search stops when its callback
+// says so, and a Limit of 1 is an existence test (incomplete exactly
+// when some MBR intersects the window).
 func TestWindowUntilAndIntersects(t *testing.T) {
 	rnd := rand.New(rand.NewSource(214))
 	ix, d := buildRandom(rnd, 1000, 0.05, Options{NX: 16, NY: 16})
+	count := func(w geom.Rect, limit int, fn func(n int) bool) (n int, complete bool) {
+		complete, err := ix.Search(Query{Window: &w, Limit: limit}, func(spatial.Entry) bool {
+			n++
+			return fn(n)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, complete
+	}
+	always := func(int) bool { return true }
 
 	// Stop after 5 results.
-	n := 0
-	completed := ix.WindowUntil(geom.Rect{MaxX: 1, MaxY: 1}, func(spatial.Entry) bool {
-		n++
-		return n < 5
-	})
-	if completed || n != 5 {
+	if n, completed := count(geom.Rect{MaxX: 1, MaxY: 1}, 0, func(n int) bool { return n < 5 }); completed || n != 5 {
 		t.Fatalf("completed=%v n=%d", completed, n)
 	}
 	// Running to completion visits everything.
-	n = 0
-	completed = ix.WindowUntil(geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}, func(spatial.Entry) bool {
-		n++
-		return true
-	})
-	if !completed || n != d.Len() {
+	if n, completed := count(geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}, 0, always); !completed || n != d.Len() {
 		t.Fatalf("completed=%v n=%d want %d", completed, n, d.Len())
 	}
 
-	if !ix.Intersects(geom.Rect{MaxX: 1, MaxY: 1}) {
-		t.Error("Intersects missed data")
+	if n, complete := count(geom.Rect{MaxX: 1, MaxY: 1}, 1, always); complete || n != 1 {
+		t.Errorf("Limit 1 on a populated window: complete=%v n=%d", complete, n)
 	}
-	if ix.Intersects(geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}) {
-		t.Error("Intersects false positive")
+	if n, complete := count(geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 1, always); !complete || n != 0 {
+		t.Errorf("Limit 1 on an empty window: complete=%v n=%d", complete, n)
 	}
 }

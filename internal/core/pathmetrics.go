@@ -10,7 +10,7 @@ import "sync/atomic"
 // with one batched atomic flush per query.
 type PathStats struct {
 	// FastCounts counts count-only window queries answered by the
-	// O(tiles) pushdown kernel (WindowCountFast) instead of a streamed
+	// O(tiles) pushdown kernel (WindowCount) instead of a streamed
 	// scan.
 	FastCounts int64
 	// FastTiles counts tiles answered wholesale because their comparison

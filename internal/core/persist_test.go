@@ -41,7 +41,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 		for q := 0; q < 60; q++ {
 			w := randWindow(rnd, 0.3)
-			sameIDs(t, loaded.WindowIDs(w, nil), orig.WindowIDs(w, nil), "loaded window")
+			sameIDs(t, windowIDs(loaded, w), windowIDs(orig, w), "loaded window")
 		}
 		// The loaded index stays updatable.
 		loaded.Insert(spatial.Entry{Rect: randRects(rnd, 1, 0.05)[0], ID: 9999})
@@ -97,7 +97,7 @@ func TestPersistV1Readable(t *testing.T) {
 	}
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.3)
-		sameIDs(t, loaded.WindowIDs(w, nil), orig.WindowIDs(w, nil), "v1 window")
+		sameIDs(t, windowIDs(loaded, w), windowIDs(orig, w), "v1 window")
 	}
 
 	// A v2 snapshot of the same index must differ only by the 8-byte

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -11,8 +12,8 @@ import (
 // Query is the unified range-query descriptor: one shape (window, disk,
 // or arbitrary region), an optional exact-geometry refinement step, and
 // an optional result limit. Search evaluates it through the same cover
-// walks (windowScan, diskScan, regionScan) the shape-specific entry
-// points (Window, Disk, WindowExact, ...) wrap.
+// walks (windowScan, diskScan, regionScan) the streamed Window and Disk
+// entry points of the comparator interface run.
 //
 // The zero Mode is RefineSimple; callers wanting the paper's recommended
 // refinement set Mode to RefineAvoidPlus explicitly. Mode is ignored
@@ -36,8 +37,8 @@ type Query struct {
 }
 
 // Validate reports why the descriptor cannot be evaluated, or nil. Shape
-// coordinates are not validated here: like the shape-specific entry
-// points, Search answers a NaN or inverted shape with an empty result.
+// coordinates are not validated here: like Window and Disk, Search
+// answers a NaN or inverted shape with an empty result.
 func (q Query) Validate() error {
 	shapes := 0
 	if q.Window != nil {
@@ -75,16 +76,16 @@ func (q Query) MBR() geom.Rect {
 	return geom.Rect{}
 }
 
-// errExactNeedsDataset is returned by Search for exact queries on an
-// index that was not built over a Dataset; it mirrors the panic of the
-// legacy WindowExact/DiskExact entry points.
+// errExactNeedsDataset is returned by Search and SearchCount for exact
+// queries on an index that was not built over a Dataset (New, Load).
 var errExactNeedsDataset = errors.New("core: exact queries require an index built over a Dataset")
 
 // Search evaluates q and streams every matching entry to fn, which
-// returns false to stop early (tile-granular for every shape, like
-// WindowUntil). Each matching object is delivered exactly once. Exact
-// queries deliver the object's MBR alongside its ID, like filtering
-// queries. It reports whether the evaluation ran to completion: false
+// returns false to stop early (tile-granular for every shape: the tile
+// being scanned when fn stops is scanned to its end, its further matches
+// dropped, and no further tile is read). Each matching object is
+// delivered exactly once. Exact queries deliver the object's MBR
+// alongside its ID, like filtering queries. It reports whether the evaluation ran to completion: false
 // when fn stopped it or a Limit was reached.
 func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, err error) {
 	if err := q.Validate(); err != nil {
@@ -116,11 +117,30 @@ func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, 
 	return !stopped, nil
 }
 
+// idCollector is a pooled ID sink whose append closure is bound once at
+// pool construction, so SearchIDs stays at zero allocations per call
+// after warm-up (a fresh per-call closure handed to Search would escape
+// and allocate on every query).
+type idCollector struct {
+	ids  []spatial.ID
+	more func(spatial.Entry) bool // never stops
+}
+
+var idCollectorPool = sync.Pool{New: func() any {
+	c := &idCollector{}
+	c.more = func(e spatial.Entry) bool { c.ids = append(c.ids, e.ID); return true }
+	return c
+}}
+
 // SearchIDs evaluates q and returns the IDs of all matching objects,
 // appending to buf (which may be nil).
 func (ix *Index) SearchIDs(q Query, buf []spatial.ID) ([]spatial.ID, error) {
-	var err error
-	out := collectIDs(buf, func(c *idCollector) { _, err = ix.Search(q, c.more) })
+	c := idCollectorPool.Get().(*idCollector)
+	c.ids = buf
+	_, err := ix.Search(q, c.more)
+	out := c.ids
+	c.ids = nil
+	idCollectorPool.Put(c)
 	if err != nil {
 		return nil, err
 	}
@@ -142,11 +162,12 @@ func (ix *Index) SearchCount(q Query) (int, error) {
 		var n int
 		switch {
 		case q.Window != nil:
-			n = ix.WindowCountFast(*q.Window)
+			n = ix.WindowCount(*q.Window)
 		case q.Disk != nil:
 			n = ix.DiskCount(q.Disk.Center, q.Disk.Radius)
 		default:
-			n = ix.QueryCount(q.Region)
+			stop := false
+			ix.regionScan(q.Region, func(spatial.Entry) { n++ }, &stop)
 		}
 		if q.Limit > 0 && n > q.Limit {
 			n = q.Limit

@@ -28,7 +28,7 @@ func TestQuickWindowEquivalence(t *testing.T) {
 		ix := Build(d, opts)
 		for q := 0; q < 10; q++ {
 			w := randWindow(rnd, 0.5)
-			got := sortIDs(ix.WindowIDs(w, nil))
+			got := sortIDs(windowIDs(ix, w))
 			want := sortIDs(spatial.BruteWindow(d.Entries, w))
 			if len(got) != len(want) {
 				return false
@@ -66,7 +66,7 @@ func TestQuickDiskEquivalence(t *testing.T) {
 		for q := 0; q < 10; q++ {
 			c := geom.Point{X: rnd.Float64()*1.4 - 0.2, Y: rnd.Float64()*1.4 - 0.2}
 			radius := rnd.Float64() * 0.5
-			got := sortIDs(ix.DiskIDs(c, radius, nil))
+			got := sortIDs(diskIDs(ix, c, radius))
 			want := sortIDs(spatial.BruteDisk(d.Entries, c, radius))
 			if len(got) != len(want) {
 				return false
@@ -100,8 +100,8 @@ func TestQuickInsertEqualsBuild(t *testing.T) {
 		}
 		for q := 0; q < 5; q++ {
 			w := randWindow(rnd, 0.4)
-			a := sortIDs(bulk.WindowIDs(w, nil))
-			b := sortIDs(incr.WindowIDs(w, nil))
+			a := sortIDs(windowIDs(bulk, w))
+			b := sortIDs(windowIDs(incr, w))
 			if len(a) != len(b) {
 				return false
 			}

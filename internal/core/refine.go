@@ -39,28 +39,6 @@ func (m RefineMode) String() string {
 	return "RefineMode(?)"
 }
 
-// WindowExact answers a window query over the exact object geometries:
-// fn is called exactly once for each object whose geometry intersects w.
-// The index must have been built over a dataset (Build).
-func (ix *Index) WindowExact(w geom.Rect, mode RefineMode, fn func(id spatial.ID)) {
-	if ix.dataset == nil {
-		panic("core: WindowExact requires an index built over a Dataset")
-	}
-	stop := false
-	ix.windowScan(w, refiner{exact: true, mode: mode}, func(e spatial.Entry) { fn(e.ID) }, &stop)
-}
-
-// DiskExact answers a disk query over the exact object geometries: fn is
-// called exactly once for each object whose geometry comes within radius
-// of center.
-func (ix *Index) DiskExact(center geom.Point, radius float64, mode RefineMode, fn func(id spatial.ID)) {
-	if ix.dataset == nil {
-		panic("core: DiskExact requires an index built over a Dataset")
-	}
-	stop := false
-	ix.diskScan(center, radius, refiner{exact: true, mode: mode}, func(e spatial.Entry) { fn(e.ID) }, &stop)
-}
-
 // refiner is the refinement step of a range query as the per-tile bodies
 // see it: a per-candidate test applied after the MBR filter and before
 // the caller's callback. It is a plain value (the zero value refines

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -47,8 +48,7 @@ func TestWindowExactAllModes(t *testing.T) {
 			w := randWindow(rnd, 0.3)
 			want := spatial.BruteWindowExact(d, w)
 			for _, mode := range []RefineMode{RefineSimple, RefineAvoid, RefineAvoidPlus} {
-				var got []spatial.ID
-				ix.WindowExact(w, mode, func(id spatial.ID) { got = append(got, id) })
+				got := searchIDs(ix, Query{Window: &w, Exact: true, Mode: mode})
 				noDuplicates(t, got, mode.String())
 				sameIDs(t, got, want, "window exact "+mode.String())
 			}
@@ -66,8 +66,7 @@ func TestDiskExactModes(t *testing.T) {
 		radius := rnd.Float64() * 0.25
 		want := spatial.BruteDiskExact(d, c, radius)
 		for _, mode := range []RefineMode{RefineSimple, RefineAvoid} {
-			var got []spatial.ID
-			ix.DiskExact(c, radius, mode, func(id spatial.ID) { got = append(got, id) })
+			got := searchIDs(ix, Query{Disk: &geom.Disk{Center: c, Radius: radius}, Exact: true, Mode: mode})
 			noDuplicates(t, got, "disk exact")
 			sameIDs(t, got, want, "disk exact "+mode.String())
 		}
@@ -92,7 +91,7 @@ func TestRefAvoidReducesRefinements(t *testing.T) {
 	run := func(mode RefineMode) (refines, hits int64) {
 		ix.stats.Reset()
 		for _, w := range queries {
-			ix.WindowExact(w, mode, func(spatial.ID) {})
+			searchIDs(ix, Query{Window: &w, Exact: true, Mode: mode})
 		}
 		return ix.stats.RefinementTests, ix.stats.SecondaryFilterHits
 	}
@@ -126,9 +125,7 @@ func TestSecondaryFilterSoundness(t *testing.T) {
 	ix := Build(d, Options{NX: 16, NY: 16})
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.25)
-		var got []spatial.ID
-		ix.WindowExact(w, RefineAvoidPlus, func(id spatial.ID) { got = append(got, id) })
-		for _, id := range got {
+		for _, id := range searchIDs(ix, Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}) {
 			if !d.Geom(id).IntersectsRect(w) {
 				t.Fatalf("object %d reported but does not intersect %v", id, w)
 			}
@@ -136,15 +133,17 @@ func TestSecondaryFilterSoundness(t *testing.T) {
 	}
 }
 
-// TestWindowExactRequiresDataset documents the API contract.
+// TestWindowExactRequiresDataset documents the API contract: an exact
+// query on an index without a dataset is an error, streamed or counted.
 func TestWindowExactRequiresDataset(t *testing.T) {
 	ix := New(Options{})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic without dataset")
-		}
-	}()
-	ix.WindowExact(geom.Rect{MaxX: 1, MaxY: 1}, RefineSimple, func(spatial.ID) {})
+	q := Query{Window: &geom.Rect{MaxX: 1, MaxY: 1}, Exact: true}
+	if _, err := ix.Search(q, func(spatial.Entry) bool { return true }); !errors.Is(err, errExactNeedsDataset) {
+		t.Errorf("Search err = %v, want errExactNeedsDataset", err)
+	}
+	if _, err := ix.SearchCount(q); !errors.Is(err, errExactNeedsDataset) {
+		t.Errorf("SearchCount err = %v, want errExactNeedsDataset", err)
+	}
 }
 
 // TestRefineModeString covers the Stringer.

@@ -67,17 +67,11 @@ func (rc *regionCover) firstInColumn(tx, yLo, yHi int) int {
 	return -1
 }
 
-// Query evaluates an arbitrary-region range query on the filtering step:
-// fn is invoked exactly once for every entry whose MBR intersects the
-// region. Tiles fully covered by the region (when it implements
-// RegionCoverer) skip per-entry verification.
-func (ix *Index) Query(region Region, fn func(e spatial.Entry)) {
-	stop := false
-	ix.regionScan(region, fn, &stop)
-}
-
 // regionScan is the one streamed walk over a region's tile cover, behind
-// Query and Search; fn and stop are windowScan's.
+// Search and SearchCount: fn is invoked exactly once for every entry
+// whose MBR intersects the region, and tiles fully covered by the region
+// (when it implements RegionCoverer) skip per-entry verification; fn and
+// stop are windowScan's.
 func (ix *Index) regionScan(region Region, fn func(spatial.Entry), stop *bool) {
 	mbr := region.MBR()
 	if !mbr.Valid() {
@@ -105,20 +99,6 @@ func (ix *Index) regionScan(region Region, fn func(spatial.Entry), stop *bool) {
 			}
 		}
 	}
-}
-
-// QueryIDs collects region query result IDs into buf.
-func (ix *Index) QueryIDs(region Region, buf []spatial.ID) []spatial.ID {
-	buf = buf[:0]
-	ix.Query(region, func(e spatial.Entry) { buf = append(buf, e.ID) })
-	return buf
-}
-
-// QueryCount returns the number of MBRs intersecting the region.
-func (ix *Index) QueryCount(region Region) int {
-	n := 0
-	ix.Query(region, func(spatial.Entry) { n++ })
-	return n
 }
 
 func (ix *Index) regionOnTile(t *tile, tx, ty int, rc *regionCover, region Region, coverer RegionCoverer, fn func(spatial.Entry)) {

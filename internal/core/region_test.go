@@ -29,9 +29,9 @@ func TestRegionDiskEqualsDiskQuery(t *testing.T) {
 			Center: geom.Point{X: rnd.Float64(), Y: rnd.Float64()},
 			Radius: rnd.Float64() * 0.3,
 		}
-		got := ix.QueryIDs(d, nil)
+		got := searchIDs(ix, Query{Region: d})
 		noDuplicates(t, got, "region disk")
-		sameIDs(t, got, ix.DiskIDs(d.Center, d.Radius, nil), "region vs disk")
+		sameIDs(t, got, diskIDs(ix, d.Center, d.Radius), "region vs disk")
 	}
 }
 
@@ -71,7 +71,7 @@ func TestRegionPolygonMatchesBruteForce(t *testing.T) {
 					region = uPolygon(rnd.Float64()*0.5, rnd.Float64()*0.5,
 						0.2+rnd.Float64()*0.3, 0.2+rnd.Float64()*0.3, 0.03+rnd.Float64()*0.05)
 				}
-				got := ix.QueryIDs(region, nil)
+				got := searchIDs(ix, Query{Region: region})
 				noDuplicates(t, got, "region polygon")
 				sameIDs(t, got, bruteRegion(d.Entries, region), "region polygon")
 			}
@@ -87,7 +87,7 @@ func TestRegionLargeObjectsNonConvex(t *testing.T) {
 	for q := 0; q < 60; q++ {
 		region := uPolygon(rnd.Float64()*0.3, rnd.Float64()*0.3,
 			0.3+rnd.Float64()*0.4, 0.3+rnd.Float64()*0.4, 0.02+rnd.Float64()*0.08)
-		got := ix.QueryIDs(region, nil)
+		got := searchIDs(ix, Query{Region: region})
 		noDuplicates(t, got, "non-convex large objects")
 		sameIDs(t, got, bruteRegion(d.Entries, region), "non-convex large objects")
 	}
@@ -102,7 +102,7 @@ func TestRegionCoveredTiles(t *testing.T) {
 	region := geom.NewPolygon(
 		geom.Point{X: 0.1, Y: 0.1}, geom.Point{X: 0.9, Y: 0.1},
 		geom.Point{X: 0.9, Y: 0.9}, geom.Point{X: 0.1, Y: 0.9})
-	got := ix.QueryIDs(region, nil)
+	got := searchIDs(ix, Query{Region: region})
 	sameIDs(t, got, bruteRegion(d.Entries, region), "covered square polygon")
 }
 
@@ -112,7 +112,7 @@ func TestRegionOutsideSpace(t *testing.T) {
 	ix, _ := buildRandom(rnd, 100, 0.05, Options{NX: 8, NY: 8})
 	far := geom.NewPolygon(
 		geom.Point{X: 5, Y: 5}, geom.Point{X: 6, Y: 5}, geom.Point{X: 5, Y: 6})
-	if n := ix.QueryCount(far); n != 0 {
+	if n, _ := ix.SearchCount(Query{Region: far}); n != 0 {
 		t.Errorf("far region returned %d", n)
 	}
 }

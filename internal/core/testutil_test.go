@@ -71,3 +71,21 @@ func buildRandom(rnd *rand.Rand, n int, maxSide float64, opts Options) (*Index, 
 	d := spatial.NewDataset(randRects(rnd, n, maxSide))
 	return Build(d, opts), d
 }
+
+// windowIDs collects the IDs of a filtering window query through
+// SearchIDs.
+func windowIDs(ix *Index, w geom.Rect) []spatial.ID { return searchIDs(ix, Query{Window: &w}) }
+
+// diskIDs collects the IDs of a filtering disk query through SearchIDs.
+func diskIDs(ix *Index, c geom.Point, radius float64) []spatial.ID {
+	return searchIDs(ix, Query{Disk: &geom.Disk{Center: c, Radius: radius}})
+}
+
+// searchIDs is SearchIDs for a descriptor a test knows to be valid.
+func searchIDs(ix *Index, q Query) []spatial.ID {
+	ids, err := ix.SearchIDs(q, nil)
+	if err != nil {
+		panic(err)
+	}
+	return ids
+}

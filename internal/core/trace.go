@@ -24,7 +24,7 @@ type Trace struct {
 	// ElapsedNS is the total evaluation wall time, set by Finish.
 	ElapsedNS int64
 	// RefineNS is the wall time spent in exact-geometry refinement tests
-	// (WindowExact, DiskExact, KNNExact). Zero for filter-only queries.
+	// (exact Search and SearchCount, KNNExact). Zero for filter-only queries.
 	RefineNS int64
 }
 

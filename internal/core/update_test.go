@@ -31,7 +31,7 @@ func TestInsertThenQueryMatchesBulk(t *testing.T) {
 	}
 	for q := 0; q < 60; q++ {
 		w := randWindow(rnd, 0.3)
-		sameIDs(t, incr.WindowIDs(w, nil), bulk.WindowIDs(w, nil), "incremental vs bulk")
+		sameIDs(t, windowIDs(incr, w), windowIDs(bulk, w), "incremental vs bulk")
 	}
 }
 
@@ -58,7 +58,7 @@ func TestDeleteRemovesFromAllTiles(t *testing.T) {
 	}
 	for q := 0; q < 60; q++ {
 		w := randWindow(rnd, 0.4)
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(remaining, w), "after delete")
+		sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(remaining, w), "after delete")
 	}
 	// No replica of a deleted object may remain anywhere.
 	for i := 0; i < ix.numTiles; i++ {
@@ -103,8 +103,8 @@ func TestDeleteMissKeepsCountIndex(t *testing.T) {
 		}
 		for q := 0; q < 40; q++ {
 			w := randWindow(rnd, 0.5)
-			if got, want := ix.WindowCountFast(w), len(spatial.BruteWindow(entries, w)); got != want {
-				t.Fatalf("%s: WindowCountFast(%v) = %d, want %d", what, w, got, want)
+			if got, want := ix.WindowCount(w), len(spatial.BruteWindow(entries, w)); got != want {
+				t.Fatalf("%s: WindowCount(%v) = %d, want %d", what, w, got, want)
 			}
 		}
 	}
@@ -179,7 +179,7 @@ func TestInsertDeleteChurn(t *testing.T) {
 	}
 	for q := 0; q < 40; q++ {
 		w := randWindow(rnd, 0.3)
-		sameIDs(t, ix.WindowIDs(w, nil), spatial.BruteWindow(entries, w), "churn")
+		sameIDs(t, windowIDs(ix, w), spatial.BruteWindow(entries, w), "churn")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -18,10 +17,10 @@ func (ix *Index) Window(w geom.Rect, fn func(e spatial.Entry)) {
 }
 
 // windowScan is the one streamed walk over a window's tile cover, behind
-// Window, WindowUntil, WindowExact and Search: every non-empty tile of
-// the cover goes through windowOnTile until *stop, which fn may set, is
-// seen. It is checked per tile: the tile being scanned when fn sets it is
-// scanned to its end, and fn drops what that yields if it must.
+// Window and Search: every non-empty tile of the cover goes through
+// windowOnTile until *stop, which fn may set, is seen. It is checked per
+// tile: the tile being scanned when fn sets it is scanned to its end, and
+// fn drops what that yields if it must.
 //
 // fn is only ever called, never stored or wrapped, here and in everything
 // below (windowOnTile, scanClass, decClassQuery): that is what lets a
@@ -40,49 +39,6 @@ func (ix *Index) windowScan(w geom.Rect, rf refiner, fn func(spatial.Entry), sto
 			}
 		}
 	}
-}
-
-// idCollector is a pooled ID sink whose append closures are bound once at
-// pool construction, so WindowIDs, DiskIDs and SearchIDs stay at zero
-// allocations per call after warm-up (a fresh per-call closure handed to
-// Search would escape and allocate on every query).
-type idCollector struct {
-	ids  []spatial.ID
-	emit func(spatial.Entry)      // Window and Disk sink
-	more func(spatial.Entry) bool // Search sink: never stops
-}
-
-var idCollectorPool = sync.Pool{New: func() any {
-	c := &idCollector{}
-	c.emit = func(e spatial.Entry) { c.ids = append(c.ids, e.ID) }
-	c.more = func(e spatial.Entry) bool { c.ids = append(c.ids, e.ID); return true }
-	return c
-}}
-
-// collectIDs runs scan with a pooled collector appending to buf and
-// returns the grown buffer.
-func collectIDs(buf []spatial.ID, scan func(c *idCollector)) []spatial.ID {
-	c := idCollectorPool.Get().(*idCollector)
-	c.ids = buf
-	scan(c)
-	out := c.ids
-	c.ids = nil
-	idCollectorPool.Put(c)
-	return out
-}
-
-// WindowIDs runs Window and collects result IDs into buf, which may be nil
-// or a reused buffer.
-func (ix *Index) WindowIDs(w geom.Rect, buf []spatial.ID) []spatial.ID {
-	return collectIDs(buf[:0], func(c *idCollector) { ix.Window(w, c.emit) })
-}
-
-// WindowCount returns the number of MBRs intersecting w. It is served by
-// the count-pushdown kernel: interior tiles contribute class lengths in
-// O(1) and decomposed border tiles are answered by binary search, so no
-// per-entry callback runs (see WindowCountFast).
-func (ix *Index) WindowCount(w geom.Rect) int {
-	return ix.WindowCountFast(w)
 }
 
 // tileComparisonPlan captures which coordinate comparisons the entries of

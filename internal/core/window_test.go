@@ -80,7 +80,7 @@ func TestPaperFigure1Classes(t *testing.T) {
 func TestPaperFigure1Window(t *testing.T) {
 	ix, _ := paperFigure1()
 	w := geom.Rect{MinX: 0.10, MinY: 0.10, MaxX: 0.45, MaxY: 0.45}
-	got := ix.WindowIDs(w, nil)
+	got := windowIDs(ix, w)
 	noDuplicates(t, got, "figure 1 window")
 	sameIDs(t, got, []spatial.ID{0, 1, 2}, "figure 1 window")
 }
@@ -96,7 +96,7 @@ func TestWindowMatchesBruteForce(t *testing.T) {
 			ix, d := buildRandom(rnd, 500, maxSide, Options{NX: gr.nx, NY: gr.ny})
 			for q := 0; q < 50; q++ {
 				w := randWindow(rnd, 0.4)
-				got := ix.WindowIDs(w, nil)
+				got := windowIDs(ix, w)
 				noDuplicates(t, got, "window")
 				want := spatial.BruteWindow(d.Entries, w)
 				sameIDs(t, got, want, "window vs brute force")
@@ -112,21 +112,21 @@ func TestWindowEdgeCases(t *testing.T) {
 	ix, d := buildRandom(rnd, 300, 0.1, Options{NX: 8, NY: 8})
 
 	full := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	got := ix.WindowIDs(full, nil)
+	got := windowIDs(ix, full)
 	if len(got) != d.Len() {
 		t.Errorf("full-space window returned %d of %d objects", len(got), d.Len())
 	}
 	noDuplicates(t, got, "full-space window")
 
 	beyond := geom.Rect{MinX: -5, MinY: -5, MaxX: 5, MaxY: 5}
-	got = ix.WindowIDs(beyond, got)
+	got, _ = ix.SearchIDs(Query{Window: &beyond}, got[:0])
 	if len(got) != d.Len() {
 		t.Errorf("super-space window returned %d of %d objects", len(got), d.Len())
 	}
 
 	point := geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.5, MaxY: 0.5}
 	want := spatial.BruteWindow(d.Entries, point)
-	sameIDs(t, ix.WindowIDs(point, nil), want, "point window")
+	sameIDs(t, windowIDs(ix, point), want, "point window")
 
 	outside := geom.Rect{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3}
 	if n := ix.WindowCount(outside); n != 0 {
@@ -156,7 +156,7 @@ func TestSparseDirectory(t *testing.T) {
 	}
 	for q := 0; q < 50; q++ {
 		w := randWindow(rnd, 0.3)
-		sameIDs(t, sparseIx.WindowIDs(w, nil), denseIx.WindowIDs(w, nil), "sparse vs dense")
+		sameIDs(t, windowIDs(sparseIx, w), windowIDs(denseIx, w), "sparse vs dense")
 	}
 }
 

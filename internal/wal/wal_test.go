@@ -38,7 +38,10 @@ func rectFor(id spatial.ID) geom.Rect {
 
 func allIDs(t *testing.T, ix *core.Index) []spatial.ID {
 	t.Helper()
-	ids := ix.WindowIDs(geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}, nil)
+	ids, err := ix.SearchIDs(core.Query{Window: &geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }

@@ -81,7 +81,7 @@ type LiveStats = core.LiveStats
 //	defer live.Close()
 //	live.Insert(1, twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2})
 //	snap := live.Snapshot() // immutable; safe to query from any goroutine
-//	n := snap.WindowCount(twolayer.Rect{MaxX: 0.5, MaxY: 0.5})
+//	n, err := snap.SearchCount(twolayer.Query{Window: &twolayer.Rect{MaxX: 0.5, MaxY: 0.5}})
 type Live struct {
 	live *core.Live
 }
@@ -111,7 +111,7 @@ func LiveFrom(ix *Index, lo LiveOptions) *Live {
 
 // Snapshot returns the current published snapshot as a private read view:
 // immutable, consistent (it never reflects later mutations), and safe for
-// all queries — including KNN and iterator methods — without further
+// all queries — including KNN — without further
 // synchronization. Pin one snapshot per request or unit of work. Its
 // Insert, Delete and RebuildDecomposed panic: updates go through Apply.
 func (l *Live) Snapshot() *Index {

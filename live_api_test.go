@@ -2,10 +2,8 @@ package twolayer_test
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -46,11 +44,11 @@ func TestLivePublicAPI(t *testing.T) {
 	}
 
 	// Pinned snapshot is unaffected; a fresh one sees the batch.
-	if got := old.WindowIDs(unitSpace, nil); len(got) != 1 || got[0] != 1 {
+	if got := searchIDs(t, old, twolayer.Query{Window: &unitSpace}); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("pinned snapshot = %v, want [1]", got)
 	}
 	snap := l.Snapshot()
-	if got := sorted(snap.WindowIDs(unitSpace, nil)); len(got) != 1 || got[0] != 2 {
+	if got := sorted(searchIDs(t, snap, twolayer.Query{Window: &unitSpace})); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("fresh snapshot = %v, want [2]", got)
 	}
 	if snap.Epoch() != res.Epoch {
@@ -92,7 +90,7 @@ func TestLiveFromBuiltIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := l.Snapshot()
-	if got := sorted(snap.WindowIDs(unitSpace, nil)); len(got) != 3 || got[2] != 10 {
+	if got := sorted(searchIDs(t, snap, twolayer.Query{Window: &unitSpace})); len(got) != 3 || got[2] != 10 {
 		t.Fatalf("snapshot = %v, want [0 1 10]", got)
 	}
 	// Snapshots answer kNN without extra synchronization.
@@ -111,85 +109,32 @@ func TestNewLiveValidation(t *testing.T) {
 	}
 }
 
-func TestIterators(t *testing.T) {
-	rects := []twolayer.Rect{
-		{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
-		{MinX: 0.15, MinY: 0.15, MaxX: 0.3, MaxY: 0.3},
-		{MinX: 0.7, MinY: 0.7, MaxX: 0.8, MaxY: 0.8},
-	}
-	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 8})
-
-	var winIDs []twolayer.ID
-	for id, mbr := range idx.WindowAll(twolayer.Rect{MaxX: 0.5, MaxY: 0.5}) {
-		if mbr != rects[id] {
-			t.Fatalf("iterator MBR %v does not match rects[%d]", mbr, id)
-		}
-		winIDs = append(winIDs, id)
-	}
-	if got := sorted(winIDs); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("WindowAll = %v, want [0 1]", got)
-	}
-
-	// Early break terminates the scan.
-	n := 0
-	for range idx.WindowAll(unitSpace) {
-		n++
-		break
-	}
-	if n != 1 {
-		t.Fatalf("break yielded %d results, want 1", n)
-	}
-
-	var diskIDs []twolayer.ID
-	for id := range idx.DiskAll(twolayer.Point{X: 0.75, Y: 0.75}, 0.1) {
-		diskIDs = append(diskIDs, id)
-	}
-	if len(diskIDs) != 1 || diskIDs[0] != 2 {
-		t.Fatalf("DiskAll = %v, want [2]", diskIDs)
-	}
-
-	q := twolayer.Point{X: 0.0, Y: 0.0}
-	var knnIDs []twolayer.ID
-	var dists []float64
-	for id, d := range idx.KNNAll(q, 2) {
-		knnIDs = append(knnIDs, id)
-		dists = append(dists, d)
-	}
-	want := idx.KNN(q, 2)
-	if len(knnIDs) != len(want) {
-		t.Fatalf("KNNAll yielded %d, want %d", len(knnIDs), len(want))
-	}
-	for i := range want {
-		if knnIDs[i] != want[i].ID || math.Abs(dists[i]-want[i].Dist) > 1e-12 {
-			t.Fatalf("KNNAll[%d] = (%d, %g), want (%d, %g)", i, knnIDs[i], dists[i], want[i].ID, want[i].Dist)
-		}
-	}
-	if !sort.Float64sAreSorted(dists) {
-		t.Fatalf("KNNAll distances not ascending: %v", dists)
-	}
-}
-
+// TestDiskUntilPublic: a disk Search runs to completion unless its
+// callback stops it, and then stops after exactly that result.
 func TestDiskUntilPublic(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	rects := randRects(rnd, 500, 0.05)
 	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 16})
-	c, radius := twolayer.Point{X: 0.5, Y: 0.5}, 0.3
+	q := twolayer.Query{Disk: &twolayer.Disk{Center: twolayer.Point{X: 0.5, Y: 0.5}, Radius: 0.3}}
 
 	var all []twolayer.ID
-	complete := idx.DiskUntil(c, radius, func(id twolayer.ID, _ twolayer.Rect) bool {
+	complete, err := idx.Search(q, func(id twolayer.ID, mbr twolayer.Rect) bool {
+		if mbr != rects[id] {
+			t.Fatalf("Search delivered MBR %v for %d, want %v", mbr, id, rects[id])
+		}
 		all = append(all, id)
 		return true
 	})
-	if !complete {
-		t.Fatal("unterminated DiskUntil should report completion")
+	if err != nil || !complete {
+		t.Fatalf("unterminated disk Search: complete=%v err=%v, want true nil", complete, err)
 	}
-	want := idx.DiskIDs(c, radius, nil)
+	want := searchIDs(t, idx, q)
 	if len(all) != len(want) {
-		t.Fatalf("DiskUntil yielded %d results, DiskIDs %d", len(all), len(want))
+		t.Fatalf("Search yielded %d results, SearchIDs %d", len(all), len(want))
 	}
 
 	n := 0
-	complete = idx.DiskUntil(c, radius, func(twolayer.ID, twolayer.Rect) bool {
+	complete, _ = idx.Search(q, func(twolayer.ID, twolayer.Rect) bool {
 		n++
 		return n < 3
 	})
@@ -217,28 +162,35 @@ func TestErrAPIs(t *testing.T) {
 		t.Fatalf("Len = %d, want 100", idx.Len())
 	}
 
-	// Self-join and grid-mismatch become errors instead of panics.
-	if err := idx.JoinErr(idx, func(_, _ twolayer.ID) {}); !errors.Is(err, twolayer.ErrSelfJoin) {
+	// Self-join and grid mismatch are errors, reported before any pair.
+	noPair := func(_, _ twolayer.ID) { t.Fatal("a refused join delivered a pair") }
+	if err := idx.Join(idx, noPair); !errors.Is(err, twolayer.ErrSelfJoin) {
 		t.Fatalf("err = %v, want ErrSelfJoin", err)
 	}
 	other := twolayer.BuildRects(randRects(rand.New(rand.NewSource(7)), 50, 0.05), twolayer.Options{GridSize: 4})
-	if err := idx.JoinErr(other, func(_, _ twolayer.ID) {}); !errors.Is(err, twolayer.ErrGridMismatch) {
+	if err := idx.Join(other, noPair); !errors.Is(err, twolayer.ErrGridMismatch) {
 		t.Fatalf("err = %v, want ErrGridMismatch", err)
 	}
-	if err := idx.JoinParallelErr(other, 4, func(_, _ twolayer.ID) {}); !errors.Is(err, twolayer.ErrGridMismatch) {
+	if err := idx.JoinParallel(other, 4, noPair); !errors.Is(err, twolayer.ErrGridMismatch) {
 		t.Fatalf("err = %v, want ErrGridMismatch", err)
+	}
+	if _, err := idx.JoinCount(idx); !errors.Is(err, twolayer.ErrSelfJoin) {
+		t.Fatalf("JoinCount err = %v, want ErrSelfJoin", err)
+	}
+	if _, err := idx.JoinCount(other); !errors.Is(err, twolayer.ErrGridMismatch) {
+		t.Fatalf("JoinCount err = %v, want ErrGridMismatch", err)
 	}
 
-	// Compatible grids: JoinErr agrees with JoinCount.
+	// Compatible grids: Join agrees with JoinCount.
 	sameGrid := twolayer.BuildRects(randRects(rand.New(rand.NewSource(7)), 50, 0.05), twolayer.Options{
 		GridSize: 8, Space: idx.Space(),
 	})
 	pairs := 0
-	if err := idx.JoinErr(sameGrid, func(_, _ twolayer.ID) { pairs++ }); err != nil {
+	if err := idx.Join(sameGrid, func(_, _ twolayer.ID) { pairs++ }); err != nil {
 		t.Fatal(err)
 	}
-	if want := idx.JoinCount(sameGrid); pairs != want {
-		t.Fatalf("JoinErr visited %d pairs, JoinCount %d", pairs, want)
+	if want, err := idx.JoinCount(sameGrid); err != nil || pairs != want {
+		t.Fatalf("Join visited %d pairs, JoinCount %d (err %v)", pairs, want, err)
 	}
 }
 
@@ -253,7 +205,7 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 	defer l.Close()
 
 	first := l.Snapshot()
-	want := sorted(first.WindowIDs(unitSpace, nil))
+	want := sorted(searchIDs(t, first, twolayer.Query{Window: &unitSpace}))
 	if !first.Decomposed() {
 		t.Fatal("a snapshot of a decomposed seed holds no 2-layer+ tables before any write")
 	}
@@ -263,7 +215,10 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 		defer close(done)
 		reader := l.Snapshot()
 		for i := 0; i < 200; i++ {
-			reader.WindowCount(unitSpace)
+			if _, err := reader.SearchCount(twolayer.Query{Window: &unitSpace}); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 
@@ -288,7 +243,7 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 	<-done
 
 	second := l.Snapshot()
-	if got := sorted(second.WindowIDs(unitSpace, nil)); !slices.Equal(got, want) {
+	if got := sorted(searchIDs(t, second, twolayer.Query{Window: &unitSpace})); !slices.Equal(got, want) {
 		t.Fatalf("second snapshot holds %d objects, want the first's %d", len(got), len(want))
 	}
 	if second.Len() != len(rects) || second.Epoch() != first.Epoch() {
@@ -305,4 +260,157 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 		t.Fatalf("after a write: new snapshot decomposed %v (want false), first %v (want true)",
 			l.Snapshot().Decomposed(), first.Decomposed())
 	}
+}
+
+// rangeSearcher is the query surface Index and Sharded share.
+type rangeSearcher interface {
+	Search(twolayer.Query, func(twolayer.ID, twolayer.Rect) bool) (bool, error)
+	SearchIDs(twolayer.Query, []twolayer.ID) ([]twolayer.ID, error)
+	SearchCount(twolayer.Query) (int, error)
+	KNN(twolayer.Point, int) []twolayer.Neighbor
+	Len() int
+}
+
+// TestDeleteNeedsStoredMBR: a delete whose rectangle is not the stored
+// MBR finds nothing and changes nothing, on a plain index, through
+// Live.Apply and through a two-shard ShardedLive. Each wrong rectangle
+// starts in the object's first tile, so its cover shares tiles and
+// classes with the stored replicas: one stops inside the object, the
+// other reaches past it. Afterwards every query form still sees the
+// object once, with its stored MBR; the right rectangle then deletes it.
+func TestDeleteNeedsStoredMBR(t *testing.T) {
+	const id = twolayer.ID(1)
+	obj := twolayer.Rect{MinX: 0.05, MinY: 0.4, MaxX: 0.95, MaxY: 0.55}
+	wrong := []twolayer.Rect{
+		{MinX: 0.05, MinY: 0.4, MaxX: 0.5, MaxY: 0.45},
+		{MinX: 0.05, MinY: 0.4, MaxX: 0.99, MaxY: 0.9},
+	}
+	others := map[twolayer.ID]twolayer.Rect{
+		2: {MinX: 0.1, MinY: 0.05, MaxX: 0.15, MaxY: 0.1},
+		3: {MinX: 0.8, MinY: 0.85, MaxX: 0.9, MaxY: 0.95},
+	}
+	center := obj.Center()
+	queries := []twolayer.Query{
+		{Window: &obj},
+		{Window: &wrong[0]},
+		{Window: &wrong[1]},
+		{Window: &twolayer.Rect{MinX: 0.94, MinY: 0.54, MaxX: 0.94, MaxY: 0.54}},
+		{Window: &unitSpace, Limit: 10},
+		{Disk: &twolayer.Disk{Center: center, Radius: 0.01}},
+		{Disk: &twolayer.Disk{Center: twolayer.Point{X: 0.96, Y: 0.56}, Radius: 0.02}},
+	}
+	// visible fails unless every query finds the object exactly once,
+	// with its stored MBR, in a view holding want objects.
+	visible := func(label string, s rangeSearcher, want int) {
+		t.Helper()
+		if s.Len() != want {
+			t.Fatalf("%s: Len = %d, want %d", label, s.Len(), want)
+		}
+		for qi, q := range queries {
+			seen := 0
+			if _, err := s.Search(q, func(got twolayer.ID, mbr twolayer.Rect) bool {
+				if got == id {
+					seen++
+					if mbr != obj {
+						t.Fatalf("%s: query %d delivered MBR %v, want %v", label, qi, mbr, obj)
+					}
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ids, err := s.SearchIDs(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := s.SearchCount(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen != 1 || slices.Index(ids, id) < 0 || n != len(ids) {
+				t.Fatalf("%s: query %d: Search saw the object %d times, SearchIDs %v, SearchCount %d",
+					label, qi, seen, ids, n)
+			}
+		}
+		if nb := s.KNN(center, 1); len(nb) != 1 || nb[0].ID != id {
+			t.Fatalf("%s: KNN at the object's center = %v, want object %d", label, nb, id)
+		}
+	}
+	gone := func(label string, s rangeSearcher) {
+		t.Helper()
+		if s.Len() != len(others) {
+			t.Fatalf("%s: Len = %d after the delete, want %d", label, s.Len(), len(others))
+		}
+		if ids, _ := s.SearchIDs(twolayer.Query{Window: &unitSpace}, nil); slices.Contains(ids, id) {
+			t.Fatalf("%s: object still found after the delete", label)
+		}
+	}
+	opts := twolayer.Options{GridSize: 16, Space: unitSpace}
+	seed := func(insert func(twolayer.ID, twolayer.Rect)) {
+		insert(id, obj)
+		for oid, r := range others {
+			insert(oid, r)
+		}
+	}
+	deletes := func(rects ...twolayer.Rect) []twolayer.Mutation {
+		muts := make([]twolayer.Mutation, len(rects))
+		for i, r := range rects {
+			muts[i] = twolayer.Mutation{Delete: true, ID: id, MBR: r}
+		}
+		return muts
+	}
+
+	t.Run("Index", func(t *testing.T) {
+		idx := twolayer.New(opts)
+		seed(idx.Insert)
+		for _, r := range wrong {
+			if idx.Delete(id, r) {
+				t.Fatalf("Delete with MBR %v reported found", r)
+			}
+			visible("after a wrong Delete", idx, len(others)+1)
+		}
+		if !idx.Delete(id, obj) {
+			t.Fatal("Delete with the stored MBR reported not found")
+		}
+		gone("Index", idx)
+	})
+
+	t.Run("Live", func(t *testing.T) {
+		l, err := twolayer.NewLive(opts, twolayer.LiveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		seed(func(oid twolayer.ID, r twolayer.Rect) { l.Insert(oid, r) })
+		res, err := l.Apply(deletes(wrong...))
+		if err != nil || slices.Contains(res.Found, true) {
+			t.Fatalf("wrong-MBR Apply: Found %v, err %v; want all false", res.Found, err)
+		}
+		visible("Live after wrong deletes", l.Snapshot(), len(others)+1)
+		if res, err := l.Apply(deletes(obj)); err != nil || !res.Found[0] {
+			t.Fatalf("Apply with the stored MBR: Found %v, err %v", res.Found, err)
+		}
+		gone("Live", l.Snapshot())
+	})
+
+	t.Run("ShardedLive", func(t *testing.T) {
+		sl, err := twolayer.NewShardedLive(opts, twolayer.LiveOptions{}, twolayer.ShardedOptions{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sl.Close()
+		seed(func(oid twolayer.ID, r twolayer.Rect) { sl.Insert(oid, r) })
+		res, err := sl.Apply(deletes(wrong...))
+		if err != nil || slices.Contains(res.Found, true) {
+			t.Fatalf("wrong-MBR Apply: Found %v, err %v; want all false", res.Found, err)
+		}
+		if sl.Len() != len(others)+1 {
+			t.Fatalf("ShardedLive Len = %d after wrong deletes, want %d", sl.Len(), len(others)+1)
+		}
+		visible("ShardedLive after wrong deletes", sl.Snapshot(), len(others)+1)
+		if res, err := sl.Apply(deletes(obj)); err != nil || !res.Found[0] {
+			t.Fatalf("Apply with the stored MBR: Found %v, err %v", res.Found, err)
+		}
+		gone("ShardedLive", sl.Snapshot())
+	})
 }

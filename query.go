@@ -8,10 +8,9 @@ import (
 // Query is the unified query descriptor of the public API: one shape
 // (window, disk, or arbitrary region), an optional exact-geometry
 // refinement step, and an optional result limit. It is the single input
-// to Search, SearchIDs, and SearchCount on every query surface — Index,
-// Sharded, and the /v1 HTTP API share it — and the historical
-// shape-specific variants (Window*, Disk*, *Exact, *Until) are thin
-// legacy wrappers over it.
+// to Search, SearchIDs, and SearchCount, the only range-query entry
+// points of every query surface — Index, Sharded, and the /v1 HTTP API
+// share it.
 //
 //	ids, err := ix.SearchIDs(twolayer.Query{Window: &w}, nil)
 //	n, err := ix.SearchCount(twolayer.Query{Disk: &twolayer.Disk{Center: c, Radius: r}})
@@ -29,12 +28,10 @@ type Query struct {
 	// default.
 	Mode RefineMode
 	// Limit > 0 stops the query after that many results (the query is
-	// then reported incomplete); 0 means unlimited.
+	// then reported incomplete); 0 means unlimited. Limit 1 is an
+	// existence test: Search reports incomplete exactly when a match
+	// exists.
 	Limit int
-	// Trace asks serving layers (the HTTP server) to record per-query
-	// observability data. Search itself ignores it — in-process callers
-	// trace with Index.Traced or Sharded.Traced views.
-	Trace bool
 }
 
 func (q Query) toCore() core.Query {
@@ -49,14 +46,15 @@ func (q Query) toCore() core.Query {
 }
 
 // Validate reports why the descriptor cannot be evaluated, or nil.
-// Shape coordinates are not validated: like the legacy entry points, a
-// NaN or inverted shape yields an empty result.
+// Shape coordinates are not validated: a NaN or inverted shape yields an
+// empty result.
 func (q Query) Validate() error { return q.toCore().Validate() }
 
 // Search evaluates q and streams every matching object to fn, which
-// returns false to stop early (termination is tile-granular, like
-// WindowUntil). Each match is delivered exactly once; exact queries
-// deliver the object's MBR alongside its ID like filtering queries do.
+// returns false to stop early (termination is tile-granular: no tile
+// after the one being scanned is read). Each match is delivered exactly
+// once; exact queries deliver the object's MBR alongside its ID like
+// filtering queries do.
 // It reports whether the query ran to completion — false when fn stopped
 // it or Limit was reached — and a non-nil error only for an invalid
 // descriptor (wrong shape count, negative limit, exact without

@@ -32,10 +32,9 @@ func (so ShardedOptions) resolved() int {
 // boundary-replicated objects with the same reference-tile idea the
 // two-layer scheme uses inside a shard (see docs/SHARDING.md).
 //
-// Sharded exposes only the unified query surface — Search, SearchIDs,
-// SearchCount, KNN, KNNExact, BatchWindowCounts, BatchDiskCounts — not the legacy
-// shape-specific variants. It is safe for any number of concurrent
-// readers.
+// Sharded exposes the query surface of Index — Search, SearchIDs,
+// SearchCount, KNN, KNNExact, BatchWindowCounts, BatchDiskCounts — and is
+// safe for any number of concurrent readers.
 type Sharded struct {
 	eng *shard.Engine
 }

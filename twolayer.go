@@ -56,7 +56,7 @@ func NewPolygon(ring ...Point) *Polygon { return geom.NewPolygon(ring...) }
 // RefineMode selects how exact-geometry queries refine candidates.
 type RefineMode = core.RefineMode
 
-// Refinement modes for WindowExact and DiskExact.
+// Refinement modes for exact queries (Query.Exact, Query.Mode).
 const (
 	// RefineSimple refines every candidate with an exact geometry test.
 	RefineSimple = core.RefineSimple
@@ -212,121 +212,6 @@ func (ix *Index) Len() int { return ix.core.Len() }
 // snapshots obtained from Live.Snapshot.
 func (ix *Index) Epoch() uint64 { return ix.core.Epoch() }
 
-// Window invokes fn exactly once for each object whose MBR intersects w.
-// This is the filtering step: results are candidates by MBR; use an
-// Exact query for exact-geometry results.
-//
-// Legacy: thin wrapper over Search(Query{Window: &w}).
-func (ix *Index) Window(w Rect, fn func(id ID, mbr Rect)) {
-	ix.Search(Query{Window: &w}, func(id ID, mbr Rect) bool {
-		fn(id, mbr)
-		return true
-	})
-}
-
-// WindowIDs returns the IDs of all objects whose MBR intersects w,
-// appending to buf (which may be nil).
-//
-// Legacy: thin wrapper over SearchIDs(Query{Window: &w}, buf).
-func (ix *Index) WindowIDs(w Rect, buf []ID) []ID {
-	ids, _ := ix.SearchIDs(Query{Window: &w}, buf)
-	return ids
-}
-
-// WindowCount returns the number of objects whose MBR intersects w.
-//
-// Legacy: thin wrapper over SearchCount(Query{Window: &w}).
-func (ix *Index) WindowCount(w Rect) int {
-	n, _ := ix.SearchCount(Query{Window: &w})
-	return n
-}
-
-// Disk invokes fn exactly once for each object whose MBR intersects the
-// disk with the given center and radius.
-//
-// Legacy: thin wrapper over Search(Query{Disk: &Disk{...}}).
-func (ix *Index) Disk(center Point, radius float64, fn func(id ID, mbr Rect)) {
-	ix.Search(Query{Disk: &Disk{Center: center, Radius: radius}}, func(id ID, mbr Rect) bool {
-		fn(id, mbr)
-		return true
-	})
-}
-
-// DiskIDs returns the IDs of all objects whose MBR intersects the disk.
-//
-// Legacy: thin wrapper over SearchIDs(Query{Disk: &Disk{...}}, buf).
-func (ix *Index) DiskIDs(center Point, radius float64, buf []ID) []ID {
-	ids, _ := ix.SearchIDs(Query{Disk: &Disk{Center: center, Radius: radius}}, buf)
-	return ids
-}
-
-// DiskCount returns the number of objects whose MBR intersects the disk.
-//
-// Legacy: thin wrapper over SearchCount(Query{Disk: &Disk{...}}).
-func (ix *Index) DiskCount(center Point, radius float64) int {
-	n, _ := ix.SearchCount(Query{Disk: &Disk{Center: center, Radius: radius}})
-	return n
-}
-
-// Query evaluates a range query with an arbitrary region shape (e.g., a
-// polygon): fn is invoked exactly once for each object whose MBR
-// intersects the region.
-//
-// Legacy: thin wrapper over Search(Query{Region: region}).
-func (ix *Index) Query(region Region, fn func(id ID, mbr Rect)) {
-	ix.Search(Query{Region: region}, func(id ID, mbr Rect) bool {
-		fn(id, mbr)
-		return true
-	})
-}
-
-// QueryCount returns the number of objects whose MBR intersects the
-// region.
-//
-// Legacy: thin wrapper over SearchCount(Query{Region: region}).
-func (ix *Index) QueryCount(region Region) int {
-	n, _ := ix.SearchCount(Query{Region: region})
-	return n
-}
-
-// WindowExact invokes fn exactly once for each object whose exact
-// geometry intersects w, using the given refinement mode. It panics if
-// the index has no exact geometries (New, Load).
-//
-// Legacy: thin wrapper over Search(Query{Window: &w, Exact: true, Mode:
-// mode}), which reports the missing-geometries case as an error instead
-// of panicking.
-func (ix *Index) WindowExact(w Rect, mode RefineMode, fn func(id ID)) {
-	_, err := ix.Search(Query{Window: &w, Exact: true, Mode: mode}, func(id ID, _ Rect) bool {
-		fn(id)
-		return true
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
-// DiskExact invokes fn exactly once for each object whose exact geometry
-// intersects the disk. It panics if the index has no exact geometries
-// (New, Load).
-//
-// Legacy: thin wrapper over Search(Query{Disk: &Disk{...}, Exact: true,
-// Mode: mode}), which reports the missing-geometries case as an error
-// instead of panicking.
-func (ix *Index) DiskExact(center Point, radius float64, mode RefineMode, fn func(id ID)) {
-	_, err := ix.Search(Query{
-		Disk:  &Disk{Center: center, Radius: radius},
-		Exact: true,
-		Mode:  mode,
-	}, func(id ID, _ Rect) bool {
-		fn(id)
-		return true
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
 // DefaultThreads is the worker count every "<= 0" thread or shard
 // parameter of this package resolves to: runtime.GOMAXPROCS(0).
 func DefaultThreads() int { return core.DefaultThreads() }
@@ -365,7 +250,8 @@ func (ix *Index) Insert(id ID, mbr Rect) {
 
 // Delete removes the object with the given ID, which must be passed the
 // exact MBR it was inserted with. It reports whether the object was
-// found.
+// found; with any other MBR it reports false and leaves the object
+// indexed.
 func (ix *Index) Delete(id ID, mbr Rect) bool { return ix.core.Delete(id, mbr) }
 
 // RebuildDecomposed builds the 2-layer+ decomposed tables over the
@@ -391,13 +277,19 @@ func (ix *Index) KNNExact(q Point, k int) []Neighbor { return ix.core.KNNExact(q
 // Join computes the spatial intersection join with another index built
 // over the same grid geometry (same GridSize/NX/NY and Space): fn is
 // invoked exactly once for every pair of objects whose MBRs intersect,
-// with no duplicate pairs. Join panics on incompatible grids.
-func (ix *Index) Join(other *Index, fn func(rID, sID ID)) {
+// with no duplicate pairs. Incompatible grids and a self-join are
+// reported as an error (ErrGridMismatch, ErrSelfJoin) before any pair is
+// delivered.
+func (ix *Index) Join(other *Index, fn func(rID, sID ID)) error {
+	if err := core.Joinable(ix.core, other.core); err != nil {
+		return err
+	}
 	ix.core.Join(other.core, func(r, s spatial.Entry) { fn(r.ID, s.ID) })
+	return nil
 }
 
-// Join precondition errors, returned by JoinErr and JoinParallelErr (and
-// carried by the panics of Join and JoinParallel).
+// Join precondition errors, returned by Join, JoinParallel and
+// JoinCount.
 var (
 	// ErrGridMismatch means the two indices were built over different
 	// grid geometries (tile counts or space).
@@ -407,20 +299,14 @@ var (
 	ErrSelfJoin = core.ErrSelfJoin
 )
 
-// JoinErr is the error-returning variant of Join: incompatible grids or a
-// self-join are reported as an error (ErrGridMismatch, ErrSelfJoin)
-// instead of a panic.
-func (ix *Index) JoinErr(other *Index, fn func(rID, sID ID)) error {
-	if err := core.Joinable(ix.core, other.core); err != nil {
-		return err
-	}
-	ix.core.Join(other.core, func(r, s spatial.Entry) { fn(r.ID, s.ID) })
-	return nil
-}
-
 // JoinCount returns the number of intersecting pairs between the two
-// indices.
-func (ix *Index) JoinCount(other *Index) int { return ix.core.JoinCount(other.core) }
+// indices, or Join's precondition error.
+func (ix *Index) JoinCount(other *Index) (int, error) {
+	if err := core.Joinable(ix.core, other.core); err != nil {
+		return 0, err
+	}
+	return ix.core.JoinCount(other.core), nil
+}
 
 // QueryPathStats snapshots the always-on adaptive query-execution
 // counters: how often count-only queries took the O(tiles) pushdown
@@ -431,14 +317,9 @@ func (ix *Index) JoinCount(other *Index) int { return ix.core.JoinCount(other.co
 func (ix *Index) QueryPathStats() PathStats { return ix.core.QueryPathStats() }
 
 // JoinParallel runs the spatial join with tiles distributed over
-// threads; fn must be safe for concurrent use.
-func (ix *Index) JoinParallel(other *Index, threads int, fn func(rID, sID ID)) {
-	ix.core.JoinParallel(other.core, threads, func(r, s spatial.Entry) { fn(r.ID, s.ID) })
-}
-
-// JoinParallelErr is the error-returning variant of JoinParallel (see
-// JoinErr); fn must be safe for concurrent use.
-func (ix *Index) JoinParallelErr(other *Index, threads int, fn func(rID, sID ID)) error {
+// threads; fn must be safe for concurrent use. It returns Join's
+// precondition errors.
+func (ix *Index) JoinParallel(other *Index, threads int, fn func(rID, sID ID)) error {
 	if err := core.Joinable(ix.core, other.core); err != nil {
 		return err
 	}
@@ -456,20 +337,6 @@ func (ix *Index) JoinParallelErr(other *Index, threads int, fn func(rID, sID ID)
 // parallelism, and the /v1 HTTP API exposes it via "estimate": true, so
 // clients and the planner share one selectivity signal.
 func (ix *Index) EstimateWindow(w Rect) float64 { return ix.core.EstimateWindow(w) }
-
-// WindowUntil streams filtering results until fn returns false,
-// reporting whether the query ran to completion. Termination is
-// tile-granular.
-//
-// Legacy: thin wrapper over Search(Query{Window: &w}).
-func (ix *Index) WindowUntil(w Rect, fn func(id ID, mbr Rect) bool) bool {
-	complete, _ := ix.Search(Query{Window: &w}, fn)
-	return complete
-}
-
-// Intersects reports whether any object MBR intersects w, stopping at
-// the first hit.
-func (ix *Index) Intersects(w Rect) bool { return ix.core.Intersects(w) }
 
 // Save writes a compact binary snapshot of the built index structure, so
 // a static index can later be loaded without re-partitioning. Exact
@@ -523,7 +390,7 @@ func (ix *Index) Traced() (*Index, *Trace) {
 func (ix *Index) PartitionStats() PartitionStats { return ix.core.PartitionStats() }
 
 // HasExactGeometries reports whether the index can answer exact-geometry
-// queries (WindowExact, DiskExact, KNNExact): true for indices built with
+// queries (Query.Exact, KNNExact): true for indices built with
 // BuildRects or BuildGeoms, false for empty (New) or snapshot-loaded
 // (Load) indices.
 func (ix *Index) HasExactGeometries() bool { return ix.core.Dataset() != nil }

@@ -2,6 +2,7 @@ package twolayer_test
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -33,6 +34,27 @@ func sorted(ids []twolayer.ID) []twolayer.ID {
 	return ids
 }
 
+// searchIDs runs SearchIDs on a descriptor the test knows to be valid.
+func searchIDs(t testing.TB, idx *twolayer.Index, q twolayer.Query) []twolayer.ID {
+	t.Helper()
+	ids, err := idx.SearchIDs(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+// searchCount runs SearchCount on a descriptor the test knows to be
+// valid.
+func searchCount(t testing.TB, idx *twolayer.Index, q twolayer.Query) int {
+	t.Helper()
+	n, err := idx.SearchCount(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestPublicWindowAPI(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	rects := randRects(rnd, 1000, 0.05)
@@ -44,7 +66,7 @@ func TestPublicWindowAPI(t *testing.T) {
 		x, y := rnd.Float64(), rnd.Float64()
 		w := twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.2, MaxY: y + 0.2}
 		want := sorted(bruteWindow(rects, w))
-		got := sorted(idx.WindowIDs(w, nil))
+		got := sorted(searchIDs(t, idx, twolayer.Query{Window: &w}))
 		if len(got) != len(want) {
 			t.Fatalf("got %d, want %d", len(got), len(want))
 		}
@@ -53,16 +75,20 @@ func TestPublicWindowAPI(t *testing.T) {
 				t.Fatalf("mismatch at %d", i)
 			}
 		}
-		if n := idx.WindowCount(w); n != len(want) {
+		if n := searchCount(t, idx, twolayer.Query{Window: &w}); n != len(want) {
 			t.Fatalf("count %d, want %d", n, len(want))
 		}
 		calls := 0
-		idx.Window(w, func(id twolayer.ID, mbr twolayer.Rect) {
+		complete, err := idx.Search(twolayer.Query{Window: &w}, func(id twolayer.ID, mbr twolayer.Rect) bool {
 			if mbr != rects[id] {
 				t.Fatalf("callback MBR mismatch for %d", id)
 			}
 			calls++
+			return true
 		})
+		if err != nil || !complete {
+			t.Fatalf("Search: complete=%v err=%v", complete, err)
+		}
 		if calls != len(want) {
 			t.Fatalf("visitor called %d times, want %d", calls, len(want))
 		}
@@ -74,14 +100,15 @@ func TestPublicDiskAPI(t *testing.T) {
 	rects := randRects(rnd, 500, 0.05)
 	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 16})
 	c := twolayer.Point{X: 0.5, Y: 0.5}
-	got := idx.DiskIDs(c, 0.2, nil)
+	q := twolayer.Query{Disk: &twolayer.Disk{Center: c, Radius: 0.2}}
+	got := searchIDs(t, idx, q)
 	want := 0
 	for _, r := range rects {
 		if r.IntersectsDisk(c, 0.2) {
 			want++
 		}
 	}
-	if len(got) != want || idx.DiskCount(c, 0.2) != want {
+	if len(got) != want || searchCount(t, idx, q) != want {
 		t.Fatalf("disk results %d, want %d", len(got), want)
 	}
 }
@@ -99,17 +126,20 @@ func TestPublicExactAPI(t *testing.T) {
 		),
 	}
 	idx := twolayer.BuildGeoms(geoms, twolayer.Options{GridSize: 8})
-	var hits []twolayer.ID
 	// A window overlapping the polygon's MBR corner but not the polygon.
 	w := twolayer.Rect{MinX: 0.27, MinY: 0.25, MaxX: 0.5, MaxY: 0.5}
-	idx.WindowExact(w, twolayer.RefineAvoidPlus, func(id twolayer.ID) { hits = append(hits, id) })
-	if len(hits) != 0 {
+	if hits := searchIDs(t, idx, twolayer.Query{Window: &w, Exact: true, Mode: twolayer.RefineAvoidPlus}); len(hits) != 0 {
 		t.Fatalf("refinement failed to reject MBR-only candidate: %v", hits)
 	}
+	if n := searchCount(t, idx, twolayer.Query{Window: &w}); n != 1 {
+		t.Fatalf("filtering window count = %d, want the polygon's MBR", n)
+	}
 	// A disk touching the linestring.
-	hits = hits[:0]
-	idx.DiskExact(twolayer.Point{X: 0.75, Y: 0.75}, 0.01, twolayer.RefineAvoid,
-		func(id twolayer.ID) { hits = append(hits, id) })
+	hits := searchIDs(t, idx, twolayer.Query{
+		Disk:  &twolayer.Disk{Center: twolayer.Point{X: 0.75, Y: 0.75}, Radius: 0.01},
+		Exact: true,
+		Mode:  twolayer.RefineAvoid,
+	})
 	if len(hits) != 1 || hits[0] != 1 {
 		t.Fatalf("disk exact hits = %v, want [1]", hits)
 	}
@@ -140,13 +170,14 @@ func TestPublicUpdateAPI(t *testing.T) {
 	idx := twolayer.New(twolayer.Options{GridSize: 8, Space: twolayer.Rect{MaxX: 1, MaxY: 1}})
 	r := twolayer.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
 	idx.Insert(7, r)
-	if idx.WindowCount(twolayer.Rect{MaxX: 1, MaxY: 1}) != 1 {
+	all := twolayer.Query{Window: &twolayer.Rect{MaxX: 1, MaxY: 1}}
+	if searchCount(t, idx, all) != 1 {
 		t.Fatal("inserted object not found")
 	}
 	if !idx.Delete(7, r) {
 		t.Fatal("delete failed")
 	}
-	if idx.WindowCount(twolayer.Rect{MaxX: 1, MaxY: 1}) != 0 {
+	if searchCount(t, idx, all) != 0 {
 		t.Fatal("object survived delete")
 	}
 }
@@ -155,13 +186,14 @@ func TestPublicStatsAPI(t *testing.T) {
 	rnd := rand.New(rand.NewSource(4))
 	idx := twolayer.BuildRects(randRects(rnd, 500, 0.1), twolayer.Options{GridSize: 16})
 	view, s := idx.Instrumented()
-	view.WindowCount(twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
+	q := twolayer.Query{Window: &twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8}}
+	searchCount(t, view, q)
 	if s.TilesVisited == 0 || s.Results == 0 {
 		t.Errorf("stats not collected: %+v", s)
 	}
 	// Only the view counts: the index it was taken from stays uninstrumented.
 	before := s.Results
-	idx.WindowCount(twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.8, MaxY: 0.8})
+	searchCount(t, idx, q)
 	if s.Results != before {
 		t.Error("queries on the base index leaked into the view's stats")
 	}
@@ -189,17 +221,20 @@ func TestPublicKNNAndJoin(t *testing.T) {
 	}
 
 	pairs := 0
-	a.Join(b, func(_, _ twolayer.ID) { pairs++ })
-	if pairs != a.JoinCount(b) {
-		t.Fatal("Join and JoinCount disagree")
+	if err := a.Join(b, func(_, _ twolayer.ID) { pairs++ }); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.JoinCount(b); err != nil || pairs != n {
+		t.Fatalf("Join found %d pairs, JoinCount %d (err %v)", pairs, n, err)
 	}
 	want := 0
-	a.Window(twolayer.Rect{MaxX: 2, MaxY: 2}, func(id twolayer.ID, mbr twolayer.Rect) {
+	a.Search(twolayer.Query{Window: &twolayer.Rect{MaxX: 2, MaxY: 2}}, func(id twolayer.ID, mbr twolayer.Rect) bool {
 		for _, s := range bRects {
 			if mbr.Intersects(s) {
 				want++
 			}
 		}
+		return true
 	})
 	if pairs != want {
 		t.Fatalf("join pairs %d, want %d", pairs, want)
@@ -217,27 +252,33 @@ func TestPublicParallelEstimateUntil(t *testing.T) {
 	if est := idx.EstimateWindow(w); est <= 0 {
 		t.Fatalf("EstimateWindow = %v", est)
 	}
-	if !idx.Intersects(w) {
-		t.Fatal("Intersects missed data")
+	// Limit 1 is the existence test: incomplete exactly when w has a hit.
+	if complete, err := idx.Search(twolayer.Query{Window: &w, Limit: 1}, func(twolayer.ID, twolayer.Rect) bool { return true }); complete || err != nil {
+		t.Fatalf("Limit 1 missed data: complete=%v err=%v", complete, err)
 	}
 	stops := 0
-	idx.WindowUntil(w, func(twolayer.ID, twolayer.Rect) bool {
+	complete, _ := idx.Search(twolayer.Query{Window: &w}, func(twolayer.ID, twolayer.Rect) bool {
 		stops++
 		return stops < 3
 	})
-	if stops != 3 {
-		t.Fatalf("WindowUntil visited %d", stops)
+	if stops != 3 || complete {
+		t.Fatalf("stopped Search visited %d, complete=%v", stops, complete)
 	}
 
 	other := twolayer.BuildRects(randRects(rnd, 1000, 0.05), twolayer.Options{GridSize: 32, Space: space})
-	serialPairs := idx.JoinCount(other)
+	serialPairs, err := idx.JoinCount(other)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pairs int64
 	var mu sync.Mutex
-	idx.JoinParallel(other, 4, func(_, _ twolayer.ID) {
+	if err := idx.JoinParallel(other, 4, func(_, _ twolayer.ID) {
 		mu.Lock()
 		pairs++
 		mu.Unlock()
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if int(pairs) != serialPairs {
 		t.Fatalf("JoinParallel found %d pairs, want %d", pairs, serialPairs)
 	}
@@ -249,7 +290,7 @@ func TestAutoTunedGridSize(t *testing.T) {
 	idx := twolayer.BuildRects(rects, twolayer.Options{}) // no grid given
 	w := twolayer.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}
 	want := len(bruteWindow(rects, w))
-	if got := idx.WindowCount(w); got != want {
+	if got := searchCount(t, idx, twolayer.Query{Window: &w}); got != want {
 		t.Fatalf("auto-tuned index returned %d, want %d", got, want)
 	}
 }
@@ -261,13 +302,7 @@ func TestDecomposedRebuild(t *testing.T) {
 	idx.Insert(1000, twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.55, MaxY: 0.55})
 	idx.RebuildDecomposed()
 	w := twolayer.Rect{MinX: 0.45, MinY: 0.45, MaxX: 0.6, MaxY: 0.6}
-	found := false
-	idx.Window(w, func(id twolayer.ID, _ twolayer.Rect) {
-		if id == 1000 {
-			found = true
-		}
-	})
-	if !found {
+	if !slices.Contains(searchIDs(t, idx, twolayer.Query{Window: &w}), 1000) {
 		t.Fatal("inserted object missing after rebuild")
 	}
 }
