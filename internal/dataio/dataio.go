@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -115,8 +116,9 @@ func writeTagged(w io.Writer, tag string, pts []geom.Point) error {
 }
 
 // ReadDataset reads a dataset written by WriteDataset. An error names
-// the first bad line; a line of 1 MiB or more fails with
-// bufio.ErrTooLong, and an error from r is returned as it is.
+// the first bad line, one with a NaN or infinite coordinate included; a
+// line of 1 MiB or more fails with bufio.ErrTooLong, and an error from
+// r is returned as it is.
 func ReadDataset(r io.Reader) (*spatial.Dataset, error) {
 	geoms, err := readBlocks(r, blockSize, parseGeoms)
 	if err != nil {
@@ -390,13 +392,17 @@ func parseRect(s []byte) (geom.Rect, error) {
 }
 
 // nextField parses the float before the first comma of *s, field i of
-// its row counting from 0, and advances *s past that comma.
+// its row counting from 0, and advances *s past that comma. NaN and ±Inf
+// are refused: no index or JSON answer can carry them.
 func nextField(s *[]byte, i int) (float64, error) {
 	field, rest, _ := bytes.Cut(*s, comma)
 	*s = rest
 	v, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
 	if err != nil {
 		return 0, fmt.Errorf("field %d: %w", i+1, err)
+	}
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return 0, fmt.Errorf("field %d: coordinate %v is not finite", i+1, v)
 	}
 	return v, nil
 }

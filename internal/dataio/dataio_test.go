@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -20,8 +21,9 @@ import (
 )
 
 // referenceReadDataset is ReadDataset as it was when it read one line at
-// a time through a bufio.Scanner on the caller's goroutine: the
-// definition the block reader is compared against.
+// a time through a bufio.Scanner on the caller's goroutine, refusing
+// non-finite coordinates as ReadDataset does: the definition the block
+// reader is compared against.
 func referenceReadDataset(r io.Reader) (*spatial.Dataset, error) {
 	var geoms []geom.Geometry
 	sc := bufio.NewScanner(r)
@@ -101,6 +103,9 @@ func referenceParseFloats(s string, want int) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("field %d: %w", i+1, err)
 		}
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, fmt.Errorf("field %d: coordinate %v is not finite", i+1, v)
+		}
 		out[i] = v
 	}
 	return out, nil
@@ -149,6 +154,38 @@ func capsCut(t *testing.T, geoms []geom.Geometry) {
 		}
 		if len(pts) != cap(pts) {
 			t.Fatalf("geometry %d: len %d, cap %d", i, len(pts), cap(pts))
+		}
+	}
+}
+
+// allFinite fails t unless every coordinate of d is finite.
+func allFinite(t *testing.T, d *spatial.Dataset) {
+	t.Helper()
+	finite := func(vs ...float64) bool {
+		for _, v := range vs {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, e := range d.Entries {
+		if !finite(e.Rect.MinX, e.Rect.MinY, e.Rect.MaxX, e.Rect.MaxY) {
+			t.Fatalf("entry %d has a non-finite MBR %v", i, e.Rect)
+		}
+	}
+	for i, g := range d.Geoms {
+		var pts []geom.Point
+		switch g := g.(type) {
+		case *geom.LineString:
+			pts = g.Points
+		case *geom.Polygon:
+			pts = g.Ring
+		}
+		for _, p := range pts {
+			if !finite(p.X, p.Y) {
+				t.Fatalf("geometry %d has a non-finite vertex %v", i, p)
+			}
 		}
 	}
 }
@@ -215,6 +252,7 @@ func FuzzReadDataset(f *testing.F) {
 		"# comment\n\n  \n#R,x\nR,0,0,1,1\n#\n",
 		"L,0,0,1,1",
 		"L,NaN,0,1,1\nP,Inf,0,1,-Inf,0,1\nR,1e308,-1e308,1e308,1e308\n",
+		"R,0.3,0.3,Inf,0.4\n", "R,-Inf,0,1,1\n", "P,0,0,1,0,+Inf,1\n", "L,0,0,1,nan\n",
 		"L,-0,0,0x1p-2,1e-320\nP,0,0,1,0,1,1,0,0\n",
 		"R,NaN,0,1,1\n",
 		"R,0,0,1\nR,0,0,1,1,1\n",
@@ -246,6 +284,7 @@ func FuzzReadDataset(f *testing.F) {
 				t.Fatalf("%s on %q:\n%s\nreference:\n%s", how, in, show(got), show(want))
 			default:
 				capsCut(t, got.Geoms)
+				allFinite(t, got)
 			}
 		}
 		got, err := ReadDataset(strings.NewReader(in))
@@ -499,6 +538,20 @@ func TestReadErrors(t *testing.T) {
 		"short polygon": "P,0.1,0.2,0.3,0.4\n",
 		"bad rect":      "R,0.5,0.5,0.1,0.9\n",
 		"bad float":     "L,x,y,0.3,0.4\n",
+	}
+	nonFinite := map[string]string{
+		"R,0.3,0.3,Inf,0.4\n":             "dataio: line 1: field 3: coordinate +Inf is not finite",
+		"R,0,0,1,1\nR,-Inf,0.3,0.4,0.4\n": "dataio: line 2: field 1: coordinate -Inf is not finite",
+		"P,0,0,1,0,1,+inf\n":              "dataio: line 1: field 6: coordinate +Inf is not finite",
+		"L,0,0,NaN,1\n":                   "dataio: line 1: field 3: coordinate NaN is not finite",
+	}
+	for in, want := range nonFinite {
+		if _, err := ReadDataset(strings.NewReader(in)); err == nil || err.Error() != want {
+			t.Errorf("ReadDataset(%q): error %v, want %s", in, err, want)
+		}
+	}
+	if _, err := ReadRects(strings.NewReader("0,0,Inf,1\n")); err == nil {
+		t.Error("ReadRects accepted an infinite coordinate")
 	}
 	for name, in := range geomCases {
 		if _, err := ReadDataset(strings.NewReader(in)); err == nil {

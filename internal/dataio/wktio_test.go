@@ -42,4 +42,16 @@ func TestReadWKTSkipsAndErrors(t *testing.T) {
 	if _, err := ReadWKT(strings.NewReader("TRIANGLE (0 0, 1 1, 2 2)\n")); err == nil {
 		t.Error("expected error for unsupported type")
 	}
+	// The WKT number scanner takes no "Inf" or "NaN", and an overflow
+	// fails ParseFloat: no non-finite coordinate gets in.
+	for _, in := range []string{
+		"POINT (1 2)\nPOINT (1e400 0)\n",
+		"POINT (1 2)\nLINESTRING (0 0, Inf 1)\n",
+		"POINT (1 2)\nPOLYGON ((0 0, NaN 0, 1 1, 0 0))\n",
+		"POINT (1 2)\nLINESTRING (0 0, 1 -1e309)\n",
+	} {
+		if _, err := ReadWKT(strings.NewReader(in)); err == nil || !strings.HasPrefix(err.Error(), "dataio: line 2: ") {
+			t.Errorf("ReadWKT(%q): error %v, want one naming line 2", in, err)
+		}
+	}
 }

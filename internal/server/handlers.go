@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -28,10 +27,6 @@ type rectJSON struct {
 
 func (r rectJSON) toRect() twolayer.Rect {
 	return twolayer.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
-}
-
-func fromRect(r twolayer.Rect) *rectJSON {
-	return &rectJSON{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}
 }
 
 // validate reports why the rectangle is unusable as data or query, or "".
@@ -82,29 +77,6 @@ type batchRequest struct {
 		Radius float64   `json:"radius"`
 	} `json:"disks"`
 }
-
-type resultJSON struct {
-	ID  twolayer.ID `json:"id"`
-	MBR *rectJSON   `json:"mbr,omitempty"` // omitted for exact-geometry results
-}
-
-type rangeResponse struct {
-	Count     int          `json:"count"`
-	Results   []resultJSON `json:"results,omitempty"`
-	Truncated bool         `json:"truncated"`
-	ElapsedUS int64        `json:"elapsed_us"`
-	// Estimate is the planner's O(tiles) cardinality estimate, present
-	// when the /v1 envelope asked for it ("estimate": true, window only).
-	Estimate *float64   `json:"estimate,omitempty"`
-	Trace    *traceJSON `json:"trace,omitempty"`
-}
-
-// resultBufPool recycles /v1 result buffers across requests so the
-// collection path allocates nothing per call beyond the JSON encoding.
-var resultBufPool = sync.Pool{New: func() any {
-	buf := make([]resultJSON, 0, 512)
-	return &buf
-}}
 
 type neighborJSON struct {
 	ID       twolayer.ID `json:"id"`
@@ -185,6 +157,7 @@ func newTraceJSON(tr *twolayer.Trace) *traceJSON {
 	}
 }
 
+// batchResponse is the /v1/batch answer; appendBatch writes it.
 type batchResponse struct {
 	Counts    []int  `json:"counts"`
 	Total     int    `json:"total"`
@@ -273,7 +246,7 @@ func (s *Server) requireExactable(w http.ResponseWriter) bool {
 
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	var req knnRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	if msg := req.Center.validate(); msg != "" {
@@ -325,7 +298,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeRequest(w, r, &req, scanBatch) {
 		return
 	}
 	var strategy twolayer.BatchStrategy
@@ -417,7 +390,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Total += c
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendBatch((*buf)[:0], &resp)
+	writeBody(w, http.StatusOK, *buf)
 }
 
 // ---- stats & health -------------------------------------------------------

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/pprof"
+	"strconv"
 	"time"
 )
 
@@ -79,11 +81,31 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as json.Encoder would. A value encoding/json
+// cannot encode (a NaN or infinite float) is answered with a 500 whose
+// body names the reason, never with a status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody writes an encoded JSON response with its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	// A failed write means the client is gone; nobody is left to tell.
+	_, _ = w.Write(body)
+}
+
+// writeEncodeError reports a response that could not be encoded.
+func writeEncodeError(w http.ResponseWriter, err error) {
+	writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -95,10 +117,10 @@ func writeTimeout(w http.ResponseWriter) {
 	writeError(w, http.StatusServiceUnavailable, "deadline exceeded")
 }
 
-// decodeJSON decodes the request body into v with unknown fields
+// decodeJSON decodes body into v with encoding/json, unknown fields
 // rejected. On failure it writes the error response and returns false.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError

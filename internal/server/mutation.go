@@ -81,7 +81,7 @@ func writeMutationError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	if msg := req.MBR.validate(); msg != "" {
@@ -107,7 +107,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req deleteRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	if msg := req.MBR.validate(); msg != "" {
@@ -134,7 +134,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	var req bulkRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, r.Body, &req) {
 		return
 	}
 	if len(req.Mutations) == 0 {

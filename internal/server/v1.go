@@ -65,7 +65,7 @@ func parseRefineMode(mode string) (twolayer.RefineMode, bool) {
 // "window" or "disk" and pins which shape the endpoint accepts. On
 // failure the error response has been written and ok is false.
 func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, kind string) (env queryEnvelope, q twolayer.Query, limit int, ok bool) {
-	if !decodeJSON(w, r, &env) {
+	if !decodeRequest(w, r, &env, scanEnvelope) {
 		return env, q, 0, false
 	}
 	switch kind {
@@ -169,10 +169,10 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		writeTimeout(w)
 		return
 	}
-	resp := rangeResponse{}
+	var ans rangeAnswer
 	if env.Estimate {
 		est := s.eng.pin().EstimateWindow(*q.Window)
-		resp.Estimate = &est
+		ans.estimate = &est
 	}
 	start := time.Now()
 
@@ -183,7 +183,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		resp.Count = n
+		ans.count = n
 	case env.CountOnly:
 		// Exact counts still stream: refinement is per-candidate work, so
 		// the deadline poll has to stay inside the loop.
@@ -205,29 +205,25 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 			writeTimeout(w)
 			return
 		}
-		resp.Count = seen
+		ans.count = seen
 	default:
 		q.Limit = limit
-		buf := resultBufPool.Get().(*[]resultJSON)
+		hits := hitPool.Get().(*[]hit)
 		defer func() {
-			*buf = (*buf)[:0]
-			resultBufPool.Put(buf)
+			*hits = (*hits)[:0]
+			hitPool.Put(hits)
 		}()
-		resp.Results = (*buf)[:0]
+		results := (*hits)[:0]
 		interrupted := false
 		complete, err := view.Search(q, func(id twolayer.ID, mbr twolayer.Rect) bool {
-			res := resultJSON{ID: id}
-			if !q.Exact {
-				res.MBR = fromRect(mbr)
-			}
-			resp.Results = append(resp.Results, res)
-			if len(resp.Results)%ctxPollInterval == 0 && ctx.Err() != nil {
+			results = append(results, hit{id, mbr})
+			if len(results)%ctxPollInterval == 0 && ctx.Err() != nil {
 				interrupted = true
 				return false
 			}
 			return true
 		})
-		*buf = resp.Results
+		*hits = results
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
@@ -236,13 +232,23 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 			writeTimeout(w)
 			return
 		}
-		resp.Count = len(resp.Results)
-		resp.Truncated = !complete
+		ans.count = len(results)
+		ans.results = results
+		ans.withMBR = !q.Exact
+		ans.truncated = !complete
 	}
-	resp.ElapsedUS = time.Since(start).Microseconds()
-	resp.Trace = finish()
-	if resp.Trace != nil {
-		resp.Trace.QueueWaitUS = queueWait.Microseconds()
+	ans.elapsedUS = time.Since(start).Microseconds()
+	ans.trace = finish()
+	if ans.trace != nil {
+		ans.trace.QueueWaitUS = queueWait.Microseconds()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := appendRange((*buf)[:0], &ans)
+	if err != nil {
+		writeEncodeError(w, err)
+		return
+	}
+	*buf = body
+	writeBody(w, http.StatusOK, body)
 }

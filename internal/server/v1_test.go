@@ -166,7 +166,7 @@ func TestShardedServerEquivalence(t *testing.T) {
 			t.Fatalf("%s %s: unsharded count=%d/%d, sharded count=%d/%d",
 				q.path, q.body, a.Count, len(a.Results), b.Count, len(b.Results))
 		}
-		ids := func(rs []resultJSON) []int {
+		ids := func(rs []rangeResult) []int {
 			out := make([]int, len(rs))
 			for i, r := range rs {
 				out[i] = int(r.ID)

@@ -1,0 +1,357 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	twolayer "github.com/twolayer/twolayer"
+)
+
+// rangeResponse is a /v1/window or /v1/disk answer as encoding/json
+// reads and writes it: the type the tests decode answers into, and the
+// reference appendRange is compared against.
+type rangeResponse struct {
+	Count     int           `json:"count"`
+	Results   []rangeResult `json:"results,omitempty"`
+	Truncated bool          `json:"truncated"`
+	ElapsedUS int64         `json:"elapsed_us"`
+	Estimate  *float64      `json:"estimate,omitempty"`
+	Trace     *traceJSON    `json:"trace,omitempty"`
+}
+
+type rangeResult struct {
+	ID  twolayer.ID `json:"id"`
+	MBR *rectJSON   `json:"mbr,omitempty"` // omitted for exact-geometry results
+}
+
+// encodingJSON is what json.NewEncoder writes for v.
+func encodingJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// edgeFloats are the values where encoding/json's float format turns:
+// signed zero, the exponent cut-offs, the extremes of float64.
+var edgeFloats = []float64{
+	0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.99999e-7, 5e-324, 1e21, -1e21,
+	1e20, -1e20, 999999999999999999999, 1e-9, 1.5e-10, 0.1, 1, -2.5,
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 123456789.123456789,
+}
+
+func randFloat(rnd *rand.Rand) float64 {
+	if rnd.Intn(4) == 0 {
+		return edgeFloats[rnd.Intn(len(edgeFloats))]
+	}
+	f := rnd.Float64() * math.Pow(10, float64(rnd.Intn(60)-30))
+	if rnd.Intn(2) == 0 {
+		f = -f
+	}
+	return f
+}
+
+func randTrace(rnd *rand.Rand) *traceJSON {
+	tr := &traceJSON{
+		Kind:           []string{"window", "disk"}[rnd.Intn(2)],
+		ElapsedUS:      rnd.Int63n(1e6),
+		QueueWaitUS:    rnd.Int63n(3),
+		FilterUS:       rnd.Int63n(1e3),
+		TilesVisited:   rnd.Int63n(1e4),
+		EntriesScanned: rnd.Int63(),
+		Results:        rnd.Int63n(1e3),
+	}
+	tr.ClassEntriesScanned.C = rnd.Int63n(50)
+	for i := rnd.Intn(3); i > 0; i-- {
+		tr.Shards = append(tr.Shards, shardSpanJSON{Shard: i, ElapsedUS: rnd.Int63n(1e3), Results: rnd.Intn(9)})
+	}
+	return tr
+}
+
+// TestWireMatchesEncodingJSON pins the hand-written encoders to the
+// bytes json.NewEncoder writes for the same answer.
+func TestWireMatchesEncodingJSON(t *testing.T) {
+	rnd := rand.New(rand.NewSource(17))
+	check := func(ref rangeResponse, ans rangeAnswer, exact bool) {
+		t.Helper()
+		ans.withMBR = !exact
+		for _, r := range ref.Results {
+			h := hit{id: r.ID}
+			if r.MBR != nil {
+				h.mbr = r.MBR.toRect()
+			}
+			ans.results = append(ans.results, h)
+		}
+		got, err := appendRange(nil, &ans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodingJSON(t, ref); !bytes.Equal(got, want) {
+			t.Fatalf("appendRange:\n got %s\nwant %s", got, want)
+		}
+	}
+
+	// Every edge value in every coordinate, the largest ID, no results,
+	// an exact answer, a count-only answer, a truncated one.
+	for _, f := range edgeFloats {
+		mbr := &rectJSON{f, -f, f, 1}
+		est := f
+		ref := rangeResponse{Count: 1, Results: []rangeResult{{math.MaxUint32, mbr}}, Estimate: &est}
+		check(ref, rangeAnswer{count: 1, estimate: &est}, false)
+	}
+	check(rangeResponse{}, rangeAnswer{}, false)
+	check(rangeResponse{Count: 2, Results: []rangeResult{{ID: 0}, {ID: 7}}}, rangeAnswer{count: 2}, true)
+	check(rangeResponse{Count: math.MaxInt64, ElapsedUS: 5}, rangeAnswer{count: math.MaxInt64, elapsedUS: 5}, false)
+	check(rangeResponse{Count: math.MinInt64}, rangeAnswer{count: math.MinInt64}, false)
+	check(rangeResponse{Count: 1, Results: []rangeResult{{1, &rectJSON{0, 0, 1, 1}}}, Truncated: true},
+		rangeAnswer{count: 1, truncated: true}, false)
+
+	for range 2000 {
+		exact := rnd.Intn(5) == 0
+		var ref rangeResponse
+		for i := rnd.Intn(12); i > 0; i-- {
+			r := rangeResult{ID: rnd.Uint32()}
+			if !exact {
+				r.MBR = &rectJSON{randFloat(rnd), randFloat(rnd), randFloat(rnd), randFloat(rnd)}
+			}
+			ref.Results = append(ref.Results, r)
+		}
+		ref.Count = len(ref.Results)
+		if ref.Count == 0 && rnd.Intn(2) == 0 {
+			ref.Count = rnd.Intn(1 << 20) // a count-only answer
+		}
+		ref.Truncated = rnd.Intn(3) == 0
+		ref.ElapsedUS = rnd.Int63n(1 << uint(rnd.Intn(63)))
+		if rnd.Intn(3) == 0 {
+			est := randFloat(rnd)
+			ref.Estimate = &est
+		}
+		if rnd.Intn(3) == 0 {
+			ref.Trace = randTrace(rnd)
+		}
+		check(ref, rangeAnswer{
+			count: ref.Count, truncated: ref.Truncated, elapsedUS: ref.ElapsedUS,
+			estimate: ref.Estimate, trace: ref.Trace,
+		}, exact)
+	}
+
+	for _, counts := range [][]int{nil, {}, {0}, {3, 0, math.MaxInt64, math.MinInt64}} {
+		for _, mode := range []string{"queries", "tiles"} {
+			b := batchResponse{Counts: counts, Total: rnd.Int(), Mode: mode, Threads: 1 + rnd.Intn(8), ElapsedUS: rnd.Int63()}
+			if got, want := appendBatch(nil, &b), encodingJSON(t, b); !bytes.Equal(got, want) {
+				t.Fatalf("appendBatch:\n got %s\nwant %s", got, want)
+			}
+		}
+	}
+
+	// A value JSON cannot carry fails with encoding/json's own error.
+	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		_, want := json.Marshal(f)
+		results := []hit{{id: 1, mbr: twolayer.Rect{MinX: 0, MinY: f, MaxX: 1, MaxY: 1}}}
+		if _, err := appendRange(nil, &rangeAnswer{count: 1, results: results, withMBR: true}); err == nil || err.Error() != want.Error() {
+			t.Errorf("appendRange(result %v) error %v, want %v", f, err, want)
+		}
+		if _, err := appendRange(nil, &rangeAnswer{estimate: &f}); err == nil || err.Error() != want.Error() {
+			t.Errorf("appendRange(estimate %v) error %v, want %v", f, err, want)
+		}
+	}
+}
+
+// referenceDecode decodes data with encoding/json as decodeJSON does
+// (unknown fields rejected, trailing data refused).
+func referenceDecode(data []byte, v any) bool {
+	return decodeJSON(httptest.NewRecorder(), bytes.NewReader(data), v)
+}
+
+// checkScan fails t if scan accepted data and encoding/json decodes it
+// to anything else, or refuses it.
+func checkScan[T any](t *testing.T, data []byte, scan func([]byte) (T, bool)) (accepted bool) {
+	t.Helper()
+	got, ok := scan(data)
+	if !ok {
+		return false
+	}
+	var want T
+	if !referenceDecode(data, &want) {
+		t.Fatalf("fast decoder accepted %q, which encoding/json refuses", data)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fast decoder on %q:\n got %+v\nwant %+v", data, got, want)
+	}
+	return true
+}
+
+// TestScanDeclines lists what the fast decoders must accept (and then
+// decode as encoding/json does) and what they must leave to it.
+func TestScanDeclines(t *testing.T) {
+	const win = `{"min_x":0.25,"min_y":-0,"max_x":1e-3,"max_y":2E+1}`
+	accept := []string{
+		`{"window":` + win + `}`,
+		" \t\r\n{ \"window\" : " + win + " , \"count_only\" : true } \n",
+		`{"count_only":false,"window":{}}`,
+		`{}`,
+	}
+	decline := []string{
+		`{"Window":` + win + `}`,                       // encoding/json folds case
+		`{"window":` + win + `,"window":{}}`,           // duplicate key
+		`{"window":{"min_x":1,"min_x":2}}`,             // duplicate key inside
+		`{"window":null}`,                              // null
+		`null`,                                         // null
+		`{"window":{"min_x":1e400}}`,                   // out of range
+		`{"window":{"min_x":01}}`,                      // grammar
+		`{"window":{"min_x":.5}}`,                      // grammar
+		`{"window":{"min_x":-}}`,                       // grammar
+		`{"window":{"min_x":1.}}`,                      // grammar
+		`{"window":{"min_x":"0"}}`,                     // type
+		`{"count_only":1}`,                             // type
+		`{"window":` + win + `} {}`,                    // trailing data
+		`{"window":` + win + `}}`,                      // trailing data
+		`{"window":` + win + `,}`,                      // syntax
+		`{"window":` + win,                             // truncated
+		`{"disk":{"center":{"x":0,"y":0},"radius":1}}`, // disk
+		`{"window":{"min_x":0,"min_z":0}}`,             // unknown key
+		`{"window":{},"limit":30}`,                     // not a benchmark field
+		`{"window":{},"mode":"avoid"}`,                 // not a benchmark field
+	}
+	for _, body := range accept {
+		if !checkScan(t, []byte(body), scanEnvelope) {
+			t.Errorf("scanEnvelope declined %s", body)
+		}
+	}
+	for _, body := range decline {
+		if checkScan(t, []byte(body), scanEnvelope) {
+			t.Errorf("scanEnvelope accepted %s", body)
+		}
+	}
+
+	for _, body := range []string{
+		`{"windows":[` + win + `,` + win + `]}`,
+		`{"mode":"tiles","windows":[]}`,
+		`{"mode":"bogus","windows":[{}]}`,
+	} {
+		if !checkScan(t, []byte(body), scanBatch) {
+			t.Errorf("scanBatch declined %s", body)
+		}
+	}
+	for _, body := range []string{
+		`{"disks":[{"center":{"x":0,"y":0},"radius":1}]}`,
+		`{"windows":null}`,
+		`{"windows":[` + win + `,]}`,
+		`{"windows":[null]}`,
+		`{"windows":{}}`,
+		`{"threads":2,"windows":[]}`,
+		`{"mode":"qu\u0065ries","windows":[]}`, // escape
+		`{"mode":"é","windows":[]}`,            // non-ASCII
+	} {
+		if checkScan(t, []byte(body), scanBatch) {
+			t.Errorf("scanBatch accepted %s", body)
+		}
+	}
+}
+
+// TestDeclinedRequestErrors checks that a request the fast decoder
+// declines is answered exactly as encoding/json alone answers it.
+func TestDeclinedRequestErrors(t *testing.T) {
+	h := testServer(t, nil).Handler()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"limit":1.5}`},
+		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"bogus":1}`},
+		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}} x`},
+		{"/v1/disk", `{"disk":{"center":{"x":0,"y":0},"radius":1e400}}`},
+		{"/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":"1"}]}`},
+		{"/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}],"threads":-1.0}`},
+	} {
+		w := do(t, h, "POST", c.path, c.body, nil)
+		var v any = new(queryEnvelope)
+		if c.path == "/v1/batch" {
+			v = new(batchRequest)
+		}
+		rec := httptest.NewRecorder()
+		if decodeJSON(rec, strings.NewReader(c.body), v) {
+			t.Fatalf("%s: encoding/json accepts the declined body %s", c.path, c.body)
+		}
+		if w.Code != rec.Code || w.Body.String() != rec.Body.String() {
+			t.Errorf("%s %s: answered %d %s, encoding/json %d %s",
+				c.path, c.body, w.Code, w.Body.String(), rec.Code, rec.Body.String())
+		}
+	}
+
+	// A declined body encoding/json accepts is answered as before too.
+	var folded, plain rangeResponse
+	do(t, h, "POST", "/v1/window", `{"Window":{"min_x":0,"min_y":0,"max_x":0.5,"max_y":0.5},"LIMIT":3}`, &folded)
+	do(t, h, "POST", "/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":0.5,"max_y":0.5},"limit":3}`, &plain)
+	if folded.Count != 3 || !reflect.DeepEqual(folded.Results, plain.Results) {
+		t.Errorf("case-folded keys: %+v, plain keys: %+v", folded, plain)
+	}
+
+	// A body over the limit is still a 413, whichever decoder reads it.
+	h = testServer(t, func(c *Config) { c.MaxBodyBytes = 64 }).Handler()
+	big := `{"windows":[` + strings.Repeat(`{"min_x":0,"min_y":0,"max_x":1,"max_y":1},`, 10) + `{}]}`
+	for _, path := range []string{"/v1/window", "/v1/batch"} {
+		if w := do(t, h, "POST", path, big, nil); w.Code != http.StatusRequestEntityTooLarge ||
+			!strings.Contains(w.Body.String(), "exceeds 64 bytes") {
+			t.Errorf("%s: oversized body answered %d %s", path, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestNonFiniteAnswer500 serves an index holding an infinite MBR: an
+// answer that would carry it is a 500 naming the value, not a 200 with
+// an empty body; answers without it are unaffected.
+func TestNonFiniteAnswer500(t *testing.T) {
+	ix := twolayer.BuildRects([]twolayer.Rect{
+		{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
+		{MinX: 0.3, MinY: 0.3, MaxX: math.Inf(1), MaxY: 0.4},
+	}, twolayer.Options{GridSize: 4})
+	h := testServer(t, func(c *Config) { c.Index = ix }).Handler()
+
+	w := do(t, h, "POST", "/v1/window", `{`+fullWindow+`}`, nil)
+	if w.Code != http.StatusInternalServerError ||
+		w.Body.String() != `{"error":"encode response: json: unsupported value: +Inf"}`+"\n" {
+		t.Fatalf("window over an infinite MBR: %d %q", w.Code, w.Body.String())
+	}
+	var resp rangeResponse
+	if w := do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true}`, &resp); w.Code != http.StatusOK || resp.Count != 2 {
+		t.Fatalf("count over an infinite MBR: %d %s", w.Code, w.Body.String())
+	}
+	resp = rangeResponse{}
+	if w := do(t, h, "POST", "/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":0.25,"max_y":0.25}}`, &resp); w.Code != http.StatusOK || resp.Count != 1 {
+		t.Fatalf("window beside an infinite MBR: %d %s", w.Code, w.Body.String())
+	}
+
+	// Every other response goes through writeJSON, which marshals before
+	// it writes the status.
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rec.Code != http.StatusInternalServerError ||
+		rec.Body.String() != `{"error":"encode response: json: unsupported value: NaN"}`+"\n" {
+		t.Fatalf("writeJSON(NaN): %d %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRangeContentLength checks that range and batch answers carry their
+// length instead of chunked framing.
+func TestRangeContentLength(t *testing.T) {
+	h := testServer(t, nil).Handler()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/window", `{` + fullWindow + `}`},
+		{"/v1/disk", `{"disk":{"center":{"x":0.5,"y":0.5},"radius":2}}`},
+		{"/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":0.5,"max_y":0.5}]}`},
+	} {
+		w := do(t, h, "POST", c.path, c.body, nil)
+		if w.Code != http.StatusOK || w.Header().Get("Content-Length") != strconv.Itoa(w.Body.Len()) {
+			t.Errorf("%s: status %d, Content-Length %q for %d bytes",
+				c.path, w.Code, w.Header().Get("Content-Length"), w.Body.Len())
+		}
+	}
+}
