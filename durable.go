@@ -123,8 +123,8 @@ func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive,
 // inside the apply loop, so there is no undurable side door.
 func (d *DurableLive) Live() *Live { return d.live }
 
-// Snapshot returns the current published snapshot as a private read
-// view; shorthand for Live().Snapshot().
+// Snapshot returns the current published snapshot; shorthand for
+// Live().Snapshot().
 func (d *DurableLive) Snapshot() *Index { return d.live.Snapshot() }
 
 // Checkpoint writes the current snapshot as a checkpoint file and

@@ -166,10 +166,9 @@ func (t *tile) size() int {
 	return len(t.classes[0]) + len(t.classes[1]) + len(t.classes[2]) + len(t.classes[3])
 }
 
-// Index is the two-layer grid index. It is safe for concurrent readers;
-// updates require external synchronization, as do kNN queries (shared
-// scratch space). Use View to obtain per-goroutine read views, which
-// lift that restriction on a static index and carry the Stats counters.
+// Index is the two-layer grid index. It is safe for concurrent readers,
+// kNN included; updates require external synchronization. Use View to
+// obtain per-goroutine read views that carry the Stats counters.
 type Index struct {
 	g    *grid.Grid
 	opts Options
@@ -184,7 +183,6 @@ type Index struct {
 
 	dataset *spatial.Dataset // for refinement; may be nil
 	size    int              // number of distinct objects inserted
-	knn     *knnState        // lazily allocated kNN scratch space
 
 	// epoch is the copy-on-write generation of this index: 0 for a
 	// directly built index, the publish sequence number for snapshots
@@ -227,17 +225,16 @@ type Index struct {
 }
 
 // View returns a shallow read view of the index: it shares all partition
-// storage with ix but owns its Stats slot (set to s, which may be nil)
-// and its kNN scratch space. Any number of views can evaluate queries —
-// including kNN and stats-instrumented queries — concurrently, as long as
-// no goroutine updates the underlying index. Views are read-only: writing
-// through one corrupts the shared state (a Live snapshot's view panics).
+// storage with ix but owns its Stats slot (set to s, which may be nil).
+// Any number of views can evaluate stats-instrumented queries
+// concurrently, as long as no goroutine updates the underlying index.
+// Views are read-only: writing through one corrupts the shared state (a
+// Live snapshot's view panics).
 //
 // A view costs one small allocation, so creating one per request (or per
 // worker) is cheap. Merge per-view counters with AtomicStats.Observe.
 func (ix *Index) View(s *Stats) *Index {
 	cp := *ix
-	cp.knn = nil // detach shared kNN scratch; the view grows its own
 	cp.stats = s
 	cp.trace = nil
 	return &cp
@@ -276,7 +273,6 @@ func (ix *Index) CloneCOW() *Index {
 	cp.pages = append(make([]*tilePage, 0, len(ix.pages)+1), ix.pages...)
 	cp.sharedDir = true
 	cp.published = false
-	cp.knn = nil
 	cp.stats = nil
 	cp.trace = nil
 	return &cp

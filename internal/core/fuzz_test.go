@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
+	"github.com/twolayer/twolayer/internal/grid"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
@@ -259,4 +261,60 @@ func TestCOWChainSeeds(t *testing.T) {
 	if empty == 0 {
 		t.Error("empty-tile seed: no tile of the head is empty")
 	}
+}
+
+// FuzzKNN checks KNN and KNNExact against brute force on grids with
+// NX != NY (each 1..64), over objects and query points snapped to tile
+// edges or lying outside the space, for k from 1 to 30. Edges come from
+// the grid's own TileMin, so objects and queries sit exactly where the
+// replica-skipping rule of the kNN search decides by cell.
+// Run with `go test -fuzz=FuzzKNN ./internal/core`.
+func FuzzKNN(f *testing.F) {
+	f.Add(int64(1), uint8(7), uint8(8), uint8(4), 0.5, 0.5, uint8(0))
+	f.Add(int64(2), uint8(0), uint8(63), uint8(29), -0.5, 2.0, uint8(1))
+	f.Add(int64(3), uint8(62), uint8(2), uint8(0), 0.25, 0.75, uint8(3))
+	f.Add(int64(4), uint8(6), uint8(12), uint8(16), 1.0, 0.0, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nx8, ny8, k8 uint8, qx, qy float64, snap uint8) {
+		if math.IsNaN(qx) || math.IsNaN(qy) || math.Abs(qx) > 1e9 || math.Abs(qy) > 1e9 {
+			t.Skip()
+		}
+		nx, ny, k := int(nx8)%64+1, int(ny8)%64+1, int(k8)%30+1
+		space := geom.Rect{MaxX: 1, MaxY: 1}
+		g := grid.New(space, nx, ny)
+		rnd := rand.New(rand.NewSource(seed))
+		// span draws an extent along one axis: half the time between two
+		// tile edges (some beyond the space), otherwise free.
+		span := func(edge func(i int) float64, n int) (lo, hi float64) {
+			if rnd.Intn(2) == 0 {
+				i := rnd.Intn(n+5) - 2
+				return edge(i), edge(i + rnd.Intn(3))
+			}
+			lo = rnd.Float64()*1.4 - 0.2
+			return lo, lo + rnd.Float64()*rnd.Float64()*0.5
+		}
+		edgeX := func(i int) float64 { return g.TileMin(i, 0).X }
+		edgeY := func(i int) float64 { return g.TileMin(0, i).Y }
+		geoms := make([]geom.Geometry, 100+rnd.Intn(100))
+		for i := range geoms {
+			x0, x1 := span(edgeX, nx)
+			y0, y1 := span(edgeY, ny)
+			if rnd.Intn(2) == 0 {
+				geoms[i] = geom.RectGeometry(geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1})
+			} else {
+				geoms[i] = geom.NewLineString(geom.Point{X: x0, Y: y1}, geom.Point{X: x1, Y: y0})
+			}
+		}
+		d := spatial.NewGeomDataset(geoms)
+		ix := Build(d, Options{NX: nx, NY: ny, Space: space})
+		if snap&1 != 0 {
+			qx = edgeX(rnd.Intn(nx+5) - 2)
+		}
+		if snap&2 != 0 {
+			qy = edgeY(rnd.Intn(ny+5) - 2)
+		}
+		q := geom.Point{X: qx, Y: qy}
+		ctx := fmt.Sprintf("grid %dx%d q=%v k=%d", nx, ny, q, k)
+		sameDists(t, ctx+" KNN", ix.KNN(q, k), bruteKNN(d.Entries, q, k))
+		sameDists(t, ctx+" KNNExact", ix.KNNExact(q, k), bruteKNNExact(d, q, k))
+	})
 }

@@ -13,9 +13,10 @@ import (
 // one of the query types the paper names as future work for SOP indices
 // with secondary partitioning. The search expands square rings of tiles
 // around the query point and stops when the next ring cannot contain a
-// closer object than the current k-th candidate. Replicas are visited at
-// most once through an epoch-stamped seen table (dense object IDs make
-// this a plain array; no per-query allocation or hashing).
+// closer object than the current k-th candidate. Like the range queries'
+// class selection (Lemmas 1-2), it never generates a duplicate: an object
+// is considered only in the tile of its cover nearest to q's tile, so the
+// search keeps no per-query or per-index state.
 
 // Neighbor is one kNN result.
 type Neighbor struct {
@@ -38,31 +39,10 @@ func (h *neighborHeap) Pop() any {
 	return x
 }
 
-// knnState is the reusable per-index scratch space for kNN queries. It is
-// lazily grown; the epoch stamp avoids clearing between queries.
-type knnState struct {
-	seen  []uint32
-	epoch uint32
-}
-
-// markSeen reports whether id was already visited this query, marking it.
-func (s *knnState) markSeen(id spatial.ID) bool {
-	if int(id) >= len(s.seen) {
-		grown := make([]uint32, int(id)*2+64)
-		copy(grown, s.seen)
-		s.seen = grown
-	}
-	if s.seen[id] == s.epoch {
-		return true
-	}
-	s.seen[id] = s.epoch
-	return false
-}
-
 // KNN returns the k objects whose MBRs are nearest to q, ordered by
 // ascending distance. Ties are broken arbitrarily. It allocates only the
-// result slice on the steady state; the seen table is owned by the index
-// and makes KNN unsafe for concurrent use (like updates and Stats).
+// result slice and keeps no state on the index, so any number of
+// goroutines may run it on a shared index that is not being updated.
 func (ix *Index) KNN(q geom.Point, k int) []Neighbor { return ix.knnSearch(q, k, false) }
 
 // KNNExact returns the k objects whose exact geometries are nearest to q,
@@ -84,33 +64,46 @@ func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 	if k <= 0 || ix.size == 0 {
 		return nil
 	}
-	if ix.knn == nil {
-		ix.knn = &knnState{}
-	}
-	ix.knn.epoch++
-	if ix.knn.epoch == 0 { // stamp wrapped: reset table once
-		ix.knn.seen = nil
-		ix.knn.epoch = 1
-	}
-
 	best := make(neighborHeap, 0, k)
 	kth := math.Inf(1)
 
-	consider := func(t *tile) {
+	// An object is considered only in the tile of its cover nearest to
+	// (cx, cy): (clamp(cx, col(MinX), col(MaxX)), clamp(cy, row(MinY),
+	// row(MaxY))), since CellOf is monotone. In a column past cx that is
+	// its tile only if the MBR begins in the column (classes A/B), in a
+	// column before cx only if the MBR ends there; rows past and before
+	// cy likewise (classes A/C, then the end row); cx's own column and
+	// cy's own row need no test. That tile lies in the lowest ring of
+	// the cover, so the ring stop stays valid.
+	cx, cy := ix.g.CellOf(q)
+	consider := func(tx, ty int, t *tile) {
 		s := ix.stats
 		if s != nil {
 			s.TilesVisited++
 		}
+		endX, endY := tx < cx, ty < cy
 		for c := ClassA; c <= ClassD; c++ {
-			if s != nil && len(t.classes[c]) > 0 {
-				s.PartitionsScanned++
-				s.EntriesScanned += int64(len(t.classes[c]))
-				s.ClassScanned[c] += int64(len(t.classes[c]))
+			entries := t.classes[c]
+			if (tx > cx && (c == ClassC || c == ClassD)) || (ty > cy && (c == ClassB || c == ClassD)) {
+				if s != nil {
+					s.DuplicatesAvoided += int64(len(entries))
+				}
+				continue
 			}
-			for i := range t.classes[c] {
-				e := &t.classes[c][i]
-				if ix.knn.markSeen(e.ID) {
-					continue
+			if s != nil && len(entries) > 0 {
+				s.PartitionsScanned++
+				s.EntriesScanned += int64(len(entries))
+				s.ClassScanned[c] += int64(len(entries))
+			}
+			for i := range entries {
+				e := &entries[i]
+				if endX || endY {
+					// The cell mapping CoverRect placed the object with,
+					// never a recomputed tile edge.
+					ex, ey := ix.g.CellOf(geom.Point{X: e.Rect.MaxX, Y: e.Rect.MaxY})
+					if (endX && ex != tx) || (endY && ey != ty) {
+						continue
+					}
 				}
 				if s != nil {
 					s.DistanceComputations++
@@ -146,7 +139,6 @@ func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 	}
 
 	// Ring expansion around the tile containing q.
-	cx, cy := ix.g.CellOf(q)
 	maxRing := ix.g.NX
 	if ix.g.NY > maxRing {
 		maxRing = ix.g.NY
@@ -233,13 +225,13 @@ func ringDistSq(ix *Index, q geom.Point, cx, cy, ring int) float64 {
 
 // forEachRingTile visits the non-empty tiles at Chebyshev distance ring
 // from (cx, cy), clamped to the grid.
-func (ix *Index) forEachRingTile(cx, cy, ring int, fn func(*tile)) {
+func (ix *Index) forEachRingTile(cx, cy, ring int, fn func(tx, ty int, t *tile)) {
 	visit := func(tx, ty int) {
 		if tx < 0 || ty < 0 || tx >= ix.g.NX || ty >= ix.g.NY {
 			return
 		}
 		if t := ix.tileAt(tx, ty); t != nil {
-			fn(t)
+			fn(tx, ty, t)
 		}
 	}
 	if ring == 0 {

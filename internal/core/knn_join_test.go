@@ -60,8 +60,8 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestKNNEdgeCases: k <= 0, k > n, empty index, repeated queries (epoch
-// reuse).
+// TestKNNEdgeCases: k <= 0, k > n, empty index, repeated queries on one
+// index.
 func TestKNNEdgeCases(t *testing.T) {
 	rnd := rand.New(rand.NewSource(132))
 	empty := New(Options{NX: 4, NY: 4})
@@ -75,7 +75,7 @@ func TestKNNEdgeCases(t *testing.T) {
 	if got := ix.KNN(geom.Point{X: 0.5, Y: 0.5}, 100); len(got) != d.Len() {
 		t.Errorf("k>n returned %d of %d", len(got), d.Len())
 	}
-	// Many repeated queries exercise the epoch-stamped seen table.
+	// Many repeated queries on one index: kNN keeps no state between them.
 	for i := 0; i < 200; i++ {
 		q := geom.Point{X: rnd.Float64(), Y: rnd.Float64()}
 		got := ix.KNN(q, 5)

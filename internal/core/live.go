@@ -176,7 +176,6 @@ func NewLive(ix *Index, opt LiveOptions) *Live {
 	ix.dataset = nil
 	ix.stats = nil
 	ix.trace = nil
-	ix.knn = nil
 	ix.published = true
 	l := &Live{
 		opt: opt.withDefaults(),
@@ -191,9 +190,9 @@ func NewLive(ix *Index, opt LiveOptions) *Live {
 // Snapshot returns the current published snapshot: one atomic load, no
 // locks. The result is immutable — it never changes as later mutations
 // are published, and Insert, Delete or BuildDecomposed on it (or on a
-// view of it) panic — and safe for any number of concurrent readers; as
-// with any shared Index, run kNN or stats-instrumented queries through
-// per-goroutine views (Index.View).
+// view of it) panic — and safe for any number of concurrent readers, kNN
+// included; as with any shared Index, run stats-instrumented queries
+// through per-goroutine views (Index.View).
 func (l *Live) Snapshot() *Index { return l.snap.Load() }
 
 // Insert adds one object and blocks until the insertion is published,

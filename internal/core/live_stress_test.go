@@ -85,7 +85,7 @@ func TestLiveStress(t *testing.T) {
 					return
 				default:
 				}
-				snap := l.Snapshot().View(nil) // private kNN scratch
+				snap := l.Snapshot()
 				epoch := snap.Epoch()
 				if epoch < lastEpoch {
 					fail("epoch went backwards")

@@ -34,7 +34,8 @@ type Stats struct {
 	// Results counts entries reported by the filtering step.
 	Results int64
 	// DuplicatesAvoided counts entries skipped wholesale because their
-	// class was disregarded by Lemmas 1-2.
+	// class was disregarded by Lemmas 1-2 or, in kNN, because no object
+	// of the class has this tile as its tile nearest to the query.
 	DuplicatesAvoided int64
 	// BinarySearches counts binary searches on decomposed tables.
 	BinarySearches int64
@@ -45,7 +46,7 @@ type Stats struct {
 	// SecondaryFilterHits counts candidates accepted without refinement;
 	// RefinementTests counts exact geometry tests executed;
 	// DistanceComputations counts point distance evaluations in disk
-	// queries.
+	// and kNN queries (in kNN, one per distinct object examined).
 	SecondaryFilterTests int64
 	SecondaryFilterHits  int64
 	RefinementTests      int64

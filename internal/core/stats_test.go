@@ -65,9 +65,10 @@ func TestInteriorTilesNoComparisons(t *testing.T) {
 	}
 }
 
-// TestDuplicatesAvoidedCounting: when a window spans many tiles over
-// replicated data, the skipped classes must be counted, and the 1-tile
-// window must skip nothing.
+// TestDuplicatesAvoidedCounting: when a window or a kNN search spans many
+// tiles over replicated data, the skipped classes must be counted. A kNN
+// search that visits every tile reads each replica or skips it with its
+// class, and computes one distance per distinct object.
 func TestDuplicatesAvoidedCounting(t *testing.T) {
 	rnd := rand.New(rand.NewSource(43))
 	ix, _ := buildRandom(rnd, 1000, 0.2, Options{NX: 16, NY: 16})
@@ -75,6 +76,22 @@ func TestDuplicatesAvoidedCounting(t *testing.T) {
 	ix.WindowCount(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9})
 	if ix.stats.DuplicatesAvoided == 0 {
 		t.Error("large window avoided no duplicates over replicated data")
+	}
+
+	s := Stats{}
+	ix.stats = &s
+	ix.KNN(geom.Point{X: 0.5, Y: 0.5}, ix.Len()+1) // k > n: no ring stop
+	if s.DuplicatesAvoided == 0 {
+		t.Error("kNN over every tile avoided no duplicates over replicated data")
+	}
+	if got, want := s.EntriesScanned+s.DuplicatesAvoided, int64(ix.PartitionStats().Replicas); got != want {
+		t.Errorf("kNN scanned %d + avoided %d entries, index holds %d", s.EntriesScanned, s.DuplicatesAvoided, want)
+	}
+	if sum := s.ClassScanned[0] + s.ClassScanned[1] + s.ClassScanned[2] + s.ClassScanned[3]; sum != s.EntriesScanned {
+		t.Errorf("kNN ClassScanned sums to %d, EntriesScanned %d", sum, s.EntriesScanned)
+	}
+	if s.DistanceComputations != int64(ix.Len()) || s.Results != int64(ix.Len()) {
+		t.Errorf("kNN computed %d distances for %d results, want %d each", s.DistanceComputations, s.Results, ix.Len())
 	}
 }
 

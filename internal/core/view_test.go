@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
+	"github.com/twolayer/twolayer/internal/spatial"
 )
 
 // TestViewConcurrentStats checks the concurrent stats mode: queries on
@@ -59,40 +60,44 @@ func TestViewConcurrentStats(t *testing.T) {
 	}
 }
 
-// TestViewConcurrentKNN checks that per-view kNN scratch detachment makes
-// concurrent kNN queries safe and correct.
+// TestViewConcurrentKNN checks that KNN and KNNExact keep no state on
+// the index: 8 goroutines querying one shared index, with no View, get
+// the serial answers. Run with -race to exercise the safety claim.
 func TestViewConcurrentKNN(t *testing.T) {
-	ix, _ := buildRandom(rand.New(rand.NewSource(11)), 2000, 0.05, Options{NX: 32, NY: 32})
+	ix := Build(spatial.NewGeomDataset(randGeoms(rand.New(rand.NewSource(11)), 2000, 0.05)), Options{NX: 32, NY: 24})
 
 	points := make([]geom.Point, 32)
 	for i := range points {
 		points[i] = geom.Point{X: float64(i%8) / 8, Y: float64(i/8) / 4}
 	}
-	want := make([][]Neighbor, len(points))
-	for i, p := range points {
-		want[i] = ix.KNN(p, 10)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			view := ix.View(nil)
-			for i := w; i < len(points); i += 8 {
-				got := view.KNN(points[i], 10)
-				if len(got) != len(want[i]) {
-					t.Errorf("point %d: got %d neighbors, want %d", i, len(got), len(want[i]))
-					return
-				}
-				for j := range got {
-					if got[j].Dist != want[i][j].Dist {
-						t.Errorf("point %d neighbor %d: dist %v != %v", i, j, got[j].Dist, want[i][j].Dist)
+	for _, knn := range []struct {
+		name string
+		fn   func(geom.Point, int) []Neighbor
+	}{{"KNN", ix.KNN}, {"KNNExact", ix.KNNExact}} {
+		want := make([][]Neighbor, len(points))
+		for i, p := range points {
+			want[i] = knn.fn(p, 10)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(points); i += 8 {
+					got := knn.fn(points[i], 10)
+					if len(got) != len(want[i]) {
+						t.Errorf("%s point %d: got %d neighbors, want %d", knn.name, i, len(got), len(want[i]))
 						return
 					}
+					for j := range got {
+						if got[j] != want[i][j] {
+							t.Errorf("%s point %d neighbor %d: %v != %v", knn.name, i, j, got[j], want[i][j])
+							return
+						}
+					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

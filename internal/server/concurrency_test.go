@@ -47,7 +47,7 @@ func TestConcurrentQueries(t *testing.T) {
 					if err := dec.Decode(&resp); err != nil || code != http.StatusOK || resp.Count == 0 {
 						errs <- fmt.Errorf("disk: code=%d count=%d err=%v", code, resp.Count, err)
 					}
-				case 2: // kNN exercises per-view scratch space
+				case 2: // kNN reads the shared index from every worker
 					dec, code, _ := post("/v1/knn",
 						`{"center":{"x":0.31,"y":0.64},"k":9}`)
 					var resp knnResponse

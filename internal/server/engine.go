@@ -89,10 +89,6 @@ type indexEngine struct {
 	// current returns the index to read now: the static index, or the
 	// live index's current snapshot.
 	current func() *twolayer.Index
-	// static marks current() as shared between requests, so a query needs
-	// a read view of its own for kNN scratch space; live snapshots
-	// already are private views.
-	static bool
 	// agg, when non-nil (Config.CollectStats), receives the core counters
 	// of every single query.
 	agg *twolayer.AtomicStats
@@ -119,8 +115,6 @@ func (e indexEngine) open(kind string, traced, pushdown bool) (searcher, func() 
 	case e.agg != nil && !pushdown:
 		view, stats := ix.Instrumented()
 		return view, func() queryTrace { e.agg.Observe(stats); return nil }
-	case e.static:
-		return ix.ReadView(), nil
 	default:
 		return ix, nil
 	}

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -182,6 +184,30 @@ func TestExactRejectedInLiveMode(t *testing.T) {
 		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("exact query in live mode: status %d, want 400", w.Code)
+	}
+}
+
+// TestKNNHugeIDAllocation: a client may insert any object ID, so a kNN
+// request near an object with a huge ID must cost what any other kNN
+// request costs, not memory in proportion to the ID.
+func TestKNNHugeIDAllocation(t *testing.T) {
+	s, _ := liveServer(t, nil)
+	const id = 1 << 26
+	if w := do(t, s.Handler(), "POST", "/v1/insert",
+		fmt.Sprintf(`{"id":%d,"mbr":{"min_x":0.5,"min_y":0.5,"max_x":0.5,"max_y":0.5}}`, id), nil); w.Code != http.StatusOK {
+		t.Fatalf("insert: status %d: %s", w.Code, w.Body.String())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := do(t, s.Handler(), "POST", "/v1/knn", `{"center":{"x":0.5,"y":0.5},"k":3}`, nil)
+	runtime.ReadMemStats(&after)
+	var resp knnResponse
+	if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil ||
+		len(resp.Neighbors) != 1 || resp.Neighbors[0].ID != id {
+		t.Fatalf("knn: status %d body %s, want 200 with neighbor %d", w.Code, w.Body.String(), id)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("knn request allocated %d bytes, want < 1 MB", d)
 	}
 }
 

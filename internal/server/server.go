@@ -9,10 +9,11 @@
 // the server fronts an updatable twolayer.Live: every query pins one
 // immutable copy-on-write snapshot — still a single atomic load, still no
 // locks on the read path — and mutation endpoints (POST /v1/insert,
-// /v1/delete, /v1/bulk) feed the single-writer apply loop. In both modes
-// each request queries through a private read view (Index.ReadView /
-// Index.Instrumented or a pinned snapshot), so kNN scratch space and
-// stats counters are per-request; aggregated counters are published on
+// /v1/delete, /v1/bulk) feed the single-writer apply loop. Queries keep
+// no state on the index (kNN included), so in both modes requests read
+// the shared index or snapshot directly; only stats-collecting requests
+// take a private instrumented view (Index.Instrumented / Index.Traced),
+// so counters are per-request. Aggregated counters are published on
 // GET /v1/stats and per-endpoint latency/error metrics on GET /metrics.
 // Either mode can be served by one index or by a sharded scatter-gather
 // engine; New picks the topology once (see engine.go) and every handler
@@ -202,11 +203,7 @@ func New(cfg Config) *Server {
 	}
 	switch {
 	case cfg.Index != nil:
-		s.eng = indexEngine{
-			current: func() *twolayer.Index { return cfg.Index },
-			static:  true,
-			agg:     collect,
-		}
+		s.eng = indexEngine{current: func() *twolayer.Index { return cfg.Index }, agg: collect}
 	case live != nil:
 		s.eng, s.mut = indexEngine{current: live.Snapshot, agg: collect}, live
 	case cfg.Sharded != nil:

@@ -488,13 +488,10 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 	S := len(e.shards)
 	per := make([][]core.Neighbor, S)
 	e.scatter(0, S-1, spans, func(s int) int {
-		// A private view per call: kNN uses per-index scratch space, and
-		// engine shards are shared by concurrent readers.
-		v := e.shards[s].View(nil)
 		if exact {
-			per[s] = v.KNNExact(q, k)
+			per[s] = e.shards[s].KNNExact(q, k)
 		} else {
-			per[s] = v.KNN(q, k)
+			per[s] = e.shards[s].KNN(q, k)
 		}
 		return len(per[s])
 	})

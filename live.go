@@ -109,14 +109,13 @@ func LiveFrom(ix *Index, lo LiveOptions) *Live {
 	return &Live{live: core.NewLive(ix.core, lo.toCore())}
 }
 
-// Snapshot returns the current published snapshot as a private read view:
-// immutable, consistent (it never reflects later mutations), and safe for
-// all queries — including KNN — without further
-// synchronization. Pin one snapshot per request or unit of work. Its
-// Insert, Delete and RebuildDecomposed panic: updates go through Apply.
-func (l *Live) Snapshot() *Index {
-	return &Index{core: l.live.Snapshot().View(nil)}
-}
+// Snapshot returns the current published snapshot: immutable,
+// consistent (it never reflects later mutations), and safe for any
+// number of concurrent readers and all queries, KNN included, without
+// further synchronization. Pin one snapshot per request or unit of work.
+// Its Insert, Delete and RebuildDecomposed panic: updates go through
+// Apply.
+func (l *Live) Snapshot() *Index { return &Index{core: l.live.Snapshot()} }
 
 // Insert adds an object and blocks until the insertion is published,
 // returning the epoch that made it visible. Unlike Index.Insert, an

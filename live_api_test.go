@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -197,7 +198,10 @@ func TestErrAPIs(t *testing.T) {
 // TestLiveSnapshotIsReadOnly: a Live snapshot is shared with every
 // reader that pinned it, so updating it in place — directly or through
 // a ReadView — panics with a pointer to Apply and leaves what later
-// snapshots see untouched, while a concurrent reader keeps querying.
+// snapshots see untouched, while concurrent readers keep querying. kNN
+// readers share the pinned snapshot, or a two-shard engine over the
+// same objects, 8 goroutines to one with no view of their own, and must
+// get the serial answers.
 func TestLiveSnapshotIsReadOnly(t *testing.T) {
 	rects := randRects(rand.New(rand.NewSource(8)), 400, 0.05)
 	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 16, Decompose: true})
@@ -221,6 +225,31 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 			}
 		}
 	}()
+	sh := twolayer.BuildShardedRects(rects, twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 2})
+	var readers sync.WaitGroup
+	for _, shared := range []struct {
+		name string
+		knn  func(twolayer.Point, int) []twolayer.Neighbor
+	}{{"snapshot KNN", first.KNN}, {"2-shard KNN", sh.KNN}, {"2-shard KNNExact", sh.KNNExact}} {
+		points := make([]twolayer.Point, 32)
+		want := make([][]twolayer.Neighbor, len(points))
+		for i := range points {
+			points[i] = twolayer.Point{X: float64(i%8) / 8, Y: float64(i/8) / 4}
+			want[i] = shared.knn(points[i], 10)
+		}
+		for w := 0; w < 8; w++ {
+			readers.Add(1)
+			go func(w int) {
+				defer readers.Done()
+				for i := w; i < len(points); i += 8 {
+					if got := shared.knn(points[i], 10); !slices.Equal(got, want[i]) {
+						t.Errorf("%s at %v: got %v, want %v", shared.name, points[i], got, want[i])
+						return
+					}
+				}
+			}(w)
+		}
+	}
 
 	r := rects[0]
 	for name, write := range map[string]func(ix *twolayer.Index){
@@ -241,6 +270,7 @@ func TestLiveSnapshotIsReadOnly(t *testing.T) {
 		}
 	}
 	<-done
+	readers.Wait()
 
 	second := l.Snapshot()
 	if got := sorted(searchIDs(t, second, twolayer.Query{Window: &unitSpace})); !slices.Equal(got, want) {

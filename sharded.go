@@ -78,8 +78,8 @@ func (s *Sharded) SearchCount(q Query) (int, error) {
 
 // KNN returns the k objects whose MBRs are nearest to q, ascending by
 // distance (ties broken by ID). All shards answer in parallel and merge
-// through a k-way heap. Unlike Index.KNN it needs no external
-// synchronization — each call uses private scratch space.
+// through a k-way heap. Like Index.KNN it keeps no state on the engine,
+// so any number of goroutines may call it at once.
 func (s *Sharded) KNN(q Point, k int) []Neighbor {
 	return s.eng.KNN(q, k, false, nil)
 }

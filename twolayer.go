@@ -138,10 +138,9 @@ func (o Options) toCore() core.Options {
 }
 
 // Index is a two-layer partitioned spatial index. It is safe for
-// concurrent readers; updates and kNN search require external
-// synchronization. On a static index, ReadView lifts the kNN restriction
-// and Instrumented collects stats by giving each goroutine its own cheap
-// read view. For concurrent readers AND
+// concurrent readers, kNN included; updates require external
+// synchronization. Instrumented collects stats by giving each goroutine
+// its own cheap read view. For concurrent readers AND
 // writers, wrap the index in a Live handle (NewLive, LiveFrom): readers
 // then pin immutable copy-on-write snapshots instead of locking.
 type Index struct {
@@ -264,9 +263,9 @@ func (ix *Index) RebuildDecomposed() { ix.core.BuildDecomposed() }
 func (ix *Index) Decomposed() bool { return ix.core.Decomposed() }
 
 // KNN returns the k objects whose MBRs are nearest to q, ascending by
-// distance. Like updates, KNN requires external synchronization (it
-// reuses per-index scratch space); to run kNN queries concurrently, give
-// each goroutine its own ReadView.
+// distance. It keeps no state on the index — each object is considered
+// only in the tile of its MBR nearest to q — so it is safe for
+// concurrent readers like every other query.
 func (ix *Index) KNN(q Point, k int) []Neighbor { return ix.core.KNN(q, k) }
 
 // KNNExact returns the k objects whose exact geometries are nearest to q,
@@ -353,16 +352,13 @@ func Load(r io.Reader) (*Index, error) {
 	return &Index{core: inner}, nil
 }
 
-// ReadView returns a shallow read view of the index with private kNN
-// scratch space. Any number of views can evaluate queries — including KNN
-// and KNNExact — concurrently, as long as the underlying index is not
-// updated. Views are read-only; do not Insert or Delete through them.
-func (ix *Index) ReadView() *Index {
-	return &Index{core: ix.core.View(nil), dataset: ix.dataset}
-}
+// ReadView returns ix itself: every query, KNN and KNNExact included, is
+// safe for concurrent readers of an index that is not being updated, so
+// a plain read needs no view of its own.
+func (ix *Index) ReadView() *Index { return ix }
 
-// Instrumented returns a read view like ReadView whose queries
-// additionally accumulate counters into the returned private Stats
+// Instrumented returns a shallow read view of the index whose queries
+// accumulate counters into the returned private Stats
 // (concurrent mode: any number of instrumented views may run at once).
 // Merge the counters of finished views into a shared AtomicStats with
 // its Observe method.
