@@ -60,14 +60,14 @@ bench:
 bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
-# One iteration of every Go micro-benchmark in the root package, of the
-# CSV reader's and of the HTTP handlers', so they keep compiling and
-# running (CI runs this),
+# One iteration of every Go micro-benchmark in the root package, in
+# internal/core (BenchmarkPublish), of the CSV reader's and of the HTTP
+# handlers', so they keep compiling and running (CI runs this),
 # with allocs/op in the log: a callback that starts escaping shows there
 # before it shows in ns/op. Use
 # `go test -run '^$$' -bench <regexp> -benchmem .` to measure one.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/dataio ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/dataio ./internal/server
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
 # every simplicity PR reports before and after. One line per package the

@@ -29,13 +29,15 @@
 //
 // # Observability
 //
-// Three concurrency-safe instruments expose what the index is doing,
-// none of which slow down uninstrumented queries:
+// Three concurrency-safe instruments expose what the index is doing.
+// Every query counts its own work on its stack, so none of them changes
+// which kernel a query runs:
 //
-//   - [Index.Instrumented] returns a read view whose queries count the
-//     work they perform (tiles visited, comparisons, duplicates avoided,
-//     Lemma 5 filter hits, …) into a private [Stats]. Merge finished
-//     views into a shared [AtomicStats] to aggregate across goroutines.
+//   - [Index.Instrumented] returns a read view whose queries add the
+//     work they performed (tiles visited, comparisons, duplicates
+//     avoided, Lemma 5 filter hits, …) to a private [Stats] when they
+//     end. Merge finished views into a shared [AtomicStats] to aggregate
+//     across goroutines.
 //   - [Index.Traced] additionally records per-stage wall-clock timings
 //     (filtering vs. exact-geometry refinement) into a [Trace] — the
 //     building block for per-query tracing and slow-query logs.

@@ -183,7 +183,7 @@ func ExampleIndex_Traced() {
 }
 
 // Metrics hookup: concurrent instrumented views merge into one shared
-// AtomicStats, which a metrics scraper snapshots without locks.
+// AtomicStats, which a metrics scraper snapshots.
 func ExampleAtomicStats() {
 	idx := twolayer.BuildRects([]twolayer.Rect{
 		{MinX: 0.10, MinY: 0.10, MaxX: 0.20, MaxY: 0.20},

@@ -40,17 +40,22 @@ func (s BatchStrategy) String() string {
 type batchShape struct {
 	n int // queries in the batch
 	// whole evaluates query q over its whole cover: the queries-based
-	// unit of work.
-	whole func(q int)
+	// unit of work. It returns q's count in a count batch (0 otherwise);
+	// tally is the calling worker's, as in onTile.
+	whole func(q int, tally *Stats) int
 	// cover calls visit for every grid tile the evaluation of query q
 	// reads (none for a query that matches nothing by construction).
 	// runBatch calls it from one goroutine, twice per query, before the
 	// first onTile.
 	cover func(q int, visit func(tx, ty int))
 	// onTile evaluates query q on the non-empty tile at slot of its
-	// cover: the tiles-based subtask. tally is the calling worker's;
-	// runBatch flushes it when the worker is done.
-	onTile func(q int, slot int32, tx, ty int, tally *pathTally)
+	// cover: the tiles-based subtask. It returns q's count on the tile in
+	// a count batch (0 otherwise). tally is the calling worker's;
+	// runBatch finishes the workers' tallies as one when all are done.
+	onTile func(q int, slot int32, tx, ty int, tally *Stats) int
+	// counts, set in a count batch only, receives every query's count;
+	// each query is then one count-kernel answer (Stats.FastCounts).
+	counts []int
 }
 
 // runBatch is the one scheduler behind every batch entry point, so the
@@ -62,14 +67,22 @@ func (ix *Index) runBatch(s batchShape, strategy BatchStrategy, threads int) {
 	if threads <= 0 {
 		threads = DefaultThreads()
 	}
+	var sum Stats
+	if s.counts != nil {
+		sum.FastCounts = int64(s.n)
+	}
 	if strategy != TilesBased {
 		workers := min(threads, s.n)
+		tallies := make([]workerTally, workers)
 		runWorkers(workers, func(w int) {
 			// Round-robin assignment, as in the paper.
 			for q := w; q < s.n; q += workers {
-				s.whole(q)
+				if n := s.whole(q, &tallies[w].Stats); s.counts != nil {
+					s.counts[q] = n
+				}
 			}
 		})
+		ix.finishWorkers(sum, tallies)
 		return
 	}
 
@@ -115,19 +128,47 @@ func (ix *Index) runBatch(s batchShape, strategy BatchStrategy, threads int) {
 	}
 
 	// Step 2: process tile by tile; each worker owns whole tiles so the
-	// tile's secondary partitions stay cache resident across subtasks.
+	// tile's secondary partitions stay cache resident across subtasks. A
+	// query's tiles spread over the workers, which add each subtask's
+	// count to perTile.
+	var perTile []atomic.Int64
+	if s.counts != nil {
+		perTile = make([]atomic.Int64, s.n)
+	}
+	workers := min(threads, len(slots))
+	tallies := make([]workerTally, workers)
 	var next atomic.Int64
-	runWorkers(min(threads, len(slots)), func(int) {
-		var tally pathTally
+	runWorkers(workers, func(w int) {
 		for i := int(next.Add(1)) - 1; i < len(slots); i = int(next.Add(1)) - 1 {
 			slot := slots[i]
 			tx, ty := ix.g.TileCoords(int(ix.tileID(int(slot))))
 			for _, q := range subtasks[start[slot]:start[slot+1]] {
-				s.onTile(int(q), slot, tx, ty, &tally)
+				if n := s.onTile(int(q), slot, tx, ty, &tallies[w].Stats); n != 0 {
+					perTile[q].Add(int64(n))
+				}
 			}
 		}
-		ix.met.flush(&tally)
 	})
+	for q := range perTile {
+		s.counts[q] = int(perTile[q].Load())
+	}
+	ix.finishWorkers(sum, tallies)
+}
+
+// workerTally is one worker's Stats, padded so that no two workers'
+// counters share a cache line: every worker writes its own per tile.
+type workerTally struct {
+	Stats
+	_ [64]byte
+}
+
+// finishWorkers finishes a parallel run as one query: sum plus the
+// workers' tallies.
+func (ix *Index) finishWorkers(sum Stats, tallies []workerTally) {
+	for w := range tallies {
+		sum.Add(&tallies[w].Stats)
+	}
+	ix.finish(&sum)
 }
 
 // runWorkers runs fn(0..n-1) concurrently and waits for all of them; a
@@ -151,12 +192,13 @@ func runWorkers(n int, fn func(w int)) {
 // windowCovers is the cover half of a window batchShape. It also
 // returns where it records each query's cover origin, the (qx0, qy0)
 // the per-tile kernels select classes against, so no subtask
-// recomputes it; only a tiles-based run calls cover, so only that one
-// pays for the record.
+// recomputes it. Only a tiles-based run calls cover, so for any other
+// both are nil.
 func (ix *Index) windowCovers(queries []geom.Rect, strategy BatchStrategy) (origin [][2]int, cover func(q int, visit func(tx, ty int))) {
-	if strategy == TilesBased {
-		origin = make([][2]int, len(queries))
+	if strategy != TilesBased {
+		return nil, nil
 	}
+	origin = make([][2]int, len(queries))
 	return origin, func(q int, visit func(tx, ty int)) {
 		if !queries[q].Valid() {
 			return
@@ -182,20 +224,25 @@ func (ix *Index) windowCovers(queries []geom.Rect, strategy BatchStrategy) (orig
 func (ix *Index) BatchWindow(queries []geom.Rect, strategy BatchStrategy, threads int, fn func(q int, e spatial.Entry)) {
 	origin, cover := ix.windowCovers(queries, strategy)
 	ix.runBatch(batchShape{
-		n:     len(queries),
-		whole: func(q int) { ix.Window(queries[q], func(e spatial.Entry) { fn(q, e) }) },
+		n: len(queries),
+		whole: func(q int, tally *Stats) int {
+			stop := false
+			ix.windowScan(queries[q], refiner{}, func(e spatial.Entry) { fn(q, e) }, &stop, tally)
+			return 0
+		},
 		cover: cover,
-		onTile: func(q int, slot int32, tx, ty int, _ *pathTally) {
-			ix.windowOnTile(slot, tx, ty, origin[q][0], origin[q][1], queries[q], refiner{}, func(e spatial.Entry) { fn(q, e) })
+		onTile: func(q int, slot int32, tx, ty int, tally *Stats) int {
+			ix.windowOnTile(slot, tx, ty, origin[q][0], origin[q][1], queries[q], refiner{}, func(e spatial.Entry) { fn(q, e) }, tally)
+			return 0
 		},
 	}, strategy, threads)
 }
 
 // BatchWindowCounts evaluates the batch and returns the result
 // cardinality of every query, from the count pushdown: no per-result
-// callback runs. An index with Stats attached falls back to the counted
-// scan on the caller's goroutine (one Stats is single-goroutine), as
-// WindowCount does.
+// callback runs. The workers count their work like WindowCount does, so
+// on a view the batch adds to the view's Stats what its queries counted,
+// under either strategy and any thread count.
 func (ix *Index) BatchWindowCounts(queries []geom.Rect, strategy BatchStrategy, threads int) []int {
 	return ix.BatchWindowCountsFiltered(queries, func(int) float64 { return math.Inf(-1) }, strategy, threads)
 }
@@ -204,31 +251,17 @@ func (ix *Index) BatchWindowCounts(queries []geom.Rect, strategy BatchStrategy, 
 // only the entries with Rect.MinX >= minX(q): WindowCountFiltered's
 // rule, which the sharded engine applies per shard and query.
 func (ix *Index) BatchWindowCountsFiltered(queries []geom.Rect, minX func(q int) float64, strategy BatchStrategy, threads int) []int {
-	counts := make([]int, len(queries))
-	if ix.stats != nil {
-		ix.BatchWindow(queries, strategy, 1, func(q int, e spatial.Entry) {
-			if e.Rect.MinX >= minX(q) {
-				counts[q]++
-			}
-		})
-		return counts
-	}
-	// Queries-based has one writer per query. Tiles-based spreads a
-	// query's tiles over the workers, which add each subtask's count to
-	// perTile.
-	perTile := make([]atomic.Int64, len(queries))
 	origin, cover := ix.windowCovers(queries, strategy)
+	counts := make([]int, len(queries))
 	ix.runBatch(batchShape{
-		n:     len(queries),
-		whole: func(q int) { counts[q] = ix.windowCount(queries[q], minX(q)) },
-		cover: cover,
-		onTile: func(q int, slot int32, tx, ty int, tally *pathTally) {
-			perTile[q].Add(int64(ix.windowCountOnTile(slot, tx, ty, origin[q][0], origin[q][1], queries[q], minX(q), tally)))
+		n:      len(queries),
+		whole:  func(q int, tally *Stats) int { return ix.windowCount(queries[q], minX(q), tally) },
+		cover:  cover,
+		counts: counts,
+		onTile: func(q int, slot int32, tx, ty int, tally *Stats) int {
+			return ix.windowCountOnTile(slot, tx, ty, origin[q][0], origin[q][1], queries[q], minX(q), tally)
 		},
 	}, strategy, threads)
-	for q := range perTile {
-		counts[q] += int(perTile[q].Load())
-	}
 	return counts
 }
 
@@ -242,51 +275,57 @@ func (ix *Index) BatchDisk(queries []geom.Disk, strategy BatchStrategy, threads 
 	covers, cover := ix.diskCovers(queries, strategy)
 	ix.runBatch(batchShape{
 		n: len(queries),
-		whole: func(q int) {
-			ix.Disk(queries[q].Center, queries[q].Radius, func(e spatial.Entry) { fn(q, e) })
+		whole: func(q int, tally *Stats) int {
+			stop := false
+			ix.diskScan(queries[q].Center, queries[q].Radius, refiner{}, func(e spatial.Entry) { fn(q, e) }, &stop, tally)
+			return 0
 		},
 		cover: cover,
-		onTile: func(q int, slot int32, tx, ty int, _ *pathTally) {
+		onTile: func(q int, slot int32, tx, ty int, tally *Stats) int {
 			d := queries[q]
 			ix.diskOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius,
-				refiner{}, func(e spatial.Entry) { fn(q, e) })
+				refiner{}, func(e spatial.Entry) { fn(q, e) }, tally)
+			return 0
 		},
 	}, strategy, threads)
 }
 
 // BatchDiskCounts evaluates the batch and returns per-query result
-// counts from the disk count kernel, with BatchWindowCounts' Stats
-// fallback.
+// counts from the disk count kernel, counting its work as
+// BatchWindowCounts does.
 func (ix *Index) BatchDiskCounts(queries []geom.Disk, strategy BatchStrategy, threads int) []int {
-	counts := make([]int, len(queries))
-	if ix.stats != nil {
-		ix.BatchDisk(queries, strategy, 1, func(q int, _ spatial.Entry) { counts[q]++ })
-		return counts
-	}
-	perTile := make([]atomic.Int64, len(queries))
+	return ix.BatchDiskCountsFiltered(queries, func(int) float64 { return math.Inf(-1) }, strategy, threads)
+}
+
+// BatchDiskCountsFiltered is BatchDiskCounts counting, for query q, only
+// the entries with Rect.MinX >= minX(q): DiskCountFiltered's rule, which
+// the sharded engine applies per shard and query.
+func (ix *Index) BatchDiskCountsFiltered(queries []geom.Disk, minX func(q int) float64, strategy BatchStrategy, threads int) []int {
 	covers, cover := ix.diskCovers(queries, strategy)
+	counts := make([]int, len(queries))
 	ix.runBatch(batchShape{
-		n:     len(queries),
-		whole: func(q int) { counts[q] = ix.DiskCount(queries[q].Center, queries[q].Radius) },
-		cover: cover,
-		onTile: func(q int, slot int32, tx, ty int, tally *pathTally) {
+		n: len(queries),
+		whole: func(q int, tally *Stats) int {
+			return ix.diskCount(queries[q].Center, queries[q].Radius, minX(q), tally)
+		},
+		cover:  cover,
+		counts: counts,
+		onTile: func(q int, slot int32, tx, ty int, tally *Stats) int {
 			d := queries[q]
-			perTile[q].Add(int64(ix.diskCountOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius, tally)))
+			return ix.diskCountOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius, minX(q), tally)
 		},
 	}, strategy, threads)
-	for q := range perTile {
-		counts[q] += int(perTile[q].Load())
-	}
 	return counts
 }
 
 // diskCovers is the cover half of a disk batchShape: each disk's tile
-// cover is computed on first use and kept for the per-tile kernels (by
-// a tiles-based run, the only one that calls cover).
+// cover is computed on first use and kept for the per-tile kernels.
+// Only a tiles-based run calls cover, so for any other both are nil.
 func (ix *Index) diskCovers(queries []geom.Disk, strategy BatchStrategy) (covers []*diskCover, cover func(q int, visit func(tx, ty int))) {
-	if strategy == TilesBased {
-		covers = make([]*diskCover, len(queries))
+	if strategy != TilesBased {
+		return nil, nil
 	}
+	covers = make([]*diskCover, len(queries))
 	return covers, func(q int, visit func(tx, ty int)) {
 		if covers[q] == nil {
 			covers[q] = ix.diskCoverFor(queries[q].Center, queries[q].Radius)

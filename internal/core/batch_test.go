@@ -209,24 +209,20 @@ func TestBatchCountsEquivalence(t *testing.T) {
 			for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
 				for _, threads := range []int{1, 2, 8} {
 					ctx := fmt.Sprintf("%s/%s/%v/threads=%d", name, b.name, strategy, threads)
-					// One Stats is single-goroutine: a stats view streams on
-					// one thread only.
-					if v.ix.stats == nil || threads == 1 {
-						gotW := make([]atomic.Int64, len(b.windows))
-						v.ix.BatchWindow(b.windows, strategy, threads, func(q int, _ spatial.Entry) { gotW[q].Add(1) })
-						gotD := make([]atomic.Int64, len(b.disks))
-						v.ix.BatchDisk(b.disks, strategy, threads, func(q int, _ spatial.Entry) { gotD[q].Add(1) })
-						for q := range gotW {
-							if int(gotW[q].Load()) != wantW[q] {
-								t.Fatalf("%s: BatchWindow streamed %d results for window %d, naive scan has %d",
-									ctx, gotW[q].Load(), q, wantW[q])
-							}
+					gotW := make([]atomic.Int64, len(b.windows))
+					v.ix.BatchWindow(b.windows, strategy, threads, func(q int, _ spatial.Entry) { gotW[q].Add(1) })
+					gotD := make([]atomic.Int64, len(b.disks))
+					v.ix.BatchDisk(b.disks, strategy, threads, func(q int, _ spatial.Entry) { gotD[q].Add(1) })
+					for q := range gotW {
+						if int(gotW[q].Load()) != wantW[q] {
+							t.Fatalf("%s: BatchWindow streamed %d results for window %d, naive scan has %d",
+								ctx, gotW[q].Load(), q, wantW[q])
 						}
-						for q := range gotD {
-							if int(gotD[q].Load()) != wantD[q] {
-								t.Fatalf("%s: BatchDisk streamed %d results for disk %d, naive scan has %d",
-									ctx, gotD[q].Load(), q, wantD[q])
-							}
+					}
+					for q := range gotD {
+						if int(gotD[q].Load()) != wantD[q] {
+							t.Fatalf("%s: BatchDisk streamed %d results for disk %d, naive scan has %d",
+								ctx, gotD[q].Load(), q, wantD[q])
 						}
 					}
 					if got := v.ix.BatchWindowCounts(b.windows, strategy, threads); !slices.Equal(got, wantW) {
@@ -271,30 +267,48 @@ func TestBatchCountsFilteredEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchCountsOnStatsView pins that a counted batch on an
-// Instrumented view falls back to the counted scan, as WindowCount
-// and DiskCount do: the view's Stats advance exactly as they do under
-// the streamed batch (Corollary 1 counters included) and the always-on
-// fast-path counters do not move.
+// TestBatchCountsOnStatsView pins that a Stats view leaves a counted
+// batch on the count kernels at any thread count: at threads=2, under
+// either strategy, the view's batch returns the plain batch's counts,
+// its Stats' Results are their sum, and the engine's path counters
+// advance exactly as they do without the view. Run it with -race: the
+// workers count into tallies of their own, merged once at the end.
 func TestBatchCountsOnStatsView(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2203))
 	ix, _ := buildRandom(rnd, 3000, 0.03, Options{NX: 16, NY: 16, Space: unitSquare, Decompose: true})
 	windows, disks := batchQueries(rnd, 30)
+	delta := func(a, b PathStats) PathStats {
+		return PathStats{b.FastCounts - a.FastCounts, b.FastTiles - a.FastTiles, b.BulkEntries - a.BulkEntries}
+	}
 	for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
-		var streamed, counted Stats
-		ix.View(&streamed).BatchWindow(windows, strategy, 1, func(int, spatial.Entry) {})
-		ix.View(&streamed).BatchDisk(disks, strategy, 1, func(int, spatial.Entry) {})
-		before := ix.QueryPathStats()
-		ix.View(&counted).BatchWindowCounts(windows, strategy, 1)
-		ix.View(&counted).BatchDiskCounts(disks, strategy, 1)
-		if counted != streamed {
-			t.Errorf("%v: counted batch left Stats %+v, streamed batch %+v", strategy, counted, streamed)
+		p0 := ix.QueryPathStats()
+		wantW := ix.BatchWindowCounts(windows, strategy, 2)
+		wantD := ix.BatchDiskCounts(disks, strategy, 2)
+		p1 := ix.QueryPathStats()
+		var s Stats
+		view := ix.View(&s)
+		gotW := view.BatchWindowCounts(windows, strategy, 2)
+		gotD := view.BatchDiskCounts(disks, strategy, 2)
+		p2 := ix.QueryPathStats()
+		if !slices.Equal(gotW, wantW) || !slices.Equal(gotD, wantD) {
+			t.Fatalf("%v: view counts %v %v, want %v %v", strategy, gotW, gotD, wantW, wantD)
 		}
-		if counted.TilesVisited == 0 || counted.Results == 0 {
-			t.Errorf("%v: counted batch on a stats view recorded nothing: %+v", strategy, counted)
+		sum := 0
+		for _, n := range append(wantW, wantD...) {
+			sum += n
 		}
-		if after := ix.QueryPathStats(); after != before {
-			t.Errorf("%v: fast-path counters moved under a stats view: %+v -> %+v", strategy, before, after)
+		if s.Results != int64(sum) || sum == 0 {
+			t.Errorf("%v: view Results = %d, want the counts' sum %d", strategy, s.Results, sum)
+		}
+		plain, viewed := delta(p0, p1), delta(p1, p2)
+		if viewed != plain {
+			t.Errorf("%v: path counters moved by %+v under the view, %+v without", strategy, viewed, plain)
+		}
+		if got := (PathStats{s.FastCounts, s.FastTiles, s.BulkEntries}); got != viewed {
+			t.Errorf("%v: view Stats fast-path counters %+v, path counters moved by %+v", strategy, got, viewed)
+		}
+		if want := int64(len(windows) + len(disks)); viewed.FastCounts != want {
+			t.Errorf("%v: FastCounts moved by %d, want one per query (%d)", strategy, viewed.FastCounts, want)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				e := &entries[i]
-				if !e.Rect.Valid() {
+				if !e.Rect.Valid() || !e.Rect.Finite() {
 					for {
 						cur := invalid.Load()
 						if int64(i) >= cur || invalid.CompareAndSwap(cur, int64(i)) {

@@ -197,15 +197,15 @@ type Index struct {
 	// Insert, Delete and BuildDecomposed panic on it; CloneCOW unmarks.
 	published bool
 
-	// stats, when non-nil, accumulates instrumentation counters during
-	// queries, unsynchronized. Only View and ViewTraced set it, on the
+	// stats, when non-nil, receives the counters of every finished query
+	// (finish), unsynchronized. Only View and ViewTraced set it, on the
 	// private copy they return.
 	stats *Stats
 
-	// trace, when non-nil, extends Stats collection with per-query stage
-	// timings. It is only ever set on private views (ViewTraced) and
-	// always aliases the Trace whose embedded Stats this index's stats
-	// field points to.
+	// trace, when non-nil, adds the refinement-stage wall-clock timer to
+	// a view's queries. It is only ever set on private views (ViewTraced)
+	// and always aliases the Trace whose embedded Stats this index's
+	// stats field points to.
 	trace *Trace
 
 	// met accumulates the always-on adaptive-kernel counters (PathStats).
@@ -225,11 +225,12 @@ type Index struct {
 }
 
 // View returns a shallow read view of the index: it shares all partition
-// storage with ix but owns its Stats slot (set to s, which may be nil).
-// Any number of views can evaluate stats-instrumented queries
-// concurrently, as long as no goroutine updates the underlying index.
-// Views are read-only: writing through one corrupts the shared state (a
-// Live snapshot's view panics).
+// storage with ix but owns its Stats slot (set to s, which may be nil),
+// to which every query on the view, batches included, adds its counters
+// when it ends. The view runs exactly the kernels ix runs. Any number of
+// views can evaluate queries concurrently, as long as no goroutine
+// updates the underlying index. Views are read-only: writing through one
+// corrupts the shared state (a Live snapshot's view panics).
 //
 // A view costs one small allocation, so creating one per request (or per
 // worker) is cheap. Merge per-view counters with AtomicStats.Observe.
@@ -238,6 +239,16 @@ func (ix *Index) View(s *Stats) *Index {
 	cp.stats = s
 	cp.trace = nil
 	return &cp
+}
+
+// finish ends a query (or a batch): it adds the query's tally to the
+// Stats of the view it ran on, if any, and the tally's count-pushdown
+// counters to the engine-lifetime PathStats.
+func (ix *Index) finish(tally *Stats) {
+	if ix.stats != nil {
+		ix.stats.Add(tally)
+	}
+	ix.met.flush(tally)
 }
 
 // Epoch returns the copy-on-write generation of the index: 0 for a
@@ -314,8 +325,9 @@ func Build(d *spatial.Dataset, opts Options) *Index {
 }
 
 // BuildErr is the error-returning variant of Build: invalid options, an
-// inconsistent dataset, or a space that cannot be derived from the data
-// produce an error instead of a panic.
+// inconsistent dataset (an inverted MBR, or one with a NaN or infinite
+// coordinate, included), or a space that cannot be derived from the
+// data produce an error instead of a panic.
 func BuildErr(d *spatial.Dataset, opts Options) (*Index, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -412,9 +424,9 @@ func classify(tx, ty, ax, ay int) Class {
 // per tile.
 func (ix *Index) insert(e spatial.Entry) {
 	ix.mustBeWritable("Insert")
-	if !e.Rect.Valid() {
-		// A NaN or inverted rectangle would be silently clamped into
-		// arbitrary tiles and then never found; fail loudly instead.
+	if !e.Rect.Valid() || !e.Rect.Finite() {
+		// A NaN, infinite or inverted rectangle would be silently clamped
+		// into arbitrary tiles and then not be found; fail loudly instead.
 		panic(fmt.Sprintf("core: inserting invalid rect %v (id %d)", e.Rect, e.ID))
 	}
 	ix.counts, ix.dec = nil, nil // the derived read tables are now stale
@@ -429,7 +441,8 @@ func (ix *Index) insert(e spatial.Entry) {
 	ix.size++
 }
 
-// Insert adds one object to the index. It drops the derived read tables
+// Insert adds one object to the index; an inverted MBR, or one with a
+// NaN or infinite coordinate, panics. It drops the derived read tables
 // (the count prefix table and any 2-layer+ tables): queries then scan
 // every tile plain until BuildDecomposed builds both again, which a Live
 // index never does.

@@ -18,10 +18,9 @@ import (
 // loop.
 
 // WindowCount returns the number of MBRs intersecting w using the
-// count-pushdown kernel. On an index with Stats attached it falls back
-// to the classic instrumented scan so the documented counter semantics
-// (Corollary 1, per-class breakdowns) are preserved exactly.
-func (ix *Index) WindowCount(w geom.Rect) int { return ix.windowCount(w, math.Inf(-1)) }
+// count-pushdown kernel, with or without Stats attached: the kernel
+// counts its own work (see Stats).
+func (ix *Index) WindowCount(w geom.Rect) int { return ix.WindowCountFiltered(w, math.Inf(-1)) }
 
 // WindowCountFiltered counts the entries intersecting w whose
 // Rect.MinX >= minX. The sharded engine pushes fan-out counts down with
@@ -29,29 +28,25 @@ func (ix *Index) WindowCount(w geom.Rect) int { return ix.windowCount(w, math.In
 // those beginning at or after its slab's left edge — so per-shard counts
 // sum to the distinct total without buffering results (docs/SHARDING.md).
 // A minX of -Inf filters nothing: it is WindowCount.
-func (ix *Index) WindowCountFiltered(w geom.Rect, minX float64) int { return ix.windowCount(w, minX) }
+func (ix *Index) WindowCountFiltered(w geom.Rect, minX float64) int {
+	tally := Stats{FastCounts: 1}
+	n := ix.windowCount(w, minX, &tally)
+	ix.finish(&tally)
+	return n
+}
 
-// windowCount is the one cover walk behind both entries. A finite minX
-// keeps the bulk fast paths wherever they are provably safe (classes A
-// and B of a tile column at or right of minX begin inside that column,
-// so the filter cannot reject them); classes C and D, which begin left
-// of their tile, and column 0 are then counted entry by entry.
-func (ix *Index) windowCount(w geom.Rect, minX float64) int {
+// windowCount is the one cover walk behind both entries and the
+// queries-based batch. A finite minX keeps the bulk fast paths wherever
+// they are provably safe (classes A and B of a tile column at or right
+// of minX begin inside that column, so the filter cannot reject them);
+// classes C and D, which begin left of their tile, and column 0 are then
+// counted entry by entry.
+func (ix *Index) windowCount(w geom.Rect, minX float64, tally *Stats) int {
 	if !w.Valid() {
 		return 0
 	}
-	if ix.stats != nil {
-		n := 0
-		ix.Window(w, func(e spatial.Entry) {
-			if e.Rect.MinX >= minX {
-				n++
-			}
-		})
-		return n
-	}
 	ix0, iy0, ix1, iy1 := ix.g.CoverRect(w)
 	n := 0
-	var tally pathTally
 	// Strict interior of the cover: fully covered, class A only, so one
 	// prefix-rectangle lookup answers interior columns lo..ix1-1 and only
 	// the rest of the cover still visits tiles. lo is the first interior
@@ -68,8 +63,9 @@ func (ix *Index) windowCount(w geom.Rect, minX float64) int {
 	if lo < ix1 {
 		inner := ix.counts.rect(lo, iy0+1, ix1-1, iy1-1)
 		n += int(inner)
-		tally.fastTiles += int64((ix1 - lo) * (iy1 - iy0 - 1))
-		tally.bulkEntries += inner
+		tally.FastTiles += int64((ix1 - lo) * (iy1 - iy0 - 1))
+		tally.BulkEntries += inner
+		tally.Results += inner
 	}
 	for ty := iy0; ty <= iy1; ty++ {
 		for tx := ix0; tx <= ix1; tx++ {
@@ -78,13 +74,9 @@ func (ix *Index) windowCount(w geom.Rect, minX float64) int {
 				continue
 			}
 			if slot := ix.slotAt(tx, ty); slot >= 0 {
-				n += ix.windowCountOnTile(slot, tx, ty, ix0, iy0, w, minX, &tally)
+				n += ix.windowCountOnTile(slot, tx, ty, ix0, iy0, w, minX, tally)
 			}
 		}
-	}
-	if ix.met != nil {
-		ix.met.fastCounts.Add(1)
-		ix.met.flush(&tally)
 	}
 	return n
 }
@@ -92,31 +84,19 @@ func (ix *Index) windowCount(w geom.Rect, minX float64) int {
 // windowCountOnTile counts w's matches with Rect.MinX >= minX on the
 // tile at slot. Class selection and comparison planning are identical to
 // windowOnTile; only the per-entry work is replaced by the cheapest
-// counting strategy the filter leaves available.
-func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, minX float64, tally *pathTally) int {
+// counting strategy the filter leaves available. A partition counted
+// whole goes to tally.BulkEntries, not to EntriesScanned.
+func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, minX float64, tally *Stats) int {
 	t := ix.tile(int(slot))
-	first := tx == qx0
-	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
+	plans := classPlans(tx == qx0, ty == qy0, plan)
 	unfiltered := math.IsInf(minX, -1)
+	tally.TilesVisited++
 	if unfiltered && plan == (tileComparisonPlan{}) {
 		// Interior tile: every entry of every selected class intersects
 		// the window, so the tile contributes class lengths in O(1).
-		n := len(t.classes[ClassA])
-		if top {
-			n += len(t.classes[ClassB])
-		}
-		if first {
-			n += len(t.classes[ClassC])
-			if top {
-				n += len(t.classes[ClassD])
-			}
-		}
-		tally.fastTiles++
-		tally.bulkEntries += int64(n)
-		return n
+		tally.FastTiles++
 	}
-	plans := classPlans(first, top, plan)
 	// ownColumn: the column's left edge is at or right of a finite minX,
 	// so the classes that begin inside the column (A and B) pass the
 	// filter whole. Column 0 reaches -inf and never qualifies.
@@ -125,10 +105,11 @@ func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect
 	fracReady := false
 	var frac [4]float64
 	for c := ClassA; c <= ClassD; c++ {
+		entries := t.classes[c]
 		if !plans[c].scan {
+			tally.DuplicatesAvoided += int64(len(entries))
 			continue
 		}
-		entries := t.classes[c]
 		if len(entries) == 0 {
 			continue
 		}
@@ -136,23 +117,27 @@ func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect
 		// safe: minX cannot reject an entry of this class, so the
 		// shortcuts that never look at one still apply.
 		safe := unfiltered || (ownColumn && c <= ClassB)
-		switch {
-		case safe && p == (tileComparisonPlan{}):
+		if safe && p == (tileComparisonPlan{}) {
 			// All remaining comparisons are implied by the class'
 			// position: the whole partition qualifies.
 			n += len(entries)
-			tally.bulkEntries += int64(len(entries))
-		case safe && ix.dec != nil && len(entries) >= decSmallClass:
+			tally.BulkEntries += int64(len(entries))
+			continue
+		}
+		tally.PartitionsScanned++
+		tally.ClassScanned[c] += int64(len(entries))
+		if safe && ix.dec != nil && len(entries) >= decSmallClass {
 			if !fracReady {
 				frac = ix.compFractions(tx, ty, w)
 				fracReady = true
 			}
 			tabs := ix.dec.class(slot, t, c)
-			n += decClassCount(&tabs, entries, w, p, &frac)
-		default:
-			n += countClass(entries, w, p, minX)
+			n += decClassCount(&tabs, entries, w, p, &frac, tally)
+		} else {
+			n += countClass(entries, w, p, minX, tally)
 		}
 	}
+	tally.Results += int64(n)
 	return n
 }
 
@@ -162,44 +147,64 @@ func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect
 // most selective one is searched and its run verified against the rest,
 // exactly like decClassQuery. The plan must be non-empty (empty plans
 // are bulk-counted by the caller).
-func decClassCount(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, frac *[4]float64) int {
+func decClassCount(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, frac *[4]float64, tally *Stats) int {
 	var dp decPlan
 	dp.init(d, w, p, frac)
+	tally.BinarySearches++
 	if dp.n == 0 {
 		return len(dp.run)
 	}
-	count := 0
+	count, cmp := 0, 0
 	for _, pr := range dp.run {
-		if ok, _ := dp.passes(&entries[pr.ref]); ok {
+		ok, made := dp.passes(&entries[pr.ref])
+		cmp += made
+		if ok {
 			count++
 		}
 	}
+	tally.EntriesScanned += int64(len(dp.run))
+	tally.Comparisons += int64(cmp)
 	return count
 }
 
-// countClass is the closure-free counting twin of scanClass, with the
+// countClass is the counting twin of scanClass, with the
 // shard-ownership filter Rect.MinX >= minX applied per entry (-Inf
-// rejects nothing).
-func countClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, minX float64) int {
-	n := 0
+// rejects nothing) before the comparisons, which it counts like
+// scanClass.
+func countClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, minX float64, tally *Stats) int {
+	n, cmp := 0, 0
 	for i := range entries {
 		e := &entries[i]
 		if e.Rect.MinX < minX {
 			continue
 		}
-		if p.needXU && e.Rect.MaxX < w.MinX {
-			continue
+		if p.needXU {
+			cmp++
+			if e.Rect.MaxX < w.MinX {
+				continue
+			}
 		}
-		if p.needXL && e.Rect.MinX > w.MaxX {
-			continue
+		if p.needXL {
+			cmp++
+			if e.Rect.MinX > w.MaxX {
+				continue
+			}
 		}
-		if p.needYU && e.Rect.MaxY < w.MinY {
-			continue
+		if p.needYU {
+			cmp++
+			if e.Rect.MaxY < w.MinY {
+				continue
+			}
 		}
-		if p.needYL && e.Rect.MinY > w.MaxY {
-			continue
+		if p.needYL {
+			cmp++
+			if e.Rect.MinY > w.MaxY {
+				continue
+			}
 		}
 		n++
 	}
+	tally.EntriesScanned += int64(len(entries))
+	tally.Comparisons += int64(cmp)
 	return n
 }

@@ -294,19 +294,13 @@ func (dp *decPlan) passes(e *spatial.Entry) (bool, int) {
 // covers least, i.e. the most selective — is resolved by binary search,
 // and only the qualifying run is verified against the remaining
 // comparisons.
-func (ix *Index) decClassQuery(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, frac *[4]float64, rf *refiner, fn func(spatial.Entry)) {
-	if ix.stats != nil {
-		ix.stats.PartitionsScanned++
-	}
-
+func (ix *Index) decClassQuery(d *decClass, entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, frac *[4]float64, rf *refiner, fn func(spatial.Entry), tally *Stats) {
 	if p == (tileComparisonPlan{}) {
 		// Every entry of the class qualifies: emit without comparisons.
-		if ix.stats != nil {
-			ix.stats.EntriesScanned += int64(len(entries))
-			ix.stats.Results += int64(len(entries))
-		}
+		tally.EntriesScanned += int64(len(entries))
+		tally.Results += int64(len(entries))
 		for i := range entries {
-			if rf.exact && !ix.refineWindow(rf, &entries[i], w) {
+			if rf.exact && !ix.refineWindow(rf, &entries[i], w, tally) {
 				continue
 			}
 			fn(entries[i])
@@ -316,24 +310,17 @@ func (ix *Index) decClassQuery(d *decClass, entries []spatial.Entry, w geom.Rect
 
 	var dp decPlan
 	dp.init(d, w, p, frac)
-	stats := ix.stats
-	if stats != nil {
-		stats.BinarySearches++
-		stats.EntriesScanned += int64(len(dp.run))
-	}
+	tally.BinarySearches++
+	tally.EntriesScanned += int64(len(dp.run))
 	for _, pr := range dp.run {
 		e := &entries[pr.ref]
 		ok, made := dp.passes(e)
-		if stats != nil {
-			stats.Comparisons += int64(made)
-		}
+		tally.Comparisons += int64(made)
 		if !ok {
 			continue
 		}
-		if stats != nil {
-			stats.Results++
-		}
-		if rf.exact && !ix.refineWindow(rf, e, w) {
+		tally.Results++
+		if rf.exact && !ix.refineWindow(rf, e, w, tally) {
 			continue
 		}
 		fn(*e)

@@ -113,19 +113,20 @@ func TestDiskCoverGeometry(t *testing.T) {
 func TestDiskCoveredTilesSkipDistance(t *testing.T) {
 	rnd := rand.New(rand.NewSource(35))
 	ix, d := buildRandom(rnd, 2000, 0.01, Options{NX: 32, NY: 32})
-	ix.stats = &Stats{}
+	st := &Stats{}
+	ix = ix.View(st)
 	c := geom.Point{X: 0.5, Y: 0.5}
 	got := diskIDs(ix, c, 0.45)
 	sameIDs(t, got, spatial.BruteDisk(d.Entries, c, 0.45), "covered-tile disk")
 	// A 0.45-radius disk on a 32x32 grid covers hundreds of interior
 	// tiles; the distance computations must be far fewer than the number
 	// of candidates scanned.
-	if ix.stats.DistanceComputations >= ix.stats.EntriesScanned {
+	if st.DistanceComputations >= st.EntriesScanned {
 		t.Errorf("distance computed for every candidate: %d distances, %d scanned",
-			ix.stats.DistanceComputations, ix.stats.EntriesScanned)
+			st.DistanceComputations, st.EntriesScanned)
 	}
-	if ix.stats.Results != int64(len(got)) {
-		t.Errorf("stats results %d != %d", ix.stats.Results, len(got))
+	if st.Results != int64(len(got)) {
+		t.Errorf("stats results %d != %d", st.Results, len(got))
 	}
 }
 
@@ -135,9 +136,10 @@ func TestDiskCoveredTilesSkipDistance(t *testing.T) {
 func TestDiskClassSelection(t *testing.T) {
 	rnd := rand.New(rand.NewSource(36))
 	ix, _ := buildRandom(rnd, 3000, 0.08, Options{NX: 32, NY: 32})
-	ix.stats = &Stats{}
+	st := &Stats{}
+	ix = ix.View(st)
 	ix.DiskCount(geom.Point{X: 0.5, Y: 0.5}, 0.3)
-	if ix.stats.DuplicatesAvoided == 0 {
+	if st.DuplicatesAvoided == 0 {
 		t.Error("disk query avoided no duplicates on replicated data")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -14,7 +15,8 @@ import (
 
 // FuzzWindow drives the whole query stack from fuzzer-chosen geometry:
 // dataset shape, grid granularity and query rectangle are all derived
-// from the fuzz input, and the result is compared against brute force.
+// from the fuzz input, and the result is compared against brute force,
+// on the index and on instrumented views of it (checkInstrumented).
 // Run with `go test -fuzz=FuzzWindow ./internal/core`.
 func FuzzWindow(f *testing.F) {
 	f.Add(int64(1), uint8(8), 0.25, 0.25, 0.5, 0.5)
@@ -55,10 +57,11 @@ func FuzzWindow(f *testing.F) {
 				t.Fatalf("query %v: missing %d", query, id)
 			}
 		}
-		// The decomposed variant must agree exactly.
-		if n := dec.WindowCount(query); n != len(want) {
-			t.Fatalf("query %v: decomposed found %d, want %d", query, n, len(want))
-		}
+		// The decomposed variant must agree exactly, and attaching Stats
+		// or a trace must change no answer.
+		slices.Sort(want)
+		checkInstrumented(t, ix, query, want, true)
+		checkInstrumented(t, dec, query, want, false)
 		// And the disk circumscribing the query window must be a superset.
 		c := query.Center()
 		radius := c.Dist(geom.Point{X: query.MinX, Y: query.MinY})
@@ -68,6 +71,59 @@ func FuzzWindow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkInstrumented evaluates w on ix, on a Stats view and on a traced
+// view, through SearchCount and SearchIDs: every answer must be want
+// (sorted), and a view's counters those of the one query it ran —
+// Results equal to the count, FastCounts 1 for a count and 0 for a
+// stream and, on a plain index, the per-class entries summing to
+// EntriesScanned.
+func checkInstrumented(t *testing.T, ix *Index, w geom.Rect, want []spatial.ID, plain bool) {
+	t.Helper()
+	q := Query{Window: &w}
+	for _, kind := range []string{"index", "stats", "trace"} {
+		for _, count := range []bool{true, false} {
+			var s *Stats
+			v := ix
+			switch kind {
+			case "stats":
+				s = &Stats{}
+				v = ix.View(s)
+			case "trace":
+				tr := &Trace{}
+				s, v = &tr.Stats, ix.ViewTraced(tr)
+			}
+			var n int
+			if count {
+				n, _ = v.SearchCount(q)
+			} else {
+				ids, _ := v.SearchIDs(q, nil)
+				slices.Sort(ids)
+				if !slices.Equal(ids, want) {
+					t.Fatalf("%s Search %v (plain %v) = %v, want %v", kind, w, plain, ids, want)
+				}
+				n = len(ids)
+			}
+			if n != len(want) {
+				t.Fatalf("%s SearchCount %v (plain %v) = %d, want %d", kind, w, plain, n, len(want))
+			}
+			if s == nil {
+				continue
+			}
+			fast := int64(0)
+			if count {
+				fast = 1
+			}
+			if s.Results != int64(n) || s.FastCounts != fast {
+				t.Fatalf("%s count=%v %v (plain %v): Results %d, FastCounts %d, want %d, %d",
+					kind, count, w, plain, s.Results, s.FastCounts, n, fast)
+			}
+			if sum := s.ClassScanned[0] + s.ClassScanned[1] + s.ClassScanned[2] + s.ClassScanned[3]; plain && sum != s.EntriesScanned {
+				t.Fatalf("%s count=%v %v: ClassScanned sums to %d, EntriesScanned %d", kind, count, w, sum, s.EntriesScanned)
+			}
+		}
+	}
 }
 
 // FuzzSnapshotDecode: Load must treat arbitrary bytes as a hostile

@@ -54,36 +54,15 @@ var joinCombos = [...][2]Class{
 // supported (build a second index over the same data instead).
 func (ix *Index) Join(other *Index, fn func(r, s spatial.Entry)) {
 	checkJoinable(ix, other)
-	if s := ix.stats; s != nil {
-		// Instrumented path: count common tiles and reported pairs. The
-		// receiver's Stats governs.
-		inner := fn
-		fn = func(r, e spatial.Entry) {
-			s.Results++
-			inner(r, e)
-		}
-		for slot := 0; slot < ix.numTiles; slot++ {
-			tR := ix.tile(slot)
-			tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
-			tS := other.tileAt(tx, ty)
-			if tS == nil {
-				continue
-			}
-			s.TilesVisited++
-			joinTile(tR, tS, fn)
-		}
-		return
-	}
-	// Drive from the smaller tile set.
+	var tally Stats
 	for slot := 0; slot < ix.numTiles; slot++ {
 		tR := ix.tile(slot)
 		tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
-		tS := other.tileAt(tx, ty)
-		if tS == nil {
-			continue
+		if tS := other.tileAt(tx, ty); tS != nil {
+			joinTile(tR, tS, fn, &tally)
 		}
-		joinTile(tR, tS, fn)
 	}
+	ix.finish(&tally)
 }
 
 // Joinable reports why a and b cannot be joined — ErrSelfJoin or a
@@ -119,8 +98,11 @@ func (ix *Index) JoinCount(other *Index) int {
 // cheaper than sorting (fine grids have tiny per-tile class lists).
 const sweepThreshold = 1024
 
-// joinTile evaluates all class combinations of one common tile.
-func joinTile(tR, tS *tile, fn func(r, s spatial.Entry)) {
+// joinTile evaluates all class combinations of one common tile,
+// counting the tile and the pairs it reports into tally (the receiver's
+// Stats govern a join).
+func joinTile(tR, tS *tile, fn func(r, s spatial.Entry), tally *Stats) {
+	tally.TilesVisited++
 	// Sort each non-empty class at most once per tile, and only when a
 	// combination is large enough for the sweep to pay off.
 	var sortedR, sortedS [4][]spatial.Entry
@@ -131,7 +113,7 @@ func joinTile(tR, tS *tile, fn func(r, s spatial.Entry)) {
 			continue
 		}
 		if len(rs)*len(ss) <= sweepThreshold {
-			nestedJoin(rs, ss, fn)
+			tally.Results += int64(nestedJoin(rs, ss, fn))
 			continue
 		}
 		if sortedR[cr] == nil {
@@ -140,20 +122,24 @@ func joinTile(tR, tS *tile, fn func(r, s spatial.Entry)) {
 		if sortedS[cs] == nil {
 			sortedS[cs] = sortByMinX(ss)
 		}
-		sweep(sortedR[cr], sortedS[cs], fn)
+		tally.Results += int64(sweep(sortedR[cr], sortedS[cs], fn))
 	}
 }
 
-// nestedJoin reports intersecting pairs by direct nested loop.
-func nestedJoin(rs, ss []spatial.Entry, fn func(r, s spatial.Entry)) {
+// nestedJoin reports intersecting pairs by direct nested loop and
+// returns how many it reported.
+func nestedJoin(rs, ss []spatial.Entry, fn func(r, s spatial.Entry)) int {
+	n := 0
 	for i := range rs {
 		r := &rs[i]
 		for j := range ss {
 			if r.Rect.Intersects(ss[j].Rect) {
 				fn(*r, ss[j])
+				n++
 			}
 		}
 	}
+	return n
 }
 
 func sortByMinX(entries []spatial.Entry) []spatial.Entry {
@@ -174,9 +160,10 @@ func sortByMinX(entries []spatial.Entry) []spatial.Entry {
 
 // sweep reports every intersecting pair between two MinX-sorted lists
 // with the classic forward-scan plane sweep: each rectangle scans forward
-// in the other list while x-projections overlap, verifying y overlap.
-func sweep(rs, ss []spatial.Entry, fn func(r, s spatial.Entry)) {
-	i, j := 0, 0
+// in the other list while x-projections overlap, verifying y overlap. It
+// returns how many pairs it reported.
+func sweep(rs, ss []spatial.Entry, fn func(r, s spatial.Entry)) int {
+	i, j, n := 0, 0, 0
 	for i < len(rs) && j < len(ss) {
 		if rs[i].Rect.MinX <= ss[j].Rect.MinX {
 			r := &rs[i]
@@ -184,6 +171,7 @@ func sweep(rs, ss []spatial.Entry, fn func(r, s spatial.Entry)) {
 				s := &ss[k]
 				if r.Rect.MinY <= s.Rect.MaxY && s.Rect.MinY <= r.Rect.MaxY {
 					fn(*r, *s)
+					n++
 				}
 			}
 			i++
@@ -193,9 +181,11 @@ func sweep(rs, ss []spatial.Entry, fn func(r, s spatial.Entry)) {
 				r := &rs[k]
 				if r.Rect.MinY <= s.Rect.MaxY && s.Rect.MinY <= r.Rect.MaxY {
 					fn(*r, *s)
+					n++
 				}
 			}
 			j++
 		}
 	}
+	return n
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -294,16 +295,14 @@ func TestStreamedQueryMatrix(t *testing.T) {
 			}
 			// Tile-granular stop, visible on a Stats view: one result is
 			// enough to leave most of a many-tile cover unread.
-			if ix.stats != nil && total > 50 {
+			if strings.HasPrefix(name, "stats-view") && total > 50 {
+				var full, one Stats
 				q.Limit = 0
-				*ix.stats = Stats{}
-				_, _ = ix.Search(q, func(spatial.Entry) bool { return true })
-				full := ix.stats.TilesVisited
+				_, _ = ix.View(&full).Search(q, func(spatial.Entry) bool { return true })
 				q.Limit = 1
-				*ix.stats = Stats{}
-				_, _ = ix.Search(q, func(spatial.Entry) bool { return true })
-				if one := ix.stats.TilesVisited; one >= full {
-					t.Errorf("%s: Limit 1 visited %d tiles, the unlimited query %d", ctx, one, full)
+				_, _ = ix.View(&one).Search(q, func(spatial.Entry) bool { return true })
+				if one.TilesVisited >= full.TilesVisited {
+					t.Errorf("%s: Limit 1 visited %d tiles, the unlimited query %d", ctx, one.TilesVisited, full.TilesVisited)
 				}
 			}
 		}
@@ -454,61 +453,74 @@ func TestQueryPathStatsCounters(t *testing.T) {
 	}
 }
 
-// TestWindowCollectionAllocs pins what the streamed paths may allocate per
-// query once the pools and result buffer are warm: nothing on the pooled
-// collection and count paths, nothing for a capturing callback handed to
-// Window or Search, plain, limited or exact (the callback must not escape
-// through the cover walk or its refinement hook; exact queries read a
-// dataset with stored geometries), and only the cover's five slices for a
-// disk.
+// TestWindowCollectionAllocs pins what the range paths may allocate per
+// query once the result buffer is warm, on the index and on a Stats view
+// alike: nothing on the collection and count paths, nothing for a
+// capturing callback handed to Window or Search, plain, limited or exact
+// (the callback must not escape through the cover walk or its refinement
+// hook; exact queries read a dataset with stored geometries), and only
+// the cover's five slices for a disk. Every window and disk is built on
+// the stack inside the measured call, so a Query that leaked its shape
+// pointer would show, and so would a per-query Stats tally that escaped.
 func TestWindowCollectionAllocs(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	d := spatial.NewGeomDataset(randGeoms(rnd, 10000, 0.01))
-	ix := Build(d, Options{NX: 64, NY: 64, Space: unitSquare})
-	w := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
+	base := Build(d, Options{NX: 64, NY: 64, Space: unitSquare})
+	win := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
 	c, r := geom.Point{X: 0.4, Y: 0.4}, 0.2
-	dk := geom.Disk{Center: c, Radius: r}
-	buf := windowIDs(ix, w)
+	buf := windowIDs(base, win)
 	if len(buf) == 0 {
 		t.Fatal("test window matched nothing")
 	}
-	// Every callback below is a fresh capturing literal, as in real use: it
-	// is what would be heap-allocated per call if a walk let it escape.
-	n := 0
-	for _, tc := range []struct {
-		name string
-		max  float64
-		run  func()
-	}{
-		{"SearchIDs", 0, func() { buf, _ = ix.SearchIDs(Query{Window: &w}, buf[:0]) }},
-		{"SearchIDs disk", 5, func() { buf, _ = ix.SearchIDs(Query{Disk: &dk}, buf[:0]) }},
-		{"WindowCount", 0, func() { _ = ix.WindowCount(w) }},
-		{"SearchCount", 0, func() { _, _ = ix.SearchCount(Query{Window: &w}) }},
-		{"Window", 0, func() { ix.Window(w, func(spatial.Entry) { n++ }) }},
-		{"Search", 0, func() {
-			_, _ = ix.Search(Query{Window: &w}, func(spatial.Entry) bool { n++; return true })
-		}},
-		{"Search limit 1", 0, func() {
-			if complete, _ := ix.Search(Query{Window: &w, Limit: 1}, func(spatial.Entry) bool { return true }); !complete {
-				n++
+	var stats Stats
+	for _, ix := range []*Index{base, base.View(&stats)} {
+		// Every callback below is a fresh capturing literal, as in real
+		// use: it is what would be heap-allocated per call if a walk let
+		// it escape.
+		n := 0
+		for _, tc := range []struct {
+			name string
+			max  float64
+			run  func()
+		}{
+			{"SearchIDs", 0, func() { w := win; buf, _ = ix.SearchIDs(Query{Window: &w}, buf[:0]) }},
+			{"SearchIDs disk", 5, func() { dk := geom.Disk{Center: c, Radius: r}; buf, _ = ix.SearchIDs(Query{Disk: &dk}, buf[:0]) }},
+			{"WindowCount", 0, func() { _ = ix.WindowCount(win) }},
+			{"SearchCount", 0, func() { w := win; _, _ = ix.SearchCount(Query{Window: &w}) }},
+			{"Window", 0, func() { ix.Window(win, func(spatial.Entry) { n++ }) }},
+			{"Search", 0, func() {
+				w := win
+				_, _ = ix.Search(Query{Window: &w}, func(spatial.Entry) bool { n++; return true })
+			}},
+			{"Search limit 1", 0, func() {
+				w := win
+				if complete, _ := ix.Search(Query{Window: &w, Limit: 1}, func(spatial.Entry) bool { return true }); !complete {
+					n++
+				}
+			}},
+			{"Search exact", 0, func() {
+				w := win
+				_, _ = ix.Search(Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}, func(spatial.Entry) bool { n++; return true })
+			}},
+			{"Disk", 5, func() { ix.Disk(c, r, func(spatial.Entry) { n++ }) }},
+			{"Search disk", 5, func() {
+				dk := geom.Disk{Center: c, Radius: r}
+				_, _ = ix.Search(Query{Disk: &dk}, func(spatial.Entry) bool { n++; return true })
+			}},
+			{"Search disk exact", 5, func() {
+				dk := geom.Disk{Center: c, Radius: r}
+				_, _ = ix.Search(Query{Disk: &dk, Exact: true, Mode: RefineAvoid}, func(spatial.Entry) bool { n++; return true })
+			}},
+		} {
+			if avg := testing.AllocsPerRun(100, tc.run); avg > tc.max {
+				t.Errorf("%s (stats %v): allocates %.1f times per run, want at most %.0f", tc.name, ix != base, avg, tc.max)
 			}
-		}},
-		{"Search exact", 0, func() {
-			_, _ = ix.Search(Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}, func(spatial.Entry) bool { n++; return true })
-		}},
-		{"Disk", 5, func() { ix.Disk(c, r, func(spatial.Entry) { n++ }) }},
-		{"Search disk", 5, func() {
-			_, _ = ix.Search(Query{Disk: &dk}, func(spatial.Entry) bool { n++; return true })
-		}},
-		{"Search disk exact", 5, func() {
-			_, _ = ix.Search(Query{Disk: &dk, Exact: true, Mode: RefineAvoid}, func(spatial.Entry) bool { n++; return true })
-		}},
-	} {
-		if avg := testing.AllocsPerRun(100, tc.run); avg > tc.max {
-			t.Errorf("%s allocates %.1f times per run, want at most %.0f", tc.name, avg, tc.max)
+		}
+		if n == 0 {
+			t.Fatal("callbacks never ran")
 		}
 	}
-	if n == 0 {
-		t.Fatal("callbacks never ran")
+	if stats.Results == 0 {
+		t.Fatal("the Stats view counted nothing")
 	}
 }

@@ -76,24 +76,20 @@ func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 	// cy's own row need no test. That tile lies in the lowest ring of
 	// the cover, so the ring stop stays valid.
 	cx, cy := ix.g.CellOf(q)
+	var tally Stats
 	consider := func(tx, ty int, t *tile) {
-		s := ix.stats
-		if s != nil {
-			s.TilesVisited++
-		}
+		tally.TilesVisited++
 		endX, endY := tx < cx, ty < cy
 		for c := ClassA; c <= ClassD; c++ {
 			entries := t.classes[c]
 			if (tx > cx && (c == ClassC || c == ClassD)) || (ty > cy && (c == ClassB || c == ClassD)) {
-				if s != nil {
-					s.DuplicatesAvoided += int64(len(entries))
-				}
+				tally.DuplicatesAvoided += int64(len(entries))
 				continue
 			}
-			if s != nil && len(entries) > 0 {
-				s.PartitionsScanned++
-				s.EntriesScanned += int64(len(entries))
-				s.ClassScanned[c] += int64(len(entries))
+			if len(entries) > 0 {
+				tally.PartitionsScanned++
+				tally.EntriesScanned += int64(len(entries))
+				tally.ClassScanned[c] += int64(len(entries))
 			}
 			for i := range entries {
 				e := &entries[i]
@@ -105,17 +101,13 @@ func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 						continue
 					}
 				}
-				if s != nil {
-					s.DistanceComputations++
-				}
+				tally.DistanceComputations++
 				d2 := e.Rect.DistSqToPoint(q)
 				if exact {
 					if len(best) == k && d2 > kth {
 						continue // MBR lower bound prunes the geometry test
 					}
-					if s != nil {
-						s.RefinementTests++
-					}
+					tally.RefinementTests++
 					if tr := ix.trace; tr != nil {
 						t0 := time.Now()
 						d2 = exactDistSq(ix.dataset.Geom(e.ID), q)
@@ -159,9 +151,8 @@ func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 		n.Dist = math.Sqrt(n.Dist)
 		out[i] = n
 	}
-	if ix.stats != nil {
-		ix.stats.Results += int64(len(out))
-	}
+	tally.Results += int64(len(out))
+	ix.finish(&tally)
 	return out
 }
 

@@ -173,9 +173,8 @@ type Live struct {
 // be attached to objects inserted later. Call Close when done to stop the
 // apply goroutine.
 func NewLive(ix *Index, opt LiveOptions) *Live {
+	*ix = *ix.View(nil) // detached from any Stats or Trace ix was a view with
 	ix.dataset = nil
-	ix.stats = nil
-	ix.trace = nil
 	ix.published = true
 	l := &Live{
 		opt: opt.withDefaults(),
@@ -219,13 +218,14 @@ func (l *Live) Delete(id spatial.ID, r geom.Rect) (found bool, epoch uint64, err
 // Apply submits a batch of mutations and blocks until they are published
 // in one snapshot (all-or-nothing visibility). It returns ErrLiveClosed
 // after Close, and a validation error — with nothing applied — if any
-// mutation carries an invalid rectangle.
+// mutation carries an invalid rectangle: inverted, or with a NaN or
+// infinite coordinate.
 func (l *Live) Apply(muts []Mutation) (ApplyResult, error) {
 	if len(muts) == 0 {
 		return ApplyResult{Epoch: l.Snapshot().epoch}, nil
 	}
 	for i := range muts {
-		if !muts[i].Entry.Rect.Valid() {
+		if !muts[i].Entry.Rect.Valid() || !muts[i].Entry.Rect.Finite() {
 			return ApplyResult{}, fmt.Errorf(
 				"core: mutation %d has invalid rect %v (id %d)",
 				i, muts[i].Entry.Rect, muts[i].Entry.ID)

@@ -35,10 +35,12 @@ func (ix *Index) JoinParallel(other *Index, threads int, fn func(r, s spatial.En
 			tasks = append(tasks, task{tR: tR, tS: tS})
 		}
 	}
+	tallies := make([]workerTally, threads)
 	var next atomic.Int64
-	runWorkers(threads, func(int) {
+	runWorkers(threads, func(w int) {
 		for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
-			joinTile(tasks[i].tR, tasks[i].tS, fn)
+			joinTile(tasks[i].tR, tasks[i].tS, fn, &tallies[w].Stats)
 		}
 	})
+	ix.finishWorkers(Stats{}, tallies)
 }

@@ -4,14 +4,14 @@ import "sync/atomic"
 
 // PathStats is a snapshot of the adaptive query-execution counters: how
 // often the count pushdown answered a query and how much per-entry work
-// the fast paths avoided. Unlike Stats (opt-in, per query), these counters
-// are always on — they are engine-lifetime totals shared by every View
-// and copy-on-write snapshot descending from the same index, updated
-// with one batched atomic flush per query.
+// the fast paths avoided. Unlike a view's Stats (per query), these counters
+// are engine-lifetime totals shared by every View and copy-on-write
+// snapshot descending from the same index: the end of every query
+// flushes its Stats tally's FastCounts, FastTiles and BulkEntries here.
 type PathStats struct {
-	// FastCounts counts count-only window queries answered by the
-	// O(tiles) pushdown kernel (WindowCount) instead of a streamed
-	// scan.
+	// FastCounts counts count-only queries answered by the count
+	// pushdown kernels (WindowCount, DiskCount, the batch counts)
+	// instead of a streamed scan.
 	FastCounts int64
 	// FastTiles counts tiles answered wholesale because their comparison
 	// plan was empty — the whole tile lies strictly inside the query, so
@@ -38,30 +38,21 @@ type pathMetrics struct {
 	cowBytes atomic.Int64
 }
 
-// pathTally accumulates per-query kernel work on the stack; flush merges
-// it into the shared metrics with a handful of atomics per query instead
-// of one per tile.
-type pathTally struct {
-	fastTiles   int64
-	bulkEntries int64
-}
-
-func (m *pathMetrics) flush(t *pathTally) {
-	if m == nil {
-		return
+// flush adds one query's (or batch's) count-pushdown counters
+// to the shared totals: a handful of atomics per query, not one per tile.
+func (m *pathMetrics) flush(t *Stats) {
+	if t.FastCounts != 0 {
+		m.fastCounts.Add(t.FastCounts)
 	}
-	if t.fastTiles != 0 {
-		m.fastTiles.Add(t.fastTiles)
+	if t.FastTiles != 0 {
+		m.fastTiles.Add(t.FastTiles)
 	}
-	if t.bulkEntries != 0 {
-		m.bulkEntries.Add(t.bulkEntries)
+	if t.BulkEntries != 0 {
+		m.bulkEntries.Add(t.BulkEntries)
 	}
 }
 
 func (m *pathMetrics) snapshot() PathStats {
-	if m == nil {
-		return PathStats{}
-	}
 	return PathStats{
 		FastCounts:  m.fastCounts.Load(),
 		FastTiles:   m.fastTiles.Load(),

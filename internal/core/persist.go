@@ -240,7 +240,7 @@ func Load(r io.Reader) (*Index, error) {
 					return nil, fmt.Errorf("core: reading tile %d entries: %w", slot, err)
 				}
 				e := spatial.Entry{ID: le.Uint32(b), Rect: decodeRect(b[4:])}
-				if !e.Rect.Valid() || math.IsInf(e.Rect.MinX, 0) {
+				if !e.Rect.Valid() || !e.Rect.Finite() {
 					return nil, fmt.Errorf("core: corrupt entry rect %v", e.Rect)
 				}
 				entries = append(entries, e)

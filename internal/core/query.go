@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"unsafe"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -106,81 +106,61 @@ func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, 
 		}
 	}
 	rf := refiner{exact: q.Exact, mode: q.Mode}
+	var tally Stats
 	switch {
 	case q.Window != nil:
-		ix.windowScan(*q.Window, rf, sink, &stopped)
+		ix.windowScan(*q.Window, rf, sink, &stopped, &tally)
 	case q.Disk != nil:
-		ix.diskScan(q.Disk.Center, q.Disk.Radius, rf, sink, &stopped)
+		ix.diskScan(q.Disk.Center, q.Disk.Radius, rf, sink, &stopped, &tally)
 	default:
-		ix.regionScan(q.Region, sink, &stopped)
+		ix.regionScan(unleaked(&q.Region), sink, &stopped, &tally)
 	}
+	ix.finish(&tally)
 	return !stopped, nil
 }
 
-// idCollector is a pooled ID sink whose append closure is bound once at
-// pool construction, so SearchIDs stays at zero allocations per call
-// after warm-up (a fresh per-call closure handed to Search would escape
-// and allocate on every query).
-type idCollector struct {
-	ids  []spatial.ID
-	more func(spatial.Entry) bool // never stops
+// unleaked returns *r hidden from escape analysis, which tells a Query's
+// fields apart no more than it trusts a Region's methods not to keep
+// their receiver: a leaking q.Region would move a caller's q.Window or
+// q.Disk to the heap. Sound because Region's contract forbids keeping it.
+func unleaked(r *Region) Region {
+	p := uintptr(unsafe.Pointer(r))
+	return **(**Region)(unsafe.Pointer(&p))
 }
-
-var idCollectorPool = sync.Pool{New: func() any {
-	c := &idCollector{}
-	c.more = func(e spatial.Entry) bool { c.ids = append(c.ids, e.ID); return true }
-	return c
-}}
 
 // SearchIDs evaluates q and returns the IDs of all matching objects,
 // appending to buf (which may be nil).
 func (ix *Index) SearchIDs(q Query, buf []spatial.ID) ([]spatial.ID, error) {
-	c := idCollectorPool.Get().(*idCollector)
-	c.ids = buf
-	_, err := ix.Search(q, c.more)
-	out := c.ids
-	c.ids = nil
-	idCollectorPool.Put(c)
-	if err != nil {
+	if _, err := ix.Search(q, func(e spatial.Entry) bool { buf = append(buf, e.ID); return true }); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return buf, nil
 }
 
 // SearchCount evaluates q and returns the number of matching objects.
-// A Limit caps the count like it caps streamed results. Plain (non-
-// exact) shapes take the count-pushdown kernels — window counts run in
+// A Limit caps the count like it caps streamed results. Plain windows
+// and disks take the count-pushdown kernels — window counts run in
 // O(tiles covered) on interior-dominated covers, and no per-entry
-// callback is invoked — so counting is substantially cheaper than
-// streaming the same query. A capped count equals min(total, Limit),
-// which is exactly what the early-terminating streamed path reports.
+// callback is invoked; exact and Region counts stream through Search.
+// A capped count equals min(total, Limit), which is exactly what the
+// early-terminating streamed path reports.
 func (ix *Index) SearchCount(q Query) (int, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
-	if !q.Exact {
-		var n int
-		switch {
-		case q.Window != nil:
-			n = ix.WindowCount(*q.Window)
-		case q.Disk != nil:
-			n = ix.DiskCount(q.Disk.Center, q.Disk.Radius)
-		default:
-			stop := false
-			ix.regionScan(q.Region, func(spatial.Entry) { n++ }, &stop)
-		}
-		if q.Limit > 0 && n > q.Limit {
-			n = q.Limit
-		}
-		return n, nil
-	}
 	n := 0
-	_, err := ix.Search(q, func(spatial.Entry) bool {
-		n++
-		return true
-	})
-	if err != nil {
-		return 0, err
+	switch {
+	case q.Exact || q.Region != nil:
+		if _, err := ix.Search(q, func(spatial.Entry) bool { n++; return true }); err != nil {
+			return 0, err
+		}
+	case q.Window != nil:
+		n = ix.WindowCount(*q.Window)
+	default:
+		n = ix.DiskCount(q.Disk.Center, q.Disk.Radius)
+	}
+	if q.Limit > 0 && n > q.Limit {
+		n = q.Limit
 	}
 	return n, nil
 }

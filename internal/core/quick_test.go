@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,4 +141,64 @@ func TestQuickClassInvariant(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickNonFiniteMBRsRefused: an MBR with a NaN or infinite coordinate
+// is never stored. For random MBRs with one to four non-finite
+// coordinates, placed anywhere in a dataset, BuildErr returns an error,
+// Build and Insert panic, and Live.Insert returns an error with nothing
+// published; query windows reaching to infinity stay valid.
+func TestQuickNonFiniteMBRsRefused(t *testing.T) {
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	opts := Options{NX: 8, NY: 8, Space: unitSquare}
+	f := func(seed int64) bool {
+		rnd := rand.New(rand.NewSource(seed))
+		rects := randRects(rnd, 1+rnd.Intn(50), 0.1)
+		bad := &rects[rnd.Intn(len(rects))]
+		coords := [4]*float64{&bad.MinX, &bad.MinY, &bad.MaxX, &bad.MaxY}
+		for _, k := range rnd.Perm(4)[:1+rnd.Intn(4)] {
+			*coords[k] = nonFinite[rnd.Intn(len(nonFinite))]
+		}
+		d := spatial.NewDataset(rects)
+		if _, err := BuildErr(d, opts); err == nil {
+			t.Logf("BuildErr accepted %v", *bad)
+			return false
+		}
+		if !panics(func() { Build(d, opts) }) || !panics(func() { New(opts).Insert(spatial.Entry{Rect: *bad}) }) {
+			t.Logf("Build or Insert accepted %v", *bad)
+			return false
+		}
+		l := NewLive(New(opts), LiveOptions{})
+		defer l.Close()
+		if _, err := l.Insert(spatial.Entry{Rect: *bad}); err == nil || l.Snapshot().Len() != 0 {
+			t.Logf("Live.Insert accepted %v", *bad)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The parallel build refuses one too.
+	rnd := rand.New(rand.NewSource(1))
+	rects := randRects(rnd, minParallelBuildEntries+1, 0.01)
+	rects[rnd.Intn(len(rects))].MaxY = math.Inf(1)
+	if !panics(func() { Build(spatial.NewDataset(rects), Options{NX: 64, NY: 64, Space: unitSquare, BuildThreads: 2}) }) {
+		t.Fatal("parallel Build accepted an infinite MBR")
+	}
+
+	// A window reaching to infinity is still a query over everything.
+	ix := Build(spatial.NewDataset(rects[:100]), opts)
+	all := geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+	if n, ids := ix.WindowCount(all), windowIDs(ix, all); n != 100 || len(ids) != 100 {
+		t.Fatalf("infinite window: count %d, %d IDs, want 100", n, len(ids))
+	}
+}
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
 }

@@ -56,13 +56,10 @@ type refiner struct {
 }
 
 // refineWindow reports whether candidate e, whose MBR intersects w, is a
-// result of the exact window query.
-func (ix *Index) refineWindow(rf *refiner, e *spatial.Entry, w geom.Rect) bool {
-	s := ix.stats
+// result of the exact window query, counting its tests into tally.
+func (ix *Index) refineWindow(rf *refiner, e *spatial.Entry, w geom.Rect, tally *Stats) bool {
 	if rf.mode != RefineSimple {
-		if s != nil {
-			s.SecondaryFilterTests++
-		}
+		tally.SecondaryFilterTests++
 		// startsInsideX/Y: whether this class's entries begin inside the
 		// tile in each dimension; classes that start before the tile can
 		// never be covered by the window in that dimension when the class
@@ -80,21 +77,18 @@ func (ix *Index) refineWindow(rf *refiner, e *spatial.Entry, w geom.Rect) bool {
 		if covered {
 			// Lemma 5: one side of the MBR lies inside w, so the exact
 			// geometry must intersect w.
-			if s != nil {
-				s.SecondaryFilterHits++
-			}
+			tally.SecondaryFilterHits++
 			return true
 		}
 	}
-	if s != nil {
-		s.RefinementTests++
-	}
+	tally.RefinementTests++
 	tr := ix.trace
 	if tr == nil {
 		return ix.dataset.Geom(e.ID).IntersectsRect(w)
 	}
 	// Traced path: attribute the exact geometry test's wall time to the
-	// refinement stage.
+	// refinement stage. Reading the clock is not free, so only a trace
+	// pays for it.
 	t0 := time.Now()
 	hit := ix.dataset.Geom(e.ID).IntersectsRect(w)
 	tr.RefineNS += time.Since(t0).Nanoseconds()
@@ -102,34 +96,25 @@ func (ix *Index) refineWindow(rf *refiner, e *spatial.Entry, w geom.Rect) bool {
 }
 
 // refineDisk reports whether candidate e, whose MBR intersects the disk,
-// is a result of the exact disk query.
-func (ix *Index) refineDisk(rf *refiner, e *spatial.Entry, center geom.Point, radius, r2 float64) bool {
-	s := ix.stats
+// is a result of the exact disk query, counting its tests into tally.
+func (ix *Index) refineDisk(rf *refiner, e *spatial.Entry, center geom.Point, radius, r2 float64, tally *Stats) bool {
 	if rf.mode != RefineSimple {
 		// Lemma 5 for disks: if at least two corners of the MBR are inside
 		// the disk, one full side of the MBR is inside it, so the object is
 		// a guaranteed result.
-		if s != nil {
-			s.SecondaryFilterTests++
-		}
+		tally.SecondaryFilterTests++
 		inside := 0
 		for _, corner := range e.Rect.Corners() {
-			if s != nil {
-				s.DistanceComputations++
-			}
+			tally.DistanceComputations++
 			if corner.DistSq(center) <= r2 {
 				if inside++; inside == 2 {
-					if s != nil {
-						s.SecondaryFilterHits++
-					}
+					tally.SecondaryFilterHits++
 					return true
 				}
 			}
 		}
 	}
-	if s != nil {
-		s.RefinementTests++
-	}
+	tally.RefinementTests++
 	tr := ix.trace
 	if tr == nil {
 		return ix.dataset.Geom(e.ID).IntersectsDisk(center, radius)

@@ -79,8 +79,8 @@ func TestDiskExactModes(t *testing.T) {
 func TestRefAvoidReducesRefinements(t *testing.T) {
 	rnd := rand.New(rand.NewSource(53))
 	d := spatial.NewGeomDataset(randGeoms(rnd, 3000, 0.01))
-	ix := Build(d, Options{NX: 32, NY: 32})
-	ix.stats = &Stats{}
+	st := &Stats{}
+	ix := Build(d, Options{NX: 32, NY: 32}).View(st)
 
 	queries := make([]geom.Rect, 50)
 	for i := range queries {
@@ -89,11 +89,11 @@ func TestRefAvoidReducesRefinements(t *testing.T) {
 	}
 
 	run := func(mode RefineMode) (refines, hits int64) {
-		ix.stats.Reset()
+		st.Reset()
 		for _, w := range queries {
 			searchIDs(ix, Query{Window: &w, Exact: true, Mode: mode})
 		}
-		return ix.stats.RefinementTests, ix.stats.SecondaryFilterHits
+		return st.RefinementTests, st.SecondaryFilterHits
 	}
 
 	simpleRefines, _ := run(RefineSimple)

@@ -15,7 +15,9 @@ import (
 // an entry is reported in the first cover tile of its replication block
 // in column-major order. Completeness and uniqueness hold for any cover.
 
-// Region is a query range of arbitrary shape.
+// Region is a query range of arbitrary shape. A query calls its methods
+// only while it runs, and they must not keep their receiver: Search
+// relies on it to leave a caller's query shapes on the caller's stack.
 type Region interface {
 	// MBR bounds the region; only tiles intersecting it are considered.
 	MBR() geom.Rect
@@ -71,8 +73,8 @@ func (rc *regionCover) firstInColumn(tx, yLo, yHi int) int {
 // Search and SearchCount: fn is invoked exactly once for every entry
 // whose MBR intersects the region, and tiles fully covered by the region
 // (when it implements RegionCoverer) skip per-entry verification; fn and
-// stop are windowScan's.
-func (ix *Index) regionScan(region Region, fn func(spatial.Entry), stop *bool) {
+// stop and tally are windowScan's.
+func (ix *Index) regionScan(region Region, fn func(spatial.Entry), stop *bool, tally *Stats) {
 	mbr := region.MBR()
 	if !mbr.Valid() {
 		return
@@ -95,20 +97,18 @@ func (ix *Index) regionScan(region Region, fn func(spatial.Entry), stop *bool) {
 				continue
 			}
 			if t := ix.tileAt(tx, ty); t != nil {
-				ix.regionOnTile(t, tx, ty, rc, region, coverer, fn)
+				ix.regionOnTile(t, tx, ty, rc, region, coverer, fn, tally)
 			}
 		}
 	}
 }
 
-func (ix *Index) regionOnTile(t *tile, tx, ty int, rc *regionCover, region Region, coverer RegionCoverer, fn func(spatial.Entry)) {
+func (ix *Index) regionOnTile(t *tile, tx, ty int, rc *regionCover, region Region, coverer RegionCoverer, fn func(spatial.Entry), tally *Stats) {
 	hasLeft := rc.contains(tx-1, ty)
 	hasUp := rc.contains(tx, ty-1)
 	covered := coverer != nil && coverer.ContainsRect(ix.g.Tile(tx, ty)) &&
 		tx > 0 && ty > 0 && tx < ix.g.NX-1 && ty < ix.g.NY-1
-	if ix.stats != nil {
-		ix.stats.TilesVisited++
-	}
+	tally.TilesVisited++
 
 	emit := func(c Class, e *spatial.Entry) {
 		if !covered && !region.IntersectsRect(e.Rect) {
@@ -117,17 +117,15 @@ func (ix *Index) regionOnTile(t *tile, tx, ty int, rc *regionCover, region Regio
 		if c != ClassA && !ix.ownsRegionEntry(e.Rect, c, tx, ty, rc) {
 			return
 		}
-		if ix.stats != nil {
-			ix.stats.Results++
-		}
+		tally.Results++
 		fn(*e)
 	}
 	scan := func(c Class) {
 		entries := t.classes[c]
-		if ix.stats != nil && len(entries) > 0 {
-			ix.stats.PartitionsScanned++
-			ix.stats.EntriesScanned += int64(len(entries))
-			ix.stats.ClassScanned[c] += int64(len(entries))
+		if len(entries) > 0 {
+			tally.PartitionsScanned++
+			tally.EntriesScanned += int64(len(entries))
+			tally.ClassScanned[c] += int64(len(entries))
 		}
 		for i := range entries {
 			emit(c, &entries[i])

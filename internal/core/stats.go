@@ -1,37 +1,42 @@
 package core
 
-import "sync/atomic"
+import "sync"
 
 // Stats collects instrumentation counters during query evaluation.
 // Counters let tests assert the paper's analytical claims (e.g.,
 // Corollary 1: at most two comparisons per rectangle in relevant tiles of
 // a multi-tile window query) and power the Figure 6 work breakdowns.
 //
-// To collect stats, give each in-flight query (or each single-threaded
-// experiment loop) its own view of the index via Index.View, carrying a
-// private Stats, and merge per-query counters into a shared AtomicStats
-// afterwards where a total is wanted. Any number of views can run
-// queries concurrently, with each other and with uninstrumented readers;
-// a view writes its Stats without synchronization, so one Stats belongs
-// to one view used by one goroutine at a time.
+// Every query counts its work into one Stats tally on its own stack (one
+// per worker in a batch); its entry point then adds the tally to the
+// Stats of the view it ran on (Index.View), if any, so attaching a Stats
+// or a Trace never changes which kernel runs. A view writes its Stats
+// without synchronization: one Stats belongs to one view used by one
+// goroutine at a time. Merge per-query counters into a shared
+// AtomicStats where a total is wanted.
 type Stats struct {
-	// TilesVisited counts tiles examined across queries.
+	// TilesVisited counts tiles read from the directory. Interior tiles
+	// the count pushdown answers from its prefix table are not read;
+	// they count in FastTiles only.
 	TilesVisited int64
-	// PartitionsScanned counts secondary partitions (tile classes) read.
+	// PartitionsScanned counts secondary partitions (tile classes) read
+	// entry by entry or binary searched.
 	PartitionsScanned int64
 	// EntriesScanned counts entries inspected in scanned partitions.
 	EntriesScanned int64
 	// ClassScanned counts, per secondary class (A, B, C, D), the entries
-	// held by the partitions selected for scanning — the per-class work
-	// breakdown of the Lemma 1-2 class selection. On the plain scan path
-	// the four counters sum to EntriesScanned; on the decomposed
-	// (2-layer+) path EntriesScanned may be lower, because binary searches
-	// report coordinate ranges without touching every entry.
+	// held by the partitions scanned — the per-class work breakdown of
+	// the Lemma 1-2 class selection. On a plain index the four counters
+	// sum to EntriesScanned; on the decomposed (2-layer+) path
+	// EntriesScanned may be lower, because binary searches report
+	// coordinate ranges without touching every entry. Partitions counted
+	// wholesale are in BulkEntries instead.
 	ClassScanned [4]int64
 	// Comparisons counts coordinate comparisons executed during the
 	// filtering step (the quantity Lemmas 3-4 minimize).
 	Comparisons int64
-	// Results counts entries reported by the filtering step.
+	// Results counts entries reported by the filtering step (by a count
+	// kernel: the count it returns).
 	Results int64
 	// DuplicatesAvoided counts entries skipped wholesale because their
 	// class was disregarded by Lemmas 1-2 or, in kNN, because no object
@@ -51,6 +56,17 @@ type Stats struct {
 	SecondaryFilterHits  int64
 	RefinementTests      int64
 	DistanceComputations int64
+
+	// Count-pushdown counters, also totalled per engine in PathStats.
+	//
+	// FastCounts counts queries answered by a count kernel (WindowCount,
+	// DiskCount and the batch counts, one per query); FastTiles counts
+	// tiles answered wholesale, with no entry read (Lemmas 3-4: the tile
+	// lies inside the query); BulkEntries counts the entries those tiles
+	// and other whole partitions contributed without a comparison.
+	FastCounts  int64
+	FastTiles   int64
+	BulkEntries int64
 }
 
 // Reset zeroes all counters.
@@ -72,6 +88,9 @@ func (s *Stats) Add(o *Stats) {
 	s.SecondaryFilterHits += o.SecondaryFilterHits
 	s.RefinementTests += o.RefinementTests
 	s.DistanceComputations += o.DistanceComputations
+	s.FastCounts += o.FastCounts
+	s.FastTiles += o.FastTiles
+	s.BulkEntries += o.BulkEntries
 }
 
 // AtomicStats is a concurrency-safe accumulator of query counters. It is
@@ -79,67 +98,31 @@ func (s *Stats) Add(o *Stats) {
 // query runs on an Index.View with a private Stats, then calls Observe
 // once to merge its counters. The zero value is ready to use.
 type AtomicStats struct {
-	queries atomic.Int64
-
-	tilesVisited      atomic.Int64
-	partitionsScanned atomic.Int64
-	entriesScanned    atomic.Int64
-	classScanned      [4]atomic.Int64
-	comparisons       atomic.Int64
-	results           atomic.Int64
-	duplicatesAvoided atomic.Int64
-	binarySearches    atomic.Int64
-
-	secondaryFilterTests atomic.Int64
-	secondaryFilterHits  atomic.Int64
-	refinementTests      atomic.Int64
-	distanceComputations atomic.Int64
+	mu      sync.Mutex
+	queries int64
+	sum     Stats
 }
 
 // Observe merges the counters of one finished query (or batch of queries
 // measured together) into the accumulator. Safe for concurrent use.
 func (a *AtomicStats) Observe(s *Stats) {
-	a.queries.Add(1)
-	a.tilesVisited.Add(s.TilesVisited)
-	a.partitionsScanned.Add(s.PartitionsScanned)
-	a.entriesScanned.Add(s.EntriesScanned)
-	for c := range s.ClassScanned {
-		a.classScanned[c].Add(s.ClassScanned[c])
-	}
-	a.comparisons.Add(s.Comparisons)
-	a.results.Add(s.Results)
-	a.duplicatesAvoided.Add(s.DuplicatesAvoided)
-	a.binarySearches.Add(s.BinarySearches)
-	a.secondaryFilterTests.Add(s.SecondaryFilterTests)
-	a.secondaryFilterHits.Add(s.SecondaryFilterHits)
-	a.refinementTests.Add(s.RefinementTests)
-	a.distanceComputations.Add(s.DistanceComputations)
+	a.mu.Lock()
+	a.queries++
+	a.sum.Add(s)
+	a.mu.Unlock()
 }
 
 // Queries returns how many times Observe has been called.
-func (a *AtomicStats) Queries() int64 { return a.queries.Load() }
+func (a *AtomicStats) Queries() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.queries
+}
 
-// Snapshot returns a point-in-time copy of the accumulated counters.
-// Individual counters are read atomically; the snapshot as a whole is not
-// a single atomic cut across counters (concurrent Observe calls may be
-// partially included), which is fine for monitoring.
+// Snapshot returns a copy of the accumulated counters: a consistent cut,
+// taken between two Observe calls.
 func (a *AtomicStats) Snapshot() Stats {
-	var cls [4]int64
-	for c := range cls {
-		cls[c] = a.classScanned[c].Load()
-	}
-	return Stats{
-		TilesVisited:         a.tilesVisited.Load(),
-		PartitionsScanned:    a.partitionsScanned.Load(),
-		EntriesScanned:       a.entriesScanned.Load(),
-		ClassScanned:         cls,
-		Comparisons:          a.comparisons.Load(),
-		Results:              a.results.Load(),
-		DuplicatesAvoided:    a.duplicatesAvoided.Load(),
-		BinarySearches:       a.binarySearches.Load(),
-		SecondaryFilterTests: a.secondaryFilterTests.Load(),
-		SecondaryFilterHits:  a.secondaryFilterHits.Load(),
-		RefinementTests:      a.refinementTests.Load(),
-		DistanceComputations: a.distanceComputations.Load(),
-	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.sum
 }

@@ -14,7 +14,8 @@ import (
 func TestCorollary1(t *testing.T) {
 	rnd := rand.New(rand.NewSource(41))
 	ix, _ := buildRandom(rnd, 2000, 0.05, Options{NX: 16, NY: 16})
-	ix.stats = &Stats{}
+	st := &Stats{}
+	ix = ix.View(st)
 	space := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	_ = space
 	for q := 0; q < 200; q++ {
@@ -27,11 +28,11 @@ func TestCorollary1(t *testing.T) {
 		if ix1 == ix0 || iy1 == iy0 {
 			continue // only multi-tile-per-dimension queries
 		}
-		ix.stats.Reset()
+		st.Reset()
 		ix.WindowCount(w)
-		if ix.stats.EntriesScanned > 0 && ix.stats.Comparisons > 2*ix.stats.EntriesScanned {
+		if st.EntriesScanned > 0 && st.Comparisons > 2*st.EntriesScanned {
 			t.Fatalf("window %v: %d comparisons for %d scanned entries (> 2 per entry)",
-				w, ix.stats.Comparisons, ix.stats.EntriesScanned)
+				w, st.Comparisons, st.EntriesScanned)
 		}
 	}
 }
@@ -53,15 +54,16 @@ func TestInteriorTilesNoComparisons(t *testing.T) {
 	d := spatial.NewDataset(rects)
 	unit := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 	ix := Build(d, Options{NX: 8, NY: 8, Space: unit})
-	ix.stats = &Stats{}
+	st := &Stats{}
+	ix = ix.View(st)
 	// Window covering tiles (1..5, 1..5) fully: [0.125, 0.75].
 	w := geom.Rect{MinX: 0.125, MinY: 0.125, MaxX: 0.75, MaxY: 0.75}
 	n := ix.WindowCount(w)
 	if n != 100 {
 		t.Fatalf("expected all 100 objects, got %d", n)
 	}
-	if ix.stats.Comparisons != 0 {
-		t.Errorf("interior-tile scan performed %d comparisons, want 0", ix.stats.Comparisons)
+	if st.Comparisons != 0 {
+		t.Errorf("interior-tile scan performed %d comparisons, want 0", st.Comparisons)
 	}
 }
 
@@ -72,14 +74,15 @@ func TestInteriorTilesNoComparisons(t *testing.T) {
 func TestDuplicatesAvoidedCounting(t *testing.T) {
 	rnd := rand.New(rand.NewSource(43))
 	ix, _ := buildRandom(rnd, 1000, 0.2, Options{NX: 16, NY: 16})
-	ix.stats = &Stats{}
+	st := &Stats{}
+	ix = ix.View(st)
 	ix.WindowCount(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.9, MaxY: 0.9})
-	if ix.stats.DuplicatesAvoided == 0 {
+	if st.DuplicatesAvoided == 0 {
 		t.Error("large window avoided no duplicates over replicated data")
 	}
 
 	s := Stats{}
-	ix.stats = &s
+	ix = ix.View(&s)
 	ix.KNN(geom.Point{X: 0.5, Y: 0.5}, ix.Len()+1) // k > n: no ring stop
 	if s.DuplicatesAvoided == 0 {
 		t.Error("kNN over every tile avoided no duplicates over replicated data")
@@ -101,13 +104,14 @@ func TestStatsResultsMatchCallback(t *testing.T) {
 	rnd := rand.New(rand.NewSource(44))
 	for _, dec := range []bool{false, true} {
 		ix, _ := buildRandom(rnd, 800, 0.1, Options{NX: 16, NY: 16, Decompose: dec})
-		ix.stats = &Stats{}
+		st := &Stats{}
+		ix = ix.View(st)
 		for q := 0; q < 30; q++ {
 			w := randWindow(rnd, 0.3)
-			ix.stats.Reset()
+			st.Reset()
 			n := ix.WindowCount(w)
-			if ix.stats.Results != int64(n) {
-				t.Fatalf("dec=%v: stats results %d != callback count %d", dec, ix.stats.Results, n)
+			if st.Results != int64(n) {
+				t.Fatalf("dec=%v: stats results %d != callback count %d", dec, st.Results, n)
 			}
 		}
 	}

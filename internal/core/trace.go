@@ -5,8 +5,10 @@ import "time"
 // Trace is the per-query observability record: the full Stats counter
 // set plus wall-clock stage timings. It is opt-in and allocation-lean —
 // a traced query carries exactly one Trace for its whole evaluation,
-// attached through ViewTraced, and the untraced hot path pays only the
-// nil checks that the Stats instrumentation already performs.
+// attached through ViewTraced. Its counters come from the same per-query
+// tally every query keeps (see Stats), so a traced query runs the very
+// kernels an untraced one runs; the only work a trace adds is reading
+// the clock around each exact-geometry refinement test.
 //
 // The embedded counters record the filtering work the paper's lemmas
 // minimize (tiles visited, per-class entries examined, comparisons,

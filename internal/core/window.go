@@ -13,21 +13,24 @@ import (
 // the paper).
 func (ix *Index) Window(w geom.Rect, fn func(e spatial.Entry)) {
 	stop := false
-	ix.windowScan(w, refiner{}, fn, &stop)
+	var tally Stats
+	ix.windowScan(w, refiner{}, fn, &stop, &tally)
+	ix.finish(&tally)
 }
 
 // windowScan is the one streamed walk over a window's tile cover, behind
 // Window and Search: every non-empty tile of the cover goes through
 // windowOnTile until *stop, which fn may set, is seen. It is checked per
 // tile: the tile being scanned when fn sets it is scanned to its end, and
-// fn drops what that yields if it must.
+// fn drops what that yields if it must. The walk counts its work into
+// tally, which the entry point finishes.
 //
 // fn is only ever called, never stored or wrapped, here and in everything
 // below (windowOnTile, scanClass, decClassQuery): that is what lets a
 // caller's capturing callback stay on its stack. Refinement is therefore
 // a test the per-tile body applies before fn (refiner), not a closure
 // around it.
-func (ix *Index) windowScan(w geom.Rect, rf refiner, fn func(spatial.Entry), stop *bool) {
+func (ix *Index) windowScan(w geom.Rect, rf refiner, fn func(spatial.Entry), stop *bool, tally *Stats) {
 	if !w.Valid() {
 		return
 	}
@@ -35,7 +38,7 @@ func (ix *Index) windowScan(w geom.Rect, rf refiner, fn func(spatial.Entry), sto
 	for ty := iy0; ty <= iy1 && !*stop; ty++ {
 		for tx := ix0; tx <= ix1 && !*stop; tx++ {
 			if slot := ix.slotAt(tx, ty); slot >= 0 {
-				ix.windowOnTile(slot, tx, ty, ix0, iy0, w, rf, fn)
+				ix.windowOnTile(slot, tx, ty, ix0, iy0, w, rf, fn, tally)
 			}
 		}
 	}
@@ -97,31 +100,10 @@ func (ix *Index) effectiveTile(tx, ty int) geom.Rect {
 // and D are read only in the first column of the range (otherwise the
 // previous tile in x also holds their entries), and classes B and D only
 // in the first row.
-func (ix *Index) windowOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, rf refiner, fn func(spatial.Entry)) {
+func (ix *Index) windowOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, rf refiner, fn func(spatial.Entry), tally *Stats) {
 	t := ix.tile(int(slot))
-	first := tx == qx0
-	top := ty == qy0
 	plan := ix.planFor(tx, ty, w)
-
-	if ix.stats != nil {
-		ix.stats.TilesVisited++
-		ix.stats.ClassScanned[ClassA] += int64(len(t.classes[ClassA]))
-		if top {
-			ix.stats.ClassScanned[ClassB] += int64(len(t.classes[ClassB]))
-		} else {
-			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassB]))
-		}
-		if first {
-			ix.stats.ClassScanned[ClassC] += int64(len(t.classes[ClassC]))
-		} else {
-			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassC]))
-		}
-		if first && top {
-			ix.stats.ClassScanned[ClassD] += int64(len(t.classes[ClassD]))
-		} else {
-			ix.stats.DuplicatesAvoided += int64(len(t.classes[ClassD]))
-		}
-	}
+	tally.TilesVisited++
 
 	if rf.exact && rf.mode == RefineAvoidPlus {
 		// Class knowledge for RefAvoid+ (Section V): when the window starts
@@ -134,19 +116,25 @@ func (ix *Index) windowOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, rf 
 		rf.knownYLow = w.MinY < eff.MinY // implies w.MinY <= r.MinY for classes A, C
 	}
 
-	plans := classPlans(first, top, plan)
+	plans := classPlans(tx == qx0, ty == qy0, plan)
 	// Selectivity estimates are only needed once some partition is big
 	// enough for the binary-search path (Section IV-C).
 	var frac [4]float64
 	fracReady := false
 	for c := ClassA; c <= ClassD; c++ {
+		entries := t.classes[c]
 		if !plans[c].scan {
+			tally.DuplicatesAvoided += int64(len(entries))
 			continue
 		}
+		if len(entries) == 0 {
+			continue
+		}
+		tally.PartitionsScanned++
+		tally.ClassScanned[c] += int64(len(entries))
 		rf.class = c
-		entries := t.classes[c]
 		if ix.dec == nil || len(entries) < decSmallClass {
-			ix.scanClass(entries, w, plans[c].plan, &rf, fn)
+			ix.scanClass(entries, w, plans[c].plan, &rf, fn, tally)
 			continue
 		}
 		if !fracReady {
@@ -154,7 +142,7 @@ func (ix *Index) windowOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, rf 
 			fracReady = true
 		}
 		tabs := ix.dec.class(slot, t, c)
-		ix.decClassQuery(&tabs, entries, w, plans[c].plan, &frac, &rf, fn)
+		ix.decClassQuery(&tabs, entries, w, plans[c].plan, &frac, &rf, fn, tally)
 	}
 }
 
@@ -192,72 +180,43 @@ func classPlans(first, top bool, plan tileComparisonPlan) [4]classPlan {
 
 // scanClass reports the entries of one secondary partition that intersect
 // w (and, on an exact query, pass rf), performing only the comparisons
-// the plan requires.
-func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, rf *refiner, fn func(spatial.Entry)) {
-	if len(entries) == 0 {
-		return
-	}
-	if ix.stats != nil {
-		ix.scanClassCounted(entries, w, p, rf, fn)
-		return
-	}
-	exact := rf.exact
-	for i := range entries {
-		e := &entries[i]
-		if p.needXU && e.Rect.MaxX < w.MinX {
-			continue
-		}
-		if p.needXL && e.Rect.MinX > w.MaxX {
-			continue
-		}
-		if p.needYU && e.Rect.MaxY < w.MinY {
-			continue
-		}
-		if p.needYL && e.Rect.MinY > w.MaxY {
-			continue
-		}
-		if exact && !ix.refineWindow(rf, e, w) {
-			continue
-		}
-		fn(*e)
-	}
-}
-
-// scanClassCounted is the instrumented twin of scanClass.
-func (ix *Index) scanClassCounted(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, rf *refiner, fn func(spatial.Entry)) {
-	s := ix.stats
-	s.PartitionsScanned++
-	s.EntriesScanned += int64(len(entries))
+// the plan requires. It counts entries, comparisons and filter results
+// into tally.
+func (ix *Index) scanClass(entries []spatial.Entry, w geom.Rect, p tileComparisonPlan, rf *refiner, fn func(spatial.Entry), tally *Stats) {
+	cmp, hits := 0, 0
 	for i := range entries {
 		e := &entries[i]
 		if p.needXU {
-			s.Comparisons++
+			cmp++
 			if e.Rect.MaxX < w.MinX {
 				continue
 			}
 		}
 		if p.needXL {
-			s.Comparisons++
+			cmp++
 			if e.Rect.MinX > w.MaxX {
 				continue
 			}
 		}
 		if p.needYU {
-			s.Comparisons++
+			cmp++
 			if e.Rect.MaxY < w.MinY {
 				continue
 			}
 		}
 		if p.needYL {
-			s.Comparisons++
+			cmp++
 			if e.Rect.MinY > w.MaxY {
 				continue
 			}
 		}
-		s.Results++
-		if rf.exact && !ix.refineWindow(rf, e, w) {
+		hits++
+		if rf.exact && !ix.refineWindow(rf, e, w, tally) {
 			continue
 		}
 		fn(*e)
 	}
+	tally.EntriesScanned += int64(len(entries))
+	tally.Comparisons += int64(cmp)
+	tally.Results += int64(hits)
 }

@@ -66,6 +66,14 @@ func (r Rect) Valid() bool {
 	return r.MinX <= r.MaxX && r.MinY <= r.MaxY // NaN fails both comparisons
 }
 
+// Finite reports whether all four coordinates of r are finite (neither
+// NaN nor ±Inf): x-x is 0 for every finite x and NaN for the others. An
+// index stores only finite, valid rectangles: a query window may reach
+// to infinity, a stored object may not.
+func (r Rect) Finite() bool {
+	return (r.MinX-r.MinX)+(r.MinY-r.MinY)+(r.MaxX-r.MaxX)+(r.MaxY-r.MaxY) == 0
+}
+
 // Width returns the x-extent of r.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 

@@ -71,23 +71,26 @@ func (g *Grid) TileMin(ix, iy int) geom.Point {
 	}
 }
 
-// clamp restricts v to [0, n-1].
-func clamp(v, n int) int {
-	if v < 0 {
+// clamp returns the cell index of the fractional position v, restricted
+// to [0, n-1]. It clamps before converting: int(v) of a value out of the
+// int range (an infinite window edge, say) is undefined, and on amd64
+// wraps to the minimum int.
+func clamp(v float64, n int) int {
+	if !(v > 0) { // NaN too
 		return 0
 	}
-	if v >= n {
+	if v >= float64(n) {
 		return n - 1
 	}
-	return v
+	return int(v)
 }
 
 // CellOf returns the tile coordinates containing point p, clamped to the
 // grid so that points on (or beyond) the maximum border map to the last
 // tile, mirroring the paper's O(1) tile location.
 func (g *Grid) CellOf(p geom.Point) (ix, iy int) {
-	ix = clamp(int((p.X-g.Space.MinX)*g.invW), g.NX)
-	iy = clamp(int((p.Y-g.Space.MinY)*g.invH), g.NY)
+	ix = clamp((p.X-g.Space.MinX)*g.invW, g.NX)
+	iy = clamp((p.Y-g.Space.MinY)*g.invH, g.NY)
 	return ix, iy
 }
 

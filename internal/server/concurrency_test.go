@@ -73,11 +73,11 @@ func TestConcurrentQueries(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The aggregate must have observed every instrumented single query
-	// (count-only queries and batches are uninstrumented by design).
+	// The aggregate must have observed every request: single queries,
+	// count-only ones and batches alike.
 	var stats statsResponse
 	do(t, h, "GET", "/v1/stats", "", &stats)
-	wantObserved := int64(workers * perWorker * 2 / 4)
+	wantObserved := int64(workers * perWorker)
 	if stats.QueriesObserved != wantObserved {
 		t.Errorf("queries_observed = %d, want %d", stats.QueriesObserved, wantObserved)
 	}

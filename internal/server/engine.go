@@ -7,21 +7,23 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
-// searcher is the query surface one single query evaluates on: a private
-// read view of a *twolayer.Index, a *twolayer.Sharded snapshot, or their
-// traced variants.
+// searcher is the query surface one request (a single query or a batch)
+// evaluates on: a private read view of a *twolayer.Index, a
+// *twolayer.Sharded snapshot, or their traced variants.
 type searcher interface {
 	Search(q twolayer.Query, fn func(id twolayer.ID, mbr twolayer.Rect) bool) (bool, error)
 	SearchCount(q twolayer.Query) (int, error)
 	KNN(q twolayer.Point, k int) []twolayer.Neighbor
 	KNNExact(q twolayer.Point, k int) []twolayer.Neighbor
+	BatchWindowCounts(queries []twolayer.Rect, strategy twolayer.BatchStrategy, threads int) []int
+	BatchDiskCounts(queries []twolayer.Disk, strategy twolayer.BatchStrategy, threads int) []int
 }
 
 // snapshot is one pinned, immutable state of the served engine, satisfied
 // by *twolayer.Index and *twolayer.Sharded alike. Everything a request or
-// a scrape reads besides a single query's result stream — introspection
-// for /v1/stats, /healthz and the index gauges, the admission cost
-// estimate, batch evaluation — goes through it.
+// a scrape reads besides a query's evaluation — introspection for
+// /v1/stats, /healthz and the index gauges, the admission cost estimate
+// — goes through it.
 type snapshot interface {
 	Len() int
 	Epoch() uint64
@@ -32,8 +34,6 @@ type snapshot interface {
 	HasExactGeometries() bool
 	QueryPathStats() twolayer.PathStats
 	EstimateWindow(w twolayer.Rect) float64
-	BatchWindowCounts(queries []twolayer.Rect, strategy twolayer.BatchStrategy, threads int) []int
-	BatchDiskCounts(queries []twolayer.Disk, strategy twolayer.BatchStrategy, threads int) []int
 }
 
 // mutator is the mutation surface of a live-mode server, satisfied by
@@ -61,15 +61,13 @@ type engine interface {
 	// latest published copy-on-write snapshot in a live mode (immutable;
 	// later mutations go into later snapshots).
 	pin() snapshot
-	// open pins the current snapshot and returns the searcher one single
-	// query of the given kind evaluates on, plus done, to call once after
-	// a successful evaluation. With traced set done returns the
+	// open pins the current snapshot and returns the searcher one
+	// request of the given kind evaluates on, plus done, to call once
+	// after a successful evaluation. With traced set done returns the
 	// evaluation's trace, otherwise nil; done itself is nil when there is
-	// nothing to collect. pushdown marks a count-only evaluation the count
-	// kernels answer: they have no per-entry counters to collect, and a
-	// Stats attached would turn them back into a counted scan, so an
-	// untraced one gets no instrumented view.
-	open(kind string, traced, pushdown bool) (view searcher, done func() queryTrace)
+	// nothing to collect. A view runs the kernels the snapshot runs, so
+	// observing a query never changes what it costs.
+	open(kind string, traced bool) (view searcher, done func() queryTrace)
 }
 
 // queryTrace is one finished traced evaluation, in the terms its
@@ -96,7 +94,7 @@ type indexEngine struct {
 
 func (e indexEngine) pin() snapshot { return e.current() }
 
-func (e indexEngine) open(kind string, traced, pushdown bool) (searcher, func() queryTrace) {
+func (e indexEngine) open(kind string, traced bool) (searcher, func() queryTrace) {
 	ix := e.current()
 	switch {
 	case traced:
@@ -112,7 +110,7 @@ func (e indexEngine) open(kind string, traced, pushdown bool) (searcher, func() 
 			}
 			return indexTrace{tr}
 		}
-	case e.agg != nil && !pushdown:
+	case e.agg != nil:
 		view, stats := ix.Instrumented()
 		return view, func() queryTrace { e.agg.Observe(stats); return nil }
 	default:
@@ -154,16 +152,31 @@ type shardedEngine struct {
 
 func (e shardedEngine) pin() snapshot { return e.current() }
 
-func (e shardedEngine) open(kind string, traced, _ bool) (searcher, func() queryTrace) {
+func (e shardedEngine) open(kind string, traced bool) (searcher, func() queryTrace) {
 	sh := e.current()
 	if !traced {
 		return sh, nil
 	}
-	view := sh.Traced()
+	view := tracedShards{sh.Traced(), sh}
 	start := time.Now()
 	return view, func() queryTrace {
 		return &shardedTrace{kind: kind, elapsed: time.Since(start), spans: view.Spans}
 	}
+}
+
+// tracedShards is a traced sharded view with its snapshot's batch
+// counts: a batch records no per-shard spans.
+type tracedShards struct {
+	*twolayer.ShardedView
+	snap *twolayer.Sharded
+}
+
+func (v tracedShards) BatchWindowCounts(queries []twolayer.Rect, strategy twolayer.BatchStrategy, threads int) []int {
+	return v.snap.BatchWindowCounts(queries, strategy, threads)
+}
+
+func (v tracedShards) BatchDiskCounts(queries []twolayer.Disk, strategy twolayer.BatchStrategy, threads int) []int {
+	return v.snap.BatchDiskCounts(queries, strategy, threads)
 }
 
 type shardedTrace struct {

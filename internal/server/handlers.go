@@ -175,45 +175,54 @@ func headerTrace(r *http.Request) bool {
 	return v != "" && v != "0" && v != "false"
 }
 
-// beginQuery opens the searcher one single query evaluates on, honoring
-// CollectStats (not for a count pushdown, see engine.open), tracing
-// (Config.EnableTracing, the request's "trace" field, or an X-Trace
-// header), and the slow-query threshold. It returns
-// the searcher and a finish func to call exactly once after a successful
-// evaluation: finish merges counters into the /v1/stats aggregate, logs
-// the query if it crossed SlowQueryThreshold, and — when the client or
-// config asked for a trace — sets a compact X-Trace response header and
-// returns the trace to embed in the response (nil otherwise).
-func (s *Server) beginQuery(w http.ResponseWriter, r *http.Request, kind string, reqTrace, pushdown bool) (searcher, func() *traceJSON) {
+// beginQuery opens the searcher one request (a single query or a batch)
+// evaluates on, honoring CollectStats, tracing (Config.EnableTracing, the
+// request's "trace" field, or an X-Trace header), and the slow-query
+// threshold. It returns the searcher and the queryEnd whose finish to
+// call exactly once after a successful evaluation.
+func (s *Server) beginQuery(w http.ResponseWriter, r *http.Request, kind string, reqTrace bool) (searcher, queryEnd) {
 	want := s.cfg.EnableTracing || reqTrace || headerTrace(r)
-	thr := s.cfg.SlowQueryThreshold
 	// The slow-query log needs timings too, so it traces internally even
 	// when no client asked.
-	view, done := s.eng.open(kind, want || thr > 0, pushdown)
-	if done == nil {
-		return view, noTrace
-	}
-	return view, func() *traceJSON {
-		tr := done()
-		if tr == nil {
-			return nil
-		}
-		if thr > 0 && tr.Elapsed() >= thr {
-			s.metrics.slow.Inc()
-			s.cfg.Logger.Warn("slow query",
-				append([]any{"kind", kind, "threshold", thr}, tr.slowAttrs()...)...)
-		}
-		if !want {
-			return nil
-		}
-		s.metrics.traced.Inc()
-		header, body := tr.render()
-		w.Header().Set("X-Trace", header)
-		return body
-	}
+	view, done := s.eng.open(kind, want || s.cfg.SlowQueryThreshold > 0)
+	return view, queryEnd{s: s, w: w, kind: kind, want: want, done: done}
 }
 
-func noTrace() *traceJSON { return nil }
+// queryEnd is the end of one evaluation beginQuery opened, a value so
+// that ending a query allocates nothing of its own.
+type queryEnd struct {
+	s    *Server
+	w    http.ResponseWriter
+	kind string
+	want bool // the client or config asked for a trace
+	done func() queryTrace
+}
+
+// finish merges counters into the /v1/stats aggregate, logs the query if
+// it crossed SlowQueryThreshold, and — when the client or config asked
+// for a trace — sets a compact X-Trace response header and returns the
+// trace to embed in the response (nil otherwise).
+func (q queryEnd) finish() *traceJSON {
+	if q.done == nil {
+		return nil
+	}
+	tr := q.done()
+	if tr == nil {
+		return nil
+	}
+	if thr := q.s.cfg.SlowQueryThreshold; thr > 0 && tr.Elapsed() >= thr {
+		q.s.metrics.slow.Inc()
+		q.s.cfg.Logger.Warn("slow query",
+			append([]any{"kind", q.kind, "threshold", thr}, tr.slowAttrs()...)...)
+	}
+	if !q.want {
+		return nil
+	}
+	q.s.metrics.traced.Inc()
+	header, body := tr.render()
+	q.w.Header().Set("X-Trace", header)
+	return body
+}
 
 // clampLimit resolves a request's result limit. ok=false means the value
 // was invalid.
@@ -269,7 +278,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	view, finish := s.beginQuery(w, r, "knn", req.Trace, false)
+	view, end := s.beginQuery(w, r, "knn", req.Trace)
 	if r.Context().Err() != nil {
 		writeTimeout(w)
 		return
@@ -289,7 +298,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	for i, n := range neighbors {
 		resp.Neighbors[i] = neighborJSON{ID: n.ID, Distance: n.Dist}
 	}
-	resp.Trace = finish()
+	resp.Trace = end.finish()
 	if resp.Trace != nil {
 		resp.Trace.QueueWaitUS = queueWait.Microseconds()
 	}
@@ -371,25 +380,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	// Batches run uninstrumented on one pinned snapshot: the tiles-based
-	// strategy interleaves queries across worker goroutines, so a single
-	// per-request Stats would race (see docs/SERVER.md).
+	// A batch evaluates on a view like any single query; its workers'
+	// tallies merge into the view's counters once at the end.
+	view, end := s.beginQuery(w, r, "batch", false)
 	if r.Context().Err() != nil {
 		writeTimeout(w)
 		return
 	}
-	snap := s.eng.pin()
 	resp := batchResponse{Mode: req.Mode, Threads: threads}
 	start := time.Now()
 	if len(rects) > 0 {
-		resp.Counts = snap.BatchWindowCounts(rects, strategy, threads)
+		resp.Counts = view.BatchWindowCounts(rects, strategy, threads)
 	} else {
-		resp.Counts = snap.BatchDiskCounts(disks, strategy, threads)
+		resp.Counts = view.BatchDiskCounts(disks, strategy, threads)
 	}
 	for _, c := range resp.Counts {
 		resp.Total += c
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
+	end.finish()
 	buf := getBuf()
 	defer putBuf(buf)
 	*buf = appendBatch((*buf)[:0], &resp)

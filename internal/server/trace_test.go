@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,6 +54,31 @@ func TestTraceInResponse(t *testing.T) {
 	}
 	if strings.Contains(w.Body.String(), `"trace"`) {
 		t.Fatal("trace key serialized on untraced response")
+	}
+}
+
+// TestTracedCountRunsPushdown: tracing a count_only window does not
+// change its kernel. With X-Trace: 1, a count_only window on an
+// unsharded server still moves the pushdown counter by one, and its
+// trace reports the count kernel's own work, whose results are the count.
+func TestTracedCountRunsPushdown(t *testing.T) {
+	const fastCounts = "twolayer_query_fastpath_counts_total"
+	h := testServer(t, nil).Handler()
+	before := scrapeMetrics(t, h)
+	req := httptest.NewRequest("POST", "/v1/window", strings.NewReader(
+		`{"window":{"min_x":0.1,"min_y":0.1,"max_x":0.9,"max_y":0.7},"count_only":true}`))
+	req.Header.Set("X-Trace", "1")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	var resp rangeResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("status %d, err %v: %s", w.Code, err, w.Body.String())
+	}
+	if got, want := scrapeMetrics(t, h)[fastCounts], before[fastCounts]+1; got != want {
+		t.Errorf("%s = %g after a traced count_only window, want %g", fastCounts, got, want)
+	}
+	if resp.Trace == nil || resp.Count == 0 || resp.Trace.Results != int64(resp.Count) {
+		t.Fatalf("count %d, trace %+v: want the trace's results to be the count", resp.Count, resp.Trace)
 	}
 }
 

@@ -164,7 +164,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		return
 	}
 	defer release()
-	view, finish := s.beginQuery(w, r, kind, env.Trace, pushdown)
+	view, end := s.beginQuery(w, r, kind, env.Trace)
 	if ctx.Err() != nil {
 		writeTimeout(w)
 		return
@@ -238,7 +238,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		ans.truncated = !complete
 	}
 	ans.elapsedUS = time.Since(start).Microseconds()
-	ans.trace = finish()
+	ans.trace = end.finish()
 	if ans.trace != nil {
 		ans.trace.QueueWaitUS = queueWait.Microseconds()
 	}

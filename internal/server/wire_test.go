@@ -305,32 +305,21 @@ func TestDeclinedRequestErrors(t *testing.T) {
 	}
 }
 
-// TestNonFiniteAnswer500 serves an index holding an infinite MBR: an
-// answer that would carry it is a 500 naming the value, not a 200 with
-// an empty body; answers without it are unaffected.
+// TestNonFiniteAnswer500: an answer that would carry a number JSON
+// cannot (NaN, ±Inf) is a 500 naming the value, not a 200 with an empty
+// body. No served index can hold an infinite MBR any more — the library
+// refuses one at build time — so a range answer never carries one (its
+// encoder's guard is pinned by TestWireMatchesEncodingJSON); every other
+// response goes through writeJSON, which marshals before it writes the
+// status.
 func TestNonFiniteAnswer500(t *testing.T) {
-	ix := twolayer.BuildRects([]twolayer.Rect{
+	if _, err := twolayer.BuildRectsErr([]twolayer.Rect{
 		{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
 		{MinX: 0.3, MinY: 0.3, MaxX: math.Inf(1), MaxY: 0.4},
-	}, twolayer.Options{GridSize: 4})
-	h := testServer(t, func(c *Config) { c.Index = ix }).Handler()
-
-	w := do(t, h, "POST", "/v1/window", `{`+fullWindow+`}`, nil)
-	if w.Code != http.StatusInternalServerError ||
-		w.Body.String() != `{"error":"encode response: json: unsupported value: +Inf"}`+"\n" {
-		t.Fatalf("window over an infinite MBR: %d %q", w.Code, w.Body.String())
-	}
-	var resp rangeResponse
-	if w := do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true}`, &resp); w.Code != http.StatusOK || resp.Count != 2 {
-		t.Fatalf("count over an infinite MBR: %d %s", w.Code, w.Body.String())
-	}
-	resp = rangeResponse{}
-	if w := do(t, h, "POST", "/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":0.25,"max_y":0.25}}`, &resp); w.Code != http.StatusOK || resp.Count != 1 {
-		t.Fatalf("window beside an infinite MBR: %d %s", w.Code, w.Body.String())
+	}, twolayer.Options{GridSize: 4}); err == nil {
+		t.Fatal("an index over an infinite MBR was built")
 	}
 
-	// Every other response goes through writeJSON, which marshals before
-	// it writes the status.
 	rec := httptest.NewRecorder()
 	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
 	if rec.Code != http.StatusInternalServerError ||

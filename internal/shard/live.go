@@ -109,7 +109,7 @@ func (l *Live) Apply(muts []core.Mutation) (core.ApplyResult, error) {
 		return core.ApplyResult{Epoch: l.Snapshot().Epoch()}, nil
 	}
 	for i := range muts {
-		if !muts[i].Entry.Rect.Valid() {
+		if !muts[i].Entry.Rect.Valid() || !muts[i].Entry.Rect.Finite() {
 			return core.ApplyResult{}, fmt.Errorf(
 				"shard: mutation %d has invalid rect %v (id %d)",
 				i, muts[i].Entry.Rect, muts[i].Entry.ID)

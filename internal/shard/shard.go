@@ -402,9 +402,9 @@ func (e *Engine) SearchIDs(q core.Query, buf []spatial.ID) ([]spatial.ID, error)
 // independently and the counts sum. A Limit caps the total like it caps
 // streamed results.
 //
-// Plain window queries push the count all the way down: every shard of
-// the cover runs the count kernel under the home-shard dedup rule
-// expressed as a coordinate filter (layout.ownedFrom). No entry is
+// Plain window and disk queries push the count all the way down: every
+// shard of the cover runs the count kernel under the home-shard dedup
+// rule expressed as a coordinate filter (layout.ownedFrom). No entry is
 // streamed through a callback anywhere on that path.
 func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error) {
 	if err := q.Validate(); err != nil {
@@ -427,9 +427,12 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 	perShard := make([]int, hi-lo+1)
 	e.scatter(lo, hi, spans, func(s int) int {
 		n := 0
-		if q.Window != nil && !q.Exact {
+		switch {
+		case q.Window != nil && !q.Exact:
 			n = e.shards[s].WindowCountFiltered(*q.Window, e.lay.ownedFrom(s, lo))
-		} else {
+		case q.Disk != nil && !q.Exact:
+			n = e.shards[s].DiskCountFiltered(q.Disk.Center, q.Disk.Radius, e.lay.ownedFrom(s, lo))
+		default:
 			e.shards[s].Search(sub, func(ent spatial.Entry) bool {
 				if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
 					n++
@@ -531,43 +534,21 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 // it, each under SearchCount's rule (layout.ownedFrom), so the per-shard
 // counts sum to an unsharded batch's with no per-result work.
 func (e *Engine) BatchWindowCounts(queries []geom.Rect, strategy core.BatchStrategy, threads int) []int {
-	counts := make([]int, len(queries))
-	splitBatch(e, queries, func(w geom.Rect) geom.Rect { return w },
-		func(s int, local []geom.Rect, global []int32, lo []int) {
-			minX := func(i int) float64 { return e.lay.ownedFrom(s, lo[global[i]]) }
-			for i, n := range e.shards[s].BatchWindowCountsFiltered(local, minX, strategy, threads) {
-				counts[global[i]] += n
-			}
-		})
-	return counts
+	return batchCounts(e, queries, func(w geom.Rect) geom.Rect { return w }, (*core.Index).BatchWindowCountsFiltered, strategy, threads)
 }
 
-// BatchDiskCounts is BatchWindowCounts for disk queries. There is no
-// filtered disk count kernel, so a shard streams its local batch and
-// the ownership test runs per result.
+// BatchDiskCounts is BatchWindowCounts for disk queries.
 func (e *Engine) BatchDiskCounts(queries []geom.Disk, strategy core.BatchStrategy, threads int) []int {
-	counts := make([]atomic.Int64, len(queries))
-	splitBatch(e, queries, geom.Disk.MBR,
-		func(s int, local []geom.Disk, global []int32, lo []int) {
-			e.shards[s].BatchDisk(local, strategy, threads, func(i int, ent spatial.Entry) {
-				if gq := global[i]; s == lo[gq] || e.lay.shardOf(ent.Rect.MinX) == s {
-					counts[gq].Add(1)
-				}
-			})
-		})
-	out := make([]int, len(queries))
-	for q := range counts {
-		out[q] = int(counts[q].Load())
-	}
-	return out
+	return batchCounts(e, queries, geom.Disk.MBR, (*core.Index).BatchDiskCountsFiltered, strategy, threads)
 }
 
-// splitBatch is the query-to-shard split of both batch forms: for every
-// shard that some query's MBR covers, in shard order, run receives the
-// queries covering it, their indices in the batch, and lo, the first
-// shard of every query's cover. An invalid MBR (inverted window,
-// negative radius) covers no shard; core would skip it too.
-func splitBatch[Q any](e *Engine, queries []Q, mbr func(Q) geom.Rect, run func(s int, local []Q, global []int32, lo []int)) {
+// batchCounts is the one body of both batch counts: shard by shard,
+// count runs the shard's batch over the queries whose MBR covers it,
+// each filtered by ownedFrom of its cover's first shard. An invalid MBR
+// (inverted window, negative radius) covers no shard.
+func batchCounts[Q any](e *Engine, queries []Q, mbr func(Q) geom.Rect,
+	count func(ix *core.Index, local []Q, minX func(int) float64, strategy core.BatchStrategy, threads int) []int,
+	strategy core.BatchStrategy, threads int) []int {
 	lo := make([]int, len(queries))
 	hi := make([]int, len(queries))
 	for q := range queries {
@@ -576,6 +557,7 @@ func splitBatch[Q any](e *Engine, queries []Q, mbr func(Q) geom.Rect, run func(s
 			lo[q], hi[q] = e.lay.rangeOf(r)
 		}
 	}
+	counts := make([]int, len(queries))
 	for s := range e.shards {
 		var local []Q
 		var global []int32
@@ -585,10 +567,15 @@ func splitBatch[Q any](e *Engine, queries []Q, mbr func(Q) geom.Rect, run func(s
 				global = append(global, int32(q))
 			}
 		}
-		if len(local) > 0 {
-			run(s, local, global, lo)
+		if len(local) == 0 {
+			continue
+		}
+		minX := func(i int) float64 { return e.lay.ownedFrom(s, lo[global[i]]) }
+		for i, n := range count(e.shards[s], local, minX, strategy, threads) {
+			counts[global[i]] += n
 		}
 	}
+	return counts
 }
 
 // Len returns the number of distinct objects across all shards

@@ -82,7 +82,7 @@ func (d *Dataset) Validate() error {
 		if e.ID != ID(i) {
 			return fmt.Errorf("spatial: entry %d has ID %d, want dense IDs", i, e.ID)
 		}
-		if !e.Rect.Valid() {
+		if !e.Rect.Valid() || !e.Rect.Finite() {
 			return fmt.Errorf("spatial: entry %d has invalid rect %v", i, e.Rect)
 		}
 	}

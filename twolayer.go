@@ -26,7 +26,8 @@ type (
 	Geometry = geom.Geometry
 	// ID identifies an object; a dataset of n objects uses IDs 0..n-1.
 	ID = spatial.ID
-	// Stats carries instrumentation counters (see Index.Instrumented).
+	// Stats carries the counters of the work queries did (see
+	// Index.Instrumented).
 	Stats = core.Stats
 	// AtomicStats merges per-query Stats concurrently (see
 	// Index.Instrumented).
@@ -162,8 +163,9 @@ func BuildGeoms(geoms []Geometry, opts Options) *Index {
 }
 
 // BuildRectsErr is the error-returning variant of BuildRects: invalid
-// options or data (NaN or inverted rectangles, a degenerate bounding box
-// with no explicit Space) produce an error instead of a panic.
+// options or data (inverted rectangles or ones with a NaN or infinite
+// coordinate, a degenerate bounding box with no explicit Space) produce
+// an error instead of a panic.
 func BuildRectsErr(rects []Rect, opts Options) (*Index, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -223,7 +225,9 @@ func (ix *Index) BatchWindow(queries []Rect, strategy BatchStrategy, threads int
 }
 
 // BatchWindowCounts evaluates a batch and returns per-query result
-// counts, through the count pushdown (no per-result callback runs).
+// counts, through the count pushdown (no per-result callback runs), on
+// an instrumented view as on the index: the view's Stats receive the
+// batch's counters once it ends.
 func (ix *Index) BatchWindowCounts(queries []Rect, strategy BatchStrategy, threads int) []int {
 	return ix.core.BatchWindowCounts(queries, strategy, threads)
 }
@@ -235,14 +239,16 @@ func (ix *Index) BatchDisk(queries []Disk, strategy BatchStrategy, threads int, 
 	ix.core.BatchDisk(queries, strategy, threads, func(q int, e spatial.Entry) { fn(q, e.ID) })
 }
 
-// BatchDiskCounts evaluates a disk batch and returns per-query counts.
+// BatchDiskCounts evaluates a disk batch and returns per-query counts,
+// through the disk count kernel, like BatchWindowCounts.
 func (ix *Index) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads int) []int {
 	return ix.core.BatchDiskCounts(queries, strategy, threads)
 }
 
 // Insert adds an object with the given ID and MBR. Exact geometries
 // cannot be attached after construction; indices built with New support
-// MBR (filtering) queries only.
+// MBR (filtering) queries only. An inverted MBR, or one with a NaN or
+// infinite coordinate, panics.
 func (ix *Index) Insert(id ID, mbr Rect) {
 	ix.core.Insert(spatial.Entry{Rect: mbr, ID: id})
 }
@@ -357,14 +363,20 @@ func Load(r io.Reader) (*Index, error) {
 // a plain read needs no view of its own.
 func (ix *Index) ReadView() *Index { return ix }
 
-// Instrumented returns a shallow read view of the index whose queries
-// accumulate counters into the returned private Stats
-// (concurrent mode: any number of instrumented views may run at once).
-// Merge the counters of finished views into a shared AtomicStats with
-// its Observe method.
+// Instrumented returns a shallow read view of the index whose queries,
+// batches included, add their counters to the returned private Stats
+// when they end (concurrent mode: any number of instrumented views may
+// run at once). The view runs exactly the kernels ix runs — the count
+// pushdown stays the count pushdown — because every query counts its
+// work anyway; the view only keeps the total. Merge the counters of
+// finished views into a shared AtomicStats with its Observe method.
 func (ix *Index) Instrumented() (*Index, *Stats) {
-	s := &Stats{}
-	return &Index{core: ix.core.View(s), dataset: ix.dataset}, s
+	v := &struct {
+		ix Index
+		s  Stats
+	}{}
+	v.ix = Index{core: ix.core.View(&v.s), dataset: ix.dataset}
+	return &v.ix, &v.s
 }
 
 // Traced returns a read view like Instrumented whose queries additionally
@@ -375,8 +387,12 @@ func (ix *Index) Instrumented() (*Index, *Stats) {
 // concurrently, each with its own Trace; reuse a view/Trace pair across
 // sequential queries by calling Trace.Reset between them.
 func (ix *Index) Traced() (*Index, *Trace) {
-	tr := &Trace{}
-	return &Index{core: ix.core.ViewTraced(tr), dataset: ix.dataset}, tr
+	v := &struct {
+		ix Index
+		tr Trace
+	}{}
+	v.ix = Index{core: ix.core.ViewTraced(&v.tr), dataset: ix.dataset}
+	return &v.ix, &v.tr
 }
 
 // PartitionStats walks the tile directory once and summarizes the current
