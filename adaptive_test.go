@@ -83,20 +83,26 @@ func TestShardedEstimateWindow(t *testing.T) {
 	}
 }
 
-// TestShardedQueryPathStats checks that count pushdowns executed inside
-// the fan-out advance the summed per-shard path counters.
-func TestShardedQueryPathStats(t *testing.T) {
+// TestShardedQueryStats checks that count pushdowns executed inside the
+// fan-out advance the summed per-shard query totals: one query and one
+// pushdown per shard evaluated.
+func TestShardedQueryStats(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	rects := randRects(rnd, 1000, 0.05)
 	sh := twolayer.BuildShardedRects(rects, twolayer.Options{GridSize: 16},
 		twolayer.ShardedOptions{Shards: 3})
 	w := twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	before := sh.QueryPathStats()
-	if _, err := sh.SearchCount(twolayer.Query{Window: &w}); err != nil {
+	before := sh.QueryStats()
+	n, err := sh.SearchCount(twolayer.Query{Window: &w})
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := sh.QueryPathStats()
-	if after.FastCounts <= before.FastCounts {
-		t.Errorf("FastCounts did not advance: %d -> %d", before.FastCounts, after.FastCounts)
+	after := sh.QueryStats()
+	if after.FastCounts != before.FastCounts+3 || after.Queries != before.Queries+3 {
+		t.Errorf("FastCounts %d -> %d, Queries %d -> %d, want +3 each (one per shard)",
+			before.FastCounts, after.FastCounts, before.Queries, after.Queries)
+	}
+	if after.Results != before.Results+int64(n) {
+		t.Errorf("Results %d -> %d, want +%d", before.Results, after.Results, n)
 	}
 }

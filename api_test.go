@@ -21,10 +21,10 @@ func TestPublicMethodSets(t *testing.T) {
 	}{
 		{reflect.TypeOf((*twolayer.Index)(nil)), "BatchDisk BatchDiskCounts BatchWindow BatchWindowCounts " +
 			"Decomposed Delete Epoch EstimateWindow GridDims HasExactGeometries Insert Instrumented " +
-			"Join JoinCount JoinParallel KNN KNNExact Len MemoryFootprint PartitionStats QueryPathStats " +
+			"Join JoinCount JoinParallel KNN KNNExact Len MemoryFootprint PartitionStats QueryStats " +
 			"ReadView RebuildDecomposed ReplicationFactor Save Search SearchCount SearchIDs Space Traced"},
 		{reflect.TypeOf((*twolayer.Sharded)(nil)), "BatchDiskCounts BatchWindowCounts Epoch EstimateWindow " +
-			"GridDims HasExactGeometries KNN KNNExact Len MemoryFootprint PartitionStats QueryPathStats " +
+			"GridDims HasExactGeometries KNN KNNExact Len MemoryFootprint PartitionStats QueryStats " +
 			"ReplicationFactor Search SearchCount SearchIDs Shards Space Stats Traced"},
 		{reflect.TypeOf((*twolayer.ShardedView)(nil)), "KNN KNNExact Search SearchCount"},
 		{reflect.TypeOf((*twolayer.Live)(nil)), "Apply Close Delete Insert Len Snapshot Stats"},

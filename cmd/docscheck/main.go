@@ -1,4 +1,4 @@
-// Command docscheck keeps the documentation honest. It runs three checks
+// Command docscheck keeps the documentation honest. It runs four checks
 // and exits non-zero if any fails:
 //
 //  1. Metric coverage, in both directions: every metric family the
@@ -15,11 +15,19 @@
 //     every row must name a registered flag.
 //  3. Link integrity: every relative markdown link in README.md and
 //     docs/*.md must point at a file that exists in the repository.
+//  4. /v1/stats key coverage, in both directions: every object key in
+//     the GET /v1/stats documents of the same two servers (collected
+//     recursively; the class names under admission.classes are data,
+//     not keys) must be mentioned in backticks under docs/OBSERVABILITY.md
+//     "GET /v1/stats schema", and every key mentioned there must be
+//     emitted, so a key removed from the code cannot outlive it in the
+//     docs.
 //
 // CI runs it via `make docs-check`.
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -27,6 +35,8 @@ import (
 	"go/types"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -38,15 +48,16 @@ import (
 	"github.com/twolayer/twolayer/internal/server"
 )
 
-// registeredMetricNames builds two throwaway servers — durable mode
-// (http, query, index, partition, live, WAL, checkpoint, process
-// groups) and sharded live mode (the twolayer_shard_* group) — and
-// returns the union of their registries' family names, so every
-// registerable metric family is covered.
-func registeredMetricNames() ([]string, error) {
+// checkServers builds two throwaway servers — durable mode (http, query,
+// index, partition, live, WAL, checkpoint, process groups; the live,
+// durability and backlog sections of /v1/stats) and sharded live mode
+// (the twolayer_shard_* group; the shards section), so every metric
+// family and every /v1/stats key is registered by one of them — and runs
+// the metric and /v1/stats checks against docPath.
+func checkServers(docPath string) []string {
 	dir, err := os.MkdirTemp("", "docscheck-wal-")
 	if err != nil {
-		return nil, err
+		return []string{err.Error()}
 	}
 	defer os.RemoveAll(dir)
 	seed := twolayer.BuildRects(
@@ -58,33 +69,124 @@ func registeredMetricNames() ([]string, error) {
 		twolayer.DurableOptions{Dir: dir, Seed: seed},
 	)
 	if err != nil {
-		return nil, err
+		return []string{fmt.Sprintf("opening a durable index: %v", err)}
 	}
 	defer dl.Close()
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	s := server.New(server.Config{Durable: dl, Logger: logger})
-
 	sl, err := twolayer.NewShardedLive(
 		twolayer.Options{GridSize: 4, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
 		twolayer.LiveOptions{},
 		twolayer.ShardedOptions{Shards: 2})
 	if err != nil {
-		return nil, err
+		return []string{fmt.Sprintf("building a sharded index: %v", err)}
 	}
 	defer sl.Close()
-	ss := server.New(server.Config{ShardedLive: sl, Logger: logger})
-
-	names := s.Metrics().Registry().Names()
-	have := make(map[string]bool, len(names))
-	for _, n := range names {
-		have[n] = true
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	servers := []*server.Server{
+		server.New(server.Config{Durable: dl, Logger: logger}),
+		server.New(server.Config{ShardedLive: sl, Logger: logger}),
 	}
-	for _, n := range ss.Metrics().Registry().Names() {
-		if !have[n] {
-			names = append(names, n)
+	failures := checkRows("metric", registeredMetricNames(servers), nil, docPath, metricRowRe)
+	keys, err := emittedStatsKeys(servers)
+	return append(failures, checkStatsKeys(keys, err, docPath)...)
+}
+
+// registeredMetricNames returns the union of the servers' registry
+// family names.
+func registeredMetricNames(servers []*server.Server) []string {
+	var names []string
+	for _, s := range servers {
+		for _, n := range s.Metrics().Registry().Names() {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
 		}
 	}
-	return names, nil
+	return names
+}
+
+// emittedStatsKeys GETs /v1/stats from every server and returns the
+// object keys of the documents, collected recursively through objects
+// and arrays, except the class names keying admission.classes.
+func emittedStatsKeys(servers []*server.Server) (map[string]bool, error) {
+	keys := make(map[string]bool)
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				if path != "admission.classes" {
+					keys[k] = true
+				}
+				walk(strings.TrimPrefix(path+"."+k, "."), child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(path, child)
+			}
+		}
+	}
+	for _, s := range servers {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var doc any
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || w.Code != http.StatusOK {
+			return nil, fmt.Errorf("GET /v1/stats: status %d: %v", w.Code, err)
+		}
+		walk("", doc)
+	}
+	return keys, nil
+}
+
+// optionalStatsKeys are documented /v1/stats keys that a healthy server
+// does not emit.
+var optionalStatsKeys = []string{"log_failed"}
+
+// statsSectionRe captures docs/OBSERVABILITY.md's /v1/stats schema
+// section; codeSpanRe a backticked span (possibly across lines), whose
+// identifiers are key mentions unless it opens with "/", "-" or
+// "twolayer_" (a path, a flag or a metric family); keyRe one identifier.
+var (
+	statsSectionRe = regexp.MustCompile(`(?ms)^## GET /v1/stats schema\n(.*?)(?:^## |\z)`)
+	codeSpanRe     = regexp.MustCompile("`([^`]+)`")
+	keyRe          = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+)
+
+// checkStatsKeys fails every emitted /v1/stats key not mentioned in the
+// schema section of docPath and every mentioned key nothing emits.
+func checkStatsKeys(keys map[string]bool, err error, docPath string) (failures []string) {
+	if err != nil {
+		return []string{fmt.Sprintf("collecting /v1/stats keys: %v", err)}
+	}
+	doc, err := os.ReadFile(docPath)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	section := statsSectionRe.FindSubmatch(doc)
+	if section == nil {
+		return []string{docPath + ` has no "GET /v1/stats schema" section`}
+	}
+	documented := make(map[string]bool)
+	for _, span := range codeSpanRe.FindAllStringSubmatch(string(section[1]), -1) {
+		if strings.HasPrefix(span[1], "/") || strings.HasPrefix(span[1], "-") ||
+			strings.HasPrefix(span[1], "twolayer_") {
+			continue
+		}
+		for _, k := range keyRe.FindAllString(span[1], -1) {
+			documented[k] = true
+		}
+	}
+	for k := range documented {
+		if !keys[k] && !slices.Contains(optionalStatsKeys, k) {
+			failures = append(failures, fmt.Sprintf("/v1/stats key %s is documented in %s but not emitted", k, docPath))
+		}
+	}
+	for k := range keys {
+		if !documented[k] {
+			failures = append(failures, fmt.Sprintf("/v1/stats key %s is emitted but not documented in %s", k, docPath))
+		}
+	}
+	slices.Sort(failures)
+	return failures
 }
 
 // metricRowRe and flagRowRe match the first cell of a table row: a line
@@ -196,8 +298,7 @@ func main() {
 	}
 	mdFiles = append(mdFiles, docs...)
 
-	metrics, err := registeredMetricNames()
-	failures := checkRows("metric", metrics, err, filepath.Join(root, "docs", "OBSERVABILITY.md"), metricRowRe)
+	failures := checkServers(filepath.Join(root, "docs", "OBSERVABILITY.md"))
 	flags, err := registeredFlags(filepath.Join(root, "cmd", "spatialserver", "main.go"))
 	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), flagRowRe)...)
 	failures = append(failures, checkLinks(root, mdFiles)...)
@@ -208,5 +309,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok (%d markdown files, metric names and server flags covered)\n", len(mdFiles))
+	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags and /v1/stats keys covered)\n", len(mdFiles))
 }

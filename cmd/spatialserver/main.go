@@ -129,7 +129,6 @@ func main() {
 	gridSize := flag.Int("grid", 0, "grid tiles per dimension (0 = auto-tune from data size)")
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request evaluation deadline")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
-	stats := flag.Bool("stats", true, "aggregate per-query core counters for GET /v1/stats")
 	trace := flag.Bool("trace", false, "attach a per-stage trace to every single-query response (clients can also opt in per request)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log single queries slower than this many milliseconds, with their trace (0 = off)")
 	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /v1/insert, /v1/delete, /v1/bulk (disables exact-geometry queries)")
@@ -233,7 +232,6 @@ func main() {
 		Logger:             logger,
 		RequestTimeout:     *timeout,
 		MaxBodyBytes:       *maxBody,
-		CollectStats:       *stats,
 		EnableTracing:      *trace,
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
 		BuildDuration:      buildDur,
@@ -349,7 +347,7 @@ func main() {
 	case cfg.ShardedDurable != nil:
 		effShards = cfg.ShardedDurable.Live().Shards()
 	}
-	logger.Info("serving", "addr", *addr, "pprof", *pprofFlag, "stats", *stats,
+	logger.Info("serving", "addr", *addr, "pprof", *pprofFlag,
 		"trace", *trace, "slow_query_ms", *slowQueryMS, "live", effLive,
 		"shards", effShards, "timeout", *timeout)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {

@@ -29,15 +29,16 @@
 //
 // # Observability
 //
-// Three concurrency-safe instruments expose what the index is doing.
+// Four concurrency-safe instruments expose what the index is doing.
 // Every query counts its own work on its stack, so none of them changes
 // which kernel a query runs:
 //
-//   - [Index.Instrumented] returns a read view whose queries add the
-//     work they performed (tiles visited, comparisons, duplicates
-//     avoided, Lemma 5 filter hits, …) to a private [Stats] when they
-//     end. Merge finished views into a shared [AtomicStats] to aggregate
-//     across goroutines.
+//   - [Index.QueryStats] reads the engine's always-on total: every
+//     finished query, on any goroutine, view or Live snapshot, adds the
+//     work it performed (tiles visited, comparisons, duplicates avoided,
+//     Lemma 5 filter hits, …) to it when it ends.
+//   - [Index.Instrumented] returns a read view whose queries also add
+//     their counters to a private [Stats], for one caller's share.
 //   - [Index.Traced] additionally records per-stage wall-clock timings
 //     (filtering vs. exact-geometry refinement) into a [Trace] — the
 //     building block for per-query tracing and slow-query logs.
@@ -45,7 +46,7 @@
 //     occupied tiles, per-class entry counts, replication factor, and
 //     tile-occupancy skew.
 //
-// See ExampleIndex_Traced and ExampleAtomicStats for the intended
+// See ExampleIndex_Traced and ExampleIndex_QueryStats for the intended
 // hookup, and docs/OBSERVABILITY.md in the repository for how the
 // bundled server turns these into Prometheus metrics and request
 // traces.

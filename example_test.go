@@ -182,31 +182,31 @@ func ExampleIndex_Traced() {
 	// timed: true
 }
 
-// Metrics hookup: concurrent instrumented views merge into one shared
-// AtomicStats, which a metrics scraper snapshots.
-func ExampleAtomicStats() {
+// Metrics hookup: the engine totals every query, on any view or
+// goroutine, and a metrics scraper reads the total; an instrumented view
+// keeps its own queries' counters besides.
+func ExampleIndex_QueryStats() {
 	idx := twolayer.BuildRects([]twolayer.Rect{
 		{MinX: 0.10, MinY: 0.10, MaxX: 0.20, MaxY: 0.20},
 		{MinX: 0.50, MinY: 0.40, MaxX: 0.80, MaxY: 0.60},
 	}, twolayer.Options{GridSize: 8})
 
-	var agg twolayer.AtomicStats
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			view, stats := idx.Instrumented()
-			view.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}})
-			agg.Observe(stats) // one merge per finished query
+			idx.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}})
 		}()
 	}
 	wg.Wait()
+	view, stats := idx.Instrumented()
+	view.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: 0, MinY: 0, MaxX: 0.3, MaxY: 0.3}})
 
-	snap := agg.Snapshot() // what a /metrics scrape reads
-	fmt.Println("queries:", agg.Queries())
-	fmt.Println("results:", snap.Results)
+	total := idx.QueryStats() // what a /metrics scrape reads
+	fmt.Println("queries:", total.Queries, "results:", total.Results)
+	fmt.Println("view:", stats.Queries, "results:", stats.Results)
 	// Output:
-	// queries: 4
-	// results: 8
+	// queries: 5 results: 9
+	// view: 1 results: 1
 }

@@ -89,10 +89,3 @@ func main() {
 	fmt.Printf("%d probes in %v (%.0f queries/s, %d results)\n",
 		probes, el, float64(probes)/el.Seconds(), total)
 }
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -211,13 +211,6 @@ func Fig8(c Config) {
 	c.printf("(paper: 2-layer/2-layer+ consistently fastest across extents and selectivities)\n\n")
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Fig9 regenerates Figure 9: window queries on synthetic data — query
 // extent, cardinality and object-area sweeps, uniform and zipfian.
 func Fig9(c Config) {

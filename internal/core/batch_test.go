@@ -270,26 +270,23 @@ func TestBatchCountsFilteredEquivalence(t *testing.T) {
 // TestBatchCountsOnStatsView pins that a Stats view leaves a counted
 // batch on the count kernels at any thread count: at threads=2, under
 // either strategy, the view's batch returns the plain batch's counts,
-// its Stats' Results are their sum, and the engine's path counters
-// advance exactly as they do without the view. Run it with -race: the
+// its Stats' Results are their sum, and the engine's totals advance
+// exactly as they do without the view, by the view's Stats. Run it with -race: the
 // workers count into tallies of their own, merged once at the end.
 func TestBatchCountsOnStatsView(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2203))
 	ix, _ := buildRandom(rnd, 3000, 0.03, Options{NX: 16, NY: 16, Space: unitSquare, Decompose: true})
 	windows, disks := batchQueries(rnd, 30)
-	delta := func(a, b PathStats) PathStats {
-		return PathStats{b.FastCounts - a.FastCounts, b.FastTiles - a.FastTiles, b.BulkEntries - a.BulkEntries}
-	}
 	for _, strategy := range []BatchStrategy{QueriesBased, TilesBased} {
-		p0 := ix.QueryPathStats()
+		p0 := ix.QueryStats()
 		wantW := ix.BatchWindowCounts(windows, strategy, 2)
 		wantD := ix.BatchDiskCounts(disks, strategy, 2)
-		p1 := ix.QueryPathStats()
+		p1 := ix.QueryStats()
 		var s Stats
 		view := ix.View(&s)
 		gotW := view.BatchWindowCounts(windows, strategy, 2)
 		gotD := view.BatchDiskCounts(disks, strategy, 2)
-		p2 := ix.QueryPathStats()
+		p2 := ix.QueryStats()
 		if !slices.Equal(gotW, wantW) || !slices.Equal(gotD, wantD) {
 			t.Fatalf("%v: view counts %v %v, want %v %v", strategy, gotW, gotD, wantW, wantD)
 		}
@@ -300,12 +297,15 @@ func TestBatchCountsOnStatsView(t *testing.T) {
 		if s.Results != int64(sum) || sum == 0 {
 			t.Errorf("%v: view Results = %d, want the counts' sum %d", strategy, s.Results, sum)
 		}
-		plain, viewed := delta(p0, p1), delta(p1, p2)
+		plain, viewed := statsDelta(p0, p1), statsDelta(p1, p2)
 		if viewed != plain {
-			t.Errorf("%v: path counters moved by %+v under the view, %+v without", strategy, viewed, plain)
+			t.Errorf("%v: engine totals moved by %+v under the view, %+v without", strategy, viewed, plain)
 		}
-		if got := (PathStats{s.FastCounts, s.FastTiles, s.BulkEntries}); got != viewed {
-			t.Errorf("%v: view Stats fast-path counters %+v, path counters moved by %+v", strategy, got, viewed)
+		if s != viewed {
+			t.Errorf("%v: view Stats %+v, engine totals moved by %+v", strategy, s, viewed)
+		}
+		if viewed.Queries != 2 {
+			t.Errorf("%v: Queries moved by %d, want one per batch (2)", strategy, viewed.Queries)
 		}
 		if want := int64(len(windows) + len(disks)); viewed.FastCounts != want {
 			t.Errorf("%v: FastCounts moved by %d, want one per query (%d)", strategy, viewed.FastCounts, want)

@@ -208,10 +208,10 @@ type Index struct {
 	// stats field points to.
 	trace *Trace
 
-	// met accumulates the always-on adaptive-kernel counters (PathStats).
+	// met accumulates every finished query's counters (QueryStats).
 	// Allocated by New and shared by pointer with every View and CloneCOW
 	// snapshot, so the counters are engine-lifetime totals.
-	met *pathMetrics
+	met *totals
 
 	// counts and dec are the derived read tables: the class-A prefix-sum
 	// table of the count pushdown (countindex.go) and the 2-layer+ side
@@ -233,7 +233,8 @@ type Index struct {
 // corrupts the shared state (a Live snapshot's view panics).
 //
 // A view costs one small allocation, so creating one per request (or per
-// worker) is cheap. Merge per-view counters with AtomicStats.Observe.
+// worker) is cheap. The engine totals every query anyway (QueryStats);
+// a view's Stats holds only the queries run on that view.
 func (ix *Index) View(s *Stats) *Index {
 	cp := *ix
 	cp.stats = s
@@ -241,14 +242,15 @@ func (ix *Index) View(s *Stats) *Index {
 	return &cp
 }
 
-// finish ends a query (or a batch): it adds the query's tally to the
-// Stats of the view it ran on, if any, and the tally's count-pushdown
-// counters to the engine-lifetime PathStats.
+// finish ends a query (or a batch): it counts it as one query and adds
+// its tally to the Stats of the view it ran on, if any, and to the
+// engine-lifetime totals.
 func (ix *Index) finish(tally *Stats) {
+	tally.Queries++
 	if ix.stats != nil {
 		ix.stats.Add(tally)
 	}
-	ix.met.flush(tally)
+	ix.met.add(tally)
 }
 
 // Epoch returns the copy-on-write generation of the index: 0 for a
@@ -295,7 +297,7 @@ func New(opts Options) *Index {
 	ix := &Index{
 		g:    grid.New(opts.Space, opts.NX, opts.NY),
 		opts: opts,
-		met:  &pathMetrics{},
+		met:  &totals{},
 	}
 	if !opts.SparseDirectory && opts.NX*opts.NY <= opts.DenseDirectoryLimit {
 		ix.dense = newDenseDir(opts.NX*opts.NY, 0)

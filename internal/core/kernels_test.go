@@ -421,19 +421,23 @@ func TestWindowStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestQueryPathStatsCounters checks that the always-on path counters
-// move: pushdown counts bump FastCounts, interior tiles bump
-// FastTiles/BulkEntries, and a view feeds the same counters.
-func TestQueryPathStatsCounters(t *testing.T) {
+// TestQueryStatsCounters checks that the always-on engine totals move:
+// a query bumps Queries, pushdown counts bump FastCounts, interior tiles
+// bump FastTiles/BulkEntries, and a view feeds the same totals.
+func TestQueryStatsCounters(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	ix, _ := buildRandom(rnd, 4000, 0.02, Options{NX: 8, NY: 8, Space: unitSquare})
 
-	before := ix.QueryPathStats()
+	before := ix.QueryStats()
 	n := ix.WindowCount(unitSquare)
 	if n != 4000 {
 		t.Fatalf("whole-space count = %d, want 4000", n)
 	}
-	after := ix.QueryPathStats()
+	after := ix.QueryStats()
+	if after.Queries != before.Queries+1 || after.Results != before.Results+4000 {
+		t.Errorf("Queries, Results = %d, %d, want %d, %d",
+			after.Queries, after.Results, before.Queries+1, before.Results+4000)
+	}
 	if after.FastCounts != before.FastCounts+1 {
 		t.Errorf("FastCounts = %d, want %d", after.FastCounts, before.FastCounts+1)
 	}
@@ -448,7 +452,7 @@ func TestQueryPathStatsCounters(t *testing.T) {
 
 	// A view shares the same counters.
 	_ = ix.View(nil).WindowCount(unitSquare)
-	if got := ix.QueryPathStats(); got.FastCounts != after.FastCounts+1 {
+	if got := ix.QueryStats(); got.FastCounts != after.FastCounts+1 {
 		t.Errorf("FastCounts through a view = %d, want %d", got.FastCounts, after.FastCounts+1)
 	}
 }

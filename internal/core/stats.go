@@ -1,6 +1,6 @@
 package core
 
-import "sync"
+import "sync/atomic"
 
 // Stats collects instrumentation counters during query evaluation.
 // Counters let tests assert the paper's analytical claims (e.g.,
@@ -12,9 +12,12 @@ import "sync"
 // Stats of the view it ran on (Index.View), if any, so attaching a Stats
 // or a Trace never changes which kernel runs. A view writes its Stats
 // without synchronization: one Stats belongs to one view used by one
-// goroutine at a time. Merge per-query counters into a shared
-// AtomicStats where a total is wanted.
+// goroutine at a time. The engine keeps the running total of every
+// query's tally itself (QueryStats), so no caller needs to merge views.
 type Stats struct {
+	// Queries counts finished queries: one per single query, batch or
+	// join, and on a sharded engine one per shard a query evaluated.
+	Queries int64
 	// TilesVisited counts tiles read from the directory. Interior tiles
 	// the count pushdown answers from its prefix table are not read;
 	// they count in FastTiles only.
@@ -57,7 +60,7 @@ type Stats struct {
 	RefinementTests      int64
 	DistanceComputations int64
 
-	// Count-pushdown counters, also totalled per engine in PathStats.
+	// Count-pushdown counters.
 	//
 	// FastCounts counts queries answered by a count kernel (WindowCount,
 	// DiskCount and the batch counts, one per query); FastTiles counts
@@ -74,55 +77,60 @@ func (s *Stats) Reset() { *s = Stats{} }
 
 // Add accumulates o into s.
 func (s *Stats) Add(o *Stats) {
-	s.TilesVisited += o.TilesVisited
-	s.PartitionsScanned += o.PartitionsScanned
-	s.EntriesScanned += o.EntriesScanned
-	for c := range s.ClassScanned {
-		s.ClassScanned[c] += o.ClassScanned[c]
+	dst, src := s.counters(), o.counters()
+	for i, p := range dst {
+		*p += *src[i]
 	}
-	s.Comparisons += o.Comparisons
-	s.Results += o.Results
-	s.DuplicatesAvoided += o.DuplicatesAvoided
-	s.BinarySearches += o.BinarySearches
-	s.SecondaryFilterTests += o.SecondaryFilterTests
-	s.SecondaryFilterHits += o.SecondaryFilterHits
-	s.RefinementTests += o.RefinementTests
-	s.DistanceComputations += o.DistanceComputations
-	s.FastCounts += o.FastCounts
-	s.FastTiles += o.FastTiles
-	s.BulkEntries += o.BulkEntries
 }
 
-// AtomicStats is a concurrency-safe accumulator of query counters. It is
-// the aggregation half of the concurrent stats mode (see Stats): each
-// query runs on an Index.View with a private Stats, then calls Observe
-// once to merge its counters. The zero value is ready to use.
-type AtomicStats struct {
-	mu      sync.Mutex
-	queries int64
-	sum     Stats
+// numCounters is the number of int64 counters in a Stats.
+const numCounters = 19
+
+// counters lists the addresses of every counter of s, so that Add and
+// the engine totals walk them in one loop. TestStatsCountersComplete
+// pins that the list covers every field.
+func (s *Stats) counters() [numCounters]*int64 {
+	return [numCounters]*int64{
+		&s.Queries, &s.TilesVisited, &s.PartitionsScanned, &s.EntriesScanned,
+		&s.ClassScanned[0], &s.ClassScanned[1], &s.ClassScanned[2], &s.ClassScanned[3],
+		&s.Comparisons, &s.Results, &s.DuplicatesAvoided, &s.BinarySearches,
+		&s.SecondaryFilterTests, &s.SecondaryFilterHits, &s.RefinementTests, &s.DistanceComputations,
+		&s.FastCounts, &s.FastTiles, &s.BulkEntries,
+	}
 }
 
-// Observe merges the counters of one finished query (or batch of queries
-// measured together) into the accumulator. Safe for concurrent use.
-func (a *AtomicStats) Observe(s *Stats) {
-	a.mu.Lock()
-	a.queries++
-	a.sum.Add(s)
-	a.mu.Unlock()
+// totals is the engine's always-on accumulator behind QueryStats. One
+// instance is allocated per New and shared (by pointer) with every View
+// and CloneCOW snapshot, so the counters are engine-lifetime totals that
+// survive publishes.
+type totals struct {
+	query [numCounters]atomic.Int64
+
+	// cowBytes is the write-side sibling of the query counters: bytes of
+	// tile pages, directory pages and class slices copied on first touch
+	// by copy-on-write mutations (LiveStats.COWBytes).
+	cowBytes atomic.Int64
 }
 
-// Queries returns how many times Observe has been called.
-func (a *AtomicStats) Queries() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.queries
+// add adds one finished query's (or batch's) tally to the totals: one
+// atomic add per non-zero counter, no lock.
+func (m *totals) add(t *Stats) {
+	for i, p := range t.counters() {
+		if *p != 0 {
+			m.query[i].Add(*p)
+		}
+	}
 }
 
-// Snapshot returns a copy of the accumulated counters: a consistent cut,
-// taken between two Observe calls.
-func (a *AtomicStats) Snapshot() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sum
+// QueryStats snapshots the engine's query counters: the sum of the
+// tallies of every query finished on the index, its views and its
+// copy-on-write snapshots. Counters are read one by one while queries
+// may be finishing, so a snapshot taken under load is not a cut between
+// two queries.
+func (ix *Index) QueryStats() Stats {
+	var out Stats
+	for i, p := range out.counters() {
+		*p = ix.met.query[i].Load()
+	}
+	return out
 }

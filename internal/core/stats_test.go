@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -152,5 +153,41 @@ func TestStatsAddReset(t *testing.T) {
 	a.Reset()
 	if a != (Stats{}) {
 		t.Errorf("Reset left %+v", a)
+	}
+}
+
+// TestStatsCountersComplete pins that counters lists every counter of
+// Stats exactly once, so Add and the engine totals miss none: setting
+// each listed counter to a distinct value must fill every int64 of the
+// struct with a distinct value.
+func TestStatsCountersComplete(t *testing.T) {
+	var s Stats
+	for i, p := range s.counters() {
+		*p = int64(i + 1)
+	}
+	seen := map[int64]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Int64:
+			if n := v.Int(); n == 0 || seen[n] {
+				t.Errorf("a Stats counter is missing from counters or listed twice (value %d)", n)
+			}
+			seen[v.Int()] = true
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		default:
+			t.Errorf("Stats holds a %v; counters covers int64 fields only", v.Type())
+		}
+	}
+	walk(reflect.ValueOf(s))
+	if len(seen) != numCounters {
+		t.Errorf("Stats has %d counters, counters lists %d", len(seen), numCounters)
 	}
 }

@@ -89,3 +89,13 @@ func searchIDs(ix *Index, q Query) []spatial.ID {
 	}
 	return ids
 }
+
+// statsDelta returns the counters that moved from before to after.
+func statsDelta(before, after Stats) Stats {
+	d := after
+	dst, src := d.counters(), before.counters()
+	for i, p := range dst {
+		*p -= *src[i]
+	}
+	return d
+}

@@ -9,55 +9,85 @@ import (
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
-// TestViewConcurrentStats checks the concurrent stats mode: queries on
-// per-goroutine views with private Stats, merged into one AtomicStats,
-// must produce exactly the counters of the same queries run serially
-// through one view. Run with -race to exercise the safety claim.
+// TestViewConcurrentStats checks the engine's always-on query totals
+// against per-goroutine views: 8 goroutines run windows, disks, counts,
+// batches and kNN on views with private Stats, and the engine total
+// must move by exactly the sum of the views' Stats. On a Live index the
+// total carries over three publishes: views of every snapshot feed it.
+// Run with -race: the total takes one atomic add per counter, no lock.
 func TestViewConcurrentStats(t *testing.T) {
-	ix, _ := buildRandom(rand.New(rand.NewSource(7)), 4000, 0.05, Options{NX: 64, NY: 64})
-
-	queries := make([]geom.Rect, 64)
-	for i := range queries {
-		x := float64(i%8) / 8
-		y := float64(i/8) / 8
-		queries[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + 0.2, MaxY: y + 0.2}
-	}
-
-	// Serial single-view reference.
-	want := Stats{}
-	ref := ix.View(&want)
-	serialResults := 0
-	for _, q := range queries {
-		serialResults += ref.WindowCount(q)
-	}
-
-	var agg AtomicStats
-	var wg sync.WaitGroup
-	const workers = 8
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(queries); i += workers {
-				s := &Stats{}
-				view := ix.View(s)
-				view.WindowCount(queries[i])
-				agg.Observe(s)
+	ix, _ := buildRandom(rand.New(rand.NewSource(7)), 4000, 0.05, Options{NX: 64, NY: 64, Space: unitSquare})
+	t.Run("index", func(t *testing.T) {
+		before := ix.QueryStats()
+		sum := concurrentViewQueries(ix, 1)
+		if got := statsDelta(before, ix.QueryStats()); got != sum {
+			t.Errorf("engine total moved by %+v, views sum to %+v", got, sum)
+		}
+		if sum.Queries != 8*mixedQueriesPerRun || sum.Results == 0 {
+			t.Errorf("views counted %d queries and %d results, want %d queries", sum.Queries, sum.Results, 8*mixedQueriesPerRun)
+		}
+	})
+	t.Run("live", func(t *testing.T) {
+		l := NewLive(ix.CloneCOW(), LiveOptions{})
+		defer l.Close()
+		before := l.Snapshot().QueryStats()
+		var sum Stats
+		for round := 0; round < 3; round++ {
+			if _, err := l.Insert(spatial.Entry{ID: spatial.ID(10000 + round),
+				Rect: geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.51, MaxY: 0.51}}); err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+			views := concurrentViewQueries(l.Snapshot(), int64(round))
+			sum.Add(&views)
+		}
+		if got := statsDelta(before, l.Snapshot().QueryStats()); got != sum {
+			t.Errorf("engine total over three publishes moved by %+v, views sum to %+v", got, sum)
+		}
+		if sum.Queries != 3*8*mixedQueriesPerRun {
+			t.Errorf("views counted %d queries, want %d", sum.Queries, 3*8*mixedQueriesPerRun)
+		}
+	})
+}
+
+// mixedQueriesPerRun is how many queries mixedQueries runs: a batch
+// counts as one.
+const mixedQueriesPerRun = 8
+
+// mixedQueries runs one of every query kind on ix: a streamed window and
+// disk, their counts, a SearchCount, a window and a disk batch, and kNN.
+func mixedQueries(ix *Index, rnd *rand.Rand) {
+	w := randWindow(rnd, 0.3)
+	d := geom.Disk{Center: geom.Point{X: rnd.Float64(), Y: rnd.Float64()}, Radius: rnd.Float64() * 0.2}
+	ix.Window(w, func(spatial.Entry) {})
+	ix.Disk(d.Center, d.Radius, func(spatial.Entry) {})
+	ix.WindowCount(w)
+	ix.DiskCount(d.Center, d.Radius)
+	ix.SearchCount(Query{Window: &w, Limit: 5})
+	ix.BatchWindowCounts([]geom.Rect{w, randWindow(rnd, 0.2)}, TilesBased, 2)
+	ix.BatchDiskCounts([]geom.Disk{d}, QueriesBased, 2)
+	ix.KNN(d.Center, 10)
+}
+
+// concurrentViewQueries runs mixedQueries from 8 goroutines, each on
+// views of ix with a Stats of its own, and returns the sum of their
+// Stats.
+func concurrentViewQueries(ix *Index, seed int64) Stats {
+	const workers = 8
+	stats := make([]Stats, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mixedQueries(ix.View(&stats[w]), rand.New(rand.NewSource(seed*workers+int64(w))))
+		}()
 	}
 	wg.Wait()
-
-	got := agg.Snapshot()
-	if got != want {
-		t.Errorf("concurrent view stats = %+v, want %+v", got, want)
+	var sum Stats
+	for w := range stats {
+		sum.Add(&stats[w])
 	}
-	if agg.Queries() != int64(len(queries)) {
-		t.Errorf("Queries() = %d, want %d", agg.Queries(), len(queries))
-	}
-	if got.Results != int64(serialResults) {
-		t.Errorf("stats results %d != serial result count %d", got.Results, serialResults)
-	}
+	return sum
 }
 
 // TestViewConcurrentKNN checks that KNN and KNNExact keep no state on

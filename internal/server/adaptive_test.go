@@ -50,54 +50,42 @@ func TestV1WindowEstimate(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKernelMetrics checks that the always-on path counters are
-// exported on /metrics regardless of CollectStats, and that a count-only
-// /v1 window or disk query reaches the count pushdown on the default
-// (CollectStats) server as well as on an uninstrumented one: the pushdown
-// counter advances by one per request, the count is the streamed query's,
-// and the /v1/stats core counters count the request as observed exactly
-// when the server collects them (the kernels count their own work).
+// TestAdaptiveKernelMetrics checks that the count pushdown counters are
+// exported on /metrics and that a count-only /v1 window or disk query
+// reaches the count pushdown: the pushdown counter and the observed
+// query counter each advance by one per request, and the count is the
+// streamed query's.
 func TestAdaptiveKernelMetrics(t *testing.T) {
 	const fastCounts = "twolayer_query_fastpath_counts_total"
-	for _, collect := range []bool{false, true} {
-		s := testServer(t, func(c *Config) { c.CollectStats = collect })
-		h := s.Handler()
+	const observed = "twolayer_queries_observed_total"
+	h := testServer(t, nil).Handler()
 
-		before := scrapeMetrics(t, h)
-		for _, name := range []string{
-			fastCounts,
-			"twolayer_query_fastpath_tiles_total",
-			"twolayer_query_fastpath_bulk_entries_total",
-		} {
-			if _, ok := before[name]; !ok {
-				t.Errorf("collect=%v: metric %s not exported", collect, name)
-			}
+	before := scrapeMetrics(t, h)
+	for _, name := range []string{
+		fastCounts,
+		"twolayer_query_fastpath_tiles_total",
+		"twolayer_query_fastpath_bulk_entries_total",
+	} {
+		if _, ok := before[name]; !ok {
+			t.Errorf("metric %s not exported", name)
 		}
+	}
 
-		for _, q := range []struct{ path, shape string }{
-			{"/v1/window", `"window":{"min_x":0.12,"min_y":0.12,"max_x":0.78,"max_y":0.58}`},
-			{"/v1/disk", `"disk":{"center":{"x":0.5,"y":0.5},"radius":0.3}`},
-		} {
-			var streamed, counted rangeResponse
-			do(t, h, "POST", q.path, `{`+q.shape+`}`, &streamed)
-			before = scrapeMetrics(t, h)
-			do(t, h, "POST", q.path, `{`+q.shape+`,"count_only":true}`, &counted)
-			after := scrapeMetrics(t, h)
-			if streamed.Count == 0 || counted.Count != streamed.Count {
-				t.Errorf("collect=%v %s: count_only = %d, streamed = %d",
-					collect, q.path, counted.Count, streamed.Count)
-			}
-			if got, want := after[fastCounts], before[fastCounts]+1; got != want {
-				t.Errorf("collect=%v %s: %s = %g, want %g", collect, q.path, fastCounts, got, want)
-			}
-			const observed = "twolayer_queries_observed_total"
-			want := before[observed]
-			if collect {
-				want++
-			}
-			if after[observed] != want {
-				t.Errorf("collect=%v %s: count_only moved %s %g -> %g, want %g",
-					collect, q.path, observed, before[observed], after[observed], want)
+	for _, q := range []struct{ path, shape string }{
+		{"/v1/window", `"window":{"min_x":0.12,"min_y":0.12,"max_x":0.78,"max_y":0.58}`},
+		{"/v1/disk", `"disk":{"center":{"x":0.5,"y":0.5},"radius":0.3}`},
+	} {
+		var streamed, counted rangeResponse
+		do(t, h, "POST", q.path, `{`+q.shape+`}`, &streamed)
+		before = scrapeMetrics(t, h)
+		do(t, h, "POST", q.path, `{`+q.shape+`,"count_only":true}`, &counted)
+		after := scrapeMetrics(t, h)
+		if streamed.Count == 0 || counted.Count != streamed.Count {
+			t.Errorf("%s: count_only = %d, streamed = %d", q.path, counted.Count, streamed.Count)
+		}
+		for _, name := range []string{fastCounts, observed} {
+			if got, want := after[name], before[name]+1; got != want {
+				t.Errorf("%s: count_only moved %s %g -> %g, want %g", q.path, name, before[name], got, want)
 			}
 		}
 	}

@@ -321,13 +321,6 @@ func costRect(q twolayer.Query) twolayer.Rect {
 	}
 }
 
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // admit gates one request through class c. On admission it returns
 // release (call exactly once when the request finishes) and the queue
 // wait for the trace span. On shedding it writes the whole 429/503

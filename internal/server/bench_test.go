@@ -40,9 +40,8 @@ func benchHandler(b *testing.B) http.Handler {
 		rects[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + rnd.Float64()*0.002, MaxY: y + rnd.Float64()*0.002}
 	}
 	return New(Config{
-		Index:        twolayer.BuildRects(rects, twolayer.Options{}),
-		Logger:       slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
-		CollectStats: true,
+		Index:  twolayer.BuildRects(rects, twolayer.Options{}),
+		Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	}).Handler()
 }
 

@@ -9,9 +9,8 @@ import (
 )
 
 // TestConcurrentQueries fires parallel window, disk, kNN, and batch
-// queries (with stats collection on, which is the racier configuration:
-// every request allocates an instrumented view and merges into the shared
-// AtomicStats) against one shared index. Run with -race; correctness is
+// queries against one shared index, every one of them adding its
+// counters to the engine's shared total. Run with -race; correctness is
 // also checked via the known result counts of the 10x10 test fixture.
 func TestConcurrentQueries(t *testing.T) {
 	s := testServer(t, nil)

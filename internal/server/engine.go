@@ -32,7 +32,7 @@ type snapshot interface {
 	ReplicationFactor() float64
 	PartitionStats() twolayer.PartitionStats
 	HasExactGeometries() bool
-	QueryPathStats() twolayer.PathStats
+	QueryStats() twolayer.Stats
 	EstimateWindow(w twolayer.Rect) float64
 }
 
@@ -62,11 +62,11 @@ type engine interface {
 	// later mutations go into later snapshots).
 	pin() snapshot
 	// open pins the current snapshot and returns the searcher one
-	// request of the given kind evaluates on, plus done, to call once
-	// after a successful evaluation. With traced set done returns the
-	// evaluation's trace, otherwise nil; done itself is nil when there is
-	// nothing to collect. A view runs the kernels the snapshot runs, so
-	// observing a query never changes what it costs.
+	// request of the given kind evaluates on. With traced set it also
+	// returns done, to call once after a successful evaluation, which
+	// returns the evaluation's trace; otherwise done is nil and the
+	// searcher is the snapshot itself. A traced view runs the kernels the
+	// snapshot runs, so observing a query never changes what it costs.
 	open(kind string, traced bool) (view searcher, done func() queryTrace)
 }
 
@@ -87,34 +87,21 @@ type indexEngine struct {
 	// current returns the index to read now: the static index, or the
 	// live index's current snapshot.
 	current func() *twolayer.Index
-	// agg, when non-nil (Config.CollectStats), receives the core counters
-	// of every single query.
-	agg *twolayer.AtomicStats
 }
 
 func (e indexEngine) pin() snapshot { return e.current() }
 
 func (e indexEngine) open(kind string, traced bool) (searcher, func() queryTrace) {
 	ix := e.current()
-	switch {
-	case traced:
-		// The trace embeds the Stats counters, so the /v1/stats
-		// aggregation works exactly as on the instrumented path.
-		view, tr := ix.Traced()
-		tr.Kind = kind
-		start := time.Now()
-		return view, func() queryTrace {
-			tr.Finish(start)
-			if e.agg != nil {
-				e.agg.Observe(&tr.Stats)
-			}
-			return indexTrace{tr}
-		}
-	case e.agg != nil:
-		view, stats := ix.Instrumented()
-		return view, func() queryTrace { e.agg.Observe(stats); return nil }
-	default:
+	if !traced {
 		return ix, nil
+	}
+	view, tr := ix.Traced()
+	tr.Kind = kind
+	start := time.Now()
+	return view, func() queryTrace {
+		tr.Finish(start)
+		return indexTrace{tr}
 	}
 }
 
@@ -141,9 +128,8 @@ func (t indexTrace) render() (string, *traceJSON) {
 }
 
 // shardedEngine serves a scatter-gather engine. Its traces carry
-// per-shard fan-out spans instead of core counters, and CollectStats
-// aggregation does not apply (the merged scatter-gather counters live
-// under twolayer_shard_* instead).
+// per-shard fan-out spans instead of core counters; the shards' query
+// counters still reach the engine total (Sharded.QueryStats).
 type shardedEngine struct {
 	// current returns the engine to read now: the static engine, or an
 	// engine over the shards' current snapshots.

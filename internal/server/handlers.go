@@ -176,7 +176,7 @@ func headerTrace(r *http.Request) bool {
 }
 
 // beginQuery opens the searcher one request (a single query or a batch)
-// evaluates on, honoring CollectStats, tracing (Config.EnableTracing, the
+// evaluates on, honoring tracing (Config.EnableTracing, the
 // request's "trace" field, or an X-Trace header), and the slow-query
 // threshold. It returns the searcher and the queryEnd whose finish to
 // call exactly once after a successful evaluation.
@@ -198,18 +198,15 @@ type queryEnd struct {
 	done func() queryTrace
 }
 
-// finish merges counters into the /v1/stats aggregate, logs the query if
-// it crossed SlowQueryThreshold, and — when the client or config asked
-// for a trace — sets a compact X-Trace response header and returns the
-// trace to embed in the response (nil otherwise).
+// finish ends a traced evaluation: it logs the query if it crossed
+// SlowQueryThreshold, and — when the client or config asked for a trace
+// — sets a compact X-Trace response header and returns the trace to
+// embed in the response (nil otherwise).
 func (q queryEnd) finish() *traceJSON {
 	if q.done == nil {
 		return nil
 	}
 	tr := q.done()
-	if tr == nil {
-		return nil
-	}
 	if thr := q.s.cfg.SlowQueryThreshold; thr > 0 && tr.Elapsed() >= thr {
 		q.s.metrics.slow.Inc()
 		q.s.cfg.Logger.Warn("slow query",
@@ -545,7 +542,6 @@ type statsResponse struct {
 	Live            *liveStatsJSON  `json:"live,omitempty"`
 	Durability      *durabilityJSON `json:"durability,omitempty"`
 	Admission       *admissionJSON  `json:"admission,omitempty"`
-	StatsEnabled    bool            `json:"stats_enabled"`
 	TracingEnabled  bool            `json:"tracing_enabled"`
 	QueriesObserved int64           `json:"queries_observed"`
 	Counters        countersJSON    `json:"counters"`
@@ -645,7 +641,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	classEntries.B = int64(ps.ClassCounts[1])
 	classEntries.C = int64(ps.ClassCounts[2])
 	classEntries.D = int64(ps.ClassCounts[3])
-	snap := s.agg.Snapshot()
+	snap := idx.QueryStats()
 	writeJSON(w, http.StatusOK, statsResponse{
 		Index: indexInfoJSON{
 			Objects:           idx.Len(),
@@ -671,9 +667,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Live:            live,
 		Durability:      durability,
 		Admission:       admissionSec,
-		StatsEnabled:    s.cfg.CollectStats,
 		TracingEnabled:  s.cfg.EnableTracing,
-		QueriesObserved: s.agg.Queries(),
+		QueriesObserved: snap.Queries,
 		Counters: countersJSON{
 			TilesVisited:         snap.TilesVisited,
 			PartitionsScanned:    snap.PartitionsScanned,

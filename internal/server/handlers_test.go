@@ -39,9 +39,8 @@ func testIndex(t *testing.T) *twolayer.Index {
 func testServer(t *testing.T, mutate func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
-		Index:        testIndex(t),
-		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
-		CollectStats: true,
+		Index:  testIndex(t),
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -310,17 +309,12 @@ func TestBodyTooLarge(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	s := testServer(t, nil)
-	// Streamed queries: count_only ones run the count kernels, which have
-	// no per-entry counters to aggregate (TestAdaptiveKernelMetrics).
 	for i := 0; i < 3; i++ {
 		do(t, s.Handler(), "POST", "/v1/window",
 			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, nil)
 	}
 	var resp statsResponse
 	do(t, s.Handler(), "GET", "/v1/stats", "", &resp)
-	if !resp.StatsEnabled {
-		t.Fatal("stats_enabled = false")
-	}
 	if resp.QueriesObserved != 3 {
 		t.Errorf("queries_observed = %d, want 3", resp.QueriesObserved)
 	}
@@ -328,21 +322,73 @@ func TestStatsAggregation(t *testing.T) {
 		t.Errorf("counters.results = %d, want 300", resp.Counters.Results)
 	}
 	if resp.Counters.TilesVisited == 0 {
-		t.Error("counters.tiles_visited = 0 after instrumented queries")
+		t.Error("counters.tiles_visited = 0 after three queries")
 	}
 	if resp.Index.Objects != 100 || resp.Index.GridNX != 16 || !resp.Index.ExactGeometries {
 		t.Errorf("index info = %+v", resp.Index)
 	}
 }
 
-func TestStatsDisabled(t *testing.T) {
-	s := testServer(t, func(c *Config) { c.CollectStats = false })
-	do(t, s.Handler(), "POST", "/v1/window",
-		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, nil)
-	var resp statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &resp)
-	if resp.StatsEnabled || resp.QueriesObserved != 0 || resp.Counters.Results != 0 {
-		t.Errorf("disabled stats leaked counters: %+v", resp)
+// TestShardedStatsCounted checks that a sharded server reports the core
+// counters of the queries it serves: after windows, a count_only window
+// and a batch, /v1/stats counts queries and results on a static and a
+// live 2-shard server, and /metrics reads the same total.
+func TestShardedStatsCounted(t *testing.T) {
+	space := twolayer.Rect{MaxX: 1, MaxY: 1}
+	opts := twolayer.Options{GridSize: 16, Space: space}
+	var rects []twolayer.Rect
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 10; j++ {
+			x, y := float64(i)/10, float64(j)/10
+			rects = append(rects, twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.05, MaxY: y + 0.05})
+		}
+	}
+	sl, err := twolayer.NewShardedLive(opts, twolayer.LiveOptions{}, twolayer.ShardedOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Close()
+	muts := make([]twolayer.Mutation, len(rects))
+	for i, r := range rects {
+		muts[i] = twolayer.Mutation{ID: twolayer.ID(i), MBR: r}
+	}
+	if _, err := sl.Apply(muts); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"static": {Sharded: twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: 2})},
+		"live":   {ShardedLive: sl},
+	} {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		h := New(cfg).Handler()
+		for _, body := range []string{
+			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`,
+			`{"window":{"min_x":0.1,"min_y":0.1,"max_x":0.3,"max_y":0.3}}`,
+			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`,
+		} {
+			if w := do(t, h, "POST", "/v1/window", body, nil); w.Code != http.StatusOK {
+				t.Fatalf("%s: window status %d", name, w.Code)
+			}
+		}
+		if w := do(t, h, "POST", "/v1/batch",
+			`{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`, nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: batch status %d", name, w.Code)
+		}
+		var resp statsResponse
+		do(t, h, "GET", "/v1/stats", "", &resp)
+		if resp.QueriesObserved <= 0 || resp.Counters.Results <= 0 {
+			t.Errorf("%s: queries_observed = %d, counters.results = %d, want both > 0",
+				name, resp.QueriesObserved, resp.Counters.Results)
+		}
+		m := scrapeMetrics(t, h)
+		if got := m["twolayer_query_results_total"]; got != float64(resp.Counters.Results) {
+			t.Errorf("%s: twolayer_query_results_total = %g, counters.results = %d",
+				name, got, resp.Counters.Results)
+		}
+		if got := m["twolayer_queries_observed_total"]; got != float64(resp.QueriesObserved) {
+			t.Errorf("%s: twolayer_queries_observed_total = %g, queries_observed = %d",
+				name, got, resp.QueriesObserved)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //     and latency histograms, recorded by the instrument middleware.
 //   - twolayer_query_*: the core filtering/refinement work counters
 //     (tiles visited, per-class entries scanned, comparisons, duplicates
-//     avoided, ...) aggregated across instrumented requests. Populated
-//     only when Config.CollectStats is on.
+//     avoided, count pushdowns, ...) of every query the engine finished,
+//     read from its always-on total (QueryStats).
 //   - twolayer_index_* / twolayer_partition_*: point-in-time shape of
 //     the served index — object counts, per-class entry totals, tile
 //     occupancy skew, replication — sampled at scrape time through a
@@ -199,19 +199,21 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		"Fraction of stored entries that are boundary replicas (classes B, C, D).",
 		func() float64 { return parts.get().BoundaryRatio })
 
-	// ---- query counters group (CollectStats aggregation) ------------------
-	agg := s.agg
-	r.CounterFunc("twolayer_queries_observed_total",
-		"Instrumented queries merged into the aggregate counters.",
-		func() float64 { return float64(agg.Queries()) })
+	// ---- query group ------------------------------------------------------
+	// The engine's always-on query counters (QueryStats), shared by every
+	// view and copy-on-write snapshot of the served engine and summed over
+	// the shards of a sharded one.
 	queryCounter := func(name, help string, get func(*twolayer.Stats) int64) {
 		r.CounterFunc(name, help, func() float64 {
-			snap := agg.Snapshot()
-			return float64(get(&snap))
+			st := s.eng.pin().QueryStats()
+			return float64(get(&st))
 		})
 	}
+	queryCounter("twolayer_queries_observed_total",
+		"Finished queries (a batch counts once; a sharded query once per shard it evaluated on).",
+		func(st *twolayer.Stats) int64 { return st.Queries })
 	queryCounter("twolayer_query_tiles_visited_total",
-		"Grid tiles examined across instrumented queries.",
+		"Grid tiles examined.",
 		func(st *twolayer.Stats) int64 { return st.TilesVisited })
 	queryCounter("twolayer_query_partitions_scanned_total",
 		"Secondary partitions (tile classes) read.",
@@ -222,9 +224,8 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	classScanned := r.CounterVecFunc("twolayer_query_class_entries_scanned_total",
 		"Entries held by the partitions selected for scanning, per class.", "class")
 	for c := 0; c < 4; c++ {
-		c := c
 		classScanned.Add(func() float64 {
-			return float64(agg.Snapshot().ClassScanned[c])
+			return float64(s.eng.pin().QueryStats().ClassScanned[c])
 		}, classLabels[c])
 	}
 	queryCounter("twolayer_query_comparisons_total",
@@ -248,26 +249,15 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	queryCounter("twolayer_query_distance_computations_total",
 		"Point-distance evaluations in disk and kNN queries.",
 		func(st *twolayer.Stats) int64 { return st.DistanceComputations })
-
-	// ---- adaptive kernel group --------------------------------------------
-	// Unlike the CollectStats aggregation above, these read the engine's
-	// always-on PathStats counters (shared across every view and
-	// copy-on-write snapshot of the served engine), so they are populated
-	// regardless of Config.CollectStats.
-	pathCounter := func(name, help string, get func(twolayer.PathStats) int64) {
-		r.CounterFunc(name, help, func() float64 {
-			return float64(get(s.eng.pin().QueryPathStats()))
-		})
-	}
-	pathCounter("twolayer_query_fastpath_counts_total",
+	queryCounter("twolayer_query_fastpath_counts_total",
 		"Count-only queries answered by the O(tiles) count pushdown instead of a streamed scan.",
-		func(ps twolayer.PathStats) int64 { return ps.FastCounts })
-	pathCounter("twolayer_query_fastpath_tiles_total",
+		func(st *twolayer.Stats) int64 { return st.FastCounts })
+	queryCounter("twolayer_query_fastpath_tiles_total",
 		"Tiles answered wholesale because their comparison plan was empty (interior tiles).",
-		func(ps twolayer.PathStats) int64 { return ps.FastTiles })
-	pathCounter("twolayer_query_fastpath_bulk_entries_total",
+		func(st *twolayer.Stats) int64 { return st.FastTiles })
+	queryCounter("twolayer_query_fastpath_bulk_entries_total",
 		"Entries counted or emitted in bulk with zero per-entry comparisons.",
-		func(ps twolayer.PathStats) int64 { return ps.BulkEntries })
+		func(st *twolayer.Stats) int64 { return st.BulkEntries })
 
 	// ---- live group -------------------------------------------------------
 	if s.mut != nil {

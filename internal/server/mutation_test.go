@@ -147,7 +147,7 @@ func TestConfigRequiresExactlyOneIndex(t *testing.T) {
 }
 
 func TestLiveStatsExposed(t *testing.T) {
-	s, _ := liveServer(t, func(c *Config) { c.CollectStats = true })
+	s, _ := liveServer(t, nil)
 
 	do(t, s.Handler(), "POST", "/v1/insert",
 		`{"id":7,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`, nil)
@@ -215,7 +215,7 @@ func TestKNNHugeIDAllocation(t *testing.T) {
 // under -race: writers mutate over HTTP while readers run window, disk,
 // kNN, batch, and stats requests against per-request pinned snapshots.
 func TestConcurrentMutationsAndQueries(t *testing.T) {
-	s, _ := liveServer(t, func(c *Config) { c.CollectStats = true })
+	s, _ := liveServer(t, nil)
 	h := s.Handler()
 
 	const writers, readers, ops = 3, 3, 60

@@ -11,10 +11,11 @@
 // locks on the read path — and mutation endpoints (POST /v1/insert,
 // /v1/delete, /v1/bulk) feed the single-writer apply loop. Queries keep
 // no state on the index (kNN included), so in both modes requests read
-// the shared index or snapshot directly; only stats-collecting requests
-// take a private instrumented view (Index.Instrumented / Index.Traced),
-// so counters are per-request. Aggregated counters are published on
-// GET /v1/stats and per-endpoint latency/error metrics on GET /metrics.
+// the shared index or snapshot directly; only traced requests take a
+// private view (Index.Traced), so their counters are per-request. Every
+// query adds its counters to the engine's always-on total
+// (QueryStats), published on GET /v1/stats and GET /metrics beside the
+// per-endpoint latency/error metrics.
 // Either mode can be served by one index or by a sharded scatter-gather
 // engine; New picks the topology once (see engine.go) and every handler
 // reads through the same pinned-snapshot surface.
@@ -110,16 +111,17 @@ type Config struct {
 	// (shed as soon as all slots are busy).
 	QueueDepth int
 
-	// CollectStats, when true, runs single queries on instrumented views
-	// and aggregates their core counters for GET /v1/stats.
+	// CollectStats has no effect: the engine counts every query anyway,
+	// and GET /v1/stats and /metrics read that total.
+	//
+	// Deprecated: query counters are always collected.
 	CollectStats bool
 
 	// EnableTracing, when true, evaluates every single query on a traced
 	// view and attaches the per-stage trace to the response (the "trace"
 	// field). Clients can also request a trace per call — `"trace": true`
 	// in the body or an `X-Trace: 1` request header — without enabling it
-	// globally. Tracing implies CollectStats semantics for the traced
-	// request (the trace embeds the core counters).
+	// globally. A trace carries the request's own core counters.
 	EnableTracing bool
 
 	// SlowQueryThreshold, when positive, traces every single query and
@@ -161,7 +163,6 @@ type Server struct {
 	shardStats func() twolayer.ShardedStats
 	adm        *admission // nil when admission control is disabled
 	metrics    *Metrics
-	agg        *twolayer.AtomicStats
 	mux        *http.ServeMux
 }
 
@@ -186,7 +187,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg: cfg,
-		agg: &twolayer.AtomicStats{},
 		mux: http.NewServeMux(),
 	}
 	// Durable modes are their live modes plus a WAL.
@@ -197,15 +197,11 @@ func New(cfg Config) *Server {
 	if cfg.ShardedDurable != nil {
 		shardedLive, s.ckpt = cfg.ShardedDurable.Live(), cfg.ShardedDurable
 	}
-	var collect *twolayer.AtomicStats // single queries feed s.agg only when asked
-	if cfg.CollectStats {
-		collect = s.agg
-	}
 	switch {
 	case cfg.Index != nil:
-		s.eng = indexEngine{current: func() *twolayer.Index { return cfg.Index }, agg: collect}
+		s.eng = indexEngine{current: func() *twolayer.Index { return cfg.Index }}
 	case live != nil:
-		s.eng, s.mut = indexEngine{current: live.Snapshot, agg: collect}, live
+		s.eng, s.mut = indexEngine{current: live.Snapshot}, live
 	case cfg.Sharded != nil:
 		s.eng = shardedEngine{current: func() *twolayer.Sharded { return cfg.Sharded }}
 		s.shardStats = cfg.Sharded.Stats

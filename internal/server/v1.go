@@ -156,7 +156,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		est := s.eng.pin().EstimateWindow(costRect(q))
 		if !env.CountOnly {
 			// The limit caps delivery, so it caps the cost too.
-			return minf(est, float64(limit))
+			return min(est, float64(limit))
 		}
 		return est
 	})

@@ -681,12 +681,13 @@ func (e *Engine) EstimateWindow(w geom.Rect) float64 {
 	return est
 }
 
-// QueryPathStats sums the per-shard adaptive-kernel counters (fast-path
-// counts, bulk-counted entries, parallel chunking decisions).
-func (e *Engine) QueryPathStats() core.PathStats {
-	var out core.PathStats
+// QueryStats sums the shards' query counters (core.Index.QueryStats):
+// a query counts once per shard it evaluated on.
+func (e *Engine) QueryStats() core.Stats {
+	var out core.Stats
 	for _, six := range e.shards {
-		out.Add(six.QueryPathStats())
+		st := six.QueryStats()
+		out.Add(&st)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/core"
@@ -450,5 +451,60 @@ func TestBatchCountsAcrossSlabEdges(t *testing.T) {
 		}
 		check(fmt.Sprintf("live S=%d", shards), l.Snapshot(), entries)
 		l.Close()
+	}
+}
+
+// TestQueryStatsSumsShards checks a 2-shard engine's query totals: 8
+// goroutines run windows, disks, counts, batches and kNN, and the total
+// must be the sum of the shards' totals, equal the serial run of the same
+// queries on a twin engine, and count one query per shard evaluated —
+// every routed shard scan, plus both shards of each batch. Run with
+// -race.
+func TestQueryStatsSumsShards(t *testing.T) {
+	d := testDataset(41, 3000, 0.1)
+	opts := core.Options{NX: 32, NY: 32, Space: geom.Rect{MaxX: 1, MaxY: 1}}
+	const workers, rounds = 8, 4
+	run := func(e *Engine, w int) {
+		rnd := rand.New(rand.NewSource(int64(w)))
+		for range rounds {
+			x, y := rnd.Float64()*0.8, rnd.Float64()*0.8
+			win := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.2, MaxY: y + 0.2}
+			disk := geom.Disk{Center: geom.Point{X: x, Y: y}, Radius: 0.1}
+			e.Search(core.Query{Window: &win}, func(spatial.Entry) bool { return true }, nil)
+			e.SearchCount(core.Query{Window: &win}, nil)
+			e.SearchCount(core.Query{Disk: &disk}, nil)
+			e.KNN(disk.Center, 5, false, nil)
+			// The whole-space window puts both shards in the batch.
+			e.BatchWindowCounts([]geom.Rect{win, opts.Space}, core.QueriesBased, 2)
+		}
+	}
+	concurrent, serial := Build(d, opts, 2), Build(d, opts, 2)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() { defer wg.Done(); run(concurrent, w) }()
+		run(serial, w)
+	}
+	wg.Wait()
+
+	got := concurrent.QueryStats()
+	var sum core.Stats
+	for s := range concurrent.Shards() {
+		st := concurrent.Shard(s).QueryStats()
+		sum.Add(&st)
+	}
+	if got != sum {
+		t.Errorf("engine total %+v, shards sum to %+v", got, sum)
+	}
+	if want := serial.QueryStats(); got != want {
+		t.Errorf("concurrent total %+v, serial total %+v", got, want)
+	}
+	var scans uint64
+	for _, ps := range concurrent.Stats().PerShard {
+		scans += ps.Queries
+	}
+	if want := int64(scans) + 2*workers*rounds; got.Queries != want || got.Results == 0 {
+		t.Errorf("Queries = %d (results %d), want %d shard scans + %d batch shards",
+			got.Queries, got.Results, scans, 2*workers*rounds)
 	}
 }

@@ -213,9 +213,10 @@ func (s *Sharded) PartitionStats() PartitionStats { return s.eng.PartitionStats(
 // count.
 func (s *Sharded) EstimateWindow(w Rect) float64 { return s.eng.EstimateWindow(w) }
 
-// QueryPathStats sums the adaptive query-execution counters over all
-// shards (see Index.QueryPathStats).
-func (s *Sharded) QueryPathStats() PathStats { return s.eng.QueryPathStats() }
+// QueryStats sums the query counters of all shards (see
+// Index.QueryStats). A query counts once per shard it evaluated on, so
+// Queries exceeds the number of requests when queries fan out.
+func (s *Sharded) QueryStats() Stats { return s.eng.QueryStats() }
 
 // ShardStat is the per-shard slice of ShardedStats.
 type ShardStat = shard.ShardStat

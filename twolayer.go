@@ -27,17 +27,11 @@ type (
 	// ID identifies an object; a dataset of n objects uses IDs 0..n-1.
 	ID = spatial.ID
 	// Stats carries the counters of the work queries did (see
-	// Index.Instrumented).
+	// Index.Instrumented and Index.QueryStats).
 	Stats = core.Stats
-	// AtomicStats merges per-query Stats concurrently (see
-	// Index.Instrumented).
-	AtomicStats = core.AtomicStats
 	// Trace is a per-query observability record: the Stats counters plus
 	// wall-clock stage timings (see Index.Traced).
 	Trace = core.Trace
-	// PathStats snapshots the always-on adaptive query-execution counters
-	// (see Index.QueryPathStats and Sharded.QueryPathStats).
-	PathStats = core.PathStats
 	// PartitionStats summarizes the shape of the two-layer partitioning
 	// (see Index.PartitionStats).
 	PartitionStats = core.PartitionStats
@@ -313,13 +307,12 @@ func (ix *Index) JoinCount(other *Index) (int, error) {
 	return ix.core.JoinCount(other.core), nil
 }
 
-// QueryPathStats snapshots the always-on adaptive query-execution
-// counters: how often count-only queries took the O(tiles) pushdown
-// kernel and how many tiles and entries were answered in bulk with zero
-// comparisons. Counters are cumulative over the index
-// lifetime and shared with all read views and Live snapshots of the
-// same engine.
-func (ix *Index) QueryPathStats() PathStats { return ix.core.QueryPathStats() }
+// QueryStats snapshots the engine's query counters: the sum of the
+// Stats of every query finished on the index, its read views and, for a
+// Live index, every snapshot it published, with Queries counting the
+// queries (a batch or a join counts once). Counting is always on: the
+// kernels count their work whether or not anyone reads it.
+func (ix *Index) QueryStats() Stats { return ix.core.QueryStats() }
 
 // JoinParallel runs the spatial join with tiles distributed over
 // threads; fn must be safe for concurrent use. It returns Join's
@@ -368,8 +361,8 @@ func (ix *Index) ReadView() *Index { return ix }
 // when they end (concurrent mode: any number of instrumented views may
 // run at once). The view runs exactly the kernels ix runs — the count
 // pushdown stays the count pushdown — because every query counts its
-// work anyway; the view only keeps the total. Merge the counters of
-// finished views into a shared AtomicStats with its Observe method.
+// work anyway; the view only keeps the total of its own queries. The
+// engine-wide total is QueryStats.
 func (ix *Index) Instrumented() (*Index, *Stats) {
 	v := &struct {
 		ix Index
