@@ -21,7 +21,7 @@ import (
 
 func TestGateFastPath(t *testing.T) {
 	g := newClassGate("read", 2, 4)
-	wait, _, reason := g.acquire(context.Background(), nil)
+	wait, reason := g.acquire(context.Background())
 	if reason != shedNone {
 		t.Fatalf("reason = %v, want admitted", reason)
 	}
@@ -31,7 +31,7 @@ func TestGateFastPath(t *testing.T) {
 	if got := g.inflight.Load(); got != 1 {
 		t.Fatalf("inflight = %d, want 1", got)
 	}
-	g.release(time.Millisecond, 0)
+	g.release()
 	if got := g.inflight.Load(); got != 0 {
 		t.Fatalf("inflight after release = %d, want 0", got)
 	}
@@ -42,13 +42,13 @@ func TestGateFastPath(t *testing.T) {
 
 func TestGateQueueFull(t *testing.T) {
 	g := newClassGate("read", 1, 1)
-	if _, _, reason := g.acquire(context.Background(), nil); reason != shedNone {
+	if _, reason := g.acquire(context.Background()); reason != shedNone {
 		t.Fatalf("first acquire shed: %v", reason)
 	}
 	// Fill the single queue slot with a blocked waiter.
 	admitted := make(chan struct{})
 	go func() {
-		if _, _, reason := g.acquire(context.Background(), nil); reason != shedNone {
+		if _, reason := g.acquire(context.Background()); reason != shedNone {
 			t.Errorf("queued acquire shed: %v", reason)
 		}
 		close(admitted)
@@ -56,7 +56,7 @@ func TestGateQueueFull(t *testing.T) {
 	waitForInt64(t, g.queued.Load, 1)
 
 	// The queue is at depth: the next arrival sheds immediately.
-	_, _, reason := g.acquire(context.Background(), nil)
+	_, reason := g.acquire(context.Background())
 	if reason != shedQueueFull {
 		t.Fatalf("reason = %v, want queue_full", reason)
 	}
@@ -65,48 +65,23 @@ func TestGateQueueFull(t *testing.T) {
 	}
 
 	// Releasing hands the slot to the waiter (FIFO: it is the only one).
-	g.release(time.Millisecond, 0)
+	g.release()
 	select {
 	case <-admitted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued request was not admitted after release")
 	}
-	g.release(time.Millisecond, 0)
-}
-
-func TestGateDeadlineShed(t *testing.T) {
-	g := newClassGate("read", 1, 8)
-	// Pretend the class has a 1s observed service time, and saturate it.
-	g.ewmaServiceNS.Store(time.Second.Nanoseconds())
-	if _, _, reason := g.acquire(context.Background(), nil); reason != shedNone {
-		t.Fatalf("first acquire shed: %v", reason)
-	}
-	// 10ms of remaining deadline cannot cover a predicted ~2s wait.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	_, hint, reason := g.acquire(ctx, nil)
-	if reason != shedDeadline {
-		t.Fatalf("reason = %v, want deadline", reason)
-	}
-	if hint <= 0 {
-		t.Fatalf("deadline shed carried no Retry-After hint (%v)", hint)
-	}
-	if got := g.queued.Load(); got != 0 {
-		t.Fatalf("queued after shed = %d, want 0", got)
-	}
-	g.release(time.Millisecond, 0)
+	g.release()
 }
 
 func TestGateExpiredWhileQueued(t *testing.T) {
 	g := newClassGate("read", 1, 8)
-	// No service history: the gate queues optimistically, then the
-	// deadline fires while waiting.
-	if _, _, reason := g.acquire(context.Background(), nil); reason != shedNone {
+	if _, reason := g.acquire(context.Background()); reason != shedNone {
 		t.Fatalf("first acquire shed: %v", reason)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	wait, _, reason := g.acquire(ctx, nil)
+	wait, reason := g.acquire(ctx)
 	if reason != shedExpired {
 		t.Fatalf("reason = %v, want expired", reason)
 	}
@@ -116,49 +91,37 @@ func TestGateExpiredWhileQueued(t *testing.T) {
 	if got := g.queued.Load(); got != 0 {
 		t.Fatalf("queued after expiry = %d, want 0", got)
 	}
-	g.release(time.Millisecond, 0)
+	g.release()
 }
 
-func TestGateCostWeight(t *testing.T) {
+// TestGateCanceledWhileQueued: a queued request whose client goes away
+// is shed as canceled, not as an expired deadline.
+func TestGateCanceledWhileQueued(t *testing.T) {
 	g := newClassGate("read", 1, 8)
-	if w := g.costWeight(100); w != 1 {
-		t.Fatalf("costWeight with no history = %v, want 1", w)
+	if _, reason := g.acquire(context.Background()); reason != shedNone {
+		t.Fatalf("first acquire shed: %v", reason)
 	}
-	if _, _, reason := g.acquire(context.Background(), nil); reason != shedNone {
-		t.Fatalf("acquire shed: %v", reason)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	done := make(chan shedReason)
+	go func() {
+		_, reason := g.acquire(ctx)
+		done <- reason
+	}()
+	waitForInt64(t, g.queued.Load, 1)
+	cancel()
+	if reason := <-done; reason != shedCanceled {
+		t.Fatalf("reason = %v, want canceled", reason)
 	}
-	g.release(time.Millisecond, 100) // seeds ewmaCost = 100
-	for _, tc := range []struct {
-		cost, want float64
-	}{
-		{0, 1},                    // unknown cost: class EWMA
-		{100, 1},                  // at the mean
-		{200, 2},                  // twice the mean
-		{1e9, costWeightMax},      // clamped above
-		{1e-9, 1 / costWeightMax}, // clamped below
-		{100 / costWeightMax / 2, 1.0 / costWeightMax},
-	} {
-		if w := g.costWeight(tc.cost); w != tc.want {
-			t.Errorf("costWeight(%v) = %v, want %v", tc.cost, w, tc.want)
-		}
+	if got := g.shed[shedCanceled-1].Load(); got != 1 {
+		t.Fatalf("shed[canceled] = %d, want 1", got)
 	}
-}
-
-func TestRetryAfterRounding(t *testing.T) {
-	for _, tc := range []struct {
-		wait time.Duration
-		want int
-	}{
-		{0, 1},
-		{time.Millisecond, 1},
-		{time.Second, 1},
-		{1500 * time.Millisecond, 2},
-		{3 * time.Second, 3},
-	} {
-		if got := retryAfter(tc.wait); got != tc.want {
-			t.Errorf("retryAfter(%v) = %d, want %d", tc.wait, got, tc.want)
-		}
+	if got := g.shed[shedExpired-1].Load(); got != 0 {
+		t.Fatalf("shed[expired] = %d after a cancel, want 0", got)
 	}
+	if got := g.queued.Load(); got != 0 {
+		t.Fatalf("queued after cancel = %d, want 0", got)
+	}
+	g.release()
 }
 
 func waitForInt64(t *testing.T, load func() int64, want int64) {
@@ -250,9 +213,7 @@ func TestAdmissionTraceQueueWait(t *testing.T) {
 }
 
 // TestBatchValidatedBeforeAdmission: a batch with a malformed element is
-// rejected naming the element, before it takes a batch slot — otherwise
-// its ~0 service time is folded into the gate's EWMA and drags the
-// deadline-shedding predictor low.
+// rejected naming the element, before it takes a batch slot.
 func TestBatchValidatedBeforeAdmission(t *testing.T) {
 	s := testServer(t, nil)
 	h := s.Handler()
@@ -273,9 +234,6 @@ func TestBatchValidatedBeforeAdmission(t *testing.T) {
 	if got := admitted(); got != 0 {
 		t.Errorf("batch admitted_total = %d after two rejected batches, want 0", got)
 	}
-	if got := s.adm.gate(classBatch).ewmaServiceNS.Load(); got != 0 {
-		t.Errorf("rejected batches fed the service-time EWMA (%d ns)", got)
-	}
 	do(t, h, "POST", "/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`, nil)
 	if got := admitted(); got != 1 {
 		t.Errorf("batch admitted_total = %d after one valid batch, want 1", got)
@@ -285,7 +243,7 @@ func TestBatchValidatedBeforeAdmission(t *testing.T) {
 // TestOverloadShedding is the overload regression: with the read class
 // pinned at 4 in-flight slots and an 8-deep queue, 64 concurrent window
 // queries must split into 8 admitted completions and 56 prompt 429s
-// carrying Retry-After — no hangs, no goroutine leaks, and the shed /
+// carrying Retry-After: 1 — no hangs, no goroutine leaks, and the shed /
 // queue-wait metrics must move. The test holds all 4 slots itself so the
 // split is deterministic.
 func TestOverloadShedding(t *testing.T) {
@@ -299,7 +257,7 @@ func TestOverloadShedding(t *testing.T) {
 
 	// Occupy every read slot so all 64 requests contend.
 	for i := 0; i < 4; i++ {
-		if _, _, reason := g.acquire(context.Background(), nil); reason != shedNone {
+		if _, reason := g.acquire(context.Background()); reason != shedNone {
 			t.Fatalf("slot %d acquire shed: %v", i, reason)
 		}
 	}
@@ -325,7 +283,7 @@ func TestOverloadShedding(t *testing.T) {
 
 	// Hand the slots back; the 8 queued requests drain and complete.
 	for i := 0; i < 4; i++ {
-		g.release(time.Millisecond, 0)
+		g.release()
 	}
 	wg.Wait()
 	close(codes)
@@ -337,8 +295,8 @@ func TestOverloadShedding(t *testing.T) {
 			ok++
 		case http.StatusTooManyRequests:
 			shed++
-			if w.Header().Get("Retry-After") == "" {
-				t.Error("429 response is missing the Retry-After header")
+			if got := w.Header().Get("Retry-After"); got != "1" {
+				t.Errorf("429 response has Retry-After %q, want 1", got)
 			}
 		default:
 			t.Errorf("unexpected status %d: %s", w.Code, w.Body.String())

@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	twolayer "github.com/twolayer/twolayer"
 )
@@ -29,20 +34,25 @@ const (
 	benchSide = 0.15
 )
 
-// benchHandler serves the benchmark data as spatialserver does by
-// default: core counters on, request logs below the level printed.
-func benchHandler(b *testing.B) http.Handler {
-	b.Helper()
+// benchIndex holds the benchmark data, built once per test binary and
+// shared by every benchmark's server (a static index is read-only).
+var benchIndex = sync.OnceValue(func() *twolayer.Index {
 	rnd := rand.New(rand.NewSource(1))
 	rects := make([]twolayer.Rect, benchN)
 	for i := range rects {
 		x, y := rnd.Float64()*benchSide, rnd.Float64()*benchSide
 		rects[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + rnd.Float64()*0.002, MaxY: y + rnd.Float64()*0.002}
 	}
-	return New(Config{
-		Index:  twolayer.BuildRects(rects, twolayer.Options{}),
-		Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	}).Handler()
+	return twolayer.BuildRects(rects, twolayer.Options{})
+})
+
+// benchHandler serves the benchmark data as spatialserver does by
+// default (core counters on, request logs below the level printed),
+// with cfg's admission and timeout settings.
+func benchHandler(cfg Config) http.Handler {
+	cfg.Index = benchIndex()
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	return New(cfg).Handler()
 }
 
 // appendWindow appends a random window of the given extent inside the
@@ -68,7 +78,7 @@ func serve(b *testing.B, h http.Handler, path string, body []byte) *httptest.Res
 }
 
 func BenchmarkV1Window(b *testing.B) {
-	h := benchHandler(b)
+	h := benchHandler(Config{})
 	rnd := rand.New(rand.NewSource(2))
 	bodies := make([][]byte, 256)
 	results := 0
@@ -89,7 +99,7 @@ func BenchmarkV1Window(b *testing.B) {
 }
 
 func BenchmarkV1Batch(b *testing.B) {
-	h := benchHandler(b)
+	h := benchHandler(Config{})
 	rnd := rand.New(rand.NewSource(3))
 	bodies := make([][]byte, 4)
 	for i := range bodies {
@@ -107,4 +117,147 @@ func BenchmarkV1Batch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		serve(b, h, "/v1/batch", bodies[i%len(bodies)])
 	}
+}
+
+// BenchmarkOverload is the overload valve under load: overloadClients
+// closed-loop clients, far more than the read class's 4 slots, post
+// windows through the handler, 3 of every 4 of BenchmarkV1Window's size
+// and 1 of 20× its area with a limit that lets it stream its whole
+// answer. A client pauses 1 ms after a 429 or 503 and resubmits at once
+// after a 200. Each configuration runs at the default request timeout
+// and at 5 ms: 4 read slots with the default 8×4 queue, 4 slots with a
+// queue of 4, and admission off. b.N counts requests of all outcomes.
+// Reported:
+//
+//   - ok/s: goodput, 200 answers per second;
+//   - ok_p50_us, ok_p95_us: latency of the 200 answers;
+//   - <reason>_frac: the share of requests shed or failed per reason,
+//     read from the answer: queue_full (429), deadline (429, the
+//     admission wait predictor where one exists), expired (503, the
+//     deadline ran out in the queue), timeout (503, the deadline ran
+//     out while evaluating), other (any other answer).
+//
+// It needs only Config and Handler, so the same file measures any
+// build of the package. Run it with
+//
+//	go test -run '^$' -bench Overload -benchtime 10000x ./internal/server
+func BenchmarkOverload(b *testing.B) {
+	rnd := rand.New(rand.NewSource(4))
+	small := make([][]byte, 192)
+	for i := range small {
+		small[i] = append(appendWindow([]byte(`{"window":`), rnd, 0.01), '}')
+	}
+	large := make([][]byte, 64)
+	for i := range large {
+		body := appendWindow([]byte(`{"window":`), rnd, 0.01*math.Sqrt(20))
+		large[i] = append(body, `,"limit":100000}`...)
+	}
+	for _, gate := range []struct {
+		name         string
+		slots, queue int
+	}{{"slots=4", 4, 0}, {"slots=4,queue=4", 4, 4}, {"slots=off", -1, 0}} {
+		for _, timeout := range []time.Duration{DefaultRequestTimeout, 5 * time.Millisecond} {
+			b.Run(gate.name+"/timeout="+timeout.String(), func(b *testing.B) {
+				h := benchHandler(Config{MaxInflight: gate.slots, QueueDepth: gate.queue, RequestTimeout: timeout})
+				runOverload(b, h, small, large)
+			})
+		}
+	}
+}
+
+// overloadClients is BenchmarkOverload's closed-loop client count.
+const overloadClients = 64
+
+// overloadFailures are the non-200 outcomes BenchmarkOverload counts,
+// each recognized by a fragment of its error text; an answer matching
+// none counts as "other".
+var overloadFailures = []struct{ name, text string }{
+	{"queue_full", "queue is full"},
+	{"deadline", "predicted"},
+	{"expired", "expired while queued"},
+	{"timeout", "deadline exceeded"},
+	{"other", ""},
+}
+
+func runOverload(b *testing.B, h http.Handler, small, large [][]byte) {
+	var next atomic.Int64
+	var ok atomic.Int64
+	failed := make([]atomic.Int64, len(overloadFailures))
+	lat := make([][]time.Duration, overloadClients)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for c := 0; c < overloadClients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var w overloadWriter
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(b.N) {
+					return
+				}
+				body := small[i%int64(len(small))]
+				if i%4 == 3 {
+					body = large[i/4%int64(len(large))]
+				}
+				w.reset()
+				t0 := time.Now()
+				h.ServeHTTP(&w, httptest.NewRequest("POST", "/v1/window", bytes.NewReader(body)))
+				if w.code == http.StatusOK {
+					lat[c] = append(lat[c], time.Since(t0))
+					ok.Add(1)
+					continue
+				}
+				for j, f := range overloadFailures {
+					if bytes.Contains(w.head, []byte(f.text)) {
+						failed[j].Add(1)
+						break
+					}
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}(c)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	quantile := func(q float64) float64 {
+		if len(all) == 0 {
+			return 0
+		}
+		return float64(all[int(q*float64(len(all)-1))].Microseconds())
+	}
+	b.ReportMetric(float64(ok.Load())/elapsed.Seconds(), "ok/s")
+	b.ReportMetric(quantile(0.50), "ok_p50_us")
+	b.ReportMetric(quantile(0.95), "ok_p95_us")
+	for j, f := range overloadFailures {
+		b.ReportMetric(float64(failed[j].Load())/float64(b.N), f.name+"_frac")
+	}
+}
+
+// overloadWriter is a ResponseWriter that keeps the status and the
+// first bytes of the body (enough to classify an error answer) and
+// discards the rest, so the clients measure the handler, not a buffer.
+type overloadWriter struct {
+	header http.Header
+	code   int
+	head   []byte
+}
+
+func (w *overloadWriter) reset() {
+	w.header, w.code, w.head = http.Header{}, http.StatusOK, w.head[:0]
+}
+
+func (w *overloadWriter) Header() http.Header  { return w.header }
+func (w *overloadWriter) WriteHeader(code int) { w.code = code }
+
+func (w *overloadWriter) Write(p []byte) (int, error) {
+	if n := 128 - len(w.head); n > 0 {
+		w.head = append(w.head, p[:min(n, len(p))]...)
+	}
+	return len(p), nil
 }

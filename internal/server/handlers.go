@@ -268,9 +268,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// kNN work scales with k and density, not a window estimate; admit
-	// with no cost hint (priced at the class EWMA).
-	release, queueWait, admitted := s.admit(r.Context(), w, classRead, nil)
+	release, queueWait, admitted := s.admit(r.Context(), w, classRead)
 	if !admitted {
 		return
 	}
@@ -338,8 +336,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Validate and convert every element before admission, so a malformed
-	// batch is rejected without taking a slot (its ~0 service time would
-	// otherwise drag the gate's deadline-shedding predictor low).
+	// batch is rejected without taking a slot.
 	rects := make([]twolayer.Rect, len(req.Windows))
 	for i, rj := range req.Windows {
 		if msg := rj.validate(); msg != "" {
@@ -367,11 +364,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// A batch's cost scales with its query count, so the count is the
-	// cost hint within the batch class.
-	release, _, admitted := s.admit(r.Context(), w, classBatch, func() float64 {
-		return float64(n)
-	})
+	release, _, admitted := s.admit(r.Context(), w, classBatch)
 	if !admitted {
 		return
 	}
@@ -515,8 +508,8 @@ type admissionClassJSON struct {
 	Queued        int64  `json:"queued"`
 	Admitted      uint64 `json:"admitted_total"`
 	ShedQueueFull uint64 `json:"shed_queue_full_total"`
-	ShedDeadline  uint64 `json:"shed_deadline_total"`
 	ShedExpired   uint64 `json:"shed_expired_total"`
+	ShedCanceled  uint64 `json:"shed_canceled_total"`
 }
 
 // admissionBacklogJSON reports the mutation-backpressure half of the
@@ -622,8 +615,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Queued:        g.queued.Load(),
 				Admitted:      g.admitted.Load(),
 				ShedQueueFull: g.shed[shedQueueFull-1].Load(),
-				ShedDeadline:  g.shed[shedDeadline-1].Load(),
 				ShedExpired:   g.shed[shedExpired-1].Load(),
+				ShedCanceled:  g.shed[shedCanceled-1].Load(),
 			}
 		}
 		if s.mut != nil {
@@ -688,7 +681,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleCheckpoint (POST /v1/checkpoint, durable mode) forces a checkpoint
 // of the current snapshot and prunes the log segments it covers.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	release, _, admitted := s.admit(r.Context(), w, classMutate, nil)
+	release, _, admitted := s.admit(r.Context(), w, classMutate)
 	if !admitted {
 		return
 	}

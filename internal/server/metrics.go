@@ -125,7 +125,7 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		admitted := r.CounterVecFunc("twolayer_admission_admitted_total",
 			"Requests admitted past the gate, per class.", "class")
 		shed := r.CounterVecFunc("twolayer_admission_shed_total",
-			"Requests shed by admission control, per class and reason (queue_full, deadline, expired).",
+			"Requests shed by admission control, per class and reason (queue_full, expired, canceled).",
 			"class", "reason")
 		for c := admissionClass(0); c < numClasses; c++ {
 			g := s.adm.gates[c]

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -56,10 +55,6 @@ type bulkResponse struct {
 	ElapsedUS int64  `json:"elapsed_us"`
 }
 
-// mutationBacklogRetryAfter is the backoff hint on a backlog-full 503:
-// long enough for the apply loop to publish at least one batch.
-const mutationBacklogRetryAfter = 1
-
 // writeMutationError maps a Live submission error to an HTTP status:
 // validation failures are the client's fault (400), a closed Live means
 // the server is shutting down (503), and a full apply backlog is
@@ -71,7 +66,7 @@ func writeMutationError(w http.ResponseWriter, err error) {
 		return
 	}
 	if errors.Is(err, twolayer.ErrBacklogFull) {
-		w.Header().Set("Retry-After", strconv.Itoa(mutationBacklogRetryAfter))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeError(w, http.StatusServiceUnavailable,
 			"mutation backlog is full: "+err.Error())
 		return
@@ -88,7 +83,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, msg)
 		return
 	}
-	release, _, admitted := s.admit(r.Context(), w, classMutate, nil)
+	release, _, admitted := s.admit(r.Context(), w, classMutate)
 	if !admitted {
 		return
 	}
@@ -114,7 +109,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, msg)
 		return
 	}
-	release, _, admitted := s.admit(r.Context(), w, classMutate, nil)
+	release, _, admitted := s.admit(r.Context(), w, classMutate)
 	if !admitted {
 		return
 	}
@@ -166,11 +161,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		muts[i].ID = m.ID
 		muts[i].MBR = m.MBR.toRect()
 	}
-	// A bulk's cost is its mutation count — under a saturated mutate gate
-	// the large rewrites shed before the single-object updates.
-	release, _, admitted := s.admit(r.Context(), w, classMutate, func() float64 {
-		return float64(len(muts))
-	})
+	release, _, admitted := s.admit(r.Context(), w, classMutate)
 	if !admitted {
 		return
 	}

@@ -142,24 +142,8 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		return
 	}
 	ctx := r.Context()
-	// Admission: the cost hint is the planner's cardinality estimate —
-	// the full window (or the disk's bounding box) for streaming
-	// evaluations, a token cost for count-only non-exact windows, which
-	// the O(perimeter) pushdown answers without touching entries. Under
-	// load the gate sheds the expensive streams first and keeps the
-	// cheap counts flowing.
 	pushdown := env.CountOnly && !q.Exact
-	release, queueWait, admitted := s.admit(ctx, w, classRead, func() float64 {
-		if q.Window != nil && pushdown {
-			return 1
-		}
-		est := s.eng.pin().EstimateWindow(costRect(q))
-		if !env.CountOnly {
-			// The limit caps delivery, so it caps the cost too.
-			return min(est, float64(limit))
-		}
-		return est
-	})
+	release, queueWait, admitted := s.admit(ctx, w, classRead)
 	if !admitted {
 		return
 	}
