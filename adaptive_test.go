@@ -1,6 +1,7 @@
 package twolayer_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,7 +9,8 @@ import (
 )
 
 // TestShardedCountPushdownEquivalence checks the per-shard count
-// pushdown of non-exact window SearchCount against brute force and the
+// pushdown of non-exact window and region SearchCount (convex hexagons
+// and U shapes whose columns have gaps) against brute force and the
 // unsharded engine across the shard-count sweep, with and without a
 // limit cap.
 func TestShardedCountPushdownEquivalence(t *testing.T) {
@@ -30,27 +32,52 @@ func TestShardedCountPushdownEquivalence(t *testing.T) {
 		twolayer.Rect{MinX: 0.25, MinY: 0.4, MaxX: 0.26, MaxY: 0.41},
 	)
 
+	var queries []twolayer.Query
+	for i := range windows {
+		queries = append(queries, twolayer.Query{Window: &windows[i]})
+	}
+	for q := 0; q < 12; q++ {
+		x, y, r := rnd.Float64(), rnd.Float64(), 0.05+rnd.Float64()*0.3
+		ring := make([]twolayer.Point, 6)
+		for j := range ring {
+			a := float64(j) * math.Pi / 3
+			ring[j] = twolayer.Point{X: x + r*math.Cos(a), Y: y + r*math.Sin(a)}
+		}
+		gap := 0.05 + rnd.Float64()*0.1
+		queries = append(queries,
+			twolayer.Query{Region: twolayer.NewPolygon(ring...)},
+			twolayer.Query{Region: twolayer.NewPolygon( // a U open at the top
+				twolayer.Point{X: x - r, Y: y - r}, twolayer.Point{X: x + r, Y: y - r},
+				twolayer.Point{X: x + r, Y: y + r}, twolayer.Point{X: x + r - gap, Y: y + r},
+				twolayer.Point{X: x + r - gap, Y: y - r + gap}, twolayer.Point{X: x - r + gap, Y: y - r + gap},
+				twolayer.Point{X: x - r + gap, Y: y + r}, twolayer.Point{X: x - r, Y: y + r})})
+	}
+
 	for _, shards := range shardCountsUnderTest() {
 		sh := twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: shards})
-		for wi, w := range windows {
-			w := w
-			want := len(bruteWindow(rects, w))
-			if n, err := idx.SearchCount(twolayer.Query{Window: &w}); err != nil || n != want {
-				t.Fatalf("unsharded window %d: count=%d err=%v, want %d", wi, n, err, want)
+		for qi, q := range queries {
+			want := 0
+			for _, r := range rects {
+				if q.Window != nil && q.Window.Intersects(r) || q.Region != nil && q.Region.IntersectsRect(r) {
+					want++
+				}
 			}
-			n, err := sh.SearchCount(twolayer.Query{Window: &w})
+			if n, err := idx.SearchCount(q); err != nil || n != want {
+				t.Fatalf("unsharded query %d: count=%d err=%v, want %d", qi, n, err, want)
+			}
+			n, err := sh.SearchCount(q)
 			if err != nil {
-				t.Fatalf("shards=%d window %d: %v", shards, wi, err)
+				t.Fatalf("shards=%d query %d: %v", shards, qi, err)
 			}
 			if n != want {
-				t.Errorf("shards=%d window %d: count = %d, want %d", shards, wi, n, want)
+				t.Errorf("shards=%d query %d: count = %d, want %d", shards, qi, n, want)
 			}
 			if want > 1 {
-				lim := want / 2
-				n, err = sh.SearchCount(twolayer.Query{Window: &w, Limit: lim})
-				if err != nil || n != lim {
-					t.Errorf("shards=%d window %d limit=%d: count=%d err=%v",
-						shards, wi, lim, n, err)
+				q.Limit = want / 2
+				n, err = sh.SearchCount(q)
+				if err != nil || n != q.Limit {
+					t.Errorf("shards=%d query %d limit=%d: count=%d err=%v",
+						shards, qi, q.Limit, n, err)
 				}
 			}
 		}

@@ -536,48 +536,65 @@ func BenchmarkExtensionJoin(b *testing.B) {
 }
 
 // BenchmarkRegionQuery: the generic arbitrary-region path (Section IV-E
-// generalized) against the specialized disk path, plus a hexagon region.
+// generalized) against the specialized disk path, plus a hexagon region,
+// at 0.1%, 1% and 5% relative extent: the disk and region forms share
+// one cover walk, so the rows show what the per-entry test costs.
 func BenchmarkRegionQuery(b *testing.B) {
 	benchData()
 	ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid})
-	b.Run("disk-native", func(b *testing.B) {
-		runDisks(b, ix.DiskCount)
-	})
-	b.Run("disk-as-region", func(b *testing.B) {
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			n, _ := ix.SearchCount(core.Query{Region: benchDisks[i%len(benchDisks)]})
-			total += n
-		}
-		benchSink = total
-	})
-	b.Run("hexagon-region", func(b *testing.B) {
-		hexes := make([]*geom.Polygon, 256)
-		for i := range hexes {
-			c := benchDisks[i%len(benchDisks)]
-			ring := make([]geom.Point, 6)
-			for j := range ring {
-				a := float64(j) / 6 * 2 * 3.14159265
-				ring[j] = geom.Point{
-					X: c.Center.X + c.Radius*cos(a),
-					Y: c.Center.Y + c.Radius*sin(a),
-				}
+	for _, ext := range []struct {
+		name  string
+		disks []geom.Disk
+	}{
+		{"0.1%", benchDisks},
+		{"1%", datagen.Disks(benchRoads, datagen.QuerySpec{N: 256, RelExtent: 0.01, Seed: benchSeed + 3})},
+		{"5%", datagen.Disks(benchRoads, datagen.QuerySpec{N: 256, RelExtent: 0.05, Seed: benchSeed + 3})},
+	} {
+		disks := ext.disks
+		b.Run("disk-native/"+ext.name, func(b *testing.B) {
+			b.ReportAllocs()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				q := disks[i%len(disks)]
+				total += ix.DiskCount(q.Center, q.Radius)
 			}
-			hexes[i] = geom.NewPolygon(ring...)
-		}
-		b.ResetTimer()
-		total := 0
-		for i := 0; i < b.N; i++ {
-			n, _ := ix.SearchCount(core.Query{Region: hexes[i%len(hexes)]})
-			total += n
-		}
-		benchSink = total
-	})
+			benchSink = total
+		})
+		b.Run("disk-as-region/"+ext.name, func(b *testing.B) {
+			b.ReportAllocs()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				n, _ := ix.SearchCount(core.Query{Region: disks[i%len(disks)]})
+				total += n
+			}
+			benchSink = total
+		})
+		b.Run("hexagon-region/"+ext.name, func(b *testing.B) {
+			hexes := make([]*geom.Polygon, min(256, len(disks)))
+			for i := range hexes {
+				hexes[i] = hexagon(disks[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				n, _ := ix.SearchCount(core.Query{Region: hexes[i%len(hexes)]})
+				total += n
+			}
+			benchSink = total
+		})
+	}
 }
 
-func cos(a float64) float64 { return math.Cos(a) }
-func sin(a float64) float64 { return math.Sin(a) }
+// hexagon is the regular hexagon inscribed in disk c.
+func hexagon(c geom.Disk) *geom.Polygon {
+	ring := make([]geom.Point, 6)
+	for j := range ring {
+		a := float64(j) / 6 * 2 * 3.14159265
+		ring[j] = geom.Point{X: c.Center.X + c.Radius*math.Cos(a), Y: c.Center.Y + c.Radius*math.Sin(a)}
+	}
+	return geom.NewPolygon(ring...)
+}
 
 // BenchmarkLiveApply: per-mutation cost through the single-writer apply
 // loop — one Insert call is submit, batch, copy-on-write apply, and

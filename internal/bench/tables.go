@@ -5,7 +5,6 @@ import (
 
 	"github.com/twolayer/twolayer/internal/core"
 	"github.com/twolayer/twolayer/internal/datagen"
-	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/onelayer"
 	"github.com/twolayer/twolayer/internal/quadtree"
 	"github.com/twolayer/twolayer/internal/rtree"
@@ -116,6 +115,3 @@ func timeInserts(entries []spatial.Entry, insert func(spatial.Entry)) time.Durat
 	}
 	return time.Since(start)
 }
-
-// WindowOf converts a disk to its bounding window (used by helpers).
-func WindowOf(d geom.Disk) geom.Rect { return d.MBR() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,7 +21,8 @@ var workGolden = filepath.Join("testdata", "work_counts.json")
 // TestGoldenWorkCounts pins the work the 2-layer engine does, counter
 // by counter, on a fixed workload: windows, disks, exact versions of
 // both (refined with the Lemma 5 secondary filter), their count
-// pushdowns, both batch strategies and kNN, each on a fresh index over
+// pushdowns, hexagon regions around the disk centers (streamed and
+// counted), both batch strategies and kNN, each on a fresh index over
 // the same 50K ROADS-like objects, read back from the engine's
 // QueryStats total. The counts are exact and free
 // of host noise, so a change that must not touch the kernels proves it
@@ -58,6 +60,24 @@ func TestGoldenWorkCounts(t *testing.T) {
 			}
 		}
 	}
+	// Hexagons around the disk centers, built as BenchmarkRegionQuery
+	// builds them: the convex Region form of the same workload.
+	hexes := make([]*twolayer.Polygon, len(disks))
+	for i, dk := range disks {
+		ring := make([]twolayer.Point, 6)
+		for j := range ring {
+			a := float64(j) / 6 * 2 * 3.14159265
+			ring[j] = twolayer.Point{X: dk.Center.X + dk.Radius*math.Cos(a), Y: dk.Center.Y + dk.Radius*math.Sin(a)}
+		}
+		hexes[i] = twolayer.NewPolygon(ring...)
+	}
+	perHex := func(run func(*twolayer.Index, twolayer.Query)) func(*twolayer.Index) {
+		return func(ix *twolayer.Index) {
+			for _, h := range hexes {
+				run(ix, twolayer.Query{Region: h})
+			}
+		}
+	}
 	workloads := map[string]func(*twolayer.Index){
 		"window":       perWindow(search, false),
 		"window_exact": perWindow(search, true),
@@ -65,6 +85,8 @@ func TestGoldenWorkCounts(t *testing.T) {
 		"disk":         perDisk(search, false),
 		"disk_exact":   perDisk(search, true),
 		"disk_count":   perDisk(count, false),
+		"region":       perHex(search),
+		"region_count": perHex(count),
 		"batch_windows_queries": func(ix *twolayer.Index) {
 			ix.BatchWindowCounts(windows, twolayer.QueriesBased, 2)
 		},

@@ -277,14 +277,14 @@ func (ix *Index) BatchDisk(queries []geom.Disk, strategy BatchStrategy, threads 
 		n: len(queries),
 		whole: func(q int, tally *Stats) int {
 			stop := false
-			ix.diskScan(queries[q].Center, queries[q].Radius, refiner{}, func(e spatial.Entry) { fn(q, e) }, &stop, tally)
+			s := diskShape(queries[q].Center, queries[q].Radius)
+			ix.coverScan(&s, refiner{}, func(e spatial.Entry) { fn(q, e) }, &stop, tally)
 			return 0
 		},
 		cover: cover,
 		onTile: func(q int, slot int32, tx, ty int, tally *Stats) int {
-			d := queries[q]
-			ix.diskOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius,
-				refiner{}, func(e spatial.Entry) { fn(q, e) }, tally)
+			s := diskShape(queries[q].Center, queries[q].Radius)
+			ix.coverOnTile(ix.tile(int(slot)), tx, ty, &covers[q], &s, refiner{}, func(e spatial.Entry) { fn(q, e) }, tally)
 			return 0
 		},
 	}, strategy, threads)
@@ -306,13 +306,14 @@ func (ix *Index) BatchDiskCountsFiltered(queries []geom.Disk, minX func(q int) f
 	ix.runBatch(batchShape{
 		n: len(queries),
 		whole: func(q int, tally *Stats) int {
-			return ix.diskCount(queries[q].Center, queries[q].Radius, minX(q), tally)
+			s := diskShape(queries[q].Center, queries[q].Radius)
+			return ix.coverCount(&s, minX(q), tally)
 		},
 		cover:  cover,
 		counts: counts,
 		onTile: func(q int, slot int32, tx, ty int, tally *Stats) int {
-			d := queries[q]
-			return ix.diskCountOnTile(ix.tile(int(slot)), tx, ty, covers[q], d.Center, d.Radius, d.Radius*d.Radius, minX(q), tally)
+			s := diskShape(queries[q].Center, queries[q].Radius)
+			return ix.coverCountOnTile(ix.tile(int(slot)), tx, ty, &covers[q], &s, minX(q), tally)
 		},
 	}, strategy, threads)
 	return counts
@@ -321,22 +322,22 @@ func (ix *Index) BatchDiskCountsFiltered(queries []geom.Disk, minX func(q int) f
 // diskCovers is the cover half of a disk batchShape: each disk's tile
 // cover is computed on first use and kept for the per-tile kernels.
 // Only a tiles-based run calls cover, so for any other both are nil.
-func (ix *Index) diskCovers(queries []geom.Disk, strategy BatchStrategy) (covers []*diskCover, cover func(q int, visit func(tx, ty int))) {
+func (ix *Index) diskCovers(queries []geom.Disk, strategy BatchStrategy) (covers []cover, visitCover func(q int, visit func(tx, ty int))) {
 	if strategy != TilesBased {
 		return nil, nil
 	}
-	covers = make([]*diskCover, len(queries))
+	covers = make([]cover, len(queries))
 	return covers, func(q int, visit func(tx, ty int)) {
-		if covers[q] == nil {
-			covers[q] = ix.diskCoverFor(queries[q].Center, queries[q].Radius)
+		cv := &covers[q]
+		if cv.below == nil {
+			s := diskShape(queries[q].Center, queries[q].Radius)
+			*cv = ix.coverOf(&s)
 		}
-		dc := covers[q]
-		if dc == nil {
-			return // negative radius
-		}
-		for ty := dc.y0; ty <= dc.y1; ty++ {
-			for tx := dc.rowMin[ty-dc.y0]; tx <= dc.rowMax[ty-dc.y0]; tx++ {
-				visit(tx, ty)
+		for ty := cv.y0; ty <= cv.y1; ty++ {
+			for tx := cv.x0; tx <= cv.x1; tx++ {
+				if cv.meets(tx, ty, ty) {
+					visit(tx, ty)
+				}
 			}
 		}
 	}

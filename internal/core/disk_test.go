@@ -71,37 +71,47 @@ func TestDiskEdgeCases(t *testing.T) {
 	sameIDs(t, got, spatial.BruteDisk(d.Entries, edge, 0.2), "edge disk")
 }
 
-// TestDiskCoverGeometry checks the convex cover structure: row runs are
-// contiguous, consistent with per-tile disk intersection, and column runs
-// mirror row runs.
+// TestDiskCoverGeometry checks the cover of a disk: membership matches
+// per-tile disk intersection, the column query matches a scan of the
+// column, and every column's cover tiles are contiguous, which is why a
+// disk never needs the owner rule's same-column check.
 func TestDiskCoverGeometry(t *testing.T) {
 	ix := New(Options{NX: 16, NY: 16})
 	rnd := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 50; trial++ {
 		c := geom.Point{X: rnd.Float64(), Y: rnd.Float64()}
 		radius := rnd.Float64() * 0.4
-		dc := ix.diskCoverFor(c, radius)
-		if dc == nil {
-			t.Fatal("disk inside space produced nil cover")
+		s := diskShape(c, radius)
+		cv := ix.coverOf(&s)
+		if cv.below == nil {
+			t.Fatal("disk inside space produced an empty cover")
 		}
-		for ty := dc.y0; ty <= dc.y1; ty++ {
-			for tx := dc.x0; tx <= dc.x1; tx++ {
-				want := ix.g.Tile(tx, ty).IntersectsDisk(c, radius)
-				if got := dc.contains(tx, ty); got != want {
-					t.Fatalf("cover.contains(%d,%d) = %v, want %v", tx, ty, got, want)
+		for ty := cv.y0; ty <= cv.y1; ty++ {
+			for tx := cv.x0; tx <= cv.x1; tx++ {
+				want := ix.effectiveTile(tx, ty).IntersectsDisk(c, radius)
+				if got := cv.meets(tx, ty, ty); got != want {
+					t.Fatalf("cover.meets(%d, %d, %d) = %v, want %v", tx, ty, ty, got, want)
 				}
 			}
 		}
-		// Column runs consistent with membership.
-		for tx := dc.x0; tx <= dc.x1; tx++ {
-			cm, cM := dc.colMin[tx-dc.x0], dc.colMax[tx-dc.x0]
-			if cm == -1 {
-				continue
-			}
-			for ty := cm; ty <= cM; ty++ {
-				if !dc.contains(tx, ty) {
-					t.Fatalf("column run of %d claims (%d,%d) but contains=false", tx, tx, ty)
+		for tx := cv.x0; tx <= cv.x1; tx++ {
+			runs := 0
+			for ty := cv.y0; ty <= cv.y1; ty++ {
+				if cv.meets(tx, ty, ty) && !cv.meets(tx, ty-1, ty-1) {
+					runs++
 				}
+			}
+			if runs > 1 {
+				t.Fatalf("column %d of the cover has %d runs", tx, runs)
+			}
+			a := cv.y0 + rnd.Intn(cv.y1-cv.y0+1)
+			b := a + rnd.Intn(cv.y1-a+1)
+			want := false
+			for ty := a; ty <= b; ty++ {
+				want = want || cv.meets(tx, ty, ty)
+			}
+			if got := cv.meets(tx, a, b); got != want {
+				t.Fatalf("cover.meets(%d, %d, %d) = %v, want %v", tx, a, b, got, want)
 			}
 		}
 	}

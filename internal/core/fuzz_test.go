@@ -60,8 +60,8 @@ func FuzzWindow(f *testing.F) {
 		// The decomposed variant must agree exactly, and attaching Stats
 		// or a trace must change no answer.
 		slices.Sort(want)
-		checkInstrumented(t, ix, query, want, true)
-		checkInstrumented(t, dec, query, want, false)
+		checkInstrumented(t, ix, Query{Window: &query}, want, true)
+		checkInstrumented(t, dec, Query{Window: &query}, want, false)
 		// And the disk circumscribing the query window must be a superset.
 		c := query.Center()
 		radius := c.Dist(geom.Point{X: query.MinX, Y: query.MinY})
@@ -73,15 +73,131 @@ func FuzzWindow(f *testing.F) {
 	})
 }
 
-// checkInstrumented evaluates w on ix, on a Stats view and on a traced
-// view, through SearchCount and SearchIDs: every answer must be want
-// (sorted), and a view's counters those of the one query it ran —
-// Results equal to the count, FastCounts 1 for a count and 0 for a
-// stream and, on a plain index, the per-class entries summing to
-// EntriesScanned.
-func checkInstrumented(t *testing.T, ix *Index, w geom.Rect, want []spatial.ID, plain bool) {
+// FuzzCover drives the disk and region cover walks from fuzzer-chosen
+// shapes on NX != NY grids: disks, convex hexagons, and concave U and C
+// shapes whose rows or columns have gaps. Polygon vertices are snapped
+// to tile edges, so the shapes fit tiles exactly and cover whole tiles
+// inside their bars, and a third of the objects are snapped too. Every
+// entry point is compared against a naive scan: Search unlimited and
+// with a Limit, SearchCount, the minX-filtered count (at a tile edge or
+// anywhere) and the instrumented views (checkInstrumented). Run with
+// `go test -fuzz=FuzzCover ./internal/core`.
+func FuzzCover(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(9), uint8(0), 0.5, 0.5, 0.3)
+	f.Add(int64(2), uint8(16), uint8(11), uint8(1), 0.4, 0.6, 0.35)
+	f.Add(int64(3), uint8(20), uint8(13), uint8(2), 0.1, 0.2, 0.7)
+	f.Add(int64(4), uint8(13), uint8(21), uint8(3), 0.2, 0.1, 0.6)
+	f.Add(int64(5), uint8(7), uint8(30), uint8(7), -0.1, 0.3, 1.2)
+	f.Fuzz(func(t *testing.T, seed int64, nx, ny, kind uint8, x, y, r float64) {
+		if math.IsNaN(x+y+r) || math.Abs(x) > 4 || math.Abs(y) > 4 || r < 0 || r > 4 {
+			t.Skip()
+		}
+		opts := Options{NX: 1 + int(nx%40), NY: 1 + int(ny%40), Space: unitSquare}
+		if opts.NX == opts.NY {
+			opts.NY++
+		}
+		rnd := rand.New(rand.NewSource(seed))
+		g := grid.New(opts.Space, opts.NX, opts.NY)
+		edge := func(i, j int) geom.Point { return g.TileMin(i, j) }
+		rects := randRects(rnd, 300, 0.05+0.5*rnd.Float64())
+		for i := 0; i < len(rects); i += 3 {
+			lo := edge(rnd.Intn(opts.NX), rnd.Intn(opts.NY))
+			hi := edge(rnd.Intn(opts.NX+1), rnd.Intn(opts.NY+1))
+			rects[i] = geom.Rect{MinX: lo.X, MinY: lo.Y, MaxX: max(lo.X, hi.X), MaxY: max(lo.Y, hi.Y)}
+		}
+		d := spatial.NewDataset(rects)
+		ix := Build(d, opts)
+
+		// A shape in tile units: corner (ax, ay) at the tile edge nearest
+		// (x, y), at least three tiles a side, bars a third of a side
+		// thick, so that a large shape's bars hold covered tiles.
+		ax, ay := int(math.Round(x*float64(opts.NX))), int(math.Round(y*float64(opts.NY)))
+		sx, sy := 3+int(r*float64(opts.NX)), 3+int(r*float64(opts.NY))
+		bx, by := max(1, sx/3), max(1, sy/3) // bar thickness
+		var q Query
+		var region Region
+		switch kind % 4 {
+		case 0:
+			q.Disk = &geom.Disk{Center: geom.Point{X: x, Y: y}, Radius: r}
+			region = *q.Disk
+		case 1: // convex hexagon
+			region = geom.NewPolygon(edge(ax+sx/3, ay), edge(ax+sx-sx/3, ay), edge(ax+sx, ay+sy/2),
+				edge(ax+sx-sx/3, ay+sy), edge(ax+sx/3, ay+sy), edge(ax, ay+sy/2))
+		case 2: // U, open at the top: its rows have gaps
+			region = geom.NewPolygon(edge(ax, ay), edge(ax+sx, ay), edge(ax+sx, ay+sy), edge(ax+sx-bx, ay+sy),
+				edge(ax+sx-bx, ay+by), edge(ax+bx, ay+by), edge(ax+bx, ay+sy), edge(ax, ay+sy))
+		case 3: // C, open to the right: its columns have gaps
+			region = geom.NewPolygon(edge(ax, ay), edge(ax+sx, ay), edge(ax+sx, ay+by), edge(ax+bx, ay+by),
+				edge(ax+bx, ay+sy-by), edge(ax+sx, ay+sy-by), edge(ax+sx, ay+sy), edge(ax, ay+sy))
+		}
+		if q.Disk == nil {
+			q.Region = region
+		}
+
+		var want []spatial.ID
+		for _, e := range d.Entries {
+			if region.IntersectsRect(e.Rect) {
+				want = append(want, e.ID)
+			}
+		}
+		slices.Sort(want)
+		checkInstrumented(t, ix, q, want, true)
+		if q.Disk != nil {
+			// The disk through the region path, too.
+			checkInstrumented(t, ix, Query{Region: region}, want, true)
+		}
+
+		limited := q
+		limited.Limit = 1 + int(uint64(seed)%7)
+		var got []spatial.ID
+		complete, err := ix.Search(limited, func(e spatial.Entry) bool { got = append(got, e.ID); return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := min(len(want), limited.Limit); len(got) != n || complete != (len(want) < limited.Limit) {
+			t.Fatalf("%T limit %d: %d results, complete %v; want %d of %d", region, limited.Limit, len(got), complete, n, len(want))
+		}
+		noDuplicates(t, got, "limited search")
+		for _, id := range got {
+			if _, ok := slices.BinarySearch(want, id); !ok {
+				t.Fatalf("%T limit %d: %d is not a match", region, limited.Limit, id)
+			}
+		}
+		if n, _ := ix.SearchCount(limited); n != min(len(want), limited.Limit) {
+			t.Fatalf("%T limit %d: count %d, want %d", region, limited.Limit, n, min(len(want), limited.Limit))
+		}
+
+		minX := edge(ax+int(kind>>2)%5-2, 0).X
+		if kind&0x40 != 0 {
+			minX = x - r/2
+		}
+		wantN := 0
+		for _, id := range want {
+			if d.Entries[id].Rect.MinX >= minX {
+				wantN++
+			}
+		}
+		n := ix.RegionCountFiltered(region, minX)
+		if q.Disk != nil {
+			if nd := ix.DiskCountFiltered(q.Disk.Center, q.Disk.Radius, minX); nd != n {
+				t.Fatalf("disk minX %g: DiskCountFiltered %d, RegionCountFiltered %d", minX, nd, n)
+			}
+		}
+		if n != wantN {
+			t.Fatalf("%T minX %g: count %d, want %d", region, minX, n, wantN)
+		}
+	})
+}
+
+// checkInstrumented evaluates the plain (not exact, unlimited) query q
+// on ix, on a Stats view and on a traced view, through SearchCount and
+// SearchIDs: every answer must be want (sorted), and a view's counters
+// those of the one query it ran — Results equal to the count, FastCounts
+// 1 for a count and 0 for a stream and, on a plain index, the per-class
+// entries summing to EntriesScanned.
+func checkInstrumented(t *testing.T, ix *Index, q Query, want []spatial.ID, plain bool) {
 	t.Helper()
-	q := Query{Window: &w}
+	w := q.MBR()
 	for _, kind := range []string{"index", "stats", "trace"} {
 		for _, count := range []bool{true, false} {
 			var s *Stats

@@ -462,16 +462,19 @@ func TestQueryStatsCounters(t *testing.T) {
 // alike: nothing on the collection and count paths, nothing for a
 // capturing callback handed to Window or Search, plain, limited or exact
 // (the callback must not escape through the cover walk or its refinement
-// hook; exact queries read a dataset with stored geometries), and only
-// the cover's five slices for a disk. Every window and disk is built on
-// the stack inside the measured call, so a Query that leaked its shape
-// pointer would show, and so would a per-query Stats tally that escaped.
+// hook; exact queries read a dataset with stored geometries), and for a
+// disk or a region only its cover, one slice. Every window and disk is
+// built on the stack inside the measured call, so a Query that leaked
+// its shape pointer would show, and so would a per-query Stats tally
+// that escaped.
 func TestWindowCollectionAllocs(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	d := spatial.NewGeomDataset(randGeoms(rnd, 10000, 0.01))
 	base := Build(d, Options{NX: 64, NY: 64, Space: unitSquare})
 	win := geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.6, MaxY: 0.6}
 	c, r := geom.Point{X: 0.4, Y: 0.4}, 0.2
+	hex := geom.NewPolygon(geom.Point{X: 0.6, Y: 0.4}, geom.Point{X: 0.5, Y: 0.57}, geom.Point{X: 0.3, Y: 0.57},
+		geom.Point{X: 0.2, Y: 0.4}, geom.Point{X: 0.3, Y: 0.23}, geom.Point{X: 0.5, Y: 0.23})
 	buf := windowIDs(base, win)
 	if len(buf) == 0 {
 		t.Fatal("test window matched nothing")
@@ -488,7 +491,7 @@ func TestWindowCollectionAllocs(t *testing.T) {
 			run  func()
 		}{
 			{"SearchIDs", 0, func() { w := win; buf, _ = ix.SearchIDs(Query{Window: &w}, buf[:0]) }},
-			{"SearchIDs disk", 5, func() { dk := geom.Disk{Center: c, Radius: r}; buf, _ = ix.SearchIDs(Query{Disk: &dk}, buf[:0]) }},
+			{"SearchIDs disk", 1, func() { dk := geom.Disk{Center: c, Radius: r}; buf, _ = ix.SearchIDs(Query{Disk: &dk}, buf[:0]) }},
 			{"WindowCount", 0, func() { _ = ix.WindowCount(win) }},
 			{"SearchCount", 0, func() { w := win; _, _ = ix.SearchCount(Query{Window: &w}) }},
 			{"Window", 0, func() { ix.Window(win, func(spatial.Entry) { n++ }) }},
@@ -506,15 +509,24 @@ func TestWindowCollectionAllocs(t *testing.T) {
 				w := win
 				_, _ = ix.Search(Query{Window: &w, Exact: true, Mode: RefineAvoidPlus}, func(spatial.Entry) bool { n++; return true })
 			}},
-			{"Disk", 5, func() { ix.Disk(c, r, func(spatial.Entry) { n++ }) }},
-			{"Search disk", 5, func() {
+			{"Disk", 1, func() { ix.Disk(c, r, func(spatial.Entry) { n++ }) }},
+			{"Search disk", 1, func() {
 				dk := geom.Disk{Center: c, Radius: r}
 				_, _ = ix.Search(Query{Disk: &dk}, func(spatial.Entry) bool { n++; return true })
 			}},
-			{"Search disk exact", 5, func() {
+			{"Search disk exact", 1, func() {
 				dk := geom.Disk{Center: c, Radius: r}
 				_, _ = ix.Search(Query{Disk: &dk, Exact: true, Mode: RefineAvoid}, func(spatial.Entry) bool { n++; return true })
 			}},
+			{"Search region", 1, func() {
+				dk := geom.Disk{Center: c, Radius: r}
+				_, _ = ix.Search(Query{Region: dk}, func(spatial.Entry) bool { n++; return true })
+			}},
+			{"SearchCount region", 1, func() { dk := geom.Disk{Center: c, Radius: r}; _, _ = ix.SearchCount(Query{Region: dk}) }},
+			{"Search polygon", 1, func() {
+				_, _ = ix.Search(Query{Region: hex}, func(spatial.Entry) bool { n++; return true })
+			}},
+			{"SearchCount polygon", 1, func() { _, _ = ix.SearchCount(Query{Region: hex}) }},
 		} {
 			if avg := testing.AllocsPerRun(100, tc.run); avg > tc.max {
 				t.Errorf("%s (stats %v): allocates %.1f times per run, want at most %.0f", tc.name, ix != base, avg, tc.max)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"unsafe"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -12,8 +13,9 @@ import (
 // Query is the unified range-query descriptor: one shape (window, disk,
 // or arbitrary region), an optional exact-geometry refinement step, and
 // an optional result limit. Search evaluates it through the same cover
-// walks (windowScan, diskScan, regionScan) the streamed Window and Disk
-// entry points of the comparator interface run.
+// walks the streamed Window and Disk entry points of the comparator
+// interface run: windowScan for a window, coverScan for a disk or a
+// region (a disk is a convex region with an inline distance test).
 //
 // The zero Mode is RefineSimple; callers wanting the paper's recommended
 // refinement set Mode to RefineAvoidPlus explicitly. Mode is ignored
@@ -111,9 +113,11 @@ func (ix *Index) Search(q Query, fn func(e spatial.Entry) bool) (complete bool, 
 	case q.Window != nil:
 		ix.windowScan(*q.Window, rf, sink, &stopped, &tally)
 	case q.Disk != nil:
-		ix.diskScan(q.Disk.Center, q.Disk.Radius, rf, sink, &stopped, &tally)
+		s := diskShape(q.Disk.Center, q.Disk.Radius)
+		ix.coverScan(&s, rf, sink, &stopped, &tally)
 	default:
-		ix.regionScan(unleaked(&q.Region), sink, &stopped, &tally)
+		s := regionShape(unleaked(&q.Region))
+		ix.coverScan(&s, rf, sink, &stopped, &tally)
 	}
 	ix.finish(&tally)
 	return !stopped, nil
@@ -138,10 +142,10 @@ func (ix *Index) SearchIDs(q Query, buf []spatial.ID) ([]spatial.ID, error) {
 }
 
 // SearchCount evaluates q and returns the number of matching objects.
-// A Limit caps the count like it caps streamed results. Plain windows
-// and disks take the count-pushdown kernels — window counts run in
-// O(tiles covered) on interior-dominated covers, and no per-entry
-// callback is invoked; exact and Region counts stream through Search.
+// A Limit caps the count like it caps streamed results. Plain windows,
+// disks and regions take the count-pushdown kernels — window counts run
+// in O(tiles covered) on interior-dominated covers, and no per-entry
+// callback is invoked; exact counts stream through Search.
 // A capped count equals min(total, Limit), which is exactly what the
 // early-terminating streamed path reports.
 func (ix *Index) SearchCount(q Query) (int, error) {
@@ -150,14 +154,16 @@ func (ix *Index) SearchCount(q Query) (int, error) {
 	}
 	n := 0
 	switch {
-	case q.Exact || q.Region != nil:
+	case q.Exact:
 		if _, err := ix.Search(q, func(spatial.Entry) bool { n++; return true }); err != nil {
 			return 0, err
 		}
 	case q.Window != nil:
 		n = ix.WindowCount(*q.Window)
-	default:
+	case q.Disk != nil:
 		n = ix.DiskCount(q.Disk.Center, q.Disk.Radius)
+	default:
+		n = ix.RegionCountFiltered(q.Region, math.Inf(-1))
 	}
 	if q.Limit > 0 && n > q.Limit {
 		n = q.Limit

@@ -16,8 +16,9 @@
 // only when s is the first shard of the cover (s == q0 — the analogue of
 // the query-relative reference tile) or s is the object's home shard.
 // Equivalently the unique reporter is max(q0, home): every (query,
-// object) pair surfaces exactly once, decided in O(1) per candidate
-// with no cross-shard coordination.
+// object) pair surfaces exactly once, decided with no cross-shard
+// coordination by one comparison per candidate, Rect.MinX >=
+// ownedFrom(s, q0), which is also the filter the count kernels take.
 package shard
 
 import (
@@ -352,8 +353,9 @@ func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span
 	bufs := make([][]spatial.Entry, hi-lo+1)
 	e.scatter(lo, hi, spans, func(s int) int {
 		var kept []spatial.Entry
+		from := e.lay.ownedFrom(s, lo)
 		e.shards[s].Search(sub, func(ent spatial.Entry) bool {
-			if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
+			if ent.Rect.MinX >= from {
 				kept = append(kept, ent)
 				if q.Limit > 0 && len(kept) >= q.Limit {
 					return false
@@ -402,10 +404,11 @@ func (e *Engine) SearchIDs(q core.Query, buf []spatial.ID) ([]spatial.ID, error)
 // independently and the counts sum. A Limit caps the total like it caps
 // streamed results.
 //
-// Plain window and disk queries push the count all the way down: every
-// shard of the cover runs the count kernel under the home-shard dedup
-// rule expressed as a coordinate filter (layout.ownedFrom). No entry is
-// streamed through a callback anywhere on that path.
+// Plain window, disk and region queries push the count all the way
+// down: every shard of the cover runs the count kernel under the
+// home-shard dedup rule expressed as a coordinate filter
+// (layout.ownedFrom). No entry is streamed through a callback anywhere
+// on that path; exact queries stream under the same filter.
 func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -427,14 +430,11 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 	perShard := make([]int, hi-lo+1)
 	e.scatter(lo, hi, spans, func(s int) int {
 		n := 0
+		from := e.lay.ownedFrom(s, lo)
 		switch {
-		case q.Window != nil && !q.Exact:
-			n = e.shards[s].WindowCountFiltered(*q.Window, e.lay.ownedFrom(s, lo))
-		case q.Disk != nil && !q.Exact:
-			n = e.shards[s].DiskCountFiltered(q.Disk.Center, q.Disk.Radius, e.lay.ownedFrom(s, lo))
-		default:
+		case q.Exact:
 			e.shards[s].Search(sub, func(ent spatial.Entry) bool {
-				if s == lo || e.lay.shardOf(ent.Rect.MinX) == s {
+				if ent.Rect.MinX >= from {
 					n++
 					if q.Limit > 0 && n >= q.Limit {
 						return false
@@ -442,6 +442,12 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 				}
 				return true
 			})
+		case q.Window != nil:
+			n = e.shards[s].WindowCountFiltered(*q.Window, from)
+		case q.Disk != nil:
+			n = e.shards[s].DiskCountFiltered(q.Disk.Center, q.Disk.Radius, from)
+		default:
+			n = e.shards[s].RegionCountFiltered(q.Region, from)
 		}
 		perShard[s-lo] = n
 		return n
