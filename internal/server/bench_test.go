@@ -19,10 +19,11 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
-// The handler benchmarks run the two BENCHMARK.json read shapes in
+// The handler benchmarks run BENCHMARK.json's request shapes in
 // process, through Handler().ServeHTTP with every middleware:
-// window_serve (one window of extent 0.01 with its results and MBRs)
-// and batch_scan (1000 windows of extent 0.005, counts only). The data
+// window_serve (one window of extent 0.01 with its results and MBRs),
+// batch_scan (1000 windows of extent 0.005, counts only) and the bulks
+// of 32 moves that durable_ingest and mixed_rw post. The data
 // are benchN small rectangles packed into [0, benchSide]², dense
 // enough that a window answers about 430 results, as window_serve's
 // windows do on 1M ROADS, while the index builds in a fraction of a
@@ -34,16 +35,21 @@ const (
 	benchSide = 0.15
 )
 
-// benchIndex holds the benchmark data, built once per test binary and
-// shared by every benchmark's server (a static index is read-only).
-var benchIndex = sync.OnceValue(func() *twolayer.Index {
+// benchRects are the benchmark data; object i has ID i.
+var benchRects = sync.OnceValue(func() []twolayer.Rect {
 	rnd := rand.New(rand.NewSource(1))
 	rects := make([]twolayer.Rect, benchN)
 	for i := range rects {
 		x, y := rnd.Float64()*benchSide, rnd.Float64()*benchSide
 		rects[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + rnd.Float64()*0.002, MaxY: y + rnd.Float64()*0.002}
 	}
-	return twolayer.BuildRects(rects, twolayer.Options{})
+	return rects
+})
+
+// benchIndex holds the benchmark data, built once per test binary and
+// shared by every static benchmark server (a static index is read-only).
+var benchIndex = sync.OnceValue(func() *twolayer.Index {
+	return twolayer.BuildRects(benchRects(), twolayer.Options{})
 })
 
 // benchHandler serves the benchmark data as spatialserver does by
@@ -55,16 +61,21 @@ func benchHandler(cfg Config) http.Handler {
 	return New(cfg).Handler()
 }
 
-// appendWindow appends a random window of the given extent inside the
-// data, written as the benchmark's load generator writes it.
-func appendWindow(dst []byte, rnd *rand.Rand, extent float64) []byte {
+// appendRect appends r as the benchmark's load generator writes it.
+func appendRect(dst []byte, r twolayer.Rect) []byte {
 	keys := [4]string{`{"min_x":`, `,"min_y":`, `,"max_x":`, `,"max_y":`}
-	x, y := rnd.Float64()*(benchSide-extent), rnd.Float64()*(benchSide-extent)
-	for i, v := range [4]float64{x, y, x + extent, y + extent} {
+	for i, v := range [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY} {
 		dst = append(dst, keys[i]...)
 		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
 	return append(dst, '}')
+}
+
+// appendWindow appends a random window of the given extent inside the
+// data, written as the benchmark's load generator writes it.
+func appendWindow(dst []byte, rnd *rand.Rand, extent float64) []byte {
+	x, y := rnd.Float64()*(benchSide-extent), rnd.Float64()*(benchSide-extent)
+	return appendRect(dst, twolayer.Rect{MinX: x, MinY: y, MaxX: x + extent, MaxY: y + extent})
 }
 
 // serve posts body to path and fails b unless the answer is a 200.
@@ -117,6 +128,67 @@ func BenchmarkV1Batch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		serve(b, h, "/v1/batch", bodies[i%len(bodies)])
 	}
+}
+
+// BenchmarkV1Bulk posts bulks of 32 moves to a live index over the
+// benchmark data, each move written as durable_ingest writes it: a
+// delete of the object at its current MBR, then an insert of it offset
+// by at most 0.001 per axis. The bulks come in pairs, the second moving
+// the first's objects back, so the bodies can be written up front and
+// replayed in a cycle that leaves every object where it started.
+func BenchmarkV1Bulk(b *testing.B) {
+	const moves, pairs = 32, 64
+	rects := benchRects()
+	live := twolayer.LiveFrom(twolayer.BuildRects(slices.Clone(rects), twolayer.Options{}), twolayer.LiveOptions{})
+	b.Cleanup(live.Close)
+	h := New(Config{
+		Live:   live,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	}).Handler()
+
+	rnd := rand.New(rand.NewSource(5))
+	ids := rnd.Perm(benchN)
+	var bodies [][]byte
+	for p := range pairs {
+		there, back := []byte(`{"mutations":[`), []byte(`{"mutations":[`)
+		for i, id := range ids[p*moves : (p+1)*moves] {
+			from := rects[id]
+			dx, dy := (rnd.Float64()*2-1)*0.001, (rnd.Float64()*2-1)*0.001
+			to := twolayer.Rect{MinX: from.MinX + dx, MinY: from.MinY + dy, MaxX: from.MaxX + dx, MaxY: from.MaxY + dy}
+			if i > 0 {
+				there, back = append(there, ','), append(back, ',')
+			}
+			there = appendMove(there, twolayer.ID(id), from, to)
+			back = appendMove(back, twolayer.ID(id), to, from)
+		}
+		bodies = append(bodies, append(there, "]}"...), append(back, "]}"...))
+	}
+	// One cycle up front: every delete must find its object.
+	for _, body := range bodies {
+		var resp bulkResponse
+		if err := json.Unmarshal(serve(b, h, "/v1/bulk", body).Body.Bytes(), &resp); err != nil {
+			b.Fatal(err)
+		}
+		if len(resp.Found) != 2*moves || slices.Contains(resp.Found, false) {
+			b.Fatalf("found %v", resp.Found)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, "/v1/bulk", bodies[i%len(bodies)])
+	}
+}
+
+// appendMove appends the two mutations of a move of object id.
+func appendMove(dst []byte, id twolayer.ID, from, to twolayer.Rect) []byte {
+	dst = append(dst, `{"op":"delete","id":`...)
+	dst = strconv.AppendUint(dst, uint64(id), 10)
+	dst = appendRect(append(dst, `,"mbr":`...), from)
+	dst = append(dst, `},{"op":"insert","id":`...)
+	dst = strconv.AppendUint(dst, uint64(id), 10)
+	dst = appendRect(append(dst, `,"mbr":`...), to)
+	return append(dst, '}')
 }
 
 // BenchmarkOverload is the overload valve under load: overloadClients

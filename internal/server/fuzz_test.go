@@ -155,3 +155,95 @@ func FuzzV1Batch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzV1Bulk is FuzzV1Batch for the writes, against a live server:
+// /v1/bulk (route 0), /v1/insert (1) and /v1/delete (2). Every input is
+// answered with a 200 carrying one found flag per mutation (an epoch for
+// insert and delete) or a 4xx error, and the fast decoders decline it or
+// decode it exactly as encoding/json does.
+func FuzzV1Bulk(f *testing.F) {
+	var (
+		l *twolayer.Live
+		h http.Handler
+	)
+	// fresh replaces the server once the fuzzer's inserts have grown its
+	// index, so every execution stays cheap.
+	fresh := func() {
+		if l != nil {
+			if l.Len() < 4096 {
+				return
+			}
+			l.Close()
+		}
+		var err error
+		l, err = twolayer.NewLive(twolayer.Options{GridSize: 8, Space: twolayer.Rect{MaxX: 1, MaxY: 1}}, twolayer.LiveOptions{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		h = New(Config{
+			Live:         l,
+			Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+			MaxBodyBytes: 1 << 14,
+		}).Handler()
+	}
+	f.Cleanup(func() {
+		if l != nil {
+			l.Close()
+		}
+	})
+
+	const mbr = `"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}`
+	for _, seed := range []string{
+		`{"mutations":[{"op":"delete","id":1,` + mbr + `},{"op":"insert","id":1,` + mbr + `}]}`,
+		`{"mutations":[{"id":2,` + mbr + `},{"op":"delete","id":3,` + mbr + `}]}`,
+		`{"mutations":[{"op":"upsert","id":1,` + mbr + `}]}`,
+		`{"mutations":[{"op":null,"id":1,` + mbr + `}]}`,
+		`{"mutations":[{"Op":"insert","id":1,` + mbr + `}]}`,
+		`{"mutations":[{"op":"insert","id":5,` + mbr + `},{"op":"insert","id":5,` + mbr + `}]}`,
+		`{"mutations":[{"op":"insert","id":-1,` + mbr + `}]}`,
+		`{"mutations":[{"op":"insert","id":01,` + mbr + `}]}`,
+		`{"mutations":[{"op":"insert","id":1.5,` + mbr + `}]}`,
+		`{"mutations":[{"op":"insert","id":4294967296,` + mbr + `}]}`,
+		`{"mutations":null}`, `{"mutations":[]}`, `{"mutations":[{}]}`,
+		`{"mutations":[{"op":"insert","id":1,` + mbr + `}]} {}`,
+		`{"mutations":[{"op":"insert","id":1,"mbr":{"min_x":0.5,"min_y":0.5,"max_x":0.1,"max_y":0.1}}]}`,
+		`{"mutations":[{"op":"insert","id":1,"mbr":{"min_x":-1e308,"min_y":0,"max_x":1e308,"max_y":1}}]}`,
+		`{"id":1,` + mbr + `}`, `{"op":"insert","id":1,` + mbr + `}`, `{"id":4294967295,"mbr":{}}`,
+		`{`, `[]`, `null`, "\xff",
+	} {
+		for route := range uint8(3) {
+			f.Add([]byte(seed), route)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, route uint8) {
+		checkScan(t, body, scanBulk)
+		checkScan(t, body, scanObject[insertRequest])
+		checkScan(t, body, scanObject[deleteRequest])
+		fresh()
+		path := [...]string{"/v1/bulk", "/v1/insert", "/v1/delete"}[route%3]
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+		switch {
+		case w.Code == http.StatusOK:
+			var resp struct {
+				Epoch uint64 `json:"epoch"`
+				Found any    `json:"found"` // a flag per mutation from /v1/bulk
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Epoch == 0 {
+				t.Fatalf("%s: 200 with a bad body %q for %q", path, w.Body.String(), body)
+			}
+			var req bulkRequest
+			if found, _ := resp.Found.([]any); path == "/v1/bulk" &&
+				(!referenceDecode(body, &req) || len(found) != len(req.Mutations)) {
+				t.Fatalf("found %v for %q", resp.Found, body)
+			}
+		case w.Code >= 400 && w.Code < 500:
+			var e errorJSON
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%s: status %d without an error body: %q for %q", path, w.Code, w.Body.String(), body)
+			}
+		default:
+			t.Fatalf("%s: status %d: %s for %q", path, w.Code, w.Body.String(), body)
+		}
+	})
+}

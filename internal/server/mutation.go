@@ -19,14 +19,13 @@ type insertRequest struct {
 	MBR rectJSON    `json:"mbr"`
 }
 
+// deleteRequest has insertRequest's fields. It is a type of its own
+// because encoding/json names the type in its error texts.
+type deleteRequest insertRequest
+
 type insertResponse struct {
 	Epoch     uint64 `json:"epoch"`
 	ElapsedUS int64  `json:"elapsed_us"`
-}
-
-type deleteRequest struct {
-	ID  twolayer.ID `json:"id"`
-	MBR rectJSON    `json:"mbr"`
 }
 
 type deleteResponse struct {
@@ -76,7 +75,7 @@ func writeMutationError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if !decodeJSON(w, r.Body, &req) {
+	if !decodeRequest(w, r, &req, scanObject[insertRequest]) {
 		return
 	}
 	if msg := req.MBR.validate(); msg != "" {
@@ -94,15 +93,18 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeMutationError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, insertResponse{
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendInsert((*buf)[:0], &insertResponse{
 		Epoch:     epoch,
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+	writeBody(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req deleteRequest
-	if !decodeJSON(w, r.Body, &req) {
+	if !decodeRequest(w, r, &req, scanObject[deleteRequest]) {
 		return
 	}
 	if msg := req.MBR.validate(); msg != "" {
@@ -120,16 +122,19 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeMutationError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, deleteResponse{
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendDelete((*buf)[:0], &deleteResponse{
 		Found:     found,
 		Epoch:     epoch,
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+	writeBody(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	var req bulkRequest
-	if !decodeJSON(w, r.Body, &req) {
+	if !decodeRequest(w, r, &req, scanBulk) {
 		return
 	}
 	if len(req.Mutations) == 0 {
@@ -172,9 +177,12 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		writeMutationError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, bulkResponse{
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendBulk((*buf)[:0], &bulkResponse{
 		Epoch:     res.Epoch,
 		Found:     res.Found,
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+	writeBody(w, http.StatusOK, *buf)
 }

@@ -15,13 +15,14 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
-// The wire codec of the two hot /v1 shapes: a /v1/window request and
-// its answer (a /v1/disk answer too), and the windows form of /v1/batch
-// with its counts. It writes and reads the same JSON as encoding/json
-// over the wire types in handlers.go and v1.go, without reflection and
-// without a Go value per result. Requests it does not fully understand,
-// and every /v1/disk request, go to encoding/json (decodeJSON), so
-// every error keeps its status and text.
+// The wire codec of the hot /v1 shapes: a /v1/window request and its
+// answer (a /v1/disk answer too), the windows form of /v1/batch with its
+// counts, and the writes: /v1/bulk, /v1/insert and /v1/delete with their
+// answers. It writes and reads the same JSON as encoding/json over the
+// wire types in handlers.go, v1.go and mutation.go, without reflection
+// and without a Go value per result. Requests it does not fully
+// understand, and every /v1/disk request, go to encoding/json
+// (decodeJSON), so every error keeps its status and text.
 
 // bufPool recycles the request and response buffers of the codec.
 var bufPool = sync.Pool{New: func() any {
@@ -114,11 +115,35 @@ func scanBatch(data []byte) (req batchRequest, ok bool) {
 		case "mode":
 			return s.text(&req.Mode)
 		case "windows":
-			return s.rects(&req.Windows)
+			return array(s, &req.Windows, s.rect)
 		}
 		return false
 	}) && s.end()
 	return req, ok
+}
+
+// scanBulk decodes a /v1/bulk request: its mutations, each with an op,
+// an id and an MBR.
+func scanBulk(data []byte) (req bulkRequest, ok bool) {
+	s := &scanner{data: data}
+	ok = s.object(func(key []byte) bool {
+		if string(key) != "mutations" {
+			return false
+		}
+		return array(s, &req.Mutations, func(m *bulkMutationJSON) bool {
+			return s.mutation(&m.Op, &m.ID, &m.MBR)
+		})
+	}) && s.end()
+	return req, ok
+}
+
+// scanObject decodes a /v1/insert or /v1/delete request: an id and an
+// MBR.
+func scanObject[T insertRequest | deleteRequest](data []byte) (T, bool) {
+	var req insertRequest
+	s := &scanner{data: data}
+	ok := s.mutation(nil, &req.ID, &req.MBR) && s.end()
+	return T(req), ok
 }
 
 // scanner reads the strict subset of JSON the fast path accepts. Each
@@ -212,11 +237,11 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// knownTexts are the batch modes; text returns them without
-// allocating.
-var knownTexts = [...]string{"queries", "tiles"}
+// knownTexts are the batch modes and the mutation ops; text returns
+// them without allocating.
+var knownTexts = [...]string{"queries", "tiles", "insert", "delete"}
 
-// text reads a string into v.
+// text reads a string into v, which never aliases the input.
 func (s *scanner) text(v *string) bool {
 	b, ok := s.str()
 	if !ok {
@@ -272,6 +297,20 @@ func (s *scanner) digits() bool {
 	return s.pos > start
 }
 
+// id reads an object ID into v: plain digits without a leading zero
+// that fit in a uint32. A sign, a fraction or an exponent is declined,
+// as encoding/json refuses each for an integer field.
+func (s *scanner) id(v *twolayer.ID) bool {
+	s.next()
+	start := s.pos
+	if !s.at("0") && !s.digits() {
+		return false
+	}
+	n, err := strconv.ParseUint(string(s.data[start:s.pos]), 10, 32)
+	*v = twolayer.ID(n)
+	return err == nil
+}
+
 // float reads a number into v with encoding/json's conversion.
 func (s *scanner) float(v *float64) bool {
 	lit, ok := s.number()
@@ -313,17 +352,33 @@ func (s *scanner) rect(r *rectJSON) bool {
 	})
 }
 
-// rects reads an array of rectangles into v; [] yields an empty,
-// non-nil slice, as from encoding/json.
-func (s *scanner) rects(v *[]rectJSON) bool {
+// mutation reads a mutation object: "op" into op, which is nil where
+// the shape has no op, "id" into id and "mbr" into mbr.
+func (s *scanner) mutation(op *string, id *twolayer.ID, mbr *rectJSON) bool {
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "op":
+			return op != nil && s.text(op)
+		case "id":
+			return s.id(id)
+		case "mbr":
+			return s.rect(mbr)
+		}
+		return false
+	})
+}
+
+// array reads an array into v, each element through elem; [] yields an
+// empty, non-nil slice, as from encoding/json.
+func array[T any](s *scanner, v *[]T, elem func(*T) bool) bool {
 	if !s.eat('[') {
 		return false
 	}
-	out := []rectJSON{}
+	out := []T{}
 	if !s.eat(']') {
 		for {
-			out = append(out, rectJSON{})
-			if !s.rect(&out[len(out)-1]) {
+			out = append(out, *new(T))
+			if !elem(&out[len(out)-1]) {
 				return false
 			}
 			if !s.eat(',') {
@@ -483,6 +538,49 @@ func appendBatch(dst []byte, b *batchResponse) []byte {
 	dst = append(dst, b.Mode...)
 	dst = append(dst, `","threads":`...)
 	dst = strconv.AppendInt(dst, int64(b.Threads), 10)
+	dst = append(dst, `,"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, b.ElapsedUS, 10)
+	return append(dst, "}\n"...)
+}
+
+// appendInsert appends the bytes json.Encoder writes for r.
+func appendInsert(dst []byte, r *insertResponse) []byte {
+	return appendEpoch(append(dst, '{'), r.Epoch, r.ElapsedUS)
+}
+
+// appendDelete appends the bytes json.Encoder writes for r.
+func appendDelete(dst []byte, r *deleteResponse) []byte {
+	dst = append(dst, `{"found":`...)
+	dst = strconv.AppendBool(dst, r.Found)
+	return appendEpoch(append(dst, ','), r.Epoch, r.ElapsedUS)
+}
+
+// appendEpoch appends the tail of an insert or delete answer.
+func appendEpoch(dst []byte, epoch uint64, elapsedUS int64) []byte {
+	dst = append(dst, `"epoch":`...)
+	dst = strconv.AppendUint(dst, epoch, 10)
+	dst = append(dst, `,"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, elapsedUS, 10)
+	return append(dst, "}\n"...)
+}
+
+// appendBulk appends the bytes json.Encoder writes for b.
+func appendBulk(dst []byte, b *bulkResponse) []byte {
+	dst = append(dst, `{"epoch":`...)
+	dst = strconv.AppendUint(dst, b.Epoch, 10)
+	dst = append(dst, `,"found":`...)
+	if b.Found == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, f := range b.Found {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendBool(dst, f)
+		}
+		dst = append(dst, ']')
+	}
 	dst = append(dst, `,"elapsed_us":`...)
 	dst = strconv.AppendInt(dst, b.ElapsedUS, 10)
 	return append(dst, "}\n"...)

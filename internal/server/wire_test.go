@@ -154,6 +154,26 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
+	for _, found := range [][]bool{nil, {}, {true}, {false}, {true, false, false, true, true}} {
+		b := bulkResponse{Epoch: rnd.Uint64(), Found: found, ElapsedUS: rnd.Int63()}
+		if got, want := appendBulk(nil, &b), encodingJSON(t, b); !bytes.Equal(got, want) {
+			t.Fatalf("appendBulk:\n got %s\nwant %s", got, want)
+		}
+	}
+	for _, epoch := range []uint64{0, 1, math.MaxUint64, rnd.Uint64()} {
+		elapsed := rnd.Int63n(1 << uint(rnd.Intn(63)))
+		ins := insertResponse{Epoch: epoch, ElapsedUS: elapsed}
+		if got, want := appendInsert(nil, &ins), encodingJSON(t, ins); !bytes.Equal(got, want) {
+			t.Fatalf("appendInsert:\n got %s\nwant %s", got, want)
+		}
+		for _, found := range []bool{true, false} {
+			del := deleteResponse{Found: found, Epoch: epoch, ElapsedUS: elapsed}
+			if got, want := appendDelete(nil, &del), encodingJSON(t, del); !bytes.Equal(got, want) {
+				t.Fatalf("appendDelete:\n got %s\nwant %s", got, want)
+			}
+		}
+	}
+
 	// A value JSON cannot carry fails with encoding/json's own error.
 	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		_, want := json.Marshal(f)
@@ -257,12 +277,88 @@ func TestScanDeclines(t *testing.T) {
 			t.Errorf("scanBatch accepted %s", body)
 		}
 	}
+
+	const del, ins = `{"op":"delete","id":7,"mbr":` + win + `}`, `{"op":"insert","id":7,"mbr":` + win + `}`
+	for _, body := range []string{
+		`{"mutations":[` + del + `,` + ins + `]}`,
+		` {"mutations" : [ {"mbr":{},"id":0} , {"op":"","id":4294967295} ] } `,
+		`{"mutations":[{"op":"upsert","id":1}]}`,  // the handler refuses the op
+		`{"mutations":[` + ins + `,` + ins + `]}`, // a duplicate id
+		`{"mutations":[]}`,
+		`{"mutations":[{}]}`,
+		`{}`,
+	} {
+		if !checkScan(t, []byte(body), scanBulk) {
+			t.Errorf("scanBulk declined %s", body)
+		}
+	}
+	for _, body := range []string{
+		`{"mutations":null}`,
+		`{"mutations":[null]}`,
+		`{"mutations":{}}`,
+		`{"mutations":[{"op":null,"id":1}]}`,
+		`{"mutations":[{"Op":"insert","id":1}]}`, // encoding/json folds case
+		`{"Mutations":[]}`,
+		`{"mutations":[{"op":1}]}`,
+		`{"mutations":[{"op":"d\u0065lete"}]}`, // escape
+		`{"mutations":[{"id":-1}]}`,
+		`{"mutations":[{"id":01}]}`,
+		`{"mutations":[{"id":1.5}]}`,
+		`{"mutations":[{"id":1.0}]}`,
+		`{"mutations":[{"id":1e3}]}`,
+		`{"mutations":[{"id":4294967296}]}`,
+		`{"mutations":[{"id":"1"}]}`,
+		`{"mutations":[{"id":1,"id":2}]}`, // duplicate key
+		`{"mutations":[{"id":1,"mbr":` + win + `,"bogus":0}]}`,
+		`{"mutations":[` + del + `,]}`,
+		`{"mutations":[` + del + `]} x`, // trailing data
+		`{"mutations":[` + del + `]`,    // truncated
+	} {
+		if checkScan(t, []byte(body), scanBulk) {
+			t.Errorf("scanBulk accepted %s", body)
+		}
+	}
+
+	for _, body := range []string{
+		`{"id":3,"mbr":` + win + `}`,
+		`{"mbr":` + win + `,"id":0}`,
+		`{}`,
+	} {
+		if !checkScan(t, []byte(body), scanObject[insertRequest]) || !checkScan(t, []byte(body), scanObject[deleteRequest]) {
+			t.Errorf("scanObject declined %s", body)
+		}
+	}
+	for _, body := range []string{
+		`{"op":"insert","id":3,"mbr":` + win + `}`, // no op in this shape
+		`{"ID":3}`,
+		`{"id":-1}`,
+		`{"id":4294967296}`,
+		`{"id":1.5}`,
+		`{"id":3,"mbr":null}`,
+		`{"id":3} {}`,
+		`[]`,
+	} {
+		if checkScan(t, []byte(body), scanObject[insertRequest]) {
+			t.Errorf("scanObject accepted %s", body)
+		}
+	}
+
+	// An op outlives the request buffer it was read from.
+	data := []byte(`{"mutations":[{"op":"upsert"},{"op":"delete"}]}`)
+	req, _ := scanBulk(data)
+	clear(data)
+	if len(req.Mutations) != 2 || req.Mutations[0].Op != "upsert" || req.Mutations[1].Op != "delete" {
+		t.Errorf("ops after the buffer was cleared: %+v", req.Mutations)
+	}
 }
 
 // TestDeclinedRequestErrors checks that a request the fast decoder
 // declines is answered exactly as encoding/json alone answers it.
 func TestDeclinedRequestErrors(t *testing.T) {
 	h := testServer(t, nil).Handler()
+	live, _ := liveServer(t, nil)
+	lh := live.Handler()
+	const mbr = `"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}`
 	for _, c := range []struct{ path, body string }{
 		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"limit":1.5}`},
 		{"/v1/window", `{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"bogus":1}`},
@@ -270,12 +366,30 @@ func TestDeclinedRequestErrors(t *testing.T) {
 		{"/v1/disk", `{"disk":{"center":{"x":0,"y":0},"radius":1e400}}`},
 		{"/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":"1"}]}`},
 		{"/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}],"threads":-1.0}`},
+		{"/v1/bulk", `{"mutations":[{"op":1,"id":1,` + mbr + `}]}`},
+		{"/v1/bulk", `{"mutations":[{"op":"insert","id":4294967296,` + mbr + `}]}`},
+		{"/v1/bulk", `{"mutations":[{"op":"delete","id":1.5,` + mbr + `}]}`},
+		{"/v1/bulk", `{"mutations":[{"op":"insert","id":1,` + mbr + `}]} x`},
+		{"/v1/insert", `{"id":4294967296,` + mbr + `}`},
+		{"/v1/insert", `{"op":"insert","id":1,` + mbr + `}`},
+		{"/v1/delete", `{"id":1.5,` + mbr + `}`},
+		{"/v1/delete", `{"id":1,` + mbr + `} x`},
 	} {
-		w := do(t, h, "POST", c.path, c.body, nil)
-		var v any = new(queryEnvelope)
-		if c.path == "/v1/batch" {
-			v = new(batchRequest)
+		var v any
+		handler := lh
+		switch c.path {
+		case "/v1/window", "/v1/disk":
+			v, handler = new(queryEnvelope), h
+		case "/v1/batch":
+			v, handler = new(batchRequest), h
+		case "/v1/bulk":
+			v = new(bulkRequest)
+		case "/v1/insert":
+			v = new(insertRequest)
+		default:
+			v = new(deleteRequest)
 		}
+		w := do(t, handler, "POST", c.path, c.body, nil)
 		rec := httptest.NewRecorder()
 		if decodeJSON(rec, strings.NewReader(c.body), v) {
 			t.Fatalf("%s: encoding/json accepts the declined body %s", c.path, c.body)
@@ -283,6 +397,17 @@ func TestDeclinedRequestErrors(t *testing.T) {
 		if w.Code != rec.Code || w.Body.String() != rec.Body.String() {
 			t.Errorf("%s %s: answered %d %s, encoding/json %d %s",
 				c.path, c.body, w.Code, w.Body.String(), rec.Code, rec.Body.String())
+		}
+	}
+
+	// encoding/json names the request type in its error texts, so the
+	// two routes keep a type each.
+	for path, want := range map[string]string{
+		"/v1/insert": "insertRequest.id of type uint32",
+		"/v1/delete": "deleteRequest.id of type uint32",
+	} {
+		if w := do(t, lh, "POST", path, `{"id":4294967296,`+mbr+`}`, nil); !strings.Contains(w.Body.String(), want) {
+			t.Errorf("%s: answered %s, want an error naming %s", path, w.Body.String(), want)
 		}
 	}
 
@@ -294,11 +419,40 @@ func TestDeclinedRequestErrors(t *testing.T) {
 		t.Errorf("case-folded keys: %+v, plain keys: %+v", folded, plain)
 	}
 
+	// A body the fast decoder accepts and the handler refuses is answered
+	// as its case-folded twin, which only encoding/json reads.
+	for _, c := range []struct{ path, plain, folded string }{
+		{"/v1/bulk",
+			`{"mutations":[{"op":"insert","id":1,` + mbr + `},{"op":"upsert","id":2,` + mbr + `}]}`,
+			`{"MUTATIONS":[{"op":"insert","id":1,` + mbr + `},{"OP":"upsert","Id":2,` + mbr + `}]}`},
+		{"/v1/bulk", `{"mutations":[]}`, `{"Mutations":[]}`},
+		{"/v1/bulk", `{}`, `{"mutations":null}`},
+		{"/v1/insert", `{"id":1,"mbr":{"min_x":1,"max_x":0}}`, `{"ID":1,"MBR":{"min_x":1,"max_x":0}}`},
+		{"/v1/delete", `{"id":1,"mbr":{"min_x":1,"max_x":0}}`, `{"ID":1,"MBR":{"min_x":1,"max_x":0}}`},
+	} {
+		_, bulk := scanBulk([]byte(c.folded))
+		if _, object := scanObject[insertRequest]([]byte(c.folded)); bulk || object {
+			t.Fatalf("%s: the fast decoder accepts the twin %s", c.path, c.folded)
+		}
+		w, ref := do(t, lh, "POST", c.path, c.plain, nil), do(t, lh, "POST", c.path, c.folded, nil)
+		if w.Code != http.StatusBadRequest || w.Code != ref.Code || w.Body.String() != ref.Body.String() {
+			t.Errorf("%s %s: answered %d %s, encoding/json %d %s",
+				c.path, c.plain, w.Code, w.Body.String(), ref.Code, ref.Body.String())
+		}
+	}
+
 	// A body over the limit is still a 413, whichever decoder reads it.
 	h = testServer(t, func(c *Config) { c.MaxBodyBytes = 64 }).Handler()
+	live, _ = liveServer(t, func(c *Config) { c.MaxBodyBytes = 64 })
+	lh = live.Handler()
 	big := `{"windows":[` + strings.Repeat(`{"min_x":0,"min_y":0,"max_x":1,"max_y":1},`, 10) + `{}]}`
-	for _, path := range []string{"/v1/window", "/v1/batch"} {
-		if w := do(t, h, "POST", path, big, nil); w.Code != http.StatusRequestEntityTooLarge ||
+	bigBulk := `{"mutations":[` + strings.Repeat(`{"op":"insert","id":1,`+mbr+`},`, 10) + `{}]}`
+	for _, c := range []struct {
+		h          http.Handler
+		path, body string
+	}{{h, "/v1/window", big}, {h, "/v1/batch", big}, {lh, "/v1/bulk", bigBulk}} {
+		path := c.path
+		if w := do(t, c.h, "POST", path, c.body, nil); w.Code != http.StatusRequestEntityTooLarge ||
 			!strings.Contains(w.Body.String(), "exceeds 64 bytes") {
 			t.Errorf("%s: oversized body answered %d %s", path, w.Code, w.Body.String())
 		}
