@@ -26,9 +26,9 @@ func TestPublicMethodSets(t *testing.T) {
 		{reflect.TypeOf((*twolayer.Sharded)(nil)), "BatchDiskCounts BatchWindowCounts Epoch EstimateWindow " +
 			"GridDims HasExactGeometries KNN KNNExact Len MemoryFootprint PartitionStats QueryStats " +
 			"ReplicationFactor Search SearchCount SearchIDs Shards Space Stats Traced"},
-		{reflect.TypeOf((*twolayer.ShardedView)(nil)), "KNN KNNExact Search SearchCount"},
+		{reflect.TypeOf((*twolayer.ShardedView)(nil)), "BatchDiskCounts BatchWindowCounts KNN KNNExact Search SearchCount"},
 		{reflect.TypeOf((*twolayer.Live)(nil)), "Apply Close Delete Insert Len Snapshot Stats"},
-		{reflect.TypeOf((*twolayer.ShardedLive)(nil)), "Apply Close Delete Insert Len ShardStats Shards Snapshot Stats"},
+		{reflect.TypeOf((*twolayer.ShardedLive)(nil)), "Apply Close Delete Insert Len Shards Snapshot Stats"},
 		{reflect.TypeOf((*twolayer.DurableLive)(nil)), "Checkpoint Close Live Snapshot Stats"},
 		{reflect.TypeOf((*twolayer.ShardedDurable)(nil)), "Checkpoint Close Live Snapshot Stats"},
 	} {

@@ -1,14 +1,14 @@
-// Command docscheck keeps the documentation honest. It runs four checks
+// Command docscheck keeps the documentation honest. It runs five checks
 // and exits non-zero if any fails:
 //
 //  1. Metric coverage, in both directions: every metric family the
 //     server registers (the names served on GET /metrics) must have a
 //     metric-table row in docs/OBSERVABILITY.md, and every row must name
 //     a registered family, so a deleted family cannot outlive its code
-//     in the docs. The name set is obtained by constructing real
-//     servers — durable mode, which registers every unsharded group
-//     (http, query, index, partition, live, WAL, checkpoint, process),
-//     and sharded live mode — so the check cannot drift from the code.
+//     in the docs. The name set is obtained by constructing a real
+//     durable-mode server, which registers every group (http, query,
+//     index, partition, admission, live, WAL, checkpoint, shard,
+//     process), so the check cannot drift from the code.
 //  2. Flag coverage, in both directions: every flag cmd/spatialserver
 //     registers (a flag.<Type>("name", …) call in its main.go, read with
 //     go/parser) must have a row in docs/SERVER.md's flag table, and
@@ -16,12 +16,17 @@
 //  3. Link integrity: every relative markdown link in README.md and
 //     docs/*.md must point at a file that exists in the repository.
 //  4. /v1/stats key coverage, in both directions: every object key in
-//     the GET /v1/stats documents of the same two servers (collected
+//     the GET /v1/stats document of the same server (collected
 //     recursively; the class names under admission.classes are data,
 //     not keys) must be mentioned in backticks under docs/OBSERVABILITY.md
 //     "GET /v1/stats schema", and every key mentioned there must be
 //     emitted, so a key removed from the code cannot outlive it in the
 //     docs.
+//  5. Trace field coverage, in both directions: every key of a traced
+//     /v1/window answer's "trace" object must have a row in the table
+//     under docs/OBSERVABILITY.md "Trace fields", every key of its
+//     per-shard spans one under "Shard spans", and every row of either
+//     table must name a key the trace emits at that level.
 //
 // CI runs it via `make docs-check`.
 package main
@@ -35,6 +40,7 @@ import (
 	"go/types"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -48,13 +54,10 @@ import (
 	"github.com/twolayer/twolayer/internal/server"
 )
 
-// checkServers builds two throwaway servers — durable mode (http, query,
-// index, partition, live, WAL, checkpoint, process groups; the live,
-// durability and backlog sections of /v1/stats) and sharded live mode
-// (the twolayer_shard_* group; the shards section), so every metric
-// family and every /v1/stats key is registered by one of them — and runs
-// the metric and /v1/stats checks against docPath.
-func checkServers(docPath string) []string {
+// checkServer builds a throwaway durable-mode server — every metric
+// group, every /v1/stats section and the trace of a one-shard engine —
+// and runs the metric, /v1/stats and trace field checks against docPath.
+func checkServer(docPath string) []string {
 	dir, err := os.MkdirTemp("", "docscheck-wal-")
 	if err != nil {
 		return []string{err.Error()}
@@ -72,49 +75,34 @@ func checkServers(docPath string) []string {
 		return []string{fmt.Sprintf("opening a durable index: %v", err)}
 	}
 	defer dl.Close()
-	sl, err := twolayer.NewShardedLive(
-		twolayer.Options{GridSize: 4, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
-		twolayer.LiveOptions{},
-		twolayer.ShardedOptions{Shards: 2})
-	if err != nil {
-		return []string{fmt.Sprintf("building a sharded index: %v", err)}
+	s := server.New(server.Config{Durable: dl, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	failures := checkRows("metric", s.Metrics().Registry().Names(), nil, docPath, nil, metricRowRe)
+	keys, err := emittedKeys(s, httptest.NewRequest(http.MethodGet, "/v1/stats", nil), "", "admission.classes")
+	failures = append(failures, checkStatsKeys(keys, err, docPath)...)
+	traced := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/window",
+			strings.NewReader(`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"trace":true}`))
 	}
-	defer sl.Close()
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	servers := []*server.Server{
-		server.New(server.Config{Durable: dl, Logger: logger}),
-		server.New(server.Config{ShardedLive: sl, Logger: logger}),
-	}
-	failures := checkRows("metric", registeredMetricNames(servers), nil, docPath, metricRowRe)
-	keys, err := emittedStatsKeys(servers)
-	return append(failures, checkStatsKeys(keys, err, docPath)...)
+	keys, err = emittedKeys(s, traced(), "trace", "class_entries_scanned", "shards")
+	// queue_wait_us is emitted only when the request queued for admission.
+	fields := append(slices.Collect(maps.Keys(keys)), "queue_wait_us")
+	failures = append(failures, checkRows("trace field", fields, err, docPath, traceSectionRe, fieldRowRe)...)
+	keys, err = emittedKeys(s, traced(), "trace.shards")
+	return append(failures, checkRows("shard span field", slices.Collect(maps.Keys(keys)), err, docPath, spanSectionRe, fieldRowRe)...)
 }
 
-// registeredMetricNames returns the union of the servers' registry
-// family names.
-func registeredMetricNames(servers []*server.Server) []string {
-	var names []string
-	for _, s := range servers {
-		for _, n := range s.Metrics().Registry().Names() {
-			if !slices.Contains(names, n) {
-				names = append(names, n)
-			}
-		}
-	}
-	return names
-}
-
-// emittedStatsKeys GETs /v1/stats from every server and returns the
-// object keys of the documents, collected recursively through objects
-// and arrays, except the class names keying admission.classes.
-func emittedStatsKeys(servers []*server.Server) (map[string]bool, error) {
+// emittedKeys serves req and returns the object keys of the JSON answer's
+// field (a dotted path; the whole document when empty), collected
+// recursively through objects and arrays, except the keys of the
+// objects at the paths in data, which are data, not keys.
+func emittedKeys(s *server.Server, req *http.Request, field string, data ...string) (map[string]bool, error) {
 	keys := make(map[string]bool)
 	var walk func(path string, v any)
 	walk = func(path string, v any) {
 		switch v := v.(type) {
 		case map[string]any:
 			for k, child := range v {
-				if path != "admission.classes" {
+				if !slices.Contains(data, path) {
 					keys[k] = true
 				}
 				walk(strings.TrimPrefix(path+"."+k, "."), child)
@@ -125,15 +113,21 @@ func emittedStatsKeys(servers []*server.Server) (map[string]bool, error) {
 			}
 		}
 	}
-	for _, s := range servers {
-		w := httptest.NewRecorder()
-		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
-		var doc any
-		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || w.Code != http.StatusOK {
-			return nil, fmt.Errorf("GET /v1/stats: status %d: %v", w.Code, err)
-		}
-		walk("", doc)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	var doc any
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil || w.Code != http.StatusOK {
+		return nil, fmt.Errorf("%s %s: status %d: %v", req.Method, req.URL.Path, w.Code, err)
 	}
+	if field != "" {
+		for _, name := range strings.Split(field, ".") {
+			obj, _ := doc.(map[string]any)
+			if doc = obj[name]; doc == nil {
+				return nil, fmt.Errorf("%s %s: the answer has no %q field", req.Method, req.URL.Path, field)
+			}
+		}
+	}
+	walk("", doc)
 	return keys, nil
 }
 
@@ -189,12 +183,17 @@ func checkStatsKeys(keys map[string]bool, err error, docPath string) (failures [
 	return failures
 }
 
-// metricRowRe and flagRowRe match the first cell of a table row: a line
-// that opens with a backquoted twolayer_* family name or -flag name.
-// Names in prose are not rows.
+// metricRowRe, flagRowRe and fieldRowRe match the first cell of a table
+// row: a line that opens with a backquoted twolayer_* family name, -flag
+// name or JSON field name. Names in prose are not rows. traceSectionRe
+// and spanSectionRe capture the sections holding the trace's field table
+// and its spans'.
 var (
-	metricRowRe = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
-	flagRowRe   = regexp.MustCompile("(?m)^\\|\\s*`(-[a-z0-9-]+)`\\s*\\|")
+	metricRowRe    = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
+	flagRowRe      = regexp.MustCompile("(?m)^\\|\\s*`(-[a-z0-9-]+)`\\s*\\|")
+	fieldRowRe     = regexp.MustCompile("(?m)^\\|\\s*`([a-z_]+)`\\s*\\|")
+	traceSectionRe = regexp.MustCompile(`(?ms)^### Trace fields\n(.*?)(?:^#+ |\z)`)
+	spanSectionRe  = regexp.MustCompile(`(?ms)^#### Shard spans\n(.*?)(?:^#+ |\z)`)
 )
 
 // registeredFlags returns the flags the Go file at path registers, as
@@ -219,14 +218,22 @@ func registeredFlags(path string) ([]string, error) {
 }
 
 // checkRows fails every registered name without a row in docPath (rows
-// are what rowRe captures) and every row naming nothing registered.
-func checkRows(kind string, names []string, err error, docPath string, rowRe *regexp.Regexp) (failures []string) {
+// are what rowRe captures, in section's first group when section is
+// non-nil) and every row naming nothing registered.
+func checkRows(kind string, names []string, err error, docPath string, section, rowRe *regexp.Regexp) (failures []string) {
 	if err != nil {
 		return []string{fmt.Sprintf("listing %ss: %v", kind, err)}
 	}
 	doc, err := os.ReadFile(docPath)
 	if err != nil {
 		return []string{err.Error()}
+	}
+	if section != nil {
+		m := section.FindSubmatch(doc)
+		if m == nil {
+			return []string{fmt.Sprintf("%s has no section for %ss", docPath, kind)}
+		}
+		doc = m[1]
 	}
 	rows := make(map[string]bool)
 	for _, m := range rowRe.FindAllStringSubmatch(string(doc), -1) {
@@ -298,9 +305,9 @@ func main() {
 	}
 	mdFiles = append(mdFiles, docs...)
 
-	failures := checkServers(filepath.Join(root, "docs", "OBSERVABILITY.md"))
+	failures := checkServer(filepath.Join(root, "docs", "OBSERVABILITY.md"))
 	flags, err := registeredFlags(filepath.Join(root, "cmd", "spatialserver", "main.go"))
-	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), flagRowRe)...)
+	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), nil, flagRowRe)...)
 	failures = append(failures, checkLinks(root, mdFiles)...)
 
 	if len(failures) > 0 {
@@ -309,5 +316,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags and /v1/stats keys covered)\n", len(mdFiles))
+	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, /v1/stats keys and trace fields covered)\n", len(mdFiles))
 }

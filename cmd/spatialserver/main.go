@@ -18,12 +18,13 @@
 //	spatialserver -data roads.csv -shards 8    # scatter-gather serving
 //	spatialserver -data roads.csv -shards 8 -live -data-dir /var/lib/spatial
 //
-// With -shards N the server routes every endpoint through a sharded
-// scatter-gather engine: N self-contained two-layer indices over
+// Every endpoint routes through the scatter-gather engine
+// (docs/SHARDING.md); without -shards it has one shard, the index
+// itself. With -shards N it is N self-contained two-layer indices over
 // contiguous slabs of the tile space, queried in parallel with
-// duplicate-free merging (docs/SHARDING.md). Combined with -live each
-// shard runs its own apply loop; combined with -data-dir each shard
-// journals to its own write-ahead log and recovery is concurrent.
+// duplicate-free merging. Combined with -live each shard runs its own
+// apply loop; combined with -data-dir each shard journals to its own
+// write-ahead log and recovery is concurrent.
 //
 // With -data-dir the server runs durably: mutations are written ahead to
 // a segmented log before they are acknowledged, checkpoints are taken in
@@ -130,7 +131,7 @@ func main() {
 	timeout := flag.Duration("timeout", server.DefaultRequestTimeout, "per-request evaluation deadline")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
 	trace := flag.Bool("trace", false, "attach a per-stage trace to every single-query response (clients can also opt in per request)")
-	slowQueryMS := flag.Int("slow-query-ms", 0, "log single queries slower than this many milliseconds, with their trace (0 = off)")
+	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries (batches included) slower than this many milliseconds, with their trace (0 = off)")
 	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /v1/insert, /v1/delete, /v1/bulk (disables exact-geometry queries)")
 	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded, negative = one per GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable live mode: directory for the write-ahead log and checkpoints; implies -live, recovers automatically on startup")
@@ -242,6 +243,9 @@ func main() {
 	if *maxBacklog < 0 {
 		fail(fmt.Errorf("-max-backlog must be >= 0"))
 	}
+	// The effective shard count: on recovery the manifest's supersedes
+	// -shards.
+	shardCount := 1
 	switch {
 	case durable && sharded:
 		policy, err := twolayer.ParseSyncPolicy(*fsync)
@@ -269,6 +273,7 @@ func main() {
 		}
 		defer dl.Close()
 		cfg.ShardedDurable = dl
+		shardCount = dl.Live().Shards()
 		replayed := 0
 		for _, info := range infos {
 			replayed += info.ReplayedRecords
@@ -312,21 +317,18 @@ func main() {
 			"checkpoint_loaded", info.CheckpointLoaded,
 			"replayed_records", info.ReplayedRecords,
 			"truncated_tail", info.TruncatedTail)
-	case *live && sharded:
-		lv := twolayer.ShardedLiveFrom(shardedIdx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
-		defer lv.Close()
-		cfg.ShardedLive = lv
-		logger.Info("sharded live mode", "shards", lv.Shards())
-	case *live:
-		lv := twolayer.LiveFrom(idx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
-		defer lv.Close()
-		cfg.Live = lv
-		logger.Info("live mode")
 	default:
-		if sharded {
-			cfg.Sharded = shardedIdx
+		// An unsharded index is served as the one-shard engine.
+		if !sharded {
+			shardedIdx = twolayer.OneShard(idx)
+		}
+		shardCount = shardedIdx.Shards()
+		if *live {
+			cfg.ShardedLive = twolayer.ShardedLiveFrom(shardedIdx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
+			defer cfg.ShardedLive.Close()
+			logger.Info("live mode", "shards", cfg.ShardedLive.Shards())
 		} else {
-			cfg.Index = idx
+			cfg.Sharded = shardedIdx
 		}
 	}
 	srv := server.New(cfg)
@@ -334,22 +336,10 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	// Log the effective topology, not the raw flags: -data-dir implies
-	// live mode, and on recovery the manifest's shard count supersedes
-	// -shards.
-	effLive := cfg.Live != nil || cfg.Durable != nil ||
-		cfg.ShardedLive != nil || cfg.ShardedDurable != nil
-	effShards := 0
-	switch {
-	case cfg.Sharded != nil:
-		effShards = cfg.Sharded.Shards()
-	case cfg.ShardedLive != nil:
-		effShards = cfg.ShardedLive.Shards()
-	case cfg.ShardedDurable != nil:
-		effShards = cfg.ShardedDurable.Live().Shards()
-	}
+	// live mode.
 	logger.Info("serving", "addr", *addr, "pprof", *pprofFlag,
-		"trace", *trace, "slow_query_ms", *slowQueryMS, "live", effLive,
-		"shards", effShards, "timeout", *timeout)
+		"trace", *trace, "slow_query_ms", *slowQueryMS, "live", *live || durable,
+		"shards", shardCount, "timeout", *timeout)
 	if err := srv.ListenAndServe(ctx, *addr); err != nil {
 		fail(err)
 	}

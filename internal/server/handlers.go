@@ -97,64 +97,35 @@ type classCountsJSON struct {
 	D int64 `json:"D"`
 }
 
-func classCounts64(v [4]int64) classCountsJSON {
-	return classCountsJSON{A: v[0], B: v[1], C: v[2], D: v[3]}
-}
-
-// shardSpanJSON is one shard's slice of a scatter-gather query in a
-// trace: which shard scanned, its wall time, and the results it
-// contributed after cross-shard deduplication.
+// shardSpanJSON is one shard's slice of a query in a trace: which shard
+// scanned, its wall time and refinement time, its headline core
+// counters, and the results it contributed after cross-shard
+// deduplication.
 type shardSpanJSON struct {
-	Shard     int   `json:"shard"`
-	ElapsedUS int64 `json:"elapsed_us"`
-	Results   int   `json:"results"`
+	Shard          int   `json:"shard"`
+	ElapsedUS      int64 `json:"elapsed_us"`
+	RefineUS       int64 `json:"refine_us"`
+	TilesVisited   int64 `json:"tiles_visited"`
+	EntriesScanned int64 `json:"entries_scanned"`
+	Comparisons    int64 `json:"comparisons"`
+	Results        int   `json:"results"`
 }
 
 // traceJSON is the per-query trace attached to responses (the "trace"
 // field) when tracing was requested: wall-clock stage timings plus the
-// full core counter set of this one evaluation. On a sharded server the
-// core counters are zero and Shards carries the per-shard fan-out spans
-// instead. The schema is documented in docs/OBSERVABILITY.md.
+// full core counter set of this one evaluation, summed over the shards
+// it ran on, and one span per such shard. The schema is documented in
+// docs/OBSERVABILITY.md.
 type traceJSON struct {
 	Kind      string `json:"kind"`
 	ElapsedUS int64  `json:"elapsed_us"`
 	// QueueWaitUS is the time this request spent queued for admission
 	// before evaluation started (0 on the uncontended fast path).
-	QueueWaitUS          int64           `json:"queue_wait_us,omitempty"`
-	Shards               []shardSpanJSON `json:"shards,omitempty"`
-	FilterUS             int64           `json:"filter_us"`
-	RefineUS             int64           `json:"refine_us"`
-	TilesVisited         int64           `json:"tiles_visited"`
-	PartitionsScanned    int64           `json:"partitions_scanned"`
-	EntriesScanned       int64           `json:"entries_scanned"`
-	ClassEntriesScanned  classCountsJSON `json:"class_entries_scanned"`
-	Comparisons          int64           `json:"comparisons"`
-	DuplicatesAvoided    int64           `json:"duplicates_avoided"`
-	SecondaryFilterTests int64           `json:"secondary_filter_tests"`
-	SecondaryFilterHits  int64           `json:"secondary_filter_hits"`
-	RefinementTests      int64           `json:"refinement_tests"`
-	DistanceComputations int64           `json:"distance_computations"`
-	Results              int64           `json:"results"`
-}
-
-func newTraceJSON(tr *twolayer.Trace) *traceJSON {
-	return &traceJSON{
-		Kind:                 tr.Kind,
-		ElapsedUS:            tr.ElapsedNS / 1000,
-		FilterUS:             tr.FilterNS() / 1000,
-		RefineUS:             tr.RefineNS / 1000,
-		TilesVisited:         tr.TilesVisited,
-		PartitionsScanned:    tr.PartitionsScanned,
-		EntriesScanned:       tr.EntriesScanned,
-		ClassEntriesScanned:  classCounts64(tr.ClassScanned),
-		Comparisons:          tr.Comparisons,
-		DuplicatesAvoided:    tr.DuplicatesAvoided,
-		SecondaryFilterTests: tr.SecondaryFilterTests,
-		SecondaryFilterHits:  tr.SecondaryFilterHits,
-		RefinementTests:      tr.RefinementTests,
-		DistanceComputations: tr.DistanceComputations,
-		Results:              tr.Results,
-	}
+	QueueWaitUS int64 `json:"queue_wait_us,omitempty"`
+	FilterUS    int64 `json:"filter_us"`
+	RefineUS    int64 `json:"refine_us"`
+	countersJSON
+	Shards []shardSpanJSON `json:"shards"`
 }
 
 // batchResponse is the /v1/batch answer; appendBatch writes it.
@@ -175,27 +146,33 @@ func headerTrace(r *http.Request) bool {
 	return v != "" && v != "0" && v != "false"
 }
 
-// beginQuery opens the searcher one request (a single query or a batch)
-// evaluates on, honoring tracing (Config.EnableTracing, the
-// request's "trace" field, or an X-Trace header), and the slow-query
-// threshold. It returns the searcher and the queryEnd whose finish to
-// call exactly once after a successful evaluation.
+// beginQuery pins the current snapshot and opens the searcher one
+// request (a single query or a batch) evaluates on: the snapshot itself,
+// or a traced view of it when the request is traced (Config.
+// EnableTracing, the request's "trace" field, or an X-Trace header) or
+// the slow-query log needs its timings. A traced view runs the kernels
+// the snapshot runs, so observing a query never changes what it costs.
+// It returns the searcher and the queryEnd whose finish to call exactly
+// once after a successful evaluation.
 func (s *Server) beginQuery(w http.ResponseWriter, r *http.Request, kind string, reqTrace bool) (searcher, queryEnd) {
 	want := s.cfg.EnableTracing || reqTrace || headerTrace(r)
-	// The slow-query log needs timings too, so it traces internally even
-	// when no client asked.
-	view, done := s.eng.open(kind, want || s.cfg.SlowQueryThreshold > 0)
-	return view, queryEnd{s: s, w: w, kind: kind, want: want, done: done}
+	snap := s.pin()
+	if !want && s.cfg.SlowQueryThreshold <= 0 {
+		return snap, queryEnd{}
+	}
+	view := snap.Traced()
+	return view, queryEnd{s: s, w: w, kind: kind, want: want, view: view, start: time.Now()}
 }
 
 // queryEnd is the end of one evaluation beginQuery opened, a value so
-// that ending a query allocates nothing of its own.
+// that ending an untraced query allocates nothing of its own.
 type queryEnd struct {
-	s    *Server
-	w    http.ResponseWriter
-	kind string
-	want bool // the client or config asked for a trace
-	done func() queryTrace
+	s     *Server
+	w     http.ResponseWriter
+	kind  string
+	want  bool                  // the client or config asked for a trace
+	view  *twolayer.ShardedView // nil when untraced
+	start time.Time
 }
 
 // finish ends a traced evaluation: it logs the query if it crossed
@@ -203,10 +180,10 @@ type queryEnd struct {
 // — sets a compact X-Trace response header and returns the trace to
 // embed in the response (nil otherwise).
 func (q queryEnd) finish() *traceJSON {
-	if q.done == nil {
+	if q.view == nil {
 		return nil
 	}
-	tr := q.done()
+	tr := newRequestTrace(q.kind, time.Since(q.start), q.view.Spans)
 	if thr := q.s.cfg.SlowQueryThreshold; thr > 0 && tr.Elapsed() >= thr {
 		q.s.metrics.slow.Inc()
 		q.s.cfg.Logger.Warn("slow query",
@@ -216,9 +193,8 @@ func (q queryEnd) finish() *traceJSON {
 		return nil
 	}
 	q.s.metrics.traced.Inc()
-	header, body := tr.render()
-	q.w.Header().Set("X-Trace", header)
-	return body
+	q.w.Header().Set("X-Trace", tr.header())
+	return tr.body()
 }
 
 // clampLimit resolves a request's result limit. ok=false means the value
@@ -240,7 +216,7 @@ func clampLimit(limit int) (int, bool) {
 // geometries, which snapshot-loaded indices and live snapshots (whose
 // objects can be inserted after the build) do not carry.
 func (s *Server) requireExactable(w http.ResponseWriter) bool {
-	if s.mut != nil || !s.eng.pin().HasExactGeometries() {
+	if !s.pin().HasExactGeometries() {
 		writeError(w, http.StatusBadRequest,
 			"exact queries unavailable: snapshot-loaded and live indices do not carry exact geometries")
 		return false
@@ -406,6 +382,8 @@ type indexInfoJSON struct {
 	ExactGeometries   bool    `json:"exact_geometries"`
 }
 
+// countersJSON is the core counter set: of the engine's total in
+// /v1/stats, of one evaluation in a trace.
 type countersJSON struct {
 	TilesVisited         int64           `json:"tiles_visited"`
 	PartitionsScanned    int64           `json:"partitions_scanned"`
@@ -418,6 +396,22 @@ type countersJSON struct {
 	SecondaryFilterHits  int64           `json:"secondary_filter_hits"`
 	RefinementTests      int64           `json:"refinement_tests"`
 	DistanceComputations int64           `json:"distance_computations"`
+}
+
+func newCountersJSON(st *twolayer.Stats) countersJSON {
+	return countersJSON{
+		TilesVisited:         st.TilesVisited,
+		PartitionsScanned:    st.PartitionsScanned,
+		EntriesScanned:       st.EntriesScanned,
+		ClassEntriesScanned:  classCountsJSON{st.ClassScanned[0], st.ClassScanned[1], st.ClassScanned[2], st.ClassScanned[3]},
+		Comparisons:          st.Comparisons,
+		Results:              st.Results,
+		DuplicatesAvoided:    st.DuplicatesAvoided,
+		SecondaryFilterTests: st.SecondaryFilterTests,
+		SecondaryFilterHits:  st.SecondaryFilterHits,
+		RefinementTests:      st.RefinementTests,
+		DistanceComputations: st.DistanceComputations,
+	}
 }
 
 // partitionsJSON reports the shape of the served index's partitioning
@@ -489,8 +483,9 @@ type shardStatJSON struct {
 	Results     uint64  `json:"results_total"`
 }
 
-// shardsJSON reports the scatter-gather engine of a sharded server:
-// fast-path vs fan-out query totals and per-shard load.
+// shardsJSON reports the scatter-gather engine every server runs (one
+// shard when unsharded): fast-path vs fan-out query totals and
+// per-shard load.
 type shardsJSON struct {
 	Count              int             `json:"count"`
 	SingleShardQueries uint64          `json:"single_shard_queries_total"`
@@ -531,7 +526,7 @@ type admissionJSON struct {
 type statsResponse struct {
 	Index           indexInfoJSON   `json:"index"`
 	Partitions      partitionsJSON  `json:"partitions"`
-	Shards          *shardsJSON     `json:"shards,omitempty"`
+	Shards          shardsJSON      `json:"shards"`
 	Live            *liveStatsJSON  `json:"live,omitempty"`
 	Durability      *durabilityJSON `json:"durability,omitempty"`
 	Admission       *admissionJSON  `json:"admission,omitempty"`
@@ -541,31 +536,29 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	idx := s.eng.pin()
+	idx := s.pin()
 	nx, ny := idx.GridDims()
-	var shards *shardsJSON
-	if s.shardStats != nil {
-		st := s.shardStats()
-		shards = &shardsJSON{
-			Count:              len(st.PerShard),
-			SingleShardQueries: st.SingleShard,
-			FanoutQueries:      st.Fanout,
-			PerShard:           make([]shardStatJSON, len(st.PerShard)),
-		}
-		for i, ps := range st.PerShard {
-			shards.PerShard[i] = shardStatJSON{
-				Shard:       i,
-				Objects:     ps.Objects,
-				Epoch:       ps.Epoch,
-				Queries:     ps.Queries,
-				BusySeconds: float64(ps.BusyNS) / 1e9,
-				Results:     ps.Results,
-			}
+	st := idx.Stats()
+	shards := shardsJSON{
+		Count:              len(st.PerShard),
+		SingleShardQueries: st.SingleShard,
+		FanoutQueries:      st.Fanout,
+		PerShard:           make([]shardStatJSON, len(st.PerShard)),
+	}
+	for i, ps := range st.PerShard {
+		shards.PerShard[i] = shardStatJSON{
+			Shard:       i,
+			Objects:     ps.Objects,
+			Epoch:       ps.Epoch,
+			Queries:     ps.Queries,
+			BusySeconds: float64(ps.BusyNS) / 1e9,
+			Results:     ps.Results,
 		}
 	}
 	var live *liveStatsJSON
-	if s.mut != nil {
-		ls := s.mut.Stats()
+	var backlog *admissionBacklogJSON
+	if s.live != nil {
+		ls := s.live.Stats()
 		live = &liveStatsJSON{
 			Epoch:               ls.Epoch,
 			PendingMutations:    ls.Pending,
@@ -574,6 +567,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			LastBatchMutations:  ls.LastBatch,
 			LastPublishSeconds:  ls.LastPublish.Seconds(),
 			PublishSecondsTotal: ls.PublishTotal.Seconds(),
+		}
+		backlog = &admissionBacklogJSON{
+			PendingMutations: ls.Pending,
+			Limit:            ls.BacklogLimit,
+			Rejected:         ls.Rejected,
 		}
 	}
 	var durability *durabilityJSON
@@ -605,6 +603,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.adm != nil {
 		admissionSec = &admissionJSON{
 			Classes: make(map[string]admissionClassJSON, numClasses),
+			Backlog: backlog,
 		}
 		for c := admissionClass(0); c < numClasses; c++ {
 			g := s.adm.gates[c]
@@ -619,21 +618,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				ShedCanceled:  g.shed[shedCanceled-1].Load(),
 			}
 		}
-		if s.mut != nil {
-			ls := s.mut.Stats()
-			admissionSec.Backlog = &admissionBacklogJSON{
-				PendingMutations: ls.Pending,
-				Limit:            ls.BacklogLimit,
-				Rejected:         ls.Rejected,
-			}
-		}
 	}
 	ps := idx.PartitionStats()
-	var classEntries classCountsJSON
-	classEntries.A = int64(ps.ClassCounts[0])
-	classEntries.B = int64(ps.ClassCounts[1])
-	classEntries.C = int64(ps.ClassCounts[2])
-	classEntries.D = int64(ps.ClassCounts[3])
 	snap := idx.QueryStats()
 	writeJSON(w, http.StatusOK, statsResponse{
 		Index: indexInfoJSON{
@@ -649,7 +635,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			OccupiedTiles:     ps.OccupiedTiles,
 			Objects:           ps.Objects,
 			Replicas:          ps.Replicas,
-			ClassEntries:      classEntries,
+			ClassEntries:      classCountsJSON{int64(ps.ClassCounts[0]), int64(ps.ClassCounts[1]), int64(ps.ClassCounts[2]), int64(ps.ClassCounts[3])},
 			MaxTileEntries:    ps.MaxTileEntries,
 			MeanTileEntries:   ps.MeanTileEntries,
 			SkewRatio:         ps.SkewRatio,
@@ -662,19 +648,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Admission:       admissionSec,
 		TracingEnabled:  s.cfg.EnableTracing,
 		QueriesObserved: snap.Queries,
-		Counters: countersJSON{
-			TilesVisited:         snap.TilesVisited,
-			PartitionsScanned:    snap.PartitionsScanned,
-			EntriesScanned:       snap.EntriesScanned,
-			ClassEntriesScanned:  classCounts64(snap.ClassScanned),
-			Comparisons:          snap.Comparisons,
-			Results:              snap.Results,
-			DuplicatesAvoided:    snap.DuplicatesAvoided,
-			SecondaryFilterTests: snap.SecondaryFilterTests,
-			SecondaryFilterHits:  snap.SecondaryFilterHits,
-			RefinementTests:      snap.RefinementTests,
-			DistanceComputations: snap.DistanceComputations,
-		},
+		Counters:        newCountersJSON(&snap),
 	})
 }
 
@@ -702,10 +676,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":  "ok",
-		"objects": s.eng.pin().Len(),
+		"objects": s.pin().Len(),
 	}
-	if s.mut != nil {
-		body["epoch"] = s.mut.Stats().Epoch
+	if s.live != nil {
+		body["epoch"] = s.live.Stats().Epoch
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -138,8 +138,8 @@ func newMetrics(s *Server, routes []route) *Metrics {
 				shed.Add(func() float64 { return float64(g.shed[ri].Load()) }, g.name, rn)
 			}
 		}
-		if s.mut != nil {
-			live := s.mut
+		if s.live != nil {
+			live := s.live
 			r.GaugeFunc("twolayer_admission_backlog",
 				"Mutations accepted but not yet published (summed across shards); the quantity MaxBacklog bounds.",
 				func() float64 { return float64(live.Stats().Pending) })
@@ -157,16 +157,16 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		"Wall time of the initial index build or snapshot load, 0 if unknown.")
 	r.GaugeFunc("twolayer_index_objects",
 		"Distinct objects in the served index (current snapshot in live mode).",
-		func() float64 { return float64(s.eng.pin().Len()) })
+		func() float64 { return float64(s.pin().Len()) })
 	r.GaugeFunc("twolayer_index_epoch",
 		"Copy-on-write epoch of the served index; 0 for a static build.",
-		func() float64 { return float64(s.eng.pin().Epoch()) })
+		func() float64 { return float64(s.pin().Epoch()) })
 	r.GaugeFunc("twolayer_index_memory_bytes",
 		"Approximate data size of the served index: entries, tile directory and read tables.",
-		func() float64 { return float64(s.eng.pin().MemoryFootprint()) })
+		func() float64 { return float64(s.pin().MemoryFootprint()) })
 
 	parts := &partitionCache{fetch: func() twolayer.PartitionStats {
-		return s.eng.pin().PartitionStats()
+		return s.pin().PartitionStats()
 	}}
 	r.GaugeFunc("twolayer_partition_grid_tiles",
 		"Total tiles of the primary grid (NX*NY).",
@@ -205,7 +205,7 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	// the shards of a sharded one.
 	queryCounter := func(name, help string, get func(*twolayer.Stats) int64) {
 		r.CounterFunc(name, help, func() float64 {
-			st := s.eng.pin().QueryStats()
+			st := s.pin().QueryStats()
 			return float64(get(&st))
 		})
 	}
@@ -225,7 +225,7 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		"Entries held by the partitions selected for scanning, per class.", "class")
 	for c := 0; c < 4; c++ {
 		classScanned.Add(func() float64 {
-			return float64(s.eng.pin().QueryStats().ClassScanned[c])
+			return float64(s.pin().QueryStats().ClassScanned[c])
 		}, classLabels[c])
 	}
 	queryCounter("twolayer_query_comparisons_total",
@@ -260,8 +260,8 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		func(st *twolayer.Stats) int64 { return st.BulkEntries })
 
 	// ---- live group -------------------------------------------------------
-	if s.mut != nil {
-		live := s.mut
+	if s.live != nil {
+		live := s.live
 		r.GaugeFunc("twolayer_live_epoch",
 			"Epoch of the current published snapshot.",
 			func() float64 { return float64(live.Stats().Epoch) })
@@ -347,45 +347,35 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	}
 
 	// ---- shard group ------------------------------------------------------
-	if s.shardStats != nil {
-		nShards := len(s.shardStats().PerShard)
-		r.Gauge("twolayer_shard_count",
-			"Spatial shards of the scatter-gather engine.").Set(float64(nShards))
-		r.CounterFunc("twolayer_shard_single_queries_total",
-			"Queries answered by one shard (fast path, no fan-out).",
-			func() float64 { return float64(s.shardStats().SingleShard) })
-		r.CounterFunc("twolayer_shard_fanout_queries_total",
-			"Queries fanned out to two or more shards and merged.",
-			func() float64 { return float64(s.shardStats().Fanout) })
-		queries := r.CounterVecFunc("twolayer_shard_queries_total",
-			"Queries routed to each shard (fan-out counts every shard scanned).", "shard")
-		busy := r.CounterVecFunc("twolayer_shard_busy_seconds_total",
-			"Cumulative wall time each shard spent scanning.", "shard")
-		results := r.CounterVecFunc("twolayer_shard_results_total",
-			"Results each shard contributed after cross-shard deduplication.", "shard")
-		objects := r.GaugeVecFunc("twolayer_shard_objects",
-			"Entries stored in each shard (including boundary replicas).", "shard")
-		epoch := r.GaugeVecFunc("twolayer_shard_epoch",
-			"Published copy-on-write epoch of each shard.", "shard")
-		for i := 0; i < nShards; i++ {
-			i := i
-			label := strconv.Itoa(i)
-			queries.Add(func() float64 {
-				return float64(s.shardStats().PerShard[i].Queries)
-			}, label)
-			busy.Add(func() float64 {
-				return float64(s.shardStats().PerShard[i].BusyNS) / 1e9
-			}, label)
-			results.Add(func() float64 {
-				return float64(s.shardStats().PerShard[i].Results)
-			}, label)
-			objects.Add(func() float64 {
-				return float64(s.shardStats().PerShard[i].Objects)
-			}, label)
-			epoch.Add(func() float64 {
-				return float64(s.shardStats().PerShard[i].Epoch)
-			}, label)
-		}
+	// Every server runs the scatter-gather engine; an unsharded one has
+	// one shard.
+	shardStats := func() twolayer.ShardedStats { return s.pin().Stats() }
+	nShards := s.pin().Shards()
+	r.Gauge("twolayer_shard_count",
+		"Spatial shards of the scatter-gather engine (1 when unsharded).").Set(float64(nShards))
+	r.CounterFunc("twolayer_shard_single_queries_total",
+		"Queries answered by one shard (fast path, no fan-out).",
+		func() float64 { return float64(shardStats().SingleShard) })
+	r.CounterFunc("twolayer_shard_fanout_queries_total",
+		"Queries fanned out to two or more shards and merged.",
+		func() float64 { return float64(shardStats().Fanout) })
+	queries := r.CounterVecFunc("twolayer_shard_queries_total",
+		"Queries routed to each shard (fan-out counts every shard scanned).", "shard")
+	busy := r.CounterVecFunc("twolayer_shard_busy_seconds_total",
+		"Cumulative wall time each shard spent scanning.", "shard")
+	results := r.CounterVecFunc("twolayer_shard_results_total",
+		"Results each shard contributed after cross-shard deduplication.", "shard")
+	objects := r.GaugeVecFunc("twolayer_shard_objects",
+		"Entries stored in each shard (including boundary replicas).", "shard")
+	epoch := r.GaugeVecFunc("twolayer_shard_epoch",
+		"Published copy-on-write epoch of each shard.", "shard")
+	for i := 0; i < nShards; i++ {
+		label := strconv.Itoa(i)
+		queries.Add(func() float64 { return float64(shardStats().PerShard[i].Queries) }, label)
+		busy.Add(func() float64 { return float64(shardStats().PerShard[i].BusyNS) / 1e9 }, label)
+		results.Add(func() float64 { return float64(shardStats().PerShard[i].Results) }, label)
+		objects.Add(func() float64 { return float64(shardStats().PerShard[i].Objects) }, label)
+		epoch.Add(func() float64 { return float64(shardStats().PerShard[i].Epoch) }, label)
 	}
 
 	// ---- process group ----------------------------------------------------

@@ -88,7 +88,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	epoch, err := s.mut.Insert(req.ID, req.MBR.toRect())
+	epoch, err := s.live.Insert(req.ID, req.MBR.toRect())
 	if err != nil {
 		writeMutationError(w, err)
 		return
@@ -117,7 +117,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	found, epoch, err := s.mut.Delete(req.ID, req.MBR.toRect())
+	found, epoch, err := s.live.Delete(req.ID, req.MBR.toRect())
 	if err != nil {
 		writeMutationError(w, err)
 		return
@@ -172,7 +172,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	start := time.Now()
-	res, err := s.mut.Apply(muts)
+	res, err := s.live.Apply(muts)
 	if err != nil {
 		writeMutationError(w, err)
 		return

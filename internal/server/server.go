@@ -17,8 +17,10 @@
 // (QueryStats), published on GET /v1/stats and GET /metrics beside the
 // per-endpoint latency/error metrics.
 // Either mode can be served by one index or by a sharded scatter-gather
-// engine; New picks the topology once (see engine.go) and every handler
-// reads through the same pinned-snapshot surface.
+// engine, and both are served as the engine: an unsharded index is its
+// one-shard case (twolayer.OneShard, twolayer.OneShardLive), so New maps
+// the configured topology once and every handler, trace, stats section
+// and metric reads the same pinned *twolayer.Sharded snapshot.
 //
 // See docs/SERVER.md for the full API reference and operator guide.
 package server
@@ -48,7 +50,9 @@ const (
 
 // Config configures a Server. Exactly one of the six engine fields —
 // Index, Live, Durable, Sharded, ShardedLive, and ShardedDurable — must
-// be set.
+// be set. The unsharded ones are served as one-shard engines, so every
+// server has the same traces, /v1/stats sections and twolayer_shard_*
+// metrics.
 type Config struct {
 	// Index is the shared index all requests query (static mode). It must
 	// not be updated while the server runs.
@@ -69,9 +73,8 @@ type Config struct {
 	Durable *twolayer.DurableLive
 
 	// Sharded is a static scatter-gather engine: every query endpoint
-	// routes through its shards, per-shard fan-out metrics are exported
-	// under twolayer_shard_*, and traces report per-shard spans. Like
-	// Index it must not be updated while serving.
+	// routes through its shards. Like Index it must not be updated while
+	// serving.
 	Sharded *twolayer.Sharded
 
 	// ShardedLive is the updatable sharded engine: live mode with one
@@ -154,22 +157,22 @@ func (c Config) withDefaults() Config {
 
 // Server serves spatial queries over one shared two-layer index.
 type Server struct {
-	cfg  Config
-	eng  engine       // the served topology; pins every snapshot read
-	mut  mutator      // non-nil in any live mode
-	ckpt checkpointer // non-nil in any durable mode
-	// shardStats snapshots the scatter-gather counters; nil unless the
-	// served topology is sharded.
-	shardStats func() twolayer.ShardedStats
-	adm        *admission // nil when admission control is disabled
-	metrics    *Metrics
-	mux        *http.ServeMux
+	cfg Config
+	// pin returns the snapshot a request or a scrape reads: the static
+	// engine, or the live engine's latest published snapshot (immutable;
+	// later mutations go into later snapshots).
+	pin     func() *twolayer.Sharded
+	live    *twolayer.ShardedLive // nil when static
+	ckpt    checkpointer          // nil unless durable
+	adm     *admission            // nil when admission control is disabled
+	metrics *Metrics
+	mux     *http.ServeMux
 }
 
 // New builds a Server from cfg. It panics unless exactly one of the six
 // engine fields is set (a programming error, not a runtime condition).
 // This is the only place the served topology is inspected: everything
-// downstream reads through s.eng, s.mut, s.ckpt and s.shardStats.
+// downstream reads through s.pin, s.live and s.ckpt.
 func New(cfg Config) *Server {
 	set := 0
 	for _, on := range []bool{
@@ -189,25 +192,24 @@ func New(cfg Config) *Server {
 		cfg: cfg,
 		mux: http.NewServeMux(),
 	}
-	// Durable modes are their live modes plus a WAL.
-	live, shardedLive := cfg.Live, cfg.ShardedLive
-	if cfg.Durable != nil {
-		live, s.ckpt = cfg.Durable.Live(), cfg.Durable
-	}
-	if cfg.ShardedDurable != nil {
-		shardedLive, s.ckpt = cfg.ShardedDurable.Live(), cfg.ShardedDurable
-	}
+	// Unsharded engines are one-shard engines, and durable modes are
+	// their live modes plus a checkpointer.
+	static := cfg.Sharded
 	switch {
 	case cfg.Index != nil:
-		s.eng = indexEngine{current: func() *twolayer.Index { return cfg.Index }}
-	case live != nil:
-		s.eng, s.mut = indexEngine{current: live.Snapshot}, live
-	case cfg.Sharded != nil:
-		s.eng = shardedEngine{current: func() *twolayer.Sharded { return cfg.Sharded }}
-		s.shardStats = cfg.Sharded.Stats
-	default:
-		s.eng, s.mut = shardedEngine{current: shardedLive.Snapshot}, shardedLive
-		s.shardStats = shardedLive.ShardStats
+		static = twolayer.OneShard(cfg.Index)
+	case cfg.Live != nil:
+		s.live = twolayer.OneShardLive(cfg.Live)
+	case cfg.Durable != nil:
+		s.live, s.ckpt = twolayer.OneShardLive(cfg.Durable.Live()), cfg.Durable
+	case cfg.ShardedLive != nil:
+		s.live = cfg.ShardedLive
+	case cfg.ShardedDurable != nil:
+		s.live, s.ckpt = cfg.ShardedDurable.Live(), cfg.ShardedDurable
+	}
+	s.pin = func() *twolayer.Sharded { return static }
+	if s.live != nil {
+		s.pin = s.live.Snapshot
 	}
 	if cfg.MaxInflight >= 0 {
 		s.adm = newAdmission(cfg.MaxInflight, cfg.QueueDepth)
@@ -261,7 +263,7 @@ func (s *Server) routes() []route {
 		{"GET /v1/healthz", http.HandlerFunc(s.handleHealthz)},
 		{"GET /healthz", http.HandlerFunc(s.handleHealthz)},
 	}
-	if s.mut != nil {
+	if s.live != nil {
 		// Mutations skip withTimeout: a submission blocks until its batch
 		// is published, and canceling mid-apply cannot undo the accepted
 		// mutation — the ack must be reported to the client.

@@ -155,7 +155,7 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 	}
 	var ans rangeAnswer
 	if env.Estimate {
-		est := s.eng.pin().EstimateWindow(*q.Window)
+		est := s.pin().EstimateWindow(*q.Window)
 		ans.estimate = &est
 	}
 	start := time.Now()

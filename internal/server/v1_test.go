@@ -222,33 +222,29 @@ func TestShardedServerEquivalence(t *testing.T) {
 		t.Error("sharded trace has no shard spans")
 	}
 
-	// /stats gains the shards section.
-	var st statsResponse
-	do(t, sharded.Handler(), "GET", "/v1/stats", "", &st)
-	if st.Shards == nil || st.Shards.Count != 4 || len(st.Shards.PerShard) != 4 {
-		t.Fatalf("stats shards section = %+v", st.Shards)
-	}
-	var stSingle statsResponse
-	do(t, single.Handler(), "GET", "/v1/stats", "", &stSingle)
-	if stSingle.Shards != nil {
-		t.Error("unsharded stats reports a shards section")
-	}
-
-	// The shard metric group registers only on sharded servers.
-	m := scrapeMetrics(t, sharded.Handler())
-	if m["twolayer_shard_count"] != 4 {
-		t.Errorf("twolayer_shard_count = %v, want 4", m["twolayer_shard_count"])
-	}
-	for _, name := range []string{
-		`twolayer_shard_objects{shard="0"}`,
-		`twolayer_shard_queries_total{shard="3"}`,
-	} {
-		if _, ok := m[name]; !ok {
-			t.Errorf("metric %s missing on sharded server", name)
+	// Every server runs the engine: /stats has a shards section and the
+	// shard metric group is registered, with one shard when unsharded.
+	for _, tc := range []struct {
+		srv    *Server
+		shards int
+	}{{sharded, 4}, {single, 1}} {
+		var st statsResponse
+		do(t, tc.srv.Handler(), "GET", "/v1/stats", "", &st)
+		if st.Shards.Count != tc.shards || len(st.Shards.PerShard) != tc.shards {
+			t.Fatalf("stats shards section = %+v, want %d shards", st.Shards, tc.shards)
 		}
-	}
-	if _, ok := scrapeMetrics(t, single.Handler())["twolayer_shard_count"]; ok {
-		t.Error("twolayer_shard_count registered on an unsharded server")
+		m := scrapeMetrics(t, tc.srv.Handler())
+		if m["twolayer_shard_count"] != float64(tc.shards) {
+			t.Errorf("twolayer_shard_count = %v, want %d", m["twolayer_shard_count"], tc.shards)
+		}
+		for _, name := range []string{
+			`twolayer_shard_objects{shard="0"}`,
+			fmt.Sprintf(`twolayer_shard_queries_total{shard="%d"}`, tc.shards-1),
+		} {
+			if _, ok := m[name]; !ok {
+				t.Errorf("metric %s missing on a %d-shard server", name, tc.shards)
+			}
+		}
 	}
 }
 
@@ -296,7 +292,7 @@ func TestShardedLiveServer(t *testing.T) {
 	if st.Live == nil {
 		t.Fatal("sharded live stats has no live section")
 	}
-	if st.Shards == nil || st.Shards.Count != 4 {
+	if st.Shards.Count != 4 {
 		t.Fatalf("sharded live stats shards = %+v", st.Shards)
 	}
 	if st.Index.Objects != 2 {
@@ -349,7 +345,7 @@ func TestShardedDurableServer(t *testing.T) {
 	if st.Durability == nil {
 		t.Fatal("sharded durable stats has no durability section")
 	}
-	if st.Shards == nil || st.Shards.Count != 3 {
+	if st.Shards.Count != 3 {
 		t.Fatalf("sharded durable stats shards = %+v", st.Shards)
 	}
 	if st.Index.Objects != 101 {

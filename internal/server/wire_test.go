@@ -63,14 +63,14 @@ func randFloat(rnd *rand.Rand) float64 {
 
 func randTrace(rnd *rand.Rand) *traceJSON {
 	tr := &traceJSON{
-		Kind:           []string{"window", "disk"}[rnd.Intn(2)],
-		ElapsedUS:      rnd.Int63n(1e6),
-		QueueWaitUS:    rnd.Int63n(3),
-		FilterUS:       rnd.Int63n(1e3),
-		TilesVisited:   rnd.Int63n(1e4),
-		EntriesScanned: rnd.Int63(),
-		Results:        rnd.Int63n(1e3),
+		Kind:        []string{"window", "disk"}[rnd.Intn(2)],
+		ElapsedUS:   rnd.Int63n(1e6),
+		QueueWaitUS: rnd.Int63n(3),
+		FilterUS:    rnd.Int63n(1e3),
 	}
+	tr.TilesVisited = rnd.Int63n(1e4)
+	tr.EntriesScanned = rnd.Int63()
+	tr.Results = rnd.Int63n(1e3)
 	tr.ClassEntriesScanned.C = rnd.Int63n(50)
 	for i := rnd.Intn(3); i > 0; i-- {
 		tr.Shards = append(tr.Shards, shardSpanJSON{Shard: i, ElapsedUS: rnd.Int63n(1e3), Results: rnd.Intn(9)})

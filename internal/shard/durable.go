@@ -212,7 +212,7 @@ func Open(opts core.Options, lo core.LiveOptions, do DurableOptions, shards int,
 	for s, d := range ds {
 		lives[s] = d.Live()
 	}
-	live := liveFromRecovered(lay, lives)
+	live := liveOver(lay, lives)
 	return &Durable{live: live, ds: ds}, infos, nil
 }
 

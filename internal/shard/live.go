@@ -37,12 +37,11 @@ type Live struct {
 // wired by the durability layer (Open).
 func NewLive(opts core.Options, lo core.LiveOptions, shards int) *Live {
 	lay := makeLayout(opts, shards)
-	l := &Live{lay: lay, met: newMetrics(lay.shardCount())}
-	l.lives = make([]*core.Live, lay.shardCount())
-	for s := range l.lives {
-		l.lives[s] = core.NewLive(core.New(lay.shardOpts(s)), lo)
+	lives := make([]*core.Live, lay.shardCount())
+	for s := range lives {
+		lives[s] = core.NewLive(core.New(lay.shardOpts(s)), lo)
 	}
-	return l
+	return liveOver(lay, lives)
 }
 
 // LiveFrom wraps a built engine, which becomes the epoch-0 state of
@@ -59,27 +58,41 @@ func LiveFrom(e *Engine, lo core.LiveOptions) *Live {
 	return l
 }
 
-// liveFromRecovered assembles a Live around already-running per-shard
-// apply loops (WAL recovery opens them one by one). The distinct size is
-// recomputed from the recovered contents.
-func liveFromRecovered(lay layout, lives []*core.Live) *Live {
+// liveOver assembles a Live around already-running per-shard apply
+// loops: the ones WAL recovery opens one by one, or the one loop of an
+// unsharded core.Live. The distinct size of several shards is
+// recomputed from their contents; one shard's is its own Len.
+func liveOver(lay layout, lives []*core.Live) *Live {
 	l := &Live{lay: lay, lives: lives, met: newMetrics(lay.shardCount())}
-	l.size.Store(int64(l.Snapshot().countDistinct()))
+	if len(lives) > 1 {
+		l.size.Store(int64(l.Snapshot().countDistinct()))
+	}
 	return l
+}
+
+// OneLive returns the one-shard Live over lv: the unsharded live index
+// as the S=1 case, sharing its apply loop and snapshots.
+func OneLive(lv *core.Live) *Live {
+	return liveOver(oneLayout(lv.Snapshot()), []*core.Live{lv})
 }
 
 // Snapshot returns an immutable engine over the shards' current
 // snapshots: S atomic loads, no locks. Scatter-gather counters are
-// shared with every other snapshot of this Live.
+// shared with every other snapshot of this Live. The distinct size is
+// the Live's counter, or the one shard's own Len.
 func (l *Live) Snapshot() *Engine {
 	snaps := make([]*core.Index, len(l.lives))
 	for s, lv := range l.lives {
 		snaps[s] = lv.Snapshot()
 	}
+	size := int(l.size.Load())
+	if len(snaps) == 1 {
+		size = snaps[0].Len()
+	}
 	return &Engine{
 		lay:    l.lay,
 		shards: snaps,
-		size:   int(l.size.Load()),
+		size:   size,
 		met:    l.met,
 	}
 }
@@ -103,7 +116,8 @@ func (l *Live) Insert(e core.Mutation) (uint64, error) {
 // All mutations are validated up front — an invalid rectangle fails the
 // whole batch with nothing applied. Atomic visibility holds per shard,
 // not across shards: a reader may observe one shard's half of the batch
-// before another's.
+// before another's. A batch that lies in one shard goes to that shard's
+// apply loop whole, from the caller's goroutine, with its atomicity.
 func (l *Live) Apply(muts []core.Mutation) (core.ApplyResult, error) {
 	if len(muts) == 0 {
 		return core.ApplyResult{Epoch: l.Snapshot().Epoch()}, nil
@@ -116,6 +130,13 @@ func (l *Live) Apply(muts []core.Mutation) (core.ApplyResult, error) {
 		}
 	}
 	S := len(l.lives)
+	if s := l.home(muts); s >= 0 {
+		res, err := l.lives[s].Apply(muts)
+		if err == nil && S > 1 {
+			l.size.Add(sizeDelta(muts, res.Found))
+		}
+		return res, err
+	}
 	perShard := make([][]core.Mutation, S)
 	perIndex := make([][]int, S)
 	for i := range muts {
@@ -174,20 +195,35 @@ func (l *Live) Apply(muts []core.Mutation) (core.ApplyResult, error) {
 		}
 	}
 
-	// Maintain the engine-wide distinct count: inserts always add one
-	// object, deletes remove one when any shard found it.
-	var delta int64
+	l.size.Add(sizeDelta(muts, res.Found))
+	return res, nil
+}
+
+// home returns the one shard every mutation's rectangle lies in, or -1
+// when the batch spans shards.
+func (l *Live) home(muts []core.Mutation) int {
+	s, _ := l.lay.rangeOf(muts[0].Entry.Rect)
 	for i := range muts {
-		if muts[i].Delete {
-			if res.Found[i] {
-				delta--
-			}
-		} else {
-			delta++
+		if lo, hi := l.lay.rangeOf(muts[i].Entry.Rect); lo != s || hi != s {
+			return -1
 		}
 	}
-	l.size.Add(delta)
-	return res, nil
+	return s
+}
+
+// sizeDelta is what an applied batch changes the engine-wide distinct
+// count by: inserts always add one object, deletes remove one when any
+// shard found it.
+func sizeDelta(muts []core.Mutation, found []bool) int64 {
+	var delta int64
+	for i := range muts {
+		if !muts[i].Delete {
+			delta++
+		} else if found[i] {
+			delta--
+		}
+	}
+	return delta
 }
 
 // Delete removes the object with the given ID and exact MBR from every
@@ -202,7 +238,12 @@ func (l *Live) Delete(m core.Mutation) (found bool, epoch uint64, err error) {
 }
 
 // Len returns the number of distinct objects currently indexed.
-func (l *Live) Len() int { return int(l.size.Load()) }
+func (l *Live) Len() int {
+	if len(l.lives) == 1 {
+		return l.lives[0].Snapshot().Len()
+	}
+	return int(l.size.Load())
+}
 
 // Shards returns the shard count.
 func (l *Live) Shards() int { return len(l.lives) }

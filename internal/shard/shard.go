@@ -146,13 +146,17 @@ func newMetrics(shards int) *metrics {
 	return &metrics{perShard: make([]shardCounters, shards)}
 }
 
-// Span records one shard's contribution to a scatter-gather query, for
-// trace output: which shard ran, how long its scan took, and how many
-// results it contributed after deduplication.
+// Span records one shard's contribution to a traced scatter-gather
+// query: which shard ran, how long its scan took, how many results it
+// contributed after deduplication, and the work it did there — the
+// shard's core counters and the part of its time spent in exact-geometry
+// refinement.
 type Span struct {
 	Shard     int
 	ElapsedNS int64
 	Results   int
+	Stats     core.Stats
+	RefineNS  int64
 }
 
 // ShardStat is the per-shard slice of a Stats snapshot.
@@ -258,44 +262,85 @@ func Build(d *spatial.Dataset, opts core.Options, shards int) *Engine {
 	return eng
 }
 
+// One returns the one-shard engine over ix: the unsharded index as the
+// S=1 case of the engine, sharing ix's storage (no copy, no rebuild).
+// Its layout is ix's grid and its dataset ix's, if any, so exact queries
+// keep working; with one slab the home-shard rule never drops a match,
+// so every query answers and counts exactly as on ix.
+func One(ix *core.Index) *Engine {
+	return &Engine{
+		lay:     oneLayout(ix),
+		shards:  []*core.Index{ix},
+		dataset: ix.Dataset(),
+		size:    ix.Len(),
+		met:     newMetrics(1),
+	}
+}
+
+// oneLayout is the one-slab layout over ix's grid.
+func oneLayout(ix *core.Index) layout {
+	g := ix.Grid()
+	return makeLayout(core.Options{NX: g.NX, NY: g.NY, Space: g.Space}, 1)
+}
+
 // errExactNeedsDataset mirrors the core error for engines that lost
 // their geometries (live snapshots).
 var errExactNeedsDataset = errors.New("shard: exact queries require an engine built over a Dataset")
 
-// scan runs work against shard s and accounts for it: the shard's
-// queries, busyNS and results counters and the Span it returns. work
-// returns the number of results the shard contributed. Every shard scan
-// of every query kind goes through here.
-func (e *Engine) scan(s int, work func(s int) int) Span {
+// work is one query's evaluation on shard s, run on ix: the shard's
+// index or, in a traced query, a traced view of it. It returns the
+// number of results the shard contributed.
+type work func(s int, ix *core.Index) int
+
+// run runs w against shard s and returns its Span. A traced run hands w
+// a traced view of the shard, so the Span carries the shard's counters
+// and refinement time. Every shard evaluation of every query kind,
+// batches included, goes through here.
+func (e *Engine) run(s int, traced bool, w work) Span {
+	start := time.Now()
+	var sp Span
+	if traced {
+		var tr core.Trace
+		sp.Results = w(s, e.shards[s].ViewTraced(&tr))
+		sp.Stats, sp.RefineNS = tr.Stats, tr.RefineNS
+	} else {
+		sp.Results = w(s, e.shards[s])
+	}
+	sp.Shard, sp.ElapsedNS = s, time.Since(start).Nanoseconds()
+	return sp
+}
+
+// scan runs a single query's w against shard s and accounts for it in
+// the shard's queries, busyNS and results counters.
+func (e *Engine) scan(s int, traced bool, w work) Span {
 	sc := &e.met.perShard[s]
 	sc.queries.Add(1)
-	start := time.Now()
-	n := work(s)
-	elapsed := time.Since(start).Nanoseconds()
-	sc.busyNS.Add(elapsed)
-	sc.results.Add(uint64(n))
-	return Span{Shard: s, ElapsedNS: elapsed, Results: n}
+	sp := e.run(s, traced, w)
+	sc.busyNS.Add(sp.ElapsedNS)
+	sc.results.Add(uint64(sp.Results))
+	return sp
 }
 
 // single runs a query that touches only shard s on the caller's
-// goroutine, counted as a single-shard query. work does not escape, so
-// the fast path of Search and SearchCount streams and counts without
-// allocating.
-func (e *Engine) single(s int, spans *[]Span, work func(s int) int) {
+// goroutine, counted as a single-shard query. w does not escape, so the
+// fast path of Search and SearchCount streams and counts without
+// allocating. spans, when non-nil, traces the scan and receives its
+// Span.
+func (e *Engine) single(s int, spans *[]Span, w work) {
 	e.met.single.Add(1)
-	sp := e.scan(s, work)
+	sp := e.scan(s, spans != nil, w)
 	if spans != nil {
 		*spans = append(*spans, sp)
 	}
 }
 
-// scatter runs work on every shard of [lo, hi] and appends their Spans
-// to spans (when non-nil) in shard order: concurrently, counted as one
-// fan-out, or as single when the range is one shard. The callers keep
-// only their per-shard work and their merge.
-func (e *Engine) scatter(lo, hi int, spans *[]Span, work func(s int) int) {
+// scatter runs w on every shard of [lo, hi] and, when spans is non-nil,
+// traces the scans and appends their Spans in shard order: concurrently,
+// counted as one fan-out, or as single when the range is one shard. The
+// callers keep only their per-shard work and their merge.
+func (e *Engine) scatter(lo, hi int, spans *[]Span, w work) {
 	if lo == hi {
-		e.single(lo, spans, work)
+		e.single(lo, spans, w)
 		return
 	}
 	e.met.fanout.Add(1)
@@ -305,7 +350,7 @@ func (e *Engine) scatter(lo, hi int, spans *[]Span, work func(s int) int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			spanBuf[s-lo] = e.scan(s, work)
+			spanBuf[s-lo] = e.scan(s, spans != nil, w)
 		}()
 	}
 	wg.Wait()
@@ -333,9 +378,9 @@ func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span
 	if lo == hi {
 		// Single-shard fast path: the shard's own result stream is already
 		// duplicate free, no buffering needed.
-		e.single(lo, spans, func(s int) int {
+		e.single(lo, spans, func(_ int, ix *core.Index) int {
 			n := 0
-			complete, err = e.shards[s].Search(q, func(ent spatial.Entry) bool {
+			complete, err = ix.Search(q, func(ent spatial.Entry) bool {
 				n++
 				return fn(ent)
 			})
@@ -351,10 +396,10 @@ func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span
 	sub := q
 	sub.Limit = 0
 	bufs := make([][]spatial.Entry, hi-lo+1)
-	e.scatter(lo, hi, spans, func(s int) int {
+	e.scatter(lo, hi, spans, func(s int, ix *core.Index) int {
 		var kept []spatial.Entry
 		from := e.lay.ownedFrom(s, lo)
-		e.shards[s].Search(sub, func(ent spatial.Entry) bool {
+		ix.Search(sub, func(ent spatial.Entry) bool {
 			if ent.Rect.MinX >= from {
 				kept = append(kept, ent)
 				if q.Limit > 0 && len(kept) >= q.Limit {
@@ -418,8 +463,8 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 	}
 	lo, hi := e.lay.rangeOf(q.MBR())
 	if lo == hi {
-		e.single(lo, spans, func(s int) int {
-			total, err = e.shards[s].SearchCount(q)
+		e.single(lo, spans, func(_ int, ix *core.Index) int {
+			total, err = ix.SearchCount(q)
 			return total
 		})
 		return total, err
@@ -428,12 +473,12 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 	sub := q
 	sub.Limit = 0
 	perShard := make([]int, hi-lo+1)
-	e.scatter(lo, hi, spans, func(s int) int {
+	e.scatter(lo, hi, spans, func(s int, ix *core.Index) int {
 		n := 0
 		from := e.lay.ownedFrom(s, lo)
 		switch {
 		case q.Exact:
-			e.shards[s].Search(sub, func(ent spatial.Entry) bool {
+			ix.Search(sub, func(ent spatial.Entry) bool {
 				if ent.Rect.MinX >= from {
 					n++
 					if q.Limit > 0 && n >= q.Limit {
@@ -443,11 +488,11 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 				return true
 			})
 		case q.Window != nil:
-			n = e.shards[s].WindowCountFiltered(*q.Window, from)
+			n = ix.WindowCountFiltered(*q.Window, from)
 		case q.Disk != nil:
-			n = e.shards[s].DiskCountFiltered(q.Disk.Center, q.Disk.Radius, from)
+			n = ix.DiskCountFiltered(q.Disk.Center, q.Disk.Radius, from)
 		default:
-			n = e.shards[s].RegionCountFiltered(q.Region, from)
+			n = ix.RegionCountFiltered(q.Region, from)
 		}
 		perShard[s-lo] = n
 		return n
@@ -496,11 +541,11 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 	}
 	S := len(e.shards)
 	per := make([][]core.Neighbor, S)
-	e.scatter(0, S-1, spans, func(s int) int {
+	e.scatter(0, S-1, spans, func(s int, ix *core.Index) int {
 		if exact {
-			per[s] = e.shards[s].KNNExact(q, k)
+			per[s] = ix.KNNExact(q, k)
 		} else {
-			per[s] = e.shards[s].KNN(q, k)
+			per[s] = ix.KNN(q, k)
 		}
 		return len(per[s])
 	})
@@ -538,47 +583,71 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 // per-query result counts. Each shard runs its local counted batch (with
 // the requested strategy and thread count) over the queries covering
 // it, each under SearchCount's rule (layout.ownedFrom), so the per-shard
-// counts sum to an unsharded batch's with no per-result work.
-func (e *Engine) BatchWindowCounts(queries []geom.Rect, strategy core.BatchStrategy, threads int) []int {
-	return batchCounts(e, queries, func(w geom.Rect) geom.Rect { return w }, (*core.Index).BatchWindowCountsFiltered, strategy, threads)
+// counts sum to an unsharded batch's with no per-result work. spans,
+// when non-nil, traces each shard's batch and receives its Span.
+func (e *Engine) BatchWindowCounts(queries []geom.Rect, strategy core.BatchStrategy, threads int, spans *[]Span) []int {
+	return batchCounts(e, queries, func(w geom.Rect) geom.Rect { return w }, (*core.Index).BatchWindowCountsFiltered, strategy, threads, spans)
 }
 
 // BatchDiskCounts is BatchWindowCounts for disk queries.
-func (e *Engine) BatchDiskCounts(queries []geom.Disk, strategy core.BatchStrategy, threads int) []int {
-	return batchCounts(e, queries, geom.Disk.MBR, (*core.Index).BatchDiskCountsFiltered, strategy, threads)
+func (e *Engine) BatchDiskCounts(queries []geom.Disk, strategy core.BatchStrategy, threads int, spans *[]Span) []int {
+	return batchCounts(e, queries, geom.Disk.MBR, (*core.Index).BatchDiskCountsFiltered, strategy, threads, spans)
 }
 
 // batchCounts is the one body of both batch counts: shard by shard,
 // count runs the shard's batch over the queries whose MBR covers it,
-// each filtered by ownedFrom of its cover's first shard. An invalid MBR
-// (inverted window, negative radius) covers no shard.
+// each filtered by ownedFrom of its cover's first shard. A shard every
+// query covers gets the caller's slice itself, so a one-shard engine
+// runs the plain index's batch. An invalid MBR (inverted window,
+// negative radius) covers no shard.
 func batchCounts[Q any](e *Engine, queries []Q, mbr func(Q) geom.Rect,
 	count func(ix *core.Index, local []Q, minX func(int) float64, strategy core.BatchStrategy, threads int) []int,
-	strategy core.BatchStrategy, threads int) []int {
+	strategy core.BatchStrategy, threads int, spans *[]Span) []int {
 	lo := make([]int, len(queries))
 	hi := make([]int, len(queries))
+	covering := make([]int, len(e.shards)) // queries covering each shard
 	for q := range queries {
 		lo[q], hi[q] = 1, 0
 		if r := mbr(queries[q]); r.Valid() {
 			lo[q], hi[q] = e.lay.rangeOf(r)
 		}
+		for s := lo[q]; s <= hi[q]; s++ {
+			covering[s]++
+		}
 	}
 	counts := make([]int, len(queries))
 	for s := range e.shards {
-		var local []Q
-		var global []int32
-		for q := range queries {
-			if lo[q] <= s && s <= hi[q] {
-				local = append(local, queries[q])
-				global = append(global, int32(q))
-			}
-		}
-		if len(local) == 0 {
+		if covering[s] == 0 {
 			continue
 		}
-		minX := func(i int) float64 { return e.lay.ownedFrom(s, lo[global[i]]) }
-		for i, n := range count(e.shards[s], local, minX, strategy, threads) {
-			counts[global[i]] += n
+		local, global := queries, []int32(nil) // nil global: local is queries
+		if covering[s] < len(queries) {
+			local = make([]Q, 0, covering[s])
+			global = make([]int32, 0, covering[s])
+			for q := range queries {
+				if lo[q] <= s && s <= hi[q] {
+					local = append(local, queries[q])
+					global = append(global, int32(q))
+				}
+			}
+		}
+		at := func(i int) int {
+			if global == nil {
+				return i
+			}
+			return int(global[i])
+		}
+		sp := e.run(s, spans != nil, func(s int, ix *core.Index) int {
+			total := 0
+			minX := func(i int) float64 { return e.lay.ownedFrom(s, lo[at(i)]) }
+			for i, n := range count(ix, local, minX, strategy, threads) {
+				counts[at(i)] += n
+				total += n
+			}
+			return total
+		})
+		if spans != nil {
+			*spans = append(*spans, sp)
 		}
 	}
 	return counts

@@ -398,7 +398,7 @@ func TestBatchCountsAcrossSlabEdges(t *testing.T) {
 		t.Helper()
 		for _, strategy := range []core.BatchStrategy{core.QueriesBased, core.TilesBased} {
 			for _, threads := range []int{1, 2} {
-				gotW := e.BatchWindowCounts(windows, strategy, threads)
+				gotW := e.BatchWindowCounts(windows, strategy, threads, nil)
 				for q, w := range windows {
 					want := 0
 					if w.Valid() { // an inverted window matches nothing
@@ -409,7 +409,7 @@ func TestBatchCountsAcrossSlabEdges(t *testing.T) {
 							ctx, strategy, threads, q, w, gotW[q], want)
 					}
 				}
-				gotD := e.BatchDiskCounts(disks, strategy, threads)
+				gotD := e.BatchDiskCounts(disks, strategy, threads, nil)
 				for q, dk := range disks {
 					want := 0
 					if dk.Radius >= 0 { // a negative radius matches nothing
@@ -475,7 +475,7 @@ func TestQueryStatsSumsShards(t *testing.T) {
 			e.SearchCount(core.Query{Disk: &disk}, nil)
 			e.KNN(disk.Center, 5, false, nil)
 			// The whole-space window puts both shards in the batch.
-			e.BatchWindowCounts([]geom.Rect{win, opts.Space}, core.QueriesBased, 2)
+			e.BatchWindowCounts([]geom.Rect{win, opts.Space}, core.QueriesBased, 2, nil)
 		}
 	}
 	concurrent, serial := Build(d, opts, 2), Build(d, opts, 2)

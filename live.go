@@ -136,14 +136,16 @@ func (l *Live) Delete(id ID, mbr Rect) (found bool, epoch uint64, err error) {
 // mutation carries an invalid rectangle the whole batch is rejected with
 // an error and nothing is applied.
 func (l *Live) Apply(muts []Mutation) (ApplyResult, error) {
+	return l.live.Apply(coreMutations(muts))
+}
+
+// coreMutations converts a mutation batch for the apply loops.
+func coreMutations(muts []Mutation) []core.Mutation {
 	cms := make([]core.Mutation, len(muts))
 	for i, m := range muts {
-		cms[i] = core.Mutation{
-			Delete: m.Delete,
-			Entry:  spatial.Entry{ID: m.ID, Rect: m.MBR},
-		}
+		cms[i] = core.Mutation{Delete: m.Delete, Entry: spatial.Entry{ID: m.ID, Rect: m.MBR}}
 	}
-	return l.live.Apply(cms)
+	return cms
 }
 
 // Len returns the number of objects in the current snapshot.

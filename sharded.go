@@ -95,80 +95,96 @@ func (s *Sharded) KNNExact(q Point, k int) []Neighbor {
 // per-query result counts, like Index.BatchWindowCounts: each shard runs
 // its local batch kernel over the windows covering it.
 func (s *Sharded) BatchWindowCounts(queries []Rect, strategy BatchStrategy, threads int) []int {
-	return s.eng.BatchWindowCounts(queries, strategy, threads)
+	return s.eng.BatchWindowCounts(queries, strategy, threads, nil)
 }
 
 // BatchDiskCounts evaluates a disk batch and returns per-query counts,
 // like Index.BatchDiskCounts.
 func (s *Sharded) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads int) []int {
-	return s.eng.BatchDiskCounts(queries, strategy, threads)
+	return s.eng.BatchDiskCounts(queries, strategy, threads, nil)
 }
 
 // ShardSpan records one shard's contribution to a traced query: which
-// shard scanned, its wall time, and how many results it contributed
-// after deduplication.
+// shard scanned, its wall time, how many results it contributed after
+// deduplication, and the work it did there — the shard's query counters
+// and the part of its time spent in exact-geometry refinement, as an
+// Index.Traced view records them.
 type ShardSpan struct {
 	Shard     int
 	ElapsedUS int64
 	Results   int
+	Stats     Stats
+	RefineNS  int64
 }
 
 // ShardedView is a per-request tracing view of a Sharded engine: every
-// query run through it appends its per-shard fan-out spans to Spans.
-// Views are cheap; use one per request and read Spans when done. The
-// view itself is not safe for concurrent use (the engine is).
+// query run through it, batches included, evaluates each shard it
+// touches on a traced view of that shard and appends the shard's span
+// to Spans. Views are cheap; use one per request and read Spans when
+// done. The view itself is not safe for concurrent use (the engine is).
 type ShardedView struct {
 	s *Sharded
 	// Spans accumulates one entry per shard scanned, across all queries
 	// run through the view.
 	Spans []ShardSpan
+	// raw receives the engine's spans of the query running; capture
+	// moves them to Spans when it returns.
+	raw []shard.Span
 }
 
 // Traced returns a fresh tracing view of the engine.
 func (s *Sharded) Traced() *ShardedView { return &ShardedView{s: s} }
 
-func (v *ShardedView) capture(spans []shard.Span) {
-	for _, sp := range spans {
+func (v *ShardedView) capture() {
+	for _, sp := range v.raw {
 		v.Spans = append(v.Spans, ShardSpan{
 			Shard:     sp.Shard,
 			ElapsedUS: sp.ElapsedNS / 1e3,
 			Results:   sp.Results,
+			Stats:     sp.Stats,
+			RefineNS:  sp.RefineNS,
 		})
 	}
+	v.raw = v.raw[:0]
 }
 
 // Search is Sharded.Search with span capture.
 func (v *ShardedView) Search(q Query, fn func(id ID, mbr Rect) bool) (bool, error) {
-	var spans []shard.Span
-	complete, err := v.s.eng.Search(q.toCore(), func(e spatial.Entry) bool {
+	defer v.capture()
+	return v.s.eng.Search(q.toCore(), func(e spatial.Entry) bool {
 		return fn(e.ID, e.Rect)
-	}, &spans)
-	v.capture(spans)
-	return complete, err
+	}, &v.raw)
 }
 
 // SearchCount is Sharded.SearchCount with span capture.
 func (v *ShardedView) SearchCount(q Query) (int, error) {
-	var spans []shard.Span
-	n, err := v.s.eng.SearchCount(q.toCore(), &spans)
-	v.capture(spans)
-	return n, err
+	defer v.capture()
+	return v.s.eng.SearchCount(q.toCore(), &v.raw)
 }
 
 // KNN is Sharded.KNN with span capture.
 func (v *ShardedView) KNN(q Point, k int) []Neighbor {
-	var spans []shard.Span
-	out := v.s.eng.KNN(q, k, false, &spans)
-	v.capture(spans)
-	return out
+	defer v.capture()
+	return v.s.eng.KNN(q, k, false, &v.raw)
 }
 
 // KNNExact is Sharded.KNNExact with span capture.
 func (v *ShardedView) KNNExact(q Point, k int) []Neighbor {
-	var spans []shard.Span
-	out := v.s.eng.KNN(q, k, true, &spans)
-	v.capture(spans)
-	return out
+	defer v.capture()
+	return v.s.eng.KNN(q, k, true, &v.raw)
+}
+
+// BatchWindowCounts is Sharded.BatchWindowCounts with span capture: one
+// span per shard whose batch ran.
+func (v *ShardedView) BatchWindowCounts(queries []Rect, strategy BatchStrategy, threads int) []int {
+	defer v.capture()
+	return v.s.eng.BatchWindowCounts(queries, strategy, threads, &v.raw)
+}
+
+// BatchDiskCounts is Sharded.BatchDiskCounts with span capture.
+func (v *ShardedView) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads int) []int {
+	defer v.capture()
+	return v.s.eng.BatchDiskCounts(queries, strategy, threads, &v.raw)
 }
 
 // Len returns the number of distinct objects (boundary replicas counted
@@ -259,11 +275,21 @@ func NewShardedLive(opts Options, lo LiveOptions, so ShardedOptions) (*ShardedLi
 // of every shard. It takes ownership of s: do not query s directly
 // afterward. Snapshots serve the filtering layer (MBR queries) only.
 func ShardedLiveFrom(s *Sharded, lo LiveOptions) *ShardedLive {
-	return &ShardedLive{l: shard.LiveFrom(s.engine(), lo.toCore())}
+	return &ShardedLive{l: shard.LiveFrom(s.eng, lo.toCore())}
 }
 
-// engine exposes the internal engine to sibling constructors.
-func (s *Sharded) engine() *shard.Engine { return s.eng }
+// OneShard returns the one-shard engine over ix: the unsharded index as
+// the S=1 case of Sharded, sharing ix's storage (no copy, no rebuild)
+// and its geometries, so exact queries keep working. Every query answers
+// and counts its work exactly as on ix; the engine adds its shard
+// bookkeeping (Stats) and per-shard spans (Traced). Do not update ix
+// while the engine is in use.
+func OneShard(ix *Index) *Sharded { return &Sharded{eng: shard.One(ix.core)} }
+
+// OneShardLive returns the one-shard updatable engine over l: the
+// unsharded live index as the S=1 case of ShardedLive, sharing its apply
+// loop and snapshots. Closing either closes both.
+func OneShardLive(l *Live) *ShardedLive { return &ShardedLive{l: shard.OneLive(l.live)} }
 
 // Snapshot returns an immutable engine over the shards' current
 // snapshots — S atomic loads, no locks. Pin one snapshot per request.
@@ -290,14 +316,7 @@ func (sl *ShardedLive) Delete(id ID, mbr Rect) (found bool, epoch uint64, err er
 // invalid rectangle rejects the whole batch before anything is
 // enqueued); visibility is atomic per shard, not across shards.
 func (sl *ShardedLive) Apply(muts []Mutation) (ApplyResult, error) {
-	cms := make([]core.Mutation, len(muts))
-	for i, m := range muts {
-		cms[i] = core.Mutation{
-			Delete: m.Delete,
-			Entry:  spatial.Entry{ID: m.ID, Rect: m.MBR},
-		}
-	}
-	return sl.l.Apply(cms)
+	return sl.l.Apply(coreMutations(muts))
 }
 
 // Len returns the number of distinct objects currently indexed.
@@ -310,9 +329,6 @@ func (sl *ShardedLive) Shards() int { return sl.l.Shards() }
 // throughput counters, maxima for Epoch and LastPublish, the distinct
 // object count for Objects).
 func (sl *ShardedLive) Stats() LiveStats { return sl.l.Stats() }
-
-// ShardStats snapshots the engine's scatter-gather counters.
-func (sl *ShardedLive) ShardStats() ShardedStats { return sl.l.Snapshot().Stats() }
 
 // Close drains and stops every shard's apply loop. Idempotent.
 func (sl *ShardedLive) Close() { sl.l.Close() }
@@ -368,7 +384,7 @@ func OpenShardedDurable(opts Options, lo LiveOptions, do ShardedDurableOptions, 
 	}
 	var seed *shard.Engine
 	if do.Seed != nil {
-		seed = do.Seed.engine()
+		seed = do.Seed.eng
 	}
 	d, infos, err := shard.Open(opts.toCore(), lo.toCore(), shard.DurableOptions{
 		Dir:             do.Dir,

@@ -27,11 +27,33 @@ func shardedBenchRects(n int) []twolayer.Rect {
 	return rects
 }
 
-// BenchmarkShardedWindow measures mixed window queries — mostly
-// slab-local (the fast path), some spanning — through the sharded
-// engine at increasing shard counts.
-func BenchmarkShardedWindow(b *testing.B) {
-	rects := shardedBenchRects(200_000)
+// shardedBenchRows are the rows of the sharded benchmarks: 0 is the
+// plain Index (or Live) as the unsharded baseline, the others the engine
+// at that shard count. The shards=1 row is the engine every unsharded
+// server serves through.
+var shardedBenchRows = []int{0, 1, 2, 4, 8}
+
+func shardedBenchName(shards int) string {
+	if shards == 0 {
+		return "unsharded"
+	}
+	return fmt.Sprintf("shards=%d", shards)
+}
+
+// benchCounter is the read surface Index and Sharded share.
+type benchCounter interface {
+	SearchCount(q twolayer.Query) (int, error)
+	BatchWindowCounts(queries []twolayer.Rect, strategy twolayer.BatchStrategy, threads int) []int
+}
+
+func shardedBenchEngine(rects []twolayer.Rect, opts twolayer.Options, shards int) benchCounter {
+	if shards == 0 {
+		return twolayer.BuildRects(rects, opts)
+	}
+	return twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: shards})
+}
+
+func shardedBenchWindows() []twolayer.Rect {
 	rnd := rand.New(rand.NewSource(7))
 	windows := make([]twolayer.Rect, 512)
 	for i := range windows {
@@ -39,10 +61,18 @@ func BenchmarkShardedWindow(b *testing.B) {
 		side := 0.005 + rnd.Float64()*0.045 // up to ~4.5% extent
 		windows[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + side, MaxY: y + side}
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sh := twolayer.BuildShardedRects(rects, twolayer.Options{GridSize: 512},
-				twolayer.ShardedOptions{Shards: shards})
+	return windows
+}
+
+// BenchmarkShardedWindow measures mixed window queries — mostly
+// slab-local (the fast path), some spanning — through the plain index
+// and through the sharded engine at increasing shard counts.
+func BenchmarkShardedWindow(b *testing.B) {
+	rects := shardedBenchRects(200_000)
+	windows := shardedBenchWindows()
+	for _, shards := range shardedBenchRows {
+		b.Run(shardedBenchName(shards), func(b *testing.B) {
+			sh := shardedBenchEngine(rects, twolayer.Options{GridSize: 512}, shards)
 			b.ResetTimer()
 			sink := 0
 			for i := 0; i < b.N; i++ {
@@ -58,18 +88,47 @@ func BenchmarkShardedWindow(b *testing.B) {
 	}
 }
 
+// BenchmarkShardedBatch measures the same windows as one queries-based
+// batch count on one worker, so the rows differ only in the engine's
+// routing around the batch kernel.
+func BenchmarkShardedBatch(b *testing.B) {
+	rects := shardedBenchRects(200_000)
+	windows := shardedBenchWindows()
+	for _, shards := range shardedBenchRows {
+		b.Run(shardedBenchName(shards), func(b *testing.B) {
+			sh := shardedBenchEngine(rects, twolayer.Options{GridSize: 512}, shards)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = len(sh.BatchWindowCounts(windows, twolayer.QueriesBased, 1))
+			}
+		})
+	}
+}
+
+// benchApplier is the write surface Live and ShardedLive share.
+type benchApplier interface {
+	Apply(muts []twolayer.Mutation) (twolayer.ApplyResult, error)
+	Close()
+}
+
 // BenchmarkShardedApply measures live mutation throughput: concurrent
-// writers stream small insert/delete batches through ShardedLive. Small
-// apply batches make the per-publish copy-on-write clone the dominant
-// cost; sharding divides each clone by the shard count and runs the
-// loops in parallel, so throughput scales with shards.
+// writers stream small insert/delete batches through Live (the
+// unsharded row) and ShardedLive. Small apply batches make the
+// per-publish copy-on-write clone the dominant cost; sharding divides
+// each clone by the shard count and runs the loops in parallel, so
+// throughput scales with shards.
 func BenchmarkShardedApply(b *testing.B) {
 	base := shardedBenchRects(200_000)
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sh := twolayer.BuildShardedRects(base, twolayer.Options{GridSize: 768},
-				twolayer.ShardedOptions{Shards: shards})
-			live := twolayer.ShardedLiveFrom(sh, twolayer.LiveOptions{MaxBatch: 16})
+	for _, shards := range shardedBenchRows {
+		b.Run(shardedBenchName(shards), func(b *testing.B) {
+			opts, lo := twolayer.Options{GridSize: 768}, twolayer.LiveOptions{MaxBatch: 16}
+			var live benchApplier
+			if shards == 0 {
+				live = twolayer.LiveFrom(twolayer.BuildRects(base, opts), lo)
+			} else {
+				live = twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(base, opts,
+					twolayer.ShardedOptions{Shards: shards}), lo)
+			}
 			defer live.Close()
 
 			var seq atomic.Int64

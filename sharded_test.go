@@ -554,9 +554,9 @@ func TestShardedLiveFromAndSnapshot(t *testing.T) {
 		t.Fatalf("Len after delete = %d, want %d", sl.Len(), len(rects))
 	}
 
-	st := sl.ShardStats()
+	st := sl.Snapshot().Stats()
 	if len(st.PerShard) != 3 {
-		t.Fatalf("ShardStats has %d shards, want 3", len(st.PerShard))
+		t.Fatalf("Stats has %d shards, want 3", len(st.PerShard))
 	}
 }
 
