@@ -278,7 +278,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decodeRequest(w, r, &req, scanBatch) {
+	timers := s.metrics.codec["v1/batch"]
+	if !decodeRequest(w, r, &req, scanBatch, timers.decode) {
 		return
 	}
 	var strategy twolayer.BatchStrategy
@@ -367,7 +368,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	end.finish()
 	buf := getBuf()
 	defer putBuf(buf)
+	encodeStart := time.Now()
 	*buf = appendBatch((*buf)[:0], &resp)
+	observeSince(timers.encode, encodeStart)
 	writeBody(w, http.StatusOK, *buf)
 }
 

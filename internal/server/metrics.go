@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -18,6 +19,9 @@ import (
 //
 //   - twolayer_http_*: per-endpoint request counts, errors, timeouts,
 //     and latency histograms, recorded by the instrument middleware.
+//   - twolayer_layer_seconds: the decode and encode time of the
+//     endpoints that go through the wire codec, recorded by their
+//     handlers.
 //   - twolayer_query_*: the core filtering/refinement work counters
 //     (tiles visited, per-class entries scanned, comparisons, duplicates
 //     avoided, count pushdowns, ...) of every query the engine finished,
@@ -35,7 +39,7 @@ import (
 //
 // Engine groups are registered as scrape-time callbacks reading the
 // engine's own counters, so nothing here adds work to hot paths; only
-// the http group is written per request (a few atomic adds).
+// the http and layer groups are written per request (a few atomic adds).
 //
 // Every metric name registered here must be documented in
 // docs/OBSERVABILITY.md — `make docs-check` enforces it.
@@ -50,10 +54,34 @@ type Metrics struct {
 	slow     *obsv.Counter
 	buildDur *obsv.Gauge
 
+	// codec holds the twolayer_layer_seconds children of each routed
+	// endpoint in codecEndpoints; read-only once built.
+	codec map[string]codecTimers
+
 	// admQueueWait is the only write-side admission instrument; the rest
 	// of the twolayer_admission_* group reads the gates' own counters at
 	// scrape time.
 	admQueueWait *obsv.HistogramVec
+}
+
+// codecTimers time the two codec layers of one endpoint's requests:
+// reading and decoding the body, and appending the answer's bytes.
+type codecTimers struct{ decode, encode *obsv.Histogram }
+
+// codecEndpoints are the endpoints whose decode and encode are timed:
+// every one that goes through decodeRequest and the wire encoders.
+var codecEndpoints = []string{"v1/window", "v1/disk", "v1/batch", "v1/insert", "v1/delete", "v1/bulk"}
+
+// layerBuckets span 1 µs to 100 ms: a decode takes microseconds, the
+// encode of a 1000-result answer about a millisecond.
+var layerBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
+	5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,
+}
+
+// observeSince records the seconds since start on h.
+func observeSince(h *obsv.Histogram, start time.Time) {
+	h.Observe(time.Since(start).Seconds())
 }
 
 // partitionCache memoizes the O(occupied tiles) partition walk between
@@ -105,6 +133,15 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		m.errors.With(n)
 		m.timeouts.With(n)
 		m.latency.With(n)
+	}
+	layers := r.HistogramVec("twolayer_layer_seconds",
+		"Time of one layer of a request (decode: reading and decoding the body; encode: writing the answer), per endpoint.",
+		layerBuckets, "layer", "endpoint")
+	m.codec = make(map[string]codecTimers)
+	for _, rt := range routes {
+		if n := rt.endpoint(); slices.Contains(codecEndpoints, n) {
+			m.codec[n] = codecTimers{layers.With("decode", n), layers.With("encode", n)}
+		}
 	}
 	m.traced = r.Counter("twolayer_traced_queries_total",
 		"Queries evaluated with per-request tracing attached.")

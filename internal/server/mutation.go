@@ -75,7 +75,8 @@ func writeMutationError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req insertRequest
-	if !decodeRequest(w, r, &req, scanObject[insertRequest]) {
+	timers := s.metrics.codec["v1/insert"]
+	if !decodeRequest(w, r, &req, scanObject[insertRequest], timers.decode) {
 		return
 	}
 	if msg := req.MBR.validate(); msg != "" {
@@ -95,16 +96,19 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getBuf()
 	defer putBuf(buf)
+	encodeStart := time.Now()
 	*buf = appendInsert((*buf)[:0], &insertResponse{
 		Epoch:     epoch,
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+	observeSince(timers.encode, encodeStart)
 	writeBody(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req deleteRequest
-	if !decodeRequest(w, r, &req, scanObject[deleteRequest]) {
+	timers := s.metrics.codec["v1/delete"]
+	if !decodeRequest(w, r, &req, scanObject[deleteRequest], timers.decode) {
 		return
 	}
 	if msg := req.MBR.validate(); msg != "" {
@@ -124,17 +128,20 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getBuf()
 	defer putBuf(buf)
+	encodeStart := time.Now()
 	*buf = appendDelete((*buf)[:0], &deleteResponse{
 		Found:     found,
 		Epoch:     epoch,
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+	observeSince(timers.encode, encodeStart)
 	writeBody(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	var req bulkRequest
-	if !decodeRequest(w, r, &req, scanBulk) {
+	timers := s.metrics.codec["v1/bulk"]
+	if !decodeRequest(w, r, &req, scanBulk, timers.decode) {
 		return
 	}
 	if len(req.Mutations) == 0 {
@@ -179,10 +186,12 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getBuf()
 	defer putBuf(buf)
+	encodeStart := time.Now()
 	*buf = appendBulk((*buf)[:0], &bulkResponse{
 		Epoch:     res.Epoch,
 		Found:     res.Found,
 		ElapsedUS: time.Since(start).Microseconds(),
 	})
+	observeSince(timers.encode, encodeStart)
 	writeBody(w, http.StatusOK, *buf)
 }

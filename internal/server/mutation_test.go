@@ -287,3 +287,44 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 		t.Fatalf("pending mutations %d after quiescence, want 0", st.Live.PendingMutations)
 	}
 }
+
+// TestLayerSeconds checks that every request through the wire codec is
+// timed once per layer: decode whenever the body is read, encode only
+// when an answer is written.
+func TestLayerSeconds(t *testing.T) {
+	s, _ := liveServer(t, nil)
+	h := s.Handler()
+	mbr := `{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}`
+	for _, req := range [][2]string{
+		{"/v1/insert", `{"id":1,"mbr":` + mbr + `}`},
+		{"/v1/window", `{"window":` + mbr + `}`},
+		{"/v1/window", `not json`},
+		{"/v1/disk", `{"disk":{"center":{"x":0.1,"y":0.1},"radius":0.1}}`},
+		{"/v1/batch", `{"windows":[` + mbr + `]}`},
+		{"/v1/bulk", `{"mutations":[{"op":"delete","id":1,"mbr":` + mbr + `}]}`},
+		{"/v1/delete", `{"id":1,"mbr":` + mbr + `}`},
+	} {
+		do(t, h, "POST", req[0], req[1], nil)
+	}
+	m := scrapeMetrics(t, h)
+	for _, ep := range codecEndpoints {
+		wantDecode, wantEncode := 1.0, 1.0
+		if ep == "v1/window" {
+			wantDecode = 2
+		}
+		decode := m[`twolayer_layer_seconds_count{layer="decode",endpoint="`+ep+`"}`]
+		encode := m[`twolayer_layer_seconds_count{layer="encode",endpoint="`+ep+`"}`]
+		if decode != wantDecode || encode != wantEncode {
+			t.Errorf("%s: decode/encode observations %v/%v, want %v/%v", ep, decode, encode, wantDecode, wantEncode)
+		}
+	}
+
+	// A static server routes no writes, so it has no write series.
+	static := scrapeMetrics(t, testServer(t, nil).Handler())
+	if _, ok := static[`twolayer_layer_seconds_count{layer="decode",endpoint="v1/bulk"}`]; ok {
+		t.Error("a static server exports a v1/bulk layer series")
+	}
+	if _, ok := static[`twolayer_layer_seconds_count{layer="encode",endpoint="v1/window"}`]; !ok {
+		t.Error("a static server exports no v1/window layer series")
+	}
+}

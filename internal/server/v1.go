@@ -64,8 +64,8 @@ func parseRefineMode(mode string) (twolayer.RefineMode, bool) {
 // decodeEnvelope decodes and validates a /v1 range request. kind is
 // "window" or "disk" and pins which shape the endpoint accepts. On
 // failure the error response has been written and ok is false.
-func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, kind string) (env queryEnvelope, q twolayer.Query, limit int, ok bool) {
-	if !decodeRequest(w, r, &env, scanEnvelope) {
+func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, kind string, timers codecTimers) (env queryEnvelope, q twolayer.Query, limit int, ok bool) {
+	if !decodeRequest(w, r, &env, scanEnvelope, timers.decode) {
 		return env, q, 0, false
 	}
 	switch kind {
@@ -137,7 +137,8 @@ func (s *Server) handleV1Disk(w http.ResponseWriter, r *http.Request) {
 // ctxPollInterval results on the streaming paths; the pushdown path is
 // O(tiles) and only checks the deadline before starting.
 func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind string) {
-	env, q, limit, ok := s.decodeEnvelope(w, r, kind)
+	timers := s.metrics.codec["v1/"+kind]
+	env, q, limit, ok := s.decodeEnvelope(w, r, kind, timers)
 	if !ok {
 		return
 	}
@@ -228,7 +229,9 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 	}
 	buf := getBuf()
 	defer putBuf(buf)
+	encodeStart := time.Now()
 	body, err := appendRange((*buf)[:0], &ans)
+	observeSince(timers.encode, encodeStart)
 	if err != nil {
 		writeEncodeError(w, err)
 		return

@@ -11,8 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	twolayer "github.com/twolayer/twolayer"
+	"github.com/twolayer/twolayer/internal/obsv"
 )
 
 // The wire codec of the hot /v1 shapes: a /v1/window request and its
@@ -48,9 +50,10 @@ func putBuf(buf *[]byte) {
 
 // decodeRequest reads the request body and decodes it into v through
 // scan, or through decodeJSON when scan declines the bytes or the body
-// could not be read to its end. On failure it writes the error response
-// and returns false.
-func decodeRequest[T any](w http.ResponseWriter, r *http.Request, v *T, scan func([]byte) (T, bool)) bool {
+// could not be read to its end, and records the time it took on timer.
+// On failure it writes the error response and returns false.
+func decodeRequest[T any](w http.ResponseWriter, r *http.Request, v *T, scan func([]byte) (T, bool), timer *obsv.Histogram) bool {
+	defer observeSince(timer, time.Now())
 	buf := getBuf()
 	defer putBuf(buf)
 	data, err := readBody((*buf)[:0], r.Body)
@@ -402,23 +405,6 @@ func checkFloat(f float64) error {
 		return fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
 	return nil
-}
-
-// appendFloat appends a finite f as encoding/json writes a float64: the
-// shortest decimal that reads back as f, in exponent form below 1e-6
-// and from 1e21 on, with a one-digit negative exponent not padded to
-// two.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1] // e-07 → e-7
-		dst = dst[:n-1]
-	}
-	return dst
 }
 
 // hit is one result of a range answer as the index delivers it.

@@ -61,6 +61,26 @@ func randFloat(rnd *rand.Rand) float64 {
 	return f
 }
 
+// randBitsFloat returns a finite float64 from a random bit pattern of
+// either sign, drawn in turn from every pattern, the subnormals, the
+// normals below 1e-6 and the normals from 1e21 on.
+func randBitsFloat(rnd *rand.Rand) float64 {
+	sign, frac := rnd.Uint64()&(1<<63), rnd.Uint64()>>12
+	switch rnd.Intn(4) {
+	case 0:
+		if f := math.Float64frombits(rnd.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+			return f
+		}
+		return randBitsFloat(rnd)
+	case 1:
+		return math.Float64frombits(sign | frac)
+	case 2: // biased exponent 1002 is 2^-21
+		return math.Float64frombits(sign | uint64(1+rnd.Intn(1002))<<52 | frac)
+	default: // biased exponent 1093 is 2^70
+		return math.Float64frombits(sign | uint64(1093+rnd.Intn(2046-1093+1))<<52 | frac)
+	}
+}
+
 func randTrace(rnd *rand.Rand) *traceJSON {
 	tr := &traceJSON{
 		Kind:        []string{"window", "disk"}[rnd.Intn(2)],
@@ -143,6 +163,20 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 			count: ref.Count, truncated: ref.Truncated, elapsedUS: ref.ElapsedUS,
 			estimate: ref.Estimate, trace: ref.Trace,
 		}, exact)
+	}
+
+	// MBRs and estimates from raw bit patterns, so encoding/json stays
+	// the reference for whole answers, not only for single floats.
+	for range 500 {
+		var ref rangeResponse
+		for i := 1 + rnd.Intn(8); i > 0; i-- {
+			mbr := &rectJSON{randBitsFloat(rnd), randBitsFloat(rnd), randBitsFloat(rnd), randBitsFloat(rnd)}
+			ref.Results = append(ref.Results, rangeResult{ID: rnd.Uint32(), MBR: mbr})
+		}
+		ref.Count = len(ref.Results)
+		est := randBitsFloat(rnd)
+		ref.Estimate = &est
+		check(ref, rangeAnswer{count: ref.Count, estimate: &est}, false)
 	}
 
 	for _, counts := range [][]int{nil, {}, {0}, {3, 0, math.MaxInt64, math.MinInt64}} {
