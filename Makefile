@@ -23,7 +23,8 @@ vet:
 # Documentation gates: every registered /metrics family must be
 # documented in docs/OBSERVABILITY.md, every spatialserver flag must have
 # a row in docs/SERVER.md's flag table (both ways round), and relative
-# markdown links in README.md and docs/ must resolve (see cmd/docscheck).
+# markdown links and backticked repository paths in README.md, DESIGN.md
+# and docs/ must resolve (see cmd/docscheck).
 docs-check:
 	$(GO) run ./cmd/docscheck
 

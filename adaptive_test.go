@@ -84,32 +84,6 @@ func TestShardedCountPushdownEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedEstimateWindow checks the public estimators: near-exact on
-// this low-replication dataset for the unsharded engine, and the sharded
-// sum at least as large (per-shard boundary replicas only add mass).
-func TestShardedEstimateWindow(t *testing.T) {
-	rnd := rand.New(rand.NewSource(31))
-	rects := randRects(rnd, 2000, 0.02)
-	opts := twolayer.Options{GridSize: 32}
-	idx := twolayer.BuildRects(rects, opts)
-
-	whole := twolayer.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
-	est := idx.EstimateWindow(whole)
-	if est < 1900 || est > 2100 {
-		t.Errorf("whole-space estimate = %g, want ~2000", est)
-	}
-	if idx.EstimateWindow(twolayer.Rect{MinX: 2, MinY: 2, MaxX: 1, MaxY: 1}) != 0 {
-		t.Error("invalid window estimate != 0")
-	}
-	for _, shards := range shardCountsUnderTest() {
-		sh := twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: shards})
-		got := sh.EstimateWindow(whole)
-		if got < est-1 {
-			t.Errorf("shards=%d: estimate %g below unsharded %g", shards, got, est)
-		}
-	}
-}
-
 // TestShardedQueryStats checks that count pushdowns executed inside the
 // fan-out advance the summed per-shard query totals: one query and one
 // pushdown per shard evaluated.

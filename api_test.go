@@ -20,12 +20,12 @@ func TestPublicMethodSets(t *testing.T) {
 		want string
 	}{
 		{reflect.TypeOf((*twolayer.Index)(nil)), "BatchDisk BatchDiskCounts BatchWindow BatchWindowCounts " +
-			"Decomposed Delete Epoch EstimateWindow GridDims HasExactGeometries Insert Instrumented " +
-			"Join JoinCount JoinParallel KNN KNNExact Len MemoryFootprint PartitionStats QueryStats " +
+			"Decomposed Delete Epoch GridDims Insert Instrumented " +
+			"Join JoinParallel KNN KNNExact Len PartitionStats QueryStats " +
 			"ReadView RebuildDecomposed ReplicationFactor Save Search SearchCount SearchIDs Space Traced"},
-		{reflect.TypeOf((*twolayer.Sharded)(nil)), "BatchDiskCounts BatchWindowCounts Epoch EstimateWindow " +
+		{reflect.TypeOf((*twolayer.Sharded)(nil)), "BatchDiskCounts BatchWindowCounts Epoch " +
 			"GridDims HasExactGeometries KNN KNNExact Len MemoryFootprint PartitionStats QueryStats " +
-			"ReplicationFactor Search SearchCount SearchIDs Shards Space Stats Traced"},
+			"ReplicationFactor Search SearchCount SearchIDs Shards Stats Traced"},
 		{reflect.TypeOf((*twolayer.ShardedView)(nil)), "BatchDiskCounts BatchWindowCounts KNN KNNExact Search SearchCount"},
 		{reflect.TypeOf((*twolayer.Live)(nil)), "Apply Close Delete Insert Len Snapshot Stats"},
 		{reflect.TypeOf((*twolayer.ShardedLive)(nil)), "Apply Close Delete Insert Len Shards Snapshot Stats"},

@@ -13,8 +13,13 @@
 //     registers (a flag.<Type>("name", …) call in its main.go, read with
 //     go/parser) must have a row in docs/SERVER.md's flag table, and
 //     every row must name a registered flag.
-//  3. Link integrity: every relative markdown link in README.md and
-//     docs/*.md must point at a file that exists in the repository.
+//  3. Link integrity: every relative markdown link in README.md,
+//     DESIGN.md, EXPERIMENTS.md and docs/*.md must point at a file that
+//     exists in the repository, and so must every backticked repository
+//     path in README.md, DESIGN.md and docs/*.md (a span starting with
+//     internal/, cmd/, ndim/, examples/ or docs/; a trailing .Ident is a
+//     Go name and resolves by its directory), so a deleted file or
+//     directory cannot outlive its mention.
 //  4. /v1/stats key coverage, in both directions: every object key in
 //     the GET /v1/stats document of the same server (collected
 //     recursively; the class names under admission.classes are data,
@@ -287,6 +292,39 @@ func checkLinks(repoRoot string, files []string) (failures []string) {
 	return failures
 }
 
+// pathRe matches a backticked span naming a repository path;
+// goNameRe matches the Go name trailing a package path, as in
+// internal/shard.Engine.
+var (
+	pathRe   = regexp.MustCompile("`((?:internal|cmd|ndim|examples|docs)/[^`\\s]*)`")
+	goNameRe = regexp.MustCompile(`(\.[A-Za-z_]\w*)+$`)
+)
+
+func checkPaths(repoRoot string, files []string) (failures []string) {
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			failures = append(failures, err.Error())
+			continue
+		}
+		for _, m := range pathRe.FindAllStringSubmatch(string(data), -1) {
+			resolved := filepath.Join(repoRoot, m[1])
+			if _, err := os.Stat(resolved); err == nil {
+				continue
+			}
+			dir, base := filepath.Split(m[1])
+			if pkg := goNameRe.ReplaceAllString(base, ""); pkg != base {
+				if _, err := os.Stat(filepath.Join(repoRoot, dir, pkg)); err == nil {
+					continue
+				}
+			}
+			failures = append(failures,
+				fmt.Sprintf("%s: `%s` names no repository path (resolved to %s)", file, m[1], resolved))
+		}
+	}
+	return failures
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -304,11 +342,13 @@ func main() {
 		os.Exit(1)
 	}
 	mdFiles = append(mdFiles, docs...)
+	pathFiles := append([]string{filepath.Join(root, "README.md"), filepath.Join(root, "DESIGN.md")}, docs...)
 
 	failures := checkServer(filepath.Join(root, "docs", "OBSERVABILITY.md"))
 	flags, err := registeredFlags(filepath.Join(root, "cmd", "spatialserver", "main.go"))
 	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), nil, flagRowRe)...)
 	failures = append(failures, checkLinks(root, mdFiles)...)
+	failures = append(failures, checkPaths(root, pathFiles)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {

@@ -3,6 +3,8 @@ package twolayer_test
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -209,4 +211,327 @@ func ExampleIndex_QueryStats() {
 	// Output:
 	// queries: 5 results: 9
 	// view: 1 results: 1
+}
+
+// The quick start: build a plain two-layer index over rectangles, count
+// and stream window matches, run a disk query, update the index in
+// place, then hand it to a Live handle for concurrent readers and
+// writers.
+func Example_quickstart() {
+	// Twenty thousand small rectangles scattered over the unit square.
+	rnd := rand.New(rand.NewSource(1))
+	rects := make([]twolayer.Rect, 20_000)
+	for i := range rects {
+		x, y := rnd.Float64(), rnd.Float64()
+		rects[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.001, MaxY: y + 0.001}
+	}
+
+	// GridSize is tiles per dimension.
+	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 64})
+	fmt.Printf("indexed %d objects, replication factor %.3f\n", idx.Len(), idx.ReplicationFactor())
+
+	// A window query reports every object whose MBR intersects the
+	// window exactly once — no duplicate elimination happens anywhere.
+	// The error is non-nil only for an invalid descriptor.
+	window := twolayer.Rect{MinX: 0.40, MinY: 0.40, MaxX: 0.45, MaxY: 0.45}
+	inWindow := twolayer.Query{Window: &window}
+	n, _ := idx.SearchCount(inWindow)
+	fmt.Printf("window %v -> %d objects\n", window, n)
+
+	// Stream results instead of counting; returning false stops the scan.
+	shown := 0
+	complete, _ := idx.Search(inWindow, func(id twolayer.ID, mbr twolayer.Rect) bool {
+		shown++
+		return shown < 3
+	})
+	fmt.Printf("streamed %d, complete=%v\n", shown, complete)
+
+	// A disk query: all objects within distance 0.02 of a point.
+	center := twolayer.Point{X: 0.5, Y: 0.5}
+	n, _ = idx.SearchCount(twolayer.Query{Disk: &twolayer.Disk{Center: center, Radius: 0.02}})
+	fmt.Printf("disk around %v -> %d objects\n", center, n)
+
+	// The index is dynamic: insert and delete by (id, MBR).
+	extra := twolayer.Rect{MinX: 0.415, MinY: 0.415, MaxX: 0.418, MaxY: 0.418}
+	idx.Insert(twolayer.ID(len(rects)), extra)
+	n, _ = idx.SearchCount(inWindow)
+	fmt.Printf("after insert: %d objects in window\n", n)
+	idx.Delete(twolayer.ID(len(rects)), extra)
+	n, _ = idx.SearchCount(inWindow)
+	fmt.Printf("after delete: %d objects in window\n", n)
+
+	// For concurrent readers and writers, wrap the index in a Live
+	// handle: readers pin immutable snapshots (one atomic load, no
+	// locks) while a single apply loop publishes copy-on-write updates.
+	// LiveFrom takes ownership — do not use idx directly afterward.
+	live := twolayer.LiveFrom(idx, twolayer.LiveOptions{})
+	defer live.Close()
+	epoch, _ := live.Insert(twolayer.ID(len(rects))+1, extra)
+	snap := live.Snapshot() // immutable; safe from any goroutine
+	n, _ = snap.SearchCount(inWindow)
+	fmt.Printf("live epoch %d: %d objects in window\n", epoch, n)
+	// Output:
+	// indexed 20000 objects, replication factor 1.131
+	// window [0.4,0.45]x[0.4,0.45] -> 58 objects
+	// streamed 3, complete=false
+	// disk around {0.5 0.5} -> 28 objects
+	// after insert: 59 objects in window
+	// after delete: 58 objects in window
+	// live epoch 1: 59 objects in window
+}
+
+// exampleRoads is a synthetic road network: 3-6 vertex polylines
+// meandering out of 40 towns they cluster around.
+func exampleRoads(rnd *rand.Rand, nRoads int) []twolayer.Geometry {
+	type town struct{ x, y, spread float64 }
+	towns := make([]town, 40)
+	for i := range towns {
+		towns[i] = town{x: rnd.Float64(), y: rnd.Float64(), spread: 0.01 + rnd.Float64()*0.05}
+	}
+	clamp01 := func(v float64) float64 { return math.Max(0, math.Min(1, v)) }
+	roads := make([]twolayer.Geometry, nRoads)
+	for i := range roads {
+		t := towns[rnd.Intn(len(towns))]
+		pts := make([]twolayer.Point, 3+rnd.Intn(4))
+		x := t.x + rnd.NormFloat64()*t.spread
+		y := t.y + rnd.NormFloat64()*t.spread
+		heading := rnd.Float64() * 2 * math.Pi
+		for j := range pts {
+			pts[j] = twolayer.Point{X: clamp01(x), Y: clamp01(y)}
+			heading += rnd.NormFloat64() * 0.5 // gentle curves
+			step := 0.001 + rnd.Float64()*0.004
+			x += math.Cos(heading) * step
+			y += math.Sin(heading) * step
+		}
+		roads[i] = twolayer.NewLineString(pts...)
+	}
+	return roads
+}
+
+// GIS: exact range queries over a road network of linestrings, the
+// workload that motivates the paper's refinement step (Section V). The
+// three refinement modes return the same roads; with the secondary
+// filter (Lemma 5) most results are accepted by an MBR coverage test
+// instead of an exact geometry test.
+func Example_gis() {
+	rnd := rand.New(rand.NewSource(7))
+	roads := exampleRoads(rnd, 10_000)
+	idx := twolayer.BuildGeoms(roads, twolayer.Options{GridSize: 64})
+
+	// "Which roads cross this map viewport?"
+	viewports := make([]twolayer.Rect, 200)
+	for i := range viewports {
+		x, y := rnd.Float64()*0.95, rnd.Float64()*0.95
+		viewports[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.03, MaxY: y + 0.03}
+	}
+	for _, mode := range []twolayer.RefineMode{
+		twolayer.RefineSimple, twolayer.RefineAvoid, twolayer.RefineAvoidPlus,
+	} {
+		view, stats := idx.Instrumented()
+		results := 0
+		for _, w := range viewports {
+			// An exact query fails only without geometries or on an
+			// invalid descriptor, neither possible here.
+			n, _ := view.SearchCount(twolayer.Query{Window: &w, Exact: true, Mode: mode})
+			results += n
+		}
+		fmt.Printf("%-9s %d results, %d exact tests, %d filter hits\n",
+			mode, results, stats.RefinementTests, stats.SecondaryFilterHits)
+	}
+
+	// Proximity search: every road within 0.01 of an incident on road 0.
+	incident := roads[0].MBR().Center()
+	n, _ := idx.SearchCount(twolayer.Query{
+		Disk:  &twolayer.Disk{Center: incident, Radius: 0.01},
+		Exact: true,
+		Mode:  twolayer.RefineAvoid,
+	})
+	fmt.Printf("roads within 0.01 of road 0's center: %d\n", n)
+	// Output:
+	// Simple    2063 results, 2110 exact tests, 0 filter hits
+	// RefAvoid  2063 results, 226 exact tests, 1884 filter hits
+	// RefAvoid+ 2063 results, 226 exact tests, 1884 filter hits
+	// roads within 0.01 of road 0's center: 21
+}
+
+// exampleInfluenceRegion approximates a mobile user's activity area: a
+// convex polygon around a home location, larger for more mobile users.
+func exampleInfluenceRegion(rnd *rand.Rand) twolayer.Geometry {
+	cx, cy := rnd.Float64(), rnd.Float64()
+	radius := 0.0005 + rnd.ExpFloat64()*0.002 // a few very mobile users
+	n := 5 + rnd.Intn(4)
+	ring := make([]twolayer.Point, n)
+	for i := range ring {
+		a := (float64(i) + 0.3*rnd.Float64()) / float64(n) * 2 * math.Pi
+		r := radius * (0.7 + 0.3*rnd.Float64())
+		ring[i] = twolayer.Point{
+			X: math.Max(0, math.Min(1, cx+r*math.Cos(a))),
+			Y: math.Max(0, math.Min(1, cy+r*math.Sin(a))),
+		}
+	}
+	return twolayer.NewPolygon(ring...)
+}
+
+// Location-based analytics, the workload of the paper's introduction:
+// index users' influence regions and answer a batch of "how many users
+// would see an ad placed here?" queries. Both batch strategies of
+// Section VI, serial or on two workers, give the same counts; the
+// tiles-based one reads each tile once for all the queries it serves.
+func Example_poi() {
+	rnd := rand.New(rand.NewSource(99))
+	regions := make([]twolayer.Geometry, 20_000)
+	for i := range regions {
+		regions[i] = exampleInfluenceRegion(rnd)
+	}
+	idx := twolayer.BuildGeoms(regions, twolayer.Options{GridSize: 64})
+	fmt.Printf("indexed %d regions, replication %.3f\n", idx.Len(), idx.ReplicationFactor())
+
+	queries := make([]twolayer.Rect, 1000)
+	for i := range queries {
+		x, y := rnd.Float64(), rnd.Float64()
+		queries[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.02, MaxY: y + 0.02}
+	}
+	for _, strategy := range []twolayer.BatchStrategy{twolayer.QueriesBased, twolayer.TilesBased} {
+		for _, threads := range []int{1, 2} {
+			view, stats := idx.Instrumented()
+			total := 0
+			for _, c := range view.BatchWindowCounts(queries, strategy, threads) {
+				total += c
+			}
+			fmt.Printf("%-13s threads=%d: %d candidate pairs, %d tiles visited\n",
+				strategy, threads, total, stats.TilesVisited)
+		}
+	}
+
+	// One ad placement, checked against the exact regions.
+	spot := twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.52, MaxY: 0.52}
+	reach, _ := idx.SearchCount(twolayer.Query{Window: &spot, Exact: true, Mode: twolayer.RefineAvoidPlus})
+	fmt.Printf("exact audience at %v: %d users\n", spot, reach)
+	// Output:
+	// indexed 20000 regions, replication 1.624
+	// queries-based threads=1: 11486 candidate pairs, 5063 tiles visited
+	// queries-based threads=2: 11486 candidate pairs, 5063 tiles visited
+	// tiles-based   threads=1: 11486 candidate pairs, 5147 tiles visited
+	// tiles-based   threads=2: 11486 candidate pairs, 5147 tiles visited
+	// exact audience at [0.5,0.52]x[0.5,0.52]: 10 users
+}
+
+// Spatial join: which land parcels does each road segment cross? Both
+// datasets are indexed on the same grid, and the join's class
+// combinations produce every intersecting pair exactly once with no
+// duplicate elimination. Probing the parcel index once per road (an
+// index nested loop) finds the same pairs with one query per road.
+func Example_join() {
+	rnd := rand.New(rand.NewSource(5))
+	parcels := make([]twolayer.Rect, 20_000) // a dense mosaic of small boxes
+	for i := range parcels {
+		x, y := rnd.Float64(), rnd.Float64()
+		parcels[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.005, MaxY: y + 0.005}
+	}
+	roads := make([]twolayer.Rect, 4_000) // longer, thinner boxes
+	for i := range roads {
+		x, y := rnd.Float64(), rnd.Float64()
+		if rnd.Intn(2) == 0 {
+			roads[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.03, MaxY: y + 0.002}
+		} else {
+			roads[i] = twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.002, MaxY: y + 0.03}
+		}
+	}
+	opts := twolayer.Options{GridSize: 64, Space: twolayer.Rect{MaxX: 1, MaxY: 1}}
+	parcelIdx := twolayer.BuildRects(parcels, opts)
+	roadIdx := twolayer.BuildRects(roads, opts)
+
+	// Join refuses (ErrGridMismatch) indices built over different grids.
+	join, joinStats := roadIdx.Instrumented()
+	crossings := make(map[twolayer.ID]int)
+	if err := join.Join(parcelIdx, func(_, parcel twolayer.ID) { crossings[parcel]++ }); err != nil {
+		panic(err)
+	}
+	pairs := 0
+	for _, c := range crossings {
+		pairs += c
+	}
+	fmt.Printf("grid join:   %d pairs, %d queries, %d tiles visited\n", pairs, joinStats.Queries, joinStats.TilesVisited)
+
+	probe, probeStats := parcelIdx.Instrumented()
+	probePairs := 0
+	for _, r := range roads {
+		n, _ := probe.SearchCount(twolayer.Query{Window: &r}) // a valid window cannot fail
+		probePairs += n
+	}
+	fmt.Printf("nested loop: %d pairs, %d queries, %d tiles visited\n", probePairs, probeStats.Queries, probeStats.TilesVisited)
+
+	// The parcel crossed by the most roads (lowest ID on a tie).
+	best := twolayer.ID(0)
+	for id, c := range crossings {
+		if c > crossings[best] || c == crossings[best] && id < best {
+			best = id
+		}
+	}
+	fmt.Printf("busiest parcel: %d, crossed by %d roads\n", best, crossings[best])
+
+	// The three parcels nearest to a depot.
+	for _, n := range parcelIdx.KNN(twolayer.Point{X: 0.42, Y: 0.58}, 3) {
+		fmt.Printf("near depot: parcel %d at distance %.5f\n", n.ID, n.Dist)
+	}
+	// Output:
+	// grid join:   19611 pairs, 1 queries, 3890 tiles visited
+	// nested loop: 19611 pairs, 4000 queries, 13027 tiles visited
+	// busiest parcel: 1257, crossed by 7 roads
+	// near depot: parcel 7619 at distance 0.00114
+	// near depot: parcel 13983 at distance 0.00184
+	// near depot: parcel 8427 at distance 0.00628
+}
+
+// Moving-object maintenance, the update workload of the paper's Table
+// VI: bulk-load 90% of a fleet's service areas, insert the rest one by
+// one, then absorb moves (delete the old MBR, insert the new one)
+// interleaved with dispatcher window counts. An update touches only the
+// tiles its MBR overlaps.
+func Example_migration() {
+	rnd := rand.New(rand.NewSource(42))
+	serviceArea := func(cx, cy float64) twolayer.Rect {
+		w, h := 0.002+rnd.Float64()*0.004, 0.002+rnd.Float64()*0.004
+		return twolayer.Rect{MinX: cx, MinY: cy, MaxX: cx + w, MaxY: cy + h}
+	}
+	const fleet = 20_000
+	areas := make([]twolayer.Rect, fleet)
+	for i := range areas {
+		areas[i] = serviceArea(rnd.Float64(), rnd.Float64())
+	}
+	idx := twolayer.BuildRects(areas[:fleet*9/10], twolayer.Options{
+		GridSize: 64,
+		Space:    twolayer.Rect{MaxX: 1.01, MaxY: 1.01},
+	})
+	for i := fleet * 9 / 10; i < fleet; i++ {
+		idx.Insert(twolayer.ID(i), areas[i])
+	}
+	fmt.Printf("bulk loaded %d, inserted %d\n", fleet*9/10, idx.Len()-fleet*9/10)
+
+	clamp01 := func(v float64) float64 { return math.Max(0, math.Min(1, v)) }
+	moves, dispatched := 0, 0
+	for i := 0; i < 2_000; i++ {
+		id := rnd.Intn(fleet)
+		if !idx.Delete(twolayer.ID(id), areas[id]) {
+			panic("vehicle missing from index")
+		}
+		// The vehicle drifts to a nearby position.
+		c := areas[id].Center()
+		areas[id] = serviceArea(clamp01(c.X+rnd.NormFloat64()*0.01), clamp01(c.Y+rnd.NormFloat64()*0.01))
+		idx.Insert(twolayer.ID(id), areas[id])
+		moves++
+
+		if i%20 == 0 {
+			// Dispatcher: who can serve this neighborhood right now?
+			x, y := rnd.Float64(), rnd.Float64()
+			n, _ := idx.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.05, MaxY: y + 0.05}})
+			dispatched += n
+		}
+	}
+	fmt.Printf("%d moves, %d vehicles found by 100 dispatcher queries\n", moves, dispatched)
+	fmt.Printf("fleet still consistent: %d indexed objects\n", idx.Len())
+	// Output:
+	// bulk loaded 18000, inserted 2000
+	// 2000 moves, 5528 vehicles found by 100 dispatcher queries
+	// fleet still consistent: 20000 indexed objects
 }

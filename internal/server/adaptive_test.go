@@ -12,41 +12,19 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
-// TestV1WindowEstimate checks the "estimate": true envelope flag: the
-// window endpoint returns the planner's cardinality estimate alongside
-// the results, and the disk endpoint rejects the flag.
+// TestV1WindowEstimate checks that the range envelope has no "estimate"
+// field: a body that still sends one is declined with encoding/json's
+// unknown-field error on both range endpoints, as any unknown field is.
 func TestV1WindowEstimate(t *testing.T) {
-	s := testServer(t, nil)
-	h := s.Handler()
-
-	var resp rangeResponse
-	w := do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true,"estimate":true}`, &resp)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	if resp.Count != 100 {
-		t.Fatalf("count = %d, want 100", resp.Count)
-	}
-	if resp.Estimate == nil {
-		t.Fatal("estimate requested but missing from response")
-	}
-	// Uniform non-replicated data: the histogram estimate is near-exact.
-	if *resp.Estimate < 90 || *resp.Estimate > 110 {
-		t.Errorf("estimate = %g, want ~100", *resp.Estimate)
-	}
-
-	// Without the flag the field is absent.
-	resp = rangeResponse{}
-	do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true}`, &resp)
-	if resp.Estimate != nil {
-		t.Errorf("estimate present without being requested: %g", *resp.Estimate)
-	}
-
-	// The disk endpoint rejects it.
-	w = do(t, h, "POST", "/v1/disk",
-		`{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.2},"estimate":true}`, nil)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("disk estimate: status %d, want 400", w.Code)
+	h := testServer(t, nil).Handler()
+	for path, body := range map[string]string{
+		"/v1/window": `{` + fullWindow + `,"count_only":true,"estimate":true}`,
+		"/v1/disk":   `{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.2},"estimate":true}`,
+	} {
+		w := do(t, h, "POST", path, body, nil)
+		if want := `{"error":"invalid JSON: json: unknown field \"estimate\""}` + "\n"; w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("%s with estimate: %d %q, want 400 %q", path, w.Code, w.Body.String(), want)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func FuzzV1Envelope(f *testing.F) {
 		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`,
 		`{"disk":{"center":{"x":0.5,"y":0.5},"radius":0.25}}`,
 		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true,"trace":true}`,
-		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"estimate":true,"limit":3}`,
+		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"estimate":true,"limit":3}`, // an unknown field
 		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"exact":true,"mode":"avoid"}`,
 		`{"window":{"min_x":1,"min_y":1,"max_x":0,"max_y":0}}`,
 		`{"window":{"min_x":"NaN"}}`,

@@ -343,10 +343,7 @@ func TestShardedStatsCounted(t *testing.T) {
 			rects = append(rects, twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.05, MaxY: y + 0.05})
 		}
 	}
-	sl, err := twolayer.NewShardedLive(opts, twolayer.LiveOptions{}, twolayer.ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil, opts, twolayer.ShardedOptions{Shards: 2}), twolayer.LiveOptions{})
 	defer sl.Close()
 	muts := make([]twolayer.Mutation, len(rects))
 	for i, r := range rects {

@@ -40,11 +40,6 @@ type queryEnvelope struct {
 	Limit int `json:"limit"`
 	// Trace attaches the per-query trace to the response.
 	Trace bool `json:"trace"`
-	// Estimate (window endpoint only) additionally returns the planner's
-	// O(tiles) cardinality estimate in the "estimate" response field.
-	// The estimate sums class-A tile histograms, so it skews low for
-	// heavily replicated data; see docs/SERVER.md#post-v1window-and-v1disk.
-	Estimate bool `json:"estimate"`
 }
 
 // parseRefineMode maps the envelope's mode string to a RefineMode.
@@ -83,10 +78,6 @@ func (s *Server) decodeEnvelope(w http.ResponseWriter, r *http.Request, kind str
 	case "disk":
 		if env.Disk == nil || env.Window != nil {
 			writeError(w, http.StatusBadRequest, `/v1/disk requires the "disk" shape (and no "window")`)
-			return env, q, 0, false
-		}
-		if env.Estimate {
-			writeError(w, http.StatusBadRequest, `"estimate" is only available on /v1/window`)
 			return env, q, 0, false
 		}
 		if msg := env.Disk.Center.validate(); msg != "" {
@@ -155,10 +146,6 @@ func (s *Server) handleV1Range(w http.ResponseWriter, r *http.Request, kind stri
 		return
 	}
 	var ans rangeAnswer
-	if env.Estimate {
-		est := s.pin().EstimateWindow(*q.Window)
-		ans.estimate = &est
-	}
 	start := time.Now()
 
 	switch {

@@ -249,14 +249,9 @@ func TestShardedServerEquivalence(t *testing.T) {
 }
 
 func TestShardedLiveServer(t *testing.T) {
-	sl, err := twolayer.NewShardedLive(
+	sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil,
 		twolayer.Options{GridSize: 16, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
-		twolayer.LiveOptions{},
-		twolayer.ShardedOptions{Shards: 4},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+		twolayer.ShardedOptions{Shards: 4}), twolayer.LiveOptions{})
 	defer sl.Close()
 	s := New(Config{ShardedLive: sl, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	h := s.Handler()

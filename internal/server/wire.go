@@ -454,18 +454,15 @@ type rangeAnswer struct {
 	withMBR   bool
 	truncated bool
 	elapsedUS int64
-	// estimate is the planner's O(tiles) cardinality estimate, present
-	// when the envelope asked for it ("estimate": true, window only).
-	estimate *float64
-	trace    *traceJSON
+	trace     *traceJSON
 }
 
 // appendRange appends the bytes json.Encoder writes for a:
 //
-//	{"count":…,"results":[…],"truncated":…,"elapsed_us":…,"estimate":…,"trace":{…}}
+//	{"count":…,"results":[…],"truncated":…,"elapsed_us":…,"trace":{…}}
 //
-// where "results" is omitted when there are none and "estimate" and
-// "trace" when they are nil.
+// where "results" is omitted when there are none and "trace" when it is
+// nil.
 func appendRange(dst []byte, a *rangeAnswer) ([]byte, error) {
 	dst = append(dst, `{"count":`...)
 	dst = strconv.AppendInt(dst, int64(a.count), 10)
@@ -486,12 +483,6 @@ func appendRange(dst []byte, a *rangeAnswer) ([]byte, error) {
 	dst = strconv.AppendBool(dst, a.truncated)
 	dst = append(dst, `,"elapsed_us":`...)
 	dst = strconv.AppendInt(dst, a.elapsedUS, 10)
-	if a.estimate != nil {
-		if err := checkFloat(*a.estimate); err != nil {
-			return nil, err
-		}
-		dst = appendFloat(append(dst, `,"estimate":`...), *a.estimate)
-	}
 	if a.trace != nil {
 		tr, err := json.Marshal(a.trace)
 		if err != nil {

@@ -23,7 +23,6 @@ type rangeResponse struct {
 	Results   []rangeResult `json:"results,omitempty"`
 	Truncated bool          `json:"truncated"`
 	ElapsedUS int64         `json:"elapsed_us"`
-	Estimate  *float64      `json:"estimate,omitempty"`
 	Trace     *traceJSON    `json:"trace,omitempty"`
 }
 
@@ -124,10 +123,8 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 	// Every edge value in every coordinate, the largest ID, no results,
 	// an exact answer, a count-only answer, a truncated one.
 	for _, f := range edgeFloats {
-		mbr := &rectJSON{f, -f, f, 1}
-		est := f
-		ref := rangeResponse{Count: 1, Results: []rangeResult{{math.MaxUint32, mbr}}, Estimate: &est}
-		check(ref, rangeAnswer{count: 1, estimate: &est}, false)
+		mbr := &rectJSON{f, -f, -f, f}
+		check(rangeResponse{Count: 1, Results: []rangeResult{{math.MaxUint32, mbr}}}, rangeAnswer{count: 1}, false)
 	}
 	check(rangeResponse{}, rangeAnswer{}, false)
 	check(rangeResponse{Count: 2, Results: []rangeResult{{ID: 0}, {ID: 7}}}, rangeAnswer{count: 2}, true)
@@ -153,30 +150,24 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 		ref.Truncated = rnd.Intn(3) == 0
 		ref.ElapsedUS = rnd.Int63n(1 << uint(rnd.Intn(63)))
 		if rnd.Intn(3) == 0 {
-			est := randFloat(rnd)
-			ref.Estimate = &est
-		}
-		if rnd.Intn(3) == 0 {
 			ref.Trace = randTrace(rnd)
 		}
 		check(ref, rangeAnswer{
 			count: ref.Count, truncated: ref.Truncated, elapsedUS: ref.ElapsedUS,
-			estimate: ref.Estimate, trace: ref.Trace,
+			trace: ref.Trace,
 		}, exact)
 	}
 
-	// MBRs and estimates from raw bit patterns, so encoding/json stays
-	// the reference for whole answers, not only for single floats.
+	// MBRs from raw bit patterns, so encoding/json stays the reference
+	// for whole answers, not only for single floats.
 	for range 500 {
 		var ref rangeResponse
-		for i := 1 + rnd.Intn(8); i > 0; i-- {
+		for i := 2 + rnd.Intn(8); i > 0; i-- {
 			mbr := &rectJSON{randBitsFloat(rnd), randBitsFloat(rnd), randBitsFloat(rnd), randBitsFloat(rnd)}
 			ref.Results = append(ref.Results, rangeResult{ID: rnd.Uint32(), MBR: mbr})
 		}
 		ref.Count = len(ref.Results)
-		est := randBitsFloat(rnd)
-		ref.Estimate = &est
-		check(ref, rangeAnswer{count: ref.Count, estimate: &est}, false)
+		check(ref, rangeAnswer{count: ref.Count}, false)
 	}
 
 	for _, counts := range [][]int{nil, {}, {0}, {3, 0, math.MaxInt64, math.MinInt64}} {
@@ -208,15 +199,17 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 
-	// A value JSON cannot carry fails with encoding/json's own error.
+	// A value JSON cannot carry, in any coordinate, fails with
+	// encoding/json's own error.
 	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		_, want := json.Marshal(f)
-		results := []hit{{id: 1, mbr: twolayer.Rect{MinX: 0, MinY: f, MaxX: 1, MaxY: 1}}}
-		if _, err := appendRange(nil, &rangeAnswer{count: 1, results: results, withMBR: true}); err == nil || err.Error() != want.Error() {
-			t.Errorf("appendRange(result %v) error %v, want %v", f, err, want)
-		}
-		if _, err := appendRange(nil, &rangeAnswer{estimate: &f}); err == nil || err.Error() != want.Error() {
-			t.Errorf("appendRange(estimate %v) error %v, want %v", f, err, want)
+		for i := range 4 {
+			c := [4]float64{0, 0, 1, 1}
+			c[i] = f
+			results := []hit{{id: 1, mbr: twolayer.Rect{MinX: c[0], MinY: c[1], MaxX: c[2], MaxY: c[3]}}}
+			if _, err := appendRange(nil, &rangeAnswer{count: 1, results: results, withMBR: true}); err == nil || err.Error() != want.Error() {
+				t.Errorf("appendRange(coordinate %d = %v) error %v, want %v", i, f, err, want)
+			}
 		}
 	}
 }

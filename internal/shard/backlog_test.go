@@ -21,7 +21,7 @@ func TestShardedBacklogPreflight(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	opts := core.Options{NX: 16, NY: 16, Space: geom.Rect{MaxX: 1, MaxY: 1}}
-	l := NewLive(opts, core.LiveOptions{
+	l := LiveFrom(Build(spatial.NewDataset(nil), opts, 2), core.LiveOptions{
 		MaxBacklog: 1,
 		// Test-only stall hook: the first journaled batch parks its
 		// shard's apply loop until release closes.
@@ -30,7 +30,7 @@ func TestShardedBacklogPreflight(t *testing.T) {
 			<-release
 			return nil
 		},
-	}, 2)
+	})
 	defer l.Close()
 
 	left := func(id spatial.ID) core.Mutation { // shard 0 only

@@ -298,9 +298,6 @@ func (d *Durable) Stats() wal.Stats {
 	return out
 }
 
-// ShardStats returns shard s's own durability stats.
-func (d *Durable) ShardStats(s int) wal.Stats { return d.ds[s].Stats() }
-
 // Close stops every shard's apply loop and WAL, flushing buffered log
 // data. It returns the combined close errors, if any.
 func (d *Durable) Close() error {

@@ -31,19 +31,6 @@ type Live struct {
 	rejected atomic.Uint64
 }
 
-// NewLive returns an empty updatable sharded engine over the given
-// space (opts.Space must be set). Each shard gets its own apply loop
-// configured with lo; lo.Journal must be nil — per-shard journals are
-// wired by the durability layer (Open).
-func NewLive(opts core.Options, lo core.LiveOptions, shards int) *Live {
-	lay := makeLayout(opts, shards)
-	lives := make([]*core.Live, lay.shardCount())
-	for s := range lives {
-		lives[s] = core.NewLive(core.New(lay.shardOpts(s)), lo)
-	}
-	return liveOver(lay, lives)
-}
-
 // LiveFrom wraps a built engine, which becomes the epoch-0 state of
 // every shard. LiveFrom takes ownership of e: do not query it directly
 // afterward. As with core.NewLive, dataset references are dropped —

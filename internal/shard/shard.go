@@ -680,9 +680,6 @@ func (e *Engine) Epoch() uint64 {
 // union of all shard slabs).
 func (e *Engine) GridDims() (nx, ny int) { return e.lay.opts.NX, e.lay.opts.NY }
 
-// Space returns the indexed region (the union of all shard slabs).
-func (e *Engine) Space() geom.Rect { return e.lay.opts.Space }
-
 // HasExactGeometries reports whether the engine can answer exact
 // queries.
 func (e *Engine) HasExactGeometries() bool { return e.dataset != nil }
@@ -735,25 +732,6 @@ func (e *Engine) PartitionStats() core.PartitionStats {
 // distinct object.
 func (e *Engine) ReplicationFactor() float64 {
 	return e.PartitionStats().ReplicationFactor
-}
-
-// EstimateWindow sums the per-shard selectivity estimates over the
-// shards w covers — the same O(tiles) planning signal core.Index
-// exposes, scatter-gathered. Within a shard the estimate skews low for
-// heavily replicated data (objects larger than a tile contribute through
-// their class-A tile only); across shards, boundary-crossing objects are
-// class A in every shard holding a replica, which skews the sum high.
-// It is a planning signal, not a count.
-func (e *Engine) EstimateWindow(w geom.Rect) float64 {
-	if !w.Valid() {
-		return 0
-	}
-	lo, hi := e.lay.rangeOf(w)
-	est := 0.0
-	for s := lo; s <= hi; s++ {
-		est += e.shards[s].EstimateWindow(w)
-	}
-	return est
 }
 
 // QueryStats sums the shards' query counters (core.Index.QueryStats):

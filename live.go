@@ -25,9 +25,6 @@ type LiveOptions struct {
 	// share one journal append and fsync; smaller ones reduce
 	// writer-observed latency. Defaults to 256.
 	MaxBatch int
-	// QueueDepth is the capacity of the mutation queue; submissions
-	// beyond it block (backpressure). Defaults to 1024.
-	QueueDepth int
 	// MaxBacklog bounds the accepted-but-unpublished mutation backlog
 	// (per shard on a sharded engine): a submission arriving while the
 	// backlog is at the bound fails immediately with ErrBacklogFull
@@ -39,7 +36,6 @@ type LiveOptions struct {
 func (o LiveOptions) toCore() core.LiveOptions {
 	return core.LiveOptions{
 		MaxBatch:   o.MaxBatch,
-		QueueDepth: o.QueueDepth,
 		MaxBacklog: o.MaxBacklog,
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -175,14 +176,12 @@ func TestErrAPIs(t *testing.T) {
 	if err := idx.JoinParallel(other, 4, noPair); !errors.Is(err, twolayer.ErrGridMismatch) {
 		t.Fatalf("err = %v, want ErrGridMismatch", err)
 	}
-	if _, err := idx.JoinCount(idx); !errors.Is(err, twolayer.ErrSelfJoin) {
-		t.Fatalf("JoinCount err = %v, want ErrSelfJoin", err)
-	}
-	if _, err := idx.JoinCount(other); !errors.Is(err, twolayer.ErrGridMismatch) {
-		t.Fatalf("JoinCount err = %v, want ErrGridMismatch", err)
+	if err := idx.Join(idx, noPair); !errors.Is(err, twolayer.ErrSelfJoin) {
+		t.Fatalf("self-Join err = %v, want ErrSelfJoin", err)
 	}
 
-	// Compatible grids: Join agrees with JoinCount.
+	// Compatible grids (a second index built over idx.Space()): Join
+	// agrees with JoinParallel.
 	sameGrid := twolayer.BuildRects(randRects(rand.New(rand.NewSource(7)), 50, 0.05), twolayer.Options{
 		GridSize: 8, Space: idx.Space(),
 	})
@@ -190,8 +189,9 @@ func TestErrAPIs(t *testing.T) {
 	if err := idx.Join(sameGrid, func(_, _ twolayer.ID) { pairs++ }); err != nil {
 		t.Fatal(err)
 	}
-	if want, err := idx.JoinCount(sameGrid); err != nil || pairs != want {
-		t.Fatalf("Join visited %d pairs, JoinCount %d (err %v)", pairs, want, err)
+	var parallel atomic.Int64
+	if err := idx.JoinParallel(sameGrid, 2, func(_, _ twolayer.ID) { parallel.Add(1) }); err != nil || int64(pairs) != parallel.Load() {
+		t.Fatalf("Join visited %d pairs, JoinParallel %d (err %v)", pairs, parallel.Load(), err)
 	}
 }
 
@@ -424,10 +424,7 @@ func TestDeleteNeedsStoredMBR(t *testing.T) {
 	})
 
 	t.Run("ShardedLive", func(t *testing.T) {
-		sl, err := twolayer.NewShardedLive(opts, twolayer.LiveOptions{}, twolayer.ShardedOptions{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil, opts, twolayer.ShardedOptions{Shards: 2}), twolayer.LiveOptions{})
 		defer sl.Close()
 		seed(func(oid twolayer.ID, r twolayer.Rect) { sl.Insert(oid, r) })
 		res, err := sl.Apply(deletes(wrong...))

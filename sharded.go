@@ -202,15 +202,14 @@ func (s *Sharded) Epoch() uint64 { return s.eng.Epoch() }
 // union of all shard slabs).
 func (s *Sharded) GridDims() (nx, ny int) { return s.eng.GridDims() }
 
-// Space returns the indexed region.
-func (s *Sharded) Space() Rect { return s.eng.Space() }
-
 // HasExactGeometries reports whether the engine can answer exact
 // queries (Exact descriptors, KNNExact).
 func (s *Sharded) HasExactGeometries() bool { return s.eng.HasExactGeometries() }
 
-// MemoryFootprint approximates the data size across all shards (see
-// Index.MemoryFootprint), including cross-shard replicas.
+// MemoryFootprint approximates the data size across all shards in bytes
+// (stored entries with their replicas, the tile directories, and the
+// count prefix and 2-layer+ tables where held), including cross-shard
+// replicas.
 func (s *Sharded) MemoryFootprint() int { return s.eng.MemoryFootprint() }
 
 // ReplicationFactor reports stored entries (tile and shard replicas)
@@ -220,14 +219,6 @@ func (s *Sharded) ReplicationFactor() float64 { return s.eng.ReplicationFactor()
 // PartitionStats merges the per-shard partitioning summaries; Replicas
 // and the derived ratios include cross-shard boundary copies.
 func (s *Sharded) PartitionStats() PartitionStats { return s.eng.PartitionStats() }
-
-// EstimateWindow predicts the result cardinality of a window query by
-// summing the per-shard O(tiles) estimates over the shards the window
-// covers. Within a shard the estimate undercounts heavily replicated
-// data; across shards, boundary-crossing objects are counted once per
-// holding shard, which overcounts. Treat it as a planning signal, not a
-// count.
-func (s *Sharded) EstimateWindow(w Rect) float64 { return s.eng.EstimateWindow(w) }
 
 // QueryStats sums the query counters of all shards (see
 // Index.QueryStats). A query counts once per shard it evaluated on, so
@@ -257,18 +248,6 @@ func (s *Sharded) Stats() ShardedStats { return s.eng.Stats() }
 // throughout. All methods are safe for concurrent use.
 type ShardedLive struct {
 	l *shard.Live
-}
-
-// NewShardedLive returns an empty updatable sharded engine. Options.
-// Space must be set (there is no data to derive it from).
-func NewShardedLive(opts Options, lo LiveOptions, so ShardedOptions) (*ShardedLive, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Space == (Rect{}) {
-		return nil, errors.New("twolayer: NewShardedLive requires Options.Space (no data to derive it from)")
-	}
-	return &ShardedLive{l: shard.NewLive(opts.toCore(), lo.toCore(), so.resolved())}, nil
 }
 
 // ShardedLiveFrom wraps a built engine, which becomes the epoch-0 state

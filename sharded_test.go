@@ -299,12 +299,9 @@ func TestShardedSearchValidation(t *testing.T) {
 		t.Error("negative limit accepted")
 	}
 	// A live snapshot drops the dataset, so it cannot refine.
-	sl, err := twolayer.NewShardedLive(
+	sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil,
 		twolayer.Options{GridSize: 8, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
-		twolayer.LiveOptions{}, twolayer.ShardedOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+		twolayer.ShardedOptions{Shards: 2}), twolayer.LiveOptions{})
 	defer sl.Close()
 	if _, err := sl.Snapshot().SearchCount(twolayer.Query{Window: &w, Exact: true}); err == nil {
 		t.Error("exact query accepted on a snapshot without geometries")
@@ -383,14 +380,9 @@ func TestBatchStrategySymmetry(t *testing.T) {
 // snapshots and query them, then the final contents are checked against
 // the deterministic expected set.
 func TestShardedLiveMutateWhileQuery(t *testing.T) {
-	sl, err := twolayer.NewShardedLive(
+	sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil,
 		twolayer.Options{GridSize: 16, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
-		twolayer.LiveOptions{},
-		twolayer.ShardedOptions{Shards: 4},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+		twolayer.ShardedOptions{Shards: 4}), twolayer.LiveOptions{})
 	defer sl.Close()
 
 	const writers = 4
@@ -671,13 +663,6 @@ func TestShardedDurableRecovery(t *testing.T) {
 
 // TestShardedConstructorValidation pins the constructor error paths.
 func TestShardedConstructorValidation(t *testing.T) {
-	if _, err := twolayer.NewShardedLive(
-		twolayer.Options{GridSize: 8},
-		twolayer.LiveOptions{},
-		twolayer.ShardedOptions{Shards: 2},
-	); err == nil {
-		t.Error("NewShardedLive without Space succeeded")
-	}
 	if _, _, err := twolayer.OpenShardedDurable(
 		twolayer.Options{GridSize: 8},
 		twolayer.LiveOptions{},

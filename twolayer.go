@@ -287,8 +287,7 @@ func (ix *Index) Join(other *Index, fn func(rID, sID ID)) error {
 	return nil
 }
 
-// Join precondition errors, returned by Join, JoinParallel and
-// JoinCount.
+// Join precondition errors, returned by Join and JoinParallel.
 var (
 	// ErrGridMismatch means the two indices were built over different
 	// grid geometries (tile counts or space).
@@ -297,15 +296,6 @@ var (
 	// build a second index over the same data instead.
 	ErrSelfJoin = core.ErrSelfJoin
 )
-
-// JoinCount returns the number of intersecting pairs between the two
-// indices, or Join's precondition error.
-func (ix *Index) JoinCount(other *Index) (int, error) {
-	if err := core.Joinable(ix.core, other.core); err != nil {
-		return 0, err
-	}
-	return ix.core.JoinCount(other.core), nil
-}
 
 // QueryStats snapshots the engine's query counters: the sum of the
 // Stats of every query finished on the index, its read views and, for a
@@ -324,17 +314,6 @@ func (ix *Index) JoinParallel(other *Index, threads int, fn func(rID, sID ID)) e
 	ix.core.JoinParallel(other.core, threads, func(r, s spatial.Entry) { fn(r.ID, s.ID) })
 	return nil
 }
-
-// EstimateWindow predicts the result cardinality of a window query from
-// the grid's per-tile counts in O(tiles covered) time, without touching
-// entries. It assumes uniform mass within each tile, and because objects
-// larger than a tile contribute through their class-A (reference) tile
-// only, it undercounts heavily replicated data — treat it as a
-// lower-bound-flavoured planning signal, not a count. The query planner
-// itself consults the same estimate when cost-gating intra-query
-// parallelism, and the /v1 HTTP API exposes it via "estimate": true, so
-// clients and the planner share one selectivity signal.
-func (ix *Index) EstimateWindow(w Rect) float64 { return ix.core.EstimateWindow(w) }
 
 // Save writes a compact binary snapshot of the built index structure, so
 // a static index can later be loaded without re-partitioning. Exact
@@ -394,12 +373,6 @@ func (ix *Index) Traced() (*Index, *Trace) {
 // a static index or a Live snapshot.
 func (ix *Index) PartitionStats() PartitionStats { return ix.core.PartitionStats() }
 
-// HasExactGeometries reports whether the index can answer exact-geometry
-// queries (Query.Exact, KNNExact): true for indices built with
-// BuildRects or BuildGeoms, false for empty (New) or snapshot-loaded
-// (Load) indices.
-func (ix *Index) HasExactGeometries() bool { return ix.core.Dataset() != nil }
-
 // GridDims returns the primary grid's tile counts per dimension.
 func (ix *Index) GridDims() (nx, ny int) {
 	g := ix.core.Grid()
@@ -412,8 +385,3 @@ func (ix *Index) Space() Rect { return ix.core.Grid().Space }
 
 // ReplicationFactor reports stored entries (with replicas) per object.
 func (ix *Index) ReplicationFactor() float64 { return ix.core.ReplicationFactor() }
-
-// MemoryFootprint approximates the index's data size in bytes: stored
-// entries with their replicas, the tile directory, and the count prefix
-// and 2-layer+ tables when the index holds them.
-func (ix *Index) MemoryFootprint() int { return ix.core.MemoryFootprint() }
