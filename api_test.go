@@ -30,7 +30,6 @@ func TestPublicMethodSets(t *testing.T) {
 		{reflect.TypeOf((*twolayer.Live)(nil)), "Apply Close Delete Insert Len Snapshot Stats"},
 		{reflect.TypeOf((*twolayer.ShardedLive)(nil)), "Apply Close Delete Insert Len Shards Snapshot Stats"},
 		{reflect.TypeOf((*twolayer.DurableLive)(nil)), "Checkpoint Close Live Snapshot Stats"},
-		{reflect.TypeOf((*twolayer.ShardedDurable)(nil)), "Checkpoint Close Live Snapshot Stats"},
 	} {
 		var got []string
 		for i := 0; i < tc.typ.NumMethod(); i++ {

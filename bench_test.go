@@ -610,7 +610,9 @@ func BenchmarkLiveApply(b *testing.B) {
 	}
 	entries := benchRoads.Entries
 
-	run := func(b *testing.B, lv *twolayer.Live) {
+	run := func(b *testing.B, lv interface {
+		Insert(twolayer.ID, twolayer.Rect) (uint64, error)
+	}) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,4 +1,4 @@
-// Command docscheck keeps the documentation honest. It runs five checks
+// Command docscheck keeps the documentation honest. It runs six checks
 // and exits non-zero if any fails:
 //
 //  1. Metric coverage, in both directions: every metric family the
@@ -32,6 +32,13 @@
 //     under docs/OBSERVABILITY.md "Trace fields", every key of its
 //     per-shard spans one under "Shard spans", and every row of either
 //     table must name a key the trace emits at that level.
+//  6. Root package name coverage, in both directions: every exported
+//     top-level name of the root package's non-test files (functions,
+//     types, constants and variables, read with go/parser) must appear
+//     in the first column of DESIGN.md §8's "Root package: functions,
+//     constants, variables and types" table, and every name there must
+//     be exported, so a deleted name cannot keep its row and a new one
+//     cannot ship without one.
 //
 // CI runs it via `make docs-check`.
 package main
@@ -74,14 +81,14 @@ func checkServer(docPath string) []string {
 	dl, _, err := twolayer.OpenDurable(
 		twolayer.Options{GridSize: 4},
 		twolayer.LiveOptions{},
-		twolayer.DurableOptions{Dir: dir, Seed: seed},
+		twolayer.DurableOptions{Dir: dir, Seed: twolayer.OneShard(seed)},
 	)
 	if err != nil {
 		return []string{fmt.Sprintf("opening a durable index: %v", err)}
 	}
 	defer dl.Close()
 	s := server.New(server.Config{Durable: dl, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	failures := checkRows("metric", s.Metrics().Registry().Names(), nil, docPath, nil, metricRowRe)
+	failures := checkRows("metric", s.Metrics().Registry().Names(), nil, docPath, nil, captured(metricRowRe))
 	keys, err := emittedKeys(s, httptest.NewRequest(http.MethodGet, "/v1/stats", nil), "", "admission.classes")
 	failures = append(failures, checkStatsKeys(keys, err, docPath)...)
 	traced := func() *http.Request {
@@ -91,9 +98,9 @@ func checkServer(docPath string) []string {
 	keys, err = emittedKeys(s, traced(), "trace", "class_entries_scanned", "shards")
 	// queue_wait_us is emitted only when the request queued for admission.
 	fields := append(slices.Collect(maps.Keys(keys)), "queue_wait_us")
-	failures = append(failures, checkRows("trace field", fields, err, docPath, traceSectionRe, fieldRowRe)...)
+	failures = append(failures, checkRows("trace field", fields, err, docPath, traceSectionRe, captured(fieldRowRe))...)
 	keys, err = emittedKeys(s, traced(), "trace.shards")
-	return append(failures, checkRows("shard span field", slices.Collect(maps.Keys(keys)), err, docPath, spanSectionRe, fieldRowRe)...)
+	return append(failures, checkRows("shard span field", slices.Collect(maps.Keys(keys)), err, docPath, spanSectionRe, captured(fieldRowRe))...)
 }
 
 // emittedKeys serves req and returns the object keys of the JSON answer's
@@ -199,6 +206,9 @@ var (
 	fieldRowRe     = regexp.MustCompile("(?m)^\\|\\s*`([a-z_]+)`\\s*\\|")
 	traceSectionRe = regexp.MustCompile(`(?ms)^### Trace fields\n(.*?)(?:^#+ |\z)`)
 	spanSectionRe  = regexp.MustCompile(`(?ms)^#### Shard spans\n(.*?)(?:^#+ |\z)`)
+	rootSectionRe  = regexp.MustCompile(`(?ms)^\*\*Root package: functions, constants, variables and types\.\*\*\n(.*?)(?:^\*\*|\z)`)
+	firstCellRe    = regexp.MustCompile(`(?m)^\|([^|\n]*)\|`)
+	backtickRe     = regexp.MustCompile("`(\\w+)`")
 )
 
 // registeredFlags returns the flags the Go file at path registers, as
@@ -222,10 +232,11 @@ func registeredFlags(path string) ([]string, error) {
 	return names, nil
 }
 
-// checkRows fails every registered name without a row in docPath (rows
-// are what rowRe captures, in section's first group when section is
-// non-nil) and every row naming nothing registered.
-func checkRows(kind string, names []string, err error, docPath string, section, rowRe *regexp.Regexp) (failures []string) {
+// checkRows fails every registered name without a row in docPath and
+// every row naming nothing registered. The rows are what rows reads out
+// of the document, or out of section's first group when section is
+// non-nil.
+func checkRows(kind string, names []string, err error, docPath string, section *regexp.Regexp, rows func(doc string) []string) (failures []string) {
 	if err != nil {
 		return []string{fmt.Sprintf("listing %ss: %v", kind, err)}
 	}
@@ -240,19 +251,75 @@ func checkRows(kind string, names []string, err error, docPath string, section, 
 		}
 		doc = m[1]
 	}
-	rows := make(map[string]bool)
-	for _, m := range rowRe.FindAllStringSubmatch(string(doc), -1) {
-		rows[m[1]] = true
-		if !slices.Contains(names, m[1]) {
-			failures = append(failures, fmt.Sprintf("%s %s has a row in %s but is not registered", kind, m[1], docPath))
+	documented := make(map[string]bool)
+	for _, row := range rows(string(doc)) {
+		documented[row] = true
+		if !slices.Contains(names, row) {
+			failures = append(failures, fmt.Sprintf("%s %s has a row in %s but is not registered", kind, row, docPath))
 		}
 	}
 	for _, name := range names {
-		if !rows[name] {
+		if !documented[name] {
 			failures = append(failures, fmt.Sprintf("%s %s is registered but has no row in %s", kind, name, docPath))
 		}
 	}
 	return failures
+}
+
+// captured reads a table's rows as what rowRe captures.
+func captured(rowRe *regexp.Regexp) func(doc string) []string {
+	return func(doc string) (rows []string) {
+		for _, m := range rowRe.FindAllStringSubmatch(doc, -1) {
+			rows = append(rows, m[1])
+		}
+		return rows
+	}
+}
+
+// firstCells reads a table's rows as the backticked names in the first
+// cell of each.
+func firstCells(doc string) (rows []string) {
+	for _, cell := range firstCellRe.FindAllStringSubmatch(doc, -1) {
+		for _, m := range backtickRe.FindAllStringSubmatch(cell[1], -1) {
+			rows = append(rows, m[1])
+		}
+	}
+	return rows
+}
+
+// exportedNames returns the exported top-level names (functions,
+// types, constants, variables) of the non-test Go files in dir.
+func exportedNames(dir string) ([]string, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, path := range slices.DeleteFunc(files, func(p string) bool { return strings.HasSuffix(p, "_test.go") }) {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names = append(names, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						names = append(names, ts.Name.Name)
+					} else if vs, ok := spec.(*ast.ValueSpec); ok {
+						for _, id := range vs.Names {
+							names = append(names, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return slices.DeleteFunc(names, func(n string) bool { return !ast.IsExported(n) }), nil
 }
 
 // linkRe matches markdown inline links; images share the syntax with a
@@ -346,9 +413,12 @@ func main() {
 
 	failures := checkServer(filepath.Join(root, "docs", "OBSERVABILITY.md"))
 	flags, err := registeredFlags(filepath.Join(root, "cmd", "spatialserver", "main.go"))
-	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), nil, flagRowRe)...)
+	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), nil, captured(flagRowRe))...)
 	failures = append(failures, checkLinks(root, mdFiles)...)
 	failures = append(failures, checkPaths(root, pathFiles)...)
+	names, err := exportedNames(root)
+	failures = append(failures, checkRows("root package name", names, err,
+		filepath.Join(root, "DESIGN.md"), rootSectionRe, firstCells)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -356,5 +426,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, /v1/stats keys and trace fields covered)\n", len(mdFiles))
+	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, /v1/stats keys, trace fields and root package names covered)\n", len(mdFiles))
 }

@@ -24,7 +24,9 @@
 // contiguous slabs of the tile space, queried in parallel with
 // duplicate-free merging. Combined with -live each shard runs its own
 // apply loop; combined with -data-dir each shard journals to its own
-// write-ahead log and recovery is concurrent.
+// write-ahead log and recovery is concurrent. The directory decides the
+// layout: -shards shapes only a fresh -data-dir, and a directory with
+// prior state recovers with the shard count it was written with.
 //
 // With -data-dir the server runs durably: mutations are written ahead to
 // a segmented log before they are acknowledged, checkpoints are taken in
@@ -243,53 +245,18 @@ func main() {
 	if *maxBacklog < 0 {
 		fail(fmt.Errorf("-max-backlog must be >= 0"))
 	}
-	// The effective shard count: on recovery the manifest's supersedes
-	// -shards.
-	shardCount := 1
+	// An unsharded index is served as the one-shard engine.
+	if shardedIdx == nil && idx != nil {
+		shardedIdx = twolayer.OneShard(idx)
+	}
+	var shardCount int
 	switch {
-	case durable && sharded:
-		policy, err := twolayer.ParseSyncPolicy(*fsync)
-		if err != nil {
-			fail(err)
-		}
-		dl, infos, err := twolayer.OpenShardedDurable(
-			twolayer.Options{GridSize: *gridSize},
-			twolayer.LiveOptions{MaxBacklog: *maxBacklog},
-			twolayer.ShardedDurableOptions{
-				Dir:             *dataDir,
-				Fsync:           policy,
-				FsyncInterval:   *fsyncInterval,
-				CheckpointEvery: *checkpointEvery,
-				SegmentBytes:    *segmentBytes,
-				Seed:            shardedIdx,
-				Logger:          logger,
-			},
-			twolayer.ShardedOptions{Shards: *shards})
-		if err != nil {
-			if shardedIdx == nil {
-				err = fmt.Errorf("%w (a fresh -data-dir needs -data to seed it)", err)
-			}
-			fail(err)
-		}
-		defer dl.Close()
-		cfg.ShardedDurable = dl
-		shardCount = dl.Live().Shards()
-		replayed := 0
-		for _, info := range infos {
-			replayed += info.ReplayedRecords
-		}
-		logger.Info("sharded durable live mode",
-			"dir", *dataDir,
-			"fsync", policy.String(),
-			"shards", dl.Live().Shards(),
-			"objects", dl.Snapshot().Len(),
-			"replayed_records", replayed)
 	case durable:
 		policy, err := twolayer.ParseSyncPolicy(*fsync)
 		if err != nil {
 			fail(err)
 		}
-		dl, info, err := twolayer.OpenDurable(
+		dl, _, err := twolayer.OpenDurable(
 			twolayer.Options{GridSize: *gridSize},
 			twolayer.LiveOptions{MaxBacklog: *maxBacklog},
 			twolayer.DurableOptions{
@@ -298,38 +265,37 @@ func main() {
 				FsyncInterval:   *fsyncInterval,
 				CheckpointEvery: *checkpointEvery,
 				SegmentBytes:    *segmentBytes,
-				Seed:            idx,
+				Seed:            shardedIdx,
 				Logger:          logger,
 			})
 		if err != nil {
-			if idx == nil {
+			if entries, _ := os.ReadDir(*dataDir); shardedIdx == nil && len(entries) == 0 {
 				err = fmt.Errorf("%w (a fresh -data-dir needs -data or -snapshot to seed it)", err)
 			}
 			fail(err)
 		}
 		defer dl.Close()
 		cfg.Durable = dl
+		shardCount = dl.Live().Shards()
+		// Summed over the shards.
+		rec := dl.Stats().Recovery
 		logger.Info("durable live mode",
 			"dir", *dataDir,
 			"fsync", policy.String(),
+			"shards", shardCount,
 			"objects", dl.Snapshot().Len(),
-			"recovered_epoch", info.Epoch,
-			"checkpoint_loaded", info.CheckpointLoaded,
-			"replayed_records", info.ReplayedRecords,
-			"truncated_tail", info.TruncatedTail)
-	default:
-		// An unsharded index is served as the one-shard engine.
-		if !sharded {
-			shardedIdx = twolayer.OneShard(idx)
-		}
+			"recovered_epoch", rec.Epoch,
+			"checkpoint_loaded", rec.CheckpointLoaded,
+			"replayed_records", rec.ReplayedRecords,
+			"truncated_tail", rec.TruncatedTail)
+	case *live:
 		shardCount = shardedIdx.Shards()
-		if *live {
-			cfg.ShardedLive = twolayer.ShardedLiveFrom(shardedIdx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
-			defer cfg.ShardedLive.Close()
-			logger.Info("live mode", "shards", cfg.ShardedLive.Shards())
-		} else {
-			cfg.Sharded = shardedIdx
-		}
+		cfg.ShardedLive = twolayer.ShardedLiveFrom(shardedIdx, twolayer.LiveOptions{MaxBacklog: *maxBacklog})
+		defer cfg.ShardedLive.Close()
+		logger.Info("live mode", "shards", shardCount)
+	default:
+		shardCount = shardedIdx.Shards()
+		cfg.Sharded = shardedIdx
 	}
 	srv := server.New(cfg)
 

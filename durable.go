@@ -1,11 +1,10 @@
 package twolayer
 
 import (
-	"errors"
 	"log/slog"
 	"time"
 
-	"github.com/twolayer/twolayer/internal/core"
+	"github.com/twolayer/twolayer/internal/shard"
 	"github.com/twolayer/twolayer/internal/wal"
 )
 
@@ -31,8 +30,8 @@ const (
 // ParseSyncPolicy maps the flag spellings "always", "interval", "none".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
-// RecoveryInfo reports what OpenDurable found on disk and how much log
-// it replayed.
+// RecoveryInfo reports what OpenDurable found in one shard's WAL and how
+// much log it replayed.
 type RecoveryInfo = wal.RecoveryInfo
 
 // DurabilityStats is a point-in-time view of the durability engine:
@@ -40,10 +39,12 @@ type RecoveryInfo = wal.RecoveryInfo
 // checkpoint epoch and age, and the recovery summary from startup.
 type DurabilityStats = wal.Stats
 
-// DurableOptions configure OpenDurable.
+// DurableOptions configure OpenDurable. The WAL knobs apply to every
+// shard's log.
 type DurableOptions struct {
 	// Dir is the durability directory holding log segments and
-	// checkpoints; created if missing. Required.
+	// checkpoints (one shard), or a layout manifest and one such
+	// directory per shard; created if missing. Required.
 	Dir string
 	// Fsync selects the log's sync discipline (default SyncInterval).
 	Fsync SyncPolicy
@@ -57,51 +58,48 @@ type DurableOptions struct {
 	// disables automatic checkpoints.
 	CheckpointEvery int
 	// Seed, when non-nil and Dir holds no prior state, becomes the
-	// initial index and is checkpointed immediately. Ignored (with a
-	// logged notice) when Dir already has state — recovered state always
-	// wins. OpenDurable takes ownership of the seed.
-	Seed *Index
+	// initial engine and shapes the directory: OneShard(ix) writes the
+	// flat one-shard layout, an engine of several shards a manifest and
+	// one log per shard. Each shard is checkpointed before mutations are
+	// accepted. Ignored (with a logged notice) when Dir already has
+	// state: the recovered state and layout always win. OpenDurable
+	// takes ownership of the seed.
+	Seed *Sharded
 	// Logger receives recovery and background-error notices. Defaults to
 	// slog.Default().
 	Logger *slog.Logger
 }
 
-// DurableLive is a Live index backed by the durability engine: every
-// mutation batch is written ahead to a segmented, CRC-framed log before
-// it is acknowledged, checkpoints bound recovery time, and OpenDurable
-// restores exactly the acknowledged state after a crash — tolerating a
-// torn or corrupt log tail by truncating at the first bad frame.
-// All methods are safe for concurrent use.
+// DurableLive is a ShardedLive backed by the durability engine: every
+// mutation batch is written ahead to each involved shard's segmented,
+// CRC-framed log before it is acknowledged, checkpoints bound recovery
+// time, and OpenDurable restores exactly the acknowledged state after a
+// crash — tolerating a torn or corrupt log tail by truncating at the
+// first bad frame. All methods are safe for concurrent use.
 type DurableLive struct {
-	d    *wal.DurableLive
-	live *Live
+	d    *shard.Durable
+	live *ShardedLive
 }
 
-// OpenDurable opens (or cold-starts) the durable live index stored in
-// do.Dir. When the directory holds prior state, opts and do.Seed are
-// superseded by recovery: the newest readable checkpoint is loaded and
-// the log tail replayed on top. On a cold start the index comes from
-// do.Seed, or is built empty from opts — which must then carry a Space,
-// as with NewLive.
-func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive, RecoveryInfo, error) {
+// OpenDurable opens (or cold-starts) the durable engine stored in
+// do.Dir. The directory decides the layout: a layout manifest pins its
+// shard count and grid, WAL state at the top level is one shard on the
+// grid of its checkpoint, and a directory holding both is refused. On
+// prior state, do.Seed is ignored and every shard recovers concurrently:
+// the newest readable checkpoint is loaded and the log tail replayed on
+// top. On a cold start the engine and its layout come from do.Seed, or
+// it is one empty shard built from opts — which must then carry a Space,
+// as with NewLive. The returned RecoveryInfo slice has one entry per
+// shard.
+func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive, []RecoveryInfo, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, RecoveryInfo{}, err
+		return nil, nil, err
 	}
-	if opts.Space == (Rect{}) && do.Seed == nil {
-		has, err := wal.HasState(do.Dir)
-		if err != nil {
-			return nil, RecoveryInfo{}, err
-		}
-		if !has {
-			return nil, RecoveryInfo{}, errors.New(
-				"twolayer: OpenDurable on an empty dir requires Options.Space or DurableOptions.Seed")
-		}
-	}
-	var seed *core.Index
+	var seed *shard.Engine
 	if do.Seed != nil {
-		seed = do.Seed.core
+		seed = do.Seed.eng
 	}
-	d, info, err := wal.Open(wal.Options{
+	d, infos, err := shard.Open(wal.Options{
 		Dir:             do.Dir,
 		Policy:          do.Fsync,
 		SyncEvery:       do.FsyncInterval,
@@ -109,33 +107,37 @@ func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive,
 		CheckpointEvery: do.CheckpointEvery,
 		Index:           opts.toCore(),
 		Live:            lo.toCore(),
-		Seed:            seed,
 		Logger:          do.Logger,
-	})
+	}, seed)
 	if err != nil {
-		return nil, info, err
+		return nil, infos, err
 	}
-	return &DurableLive{d: d, live: &Live{live: d.Live()}}, info, nil
+	return &DurableLive{d: d, live: &ShardedLive{l: d.Live()}}, infos, nil
 }
 
-// Live returns the updatable index. Mutations submitted through it are
-// journaled before they are acknowledged — the write-ahead hook lives
-// inside the apply loop, so there is no undurable side door.
-func (d *DurableLive) Live() *Live { return d.live }
+// Live returns the updatable engine. Mutations submitted through it are
+// journaled per shard before they are acknowledged — the write-ahead
+// hook lives inside each apply loop, so there is no undurable side door.
+func (d *DurableLive) Live() *ShardedLive { return d.live }
 
-// Snapshot returns the current published snapshot; shorthand for
-// Live().Snapshot().
-func (d *DurableLive) Snapshot() *Index { return d.live.Snapshot() }
+// Snapshot returns an immutable engine over the current shard
+// snapshots; shorthand for Live().Snapshot().
+func (d *DurableLive) Snapshot() *Sharded { return d.live.Snapshot() }
 
-// Checkpoint writes the current snapshot as a checkpoint file and
-// prunes log segments it covers, without pausing writers or readers.
-// It returns the checkpointed epoch and is a no-op when nothing was
-// published since the last checkpoint.
+// Checkpoint checkpoints every shard concurrently, writing each
+// snapshot as a checkpoint file and pruning the log segments it covers,
+// without pausing writers or readers. It returns the maximum
+// checkpointed epoch and the first per-shard error (other shards still
+// complete); a shard with nothing published since its last checkpoint
+// is a no-op.
 func (d *DurableLive) Checkpoint() (uint64, error) { return d.d.Checkpoint() }
 
-// Stats reports the durability engine's counters.
+// Stats reports the durability counters: one shard's own, or the sums
+// over several for throughput and size, with the minimum checkpoint
+// epoch (the replay bound is the least-checkpointed shard) and the first
+// failure encountered.
 func (d *DurableLive) Stats() DurabilityStats { return d.d.Stats() }
 
-// Close drains and closes the live index, journaling its final batches,
-// then closes the log with a final fsync. Close is idempotent.
+// Close drains and closes every shard's apply loop, journaling its final
+// batches, then closes the logs with a final fsync. Close is idempotent.
 func (d *DurableLive) Close() error { return d.d.Close() }

@@ -447,8 +447,13 @@ func (ix *Index) insert(e spatial.Entry) {
 // NaN or infinite coordinate, panics. It drops the derived read tables
 // (the count prefix table and any 2-layer+ tables): queries then scan
 // every tile plain until BuildDecomposed builds both again, which a Live
-// index never does.
-func (ix *Index) Insert(e spatial.Entry) { ix.insert(e) }
+// index never does. It also drops the dataset, as NewLive does: the
+// inserted object has no geometry there, so exact queries are refused
+// from now on instead of reaching it.
+func (ix *Index) Insert(e spatial.Entry) {
+	ix.insert(e)
+	ix.dataset = nil
+}
 
 // mustBeWritable panics on a published Live snapshot, which every reader
 // that pinned it shares; its writes go through Live.Apply instead.

@@ -356,17 +356,11 @@ func waitGoroutines(t *testing.T, baseline int) {
 // deterministic core-level rejection semantics are covered in
 // internal/core; here the subject is the HTTP mapping.)
 func TestBacklogRejection(t *testing.T) {
-	l, err := twolayer.NewLive(twolayer.Options{
-		GridSize: 16,
-		Space:    twolayer.Rect{MaxX: 1, MaxY: 1},
-	}, twolayer.LiveOptions{MaxBacklog: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := emptyLive(16, twolayer.LiveOptions{MaxBacklog: 1})
 	t.Cleanup(l.Close)
 	s := New(Config{
-		Live:   l,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		ShardedLive: l,
+		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	h := s.Handler()
 

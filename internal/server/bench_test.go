@@ -139,11 +139,11 @@ func BenchmarkV1Batch(b *testing.B) {
 func BenchmarkV1Bulk(b *testing.B) {
 	const moves, pairs = 32, 64
 	rects := benchRects()
-	live := twolayer.LiveFrom(twolayer.BuildRects(slices.Clone(rects), twolayer.Options{}), twolayer.LiveOptions{})
+	live := twolayer.ShardedLiveFrom(twolayer.OneShard(twolayer.BuildRects(slices.Clone(rects), twolayer.Options{})), twolayer.LiveOptions{})
 	b.Cleanup(live.Close)
 	h := New(Config{
-		Live:   live,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
+		ShardedLive: live,
+		Logger:      slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
 	}).Handler()
 
 	rnd := rand.New(rand.NewSource(5))

@@ -12,18 +12,24 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
-// durableServer builds a durable-live server over dir; the caller reuses
-// dir across restarts to exercise recovery.
-func durableServer(t *testing.T, dir string) (*Server, *twolayer.DurableLive) {
+// durableServer builds a durable-live server over dir. On a fresh dir it
+// cold-starts an empty engine of the given shard count: one shard from
+// the options alone (the flat layout), more from an empty seed of that
+// many shards (a manifest and one log per shard). The caller reuses dir
+// across restarts to exercise recovery, where the directory's layout
+// wins over the shard count asked for.
+func durableServer(t *testing.T, dir string, shards int) (*Server, *twolayer.DurableLive) {
 	t.Helper()
-	dl, _, err := twolayer.OpenDurable(
-		twolayer.Options{GridSize: 16, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
-		twolayer.LiveOptions{},
-		twolayer.DurableOptions{
-			Dir:             dir,
-			CheckpointEvery: -1, // tests checkpoint explicitly
-			Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
-		})
+	opts := twolayer.Options{GridSize: 16, Space: twolayer.Rect{MaxX: 1, MaxY: 1}}
+	do := twolayer.DurableOptions{
+		Dir:             dir,
+		CheckpointEvery: -1, // tests checkpoint explicitly
+		Logger:          slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}
+	if shards > 1 {
+		do.Seed = twolayer.BuildShardedRects(nil, opts, twolayer.ShardedOptions{Shards: shards})
+	}
+	dl, _, err := twolayer.OpenDurable(opts, twolayer.LiveOptions{}, do)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,62 +48,84 @@ func insertBody(id int) string {
 }
 
 // TestDurableServerRecovery: acked mutations served by one server
-// incarnation survive into the next one over the same data dir.
+// incarnation survive into the next one over the same data dir, on one
+// shard and on two.
 func TestDurableServerRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s, dl := durableServer(t, dir)
-	for id := 1; id <= 25; id++ {
-		var ins insertResponse
-		w := do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), &ins)
-		if w.Code != http.StatusOK {
-			t.Fatalf("insert %d: status %d", id, w.Code)
+	for _, shards := range []int{1, 2} {
+		dir := t.TempDir()
+		s, dl := durableServer(t, dir, shards)
+		for id := 1; id <= 25; id++ {
+			var ins insertResponse
+			w := do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), &ins)
+			if w.Code != http.StatusOK {
+				t.Fatalf("S=%d: insert %d: status %d", shards, id, w.Code)
+			}
 		}
-	}
-	if err := dl.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if err := dl.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	s2, _ := durableServer(t, dir)
-	var win rangeResponse
-	do(t, s2.Handler(), "POST", "/v1/window",
-		`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
-	if win.Count != 25 {
-		t.Fatalf("recovered server serves %d objects, want 25", win.Count)
+		s2, _ := durableServer(t, dir, shards)
+		var win rangeResponse
+		do(t, s2.Handler(), "POST", "/v1/window",
+			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"count_only":true}`, &win)
+		if win.Count != 25 {
+			t.Fatalf("S=%d: recovered server serves %d objects, want 25", shards, win.Count)
+		}
+		var st statsResponse
+		do(t, s2.Handler(), "GET", "/v1/stats", "", &st)
+		if st.Durability == nil || st.Durability.ReplayedRecords == 0 || st.Shards.Count != shards {
+			t.Fatalf("S=%d: recovered stats: durability %+v, shards %d", shards, st.Durability, st.Shards.Count)
+		}
 	}
 }
 
-// TestCheckpointEndpoint: POST /v1/checkpoint writes a checkpoint, reports
-// its epoch, and the durability stats section reflects it.
+// TestCheckpointEndpoint: POST /v1/checkpoint writes a checkpoint per
+// shard, reports the highest epoch, and the durability stats section
+// reflects it. The ten inserts put ids 1–4 and 10 left of x = 0.5 and
+// ids 5–9 right of it, so with two shards each publishes five epochs.
 func TestCheckpointEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := durableServer(t, dir)
-	for id := 1; id <= 10; id++ {
-		do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), nil)
-	}
-	var ck struct {
-		Epoch     uint64 `json:"epoch"`
-		ElapsedUS int64  `json:"elapsed_us"`
-	}
-	w := do(t, s.Handler(), "POST", "/v1/checkpoint", "", &ck)
-	if w.Code != http.StatusOK || ck.Epoch != 10 {
-		t.Fatalf("checkpoint: status %d epoch %d, want 200 and epoch 10", w.Code, ck.Epoch)
-	}
-	ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*"))
-	if len(ckpts) == 0 {
-		t.Fatal("no checkpoint file on disk after POST /v1/checkpoint")
-	}
+	for _, tc := range []struct {
+		shards, epoch int
+		ckpts         string // checkpoint files on disk, by glob
+		manifest      bool
+	}{
+		{1, 10, "checkpoint-*", false},
+		{2, 5, "shard-*/checkpoint-*", true},
+	} {
+		dir := t.TempDir()
+		s, _ := durableServer(t, dir, tc.shards)
+		for id := 1; id <= 10; id++ {
+			do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), nil)
+		}
+		var ck struct {
+			Epoch     uint64 `json:"epoch"`
+			ElapsedUS int64  `json:"elapsed_us"`
+		}
+		w := do(t, s.Handler(), "POST", "/v1/checkpoint", "", &ck)
+		if w.Code != http.StatusOK || ck.Epoch != uint64(tc.epoch) {
+			t.Fatalf("S=%d: checkpoint: status %d epoch %d, want 200 and epoch %d", tc.shards, w.Code, ck.Epoch, tc.epoch)
+		}
+		ckpts, _ := filepath.Glob(filepath.Join(dir, tc.ckpts))
+		if len(ckpts) < tc.shards {
+			t.Fatalf("S=%d: checkpoint files %v after POST /v1/checkpoint", tc.shards, ckpts)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "shards.json")); (err == nil) != tc.manifest {
+			t.Fatalf("S=%d: layout manifest present = %v, want %v", tc.shards, err == nil, tc.manifest)
+		}
 
-	var st statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &st)
-	if st.Durability == nil {
-		t.Fatal("stats response has no durability section in durable mode")
-	}
-	if st.Durability.CheckpointEpoch != 10 || st.Durability.Checkpoints != 1 ||
-		st.Durability.AppendedRecords != 10 || st.Durability.Segments == 0 {
-		t.Fatalf("durability stats = %+v", st.Durability)
-	}
-	if st.Live == nil || st.Live.Epoch != 10 {
-		t.Fatalf("durable mode must also report live stats, got %+v", st.Live)
+		var st statsResponse
+		do(t, s.Handler(), "GET", "/v1/stats", "", &st)
+		if st.Durability == nil {
+			t.Fatalf("S=%d: stats response has no durability section in durable mode", tc.shards)
+		}
+		if st.Durability.CheckpointEpoch != uint64(tc.epoch) || st.Durability.Checkpoints != uint64(tc.shards) ||
+			st.Durability.AppendedRecords != 10 || st.Durability.Segments < tc.shards {
+			t.Fatalf("S=%d: durability stats = %+v", tc.shards, st.Durability)
+		}
+		if st.Live == nil || st.Live.Epoch != uint64(tc.epoch) {
+			t.Fatalf("S=%d: durable mode must also report live stats, got %+v", tc.shards, st.Live)
+		}
 	}
 }
 
@@ -121,7 +149,7 @@ func TestCheckpointAbsentOutsideDurableMode(t *testing.T) {
 // serving every record before the corruption.
 func TestDurableServerCorruptTail(t *testing.T) {
 	dir := t.TempDir()
-	s, dl := durableServer(t, dir)
+	s, dl := durableServer(t, dir, 1)
 	for id := 1; id <= 20; id++ {
 		do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), nil)
 	}
@@ -143,7 +171,7 @@ func TestDurableServerCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, _ := durableServer(t, dir)
+	s2, _ := durableServer(t, dir, 1)
 	var st statsResponse
 	do(t, s2.Handler(), "GET", "/v1/stats", "", &st)
 	if st.Durability == nil || !st.Durability.RecoveryTruncatedLog {
@@ -160,18 +188,74 @@ func TestDurableServerCorruptTail(t *testing.T) {
 // TestDurableMetricsIncludeCheckpoint: the checkpoint endpoint is
 // registered in the metrics table.
 func TestDurableMetricsIncludeCheckpoint(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		s, _ := durableServer(t, t.TempDir(), shards)
+		// A seeded shard checkpoints at open, so give each a publish.
+		do(t, s.Handler(), "POST", "/v1/bulk", `{"mutations":[`+
+			`{"op":"insert","id":1,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}},`+
+			`{"op":"insert","id":2,"mbr":{"min_x":0.8,"min_y":0.8,"max_x":0.9,"max_y":0.9}}]}`, nil)
+		do(t, s.Handler(), "POST", "/v1/checkpoint", "", nil)
+		m := scrapeMetrics(t, s.Handler())
+		if got := m[`twolayer_http_requests_total{endpoint="v1/checkpoint"}`]; got != 1 {
+			t.Fatalf("S=%d: checkpoint endpoint requests = %v, want 1", shards, got)
+		}
+		// Durable mode also exports the WAL/checkpoint engine group.
+		if m[`twolayer_checkpoints_total`] < 1 {
+			t.Fatalf("S=%d: twolayer_checkpoints_total = %v, want >= 1", shards, m[`twolayer_checkpoints_total`])
+		}
+		if m[`twolayer_wal_segments`] < 1 {
+			t.Fatalf("S=%d: twolayer_wal_segments = %v, want >= 1", shards, m[`twolayer_wal_segments`])
+		}
+	}
+}
+
+// TestShardedDurableServer: a two-shard durable server takes a
+// slab-straddling insert, checkpoints, takes another, and comes back
+// after a restart that asks for one shard with both inserts and two
+// shards: the directory's layout wins.
+func TestShardedDurableServer(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := durableServer(t, dir)
-	do(t, s.Handler(), "POST", "/v1/checkpoint", "", nil)
-	m := scrapeMetrics(t, s.Handler())
-	if got := m[`twolayer_http_requests_total{endpoint="v1/checkpoint"}`]; got != 1 {
-		t.Fatalf("checkpoint endpoint requests = %v, want 1", got)
+	s, dl := durableServer(t, dir, 2)
+	h := s.Handler()
+	if w := do(t, h, "POST", "/v1/insert",
+		`{"id":500,"mbr":{"min_x":0.4,"min_y":0.4,"max_x":0.6,"max_y":0.6}}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("insert: %d %s", w.Code, w.Body.String())
 	}
-	// Durable mode also exports the WAL/checkpoint engine group.
-	if m[`twolayer_checkpoints_total`] < 1 {
-		t.Fatalf("twolayer_checkpoints_total = %v, want >= 1", m[`twolayer_checkpoints_total`])
+	if w := do(t, h, "POST", "/v1/checkpoint", `{}`, nil); w.Code != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", w.Code, w.Body.String())
 	}
-	if m[`twolayer_wal_segments`] < 1 {
-		t.Fatalf("twolayer_wal_segments = %v, want >= 1", m[`twolayer_wal_segments`])
+	if w := do(t, h, "POST", "/v1/insert", insertBody(7), nil); w.Code != http.StatusOK {
+		t.Fatalf("insert: %d %s", w.Code, w.Body.String())
+	}
+	if err := dl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h = func() http.Handler { s, _ := durableServer(t, dir, 1); return s.Handler() }()
+	var st statsResponse
+	do(t, h, "GET", "/v1/stats", "", &st)
+	if st.Durability == nil {
+		t.Fatal("sharded durable stats has no durability section")
+	}
+	if st.Shards.Count != 2 {
+		t.Fatalf("restart asking for one shard serves %d, the directory pins 2", st.Shards.Count)
+	}
+	if st.Index.Objects != 2 || st.Durability.ReplayedRecords != 1 {
+		t.Fatalf("recovered objects = %d, replayed records = %d; want 2 and 1",
+			st.Index.Objects, st.Durability.ReplayedRecords)
+	}
+	var resp rangeResponse
+	do(t, h, "POST", "/v1/window", `{`+fullWindow+`}`, &resp)
+	if resp.Count != 2 {
+		t.Fatalf("recovered window count = %d, want 2 (each object once)", resp.Count)
+	}
+
+	var hz struct {
+		Status  string `json:"status"`
+		Objects int    `json:"objects"`
+	}
+	do(t, h, "GET", "/v1/healthz", "", &hz)
+	if hz.Status != "ok" || hz.Objects != 2 {
+		t.Fatalf("healthz = %+v", hz)
 	}
 }

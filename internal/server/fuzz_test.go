@@ -163,7 +163,7 @@ func FuzzV1Batch(f *testing.F) {
 // decode it exactly as encoding/json does.
 func FuzzV1Bulk(f *testing.F) {
 	var (
-		l *twolayer.Live
+		l *twolayer.ShardedLive
 		h http.Handler
 	)
 	// fresh replaces the server once the fuzzer's inserts have grown its
@@ -175,13 +175,9 @@ func FuzzV1Bulk(f *testing.F) {
 			}
 			l.Close()
 		}
-		var err error
-		l, err = twolayer.NewLive(twolayer.Options{GridSize: 8, Space: twolayer.Rect{MaxX: 1, MaxY: 1}}, twolayer.LiveOptions{})
-		if err != nil {
-			f.Fatal(err)
-		}
+		l = emptyLive(8, twolayer.LiveOptions{})
 		h = New(Config{
-			Live:         l,
+			ShardedLive:  l,
 			Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
 			MaxBodyBytes: 1 << 14,
 		}).Handler()

@@ -13,20 +13,22 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
+// emptyLive returns an updatable one-shard engine over an empty
+// unit-square grid of gridSize² tiles.
+func emptyLive(gridSize int, lo twolayer.LiveOptions) *twolayer.ShardedLive {
+	return twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil,
+		twolayer.Options{GridSize: gridSize, Space: twolayer.Rect{MaxX: 1, MaxY: 1}},
+		twolayer.ShardedOptions{Shards: 1}), lo)
+}
+
 // liveServer builds a live-mode server over an empty unit-square index.
-func liveServer(t *testing.T, mutate func(*Config)) (*Server, *twolayer.Live) {
+func liveServer(t *testing.T, mutate func(*Config)) (*Server, *twolayer.ShardedLive) {
 	t.Helper()
-	l, err := twolayer.NewLive(twolayer.Options{
-		GridSize: 16,
-		Space:    twolayer.Rect{MaxX: 1, MaxY: 1},
-	}, twolayer.LiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := emptyLive(16, twolayer.LiveOptions{})
 	t.Cleanup(l.Close)
 	cfg := Config{
-		Live:   l,
-		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		ShardedLive: l,
+		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -136,10 +138,7 @@ func TestConfigRequiresExactlyOneIndex(t *testing.T) {
 			cfg := Config{}
 			if both {
 				cfg.Index = testIndex(t)
-				cfg.Live = twolayer.LiveFrom(
-					twolayer.BuildRects(nil, twolayer.Options{
-						GridSize: 4, Space: twolayer.Rect{MaxX: 1, MaxY: 1},
-					}), twolayer.LiveOptions{})
+				cfg.ShardedLive = emptyLive(4, twolayer.LiveOptions{})
 			}
 			New(cfg)
 		}()

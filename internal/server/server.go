@@ -5,11 +5,12 @@
 //
 // The server runs in one of two modes. In static mode the index is built
 // (or snapshot-loaded) once and never updated while serving, which is
-// what makes lock-free concurrent reads safe. In live mode (Config.Live)
-// the server fronts an updatable twolayer.Live: every query pins one
-// immutable copy-on-write snapshot — still a single atomic load, still no
+// what makes lock-free concurrent reads safe. In live mode
+// (Config.ShardedLive, or Config.Durable with a write-ahead log) the
+// server fronts an updatable twolayer.ShardedLive: every query pins one
+// immutable copy-on-write snapshot — one atomic load per shard, still no
 // locks on the read path — and mutation endpoints (POST /v1/insert,
-// /v1/delete, /v1/bulk) feed the single-writer apply loop. Queries keep
+// /v1/delete, /v1/bulk) feed the shards' single-writer apply loops. Queries keep
 // no state on the index (kNN included), so in both modes requests read
 // the shared index or snapshot directly; only traced requests take a
 // private view (Index.Traced), so their counters are per-request. Every
@@ -18,9 +19,10 @@
 // per-endpoint latency/error metrics.
 // Either mode can be served by one index or by a sharded scatter-gather
 // engine, and both are served as the engine: an unsharded index is its
-// one-shard case (twolayer.OneShard, twolayer.OneShardLive), so New maps
-// the configured topology once and every handler, trace, stats section
-// and metric reads the same pinned *twolayer.Sharded snapshot.
+// one-shard case (twolayer.OneShard; a live or durable engine of one
+// shard is the same case), so New maps the configured topology once and
+// every handler, trace, stats section and metric reads the same pinned
+// *twolayer.Sharded snapshot.
 //
 // See docs/SERVER.md for the full API reference and operator guide.
 package server
@@ -48,43 +50,33 @@ const (
 	shutdownGrace         = 10 * time.Second
 )
 
-// Config configures a Server. Exactly one of the six engine fields —
-// Index, Live, Durable, Sharded, ShardedLive, and ShardedDurable — must
-// be set. The unsharded ones are served as one-shard engines, so every
-// server has the same traces, /v1/stats sections and twolayer_shard_*
-// metrics.
+// Config configures a Server. Exactly one of the four engine fields —
+// Index, Sharded, ShardedLive and Durable — must be set. An Index is
+// served as its one-shard engine, so every server has the same traces,
+// /v1/stats sections and twolayer_shard_* metrics.
 type Config struct {
 	// Index is the shared index all requests query (static mode). It must
 	// not be updated while the server runs.
 	Index *twolayer.Index
-
-	// Live is an updatable index (live mode): queries pin per-request
-	// snapshots and the mutation endpoints POST /v1/insert, /v1/delete,
-	// and /v1/bulk are mounted. The server does not close it; the owner
-	// should Close it after shutdown.
-	Live *twolayer.Live
-
-	// Durable is an updatable index backed by the durability engine
-	// (write-ahead log + checkpoints). It implies live mode — all Live
-	// endpoints are mounted — and additionally mounts POST /v1/checkpoint
-	// and a "durability" section on GET /v1/stats. The server does not
-	// close it; the owner should Close it after shutdown (a clean close
-	// fsyncs the log tail).
-	Durable *twolayer.DurableLive
 
 	// Sharded is a static scatter-gather engine: every query endpoint
 	// routes through its shards. Like Index it must not be updated while
 	// serving.
 	Sharded *twolayer.Sharded
 
-	// ShardedLive is the updatable sharded engine: live mode with one
-	// apply loop per shard.
+	// ShardedLive is the updatable engine (live mode), one apply loop per
+	// shard: queries pin per-request snapshots and the mutation endpoints
+	// POST /v1/insert, /v1/delete, and /v1/bulk are mounted. The server
+	// does not close it; the owner should Close it after shutdown.
 	ShardedLive *twolayer.ShardedLive
 
-	// ShardedDurable is the sharded durability engine (one write-ahead
-	// log per shard): sharded live mode plus POST /v1/checkpoint and the
-	// "durability" stats section.
-	ShardedDurable *twolayer.ShardedDurable
+	// Durable is an updatable engine backed by the durability engine
+	// (one write-ahead log and checkpoints per shard). It implies live
+	// mode — all live endpoints are mounted — and additionally mounts
+	// POST /v1/checkpoint and a "durability" section on GET /v1/stats.
+	// The server does not close it; the owner should Close it after
+	// shutdown (a clean close fsyncs the log tail).
+	Durable *twolayer.DurableLive
 
 	// Logger receives structured request logs. Defaults to slog.Default().
 	Logger *slog.Logger
@@ -163,49 +155,44 @@ type Server struct {
 	// later mutations go into later snapshots).
 	pin     func() *twolayer.Sharded
 	live    *twolayer.ShardedLive // nil when static
-	ckpt    checkpointer          // nil unless durable
+	ckpt    *twolayer.DurableLive // nil unless durable
 	adm     *admission            // nil when admission control is disabled
 	metrics *Metrics
 	mux     *http.ServeMux
 }
 
-// New builds a Server from cfg. It panics unless exactly one of the six
+// New builds a Server from cfg. It panics unless exactly one of the four
 // engine fields is set (a programming error, not a runtime condition).
 // This is the only place the served topology is inspected: everything
 // downstream reads through s.pin, s.live and s.ckpt.
 func New(cfg Config) *Server {
 	set := 0
 	for _, on := range []bool{
-		cfg.Index != nil, cfg.Live != nil, cfg.Durable != nil,
-		cfg.Sharded != nil, cfg.ShardedLive != nil, cfg.ShardedDurable != nil,
+		cfg.Index != nil, cfg.Sharded != nil, cfg.ShardedLive != nil, cfg.Durable != nil,
 	} {
 		if on {
 			set++
 		}
 	}
 	if set != 1 {
-		panic("server: exactly one of Config.Index, Config.Live, Config.Durable, " +
-			"Config.Sharded, Config.ShardedLive and Config.ShardedDurable is required")
+		panic("server: exactly one of Config.Index, Config.Sharded, " +
+			"Config.ShardedLive and Config.Durable is required")
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg: cfg,
 		mux: http.NewServeMux(),
 	}
-	// Unsharded engines are one-shard engines, and durable modes are
-	// their live modes plus a checkpointer.
+	// An index is its one-shard engine, and durable mode is live mode
+	// plus checkpoints.
 	static := cfg.Sharded
 	switch {
 	case cfg.Index != nil:
 		static = twolayer.OneShard(cfg.Index)
-	case cfg.Live != nil:
-		s.live = twolayer.OneShardLive(cfg.Live)
-	case cfg.Durable != nil:
-		s.live, s.ckpt = twolayer.OneShardLive(cfg.Durable.Live()), cfg.Durable
 	case cfg.ShardedLive != nil:
 		s.live = cfg.ShardedLive
-	case cfg.ShardedDurable != nil:
-		s.live, s.ckpt = cfg.ShardedDurable.Live(), cfg.ShardedDurable
+	case cfg.Durable != nil:
+		s.live, s.ckpt = cfg.Durable.Live(), cfg.Durable
 	}
 	s.pin = func() *twolayer.Sharded { return static }
 	if s.live != nil {

@@ -101,7 +101,7 @@ func TestConfigDefaults(t *testing.T) {
 // the route table has a pre-registered series that moves when the route
 // is hit, and the registry holds no series the table does not.
 func TestEveryMetricsEndpointRegistered(t *testing.T) {
-	s, _ := durableServer(t, t.TempDir())
+	s, _ := durableServer(t, t.TempDir(), 1)
 	routes := s.routes()
 	series := func(rt route) string {
 		return fmt.Sprintf(`twolayer_http_requests_total{endpoint=%q}`, rt.endpoint())
@@ -162,7 +162,7 @@ func TestRouteTable(t *testing.T) {
 	if got := patterns(live); got != read+mutate {
 		t.Errorf("live routes = %s", got)
 	}
-	durable, _ := durableServer(t, t.TempDir())
+	durable, _ := durableServer(t, t.TempDir(), 1)
 	if got := patterns(durable); got != read+mutate+", POST /v1/checkpoint" {
 		t.Errorf("durable routes = %s", got)
 	}
@@ -174,7 +174,7 @@ func TestRouteTable(t *testing.T) {
 // TestRemovedRoutesAnswer404: the nine unversioned routes deleted in
 // favor of /v1 are gone in every mode, not redirected or aliased.
 func TestRemovedRoutesAnswer404(t *testing.T) {
-	s, _ := durableServer(t, t.TempDir())
+	s, _ := durableServer(t, t.TempDir(), 1)
 	for _, rt := range []struct{ method, path string }{
 		{"POST", "/query/window"}, {"POST", "/query/disk"},
 		{"POST", "/query/knn"}, {"POST", "/query/batch"},

@@ -19,13 +19,6 @@ type searcher interface {
 	BatchDiskCounts(queries []twolayer.Disk, strategy twolayer.BatchStrategy, threads int) []int
 }
 
-// checkpointer is the durability surface of a durable-mode server,
-// satisfied by *twolayer.DurableLive and *twolayer.ShardedDurable.
-type checkpointer interface {
-	Checkpoint() (uint64, error)
-	Stats() twolayer.DurabilityStats
-}
-
 // requestTrace is one finished traced evaluation: the request's counters
 // and refinement time, summed over the spans of the shards it ran on,
 // and the spans themselves.

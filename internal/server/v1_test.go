@@ -299,60 +299,3 @@ func TestShardedLiveServer(t *testing.T) {
 		t.Error("exact query accepted on a live sharded server")
 	}
 }
-
-func TestShardedDurableServer(t *testing.T) {
-	geoms := testGeoms()
-	seed := twolayer.BuildShardedGeoms(geoms, twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 3})
-	d, _, err := twolayer.OpenShardedDurable(
-		twolayer.Options{GridSize: 16},
-		twolayer.LiveOptions{},
-		twolayer.ShardedDurableOptions{Dir: t.TempDir(), Seed: seed,
-			Logger: slog.New(slog.NewTextHandler(io.Discard, nil))},
-		twolayer.ShardedOptions{Shards: 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	s := New(Config{ShardedDurable: d, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	h := s.Handler()
-
-	var resp rangeResponse
-	do(t, h, "POST", "/v1/window", `{`+fullWindow+`,"count_only":true}`, &resp)
-	if resp.Count != 100 {
-		t.Fatalf("seeded query count = %d, want 100", resp.Count)
-	}
-
-	if w := do(t, h, "POST", "/v1/insert",
-		`{"id":500,"mbr":{"min_x":0.4,"min_y":0.4,"max_x":0.6,"max_y":0.6}}`, nil); w.Code != http.StatusOK {
-		t.Fatalf("insert: %d %s", w.Code, w.Body.String())
-	}
-
-	var ck struct {
-		Epoch uint64 `json:"epoch"`
-	}
-	if w := do(t, h, "POST", "/v1/checkpoint", `{}`, &ck); w.Code != http.StatusOK {
-		t.Fatalf("checkpoint: %d %s", w.Code, w.Body.String())
-	}
-
-	var st statsResponse
-	do(t, h, "GET", "/v1/stats", "", &st)
-	if st.Durability == nil {
-		t.Fatal("sharded durable stats has no durability section")
-	}
-	if st.Shards.Count != 3 {
-		t.Fatalf("sharded durable stats shards = %+v", st.Shards)
-	}
-	if st.Index.Objects != 101 {
-		t.Fatalf("stats objects = %d, want 101", st.Index.Objects)
-	}
-
-	var hz struct {
-		Status  string `json:"status"`
-		Objects int    `json:"objects"`
-	}
-	do(t, h, "GET", "/v1/healthz", "", &hz)
-	if hz.Status != "ok" || hz.Objects != 101 {
-		t.Fatalf("healthz = %+v", hz)
-	}
-}

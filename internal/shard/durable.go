@@ -8,27 +8,26 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/twolayer/twolayer/internal/core"
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/wal"
 )
 
-// Sharded durability layout:
+// Durability layouts. The directory, not the caller, decides which one
+// a reopen uses (see Open):
 //
-//	dir/
-//	  shards.json   — the layout manifest, written atomically on cold start
-//	  shard-000/    — one complete WAL directory per shard
-//	  shard-001/       (segments + checkpoints, same format as unsharded)
-//	  ...
+//	dir/                  one shard (the flat layout)
+//	  wal-*, checkpoint-* — the shard's WAL: segments + checkpoints
 //
-// The manifest pins the shard geometry (count, grid dimensions, space).
-// It is written before any shard WAL is created, so a directory with
-// shard state always has one; on reopen it is authoritative — the
-// recovered layout wins over whatever options the caller passed (with a
-// logged notice), since per-shard logs are only meaningful under the
-// layout that produced them. Shards recover concurrently.
+//	dir/                  S > 1 shards
+//	  shards.json         — the layout manifest, written atomically first
+//	  shard-000/ ...      — one WAL directory per shard, same format
+//
+// The manifest pins the shard geometry (count, grid dimensions, space);
+// it is written before any shard WAL is created, so a directory with
+// shard state always has one. A flat directory needs none: its one
+// shard's grid is its checkpoint's.
 
 // manifestName is the layout manifest file inside the durability dir.
 const manifestName = "shards.json"
@@ -44,10 +43,10 @@ type manifest struct {
 	MaxY    float64 `json:"max_y"`
 }
 
-// HasState reports whether dir holds sharded durability state (a layout
-// manifest; the manifest is written before any shard WAL, so it is the
-// reliable signal).
-func HasState(dir string) bool {
+// hasManifest reports whether dir holds sharded durability state (a
+// layout manifest; the manifest is written before any shard WAL, so it is
+// the reliable signal).
+func hasManifest(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil
 }
@@ -86,83 +85,84 @@ func writeManifest(dir string, m manifest) error {
 	return os.Rename(tmp, filepath.Join(dir, manifestName))
 }
 
-// DurableOptions configure Open. Per-shard WALs share the sync policy,
-// rotation threshold, and checkpoint cadence.
-type DurableOptions struct {
-	// Dir is the sharded durability directory. Created if missing.
-	Dir string
-	// Policy, SyncEvery, SegmentBytes, and CheckpointEvery apply to every
-	// shard's WAL; see wal.Options for semantics and defaults.
-	Policy          wal.SyncPolicy
-	SyncEvery       time.Duration
-	SegmentBytes    int64
-	CheckpointEvery int
-	// Logger receives recovery and background-error notices.
-	Logger *slog.Logger
-}
-
 // Durable couples a sharded Live with one write-ahead log per shard.
 type Durable struct {
 	live *Live
 	ds   []*wal.DurableLive
 }
 
-// Open recovers (or cold-starts) a sharded durable engine in do.Dir.
+// Open recovers (or cold-starts) the durable engine in wo.Dir. wo's
+// sync policy, rotation and checkpoint cadence apply to every shard's
+// WAL, wo.Live to every apply loop, and wo.Index shapes an empty
+// directory; Open sets the rest per shard. The directory decides the
+// layout:
 //
-// Cold start: the layout derives from opts/shards (or from seed's layout
-// when non-nil), the manifest is written first, then every shard WAL is
-// created — seeded with the corresponding shard of seed, which Open
-// takes ownership of. Reopen: the manifest's layout wins over opts and
-// shards (logged when they disagree), seed is ignored with a notice, and
-// all shard WALs recover concurrently. The returned RecoveryInfo slice
-// has one entry per shard.
-func Open(opts core.Options, lo core.LiveOptions, do DurableOptions, shards int, seed *Engine) (*Durable, []wal.RecoveryInfo, error) {
-	logger := do.Logger
+//   - a layout manifest: the manifest's shards, one WAL directory each;
+//   - WAL state at its top level: one shard whose WAL is wo.Dir itself,
+//     on the grid of its recovered checkpoint;
+//   - neither (a cold start): seed's layout, or one shard over wo.Index
+//     (which must then carry a Space) when seed is nil. One shard writes
+//     the flat layout; more write the manifest first, then every shard
+//     WAL, each seeded with its shard of seed.
+//
+// A directory holding both a manifest and top-level WAL state is
+// refused: either half may hold acknowledged writes the other lacks.
+// With prior state, seed is ignored with a notice. Open takes ownership
+// of seed. The returned RecoveryInfo slice has one entry per shard.
+func Open(wo wal.Options, seed *Engine) (*Durable, []wal.RecoveryInfo, error) {
+	dir, opts := wo.Dir, wo.Index
+	logger := wo.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
-	if err := os.MkdirAll(do.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("shard: creating durability dir: %w", err)
 	}
+	flat, err := wal.HasState(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	manifested := hasManifest(dir)
 
 	var lay layout
-	if HasState(do.Dir) {
-		m, err := readManifest(do.Dir)
+	switch {
+	case manifested && flat:
+		return nil, nil, fmt.Errorf(
+			"shard: %s holds both a layout manifest (%s) and write-ahead log state at its top level; "+
+				"refusing to pick one, since either may hold acknowledged writes the other lacks",
+			dir, manifestName)
+	case manifested:
+		m, err := readManifest(dir)
 		if err != nil {
 			return nil, nil, err
 		}
-		recovered := core.Options{
+		lay = makeLayout(core.Options{
 			NX: m.NX, NY: m.NY,
 			Space:        geom.Rect{MinX: m.MinX, MinY: m.MinY, MaxX: m.MaxX, MaxY: m.MaxY},
 			Decompose:    opts.Decompose,
 			BuildThreads: opts.BuildThreads,
-		}
-		lay = makeLayout(recovered, m.Shards)
-		if seed != nil {
-			logger.Warn("sharded durability dir has prior state; ignoring seed", "dir", do.Dir)
-			seed = nil
-		}
-		if shards > 0 || opts != (core.Options{}) {
-			req := makeLayout(opts, shards)
-			if req.shardCount() != lay.shardCount() || req.opts.NX != lay.opts.NX ||
-				req.opts.NY != lay.opts.NY || req.opts.Space != lay.opts.Space {
-				logger.Warn("recovered shard layout differs from requested options; recovered layout wins",
-					"dir", do.Dir,
-					"recovered_shards", lay.shardCount(), "requested_shards", req.shardCount(),
-					"recovered_grid", fmt.Sprintf("%dx%d", lay.opts.NX, lay.opts.NY),
-					"requested_grid", fmt.Sprintf("%dx%d", req.opts.NX, req.opts.NY))
-			}
-		}
-	} else {
-		if seed != nil {
-			lay = seed.lay
-		} else {
-			lay = makeLayout(opts, shards)
-		}
+		}, m.Shards)
+	case seed != nil && !flat:
+		lay = seed.lay
+	case opts.Space == (geom.Rect{}) && !flat:
+		return nil, nil, errors.New("shard: an empty durability dir needs Options.Space or a seed")
+	default:
+		// One shard, on the grid of its index once the WAL is open.
+		lay = makeLayout(opts, 1)
+	}
+	seedShards := 0
+	if seed != nil && (manifested || flat) {
+		seedShards, seed = seed.Shards(), nil
+	}
+
+	// A flat directory is one shard whose WAL is the directory itself.
+	S := lay.shardCount()
+	flatLayout := !manifested && S == 1
+	if !flatLayout && !manifested {
 		sp := lay.opts.Space
-		if err := writeManifest(do.Dir, manifest{
+		if err := writeManifest(dir, manifest{
 			Version: 1,
-			Shards:  lay.shardCount(),
+			Shards:  S,
 			NX:      lay.opts.NX, NY: lay.opts.NY,
 			MinX: sp.MinX, MinY: sp.MinY, MaxX: sp.MaxX, MaxY: sp.MaxY,
 		}); err != nil {
@@ -170,7 +170,6 @@ func Open(opts core.Options, lo core.LiveOptions, do DurableOptions, shards int,
 		}
 	}
 
-	S := lay.shardCount()
 	ds := make([]*wal.DurableLive, S)
 	infos := make([]wal.RecoveryInfo, S)
 	errs := make([]error, S)
@@ -179,20 +178,15 @@ func Open(opts core.Options, lo core.LiveOptions, do DurableOptions, shards int,
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			wo := wal.Options{
-				Dir:             shardDir(do.Dir, s),
-				Policy:          do.Policy,
-				SyncEvery:       do.SyncEvery,
-				SegmentBytes:    do.SegmentBytes,
-				CheckpointEvery: do.CheckpointEvery,
-				Index:           lay.shardOpts(s),
-				Live:            lo,
-				Logger:          logger.With("shard", s),
+			o := wo
+			o.Seed = nil
+			if !flatLayout {
+				o.Dir, o.Index, o.Logger = shardDir(dir, s), lay.shardOpts(s), logger.With("shard", s)
 			}
 			if seed != nil {
-				wo.Seed = seed.shards[s]
+				o.Seed = seed.shards[s]
 			}
-			ds[s], infos[s], errs[s] = wal.Open(wo)
+			ds[s], infos[s], errs[s] = wal.Open(o)
 		}(s)
 	}
 	wg.Wait()
@@ -204,6 +198,9 @@ func Open(opts core.Options, lo core.LiveOptions, do DurableOptions, shards int,
 					d.Close()
 				}
 			}
+			if flatLayout {
+				return nil, nil, err
+			}
 			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
@@ -212,20 +209,33 @@ func Open(opts core.Options, lo core.LiveOptions, do DurableOptions, shards int,
 	for s, d := range ds {
 		lives[s] = d.Live()
 	}
-	live := liveOver(lay, lives)
+	if flatLayout {
+		lay = oneLayout(lives[0].Snapshot())
+	}
+	if seedShards > 0 {
+		logger.Warn("durability dir has prior state; ignoring seed, recovered layout wins",
+			"dir", dir, "recovered_shards", S, "seed_shards", seedShards,
+			"recovered_grid", fmt.Sprintf("%dx%d", lay.opts.NX, lay.opts.NY))
+	}
+	// The distinct size of several shards is recomputed from their
+	// contents; one shard's is its own Len.
+	live := &Live{lay: lay, lives: lives, met: newMetrics(S)}
+	if S > 1 {
+		live.size.Store(int64(live.Snapshot().countDistinct()))
+	}
 	return &Durable{live: live, ds: ds}, infos, nil
 }
 
 // Live returns the mutation interface of the sharded durable engine.
 func (d *Durable) Live() *Live { return d.live }
 
-// Snapshot returns an immutable engine over the current shard snapshots.
-func (d *Durable) Snapshot() *Engine { return d.live.Snapshot() }
-
 // Checkpoint forces a checkpoint of every shard concurrently, returning
 // the maximum checkpointed epoch and the first error encountered (other
 // shards still complete).
 func (d *Durable) Checkpoint() (uint64, error) {
+	if len(d.ds) == 1 {
+		return d.ds[0].Checkpoint()
+	}
 	epochs := make([]uint64, len(d.ds))
 	errs := make([]error, len(d.ds))
 	var wg sync.WaitGroup
@@ -254,8 +264,12 @@ func (d *Durable) Checkpoint() (uint64, error) {
 // Stats aggregates the per-shard durability stats: sums for throughput
 // and size counters, the minimum checkpoint epoch (the engine's replay
 // bound is its least-checkpointed shard) with the corresponding maximum
-// age, and the first failure string encountered.
+// age, and the first failure string encountered. One shard's are its
+// own.
 func (d *Durable) Stats() wal.Stats {
+	if len(d.ds) == 1 {
+		return d.ds[0].Stats()
+	}
 	var out wal.Stats
 	for s, dl := range d.ds {
 		st := dl.Stats()

@@ -45,24 +45,6 @@ func LiveFrom(e *Engine, lo core.LiveOptions) *Live {
 	return l
 }
 
-// liveOver assembles a Live around already-running per-shard apply
-// loops: the ones WAL recovery opens one by one, or the one loop of an
-// unsharded core.Live. The distinct size of several shards is
-// recomputed from their contents; one shard's is its own Len.
-func liveOver(lay layout, lives []*core.Live) *Live {
-	l := &Live{lay: lay, lives: lives, met: newMetrics(lay.shardCount())}
-	if len(lives) > 1 {
-		l.size.Store(int64(l.Snapshot().countDistinct()))
-	}
-	return l
-}
-
-// OneLive returns the one-shard Live over lv: the unsharded live index
-// as the S=1 case, sharing its apply loop and snapshots.
-func OneLive(lv *core.Live) *Live {
-	return liveOver(oneLayout(lv.Snapshot()), []*core.Live{lv})
-}
-
 // Snapshot returns an immutable engine over the shards' current
 // snapshots: S atomic loads, no locks. Scatter-gather counters are
 // shared with every other snapshot of this Live. The distinct size is

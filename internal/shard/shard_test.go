@@ -10,6 +10,7 @@ import (
 	"github.com/twolayer/twolayer/internal/core"
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
+	"github.com/twolayer/twolayer/internal/wal"
 )
 
 func testDataset(seed int64, n int, maxSide float64) *spatial.Dataset {
@@ -279,15 +280,15 @@ func TestCountDistinct(t *testing.T) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if HasState(dir) {
-		t.Fatal("HasState on an empty dir")
+	if hasManifest(dir) {
+		t.Fatal("hasManifest on an empty dir")
 	}
 	m := manifest{Version: 1, Shards: 3, NX: 12, NY: 10, MinX: -2, MinY: -1, MaxX: 3, MaxY: 4}
 	if err := writeManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	if !HasState(dir) {
-		t.Fatal("HasState = false after writeManifest")
+	if !hasManifest(dir) {
+		t.Fatal("hasManifest = false after writeManifest")
 	}
 	got, err := readManifest(dir)
 	if err != nil {
@@ -314,7 +315,7 @@ func TestDurableManifestWins(t *testing.T) {
 	opts := core.Options{NX: 16, NY: 16, Space: geom.Rect{MaxX: 1, MaxY: 1}}
 	seed := Build(d, opts, 3)
 
-	dur, _, err := Open(opts, core.LiveOptions{}, DurableOptions{Dir: dir}, 3, seed)
+	dur, _, err := Open(wal.Options{Dir: dir, Index: opts}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,12 +326,12 @@ func TestDurableManifestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen asking for a different grid, shard count, and a fresh seed:
-	// the manifest must override all three.
+	// Reopen asking for a different grid, and with a fresh seed of
+	// another grid and shard count: the manifest must override all three.
 	otherSeed := Build(testDataset(14, 10, 0.05),
 		core.Options{NX: 8, NY: 8, Space: geom.Rect{MaxX: 2, MaxY: 2}}, 2)
-	dur2, infos, err := Open(core.Options{NX: 64, NY: 64, Space: geom.Rect{MaxX: 9, MaxY: 9}},
-		core.LiveOptions{}, DurableOptions{Dir: dir}, 7, otherSeed)
+	dur2, infos, err := Open(wal.Options{Dir: dir,
+		Index: core.Options{NX: 64, NY: 64, Space: geom.Rect{MaxX: 9, MaxY: 9}}}, otherSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package twolayer
 
 import (
-	"errors"
-	"log/slog"
-	"time"
-
 	"github.com/twolayer/twolayer/internal/core"
 	"github.com/twolayer/twolayer/internal/shard"
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -239,7 +235,7 @@ type ShardedStats = shard.Stats
 func (s *Sharded) Stats() ShardedStats { return s.eng.Stats() }
 
 // ShardedLive is the updatable sharded engine: one independent apply
-// loop (and, under OpenShardedDurable, one WAL) per shard, so mutation
+// loop (and, under OpenDurable, one WAL) per shard, so mutation
 // batches touching disjoint slabs journal, apply, and publish in
 // parallel. Consistency is per shard — each shard keeps Live's
 // guarantees (atomic batch visibility, read-your-writes), while a
@@ -264,11 +260,6 @@ func ShardedLiveFrom(s *Sharded, lo LiveOptions) *ShardedLive {
 // bookkeeping (Stats) and per-shard spans (Traced). Do not update ix
 // while the engine is in use.
 func OneShard(ix *Index) *Sharded { return &Sharded{eng: shard.One(ix.core)} }
-
-// OneShardLive returns the one-shard updatable engine over l: the
-// unsharded live index as the S=1 case of ShardedLive, sharing its apply
-// loop and snapshots. Closing either closes both.
-func OneShardLive(l *Live) *ShardedLive { return &ShardedLive{l: shard.OneLive(l.live)} }
 
 // Snapshot returns an immutable engine over the shards' current
 // snapshots — S atomic loads, no locks. Pin one snapshot per request.
@@ -311,92 +302,3 @@ func (sl *ShardedLive) Stats() LiveStats { return sl.l.Stats() }
 
 // Close drains and stops every shard's apply loop. Idempotent.
 func (sl *ShardedLive) Close() { sl.l.Close() }
-
-// ShardedDurableOptions configure OpenShardedDurable; the WAL knobs
-// apply to every shard's log.
-type ShardedDurableOptions struct {
-	// Dir is the sharded durability directory: a layout manifest
-	// (shards.json) plus one WAL subdirectory per shard. Created if
-	// missing. Required.
-	Dir string
-	// Fsync selects the sync discipline of every shard's log (default
-	// SyncInterval); FsyncInterval, SegmentBytes, and CheckpointEvery
-	// match DurableOptions and apply per shard.
-	Fsync           SyncPolicy
-	FsyncInterval   time.Duration
-	SegmentBytes    int64
-	CheckpointEvery int
-	// Seed, when non-nil and Dir holds no prior state, becomes the
-	// initial engine: its layout defines the manifest and each shard is
-	// checkpointed before mutations are accepted. Ignored (with a logged
-	// notice) when Dir already has state. OpenShardedDurable takes
-	// ownership of the seed.
-	Seed *Sharded
-	// Logger receives recovery and background-error notices. Defaults to
-	// slog.Default().
-	Logger *slog.Logger
-}
-
-// ShardedDurable couples a ShardedLive with one write-ahead log per
-// shard: mutation batches journal in parallel per shard before they are
-// acknowledged, and reopening recovers all shards concurrently under
-// the layout pinned in the directory's manifest.
-type ShardedDurable struct {
-	d    *shard.Durable
-	live *ShardedLive
-}
-
-// OpenShardedDurable opens (or cold-starts) a sharded durable engine in
-// do.Dir. On a cold start the layout comes from do.Seed or from
-// opts/so — opts must then carry a Space — and the manifest is written
-// before any shard accepts mutations. When the directory holds prior
-// state, the manifest's layout supersedes opts and so (logged when they
-// disagree) and do.Seed is ignored. The returned RecoveryInfo slice has
-// one entry per shard.
-func OpenShardedDurable(opts Options, lo LiveOptions, do ShardedDurableOptions, so ShardedOptions) (*ShardedDurable, []RecoveryInfo, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if opts.Space == (Rect{}) && do.Seed == nil && !shard.HasState(do.Dir) {
-		return nil, nil, errors.New(
-			"twolayer: OpenShardedDurable on an empty dir requires Options.Space or a Seed")
-	}
-	var seed *shard.Engine
-	if do.Seed != nil {
-		seed = do.Seed.eng
-	}
-	d, infos, err := shard.Open(opts.toCore(), lo.toCore(), shard.DurableOptions{
-		Dir:             do.Dir,
-		Policy:          do.Fsync,
-		SyncEvery:       do.FsyncInterval,
-		SegmentBytes:    do.SegmentBytes,
-		CheckpointEvery: do.CheckpointEvery,
-		Logger:          do.Logger,
-	}, so.resolved(), seed)
-	if err != nil {
-		return nil, infos, err
-	}
-	return &ShardedDurable{d: d, live: &ShardedLive{l: d.Live()}}, infos, nil
-}
-
-// Live returns the updatable engine; mutations submitted through it are
-// journaled per shard before they are acknowledged.
-func (d *ShardedDurable) Live() *ShardedLive { return d.live }
-
-// Snapshot returns an immutable engine over the current shard
-// snapshots; shorthand for Live().Snapshot().
-func (d *ShardedDurable) Snapshot() *Sharded { return d.live.Snapshot() }
-
-// Checkpoint checkpoints every shard concurrently, returning the
-// maximum checkpointed epoch and the first per-shard error (other
-// shards still complete).
-func (d *ShardedDurable) Checkpoint() (uint64, error) { return d.d.Checkpoint() }
-
-// Stats aggregates the per-shard durability counters: sums for
-// throughput and size, the minimum checkpoint epoch (the replay bound
-// is the least-checkpointed shard), the first failure encountered.
-func (d *ShardedDurable) Stats() DurabilityStats { return d.d.Stats() }
-
-// Close stops every shard's apply loop and WAL with a final flush,
-// returning the combined close errors.
-func (d *ShardedDurable) Close() error { return d.d.Close() }

@@ -553,19 +553,18 @@ func TestShardedLiveFromAndSnapshot(t *testing.T) {
 }
 
 // TestShardedDurableRecovery exercises the sharded WAL round trip: seed,
-// mutate, close, reopen (with a conflicting requested layout — the
-// manifest must win), and verify the recovered contents.
+// mutate, close, reopen (with a seed of another layout — the manifest
+// must win), and verify the recovered contents.
 func TestShardedDurableRecovery(t *testing.T) {
 	dir := t.TempDir()
 	rnd := rand.New(rand.NewSource(6))
 	rects := randRects(rnd, 600, 0.05)
 	seed := twolayer.BuildShardedRects(rects, twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 3})
 
-	d, infos, err := twolayer.OpenShardedDurable(
+	d, infos, err := twolayer.OpenDurable(
 		twolayer.Options{GridSize: 16},
 		twolayer.LiveOptions{},
-		twolayer.ShardedDurableOptions{Dir: dir, Seed: seed},
-		twolayer.ShardedOptions{Shards: 3},
+		twolayer.DurableOptions{Dir: dir, Seed: seed},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -603,12 +602,12 @@ func TestShardedDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen requesting 8 shards: the manifest's 3-shard layout wins.
-	d2, infos, err := twolayer.OpenShardedDurable(
+	// Reopen with an 8-shard seed: the manifest's 3-shard layout wins.
+	other := twolayer.BuildShardedRects(rects[:10], twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 8})
+	d2, infos, err := twolayer.OpenDurable(
 		twolayer.Options{},
 		twolayer.LiveOptions{},
-		twolayer.ShardedDurableOptions{Dir: dir},
-		twolayer.ShardedOptions{Shards: 8},
+		twolayer.DurableOptions{Dir: dir, Seed: other},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -663,13 +662,12 @@ func TestShardedDurableRecovery(t *testing.T) {
 
 // TestShardedConstructorValidation pins the constructor error paths.
 func TestShardedConstructorValidation(t *testing.T) {
-	if _, _, err := twolayer.OpenShardedDurable(
+	if _, _, err := twolayer.OpenDurable(
 		twolayer.Options{GridSize: 8},
 		twolayer.LiveOptions{},
-		twolayer.ShardedDurableOptions{Dir: t.TempDir()},
-		twolayer.ShardedOptions{},
+		twolayer.DurableOptions{Dir: t.TempDir()},
 	); err == nil {
-		t.Error("OpenShardedDurable on an empty dir without Space or Seed succeeded")
+		t.Error("OpenDurable on an empty dir without Space or Seed succeeded")
 	}
 	// Shard counts clamp: more shards than grid columns degrades to NX.
 	rnd := rand.New(rand.NewSource(2))

@@ -240,9 +240,11 @@ func (ix *Index) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads
 }
 
 // Insert adds an object with the given ID and MBR. Exact geometries
-// cannot be attached after construction; indices built with New support
-// MBR (filtering) queries only. An inverted MBR, or one with a NaN or
-// infinite coordinate, panics.
+// cannot be attached after construction, so the first Insert drops the
+// index's geometries: from then on it answers MBR (filtering) queries
+// only, like an index built with New — an exact Search is an error and
+// KNNExact panics. An inverted MBR, or one with a NaN or infinite
+// coordinate, panics.
 func (ix *Index) Insert(id ID, mbr Rect) {
 	ix.core.Insert(spatial.Entry{Rect: mbr, ID: id})
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -180,6 +181,35 @@ func TestPublicUpdateAPI(t *testing.T) {
 	if searchCount(t, idx, all) != 0 {
 		t.Fatal("object survived delete")
 	}
+}
+
+// TestInsertDropsGeometries: an object inserted into a built index has
+// no geometry, so the first Insert makes exact queries a refusal (an
+// error from Search, a panic naming the cause from KNNExact) instead of
+// an index-out-of-range panic in refinement. Filtering queries keep
+// answering, the inserted object included.
+func TestInsertDropsGeometries(t *testing.T) {
+	idx := twolayer.BuildRects([]twolayer.Rect{{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}},
+		twolayer.Options{GridSize: 4, Space: twolayer.Rect{MaxX: 1, MaxY: 1}})
+	all := twolayer.Rect{MaxX: 1, MaxY: 1}
+	if n, err := idx.SearchCount(twolayer.Query{Window: &all, Exact: true}); err != nil || n != 1 {
+		t.Fatalf("exact count before Insert = %d, %v; want 1", n, err)
+	}
+	idx.Insert(5, twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.6})
+	if _, err := idx.SearchCount(twolayer.Query{Window: &all, Exact: true}); err == nil {
+		t.Fatal("exact count after Insert succeeded; the inserted object has no geometry")
+	}
+	if n := searchCount(t, idx, twolayer.Query{Window: &all}); n != 2 {
+		t.Fatalf("filtering count after Insert = %d, want 2", n)
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("KNNExact after Insert did not refuse")
+		} else if msg, _ := r.(string); !strings.Contains(msg, "requires an index built over a Dataset") {
+			t.Fatalf("KNNExact after Insert panicked with %v", r)
+		}
+	}()
+	idx.KNNExact(twolayer.Point{X: 0.5, Y: 0.5}, 1)
 }
 
 func TestPublicStatsAPI(t *testing.T) {
