@@ -23,7 +23,8 @@ vet:
 # Documentation gates: every registered /metrics family must be
 # documented in docs/OBSERVABILITY.md, every spatialserver flag must have
 # a row in docs/SERVER.md's flag table, every exported root package name
-# one in DESIGN.md §8's name table (all both ways round), and relative
+# one in DESIGN.md §8's name table and every exported root package
+# method one in its method table (all both ways round), and relative
 # markdown links and backticked repository paths in README.md, DESIGN.md
 # and docs/ must resolve (see cmd/docscheck).
 docs-check:

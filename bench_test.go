@@ -597,8 +597,9 @@ func hexagon(c geom.Disk) *geom.Polygon {
 }
 
 // BenchmarkLiveApply: per-mutation cost through the single-writer apply
-// loop — one Insert call is submit, batch, copy-on-write apply, and
-// publish. The durable variants add write-ahead journaling: fsync=none
+// loop of a one-shard ShardedLive — one Insert call is submit, batch,
+// copy-on-write apply, and publish. The durable variants add write-ahead
+// journaling: fsync=none
 // leaves flushing to the OS, fsync=interval (the server default) fsyncs
 // in the background, and fsync=always pays one fsync per acknowledged
 // batch.
@@ -610,9 +611,7 @@ func BenchmarkLiveApply(b *testing.B) {
 	}
 	entries := benchRoads.Entries
 
-	run := func(b *testing.B, lv interface {
-		Insert(twolayer.ID, twolayer.Rect) (uint64, error)
-	}) {
+	run := func(b *testing.B, lv *twolayer.ShardedLive) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -624,10 +623,8 @@ func BenchmarkLiveApply(b *testing.B) {
 	}
 
 	b.Run("live", func(b *testing.B) {
-		lv, err := twolayer.NewLive(opts, twolayer.LiveOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		lv := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil, opts,
+			twolayer.ShardedOptions{Shards: 1}), twolayer.LiveOptions{})
 		defer lv.Close()
 		run(b, lv)
 	})

@@ -36,9 +36,12 @@
 //     top-level name of the root package's non-test files (functions,
 //     types, constants and variables, read with go/parser) must appear
 //     in the first column of DESIGN.md §8's "Root package: functions,
-//     constants, variables and types" table, and every name there must
-//     be exported, so a deleted name cannot keep its row and a new one
-//     cannot ship without one.
+//     constants, variables and types" table, and every exported method
+//     those files declare, by receiver type, in a row of its "Root
+//     package: methods" table (the type in the first column, the method
+//     in the second); every name in either table must be exported, so a
+//     deleted name or method cannot keep its row and a new one cannot
+//     ship without one.
 //
 // CI runs it via `make docs-check`.
 package main
@@ -201,14 +204,16 @@ func checkStatsKeys(keys map[string]bool, err error, docPath string) (failures [
 // and spanSectionRe capture the sections holding the trace's field table
 // and its spans'.
 var (
-	metricRowRe    = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
-	flagRowRe      = regexp.MustCompile("(?m)^\\|\\s*`(-[a-z0-9-]+)`\\s*\\|")
-	fieldRowRe     = regexp.MustCompile("(?m)^\\|\\s*`([a-z_]+)`\\s*\\|")
-	traceSectionRe = regexp.MustCompile(`(?ms)^### Trace fields\n(.*?)(?:^#+ |\z)`)
-	spanSectionRe  = regexp.MustCompile(`(?ms)^#### Shard spans\n(.*?)(?:^#+ |\z)`)
-	rootSectionRe  = regexp.MustCompile(`(?ms)^\*\*Root package: functions, constants, variables and types\.\*\*\n(.*?)(?:^\*\*|\z)`)
-	firstCellRe    = regexp.MustCompile(`(?m)^\|([^|\n]*)\|`)
-	backtickRe     = regexp.MustCompile("`(\\w+)`")
+	metricRowRe     = regexp.MustCompile("(?m)^\\|\\s*`(twolayer_[a-z0-9_]+)`\\s*\\|")
+	flagRowRe       = regexp.MustCompile("(?m)^\\|\\s*`(-[a-z0-9-]+)`\\s*\\|")
+	fieldRowRe      = regexp.MustCompile("(?m)^\\|\\s*`([a-z_]+)`\\s*\\|")
+	traceSectionRe  = regexp.MustCompile(`(?ms)^### Trace fields\n(.*?)(?:^#+ |\z)`)
+	spanSectionRe   = regexp.MustCompile(`(?ms)^#### Shard spans\n(.*?)(?:^#+ |\z)`)
+	rootSectionRe   = regexp.MustCompile(`(?ms)^\*\*Root package: functions, constants, variables and types\.\*\*\n(.*?)(?:^\*\*|\z)`)
+	methodSectionRe = regexp.MustCompile(`(?ms)^\*\*Root package: methods\b[^\n]*\n(.*?)(?:^\*\*|\z)`)
+	firstCellRe     = regexp.MustCompile(`(?m)^\|([^|\n]*)\|`)
+	twoCellsRe      = regexp.MustCompile(`(?m)^\|([^|\n]*)\|([^|\n]*)\|`)
+	backtickRe      = regexp.MustCompile("`(\\w+)`")
 )
 
 // registeredFlags returns the flags the Go file at path registers, as
@@ -287,24 +292,40 @@ func firstCells(doc string) (rows []string) {
 	return rows
 }
 
+// methodCells reads a method table's rows as Type.Method: the
+// backticked type of the first cell with each backticked name of the
+// second.
+func methodCells(doc string) (rows []string) {
+	for _, row := range twoCellsRe.FindAllStringSubmatch(doc, -1) {
+		for _, typ := range backtickRe.FindAllStringSubmatch(row[1], -1) {
+			for _, m := range backtickRe.FindAllStringSubmatch(row[2], -1) {
+				rows = append(rows, typ[1]+"."+m[1])
+			}
+		}
+	}
+	return rows
+}
+
 // exportedNames returns the exported top-level names (functions,
-// types, constants, variables) of the non-test Go files in dir.
-func exportedNames(dir string) ([]string, error) {
+// types, constants, variables) of the non-test Go files in dir, and
+// their exported methods as Type.Method.
+func exportedNames(dir string) (names, methods []string, err error) {
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, path := range slices.DeleteFunc(files, func(p string) bool { return strings.HasSuffix(p, "_test.go") }) {
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					names = append(names, d.Name.Name)
+				} else if typ := strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*"); ast.IsExported(typ) && d.Name.IsExported() {
+					methods = append(methods, typ+"."+d.Name.Name)
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -319,7 +340,7 @@ func exportedNames(dir string) ([]string, error) {
 			}
 		}
 	}
-	return slices.DeleteFunc(names, func(n string) bool { return !ast.IsExported(n) }), nil
+	return slices.DeleteFunc(names, func(n string) bool { return !ast.IsExported(n) }), methods, nil
 }
 
 // linkRe matches markdown inline links; images share the syntax with a
@@ -416,9 +437,11 @@ func main() {
 	failures = append(failures, checkRows("flag", flags, err, filepath.Join(root, "docs", "SERVER.md"), nil, captured(flagRowRe))...)
 	failures = append(failures, checkLinks(root, mdFiles)...)
 	failures = append(failures, checkPaths(root, pathFiles)...)
-	names, err := exportedNames(root)
+	names, methods, err := exportedNames(root)
 	failures = append(failures, checkRows("root package name", names, err,
 		filepath.Join(root, "DESIGN.md"), rootSectionRe, firstCells)...)
+	failures = append(failures, checkRows("root package method", methods, err,
+		filepath.Join(root, "DESIGN.md"), methodSectionRe, methodCells)...)
 
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -426,5 +449,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, /v1/stats keys, trace fields and root package names covered)\n", len(mdFiles))
+	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, /v1/stats keys, trace fields and root package names and methods covered)\n", len(mdFiles))
 }

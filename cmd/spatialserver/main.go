@@ -94,7 +94,10 @@ func loadIndex(dataPath, snapshotPath string, gridSize int, logger *slog.Logger)
 	case dataPath != "":
 		geoms := loadGeoms(dataPath, logger)
 		start := time.Now()
-		idx := twolayer.BuildGeoms(geoms, twolayer.Options{GridSize: gridSize})
+		idx, err := twolayer.BuildGeomsErr(geoms, twolayer.Options{GridSize: gridSize})
+		if err != nil {
+			fail(fmt.Errorf("%s: %w", dataPath, err))
+		}
 		elapsed := time.Since(start)
 		nx, ny := idx.GridDims()
 		logger.Info("index built",
@@ -156,6 +159,9 @@ func main() {
 
 	if *slowQueryMS < 0 {
 		fail(fmt.Errorf("-slow-query-ms must be >= 0"))
+	}
+	if *gridSize < 0 {
+		fail(fmt.Errorf("-grid must be >= 0"))
 	}
 
 	durable := *dataDir != ""

@@ -21,6 +21,9 @@
 // ExampleIndex_Search and ExampleIndex_SearchCount are compiled, tested
 // quick starts.
 //
+// An Index is immutable. [ShardedLive] is the one updatable handle, over
+// [OneShard] of an index or a [Sharded] engine (ExampleShardedLiveFrom).
+//
 // Exact (non-rectangular) geometries are supported through BuildGeoms;
 // window and disk queries over them use a secondary filter that skips the
 // expensive refinement step for most results. Batches of queries can be
@@ -34,7 +37,7 @@
 // which kernel a query runs:
 //
 //   - [Index.QueryStats] reads the engine's always-on total: every
-//     finished query, on any goroutine, view or Live snapshot, adds the
+//     finished query, on any goroutine, view or live snapshot, adds the
 //     work it performed (tiles visited, comparisons, duplicates avoided,
 //     Lemma 5 filter hits, …) to it when it ends.
 //   - [Index.Instrumented] returns a read view whose queries also add

@@ -88,9 +88,8 @@ type DurableLive struct {
 // prior state, do.Seed is ignored and every shard recovers concurrently:
 // the newest readable checkpoint is loaded and the log tail replayed on
 // top. On a cold start the engine and its layout come from do.Seed, or
-// it is one empty shard built from opts — which must then carry a Space,
-// as with NewLive. The returned RecoveryInfo slice has one entry per
-// shard.
+// it is one empty shard built from opts — which must then carry a
+// Space. The returned RecoveryInfo slice has one entry per shard.
 func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive, []RecoveryInfo, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err

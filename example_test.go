@@ -214,9 +214,8 @@ func ExampleIndex_QueryStats() {
 }
 
 // The quick start: build a plain two-layer index over rectangles, count
-// and stream window matches, run a disk query, update the index in
-// place, then hand it to a Live handle for concurrent readers and
-// writers.
+// and stream window matches, run a disk query, then hand the index to
+// the updatable handle for concurrent readers and writers.
 func Example_quickstart() {
 	// Twenty thousand small rectangles scattered over the unit square.
 	rnd := rand.New(rand.NewSource(1))
@@ -251,33 +250,64 @@ func Example_quickstart() {
 	n, _ = idx.SearchCount(twolayer.Query{Disk: &twolayer.Disk{Center: center, Radius: 0.02}})
 	fmt.Printf("disk around %v -> %d objects\n", center, n)
 
-	// The index is dynamic: insert and delete by (id, MBR).
-	extra := twolayer.Rect{MinX: 0.415, MinY: 0.415, MaxX: 0.418, MaxY: 0.418}
-	idx.Insert(twolayer.ID(len(rects)), extra)
-	n, _ = idx.SearchCount(inWindow)
-	fmt.Printf("after insert: %d objects in window\n", n)
-	idx.Delete(twolayer.ID(len(rects)), extra)
-	n, _ = idx.SearchCount(inWindow)
-	fmt.Printf("after delete: %d objects in window\n", n)
-
-	// For concurrent readers and writers, wrap the index in a Live
-	// handle: readers pin immutable snapshots (one atomic load, no
-	// locks) while a single apply loop publishes copy-on-write updates.
-	// LiveFrom takes ownership — do not use idx directly afterward.
-	live := twolayer.LiveFrom(idx, twolayer.LiveOptions{})
+	// An Index is immutable. To update it, hand it to the updatable
+	// handle as its one shard: readers pin immutable snapshots (one
+	// atomic load, no locks) while a single apply loop publishes
+	// copy-on-write batches. ShardedLiveFrom takes ownership — do not
+	// use idx directly afterward.
+	live := twolayer.ShardedLiveFrom(twolayer.OneShard(idx), twolayer.LiveOptions{})
 	defer live.Close()
-	epoch, _ := live.Insert(twolayer.ID(len(rects))+1, extra)
-	snap := live.Snapshot() // immutable; safe from any goroutine
-	n, _ = snap.SearchCount(inWindow)
-	fmt.Printf("live epoch %d: %d objects in window\n", epoch, n)
+	id, extra := twolayer.ID(len(rects)), twolayer.Rect{MinX: 0.415, MinY: 0.415, MaxX: 0.418, MaxY: 0.418}
+	res, _ := live.Apply([]twolayer.Mutation{{ID: id, MBR: extra}})
+	n, _ = live.Snapshot().SearchCount(inWindow) // a snapshot is safe from any goroutine
+	fmt.Printf("epoch %d, after insert: %d objects in window\n", res.Epoch, n)
+
+	// A move is a delete of the stored MBR and an insert of the new one,
+	// published together.
+	res, _ = live.Apply([]twolayer.Mutation{
+		{Delete: true, ID: id, MBR: extra},
+		{ID: id, MBR: twolayer.Rect{MinX: 0.715, MinY: 0.715, MaxX: 0.718, MaxY: 0.718}},
+	})
+	n, _ = live.Snapshot().SearchCount(inWindow)
+	fmt.Printf("epoch %d, after move (found %v): %d objects in window\n", res.Epoch, res.Found[0], n)
 	// Output:
 	// indexed 20000 objects, replication factor 1.131
 	// window [0.4,0.45]x[0.4,0.45] -> 58 objects
 	// streamed 3, complete=false
 	// disk around {0.5 0.5} -> 28 objects
-	// after insert: 59 objects in window
-	// after delete: 58 objects in window
-	// live epoch 1: 59 objects in window
+	// epoch 1, after insert: 59 objects in window
+	// epoch 2, after move (found true): 58 objects in window
+}
+
+// The one updatable handle: an empty ShardedLive of one shard over the
+// unit square. A mutation call returns once its batch is published, so
+// the writer sees its own write in every later snapshot, and a pinned
+// snapshot never changes.
+func ExampleShardedLiveFrom() {
+	live := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil, twolayer.Options{
+		GridSize: 64,
+		Space:    twolayer.Rect{MaxX: 1, MaxY: 1},
+	}, twolayer.ShardedOptions{Shards: 1}), twolayer.LiveOptions{})
+	defer live.Close()
+
+	home := twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}
+	window := twolayer.Query{Window: &twolayer.Rect{MaxX: 0.5, MaxY: 0.5}}
+	epoch, _ := live.Insert(1, home)
+	snap := live.Snapshot() // immutable; query from any goroutine
+	n, _ := snap.SearchCount(window)
+	fmt.Println("epoch", epoch, "in window:", n)
+
+	// Apply publishes a batch at once; a delete names the stored MBR.
+	res, _ := live.Apply([]twolayer.Mutation{
+		{Delete: true, ID: 1, MBR: home},
+		{ID: 1, MBR: twolayer.Rect{MinX: 0.7, MinY: 0.7, MaxX: 0.8, MaxY: 0.8}},
+	})
+	n, _ = live.Snapshot().SearchCount(window)
+	pinned, _ := snap.SearchCount(window)
+	fmt.Println("epoch", res.Epoch, "found", res.Found, "in window:", n, "pinned:", pinned)
+	// Output:
+	// epoch 1 in window: 1
+	// epoch 2 found [true true] in window: 0 pinned: 1
 }
 
 // exampleRoads is a synthetic road network: 3-6 vertex polylines
@@ -484,10 +514,11 @@ func Example_join() {
 }
 
 // Moving-object maintenance, the update workload of the paper's Table
-// VI: bulk-load 90% of a fleet's service areas, insert the rest one by
-// one, then absorb moves (delete the old MBR, insert the new one)
-// interleaved with dispatcher window counts. An update touches only the
-// tiles its MBR overlaps.
+// VI: bulk-load 90% of a fleet's service areas, insert the rest through
+// the updatable handle, then absorb moves (delete the old MBR, insert
+// the new one, published as one batch) interleaved with dispatcher
+// window counts on fresh snapshots. An update touches only the tiles
+// its MBR overlaps.
 func Example_migration() {
 	rnd := rand.New(rand.NewSource(42))
 	serviceArea := func(cx, cy float64) twolayer.Rect {
@@ -503,33 +534,43 @@ func Example_migration() {
 		GridSize: 64,
 		Space:    twolayer.Rect{MaxX: 1.01, MaxY: 1.01},
 	})
+	live := twolayer.ShardedLiveFrom(twolayer.OneShard(idx), twolayer.LiveOptions{})
+	defer live.Close()
+	var rest []twolayer.Mutation
 	for i := fleet * 9 / 10; i < fleet; i++ {
-		idx.Insert(twolayer.ID(i), areas[i])
+		rest = append(rest, twolayer.Mutation{ID: twolayer.ID(i), MBR: areas[i]})
 	}
-	fmt.Printf("bulk loaded %d, inserted %d\n", fleet*9/10, idx.Len()-fleet*9/10)
+	if _, err := live.Apply(rest); err != nil {
+		panic(err)
+	}
+	fmt.Printf("bulk loaded %d, inserted %d\n", fleet*9/10, live.Len()-fleet*9/10)
 
 	clamp01 := func(v float64) float64 { return math.Max(0, math.Min(1, v)) }
 	moves, dispatched := 0, 0
 	for i := 0; i < 2_000; i++ {
 		id := rnd.Intn(fleet)
-		if !idx.Delete(twolayer.ID(id), areas[id]) {
+		from := areas[id]
+		// The vehicle drifts to a nearby position.
+		c := from.Center()
+		areas[id] = serviceArea(clamp01(c.X+rnd.NormFloat64()*0.01), clamp01(c.Y+rnd.NormFloat64()*0.01))
+		res, err := live.Apply([]twolayer.Mutation{
+			{Delete: true, ID: twolayer.ID(id), MBR: from},
+			{ID: twolayer.ID(id), MBR: areas[id]},
+		})
+		if err != nil || !res.Found[0] {
 			panic("vehicle missing from index")
 		}
-		// The vehicle drifts to a nearby position.
-		c := areas[id].Center()
-		areas[id] = serviceArea(clamp01(c.X+rnd.NormFloat64()*0.01), clamp01(c.Y+rnd.NormFloat64()*0.01))
-		idx.Insert(twolayer.ID(id), areas[id])
 		moves++
 
 		if i%20 == 0 {
 			// Dispatcher: who can serve this neighborhood right now?
 			x, y := rnd.Float64(), rnd.Float64()
-			n, _ := idx.SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.05, MaxY: y + 0.05}})
+			n, _ := live.Snapshot().SearchCount(twolayer.Query{Window: &twolayer.Rect{MinX: x, MinY: y, MaxX: x + 0.05, MaxY: y + 0.05}})
 			dispatched += n
 		}
 	}
 	fmt.Printf("%d moves, %d vehicles found by 100 dispatcher queries\n", moves, dispatched)
-	fmt.Printf("fleet still consistent: %d indexed objects\n", idx.Len())
+	fmt.Printf("fleet still consistent: %d indexed objects\n", live.Len())
 	// Output:
 	// bulk loaded 18000, inserted 2000
 	// 2000 moves, 5528 vehicles found by 100 dispatcher queries

@@ -166,18 +166,6 @@ func (c Config) measureDisks(ix QueryIndex, queries []geom.Disk) (float64, int) 
 	return float64(done) / elapsed.Seconds(), results
 }
 
-// gridFor picks the grid granularity for a dataset, following the paper's
-// finding that ~1000-10000 partitions per dimension at 20M-98M objects is
-// a wide optimum. We keep tile occupancy comparable at smaller scale:
-// sqrt(n) tiles per dimension, clamped to [64, 4096].
-func gridFor(n int) int {
-	g := 64
-	for g*g < n && g < 4096 {
-		g *= 2
-	}
-	return g
-}
-
 // Run executes the experiment with the given id ("table3", "table5",
 // "table6", "fig6".."fig12", or "all").
 func Run(id string, cfg Config) error {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/twolayer/twolayer/internal/core"
 )
 
 // tinyConfig returns a configuration that makes every experiment finish
@@ -79,15 +81,16 @@ func TestMethodRegistry(t *testing.T) {
 	}
 }
 
-// TestGridFor: occupancy-driven granularity stays in bounds.
+// TestGridFor: the experiments' grid rule, core.SuggestGridSize (the
+// library's auto-tuning), stays in bounds.
 func TestGridFor(t *testing.T) {
-	if g := gridFor(100); g != 64 {
-		t.Errorf("gridFor(100) = %d", g)
+	if g := core.SuggestGridSize(100); g != 64 {
+		t.Errorf("SuggestGridSize(100) = %d", g)
 	}
-	if g := gridFor(100_000_000); g != 4096 {
-		t.Errorf("gridFor(1e8) = %d", g)
+	if g := core.SuggestGridSize(100_000_000); g != 4096 {
+		t.Errorf("SuggestGridSize(1e8) = %d", g)
 	}
-	if g := gridFor(1_000_000); g != 1024 {
-		t.Errorf("gridFor(1e6) = %d", g)
+	if g := core.SuggestGridSize(1_000_000); g != 1024 {
+		t.Errorf("SuggestGridSize(1e6) = %d", g)
 	}
 }

@@ -29,7 +29,7 @@ func BuildExp(cfg Config) {
 		"dataset", "objects", "grid", "seq build", "par build", "speedup", "seq +dec", "par +dec")
 	for _, kind := range realKinds() {
 		d := cfg.realDataset(kind)
-		g := gridFor(d.Len())
+		g := core.SuggestGridSize(d.Len())
 		base := core.Options{NX: g, NY: g, Space: d.MBR()}
 
 		timeBuild := func(threads int, decompose bool) time.Duration {

@@ -18,7 +18,7 @@ func Extensions(c Config) {
 	c.printf("== Extensions: kNN and spatial join (paper future work) ==\n")
 
 	d := c.realDataset(datagen.Roads)
-	gridN := gridFor(d.Len())
+	gridN := core.SuggestGridSize(d.Len())
 	tl := core.Build(d, core.Options{NX: gridN, NY: gridN})
 	rt := rtree.BulkSTR(d, rtree.Options{})
 

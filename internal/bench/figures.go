@@ -25,7 +25,7 @@ func Fig6(c Config) {
 	c.printf("== Figure 6: refinement-step variants on 2-layer ==\n")
 	for _, kind := range []datagen.RealLike{datagen.Roads, datagen.Edges} {
 		d := c.realDataset(kind)
-		ix := core.Build(d, core.Options{NX: gridFor(d.Len()), NY: gridFor(d.Len())})
+		ix := core.Build(d, core.Options{NX: core.SuggestGridSize(d.Len()), NY: core.SuggestGridSize(d.Len())})
 		windows := datagen.Windows(d, datagen.QuerySpec{N: c.n(10000), RelExtent: 0.001, Seed: c.Seed + 2})
 		disks := datagen.Disks(d, datagen.QuerySpec{N: c.n(10000), RelExtent: 0.001, Seed: c.Seed + 3})
 
@@ -119,7 +119,7 @@ func Fig8(c Config) {
 	c.printf("== Figure 8: query processing on real data ==\n")
 	for _, kind := range realKinds() {
 		d := c.realDataset(kind)
-		gridN := gridFor(d.Len())
+		gridN := core.SuggestGridSize(d.Len())
 		methods := KeyMethods()
 		built := make([]QueryIndex, len(methods))
 		for i, m := range methods {
@@ -243,7 +243,7 @@ func Fig9(c Config) {
 			queries := datagen.Windows(dc, datagen.QuerySpec{N: c.n(2000), RelExtent: 0.001, Seed: c.Seed + 8})
 			c.printf("%-10d", card)
 			for i := range methods {
-				ix := methods[i].Build(dc, gridFor(card))
+				ix := methods[i].Build(dc, core.SuggestGridSize(card))
 				tput, _ := c.measureWindows(ix, queries)
 				c.printf(" %12.0f", tput)
 			}
@@ -257,7 +257,7 @@ func Fig9(c Config) {
 			queries := datagen.Windows(dc, datagen.QuerySpec{N: c.n(2000), RelExtent: 0.001, Seed: c.Seed + 9})
 			c.printf("%-10.0e", objArea)
 			for i := range methods {
-				ix := methods[i].Build(dc, gridFor(defaultCard))
+				ix := methods[i].Build(dc, core.SuggestGridSize(defaultCard))
 				tput, _ := c.measureWindows(ix, queries)
 				c.printf(" %12.0f", tput)
 			}
@@ -278,7 +278,7 @@ func printMethodsHeader(c Config, methods []Method) {
 func buildAll(methods []Method, d *spatial.Dataset) []QueryIndex {
 	out := make([]QueryIndex, len(methods))
 	for i, m := range methods {
-		out[i] = m.Build(d, gridFor(d.Len()))
+		out[i] = m.Build(d, core.SuggestGridSize(d.Len()))
 	}
 	return out
 }
@@ -301,7 +301,7 @@ func Fig10(c Config) {
 	c.printf("== Figure 10: batch query processing (total secs, 10K queries) ==\n")
 	for _, kind := range []datagen.RealLike{datagen.Roads, datagen.Edges} {
 		d := c.realDataset(kind)
-		ix := core.Build(d, core.Options{NX: gridFor(d.Len()), NY: gridFor(d.Len())})
+		ix := core.Build(d, core.Options{NX: core.SuggestGridSize(d.Len()), NY: core.SuggestGridSize(d.Len())})
 		c.printf("-- %s --\n%-10s %14s %14s\n", kind, "extent%", "queries-based", "tiles-based")
 		for _, extent := range queryExtents {
 			queries := datagen.Windows(d, datagen.QuerySpec{N: c.n(10000), RelExtent: extent, Seed: c.Seed + 10})
@@ -321,7 +321,7 @@ func Fig11(c Config) {
 	threads := []int{1, 2, 4, 8, 16}
 	for _, kind := range []datagen.RealLike{datagen.Roads, datagen.Edges} {
 		d := c.realDataset(kind)
-		ix := core.Build(d, core.Options{NX: gridFor(d.Len()), NY: gridFor(d.Len())})
+		ix := core.Build(d, core.Options{NX: core.SuggestGridSize(d.Len()), NY: core.SuggestGridSize(d.Len())})
 		queries := datagen.Windows(d, datagen.QuerySpec{N: c.n(10000), RelExtent: 0.001, Seed: c.Seed + 11})
 		c.printf("-- %s --\n%-8s %14s %14s\n", kind, "threads", "queries-based", "tiles-based")
 		var qb1, tb1 time.Duration

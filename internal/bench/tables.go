@@ -63,7 +63,7 @@ func Table5(c Config) {
 	for _, kind := range []datagen.RealLike{datagen.Roads, datagen.Edges} {
 		d := c.realDataset(kind)
 		queries := datagen.Windows(d, datagen.QuerySpec{N: c.n(10000), RelExtent: 0.001, Seed: c.Seed + 1})
-		gridN := gridFor(d.Len())
+		gridN := core.SuggestGridSize(d.Len())
 		for i, m := range AllMethods() {
 			ix := m.Build(d, gridN)
 			tput, _ := c.measureWindows(ix, queries)
@@ -87,7 +87,7 @@ func Table6(c Config) {
 		split := d.Len() * 9 / 10
 		head := &spatial.Dataset{Entries: d.Entries[:split]}
 		tail := d.Entries[split:]
-		gridN := gridFor(d.Len())
+		gridN := core.SuggestGridSize(d.Len())
 		space := d.MBR()
 
 		rt := rtree.BulkSTR(head, rtree.Options{})

@@ -331,21 +331,32 @@ func Build(d *spatial.Dataset, opts Options) *Index {
 // coordinate, included), or a space that cannot be derived from the
 // data produce an error instead of a panic.
 func BuildErr(d *spatial.Dataset, opts Options) (*Index, error) {
-	if err := opts.Validate(); err != nil {
+	opts, err := opts.ForData(d)
+	if err != nil {
 		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Space == (geom.Rect{}) {
-		space := d.MBR()
-		if !space.Valid() || space.Width() <= 0 || space.Height() <= 0 {
-			return nil, fmt.Errorf(
-				"core: data bounding box %v is degenerate; set Options.Space", space)
-		}
-		opts.Space = space
 	}
 	return Build(d, opts), nil
+}
+
+// ForData checks opts and d for a build over d and returns opts with the
+// space filled in: d's bounding box when opts carries none, which must
+// not be degenerate. It reports what BuildErr reports.
+func (o Options) ForData(d *spatial.Dataset) (Options, error) {
+	if err := o.Validate(); err != nil {
+		return o, err
+	}
+	if err := d.Validate(); err != nil {
+		return o, err
+	}
+	if o.Space == (geom.Rect{}) {
+		space := d.MBR()
+		if !space.Valid() || space.Width() <= 0 || space.Height() <= 0 {
+			return o, fmt.Errorf(
+				"core: data bounding box %v is degenerate; set Options.Space", space)
+		}
+		o.Space = space
+	}
+	return o, nil
 }
 
 // Grid exposes the primary partitioning (read-only).

@@ -4,8 +4,8 @@
 // index, evaluated concurrently across requests.
 //
 // The server runs in one of two modes. In static mode the index is built
-// (or snapshot-loaded) once and never updated while serving, which is
-// what makes lock-free concurrent reads safe. In live mode
+// (or snapshot-loaded) once; it is immutable, which is what makes
+// lock-free concurrent reads safe. In live mode
 // (Config.ShardedLive, or Config.Durable with a write-ahead log) the
 // server fronts an updatable twolayer.ShardedLive: every query pins one
 // immutable copy-on-write snapshot — one atomic load per shard, still no
@@ -55,13 +55,11 @@ const (
 // served as its one-shard engine, so every server has the same traces,
 // /v1/stats sections and twolayer_shard_* metrics.
 type Config struct {
-	// Index is the shared index all requests query (static mode). It must
-	// not be updated while the server runs.
+	// Index is the shared index all requests query (static mode).
 	Index *twolayer.Index
 
 	// Sharded is a static scatter-gather engine: every query endpoint
-	// routes through its shards. Like Index it must not be updated while
-	// serving.
+	// routes through its shards.
 	Sharded *twolayer.Sharded
 
 	// ShardedLive is the updatable engine (live mode), one apply loop per

@@ -203,11 +203,13 @@ type Engine struct {
 // Build constructs a sharded engine over d, partitioned into at most
 // `shards` column slabs (clamped to the grid's column count). Shards are
 // built in parallel; each holds the subset of entries intersecting its
-// slab and shares d for exact-geometry refinement. Like core.Build it
-// panics on invalid entry rectangles.
+// slab and shares d for exact-geometry refinement. Invalid options or
+// data panic with core.BuildErr's text here, on the caller's goroutine:
+// a shard build failing inside the fan-out would crash the process.
 func Build(d *spatial.Dataset, opts core.Options, shards int) *Engine {
-	if opts.Space == (geom.Rect{}) {
-		opts.Space = d.MBR()
+	opts, err := opts.ForData(d)
+	if err != nil {
+		panic(err.Error())
 	}
 	lay := makeLayout(opts, shards)
 	S := lay.shardCount()
@@ -536,6 +538,11 @@ func (h *knnHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len
 // lists merge through a k-way min-heap that drops boundary-replicated
 // duplicates by ID. spans, when non-nil, receives one Span per shard.
 func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neighbor {
+	if exact && e.dataset == nil {
+		// Refuse before the fan-out, where a shard's panic would escape
+		// the caller's goroutine.
+		panic("shard: KNNExact requires an engine built over a Dataset")
+	}
 	if k <= 0 {
 		return nil
 	}

@@ -2,9 +2,9 @@ package twolayer_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,100 +14,156 @@ import (
 
 var unitSpace = twolayer.Rect{MaxX: 1, MaxY: 1}
 
+// liveShards are the shard counts every ShardedLive test runs at: one
+// (an unsharded index's live handle) and two (a fan-out on every query
+// that crosses x = 0.5).
+var liveShards = []int{1, 2}
+
+// emptyLive returns an empty ShardedLive over the unit square.
+func emptyLive(t testing.TB, gridSize, shards int) *twolayer.ShardedLive {
+	t.Helper()
+	sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil,
+		twolayer.Options{GridSize: gridSize, Space: unitSpace},
+		twolayer.ShardedOptions{Shards: shards}), twolayer.LiveOptions{})
+	t.Cleanup(sl.Close)
+	return sl
+}
+
 func TestLivePublicAPI(t *testing.T) {
-	l, err := twolayer.NewLive(twolayer.Options{GridSize: 16, Space: unitSpace}, twolayer.LiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	for _, shards := range liveShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			l := emptyLive(t, 16, shards)
+			if l.Shards() != shards {
+				t.Fatalf("Shards = %d, want %d", l.Shards(), shards)
+			}
+			e1, err := l.Insert(1, twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e1 == 0 {
+				t.Fatal("publish epoch should be > 0")
+			}
+			old := l.Snapshot()
 
-	e1, err := l.Insert(1, twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 == 0 {
-		t.Fatal("publish epoch should be > 0")
-	}
-	old := l.Snapshot()
+			res, err := l.Apply([]twolayer.Mutation{
+				{ID: 2, MBR: twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.6}},
+				{Delete: true, ID: 1, MBR: twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}},
+				{Delete: true, ID: 99, MBR: twolayer.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.4, MaxY: 0.4}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Found[0] || !res.Found[1] || res.Found[2] {
+				t.Fatalf("Found = %v, want [true true false]", res.Found)
+			}
+			if res.Epoch <= e1 {
+				t.Fatalf("epoch %d did not advance past %d", res.Epoch, e1)
+			}
 
-	res, err := l.Apply([]twolayer.Mutation{
-		{ID: 2, MBR: twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.6}},
-		{Delete: true, ID: 1, MBR: twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}},
-		{Delete: true, ID: 99, MBR: twolayer.Rect{MinX: 0.3, MinY: 0.3, MaxX: 0.4, MaxY: 0.4}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found[0] || !res.Found[1] || res.Found[2] {
-		t.Fatalf("Found = %v, want [true true false]", res.Found)
-	}
-	if res.Epoch <= e1 {
-		t.Fatalf("epoch %d did not advance past %d", res.Epoch, e1)
-	}
+			// Pinned snapshot is unaffected; a fresh one sees the batch.
+			if got := searchIDs(t, old, twolayer.Query{Window: &unitSpace}); len(got) != 1 || got[0] != 1 {
+				t.Fatalf("pinned snapshot = %v, want [1]", got)
+			}
+			snap := l.Snapshot()
+			if got := sorted(searchIDs(t, snap, twolayer.Query{Window: &unitSpace})); len(got) != 1 || got[0] != 2 {
+				t.Fatalf("fresh snapshot = %v, want [2]", got)
+			}
+			if snap.Epoch() != res.Epoch || old.Epoch() != e1 {
+				t.Fatalf("snapshot epochs %d and %d, want %d and %d", snap.Epoch(), old.Epoch(), res.Epoch, e1)
+			}
+			if l.Len() != 1 {
+				t.Fatalf("Len = %d, want 1", l.Len())
+			}
 
-	// Pinned snapshot is unaffected; a fresh one sees the batch.
-	if got := searchIDs(t, old, twolayer.Query{Window: &unitSpace}); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("pinned snapshot = %v, want [1]", got)
-	}
-	snap := l.Snapshot()
-	if got := sorted(searchIDs(t, snap, twolayer.Query{Window: &unitSpace})); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("fresh snapshot = %v, want [2]", got)
-	}
-	if snap.Epoch() != res.Epoch {
-		t.Fatalf("snapshot epoch %d, want %d", snap.Epoch(), res.Epoch)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", l.Len())
-	}
+			// Invalid rectangle rejected as an error, batch untouched.
+			if _, err := l.Insert(3, twolayer.Rect{MinX: 1, MaxX: 0}); err == nil {
+				t.Fatal("want error for invalid rect")
+			}
 
-	// Invalid rectangle rejected as an error, batch untouched.
-	if _, err := l.Insert(3, twolayer.Rect{MinX: 1, MaxX: 0}); err == nil {
-		t.Fatal("want error for invalid rect")
-	}
+			st := l.Stats()
+			if st.Objects != 1 || st.Applied != 4 {
+				t.Fatalf("stats %+v, want Objects 1 Applied 4", st)
+			}
 
-	st := l.Stats()
-	if st.Objects != 1 || st.Applied != 4 {
-		t.Fatalf("stats %+v, want Objects 1 Applied 4", st)
-	}
-
-	l.Close()
-	if _, err := l.Insert(4, twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}); !errors.Is(err, twolayer.ErrLiveClosed) {
-		t.Fatalf("err = %v, want ErrLiveClosed", err)
+			l.Close()
+			if _, err := l.Insert(4, twolayer.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}); !errors.Is(err, twolayer.ErrLiveClosed) {
+				t.Fatalf("err = %v, want ErrLiveClosed", err)
+			}
+		})
 	}
 }
 
+// TestLiveFromBuiltIndex: a built index (through OneShard) or a built
+// two-shard engine becomes a ShardedLive's epoch-0 state.
 func TestLiveFromBuiltIndex(t *testing.T) {
 	rects := []twolayer.Rect{
 		{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2},
 		{MinX: 0.7, MinY: 0.7, MaxX: 0.8, MaxY: 0.8},
 	}
-	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 8, Space: unitSpace})
-	l := twolayer.LiveFrom(idx, twolayer.LiveOptions{})
-	defer l.Close()
+	opts := twolayer.Options{GridSize: 8, Space: unitSpace}
+	for _, shards := range liveShards {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			seed := twolayer.OneShard(twolayer.BuildRects(rects, opts))
+			if shards > 1 {
+				seed = twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: shards})
+			}
+			l := twolayer.ShardedLiveFrom(seed, twolayer.LiveOptions{})
+			defer l.Close()
 
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
-	}
-	if _, err := l.Insert(10, twolayer.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.5, MaxY: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	snap := l.Snapshot()
-	if got := sorted(searchIDs(t, snap, twolayer.Query{Window: &unitSpace})); len(got) != 3 || got[2] != 10 {
-		t.Fatalf("snapshot = %v, want [0 1 10]", got)
-	}
-	// Snapshots answer kNN without extra synchronization.
-	nb := snap.KNN(twolayer.Point{X: 0.45, Y: 0.45}, 1)
-	if len(nb) != 1 || nb[0].ID != 10 {
-		t.Fatalf("KNN = %v, want object 10", nb)
+			if l.Len() != 2 || l.Snapshot().Epoch() != 0 {
+				t.Fatalf("Len = %d, epoch %d; want 2 and 0", l.Len(), l.Snapshot().Epoch())
+			}
+			if _, err := l.Insert(10, twolayer.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.5, MaxY: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+			snap := l.Snapshot()
+			if got := sorted(searchIDs(t, snap, twolayer.Query{Window: &unitSpace})); len(got) != 3 || got[2] != 10 {
+				t.Fatalf("snapshot = %v, want [0 1 10]", got)
+			}
+			// Snapshots answer kNN without extra synchronization.
+			nb := snap.KNN(twolayer.Point{X: 0.45, Y: 0.45}, 1)
+			if len(nb) != 1 || nb[0].ID != 10 {
+				t.Fatalf("KNN = %v, want object 10", nb)
+			}
+		})
 	}
 }
 
-func TestNewLiveValidation(t *testing.T) {
-	if _, err := twolayer.NewLive(twolayer.Options{GridSize: 16}, twolayer.LiveOptions{}); err == nil {
-		t.Fatal("want error when Space is unset")
+// TestBuildPanicsOnCallerGoroutine: a sharded build over invalid options
+// or a degenerate data box panics with BuildRectsErr's text on the
+// caller's goroutine, where a recover catches it, at one shard and at
+// two. A panic inside the build's fan-out would crash the process
+// instead.
+func TestBuildPanicsOnCallerGoroutine(t *testing.T) {
+	line := []twolayer.Rect{
+		{MinX: 0.5, MinY: 0.1, MaxX: 0.5, MaxY: 0.2},
+		{MinX: 0.5, MinY: 0.6, MaxX: 0.5, MaxY: 0.9},
 	}
-	if _, err := twolayer.NewLive(twolayer.Options{GridSize: -1, Space: unitSpace}, twolayer.LiveOptions{}); err == nil {
-		t.Fatal("want error for negative GridSize")
+	cases := []struct {
+		name  string
+		rects []twolayer.Rect
+		opts  twolayer.Options
+	}{
+		{"data on one vertical line", line, twolayer.Options{GridSize: 8}},
+		{"zero-width Space", randRects(rand.New(rand.NewSource(3)), 50, 0.05),
+			twolayer.Options{GridSize: 8, Space: twolayer.Rect{MinX: 0.5, MaxX: 0.5, MaxY: 1}}},
+		{"negative GridSize", line, twolayer.Options{GridSize: -1, Space: unitSpace}},
+	}
+	for _, tc := range cases {
+		_, err := twolayer.BuildRectsErr(tc.rects, tc.opts)
+		if err == nil {
+			t.Fatalf("%s: BuildRectsErr accepted it", tc.name)
+		}
+		for _, shards := range liveShards {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); msg != err.Error() {
+						t.Errorf("%s at %d shards: recovered %q, want %q", tc.name, shards, msg, err)
+					}
+				}()
+				twolayer.BuildShardedRects(tc.rects, tc.opts, twolayer.ShardedOptions{Shards: shards})
+			}()
+		}
 	}
 }
 
@@ -195,100 +251,82 @@ func TestErrAPIs(t *testing.T) {
 	}
 }
 
-// TestLiveSnapshotIsReadOnly: a Live snapshot is shared with every
-// reader that pinned it, so updating it in place — directly or through
-// a ReadView — panics with a pointer to Apply and leaves what later
-// snapshots see untouched, while concurrent readers keep querying. kNN
-// readers share the pinned snapshot, or a two-shard engine over the
-// same objects, 8 goroutines to one with no view of their own, and must
-// get the serial answers.
+// TestLiveSnapshotIsReadOnly: a ShardedLive snapshot is immutable and
+// shared. While a writer moves objects, 8 goroutines share one pinned
+// snapshot with no view of their own and keep getting its serial answers
+// (window counts and kNN); afterwards the snapshot still holds its epoch
+// and contents while a fresh one is past epoch 0. A static two-shard
+// engine shares kNN readers the same way.
 func TestLiveSnapshotIsReadOnly(t *testing.T) {
 	rects := randRects(rand.New(rand.NewSource(8)), 400, 0.05)
-	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 16, Decompose: true})
-	l := twolayer.LiveFrom(idx, twolayer.LiveOptions{})
-	defer l.Close()
-
-	first := l.Snapshot()
-	want := sorted(searchIDs(t, first, twolayer.Query{Window: &unitSpace}))
-	if !first.Decomposed() {
-		t.Fatal("a snapshot of a decomposed seed holds no 2-layer+ tables before any write")
+	opts := twolayer.Options{GridSize: 16, Space: unitSpace}
+	points := make([]twolayer.Point, 32)
+	for i := range points {
+		points[i] = twolayer.Point{X: float64(i%8) / 8, Y: float64(i/8) / 4}
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		reader := l.Snapshot()
-		for i := 0; i < 200; i++ {
-			if _, err := reader.SearchCount(twolayer.Query{Window: &unitSpace}); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	sh := twolayer.BuildShardedRects(rects, twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 2})
-	var readers sync.WaitGroup
-	for _, shared := range []struct {
-		name string
-		knn  func(twolayer.Point, int) []twolayer.Neighbor
-	}{{"snapshot KNN", first.KNN}, {"2-shard KNN", sh.KNN}, {"2-shard KNNExact", sh.KNNExact}} {
-		points := make([]twolayer.Point, 32)
+	// shareReaders runs 8 goroutines over points against one shared
+	// reader while during runs, and fails on any answer that differs from
+	// the serial one taken before.
+	shareReaders := func(name string, r rangeSearcher, knn func(twolayer.Point, int) []twolayer.Neighbor, during func()) {
 		want := make([][]twolayer.Neighbor, len(points))
-		for i := range points {
-			points[i] = twolayer.Point{X: float64(i%8) / 8, Y: float64(i/8) / 4}
-			want[i] = shared.knn(points[i], 10)
+		wantN := make([]int, len(points))
+		for i, p := range points {
+			want[i] = knn(p, 10)
+			w := twolayer.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X + 0.2, MaxY: p.Y + 0.2}
+			wantN[i] = searchCount(t, r, twolayer.Query{Window: &w})
 		}
+		var readers sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			readers.Add(1)
 			go func(w int) {
 				defer readers.Done()
 				for i := w; i < len(points); i += 8 {
-					if got := shared.knn(points[i], 10); !slices.Equal(got, want[i]) {
-						t.Errorf("%s at %v: got %v, want %v", shared.name, points[i], got, want[i])
+					p := points[i]
+					win := twolayer.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X + 0.2, MaxY: p.Y + 0.2}
+					n, err := r.SearchCount(twolayer.Query{Window: &win})
+					if got := knn(p, 10); !slices.Equal(got, want[i]) || err != nil || n != wantN[i] {
+						t.Errorf("%s at %v: kNN %v count %d (%v), want %v and %d", name, p, got, n, err, want[i], wantN[i])
 						return
 					}
 				}
 			}(w)
 		}
+		during()
+		readers.Wait()
 	}
 
-	r := rects[0]
-	for name, write := range map[string]func(ix *twolayer.Index){
-		"Insert":            func(ix *twolayer.Index) { ix.Insert(9999, r) },
-		"Delete":            func(ix *twolayer.Index) { ix.Delete(0, r) },
-		"RebuildDecomposed": func(ix *twolayer.Index) { ix.RebuildDecomposed() },
-	} {
-		for _, ix := range []*twolayer.Index{first, first.ReadView()} {
-			func() {
-				defer func() {
-					msg, _ := recover().(string)
-					if !strings.Contains(msg, "Live.Apply") {
-						t.Errorf("%s on a snapshot: recovered %q, want a panic naming Live.Apply", name, msg)
-					}
-				}()
-				write(ix)
-			}()
+	sh := twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: 2})
+	shareReaders("2-shard KNN", sh, sh.KNN, func() {})
+	shareReaders("2-shard KNNExact", sh, sh.KNNExact, func() {})
+
+	for _, shards := range liveShards {
+		l := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(rects, opts,
+			twolayer.ShardedOptions{Shards: shards}), twolayer.LiveOptions{})
+		defer l.Close()
+		first := l.Snapshot()
+		want := sorted(searchIDs(t, first, twolayer.Query{Window: &unitSpace}))
+		shareReaders(fmt.Sprintf("snapshot KNN at %d shards", shards), first, first.KNN, func() {
+			for id := 0; id < len(rects); id += 10 {
+				r := rects[id]
+				to := twolayer.Rect{MinX: 1 - r.MaxX, MinY: r.MinY, MaxX: 1 - r.MinX, MaxY: r.MaxY}
+				res, err := l.Apply([]twolayer.Mutation{
+					{Delete: true, ID: twolayer.ID(id), MBR: r},
+					{ID: twolayer.ID(id), MBR: to},
+				})
+				if err != nil || !res.Found[0] {
+					t.Errorf("move of %d: Found %v, err %v", id, res.Found, err)
+					return
+				}
+			}
+		})
+		if got := sorted(searchIDs(t, first, twolayer.Query{Window: &unitSpace})); !slices.Equal(got, want) ||
+			first.Epoch() != 0 || first.Len() != len(rects) {
+			t.Fatalf("%d shards: the pinned snapshot changed: %d objects, epoch %d, Len %d",
+				shards, len(got), first.Epoch(), first.Len())
 		}
-	}
-	<-done
-	readers.Wait()
-
-	second := l.Snapshot()
-	if got := sorted(searchIDs(t, second, twolayer.Query{Window: &unitSpace})); !slices.Equal(got, want) {
-		t.Fatalf("second snapshot holds %d objects, want the first's %d", len(got), len(want))
-	}
-	if second.Len() != len(rects) || second.Epoch() != first.Epoch() {
-		t.Fatalf("second snapshot: Len %d epoch %d, want %d and %d",
-			second.Len(), second.Epoch(), len(rects), first.Epoch())
-	}
-	if !second.Decomposed() {
-		t.Fatal("second snapshot lost the 2-layer+ tables to a refused write")
-	}
-	if _, err := l.Insert(9999, r); err != nil {
-		t.Fatalf("Apply path after the refused writes: %v", err)
-	}
-	if l.Snapshot().Decomposed() || !first.Decomposed() {
-		t.Fatalf("after a write: new snapshot decomposed %v (want false), first %v (want true)",
-			l.Snapshot().Decomposed(), first.Decomposed())
+		if second := l.Snapshot(); second.Epoch() == 0 || second.Len() != len(rects) {
+			t.Fatalf("%d shards: a fresh snapshot after the moves: epoch %d, Len %d", shards, second.Epoch(), second.Len())
+		}
 	}
 }
 
@@ -302,8 +340,8 @@ type rangeSearcher interface {
 }
 
 // TestDeleteNeedsStoredMBR: a delete whose rectangle is not the stored
-// MBR finds nothing and changes nothing, on a plain index, through
-// Live.Apply and through a two-shard ShardedLive. Each wrong rectangle
+// MBR finds nothing and changes nothing, through ShardedLive.Apply at
+// one shard (Live) and at two (ShardedLive). Each wrong rectangle
 // starts in the object's first tile, so its cover shares tiles and
 // classes with the stored replicas: one stops inside the object, the
 // other reaches past it. Afterwards every query form still sees the
@@ -375,7 +413,6 @@ func TestDeleteNeedsStoredMBR(t *testing.T) {
 			t.Fatalf("%s: object still found after the delete", label)
 		}
 	}
-	opts := twolayer.Options{GridSize: 16, Space: unitSpace}
 	seed := func(insert func(twolayer.ID, twolayer.Rect)) {
 		insert(id, obj)
 		for oid, r := range others {
@@ -390,54 +427,25 @@ func TestDeleteNeedsStoredMBR(t *testing.T) {
 		return muts
 	}
 
-	t.Run("Index", func(t *testing.T) {
-		idx := twolayer.New(opts)
-		seed(idx.Insert)
-		for _, r := range wrong {
-			if idx.Delete(id, r) {
-				t.Fatalf("Delete with MBR %v reported found", r)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"Live", 1}, {"ShardedLive", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sl := emptyLive(t, 16, tc.shards)
+			seed(func(oid twolayer.ID, r twolayer.Rect) { sl.Insert(oid, r) })
+			res, err := sl.Apply(deletes(wrong...))
+			if err != nil || slices.Contains(res.Found, true) {
+				t.Fatalf("wrong-MBR Apply: Found %v, err %v; want all false", res.Found, err)
 			}
-			visible("after a wrong Delete", idx, len(others)+1)
-		}
-		if !idx.Delete(id, obj) {
-			t.Fatal("Delete with the stored MBR reported not found")
-		}
-		gone("Index", idx)
-	})
-
-	t.Run("Live", func(t *testing.T) {
-		l, err := twolayer.NewLive(opts, twolayer.LiveOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		seed(func(oid twolayer.ID, r twolayer.Rect) { l.Insert(oid, r) })
-		res, err := l.Apply(deletes(wrong...))
-		if err != nil || slices.Contains(res.Found, true) {
-			t.Fatalf("wrong-MBR Apply: Found %v, err %v; want all false", res.Found, err)
-		}
-		visible("Live after wrong deletes", l.Snapshot(), len(others)+1)
-		if res, err := l.Apply(deletes(obj)); err != nil || !res.Found[0] {
-			t.Fatalf("Apply with the stored MBR: Found %v, err %v", res.Found, err)
-		}
-		gone("Live", l.Snapshot())
-	})
-
-	t.Run("ShardedLive", func(t *testing.T) {
-		sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil, opts, twolayer.ShardedOptions{Shards: 2}), twolayer.LiveOptions{})
-		defer sl.Close()
-		seed(func(oid twolayer.ID, r twolayer.Rect) { sl.Insert(oid, r) })
-		res, err := sl.Apply(deletes(wrong...))
-		if err != nil || slices.Contains(res.Found, true) {
-			t.Fatalf("wrong-MBR Apply: Found %v, err %v; want all false", res.Found, err)
-		}
-		if sl.Len() != len(others)+1 {
-			t.Fatalf("ShardedLive Len = %d after wrong deletes, want %d", sl.Len(), len(others)+1)
-		}
-		visible("ShardedLive after wrong deletes", sl.Snapshot(), len(others)+1)
-		if res, err := sl.Apply(deletes(obj)); err != nil || !res.Found[0] {
-			t.Fatalf("Apply with the stored MBR: Found %v, err %v", res.Found, err)
-		}
-		gone("ShardedLive", sl.Snapshot())
-	})
+			if sl.Len() != len(others)+1 {
+				t.Fatalf("Len = %d after wrong deletes, want %d", sl.Len(), len(others)+1)
+			}
+			visible(tc.name+" after wrong deletes", sl.Snapshot(), len(others)+1)
+			if found, _, err := sl.Delete(id, obj); err != nil || !found {
+				t.Fatalf("Delete with the stored MBR: found %v, err %v", found, err)
+			}
+			gone(tc.name, sl.Snapshot())
+		})
+	}
 }

@@ -36,16 +36,23 @@ type Sharded struct {
 }
 
 // BuildShardedRects builds a sharded engine over rectangle objects.
-// Object i gets ID i. Shards build in parallel.
+// Object i gets ID i. Shards build in parallel; what BuildRectsErr
+// reports panics with its text on the caller's goroutine first. With no
+// rectangles it is the empty engine a ShardedLive starts from.
 func BuildShardedRects(rects []Rect, opts Options, so ShardedOptions) *Sharded {
-	d := spatial.NewDataset(rects)
-	return &Sharded{eng: shard.Build(d, opts.autoTuned(d.Len()), so.resolved())}
+	return buildSharded(spatial.NewDataset(rects), opts, so)
 }
 
 // BuildShardedGeoms builds a sharded engine over exact geometries
-// (indexed by their MBRs). Object i gets ID i. Shards build in parallel.
+// (indexed by their MBRs), like BuildShardedRects. Object i gets ID i.
 func BuildShardedGeoms(geoms []Geometry, opts Options, so ShardedOptions) *Sharded {
-	d := spatial.NewGeomDataset(geoms)
+	return buildSharded(spatial.NewGeomDataset(geoms), opts, so)
+}
+
+func buildSharded(d *spatial.Dataset, opts Options, so ShardedOptions) *Sharded {
+	if err := opts.Validate(); err != nil {
+		panic(err.Error())
+	}
 	return &Sharded{eng: shard.Build(d, opts.autoTuned(d.Len()), so.resolved())}
 }
 
@@ -81,8 +88,8 @@ func (s *Sharded) KNN(q Point, k int) []Neighbor {
 }
 
 // KNNExact returns the k objects whose exact geometries are nearest to
-// q. Requires an engine built with BuildShardedRects or
-// BuildShardedGeoms.
+// q. On an engine without geometries (a ShardedLive snapshot) it panics
+// on the caller's goroutine, as Index.KNNExact does.
 func (s *Sharded) KNNExact(q Point, k int) []Neighbor {
 	return s.eng.KNN(q, k, true, nil)
 }
@@ -234,21 +241,24 @@ type ShardedStats = shard.Stats
 // ShardedLive.
 func (s *Sharded) Stats() ShardedStats { return s.eng.Stats() }
 
-// ShardedLive is the updatable sharded engine: one independent apply
-// loop (and, under OpenDurable, one WAL) per shard, so mutation
-// batches touching disjoint slabs journal, apply, and publish in
-// parallel. Consistency is per shard — each shard keeps Live's
-// guarantees (atomic batch visibility, read-your-writes), while a
-// cross-shard batch becomes visible shard by shard and a Snapshot may
-// interleave epochs across shards. Queries stay duplicate-free
-// throughout. All methods are safe for concurrent use.
+// ShardedLive is the package's one updatable handle, at any shard count.
+// Readers call Snapshot and query the immutable engine it returns with
+// no locks; each shard's single-writer apply loop (and, under
+// OpenDurable, its WAL) batches mutations, applies them copy-on-write
+// (copying only the tile pages a batch touches) and publishes the next
+// epoch. A mutation call returns once its batch is published, so the
+// caller observes its own write in every later Snapshot. Visibility is
+// atomic per shard: a cross-shard batch appears shard by shard, and a
+// Snapshot may interleave epochs across shards. Queries stay
+// duplicate-free throughout. All methods are safe for concurrent use.
 type ShardedLive struct {
 	l *shard.Live
 }
 
 // ShardedLiveFrom wraps a built engine, which becomes the epoch-0 state
-// of every shard. It takes ownership of s: do not query s directly
-// afterward. Snapshots serve the filtering layer (MBR queries) only.
+// of every shard: OneShard(ix) for an index, BuildShardedRects(nil, …)
+// for an empty one. It takes ownership of s: do not query s directly
+// afterward. Snapshots serve MBR (filtering) queries only.
 func ShardedLiveFrom(s *Sharded, lo LiveOptions) *ShardedLive {
 	return &ShardedLive{l: shard.LiveFrom(s.eng, lo.toCore())}
 }
@@ -257,8 +267,7 @@ func ShardedLiveFrom(s *Sharded, lo LiveOptions) *ShardedLive {
 // the S=1 case of Sharded, sharing ix's storage (no copy, no rebuild)
 // and its geometries, so exact queries keep working. Every query answers
 // and counts its work exactly as on ix; the engine adds its shard
-// bookkeeping (Stats) and per-shard spans (Traced). Do not update ix
-// while the engine is in use.
+// bookkeeping (Stats) and per-shard spans (Traced).
 func OneShard(ix *Index) *Sharded { return &Sharded{eng: shard.One(ix.core)} }
 
 // Snapshot returns an immutable engine over the shards' current
@@ -268,8 +277,9 @@ func (sl *ShardedLive) Snapshot() *Sharded {
 }
 
 // Insert adds one object, blocking until every shard its MBR intersects
-// has published the insertion. Invalid rectangles are reported as an
-// error.
+// has published the insertion, and returns the epoch that made it
+// visible. An inverted rectangle, or one with a NaN or infinite
+// coordinate, is reported as an error.
 func (sl *ShardedLive) Insert(id ID, mbr Rect) (epoch uint64, err error) {
 	return sl.l.Insert(core.Mutation{Entry: spatial.Entry{ID: id, Rect: mbr}})
 }

@@ -27,9 +27,9 @@ func shardedBenchRects(n int) []twolayer.Rect {
 	return rects
 }
 
-// shardedBenchRows are the rows of the sharded benchmarks: 0 is the
-// plain Index (or Live) as the unsharded baseline, the others the engine
-// at that shard count. The shards=1 row is the engine every unsharded
+// shardedBenchRows are the rows of the sharded query benchmarks: 0 is
+// the plain Index as the unsharded baseline, the others the engine at
+// that shard count. The shards=1 row is the engine every unsharded
 // server serves through.
 var shardedBenchRows = []int{0, 1, 2, 4, 8}
 
@@ -105,30 +105,19 @@ func BenchmarkShardedBatch(b *testing.B) {
 	}
 }
 
-// benchApplier is the write surface Live and ShardedLive share.
-type benchApplier interface {
-	Apply(muts []twolayer.Mutation) (twolayer.ApplyResult, error)
-	Close()
-}
-
 // BenchmarkShardedApply measures live mutation throughput: concurrent
-// writers stream small insert/delete batches through Live (the
-// unsharded row) and ShardedLive. Small apply batches make the
-// per-publish copy-on-write clone the dominant cost; sharding divides
-// each clone by the shard count and runs the loops in parallel, so
-// throughput scales with shards.
+// writers stream small insert batches through ShardedLive. Small apply
+// batches make the per-publish copy-on-write clone the dominant cost;
+// sharding divides each clone by the shard count and runs the loops in
+// parallel, so throughput scales with shards. The shards=1 row is the
+// live handle of an unsharded server.
 func BenchmarkShardedApply(b *testing.B) {
 	base := shardedBenchRects(200_000)
-	for _, shards := range shardedBenchRows {
+	for _, shards := range shardedBenchRows[1:] {
 		b.Run(shardedBenchName(shards), func(b *testing.B) {
-			opts, lo := twolayer.Options{GridSize: 768}, twolayer.LiveOptions{MaxBatch: 16}
-			var live benchApplier
-			if shards == 0 {
-				live = twolayer.LiveFrom(twolayer.BuildRects(base, opts), lo)
-			} else {
-				live = twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(base, opts,
-					twolayer.ShardedOptions{Shards: shards}), lo)
-			}
+			live := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(base,
+				twolayer.Options{GridSize: 768}, twolayer.ShardedOptions{Shards: shards}),
+				twolayer.LiveOptions{MaxBatch: 16})
 			defer live.Close()
 
 			var seq atomic.Int64

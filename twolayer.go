@@ -78,9 +78,9 @@ const (
 // Options configure index construction.
 type Options struct {
 	// GridSize is the number of tiles per dimension. When zero (and NX,
-	// NY are zero), BuildRects and BuildGeoms auto-tune it from the data
-	// size (~1 object per tile, the paper's broad optimum); New defaults
-	// to 256. For a non-square grid set NX and NY instead.
+	// NY are zero), every build auto-tunes it from the data size (~1
+	// object per tile, the paper's broad optimum). For a non-square grid
+	// set NX and NY instead.
 	GridSize int
 	// NX, NY override GridSize per dimension.
 	NX, NY int
@@ -92,8 +92,8 @@ type Options struct {
 	// build (Fig. 7) for fewer coordinate comparisons on border tiles. It
 	// is not a speedup at this repository's default workload: Table V
 	// measured 2-layer+ at 0.88x of plain 2-layer's throughput on ROADS
-	// and 0.94x on EDGES (EXPERIMENTS.md). The first Insert or Delete
-	// drops the tables; RebuildDecomposed builds them again.
+	// and 0.94x on EDGES (EXPERIMENTS.md). A ShardedLive's first write
+	// to a shard drops that shard's tables.
 	Decompose bool
 	// BuildThreads is the worker count of the construction pipeline:
 	// <= 0 selects DefaultThreads(), 1 forces the classic sequential
@@ -108,8 +108,9 @@ type Options struct {
 }
 
 // Validate reports why the options cannot build an index, or nil.
-// BuildRects, BuildGeoms, and New panic on invalid options; the Err build
-// variants and NewLive validate first and return the error instead.
+// BuildRects, BuildGeoms and the sharded builds panic on invalid
+// options, on the caller's goroutine; BuildRectsErr, BuildGeomsErr and
+// OpenDurable validate first and return the error instead.
 func (o Options) Validate() error {
 	if o.GridSize < 0 {
 		return fmt.Errorf("twolayer: negative GridSize %d", o.GridSize)
@@ -132,28 +133,28 @@ func (o Options) toCore() core.Options {
 	}
 }
 
-// Index is a two-layer partitioned spatial index. It is safe for
-// concurrent readers, kNN included; updates require external
+// Index is an immutable two-layer partitioned spatial index: built
+// (BuildRects, BuildGeoms), loaded (Load), saved and queried. Any number
+// of goroutines may query it at once, kNN included, with no
 // synchronization. Instrumented collects stats by giving each goroutine
-// its own cheap read view. For concurrent readers AND
-// writers, wrap the index in a Live handle (NewLive, LiveFrom): readers
-// then pin immutable copy-on-write snapshots instead of locking.
+// its own cheap read view. To update, hand it to the one updatable
+// handle, ShardedLiveFrom(OneShard(ix), lo): readers then pin immutable
+// copy-on-write snapshots while a single apply loop publishes writes.
 type Index struct {
-	core    *core.Index
-	dataset *spatial.Dataset
+	core *core.Index
 }
 
 // BuildRects builds an index over rectangle objects. Object i gets ID i.
 func BuildRects(rects []Rect, opts Options) *Index {
 	d := spatial.NewDataset(rects)
-	return &Index{core: core.Build(d, opts.autoTuned(d.Len())), dataset: d}
+	return &Index{core: core.Build(d, opts.autoTuned(d.Len()))}
 }
 
 // BuildGeoms builds an index over exact geometries (indexed by their
 // MBRs). Object i gets ID i.
 func BuildGeoms(geoms []Geometry, opts Options) *Index {
 	d := spatial.NewGeomDataset(geoms)
-	return &Index{core: core.Build(d, opts.autoTuned(d.Len())), dataset: d}
+	return &Index{core: core.Build(d, opts.autoTuned(d.Len()))}
 }
 
 // BuildRectsErr is the error-returning variant of BuildRects: invalid
@@ -169,7 +170,7 @@ func BuildRectsErr(rects []Rect, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{core: inner, dataset: d}, nil
+	return &Index{core: inner}, nil
 }
 
 // BuildGeomsErr is the error-returning variant of BuildGeoms.
@@ -182,7 +183,7 @@ func BuildGeomsErr(geoms []Geometry, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{core: inner, dataset: d}, nil
+	return &Index{core: inner}, nil
 }
 
 // autoTuned fills in a data-driven grid size when none was requested.
@@ -193,19 +194,8 @@ func (o Options) autoTuned(n int) core.Options {
 	return o.toCore()
 }
 
-// New returns an empty, updatable index over the given space. Options.
-// Space must be set (there is no data to derive it from).
-func New(opts Options) *Index {
-	return &Index{core: core.New(opts.toCore())}
-}
-
 // Len returns the number of objects in the index.
 func (ix *Index) Len() int { return ix.core.Len() }
-
-// Epoch returns the snapshot epoch of the index: 0 for a directly built
-// index, and the strictly increasing publish sequence number for
-// snapshots obtained from Live.Snapshot.
-func (ix *Index) Epoch() uint64 { return ix.core.Epoch() }
 
 // DefaultThreads is the worker count every "<= 0" thread or shard
 // parameter of this package resolves to: runtime.GOMAXPROCS(0).
@@ -239,29 +229,8 @@ func (ix *Index) BatchDiskCounts(queries []Disk, strategy BatchStrategy, threads
 	return ix.core.BatchDiskCounts(queries, strategy, threads)
 }
 
-// Insert adds an object with the given ID and MBR. Exact geometries
-// cannot be attached after construction, so the first Insert drops the
-// index's geometries: from then on it answers MBR (filtering) queries
-// only, like an index built with New — an exact Search is an error and
-// KNNExact panics. An inverted MBR, or one with a NaN or infinite
-// coordinate, panics.
-func (ix *Index) Insert(id ID, mbr Rect) {
-	ix.core.Insert(spatial.Entry{Rect: mbr, ID: id})
-}
-
-// Delete removes the object with the given ID, which must be passed the
-// exact MBR it was inserted with. It reports whether the object was
-// found; with any other MBR it reports false and leaves the object
-// indexed.
-func (ix *Index) Delete(id ID, mbr Rect) bool { return ix.core.Delete(id, mbr) }
-
-// RebuildDecomposed builds the 2-layer+ decomposed tables over the
-// current contents. An index holds them from a build with
-// Options.Decompose until its first Insert or Delete, which drops them
-// whole; this builds them again.
-func (ix *Index) RebuildDecomposed() { ix.core.BuildDecomposed() }
-
-// Decomposed reports whether the index currently holds 2-layer+ tables.
+// Decomposed reports whether the index holds 2-layer+ tables (a build
+// with Options.Decompose).
 func (ix *Index) Decomposed() bool { return ix.core.Decomposed() }
 
 // KNN returns the k objects whose MBRs are nearest to q, ascending by
@@ -300,10 +269,10 @@ var (
 )
 
 // QueryStats snapshots the engine's query counters: the sum of the
-// Stats of every query finished on the index, its read views and, for a
-// Live index, every snapshot it published, with Queries counting the
-// queries (a batch or a join counts once). Counting is always on: the
-// kernels count their work whether or not anyone reads it.
+// Stats of every query finished on the index and its read views, with
+// Queries counting the queries (a batch or a join counts once). Counting
+// is always on: the kernels count their work whether or not anyone
+// reads it.
 func (ix *Index) QueryStats() Stats { return ix.core.QueryStats() }
 
 // JoinParallel runs the spatial join with tiles distributed over
@@ -333,8 +302,8 @@ func Load(r io.Reader) (*Index, error) {
 }
 
 // ReadView returns ix itself: every query, KNN and KNNExact included, is
-// safe for concurrent readers of an index that is not being updated, so
-// a plain read needs no view of its own.
+// safe for concurrent readers of the immutable index, so a plain read
+// needs no view of its own.
 func (ix *Index) ReadView() *Index { return ix }
 
 // Instrumented returns a shallow read view of the index whose queries,
@@ -349,7 +318,7 @@ func (ix *Index) Instrumented() (*Index, *Stats) {
 		ix Index
 		s  Stats
 	}{}
-	v.ix = Index{core: ix.core.View(&v.s), dataset: ix.dataset}
+	v.ix = Index{core: ix.core.View(&v.s)}
 	return &v.ix, &v.s
 }
 
@@ -365,14 +334,13 @@ func (ix *Index) Traced() (*Index, *Trace) {
 		ix Index
 		tr Trace
 	}{}
-	v.ix = Index{core: ix.core.ViewTraced(&v.tr), dataset: ix.dataset}
+	v.ix = Index{core: ix.core.ViewTraced(&v.tr)}
 	return &v.ix, &v.tr
 }
 
 // PartitionStats walks the tile directory once and summarizes the current
 // partitioning: occupied tiles, per-class entry counts, replication
-// factor, tile-occupancy skew. Safe to call concurrently with queries on
-// a static index or a Live snapshot.
+// factor, tile-occupancy skew. Safe to call concurrently with queries.
 func (ix *Index) PartitionStats() PartitionStats { return ix.core.PartitionStats() }
 
 // GridDims returns the primary grid's tile counts per dimension.

@@ -2,7 +2,6 @@ package twolayer_test
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +35,7 @@ func sorted(ids []twolayer.ID) []twolayer.ID {
 }
 
 // searchIDs runs SearchIDs on a descriptor the test knows to be valid.
-func searchIDs(t testing.TB, idx *twolayer.Index, q twolayer.Query) []twolayer.ID {
+func searchIDs(t testing.TB, idx rangeSearcher, q twolayer.Query) []twolayer.ID {
 	t.Helper()
 	ids, err := idx.SearchIDs(q, nil)
 	if err != nil {
@@ -47,7 +46,7 @@ func searchIDs(t testing.TB, idx *twolayer.Index, q twolayer.Query) []twolayer.I
 
 // searchCount runs SearchCount on a descriptor the test knows to be
 // valid.
-func searchCount(t testing.TB, idx *twolayer.Index, q twolayer.Query) int {
+func searchCount(t testing.TB, idx rangeSearcher, q twolayer.Query) int {
 	t.Helper()
 	n, err := idx.SearchCount(q)
 	if err != nil {
@@ -168,48 +167,65 @@ func TestPublicBatchAPI(t *testing.T) {
 }
 
 func TestPublicUpdateAPI(t *testing.T) {
-	idx := twolayer.New(twolayer.Options{GridSize: 8, Space: twolayer.Rect{MaxX: 1, MaxY: 1}})
-	r := twolayer.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
-	idx.Insert(7, r)
-	all := twolayer.Query{Window: &twolayer.Rect{MaxX: 1, MaxY: 1}}
-	if searchCount(t, idx, all) != 1 {
-		t.Fatal("inserted object not found")
-	}
-	if !idx.Delete(7, r) {
-		t.Fatal("delete failed")
-	}
-	if searchCount(t, idx, all) != 0 {
-		t.Fatal("object survived delete")
+	for _, shards := range liveShards {
+		sl := emptyLive(t, 8, shards)
+		r := twolayer.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
+		if _, err := sl.Insert(7, r); err != nil {
+			t.Fatal(err)
+		}
+		all := twolayer.Query{Window: &twolayer.Rect{MaxX: 1, MaxY: 1}}
+		if searchCount(t, sl.Snapshot(), all) != 1 {
+			t.Fatalf("%d shards: inserted object not found", shards)
+		}
+		if found, _, err := sl.Delete(7, r); err != nil || !found {
+			t.Fatalf("%d shards: delete: found %v, err %v", shards, found, err)
+		}
+		if searchCount(t, sl.Snapshot(), all) != 0 {
+			t.Fatalf("%d shards: object survived delete", shards)
+		}
 	}
 }
 
-// TestInsertDropsGeometries: an object inserted into a built index has
-// no geometry, so the first Insert makes exact queries a refusal (an
-// error from Search, a panic naming the cause from KNNExact) instead of
-// an index-out-of-range panic in refinement. Filtering queries keep
-// answering, the inserted object included.
+// TestInsertDropsGeometries: an object inserted through a ShardedLive has
+// no geometry, so its snapshots refuse exact queries — an error from
+// Search, a panic from KNNExact on the caller's goroutine, where a
+// recover catches it — instead of reaching the object in refinement.
+// The built engine it started from answers them; filtering queries keep
+// answering, the inserted object included. It holds at one shard (over
+// OneShard of a built index) and at two, where KNNExact fans out.
 func TestInsertDropsGeometries(t *testing.T) {
-	idx := twolayer.BuildRects([]twolayer.Rect{{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}},
-		twolayer.Options{GridSize: 4, Space: twolayer.Rect{MaxX: 1, MaxY: 1}})
+	rects := []twolayer.Rect{{MinX: 0.1, MinY: 0.1, MaxX: 0.2, MaxY: 0.2}}
+	opts := twolayer.Options{GridSize: 4, Space: twolayer.Rect{MaxX: 1, MaxY: 1}}
 	all := twolayer.Rect{MaxX: 1, MaxY: 1}
-	if n, err := idx.SearchCount(twolayer.Query{Window: &all, Exact: true}); err != nil || n != 1 {
-		t.Fatalf("exact count before Insert = %d, %v; want 1", n, err)
-	}
-	idx.Insert(5, twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.6})
-	if _, err := idx.SearchCount(twolayer.Query{Window: &all, Exact: true}); err == nil {
-		t.Fatal("exact count after Insert succeeded; the inserted object has no geometry")
-	}
-	if n := searchCount(t, idx, twolayer.Query{Window: &all}); n != 2 {
-		t.Fatalf("filtering count after Insert = %d, want 2", n)
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("KNNExact after Insert did not refuse")
-		} else if msg, _ := r.(string); !strings.Contains(msg, "requires an index built over a Dataset") {
-			t.Fatalf("KNNExact after Insert panicked with %v", r)
+	for _, shards := range liveShards {
+		seed := twolayer.OneShard(twolayer.BuildRects(rects, opts))
+		if shards > 1 {
+			seed = twolayer.BuildShardedRects(rects, opts, twolayer.ShardedOptions{Shards: shards})
 		}
-	}()
-	idx.KNNExact(twolayer.Point{X: 0.5, Y: 0.5}, 1)
+		if n, err := seed.SearchCount(twolayer.Query{Window: &all, Exact: true}); err != nil || n != 1 {
+			t.Fatalf("%d shards: exact count on the built engine = %d, %v; want 1", shards, n, err)
+		}
+		sl := twolayer.ShardedLiveFrom(seed, twolayer.LiveOptions{})
+		defer sl.Close()
+		if _, err := sl.Insert(5, twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.6, MaxY: 0.6}); err != nil {
+			t.Fatal(err)
+		}
+		snap := sl.Snapshot()
+		if _, err := snap.SearchCount(twolayer.Query{Window: &all, Exact: true}); err == nil {
+			t.Fatalf("%d shards: exact count on a live snapshot succeeded; the inserted object has no geometry", shards)
+		}
+		if n := searchCount(t, snap, twolayer.Query{Window: &all}); n != 2 {
+			t.Fatalf("%d shards: filtering count after Insert = %d, want 2", shards, n)
+		}
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "KNNExact requires an engine built over a Dataset") {
+					t.Fatalf("%d shards: KNNExact on a live snapshot recovered %q", shards, msg)
+				}
+			}()
+			snap.KNNExact(twolayer.Point{X: 0.5, Y: 0.5}, 1)
+		}()
+	}
 }
 
 func TestPublicStatsAPI(t *testing.T) {
@@ -316,17 +332,5 @@ func TestAutoTunedGridSize(t *testing.T) {
 	want := len(bruteWindow(rects, w))
 	if got := searchCount(t, idx, twolayer.Query{Window: &w}); got != want {
 		t.Fatalf("auto-tuned index returned %d, want %d", got, want)
-	}
-}
-
-func TestDecomposedRebuild(t *testing.T) {
-	rnd := rand.New(rand.NewSource(5))
-	rects := randRects(rnd, 300, 0.05)
-	idx := twolayer.BuildRects(rects, twolayer.Options{GridSize: 8, Decompose: true})
-	idx.Insert(1000, twolayer.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.55, MaxY: 0.55})
-	idx.RebuildDecomposed()
-	w := twolayer.Rect{MinX: 0.45, MinY: 0.45, MaxX: 0.6, MaxY: 0.6}
-	if !slices.Contains(searchIDs(t, idx, twolayer.Query{Window: &w}), 1000) {
-		t.Fatal("inserted object missing after rebuild")
 	}
 }
