@@ -37,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -127,6 +128,23 @@ func loadIndex(dataPath, snapshotPath string, gridSize int, logger *slog.Logger)
 	panic("unreachable")
 }
 
+// buildSharded builds the sharded engine over geoms. Input that
+// BuildGeomsErr refuses makes the build panic, on this goroutine, with
+// the text of BuildGeomsErr's error; buildSharded returns that text as
+// its error, so the server fails with one line either way.
+func buildSharded(geoms []twolayer.Geometry, opts twolayer.Options, so twolayer.ShardedOptions) (s *twolayer.Sharded, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case string:
+			err = errors.New(r)
+		default:
+			panic(r)
+		}
+	}()
+	return twolayer.BuildShardedGeoms(geoms, opts, so), nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataPath := flag.String("data", "", "dataset file to index (CSV, or WKT if the name ends in .wkt)")
@@ -204,9 +222,13 @@ func main() {
 		if *dataPath != "" {
 			geoms := loadGeoms(*dataPath, logger)
 			start := time.Now()
-			shardedIdx = twolayer.BuildShardedGeoms(geoms,
+			var err error
+			shardedIdx, err = buildSharded(geoms,
 				twolayer.Options{GridSize: *gridSize},
 				twolayer.ShardedOptions{Shards: *shards})
+			if err != nil {
+				fail(fmt.Errorf("%s: %w", *dataPath, err))
+			}
 			buildDur = time.Since(start)
 			nx, ny := shardedIdx.GridDims()
 			logger.Info("sharded engine built",

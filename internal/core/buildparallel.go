@@ -10,13 +10,13 @@ import (
 )
 
 // This file implements the parallel construction pipeline selected by
-// Options.BuildThreads: a two-pass counting build that produces per-tile
-// class slices byte-identical in content to the sequential insert loop.
+// Options.BuildThreads: a two-pass counting build that produces tile runs
+// byte-identical in content to the sequential insert loop.
 //
 // Pass 1 shards the entries across workers; each worker classifies every
 // replica of its shard and counts per (tile, class) with atomic adds into
 // one flat count array. A sequential merge sweep then allocates the tile
-// directory and carves exact-size class slices out of a single entry slab
+// directory and carves each tile's exact-size run out of a single entry slab
 // (no append regrowth anywhere), and splits the tile-ID space into ranges
 // carrying roughly equal placement counts. Pass 2 assigns each range to
 // one worker, which scans the whole entry list in dataset order and
@@ -151,13 +151,13 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 		ix.pages[i] = &pageSlab[i]
 	}
 	slab := make([]spatial.Entry, total)
-	fill := make([]int32, 4*occupied) // per (slot, class) write cursor
+	fill := make([]int32, 4*occupied) // per (slot, class) write cursor into slab
 
 	// One sweep assigns slots in ascending tile-ID order, carves the
-	// exact-size class slices (cap pinned to len, so a later Insert
-	// reallocates instead of clobbering a neighbor's slab region), and
-	// splits the ID space into ranges of roughly equal placement mass
-	// for pass 2.
+	// exact-size runs (cap pinned to len, so a later Insert reallocates
+	// instead of clobbering a neighbor's slab region) with their class
+	// bounds and write cursors, and splits the ID space into ranges of
+	// roughly equal placement mass for pass 2.
 	target := (total + threads - 1) / threads
 	bounds := make([]int, 1, threads+1) // bounds[0] = 0
 	acc := 0
@@ -171,11 +171,12 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 		slot := ix.appendTile(int32(id))
 		ix.setSlot(int32(id), slot)
 		t := ix.tile(int(slot))
+		t.run = slab[off : off+ct : off+ct]
+		start := off
 		for c := 0; c < 4; c++ {
-			if n := int(counts[base+c]); n > 0 {
-				t.classes[c] = slab[off : off+n : off+n]
-				off += n
-			}
+			fill[int(slot)*4+c] = int32(off)
+			off += int(counts[base+c])
+			t.end[c] = int32(off - start)
 		}
 		acc += ct
 		if acc >= target && len(bounds) < threads {
@@ -219,7 +220,7 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 						slot := int(ix.slotOf(int32(row + tx)))
 						c := classify(tx, ty, ax, ay)
 						k := slot*4 + int(c)
-						ix.tile(slot).classes[c][fill[k]] = *e
+						slab[fill[k]] = *e
 						fill[k]++
 					}
 				}

@@ -36,11 +36,11 @@ func tileByID(ix *Index, id int32) *tile {
 }
 
 // sameClassSlices fails unless the two tiles hold elementwise-identical
-// class slices — the parallel build's core guarantee.
+// classes — the parallel build's core guarantee.
 func sameClassSlices(t *testing.T, seq, par *tile, id int32) {
 	t.Helper()
 	for c := ClassA; c <= ClassD; c++ {
-		a, b := seq.classes[c], par.classes[c]
+		a, b := seq.class(c), par.class(c)
 		if len(a) != len(b) {
 			t.Fatalf("tile %d class %v: len %d (seq) vs %d (par)", id, c, len(a), len(b))
 		}
@@ -200,9 +200,9 @@ func TestParallelBuildInvalidRect(t *testing.T) {
 }
 
 // TestParallelBuildThenUpdate verifies the slab carving is safe against
-// later mutations: appending to a full exact-size class slice must
-// reallocate (pinned capacity) instead of clobbering a neighbor tile's
-// storage, and swap-remove deletes must leave other tiles intact.
+// later mutations: adding to a full exact-size tile run must reallocate
+// (pinned capacity) instead of clobbering a neighbor tile's storage, and
+// removes must leave other tiles intact.
 func TestParallelBuildThenUpdate(t *testing.T) {
 	lowerBuildGates(t)
 	rnd := rand.New(rand.NewSource(99))

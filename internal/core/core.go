@@ -73,7 +73,7 @@ type Options struct {
 	// by Build and BuildDecomposed: <= 0 selects DefaultThreads(), 1
 	// forces the sequential single-threaded path. With more than one
 	// worker, Build uses a two-pass counting pipeline (count replicas
-	// per tile and class, then fill exact-size class slices in parallel)
+	// per tile and class, then fill exact-size tile runs in parallel)
 	// that yields partition contents identical to the sequential path.
 	// Small datasets and grids larger than the counting-array budget
 	// fall back to the sequential path regardless of the setting. The
@@ -144,26 +144,65 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// tile is one primary partition with its four secondary partitions.
-// Tiles are populated either by the sequential insert loop or by the
-// parallel two-pass build (see buildparallel.go); the two paths produce
-// identical class contents and differ only in the slot order of the tile
-// pool.
+// tile is one primary partition with its four secondary partitions,
+// stored as one run: the classes lie side by side in A, B, C, D order,
+// class c is run[end[c-1]:end[c]] (class A starts at 0), and end[3] is
+// len(run). A kernel that visits the classes in order slices the run
+// with a running start offset; class is for one class at a time (it
+// looks the start up again, a branch and a load per class that cost the
+// count kernel a few percent on a written snapshot). Tiles are
+// populated either by the sequential insert loop or by the parallel
+// two-pass build (see buildparallel.go); the two paths produce identical
+// class contents and differ only in the slot order of the tile pool.
 type tile struct {
-	classes [4][]spatial.Entry
-	// epoch is the copy-on-write generation that privately owns the class
-	// slices — the second level of sharing, below the tile page (see
-	// pagetable.go): copying a page copies this header, slice headers
-	// included, but the entry storage behind them stays shared until a
-	// mutation finds epoch different from the index epoch and clones the
-	// slices (ownTile). Directly built indices — sequential or parallel —
-	// stay at epoch 0 throughout, so the check never copies anything on
+	run []spatial.Entry
+	end [4]int32
+	// epoch is the copy-on-write generation that privately owns the run
+	// — the second level of sharing, below the tile page (see
+	// pagetable.go): copying a page copies this header, the run's slice
+	// header included, but the entry storage behind it stays shared until
+	// a mutation finds epoch different from the index epoch and clones
+	// the run (ownTile). Directly built indices — sequential or parallel
+	// — stay at epoch 0 throughout, so the check never copies anything on
 	// the non-MVCC path.
 	epoch uint64
 }
 
-func (t *tile) size() int {
-	return len(t.classes[0]) + len(t.classes[1]) + len(t.classes[2]) + len(t.classes[3])
+// class returns the entries of class c, for reading.
+func (t *tile) class(c Class) []spatial.Entry {
+	var lo int32
+	if c > ClassA {
+		lo = t.end[c-1]
+	}
+	return t.run[lo:t.end[c]]
+}
+
+func (t *tile) size() int { return len(t.run) }
+
+// add appends e to class c, shifting the later classes up by one slot,
+// so every class keeps its order. The tile must be owned (ownTile).
+func (t *tile) add(c Class, e spatial.Entry) {
+	at := t.end[c]
+	t.run = append(t.run, e)
+	copy(t.run[at+1:], t.run[at:])
+	t.run[at] = e
+	for d := c; d <= ClassD; d++ {
+		t.end[d]++
+	}
+}
+
+// remove deletes entry i of class c: the class's last entry takes its
+// place, as in a swap-remove, and the later classes shift down by one
+// slot. The tile must be owned (ownTile).
+func (t *tile) remove(c Class, i int) {
+	cl := t.class(c)
+	cl[i] = cl[len(cl)-1]
+	last := int(t.end[c]) - 1
+	copy(t.run[last:], t.run[last+1:])
+	t.run = t.run[:len(t.run)-1]
+	for d := c; d <= ClassD; d++ {
+		t.end[d]--
+	}
 }
 
 // Index is the two-layer grid index. It is safe for concurrent readers,
@@ -269,11 +308,11 @@ func (ix *Index) SetEpoch(e uint64) { ix.epoch = e }
 
 // CloneCOW returns a writable copy of the index for the next epoch, while
 // ix remains a consistent immutable snapshot that concurrent readers may
-// keep querying. The copy shares every tile page, directory page, class
-// slice and derived read table with ix; the only thing copied here is
-// the slice of tile-page references (8 bytes per tilePageSize tiles).
+// keep querying. The copy shares every tile page, directory page, tile
+// run and derived read table with ix; the only thing copied here is the
+// slice of tile-page references (8 bytes per tilePageSize tiles).
 // Insert and Delete on the copy then take ownership of what they write,
-// on first touch: the tile's page, the tile's class slices, and — only
+// on first touch: the tile's page, the tile's run, and — only
 // when a previously empty tile is populated — the directory's page
 // references and the one directory page written. A publish therefore
 // costs O(pages the batch touched), independent of the number of tiles
@@ -371,7 +410,7 @@ func (ix *Index) Len() int { return ix.size }
 // so scanning the A lists enumerates the index without deduplication.
 func (ix *Index) ForEach(fn func(e spatial.Entry)) {
 	for slot := 0; slot < ix.numTiles; slot++ {
-		for _, e := range ix.tile(slot).classes[ClassA] {
+		for _, e := range ix.tile(slot).class(ClassA) {
 			fn(e)
 		}
 	}
@@ -446,9 +485,7 @@ func (ix *Index) insert(e spatial.Entry) {
 	ax, ay, bx, by := ix.g.CoverRect(e.Rect)
 	for ty := ay; ty <= by; ty++ {
 		for tx := ax; tx <= bx; tx++ {
-			t := ix.ownTile(ix.slotFor(tx, ty))
-			c := classify(tx, ty, ax, ay)
-			t.classes[c] = append(t.classes[c], e)
+			ix.ownTile(ix.slotFor(tx, ty), 1).add(classify(tx, ty, ax, ay), e)
 		}
 	}
 	ix.size++
@@ -491,15 +528,12 @@ func (ix *Index) Delete(id spatial.ID, r geom.Rect) bool {
 				continue
 			}
 			c := classify(tx, ty, ax, ay)
-			list := ix.tile(int(slot)).classes[c]
+			list := ix.tile(int(slot)).class(c)
 			for i := range list {
 				if list[i].ID == id && list[i].Rect == r {
-					// Own the page and the class slices before the in-place
-					// swap-remove; owning may move both, so re-fetch them.
-					t := ix.ownTile(slot)
-					list = t.classes[c]
-					list[i] = list[len(list)-1]
-					t.classes[c] = list[:len(list)-1]
+					// Own the page and the run before the in-place remove;
+					// owning moves both but keeps every position.
+					ix.ownTile(slot, 0).remove(c, i)
 					found = true
 					break
 				}
@@ -553,8 +587,8 @@ func (ix *Index) ClassCounts() [4]int {
 	var n [4]int
 	for slot := 0; slot < ix.numTiles; slot++ {
 		t := ix.tile(slot)
-		for c := 0; c < 4; c++ {
-			n[c] += len(t.classes[c])
+		for c := ClassA; c <= ClassD; c++ {
+			n[c] += len(t.class(c))
 		}
 	}
 	return n

@@ -104,8 +104,10 @@ func (ix *Index) windowCountOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect
 	n := 0
 	fracReady := false
 	var frac [4]float64
+	var lo int32 // where class c starts in the run
 	for c := ClassA; c <= ClassD; c++ {
-		entries := t.classes[c]
+		entries := t.run[lo:t.end[c]]
+		lo = t.end[c]
 		if !plans[c].scan {
 			tally.DuplicatesAvoided += int64(len(entries))
 			continue

@@ -51,7 +51,7 @@ func (ix *Index) buildCountIndex() {
 	sums := make([]int64, w*(ny+1))
 	for slot := 0; slot < ix.numTiles; slot++ {
 		tx, ty := ix.g.TileCoords(int(ix.tileID(slot)))
-		sums[(ty+1)*w+tx+1] = int64(len(ix.tile(slot).classes[ClassA]))
+		sums[(ty+1)*w+tx+1] = int64(len(ix.tile(slot).class(ClassA)))
 	}
 	for ty := 1; ty <= ny; ty++ {
 		row, prev := sums[ty*w:(ty+1)*w], sums[(ty-1)*w:ty*w]

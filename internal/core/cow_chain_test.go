@@ -95,7 +95,8 @@ func (c *cowChain) moveOp(pick int, r geom.Rect) []Mutation {
 }
 
 // applyHead applies muts to the writable head. Every delete names a live
-// object at its exact MBR, so one that finds nothing is a failure. Any
+// object at its exact MBR, so one that finds nothing is a failure. Every
+// tile a mutation touched must keep its run whole (checkTile), and any
 // write must drop the head's derived read tables, whole.
 func (c *cowChain) applyHead(muts []Mutation) error {
 	for _, m := range muts {
@@ -104,10 +105,50 @@ func (c *cowChain) applyHead(muts []Mutation) error {
 		} else if !c.head.Delete(m.Entry.ID, m.Entry.Rect) {
 			return fmt.Errorf("delete of live object %d at %v found nothing", m.Entry.ID, m.Entry.Rect)
 		}
+		ax, ay, bx, by := c.head.g.CoverRect(m.Entry.Rect)
+		for ty := ay; ty <= by; ty++ {
+			for tx := ax; tx <= bx; tx++ {
+				if slot := c.head.slotAt(tx, ty); slot >= 0 {
+					if err := checkTile(c.head, slot); err != nil {
+						return fmt.Errorf("after %+v: %w", m, err)
+					}
+				}
+			}
+		}
 	}
 	if len(muts) > 0 && (c.head.Decomposed() || c.head.counts != nil) {
 		return fmt.Errorf("a write left the head's read tables (2-layer+ %v, counts %v)",
 			c.head.Decomposed(), c.head.counts != nil)
+	}
+	return nil
+}
+
+// checkTile checks the run of the tile at slot: its class bounds are
+// monotone, the last one is the run's length, and every entry sits in
+// the class classify gives it for this tile.
+func checkTile(ix *Index, slot int32) error {
+	t := ix.tile(int(slot))
+	tx, ty := ix.g.TileCoords(int(ix.tileID(int(slot))))
+	var lo int32
+	for c := ClassA; c <= ClassD; c++ {
+		if t.end[c] < lo {
+			return fmt.Errorf("tile (%d,%d): class bounds %v are not monotone", tx, ty, t.end)
+		}
+		lo = t.end[c]
+	}
+	if int(lo) != len(t.run) {
+		return fmt.Errorf("tile (%d,%d): class bounds %v end short of the run's %d entries", tx, ty, t.end, len(t.run))
+	}
+	for c := ClassA; c <= ClassD; c++ {
+		for _, e := range t.class(c) {
+			ax, ay, bx, by := ix.g.CoverRect(e.Rect)
+			if tx < ax || tx > bx || ty < ay || ty > by {
+				return fmt.Errorf("tile (%d,%d): object %d stored outside its cover", tx, ty, e.ID)
+			}
+			if want := classify(tx, ty, ax, ay); want != c {
+				return fmt.Errorf("tile (%d,%d): object %d stored in class %v, belongs in %v", tx, ty, e.ID, c, want)
+			}
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -56,9 +57,9 @@ func guardMoves(rnd *rand.Rand, grid, n int, moved map[spatial.ID]bool) []Mutati
 }
 
 // publishCost applies one batch through a Live index and returns the
-// bytes the publish copied by the index's own counter and the bytes the
-// process allocated meanwhile.
-func publishCost(t testing.TB, l *Live, muts []Mutation) (cow, alloc int64) {
+// bytes the publish copied by the index's own counter, and the bytes and
+// heap objects the process allocated meanwhile.
+func publishCost(t testing.TB, l *Live, muts []Mutation) (cow, alloc, mallocs int64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	cowBefore := l.Stats().COWBytes
@@ -73,18 +74,47 @@ func publishCost(t testing.TB, l *Live, muts []Mutation) (cow, alloc int64) {
 			t.Fatalf("mutation %d found nothing: the batch is not the one the guard sized", i)
 		}
 	}
-	return l.Stats().COWBytes - cowBefore, int64(after.TotalAlloc - before.TotalAlloc)
+	return l.Stats().COWBytes - cowBefore, int64(after.TotalAlloc - before.TotalAlloc),
+		int64(after.Mallocs - before.Mallocs)
+}
+
+// touched counts what next, a descendant of prev, owns that prev does
+// not share: the tiles next's epoch owns, and the tile and directory
+// pages it references in place of prev's.
+func touched(prev, next *Index) (tiles, pages int) {
+	for pi, p := range next.pages {
+		if pi < len(prev.pages) && p == prev.pages[pi] {
+			continue
+		}
+		pages++
+		for i := range p.tiles {
+			if p.tiles[i].epoch == next.epoch {
+				tiles++
+			}
+		}
+	}
+	for k, p := range next.dense {
+		if p != prev.dense[k] {
+			pages++
+		}
+	}
+	return tiles, pages
 }
 
 // TestPublishIsOTouched: one 64-mutation publish on an index of >= 200K
-// occupied tiles copies at most 1 MiB, allocates no more than that plus
-// the page-reference slice, and copies the same amount (within 10%) on
-// an index with four times the tiles.
+// occupied tiles copies at most 256 KiB, allocates no more than that
+// plus the page-reference slice, in at most one heap object per touched
+// tile and page plus a few for the batch, and copies the same amount
+// (within 10%) on an index with four times the tiles.
 func TestPublishIsOTouched(t *testing.T) {
 	const (
 		grid    = 460 // 211,600 occupied tiles
 		batch   = 64
-		maxCopy = 1 << 20
+		maxCopy = 256 << 10
+		// perBatch is the heap objects a publish allocates whatever it
+		// touches: the clone, its page references, the found slices and
+		// the submission's channel.
+		perBatch = 16
 	)
 	var cows [2]int64
 	for i, g := range []int{grid, 2 * grid} {
@@ -94,11 +124,13 @@ func TestPublishIsOTouched(t *testing.T) {
 		}
 		refBytes := int64(8 * len(ix.pages))
 		l := NewLive(ix, LiveOptions{})
+		prev := l.Snapshot()
 		muts := guardMoves(rand.New(rand.NewSource(17)), g, batch, map[spatial.ID]bool{})
-		cow, alloc := publishCost(t, l, muts)
+		cow, alloc, mallocs := publishCost(t, l, muts)
+		tiles, pages := touched(prev, l.Snapshot())
 		l.Close()
-		t.Logf("grid %d (%d tiles): cow %d B, allocated %d B, page refs %d B",
-			g, ix.numTiles, cow, alloc, refBytes)
+		t.Logf("grid %d (%d tiles): cow %d B, allocated %d B in %d objects, page refs %d B, touched %d tiles on %d pages",
+			g, ix.numTiles, cow, alloc, mallocs, refBytes, tiles, pages)
 		if cow == 0 || cow > maxCopy {
 			t.Errorf("grid %d: publish copied %d bytes, want (0, %d]", g, cow, maxCopy)
 		}
@@ -109,6 +141,13 @@ func TestPublishIsOTouched(t *testing.T) {
 		if limit := cow + cow/4 + refBytes + 16<<10; alloc > limit {
 			t.Errorf("grid %d: publish allocated %d bytes; %d counted + %d of page references allow %d",
 				g, alloc, cow, refBytes, limit)
+		}
+		// One allocation per touched tile (its run) and page (its copy):
+		// a tile whose classes are allocated apart, or whose insert
+		// regrows the copy, goes over.
+		if limit := int64(tiles + pages + perBatch); mallocs > limit {
+			t.Errorf("grid %d: publish made %d heap allocations; %d touched tiles and %d pages allow %d",
+				g, mallocs, tiles, pages, limit)
 		}
 		cows[i] = cow
 	}
@@ -146,4 +185,42 @@ func BenchmarkPublish(b *testing.B) {
 			b.ReportMetric(float64(st.COWBytes)/float64(st.Publishes), "cowB/op")
 		})
 	}
+}
+
+// writtenSnapshot is BenchmarkPublish's index after 2,048 publishes of
+// 32 moves each: 65,536 objects moved, most of the tile pages copied
+// apart and each touched tile's run reallocated, and no count table.
+var writtenSnapshot = sync.OnceValue(func() *Index {
+	const grid, publishes, moves = 640, 2048, 32
+	l := NewLive(guardIndex(grid), LiveOptions{})
+	defer l.Close()
+	rnd := rand.New(rand.NewSource(7))
+	moved := make(map[spatial.ID]bool)
+	for range publishes {
+		if _, err := l.Apply(guardMoves(rnd, grid, 2*moves, moved)); err != nil {
+			panic(err)
+		}
+	}
+	return l.Snapshot()
+})
+
+// BenchmarkWrittenCount counts windows of extent 0.02 on writtenSnapshot:
+// the read side of mixed_rw, whose count_only windows run on snapshots
+// that copy-on-write publishes keep writing, so no count table serves
+// them and every class is read through the tile runs.
+func BenchmarkWrittenCount(b *testing.B) {
+	ix := writtenSnapshot()
+	rnd := rand.New(rand.NewSource(11))
+	windows := make([]geom.Rect, 1024)
+	for i := range windows {
+		x, y := rnd.Float64()*0.98, rnd.Float64()*0.98
+		windows[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + 0.02, MaxY: y + 0.02}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += ix.WindowCount(windows[i%len(windows)])
+	}
+	b.ReportMetric(float64(n)/float64(b.N), "results/op")
 }

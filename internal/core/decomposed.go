@@ -10,7 +10,7 @@ import (
 )
 
 // decPair is one row of a decomposed table: a single MBR coordinate plus a
-// reference (index) into the owning class slice, following the
+// reference (index) into the owning class, following the
 // Decomposition Storage Model (Section IV-C).
 type decPair struct {
 	coord float64
@@ -66,14 +66,14 @@ type decIndex struct {
 	pairs []decPair
 }
 
-// class returns the tables of class c of the tile at slot, whose class
-// slices are t's.
+// class returns the tables of class c of the tile at slot, whose run is
+// t's.
 func (d *decIndex) class(slot int32, t *tile, c Class) decClass {
 	off := d.at[slot]
 	for p := ClassA; p < c; p++ {
-		off += tablesPerClass[p] * len(t.classes[p])
+		off += tablesPerClass[p] * len(t.class(p))
 	}
-	n := len(t.classes[c])
+	n := len(t.class(c))
 	var tabs decClass
 	for k, kept := range tableII[c] {
 		if kept {
@@ -93,7 +93,7 @@ func (d *decIndex) footprint() int { return 16*len(d.pairs) + 8*len(d.at) }
 // slices always yield identical tables.
 func (d *decIndex) fill(slot int32, t *tile) {
 	for c := ClassA; c <= ClassD; c++ {
-		entries := t.classes[c]
+		entries := t.class(c)
 		for k, tab := range d.class(slot, t, c) {
 			for i := range tab {
 				tab[i] = decPair{coord: coordOf(k, &entries[i]), ref: uint32(i)}
@@ -162,8 +162,9 @@ func (ix *Index) buildDecIndex() *decIndex {
 	total := 0
 	for slot := range d.at {
 		d.at[slot] = total
-		for c, cl := range ix.tile(slot).classes {
-			total += tablesPerClass[c] * len(cl)
+		t := ix.tile(slot)
+		for c := ClassA; c <= ClassD; c++ {
+			total += tablesPerClass[c] * len(t.class(c))
 		}
 	}
 	d.pairs = make([]decPair, total)

@@ -101,7 +101,7 @@ func TestTableIIStorage(t *testing.T) {
 		}
 		for c := ClassA; c <= ClassD; c++ {
 			d := ix.dec.class(int32(i), tl, c)
-			n := len(tl.classes[c])
+			n := len(tl.class(c))
 			hasXL := c == ClassA || c == ClassB
 			hasYL := c == ClassA || c == ClassC
 			if got := len(d[cmpXL]); got != map[bool]int{true: n, false: 0}[hasXL] {
@@ -121,7 +121,7 @@ func TestTableIIStorage(t *testing.T) {
 					if j > 0 && tab[j].coord < tab[j-1].coord {
 						t.Fatal("decomposed table not sorted")
 					}
-					if tab[j].coord != coordOf(k, &tl.classes[c][tab[j].ref]) {
+					if tab[j].coord != coordOf(k, &tl.class(c)[tab[j].ref]) {
 						t.Fatalf("class %v table %d row %d: coord %v is not its entry's", c, k, j, tab[j].coord)
 					}
 				}

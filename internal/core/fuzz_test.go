@@ -390,7 +390,22 @@ var (
 	chainSeedEmptyTile = []byte{1,
 		chainOpDelete, 0, chainOpPublish, chainOpInsert, 2, 2, 30, 30, chainOpPublish,
 		chainOpDropOldest, chainOpDelete, 1, chainOpPublish}
+	// Objects of classes A (two), B, C and D of tile (20,20), published,
+	// then a delete of the first A object: the remove shifts B, C and D.
+	chainSeedDeleteAhead = []byte{0,
+		chainOpInsert, 130, 130, 10, 10, chainOpInsert, 131, 131, 10, 10,
+		chainOpInsert, 130, 124, 10, 128, chainOpInsert, 124, 130, 128, 10,
+		chainOpInsert, 124, 124, 128, 128, chainOpPublish, chainOpDelete, 30, chainOpPublish}
+	// Objects of classes A, C and D of tile (20,20), published, then two
+	// inserts into B: each add shifts C and D.
+	chainSeedInsertAhead = []byte{0,
+		chainOpInsert, 130, 130, 10, 10, chainOpInsert, 124, 130, 128, 10,
+		chainOpInsert, 124, 124, 128, 128, chainOpPublish,
+		chainOpInsert, 130, 124, 10, 128, chainOpInsert, 132, 125, 10, 128, chainOpPublish}
 )
+
+// The tile of chainGrid the run-shift seeds fill.
+const seedTileX, seedTileY = 20, 20
 
 // FuzzCOWChain feeds arbitrary op streams — inserts, deletes, moves,
 // publishes, dropped snapshots, decomposed rebuilds — to the snapshot
@@ -401,6 +416,8 @@ func FuzzCOWChain(f *testing.F) {
 	f.Add(chainSeedTailAppend)
 	f.Add(chainSeedFirstTouch)
 	f.Add(chainSeedEmptyTile)
+	f.Add(chainSeedDeleteAhead)
+	f.Add(chainSeedInsertAhead)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip() // verification is quadratic in the number of publishes
@@ -432,6 +449,26 @@ func TestCOWChainSeeds(t *testing.T) {
 	}
 	if empty == 0 {
 		t.Error("empty-tile seed: no tile of the head is empty")
+	}
+
+	for _, seed := range []struct {
+		name string
+		data []byte
+		want [4]int // class lengths of the seed tile at the end
+	}{
+		{"delete-ahead", chainSeedDeleteAhead, [4]int{1, 1, 1, 1}},
+		{"insert-ahead", chainSeedInsertAhead, [4]int{1, 2, 1, 1}},
+	} {
+		c = runChainOps(t, seed.data)
+		tl := c.head.tileAt(seedTileX, seedTileY)
+		var got [4]int
+		for cl := ClassA; cl <= ClassD && tl != nil; cl++ {
+			got[cl] = len(tl.class(cl))
+		}
+		if got != seed.want {
+			t.Errorf("%s seed: tile (%d,%d) holds classes of %v entries, want %v",
+				seed.name, seedTileX, seedTileY, got, seed.want)
+		}
 	}
 }
 

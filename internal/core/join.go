@@ -108,7 +108,7 @@ func joinTile(tR, tS *tile, fn func(r, s spatial.Entry), tally *Stats) {
 	var sortedR, sortedS [4][]spatial.Entry
 	for _, combo := range joinCombos {
 		cr, cs := combo[0], combo[1]
-		rs, ss := tR.classes[cr], tS.classes[cs]
+		rs, ss := tR.class(cr), tS.class(cs)
 		if len(rs) == 0 || len(ss) == 0 {
 			continue
 		}

@@ -80,8 +80,10 @@ func (ix *Index) knnSearch(q geom.Point, k int, exact bool) []Neighbor {
 	consider := func(tx, ty int, t *tile) {
 		tally.TilesVisited++
 		endX, endY := tx < cx, ty < cy
+		var lo int32 // where class c starts in the run
 		for c := ClassA; c <= ClassD; c++ {
-			entries := t.classes[c]
+			entries := t.run[lo:t.end[c]]
+			lo = t.end[c]
 			if (tx > cx && (c == ClassC || c == ClassD)) || (ty > cy && (c == ClassB || c == ClassD)) {
 				tally.DuplicatesAvoided += int64(len(entries))
 				continue

@@ -137,7 +137,7 @@ type LiveStats struct {
 	JournalTotal time.Duration
 	// COWBytes counts the bytes copied on first touch by copy-on-write
 	// mutations since the index was created: tile pages, directory pages
-	// and class slices. Divided by Applied it is the write amplification
+	// and tile runs. Divided by Applied it is the write amplification
 	// of a mutation; it does not grow with the index.
 	COWBytes int64
 }

@@ -29,8 +29,11 @@ import (
 // pages stamped 0, so it owns everything and never copies.
 //
 // Below the page there is a second, finer level of sharing: a copied
-// tile page still shares its tiles' class slices with the older
-// snapshots, and tile.epoch tracks those the same way (ownTile).
+// tile page still shares its tiles' runs with the older snapshots, and
+// tile.epoch tracks those the same way (ownTile). A tile header is 48 B
+// (the run's slice header, four int32 class bounds and the epoch), so a
+// page of 32 tiles with their IDs is 1,672 B, and a first touch copies
+// a tile's entries in one allocation.
 //
 // Allocation. The parallel build knows the tile count and carves all
 // tile pages out of one slab; New does the same for the dense
@@ -43,19 +46,21 @@ import (
 // Page sizes are compile-time constants chosen by measurement. A publish
 // pays a fixed cost, copying the tile-page references (8 bytes per
 // page), and a variable one, a page copy per page the batch touches, so
-// small pages favor bulks and large pages favor single mutations. On an
-// index of the benchmark's scale (BenchmarkPublish: 410K occupied tiles)
-// a bulk of 32 moves / a single move publish in 290/94 us with 16-tile
-// pages, 300/63 us with 32, 420/55 us with 64 and 600/58 us with 128:
-// 32 tiles is the knee. Nearly all of that time is the allocator and
-// the garbage collector working through the copied bytes, which is why
-// bytes copied — LiveStats.COWBytes — is the figure to watch. The
-// directory is only written when a batch populates a new tile, so its
-// page is sized for a short reference slice (1,024 pages per million
-// grid cells) and a cheap copy.
+// small pages cost less per touched tile and large pages less per
+// publish. On an index of the benchmark's scale (BenchmarkPublish: 410K
+// occupied tiles, 48 B tile headers, medians of four rounds on 2 vCPUs)
+// a bulk of 32 moves / a single move publish in 367/123 us with 16-tile
+// pages, 335/71 us with 32 and 393/47 us with 64: 32 tiles is the knee,
+// the fastest bulk, which is what the write workloads send. Nearly all
+// of that time is the allocator and the garbage collector working
+// through the copied bytes, which is why bytes copied —
+// LiveStats.COWBytes — is the figure to watch. The directory is only
+// written when a batch populates a new tile, so its page is sized for a
+// short reference slice (1,024 pages per million grid cells) and a
+// cheap copy.
 const (
 	tilePageShift = 5
-	tilePageSize  = 1 << tilePageShift // tiles per page (3.3 KB)
+	tilePageSize  = 1 << tilePageShift // tiles per page (1.6 KB)
 	tilePageMask  = tilePageSize - 1
 
 	dirPageShift = 10
@@ -141,27 +146,26 @@ func (ix *Index) ownTilePage(pi int) *tilePage {
 	return p
 }
 
-// ownTile returns the tile at slot for writing its class slices: the
-// page is owned first, then the class slices are cloned if they are
-// still shared with an older snapshot. On a directly built index (epoch
-// 0 everywhere) both checks are a single predictable branch.
-func (ix *Index) ownTile(slot int32) *tile {
+// ownTile returns the tile at slot for writing its run: the page is
+// owned first, then the run is cloned if it is still shared with an
+// older snapshot, in one allocation with room for the entries the
+// caller is about to add: 1 for an insert, 0 for a delete, whose spare
+// slot would go unused and only spread the snapshot's runs over more
+// memory for every later read. On a directly built index (epoch 0
+// everywhere) both checks are a single predictable branch.
+func (ix *Index) ownTile(slot int32, room int) *tile {
 	t := &ix.ownTilePage(int(slot >> tilePageShift)).tiles[slot&tilePageMask]
 	if t.epoch == ix.epoch {
 		return t
 	}
-	copied := 0
-	for c := range t.classes {
-		if n := len(t.classes[c]); n > 0 {
-			cl := make([]spatial.Entry, n)
-			copy(cl, t.classes[c])
-			t.classes[c] = cl
-			copied += n
-		} else {
-			t.classes[c] = nil // drop any backing shared with older epochs
-		}
+	if n := len(t.run); n > 0 {
+		run := make([]spatial.Entry, n, n+room)
+		copy(run, t.run)
+		t.run = run
+		ix.met.cowBytes.Add(int64(n) * entryBytes)
+	} else {
+		t.run = nil // drop any backing shared with older epochs
 	}
-	ix.met.cowBytes.Add(int64(copied) * entryBytes)
 	t.epoch = ix.epoch
 	return t
 }

@@ -61,8 +61,8 @@ func (ix *Index) PartitionStats() PartitionStats {
 		if n > ps.MaxTileEntries {
 			ps.MaxTileEntries = n
 		}
-		for c := 0; c < 4; c++ {
-			ps.ClassCounts[c] += len(t.classes[c])
+		for c := ClassA; c <= ClassD; c++ {
+			ps.ClassCounts[c] += len(t.class(c))
 		}
 	}
 	if ps.OccupiedTiles > 0 {

@@ -82,15 +82,13 @@ func (ix *Index) writeVersion(w io.Writer, version uint32) (int64, error) {
 	for slot := 0; slot < ix.numTiles; slot++ {
 		t := ix.tile(slot)
 		buf = le.AppendUint32(buf[:0], uint32(ix.tileID(slot)))
-		for c := 0; c < 4; c++ {
-			buf = le.AppendUint32(buf, uint32(len(t.classes[c])))
+		for c := ClassA; c <= ClassD; c++ {
+			buf = le.AppendUint32(buf, uint32(len(t.class(c))))
 		}
-		for c := 0; c < 4; c++ {
-			for i := range t.classes[c] {
-				e := &t.classes[c][i]
-				buf = le.AppendUint32(buf, e.ID)
-				buf = appendRect(buf, e.Rect)
-			}
+		for i := range t.run { // the classes in order, side by side
+			e := &t.run[i]
+			buf = le.AppendUint32(buf, e.ID)
+			buf = appendRect(buf, e.Rect)
 		}
 		if _, err := cw.Write(buf); err != nil {
 			return cw.n, err
@@ -227,25 +225,25 @@ func Load(r io.Reader) (*Index, error) {
 			lens[c] = le.Uint32(b[4*c:])
 			total += uint64(lens[c])
 		}
-		if total > size*4+4 {
+		if total > size*4+4 || total > math.MaxInt32 {
 			return nil, fmt.Errorf("core: tile %d claims %d entries for %d objects", slot, total, size)
 		}
-		for c := 0; c < 4; c++ {
-			if lens[c] == 0 {
-				continue
+		run := make([]spatial.Entry, 0, min(total, preallocCap))
+		for i := uint64(0); i < total; i++ {
+			if b, err = read(persistEntry); err != nil {
+				return nil, fmt.Errorf("core: reading tile %d entries: %w", slot, err)
 			}
-			entries := make([]spatial.Entry, 0, min(uint64(lens[c]), preallocCap))
-			for i := uint64(0); i < uint64(lens[c]); i++ {
-				if b, err = read(persistEntry); err != nil {
-					return nil, fmt.Errorf("core: reading tile %d entries: %w", slot, err)
-				}
-				e := spatial.Entry{ID: le.Uint32(b), Rect: decodeRect(b[4:])}
-				if !e.Rect.Valid() || !e.Rect.Finite() {
-					return nil, fmt.Errorf("core: corrupt entry rect %v", e.Rect)
-				}
-				entries = append(entries, e)
+			e := spatial.Entry{ID: le.Uint32(b), Rect: decodeRect(b[4:])}
+			if !e.Rect.Valid() || !e.Rect.Finite() {
+				return nil, fmt.Errorf("core: corrupt entry rect %v", e.Rect)
 			}
-			t.classes[c] = entries
+			run = append(run, e)
+		}
+		t.run = run
+		var end int32
+		for c, n := range lens {
+			end += int32(n)
+			t.end[c] = end
 		}
 	}
 	// Use the dense directory under the same size cutoff New applies, with

@@ -188,12 +188,12 @@ func referenceEncode(ix *Index, version uint32) []byte {
 	for slot := 0; slot < ix.numTiles; slot++ {
 		t := ix.tile(slot)
 		write(uint32(ix.tileID(slot)))
-		for c := 0; c < 4; c++ {
-			write(uint32(len(t.classes[c])))
+		for c := ClassA; c <= ClassD; c++ {
+			write(uint32(len(t.class(c))))
 		}
-		for c := 0; c < 4; c++ {
-			for i := range t.classes[c] {
-				e := &t.classes[c][i]
+		for c := ClassA; c <= ClassD; c++ {
+			for i := range t.class(c) {
+				e := &t.class(c)[i]
 				for _, v := range []any{e.ID, e.Rect.MinX, e.Rect.MinY, e.Rect.MaxX, e.Rect.MaxY} {
 					write(v)
 				}

@@ -209,8 +209,10 @@ func (ix *Index) coverOnTile(t *tile, tx, ty int, cv *cover, s *shape, rf refine
 	hasLeft, hasUp, above := cv.tileRules(tx, ty)
 	covered := s.covers(ix.effectiveTile(tx, ty))
 	tally.TilesVisited++
+	var lo int32 // where class c starts in the run
 	for c := ClassA; c <= ClassD; c++ {
-		entries := t.classes[c]
+		entries := t.run[lo:t.end[c]]
+		lo = t.end[c]
 		if skips(c, hasLeft, hasUp) {
 			tally.DuplicatesAvoided += int64(len(entries))
 			continue
@@ -313,8 +315,10 @@ func (ix *Index) coverCountOnTile(t *tile, tx, ty int, cv *cover, s *shape, minX
 		tally.FastTiles++
 	}
 	n := 0
+	var lo int32 // where class c starts in the run
 	for c := ClassA; c <= ClassD; c++ {
-		entries := t.classes[c]
+		entries := t.run[lo:t.end[c]]
+		lo = t.end[c]
 		left, up := c >= ClassC, above && (c == ClassB || c == ClassD)
 		switch {
 		case skips(c, hasLeft, hasUp):

@@ -107,7 +107,7 @@ type totals struct {
 	query [numCounters]atomic.Int64
 
 	// cowBytes is the write-side sibling of the query counters: bytes of
-	// tile pages, directory pages and class slices copied on first touch
+	// tile pages, directory pages and tile runs copied on first touch
 	// by copy-on-write mutations (LiveStats.COWBytes).
 	cowBytes atomic.Int64
 }

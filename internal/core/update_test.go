@@ -63,7 +63,7 @@ func TestDeleteRemovesFromAllTiles(t *testing.T) {
 	// No replica of a deleted object may remain anywhere.
 	for i := 0; i < ix.numTiles; i++ {
 		for c := ClassA; c <= ClassD; c++ {
-			for _, e := range ix.tile(i).classes[c] {
+			for _, e := range ix.tile(i).class(c) {
 				if e.ID%3 == 0 {
 					t.Fatalf("deleted object %d still stored", e.ID)
 				}

@@ -121,8 +121,10 @@ func (ix *Index) windowOnTile(slot int32, tx, ty, qx0, qy0 int, w geom.Rect, rf 
 	// enough for the binary-search path (Section IV-C).
 	var frac [4]float64
 	fracReady := false
+	var lo int32 // where class c starts in the run
 	for c := ClassA; c <= ClassD; c++ {
-		entries := t.classes[c]
+		entries := t.run[lo:t.end[c]]
+		lo = t.end[c]
 		if !plans[c].scan {
 			tally.DuplicatesAvoided += int64(len(entries))
 			continue

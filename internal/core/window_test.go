@@ -54,14 +54,14 @@ func TestPaperFigure1Classes(t *testing.T) {
 			t.Fatalf("tile (%d,%d) unexpectedly empty", w.tx, w.ty)
 		}
 		found := false
-		for _, e := range tl.classes[w.class] {
+		for _, e := range tl.class(w.class) {
 			if e.ID == w.id {
 				found = true
 			}
 		}
 		if !found {
 			t.Errorf("object %d not in class %v of tile (%d,%d); tile contents: %v",
-				w.id, w.class, w.tx, w.ty, tl.classes)
+				w.id, w.class, w.tx, w.ty, tl.run)
 		}
 	}
 	// Replication check: r2 stored 4 times, r1 once.
@@ -167,7 +167,7 @@ func TestClassAExactlyOnce(t *testing.T) {
 	ix, d := buildRandom(rnd, 500, 0.2, Options{NX: 16, NY: 16})
 	countA := make(map[spatial.ID]int)
 	for i := 0; i < ix.numTiles; i++ {
-		for _, e := range ix.tile(i).classes[ClassA] {
+		for _, e := range ix.tile(i).class(ClassA) {
 			countA[e.ID]++
 		}
 	}
@@ -192,7 +192,7 @@ func TestReplicationConsistency(t *testing.T) {
 		tid := ix.tileID(i)
 		tx, ty := ix.g.TileCoords(int(tid))
 		for c := ClassA; c <= ClassD; c++ {
-			for _, e := range tl.classes[c] {
+			for _, e := range tl.class(c) {
 				ax, ay, bx, by := ix.g.CoverRect(e.Rect)
 				if tx < ax || tx > bx || ty < ay || ty > by {
 					t.Fatalf("object %d stored in tile (%d,%d) outside its cover", e.ID, tx, ty)

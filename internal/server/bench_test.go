@@ -135,16 +135,45 @@ func BenchmarkV1Batch(b *testing.B) {
 // delete of the object at its current MBR, then an insert of it offset
 // by at most 0.001 per axis. The bulks come in pairs, the second moving
 // the first's objects back, so the bodies can be written up front and
-// replayed in a cycle that leaves every object where it started.
+// replayed in a cycle that leaves every object where it started. The
+// memory case posts to a one-shard ShardedLive, as mixed_rw's writes go;
+// the durable case to a DurableLive in a fresh directory, journaled
+// with SyncInterval and no automatic checkpoints, as durable_ingest's
+// server runs.
 func BenchmarkV1Bulk(b *testing.B) {
+	seed := func() *twolayer.Sharded {
+		return twolayer.OneShard(twolayer.BuildRects(slices.Clone(benchRects()), twolayer.Options{}))
+	}
+	b.Run("memory", func(b *testing.B) {
+		live := twolayer.ShardedLiveFrom(seed(), twolayer.LiveOptions{})
+		b.Cleanup(live.Close)
+		runBulks(b, Config{ShardedLive: live})
+	})
+	b.Run("durable", func(b *testing.B) {
+		dl, _, err := twolayer.OpenDurable(twolayer.Options{}, twolayer.LiveOptions{}, twolayer.DurableOptions{
+			Dir:             b.TempDir(),
+			Fsync:           twolayer.SyncInterval,
+			CheckpointEvery: -1,
+			Seed:            seed(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() {
+			if err := dl.Close(); err != nil {
+				b.Error(err)
+			}
+		})
+		runBulks(b, Config{Durable: dl})
+	})
+}
+
+// runBulks times BenchmarkV1Bulk's bulks on the live engine of cfg.
+func runBulks(b *testing.B, cfg Config) {
 	const moves, pairs = 32, 64
 	rects := benchRects()
-	live := twolayer.ShardedLiveFrom(twolayer.OneShard(twolayer.BuildRects(slices.Clone(rects), twolayer.Options{})), twolayer.LiveOptions{})
-	b.Cleanup(live.Close)
-	h := New(Config{
-		ShardedLive: live,
-		Logger:      slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	}).Handler()
+	cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	h := New(cfg).Handler()
 
 	rnd := rand.New(rand.NewSource(5))
 	ids := rnd.Perm(benchN)

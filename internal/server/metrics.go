@@ -324,7 +324,7 @@ func newMetrics(s *Server, routes []route) *Metrics {
 			"Part of the publish time spent in the write-ahead journal hook (append and, by policy, fsync).",
 			func() float64 { return live.Stats().JournalTotal.Seconds() })
 		r.CounterFunc("twolayer_live_cow_bytes_total",
-			"Bytes of tile pages, directory pages and class slices copied on first touch by copy-on-write publishes.",
+			"Bytes of tile pages, directory pages and tile runs copied on first touch by copy-on-write publishes.",
 			func() float64 { return float64(live.Stats().COWBytes) })
 	}
 
