@@ -45,9 +45,10 @@ test-shuffle:
 
 # The concurrency-heavy packages only — a faster race pass for iterating
 # on the live (copy-on-write) index, the batch scheduler, the shard
-# fan-out and the HTTP server.
+# fan-out, the write-ahead log the apply loop journals to, and the HTTP
+# server.
 race-hot:
-	$(GO) test -race ./internal/core ./internal/shard ./internal/server
+	$(GO) test -race ./internal/core ./internal/shard ./internal/wal ./internal/server
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): drives
 # the real spatialserver over HTTP through four workloads and prints the

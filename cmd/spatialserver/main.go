@@ -22,9 +22,9 @@
 // (docs/SHARDING.md); without -shards it has one shard, the index
 // itself. With -shards N it is N self-contained two-layer indices over
 // contiguous slabs of the tile space, queried in parallel with
-// duplicate-free merging. Combined with -live each shard runs its own
-// apply loop; combined with -data-dir each shard journals to its own
-// write-ahead log and recovery is concurrent. The directory decides the
+// duplicate-free merging. Combined with -live one apply loop publishes
+// every shard of each snapshot at once; combined with -data-dir that
+// loop journals to one write-ahead log. The directory decides the
 // layout: -shards shapes only a fresh -data-dir, and a directory with
 // prior state recovers with the shard count it was written with.
 //
@@ -164,7 +164,7 @@ func main() {
 	segmentBytes := flag.Int64("segment-bytes", 0, "durable mode: log segment rotation threshold in bytes (0 = default 8 MiB)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: concurrent requests per endpoint class (0 = default max(16, 4*GOMAXPROCS), negative = disable admission control)")
 	queueDepth := flag.Int("queue-depth", 0, "admission control: waiting requests per endpoint class before shedding with 429 (0 = default 8*max-inflight, negative = no queue)")
-	maxBacklog := flag.Int("max-backlog", 0, "live mode: reject mutations with 503 once this many are accepted but not yet published, per shard (0 = unbounded)")
+	maxBacklog := flag.Int("max-backlog", 0, "live mode: reject mutations with 503 once this many are accepted but not yet published (0 = unbounded)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	flag.Parse()

@@ -30,8 +30,8 @@ const (
 // ParseSyncPolicy maps the flag spellings "always", "interval", "none".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(s) }
 
-// RecoveryInfo reports what OpenDurable found in one shard's WAL and how
-// much log it replayed.
+// RecoveryInfo reports what OpenDurable found in the engine's
+// write-ahead log and how much of it it replayed.
 type RecoveryInfo = wal.RecoveryInfo
 
 // DurabilityStats is a point-in-time view of the durability engine:
@@ -39,12 +39,11 @@ type RecoveryInfo = wal.RecoveryInfo
 // checkpoint epoch and age, and the recovery summary from startup.
 type DurabilityStats = wal.Stats
 
-// DurableOptions configure OpenDurable. The WAL knobs apply to every
-// shard's log.
+// DurableOptions configure OpenDurable's one write-ahead log.
 type DurableOptions struct {
-	// Dir is the durability directory holding log segments and
-	// checkpoints (one shard), or a layout manifest and one such
-	// directory per shard; created if missing. Required.
+	// Dir is the durability directory holding the log segments and
+	// checkpoints, and with several shards a layout manifest; created if
+	// missing. Required.
 	Dir string
 	// Fsync selects the log's sync discipline (default SyncInterval).
 	Fsync SyncPolicy
@@ -59,11 +58,11 @@ type DurableOptions struct {
 	CheckpointEvery int
 	// Seed, when non-nil and Dir holds no prior state, becomes the
 	// initial engine and shapes the directory: OneShard(ix) writes the
-	// flat one-shard layout, an engine of several shards a manifest and
-	// one log per shard. Each shard is checkpointed before mutations are
-	// accepted. Ignored (with a logged notice) when Dir already has
-	// state: the recovered state and layout always win. OpenDurable
-	// takes ownership of the seed.
+	// flat one-shard layout, an engine of several shards a manifest
+	// beside the log. It is checkpointed before mutations are accepted.
+	// Ignored (with a logged notice) when Dir already has state: the
+	// recovered state and layout always win. OpenDurable takes ownership
+	// of the seed.
 	Seed *Sharded
 	// Logger receives recovery and background-error notices. Defaults to
 	// slog.Default().
@@ -71,11 +70,13 @@ type DurableOptions struct {
 }
 
 // DurableLive is a ShardedLive backed by the durability engine: every
-// mutation batch is written ahead to each involved shard's segmented,
-// CRC-framed log before it is acknowledged, checkpoints bound recovery
-// time, and OpenDurable restores exactly the acknowledged state after a
-// crash — tolerating a torn or corrupt log tail by truncating at the
-// first bad frame. All methods are safe for concurrent use.
+// mutation batch is written ahead, whole and at the epoch it publishes
+// as, to one segmented, CRC-framed log before it is acknowledged,
+// checkpoints bound recovery time, and OpenDurable restores exactly the
+// acknowledged state after a crash — tolerating a torn or corrupt log
+// tail by truncating at the first bad frame, so a batch that spans
+// shards comes back whole or not at all. All methods are safe for
+// concurrent use.
 type DurableLive struct {
 	d    *shard.Durable
 	live *ShardedLive
@@ -83,22 +84,23 @@ type DurableLive struct {
 
 // OpenDurable opens (or cold-starts) the durable engine stored in
 // do.Dir. The directory decides the layout: a layout manifest pins its
-// shard count and grid, WAL state at the top level is one shard on the
-// grid of its checkpoint, and a directory holding both is refused. On
-// prior state, do.Seed is ignored and every shard recovers concurrently:
-// the newest readable checkpoint is loaded and the log tail replayed on
-// top. On a cold start the engine and its layout come from do.Seed, or
-// it is one empty shard built from opts — which must then carry a
-// Space. The returned RecoveryInfo slice has one entry per shard.
-func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive, []RecoveryInfo, error) {
+// shard count and grid, log state with no manifest is one shard on the
+// grid of its checkpoint. On prior state, do.Seed is ignored: the newest
+// readable checkpoint is loaded and the log tail replayed on top, each
+// batch routed to its shards as Apply routes it. A directory with one
+// log per shard (shard-000/ ..., written before the engine had one log)
+// is migrated to one log before OpenDurable returns. On a cold start the
+// engine and its layout come from do.Seed, or it is one empty shard
+// built from opts — which must then carry a Space.
+func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive, RecoveryInfo, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, nil, err
+		return nil, RecoveryInfo{}, err
 	}
 	var seed *shard.Engine
 	if do.Seed != nil {
 		seed = do.Seed.eng
 	}
-	d, infos, err := shard.Open(wal.Options{
+	d, info, err := shard.Open(wal.Options{
 		Dir:             do.Dir,
 		Policy:          do.Fsync,
 		SyncEvery:       do.FsyncInterval,
@@ -109,34 +111,29 @@ func OpenDurable(opts Options, lo LiveOptions, do DurableOptions) (*DurableLive,
 		Logger:          do.Logger,
 	}, seed)
 	if err != nil {
-		return nil, infos, err
+		return nil, info, err
 	}
-	return &DurableLive{d: d, live: &ShardedLive{l: d.Live()}}, infos, nil
+	return &DurableLive{d: d, live: &ShardedLive{l: d.Live()}}, info, nil
 }
 
 // Live returns the updatable engine. Mutations submitted through it are
-// journaled per shard before they are acknowledged — the write-ahead
-// hook lives inside each apply loop, so there is no undurable side door.
+// journaled before they are acknowledged — the write-ahead hook lives
+// inside the apply loop, so there is no undurable side door.
 func (d *DurableLive) Live() *ShardedLive { return d.live }
 
-// Snapshot returns an immutable engine over the current shard
-// snapshots; shorthand for Live().Snapshot().
+// Snapshot returns the current immutable engine; shorthand for
+// Live().Snapshot().
 func (d *DurableLive) Snapshot() *Sharded { return d.live.Snapshot() }
 
-// Checkpoint checkpoints every shard concurrently, writing each
-// snapshot as a checkpoint file and pruning the log segments it covers,
-// without pausing writers or readers. It returns the maximum
-// checkpointed epoch and the first per-shard error (other shards still
-// complete); a shard with nothing published since its last checkpoint
-// is a no-op.
+// Checkpoint writes the current snapshot, every shard of it, as one
+// checkpoint file and prunes the log segments it covers, without
+// pausing writers or readers. It returns the checkpointed epoch; with
+// nothing published since the last checkpoint it is a no-op.
 func (d *DurableLive) Checkpoint() (uint64, error) { return d.d.Checkpoint() }
 
-// Stats reports the durability counters: one shard's own, or the sums
-// over several for throughput and size, with the minimum checkpoint
-// epoch (the replay bound is the least-checkpointed shard) and the first
-// failure encountered.
+// Stats reports the durability counters of the engine's log.
 func (d *DurableLive) Stats() DurabilityStats { return d.d.Stats() }
 
-// Close drains and closes every shard's apply loop, journaling its final
-// batches, then closes the logs with a final fsync. Close is idempotent.
+// Close drains and closes the apply loop, journaling its final batches,
+// then closes the log with a final fsync. Close is idempotent.
 func (d *DurableLive) Close() error { return d.d.Close() }

@@ -121,8 +121,9 @@ func layoutFiles(t *testing.T, dir string) (manifest bool, shardDirs, walFiles i
 // through the WAL directly, three shards under a manifest — is reopened
 // with no seed, a one-shard seed and a two-shard seed of another grid.
 // Every cell recovers every acknowledged insert and delete, once each,
-// with the shard count and grid the directory was written with, and
-// writes nothing of the other layout. The (flat, two-shard seed) and
+// with the shard count and grid the directory was written with. Both
+// layouts keep one log at the top level; only the sharded one has a
+// manifest, and neither has per-shard directories. The (flat, two-shard seed) and
 // (three shards, one-shard seed) cells are the restarts with a changed
 // -shards that once came back with only the seed's objects.
 func TestDurableLayoutMatrix(t *testing.T) {
@@ -158,14 +159,14 @@ func TestDurableLayoutMatrix(t *testing.T) {
 			t.Run(w.name+"/"+r.name, func(t *testing.T) {
 				dir := t.TempDir()
 				w.write(t, dir)
-				d, infos, err := twolayer.OpenDurable(twolayer.Options{}, twolayer.LiveOptions{},
+				d, info, err := twolayer.OpenDurable(twolayer.Options{}, twolayer.LiveOptions{},
 					twolayer.DurableOptions{Dir: dir, Seed: r.seed(), Logger: quietLog})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer d.Close()
-				if got := d.Live().Shards(); got != w.shards || len(infos) != w.shards {
-					t.Fatalf("reopened with %d shards (%d RecoveryInfos), written with %d", got, len(infos), w.shards)
+				if got := d.Live().Shards(); got != w.shards || !info.CheckpointLoaded {
+					t.Fatalf("reopened with %d shards (checkpoint loaded %v), written with %d", got, info.CheckpointLoaded, w.shards)
 				}
 				snap := d.Snapshot()
 				if nx, ny := snap.GridDims(); nx != 16 || ny != 16 {
@@ -183,7 +184,7 @@ func TestDurableLayoutMatrix(t *testing.T) {
 				if w.shards == 1 && (manifest || shardDirs != 0 || walFiles == 0) {
 					t.Fatalf("flat dir holds manifest=%v, %d shard dirs, %d WAL files", manifest, shardDirs, walFiles)
 				}
-				if w.shards > 1 && (!manifest || shardDirs != w.shards || walFiles != 0) {
+				if w.shards > 1 && (!manifest || shardDirs != 0 || walFiles == 0) {
 					t.Fatalf("sharded dir holds manifest=%v, %d shard dirs, %d top-level WAL files", manifest, shardDirs, walFiles)
 				}
 			})
@@ -191,45 +192,34 @@ func TestDurableLayoutMatrix(t *testing.T) {
 	}
 }
 
-// TestDurableMixedLayoutRefused: a directory holding both a manifest
-// with its shard logs and a flat top-level log is what an opener that
-// let the caller pick the layout left behind after restarts that
-// changed the shard count: a flat open, a sharded open with a seed (a
-// manifest and shard logs beside the flat log), then a flat open with a
-// seed (which found the flat log and kept it). Each half may hold
-// acknowledged writes the other lacks, so every open must fail naming
-// both, and change nothing.
-func TestDurableMixedLayoutRefused(t *testing.T) {
-	dir := t.TempDir()
-	writeWAL(t, dir)
-	sharded := t.TempDir()
-	writeDurable(t, sharded, twolayer.BuildShardedRects(layoutSeed, layoutOpts, twolayer.ShardedOptions{Shards: 3}))
-	entries, err := os.ReadDir(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.Rename(filepath.Join(sharded, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+// v1Manifest is a layout manifest of the per-shard-log format (version
+// 1): three shards over layoutOpts' grid and space.
+const v1Manifest = `{"version": 1, "shards": 3, "nx": 16, "ny": 16, "min_x": 0, "min_y": 0, "max_x": 1, "max_y": 1}`
+
+// dirListing lists every file under dir with its size and mtime.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	var files []string
+	filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, fmt.Sprintf("%s %d %v", path, info.Size(), info.ModTime()))
+		return nil
+	})
+	return files
+}
 
-	listing := func() []string {
-		var files []string
-		filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
-			if err != nil {
-				t.Fatal(err)
-			}
-			info, err := e.Info()
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, fmt.Sprintf("%s %d %v", path, info.Size(), info.ModTime()))
-			return nil
-		})
-		return files
-	}
-	before := listing()
+// refusedUnchanged opens dir with no seed, a one-shard and a
+// three-shard seed: each open must fail with an error containing every
+// one of want, and leave dir as it was.
+func refusedUnchanged(t *testing.T, dir string, want ...string) {
+	t.Helper()
+	before := dirListing(t, dir)
 	for _, seed := range []*twolayer.Sharded{
 		nil,
 		twolayer.OneShard(twolayer.BuildRects(layoutSeed, layoutOpts)),
@@ -239,14 +229,139 @@ func TestDurableMixedLayoutRefused(t *testing.T) {
 			twolayer.DurableOptions{Dir: dir, Seed: seed, Logger: quietLog})
 		if err == nil {
 			d.Close()
-			t.Fatal("OpenDurable picked a layout in a directory holding both")
+			t.Fatal("OpenDurable opened a directory it must refuse")
 		}
-		if msg := err.Error(); !strings.Contains(msg, "shards.json") || !strings.Contains(msg, "write-ahead log") {
-			t.Fatalf("error does not name both layouts: %v", err)
+		for _, w := range want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("error does not name %q: %v", w, err)
+			}
 		}
 	}
-	if after := listing(); !slices.Equal(before, after) {
+	if after := dirListing(t, dir); !slices.Equal(before, after) {
 		t.Fatalf("refused opens changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestDurableMixedLayoutRefused: a directory holding both a
+// per-shard-log manifest (version 1) and a flat top-level log is what an
+// opener that let the caller pick the layout left behind after restarts
+// that changed the shard count. Each half may hold acknowledged writes
+// the other lacks, so every open must fail naming both, and change
+// nothing (a version-1 manifest is otherwise migrated to one log).
+func TestDurableMixedLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeWAL(t, dir)
+	if err := os.WriteFile(filepath.Join(dir, "shards.json"), []byte(v1Manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeWAL(t, filepath.Join(dir, "shard-000"))
+	refusedUnchanged(t, dir, "shards.json", "write-ahead log")
+}
+
+// TestDurableShardDirsWithoutManifestRefused: shard log directories
+// with no layout manifest beside them are refused, not cold-started
+// from the seed — their logs may hold acknowledged writes.
+func TestDurableShardDirsWithoutManifestRefused(t *testing.T) {
+	dir := t.TempDir()
+	writeWAL(t, filepath.Join(dir, "shard-000"))
+	refusedUnchanged(t, dir, "shard-000", "shards.json")
+}
+
+// TestDurableTornCrossShardBulk: at two shards, the last frame of the
+// one log is a bulk that moves every object across the slab edge. Cut
+// at every byte offset inside that frame, the directory reopens with
+// every object wholly at its old place (torn frame dropped) or, uncut,
+// every one wholly at its new place, and a full-space SearchIDs finds
+// each exactly once.
+func TestDurableTornCrossShardBulk(t *testing.T) {
+	const objects = 6
+	from := func(i int) twolayer.Rect { // left of the slab edge at x = 0.5
+		y := 0.1 + 0.1*float64(i)
+		return twolayer.Rect{MinX: 0.3, MinY: y, MaxX: 0.35, MaxY: y + 0.05}
+	}
+	to := func(i int) twolayer.Rect { // right of it, one straddling it
+		r := from(i)
+		r.MinX, r.MaxX = 0.6, 0.65
+		if i == 0 {
+			r.MinX = 0.45
+		}
+		return r
+	}
+	var seed []twolayer.Rect
+	var moves []twolayer.Mutation
+	for i := 0; i < objects; i++ {
+		seed = append(seed, from(i))
+		moves = append(moves,
+			twolayer.Mutation{Delete: true, ID: twolayer.ID(i), MBR: from(i)},
+			twolayer.Mutation{ID: twolayer.ID(i), MBR: to(i)})
+	}
+	src := t.TempDir()
+	d, _, err := twolayer.OpenDurable(layoutOpts, twolayer.LiveOptions{}, twolayer.DurableOptions{Dir: src,
+		Seed: twolayer.BuildShardedRects(seed, layoutOpts, twolayer.ShardedOptions{Shards: 2}), Logger: quietLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Live().Apply(moves); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(src, "wal-*"))
+	if len(segs) != 1 {
+		t.Fatalf("%d log segments, want one log of one segment", len(segs))
+	}
+	full, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const segHeader = 8 // the bulk is the segment's only frame
+	all := twolayer.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
+	for cut := segHeader; cut <= len(full); cut++ {
+		dir := t.TempDir()
+		entries, _ := os.ReadDir(src)
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(src, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if filepath.Join(src, e.Name()) == segs[0] {
+				data = data[:cut]
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, _, err := twolayer.OpenDurable(twolayer.Options{}, twolayer.LiveOptions{},
+			twolayer.DurableOptions{Dir: dir, Logger: quietLog})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		snap := d.Snapshot()
+		d.Close()
+		moved := cut == len(full)
+		seen := map[twolayer.ID]int{}
+		if _, err := snap.Search(twolayer.Query{Window: &all}, func(id twolayer.ID, mbr twolayer.Rect) bool {
+			seen[id]++
+			want := from(int(id))
+			if moved {
+				want = to(int(id))
+			}
+			if mbr != want {
+				t.Errorf("cut %d: object %d at %v, want %v", cut, id, mbr, want)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < objects; i++ {
+			if seen[twolayer.ID(i)] != 1 {
+				t.Fatalf("cut %d (moved %v): object %d seen %d times", cut, moved, i, seen[twolayer.ID(i)])
+			}
+		}
+		if len(seen) != objects || snap.Len() != objects {
+			t.Fatalf("cut %d: %d distinct IDs, Len %d, want %d", cut, len(seen), snap.Len(), objects)
+		}
 	}
 }
 

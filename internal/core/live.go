@@ -11,28 +11,26 @@ import (
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
-// This file implements the MVCC mutation layer: a Live index accepts
+// This file implements the MVCC mutation layer: a Loop accepts
 // concurrent Insert/Delete traffic while readers keep querying immutable
 // snapshots with zero locks on the hot path.
 //
-// Readers call Snapshot, an atomic pointer load, and query the returned
-// *Index exactly like a static one; a pinned snapshot never changes, so a
-// reader sees one consistent epoch for its whole request. Writers submit
-// mutations to a single-writer apply loop that batches whatever is
-// pending, applies the batch copy-on-write to a clone of the current
-// snapshot (CloneCOW: the clone shares the paged tile table with its
-// parent and copies, on first touch, only the tile pages and class
-// slices the batch writes — grid replication keeps the touched-tile set
-// small per mutation, so a publish costs O(touched), not O(tiles)), and
-// atomically publishes the clone as the next epoch. Submissions block
-// until their batch is published, so a writer that got its ack observes
-// its own write in every later Snapshot (read-your-writes).
+// Readers call Snapshot, one atomic pointer load, and query the returned
+// value; a pinned snapshot never changes, so a reader sees one epoch for
+// its whole request. A single-writer apply loop batches whatever is
+// pending, journals the batch when a Journal hook is set, derives the
+// next value copy-on-write (State.Next: it shares everything with the
+// current one except the tile pages and runs the batch writes, so a
+// publish costs O(touched), not O(tiles)), and publishes it with one
+// atomic store. Submissions block until their batch is published, so a
+// writer that got its ack observes its own write in every later
+// Snapshot (read-your-writes). Live publishes one *Index; the sharded
+// engine (internal/shard) publishes all its shards as one value, so a
+// batch that spans shards becomes visible with one store.
 //
-// The apply loop does no periodic maintenance. A seed's derived read
-// tables — the count prefix table and, when built with Decompose, the
-// 2-layer+ side table — are shared by every snapshot until the first
-// write, whose clone drops both for good; every later snapshot scans its
-// tiles plain, which answers the same.
+// The loop does no periodic maintenance. A seed's derived read tables
+// (the count prefix table and the 2-layer+ side table) are shared by
+// every snapshot until the first write, whose clone drops both for good.
 
 // ErrLiveClosed is returned for mutations submitted after Close.
 var ErrLiveClosed = errors.New("core: live index is closed")
@@ -44,45 +42,57 @@ var ErrLiveClosed = errors.New("core: live index is closed")
 // queue (and the process's memory) without bound.
 var ErrBacklogFull = errors.New("core: live mutation backlog is full")
 
-// LiveOptions tune the apply loop of a Live index.
+const (
+	// maxBatch caps the mutations applied per published snapshot. A
+	// publish has a small fixed cost (one journal append, one snapshot
+	// swap) and otherwise scales with the pages the batch touches, so
+	// larger batches save little work; they mainly share one journal
+	// fsync between more submitters, while smaller ones reduce
+	// writer-observed latency.
+	maxBatch = 256
+	// queueDepth is the capacity of the submission queue; submissions
+	// beyond it block (backpressure on requests, where MaxBacklog
+	// rejects on mutations).
+	queueDepth = 1024
+)
+
+// LiveOptions tune an apply loop.
 type LiveOptions struct {
-	// MaxBatch caps the mutations applied per published snapshot. A
-	// publish has a small fixed cost (copying the tile-page references,
-	// one journal append, one snapshot swap) and otherwise scales with
-	// the pages the batch touches, so larger batches save little work;
-	// they mainly share one journal fsync between more submitters, while
-	// smaller ones reduce writer-observed latency. Defaults to 256.
-	MaxBatch int
-	// QueueDepth is the capacity of the mutation queue; submissions
-	// beyond it block (backpressure). Defaults to 1024.
-	QueueDepth int
-	// MaxBacklog bounds the accepted-but-unpublished mutation backlog:
-	// a submission that would push the pending count beyond it fails
-	// immediately with ErrBacklogFull instead of queuing. This is the
-	// overload valve — QueueDepth bounds queued *requests* (blocking),
-	// MaxBacklog bounds queued *mutations* (rejecting), so a flood of
-	// large batches cannot grow memory without bound. 0 means unbounded
-	// (the pre-backpressure behavior).
+	// MaxBacklog bounds the accepted-but-unpublished mutation backlog
+	// of the loop: a submission arriving while the pending count is at
+	// or beyond it fails immediately with ErrBacklogFull instead of
+	// queuing, so a flood of large batches cannot grow memory without
+	// bound. 0 means unbounded.
 	MaxBacklog int
 	// Journal, when non-nil, is called from the apply loop with every
 	// batch before it is applied or published: epoch is the epoch the
-	// batch will publish as, muts the batch in application order. This is
-	// the write-ahead hook — a durability layer (internal/wal) appends
-	// and optionally fsyncs the batch here, so a batch is on disk before
-	// any submitter is acked. A non-nil error aborts the batch: nothing
-	// is applied, the snapshot does not advance, and every submitter in
-	// the batch receives the error.
+	// batch will publish as, muts the batch in application order (valid
+	// only during the call). This is the write-ahead hook — a durability
+	// layer (internal/wal) appends and optionally fsyncs the batch here,
+	// so a batch is on disk before any submitter is acked. A non-nil
+	// error aborts the batch: nothing is applied, the snapshot does not
+	// advance, and every submitter in the batch receives the error.
 	Journal func(epoch uint64, muts []Mutation) error
 }
 
-func (o LiveOptions) withDefaults() LiveOptions {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 256
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
-	}
-	return o
+// State is a value an apply loop publishes: *Index, or the sharded
+// engine holding one index per shard. T is the pointed-to type.
+type State[T any] interface {
+	*T
+	Epoch() uint64   // the publish sequence number
+	Len() int        // distinct objects
+	COWBytes() int64 // LiveStats.COWBytes
+	// Publish readies the value to be a loop's first snapshot: exact
+	// geometries are dropped (objects inserted later have none) and the
+	// value becomes read-only.
+	Publish()
+	// Next returns the value after muts, published at epoch, leaving
+	// the receiver unchanged; found[i] reports whether delete i found its
+	// object (inserts are always true).
+	Next(epoch uint64, muts []Mutation, found []bool) *T
+	// Apply is Next in place, on a value no reader shares (crash
+	// recovery replays the log this way).
+	Apply(epoch uint64, muts []Mutation, found []bool)
 }
 
 // Mutation is one pending update: an insertion of Entry, or — when Delete
@@ -142,13 +152,13 @@ type LiveStats struct {
 	COWBytes int64
 }
 
-// Live is an updatable two-layer index serving lock-free reads: Snapshot
-// returns an immutable *Index readers query without synchronization,
+// Loop is an apply loop serving lock-free reads: Snapshot returns the
+// immutable value of type P readers query without synchronization,
 // while a single apply goroutine batches submitted mutations and
-// publishes copy-on-write snapshots. All methods are safe for concurrent
-// use.
-type Live struct {
-	snap atomic.Pointer[Index]
+// publishes the next value with one atomic store. All methods are safe
+// for concurrent use.
+type Loop[T any, P State[T]] struct {
+	snap atomic.Pointer[T]
 	opt  LiveOptions
 
 	mu     sync.Mutex // serializes submissions against Close
@@ -166,37 +176,38 @@ type Live struct {
 	journalNS     atomic.Int64
 }
 
-// NewLive wraps ix, which becomes epoch-0 snapshot of the Live index.
+// Live is the apply loop of one updatable two-layer index.
+type Live = Loop[Index, *Index]
+
+// NewLive wraps ix, which becomes the first snapshot of the Live index.
 // NewLive takes ownership: the caller must not query or mutate ix
 // directly afterward. Any dataset reference is dropped — snapshots serve
 // the filtering layer (MBR queries) only, since exact geometries cannot
 // be attached to objects inserted later. Call Close when done to stop the
 // apply goroutine.
-func NewLive(ix *Index, opt LiveOptions) *Live {
-	*ix = *ix.View(nil) // detached from any Stats or Trace ix was a view with
-	ix.dataset = nil
-	ix.published = true
-	l := &Live{
-		opt: opt.withDefaults(),
-	}
-	l.ops = make(chan applyReq, l.opt.QueueDepth)
-	l.snap.Store(ix)
+func NewLive(ix *Index, opt LiveOptions) *Live { return NewLoop(ix, opt) }
+
+// NewLoop starts the apply loop over v, which becomes its first
+// snapshot (State.Publish). NewLoop takes ownership of v. Call Close
+// when done to stop the apply goroutine.
+func NewLoop[T any, P State[T]](v P, opt LiveOptions) *Loop[T, P] {
+	v.Publish()
+	l := &Loop[T, P]{opt: opt, ops: make(chan applyReq, queueDepth)}
+	l.snap.Store(v)
 	l.wg.Add(1)
 	go l.run()
 	return l
 }
 
-// Snapshot returns the current published snapshot: one atomic load, no
-// locks. The result is immutable — it never changes as later mutations
-// are published, and Insert, Delete or BuildDecomposed on it (or on a
-// view of it) panic — and safe for any number of concurrent readers, kNN
-// included; as with any shared Index, run stats-instrumented queries
-// through per-goroutine views (Index.View).
-func (l *Live) Snapshot() *Index { return l.snap.Load() }
+// Snapshot returns the current published value: one atomic load, no
+// locks, no allocation. The result is immutable — it never changes as
+// later mutations are published, and writing to it panics — and safe
+// for any number of concurrent readers.
+func (l *Loop[T, P]) Snapshot() P { return l.snap.Load() }
 
 // Insert adds one object and blocks until the insertion is published,
 // returning the epoch that made it visible.
-func (l *Live) Insert(e spatial.Entry) (uint64, error) {
+func (l *Loop[T, P]) Insert(e spatial.Entry) (uint64, error) {
 	res, err := l.Apply([]Mutation{{Entry: e}})
 	if err != nil {
 		return 0, err
@@ -207,7 +218,7 @@ func (l *Live) Insert(e spatial.Entry) (uint64, error) {
 // Delete removes the object with the given ID and exact MBR, blocking
 // until the removal is published. It reports whether the object was found
 // and the epoch of the publishing snapshot.
-func (l *Live) Delete(id spatial.ID, r geom.Rect) (found bool, epoch uint64, err error) {
+func (l *Loop[T, P]) Delete(id spatial.ID, r geom.Rect) (found bool, epoch uint64, err error) {
 	res, err := l.Apply([]Mutation{{Delete: true, Entry: spatial.Entry{ID: id, Rect: r}}})
 	if err != nil {
 		return false, 0, err
@@ -220,9 +231,9 @@ func (l *Live) Delete(id spatial.ID, r geom.Rect) (found bool, epoch uint64, err
 // after Close, and a validation error — with nothing applied — if any
 // mutation carries an invalid rectangle: inverted, or with a NaN or
 // infinite coordinate.
-func (l *Live) Apply(muts []Mutation) (ApplyResult, error) {
+func (l *Loop[T, P]) Apply(muts []Mutation) (ApplyResult, error) {
 	if len(muts) == 0 {
-		return ApplyResult{Epoch: l.Snapshot().epoch}, nil
+		return ApplyResult{Epoch: l.Snapshot().Epoch()}, nil
 	}
 	for i := range muts {
 		if !muts[i].Entry.Rect.Valid() || !muts[i].Entry.Rect.Finite() {
@@ -262,11 +273,11 @@ func (l *Live) Apply(muts []Mutation) (ApplyResult, error) {
 
 // Stats returns a consistent-enough point-in-time view of the apply
 // loop's counters for monitoring.
-func (l *Live) Stats() LiveStats {
+func (l *Loop[T, P]) Stats() LiveStats {
 	s := l.Snapshot()
 	return LiveStats{
-		Epoch:        s.epoch,
-		Objects:      s.size,
+		Epoch:        s.Epoch(),
+		Objects:      s.Len(),
 		Pending:      l.pending.Load(),
 		Applied:      l.applied.Load(),
 		Publishes:    l.publishes.Load(),
@@ -276,7 +287,7 @@ func (l *Live) Stats() LiveStats {
 		Rejected:     l.rejected.Load(),
 		PublishTotal: time.Duration(l.publishNS.Load()),
 		JournalTotal: time.Duration(l.journalNS.Load()),
-		COWBytes:     s.met.cowBytes.Load(),
+		COWBytes:     s.COWBytes(),
 	}
 }
 
@@ -284,7 +295,7 @@ func (l *Live) Stats() LiveStats {
 // apply goroutine. Mutations submitted after Close fail with
 // ErrLiveClosed; Snapshot keeps serving the final snapshot. Close is
 // idempotent.
-func (l *Live) Close() {
+func (l *Loop[T, P]) Close() {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -297,9 +308,8 @@ func (l *Live) Close() {
 }
 
 // run is the single-writer apply loop: receive one request, drain up to
-// MaxBatch pending mutations, apply them to a copy-on-write clone,
-// publish, ack.
-func (l *Live) run() {
+// maxBatch pending mutations, publish them as one snapshot, ack.
+func (l *Loop[T, P]) run() {
 	defer l.wg.Done()
 	var batch []applyReq
 	for {
@@ -310,7 +320,7 @@ func (l *Live) run() {
 		batch = append(batch[:0], first)
 		n := len(first.muts)
 	drain:
-		for n < l.opt.MaxBatch {
+		for n < maxBatch {
 			select {
 			case req, ok := <-l.ops:
 				if !ok {
@@ -326,19 +336,23 @@ func (l *Live) run() {
 	}
 }
 
-// publish applies one batch to a clone of the current snapshot and makes
-// the clone the next epoch. With a Journal configured, the batch is
-// journaled first (write-ahead): only after the journal accepts it — i.e.
-// the batch is durable under the journal's sync policy — is it applied
-// and published, and only then are submitters acked.
-func (l *Live) publish(batch []applyReq, n int) {
+// publish journals one batch (write-ahead: only after the journal
+// accepts it — i.e. the batch is durable under the journal's sync
+// policy — is it applied), derives the next value from the current
+// one, stores it, and acks the submitters.
+func (l *Loop[T, P]) publish(batch []applyReq, n int) {
 	start := time.Now()
-	if l.opt.Journal != nil {
-		muts := make([]Mutation, 0, n)
+	muts := batch[0].muts
+	if len(batch) > 1 {
+		muts = make([]Mutation, 0, n)
 		for _, req := range batch {
 			muts = append(muts, req.muts...)
 		}
-		if err := l.opt.Journal(l.Snapshot().epoch+1, muts); err != nil {
+	}
+	cur := l.Snapshot()
+	epoch := cur.Epoch() + 1
+	if l.opt.Journal != nil {
+		if err := l.opt.Journal(epoch, muts); err != nil {
 			err = fmt.Errorf("core: journaling batch: %w", err)
 			l.pending.Add(-int64(n))
 			for _, req := range batch {
@@ -348,22 +362,8 @@ func (l *Live) publish(batch []applyReq, n int) {
 		}
 		l.journalNS.Add(time.Since(start).Nanoseconds())
 	}
-	next := l.Snapshot().CloneCOW()
-	found := make([][]bool, len(batch))
-	for bi, req := range batch {
-		f := make([]bool, len(req.muts))
-		for i, m := range req.muts {
-			if m.Delete {
-				f[i] = next.Delete(m.Entry.ID, m.Entry.Rect)
-			} else {
-				next.Insert(m.Entry)
-				f[i] = true
-			}
-		}
-		found[bi] = f
-	}
-	next.published = true
-	l.snap.Store(next)
+	found := make([]bool, n)
+	l.snap.Store(cur.Next(epoch, muts, found))
 
 	l.applied.Add(uint64(n))
 	l.publishes.Add(1)
@@ -372,7 +372,47 @@ func (l *Live) publish(batch []applyReq, n int) {
 	l.lastPublishNS.Store(elapsed)
 	l.publishNS.Add(elapsed)
 	l.pending.Add(-int64(n))
-	for bi, req := range batch {
-		req.done <- applyAck{res: ApplyResult{Epoch: next.epoch, Found: found[bi]}}
+	for _, req := range batch {
+		k := len(req.muts)
+		req.done <- applyAck{res: ApplyResult{Epoch: epoch, Found: found[:k:k]}}
+		found = found[k:]
 	}
 }
+
+// Publish readies ix to be a loop's first snapshot (State): detached
+// from any Stats or Trace it was a view with, without a dataset, and
+// read-only.
+func (ix *Index) Publish() {
+	*ix = *ix.View(nil)
+	ix.dataset = nil
+	ix.published = true
+}
+
+// Next returns a copy-on-write clone of ix at epoch with muts applied,
+// published read-only (State). ix is unchanged.
+func (ix *Index) Next(epoch uint64, muts []Mutation, found []bool) *Index {
+	next := ix.CloneCOW()
+	next.Apply(epoch, muts, found)
+	next.published = true
+	return next
+}
+
+// Apply sets ix's epoch, then applies muts to ix in order, in place;
+// found[i] reports whether delete i found its object (inserts are
+// always true). The epoch is set first so every page a mutation copies
+// belongs to it.
+func (ix *Index) Apply(epoch uint64, muts []Mutation, found []bool) {
+	ix.SetEpoch(epoch)
+	for i, m := range muts {
+		if m.Delete {
+			found[i] = ix.Delete(m.Entry.ID, m.Entry.Rect)
+		} else {
+			ix.Insert(m.Entry)
+			found[i] = true
+		}
+	}
+}
+
+// COWBytes returns the bytes copied on first touch by copy-on-write
+// mutations since the index was created (State).
+func (ix *Index) COWBytes() int64 { return ix.met.cowBytes.Load() }

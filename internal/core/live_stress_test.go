@@ -61,7 +61,7 @@ func TestLiveStress(t *testing.T) {
 	}
 	seed.BuildDecomposed()
 
-	l := NewLive(seed, LiveOptions{MaxBatch: 64})
+	l := NewLive(seed, LiveOptions{})
 	defer l.Close()
 
 	stop := make(chan struct{})

@@ -35,8 +35,8 @@ import (
 // observability surface must stay reachable on an overloaded node.
 //
 // Mutation backpressure is the second half of the valve: the apply
-// backlog bound (twolayer.LiveOptions.MaxBacklog, enforced per shard on
-// a sharded engine) rejects submissions with ErrBacklogFull once the
+// backlog bound (twolayer.LiveOptions.MaxBacklog, per engine: one apply
+// loop at any shard count) rejects submissions with ErrBacklogFull once the
 // accepted-but-unpublished mutation count reaches the bound, which the
 // mutation handlers map to 503 + Retry-After. The mutate gate bounds
 // concurrent mutation *requests*; MaxBacklog bounds queued *mutations* —

@@ -178,10 +178,10 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		if s.live != nil {
 			live := s.live
 			r.GaugeFunc("twolayer_admission_backlog",
-				"Mutations accepted but not yet published (summed across shards); the quantity MaxBacklog bounds.",
+				"Mutations accepted but not yet published by the engine's apply loop; the quantity MaxBacklog bounds.",
 				func() float64 { return float64(live.Stats().Pending) })
 			r.GaugeFunc("twolayer_admission_backlog_limit",
-				"Configured per-shard mutation backlog bound (twolayer.LiveOptions.MaxBacklog); 0 = unbounded.",
+				"Configured per-engine mutation backlog bound (twolayer.LiveOptions.MaxBacklog); 0 = unbounded.",
 				func() float64 { return float64(live.Stats().BacklogLimit) })
 			r.CounterFunc("twolayer_admission_backlog_rejected_total",
 				"Mutation submissions rejected with 503 because the apply backlog was full.",
@@ -405,7 +405,7 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	objects := r.GaugeVecFunc("twolayer_shard_objects",
 		"Entries stored in each shard (including boundary replicas).", "shard")
 	epoch := r.GaugeVecFunc("twolayer_shard_epoch",
-		"Published copy-on-write epoch of each shard.", "shard")
+		"Epoch of the last publish that touched each shard; the snapshot's epoch is their maximum.", "shard")
 	for i := 0; i < nShards; i++ {
 		label := strconv.Itoa(i)
 		queries.Add(func() float64 { return float64(shardStats().PerShard[i].Queries) }, label)

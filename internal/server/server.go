@@ -8,9 +8,9 @@
 // lock-free concurrent reads safe. In live mode
 // (Config.ShardedLive, or Config.Durable with a write-ahead log) the
 // server fronts an updatable twolayer.ShardedLive: every query pins one
-// immutable copy-on-write snapshot — one atomic load per shard, still no
+// immutable copy-on-write snapshot of every shard — one atomic load, no
 // locks on the read path — and mutation endpoints (POST /v1/insert,
-// /v1/delete, /v1/bulk) feed the shards' single-writer apply loops. Queries keep
+// /v1/delete, /v1/bulk) feed the engine's single-writer apply loop. Queries keep
 // no state on the index (kNN included), so in both modes requests read
 // the shared index or snapshot directly; only traced requests take a
 // private view (Index.Traced), so their counters are per-request. Every
@@ -62,14 +62,14 @@ type Config struct {
 	// routes through its shards.
 	Sharded *twolayer.Sharded
 
-	// ShardedLive is the updatable engine (live mode), one apply loop per
-	// shard: queries pin per-request snapshots and the mutation endpoints
+	// ShardedLive is the updatable engine (live mode), one apply loop for
+	// every shard: queries pin per-request snapshots and the mutation endpoints
 	// POST /v1/insert, /v1/delete, and /v1/bulk are mounted. The server
 	// does not close it; the owner should Close it after shutdown.
 	ShardedLive *twolayer.ShardedLive
 
 	// Durable is an updatable engine backed by the durability engine
-	// (one write-ahead log and checkpoints per shard). It implies live
+	// (one write-ahead log and checkpoints for every shard). It implies live
 	// mode — all live endpoints are mounted — and additionally mounts
 	// POST /v1/checkpoint and a "durability" section on GET /v1/stats.
 	// The server does not close it; the owner should Close it after

@@ -1,13 +1,15 @@
 package shard
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"github.com/twolayer/twolayer/internal/core"
 	"github.com/twolayer/twolayer/internal/geom"
@@ -15,22 +17,32 @@ import (
 )
 
 // Durability layouts. The directory, not the caller, decides which one
-// a reopen uses (see Open):
+// a reopen uses (see Open). Either way the engine has one write-ahead
+// log, whose frames are whole batches at the engine epoch:
 //
 //	dir/                  one shard (the flat layout)
-//	  wal-*, checkpoint-* — the shard's WAL: segments + checkpoints
+//	  wal-*, checkpoint-* — log segments, and checkpoints of the index
 //
 //	dir/                  S > 1 shards
-//	  shards.json         — the layout manifest, written atomically first
-//	  shard-000/ ...      — one WAL directory per shard, same format
+//	  shards.json         — the layout manifest (version 2)
+//	  wal-*, checkpoint-* — log segments, and checkpoints that hold every
+//	                        shard of one snapshot (engineMagic)
 //
 // The manifest pins the shard geometry (count, grid dimensions, space);
-// it is written before any shard WAL is created, so a directory with
-// shard state always has one. A flat directory needs none: its one
+// it is written before any log or checkpoint, so a directory with
+// sharded state always has one. A flat directory needs none: its one
 // shard's grid is its checkpoint's.
+//
+// Version 1 of the manifest kept one log directory per shard
+// (shard-000/ ...), each at its own epochs. Open migrates such a
+// directory before it returns (see migrate).
 
 // manifestName is the layout manifest file inside the durability dir.
 const manifestName = "shards.json"
+
+// manifestVersion is the version Open writes: one log and one
+// checkpoint file per engine, at the top level.
+const manifestVersion = 2
 
 type manifest struct {
 	Version int     `json:"version"`
@@ -43,14 +55,26 @@ type manifest struct {
 	MaxY    float64 `json:"max_y"`
 }
 
+// layout is the shard geometry the manifest pins; opts supplies the
+// rest of the index options.
+func (m manifest) layout(opts core.Options) layout {
+	return makeLayout(core.Options{
+		NX: m.NX, NY: m.NY,
+		Space:        geom.Rect{MinX: m.MinX, MinY: m.MinY, MaxX: m.MaxX, MaxY: m.MaxY},
+		Decompose:    opts.Decompose,
+		BuildThreads: opts.BuildThreads,
+	}, m.Shards)
+}
+
 // hasManifest reports whether dir holds sharded durability state (a
-// layout manifest; the manifest is written before any shard WAL, so it is
-// the reliable signal).
+// layout manifest; the manifest is written before any log, so it is the
+// reliable signal).
 func hasManifest(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, manifestName))
 	return err == nil
 }
 
+// shardDir is shard s's log directory in the version-1 layout.
 func shardDir(dir string, s int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", s))
 }
@@ -68,262 +92,301 @@ func readManifest(dir string) (manifest, error) {
 		return manifest{}, fmt.Errorf("shard: manifest %s has invalid layout (%d shards, %dx%d grid)",
 			manifestName, m.Shards, m.NX, m.NY)
 	}
+	if m.Version < 1 || m.Version > manifestVersion {
+		return manifest{}, fmt.Errorf("shard: manifest %s has unsupported version %d", manifestName, m.Version)
+	}
 	return m, nil
 }
 
-// writeManifest persists the layout with the tmp+rename idiom so a crash
-// mid-write never leaves a truncated manifest behind.
+// writeManifest persists the layout with the tmp+fsync+rename idiom and
+// fsyncs the directory, so a crash never leaves a truncated manifest
+// and a written one survives power loss.
 func writeManifest(dir string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, manifestName))
+	_, err = f.Write(append(data, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, manifestName))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return wal.SyncDir(dir)
 }
 
-// Durable couples a sharded Live with one write-ahead log per shard.
-type Durable struct {
-	live *Live
-	ds   []*wal.DurableLive
+// engineMagic opens a checkpoint of S > 1 shards: magic, then version
+// u32 | shards u32 | distinct size u64, then every shard in the core
+// persist format, in shard order (little endian). A one-shard
+// checkpoint is its index alone, the flat layout's format.
+const (
+	engineMagic   = "TLSE"
+	engineVersion = 1
+)
+
+// codec stores the engine over lay in checkpoint files; opts shapes the
+// empty engine of a flat cold start.
+func (lay layout) codec(opts core.Options) wal.Codec[Engine, *Engine] {
+	if lay.shardCount() == 1 {
+		return wal.Codec[Engine, *Engine]{
+			Load: func(r io.Reader) (*Engine, error) {
+				ix, err := core.Load(r)
+				if err != nil {
+					return nil, err
+				}
+				return One(ix), nil
+			},
+			Save:  func(w io.Writer, e *Engine) error { _, err := e.shards[0].WriteTo(w); return err },
+			Empty: func() *Engine { return One(core.New(opts)) },
+		}
+	}
+	return wal.Codec[Engine, *Engine]{Load: lay.load, Save: saveEngine, Empty: lay.empty}
 }
+
+// empty is the engine over lay with no objects.
+func (lay layout) empty() *Engine {
+	e := &Engine{lay: lay, shards: make([]*core.Index, lay.shardCount()), met: newMetrics(lay.shardCount())}
+	for s := range e.shards {
+		e.shards[s] = core.New(lay.shardOpts(s))
+	}
+	return e
+}
+
+func saveEngine(w io.Writer, e *Engine) error {
+	hdr := binary.LittleEndian.AppendUint32([]byte(engineMagic), engineVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(e.shards)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(e.size))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	for _, six := range e.shards {
+		if _, err := six.WriteTo(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// load reads a checkpoint saveEngine wrote for lay.
+func (lay layout) load(r io.Reader) (*Engine, error) {
+	br := bufio.NewReader(r) // r itself when it is one: the shards follow each other
+	var hdr [len(engineMagic) + 4 + 4 + 8]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("shard: reading checkpoint header: %w", err)
+	}
+	le := binary.LittleEndian
+	if string(hdr[:4]) != engineMagic || le.Uint32(hdr[4:]) != engineVersion {
+		return nil, fmt.Errorf("shard: not a version-%d sharded checkpoint (magic %q)", engineVersion, hdr[:4])
+	}
+	S := lay.shardCount()
+	if n := int(le.Uint32(hdr[8:])); n != S {
+		return nil, fmt.Errorf("shard: checkpoint holds %d shards, the manifest %d", n, S)
+	}
+	e := &Engine{lay: lay, shards: make([]*core.Index, S), size: int(le.Uint64(hdr[12:])), met: newMetrics(S)}
+	for s := range e.shards {
+		six, err := core.Load(br)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		if g := six.Grid(); g.NX != lay.starts[s+1]-lay.starts[s] || g.NY != lay.opts.NY {
+			return nil, fmt.Errorf("shard %d: checkpoint grid %dx%d does not match the manifest", s, g.NX, g.NY)
+		}
+		e.shards[s] = six
+	}
+	return e, nil
+}
+
+// Durable is the sharded engine's apply loop with its one write-ahead
+// log.
+type Durable = wal.Durable[Engine, *Engine]
 
 // Open recovers (or cold-starts) the durable engine in wo.Dir. wo's
-// sync policy, rotation and checkpoint cadence apply to every shard's
-// WAL, wo.Live to every apply loop, and wo.Index shapes an empty
-// directory; Open sets the rest per shard. The directory decides the
-// layout:
+// sync policy, rotation, checkpoint cadence and wo.Live apply to the
+// engine's one log and loop, and wo.Index shapes an empty directory.
+// The directory decides the layout:
 //
-//   - a layout manifest: the manifest's shards, one WAL directory each;
-//   - WAL state at its top level: one shard whose WAL is wo.Dir itself,
-//     on the grid of its recovered checkpoint;
+//   - a layout manifest: the manifest's shards, grid and space;
+//   - log state with no manifest: one shard, on the grid of its
+//     recovered checkpoint;
 //   - neither (a cold start): seed's layout, or one shard over wo.Index
-//     (which must then carry a Space) when seed is nil. One shard writes
-//     the flat layout; more write the manifest first, then every shard
-//     WAL, each seeded with its shard of seed.
+//     (which must then carry a Space) when seed is nil. One shard
+//     writes the flat layout; more write the manifest first, then the
+//     log and a checkpoint of seed.
 //
-// A directory holding both a manifest and top-level WAL state is
-// refused: either half may hold acknowledged writes the other lacks.
+// Recovery loads the newest readable checkpoint and replays the log
+// tail, routing every frame by MBR as Apply does. A version-1 directory
+// is migrated first. Refused, with nothing changed: shard directories
+// with no manifest, and a version-1 manifest beside top-level log
+// segments — either half may hold acknowledged writes the other lacks.
 // With prior state, seed is ignored with a notice. Open takes ownership
-// of seed. The returned RecoveryInfo slice has one entry per shard.
-func Open(wo wal.Options, seed *Engine) (*Durable, []wal.RecoveryInfo, error) {
+// of seed.
+func Open(wo wal.Options, seed *Engine) (*Durable, wal.RecoveryInfo, error) {
 	dir, opts := wo.Dir, wo.Index
+	if wo.Logger == nil {
+		wo.Logger = slog.Default()
+	}
 	logger := wo.Logger
-	if logger == nil {
-		logger = slog.Default()
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("shard: creating durability dir: %w", err)
+		return nil, wal.RecoveryInfo{}, fmt.Errorf("shard: creating durability dir: %w", err)
 	}
-	flat, err := wal.HasState(dir)
+	ckpts, segs, err := wal.Files(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, wal.RecoveryInfo{}, err
+	}
+	legacy, err := filepath.Glob(filepath.Join(dir, "shard-[0-9][0-9][0-9]"))
+	if err != nil {
+		return nil, wal.RecoveryInfo{}, err
 	}
 	manifested := hasManifest(dir)
+	var m manifest
+	if manifested {
+		if m, err = readManifest(dir); err != nil {
+			return nil, wal.RecoveryInfo{}, err
+		}
+	}
 
-	var lay layout
 	switch {
-	case manifested && flat:
-		return nil, nil, fmt.Errorf(
+	case !manifested && len(legacy) > 0:
+		return nil, wal.RecoveryInfo{}, fmt.Errorf(
+			"shard: %s holds shard log directories (%s) but no layout manifest (%s); "+
+				"refusing to start from the seed, since they may hold acknowledged writes",
+			dir, filepath.Base(legacy[0]), manifestName)
+	case manifested && m.Version == 1 && len(segs) > 0:
+		return nil, wal.RecoveryInfo{}, fmt.Errorf(
 			"shard: %s holds both a layout manifest (%s) and write-ahead log state at its top level; "+
 				"refusing to pick one, since either may hold acknowledged writes the other lacks",
 			dir, manifestName)
-	case manifested:
-		m, err := readManifest(dir)
-		if err != nil {
-			return nil, nil, err
+	case manifested && m.Version == 1:
+		if err := migrate(dir, m, opts, ckpts, logger); err != nil {
+			return nil, wal.RecoveryInfo{}, fmt.Errorf("shard: migrating %s to one log: %w", dir, err)
 		}
-		lay = makeLayout(core.Options{
-			NX: m.NX, NY: m.NY,
-			Space:        geom.Rect{MinX: m.MinX, MinY: m.MinY, MaxX: m.MaxX, MaxY: m.MaxY},
-			Decompose:    opts.Decompose,
-			BuildThreads: opts.BuildThreads,
-		}, m.Shards)
-	case seed != nil && !flat:
+		m.Version = manifestVersion
+	case manifested && len(legacy) > 0:
+		// A migration committed its manifest and stopped before removing
+		// the shard directories: they are superseded.
+		if err := removeDirs(dir, legacy); err != nil {
+			return nil, wal.RecoveryInfo{}, err
+		}
+	}
+	state := len(ckpts)+len(segs) > 0
+
+	var lay layout
+	switch {
+	case manifested:
+		lay = m.layout(opts)
+	case seed != nil && !state:
 		lay = seed.lay
-	case opts.Space == (geom.Rect{}) && !flat:
-		return nil, nil, errors.New("shard: an empty durability dir needs Options.Space or a seed")
+	case opts.Space == (geom.Rect{}) && !state:
+		return nil, wal.RecoveryInfo{}, errors.New("shard: an empty durability dir needs Options.Space or a seed")
 	default:
-		// One shard, on the grid of its index once the WAL is open.
+		// One shard, on the grid of its checkpoint once recovered.
 		lay = makeLayout(opts, 1)
 	}
 	seedShards := 0
-	if seed != nil && (manifested || flat) {
+	if seed != nil && (manifested || state) {
 		seedShards, seed = seed.Shards(), nil
 	}
-
-	// A flat directory is one shard whose WAL is the directory itself.
-	S := lay.shardCount()
-	flatLayout := !manifested && S == 1
-	if !flatLayout && !manifested {
+	if S := lay.shardCount(); S > 1 && !manifested {
 		sp := lay.opts.Space
 		if err := writeManifest(dir, manifest{
-			Version: 1,
+			Version: manifestVersion,
 			Shards:  S,
 			NX:      lay.opts.NX, NY: lay.opts.NY,
 			MinX: sp.MinX, MinY: sp.MinY, MaxX: sp.MaxX, MaxY: sp.MaxY,
 		}); err != nil {
-			return nil, nil, fmt.Errorf("shard: writing %s: %w", manifestName, err)
+			return nil, wal.RecoveryInfo{}, fmt.Errorf("shard: writing %s: %w", manifestName, err)
 		}
 	}
 
-	ds := make([]*wal.DurableLive, S)
-	infos := make([]wal.RecoveryInfo, S)
-	errs := make([]error, S)
-	var wg sync.WaitGroup
-	for s := 0; s < S; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			o := wo
-			o.Seed = nil
-			if !flatLayout {
-				o.Dir, o.Index, o.Logger = shardDir(dir, s), lay.shardOpts(s), logger.With("shard", s)
-			}
-			if seed != nil {
-				o.Seed = seed.shards[s]
-			}
-			ds[s], infos[s], errs[s] = wal.Open(o)
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			// Unwind the shards that did open; the engine starts all-or-nothing.
-			for _, d := range ds {
-				if d != nil {
-					d.Close()
-				}
-			}
-			if flatLayout {
-				return nil, nil, err
-			}
-			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-
-	lives := make([]*core.Live, S)
-	for s, d := range ds {
-		lives[s] = d.Live()
-	}
-	if flatLayout {
-		lay = oneLayout(lives[0].Snapshot())
+	d, info, err := wal.OpenState(wo, seed, lay.codec(opts))
+	if err != nil {
+		return nil, info, err
 	}
 	if seedShards > 0 {
+		nx, ny := d.Live().Snapshot().GridDims()
 		logger.Warn("durability dir has prior state; ignoring seed, recovered layout wins",
-			"dir", dir, "recovered_shards", S, "seed_shards", seedShards,
-			"recovered_grid", fmt.Sprintf("%dx%d", lay.opts.NX, lay.opts.NY))
+			"dir", dir, "recovered_shards", lay.shardCount(), "seed_shards", seedShards,
+			"recovered_grid", fmt.Sprintf("%dx%d", nx, ny))
 	}
-	// The distinct size of several shards is recomputed from their
-	// contents; one shard's is its own Len.
-	live := &Live{lay: lay, lives: lives, met: newMetrics(S)}
-	if S > 1 {
-		live.size.Store(int64(live.Snapshot().countDistinct()))
-	}
-	return &Durable{live: live, ds: ds}, infos, nil
+	return d, info, nil
 }
 
-// Live returns the mutation interface of the sharded durable engine.
-func (d *Durable) Live() *Live { return d.live }
-
-// Checkpoint forces a checkpoint of every shard concurrently, returning
-// the maximum checkpointed epoch and the first error encountered (other
-// shards still complete).
-func (d *Durable) Checkpoint() (uint64, error) {
-	if len(d.ds) == 1 {
-		return d.ds[0].Checkpoint()
-	}
-	epochs := make([]uint64, len(d.ds))
-	errs := make([]error, len(d.ds))
-	var wg sync.WaitGroup
-	for s := range d.ds {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			epochs[s], errs[s] = d.ds[s].Checkpoint()
-		}(s)
-	}
-	wg.Wait()
-	var max uint64
-	for _, ep := range epochs {
-		if ep > max {
-			max = ep
+// migrate rewrites a version-1 directory in the version-2 layout: it
+// recovers every shard's log directory (legacyEngine), writes the
+// engine as one top-level checkpoint at its epoch, commits the
+// version-2 manifest and removes the shard directories. Until the
+// manifest commits, the shard directories are the truth: stale, the
+// top-level checkpoints an interrupted migration left, is removed
+// first. Once it commits, the checkpoint is (Open removes shard
+// directories a kill left behind).
+func migrate(dir string, m manifest, opts core.Options, stale []string, logger *slog.Logger) error {
+	for _, p := range stale {
+		if err := os.Remove(p); err != nil {
+			return err
 		}
 	}
-	for s, err := range errs {
+	e, err := legacyEngine(dir, m, opts, logger)
+	if err != nil {
+		return err
+	}
+	if err := wal.WriteCheckpoint(dir, e.Epoch(), func(w io.Writer) error { return saveEngine(w, e) }); err != nil {
+		return err
+	}
+	m.Version = manifestVersion
+	if err := writeManifest(dir, m); err != nil {
+		return err
+	}
+	legacy := make([]string, m.Shards)
+	for s := range legacy {
+		legacy[s] = shardDir(dir, s)
+	}
+	logger.Info("migrated per-shard logs to one log", "dir", dir, "shards", m.Shards,
+		"epoch", e.Epoch(), "objects", e.Len())
+	return removeDirs(dir, legacy)
+}
+
+// legacyEngine recovers the engine a version-1 directory holds: every
+// shard from its own log directory through wal.Recover, at the shard's
+// own epoch, so the engine epoch is their maximum. The distinct size is
+// recounted (version 1 recorded none).
+func legacyEngine(dir string, m manifest, opts core.Options, logger *slog.Logger) (*Engine, error) {
+	lay := m.layout(opts)
+	e := lay.empty()
+	for s := range e.shards {
+		sd := shardDir(dir, s)
+		if err := os.MkdirAll(sd, 0o755); err != nil {
+			return nil, err
+		}
+		six, _, _, err := wal.Recover(sd, lay.shardOpts(s), logger.With("shard", s))
 		if err != nil {
-			return max, fmt.Errorf("shard %d: %w", s, err)
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
+		e.shards[s] = six
 	}
-	return max, nil
+	e.size = e.countDistinct()
+	return e, nil
 }
 
-// Stats aggregates the per-shard durability stats: sums for throughput
-// and size counters, the minimum checkpoint epoch (the engine's replay
-// bound is its least-checkpointed shard) with the corresponding maximum
-// age, and the first failure string encountered. One shard's are its
-// own.
-func (d *Durable) Stats() wal.Stats {
-	if len(d.ds) == 1 {
-		return d.ds[0].Stats()
-	}
-	var out wal.Stats
-	for s, dl := range d.ds {
-		st := dl.Stats()
-		if s == 0 {
-			out.Policy = st.Policy
-			out.CheckpointEpoch = st.CheckpointEpoch
-		}
-		out.Segments += st.Segments
-		out.LogBytes += st.LogBytes
-		out.AppendedRecords += st.AppendedRecords
-		out.AppendedBytes += st.AppendedBytes
-		out.Fsyncs += st.Fsyncs
-		out.Rotations += st.Rotations
-		out.PrunedSegments += st.PrunedSegments
-		out.Checkpoints += st.Checkpoints
-		if st.CheckpointEpoch < out.CheckpointEpoch {
-			out.CheckpointEpoch = st.CheckpointEpoch
-		}
-		if st.CheckpointAge > out.CheckpointAge {
-			out.CheckpointAge = st.CheckpointAge
-		}
-		out.SinceCheckpoint += st.SinceCheckpoint
-		out.AppendTotal += st.AppendTotal
-		out.FsyncTotal += st.FsyncTotal
-		out.CheckpointTotal += st.CheckpointTotal
-		if out.Failed == "" && st.Failed != "" {
-			out.Failed = fmt.Sprintf("shard %d: %s", s, st.Failed)
-		}
-		out.Recovery.ReplayedRecords += st.Recovery.ReplayedRecords
-		out.Recovery.ReplayedMutations += st.Recovery.ReplayedMutations
-		out.Recovery.SkippedRecords += st.Recovery.SkippedRecords
-		out.Recovery.SkippedBadCkpts += st.Recovery.SkippedBadCkpts
-		out.Recovery.Segments += st.Recovery.Segments
-		out.Recovery.TruncatedTail = out.Recovery.TruncatedTail || st.Recovery.TruncatedTail
-		out.Recovery.CheckpointLoaded = out.Recovery.CheckpointLoaded || st.Recovery.CheckpointLoaded
-		if st.Recovery.Epoch > out.Recovery.Epoch {
-			out.Recovery.Epoch = st.Recovery.Epoch
+// removeDirs removes the given directories of dir and makes the removal
+// durable.
+func removeDirs(dir string, dirs []string) error {
+	for _, p := range dirs {
+		if err := os.RemoveAll(p); err != nil {
+			return err
 		}
 	}
-	return out
-}
-
-// Close stops every shard's apply loop and WAL, flushing buffered log
-// data. It returns the combined close errors, if any.
-func (d *Durable) Close() error {
-	errs := make([]error, len(d.ds))
-	var wg sync.WaitGroup
-	for s := range d.ds {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = d.ds[s].Close()
-		}(s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return wal.SyncDir(dir)
 }

@@ -1,11 +1,11 @@
 // Package shard implements the sharded scatter-gather query engine: the
 // grid's tile space is range-partitioned along x into S contiguous
-// column slabs, each backed by a self-contained core.Index (optionally
-// with its own live apply loop and WAL directory, see live.go and
-// durable.go). Queries route by their MBR — a query landing in one slab
-// runs directly against that shard (the single-shard fast path), a query
-// spanning several slabs fans out in parallel and merges per-shard
-// results.
+// column slabs, each backed by a self-contained core.Index (live.go
+// publishes all of them as one value from one apply loop, durable.go
+// journals that loop in one write-ahead log). Queries route by their
+// MBR — a query landing in one slab runs directly against that shard
+// (the single-shard fast path), a query spanning several slabs fans out
+// in parallel and merges per-shard results.
 //
 // Objects crossing a slab boundary are replicated into every shard their
 // MBR intersects, exactly like the two-layer scheme replicates objects
@@ -187,7 +187,7 @@ type Stats struct {
 // Engine is a set of S self-contained two-layer indices over contiguous
 // column slabs, queried scatter-gather. Like core.Index it is safe for
 // any number of concurrent readers; a live engine's snapshots come from
-// Live.Snapshot.
+// Live.Snapshot, and it is also the value Live publishes (core.State).
 type Engine struct {
 	lay    layout
 	shards []*core.Index
@@ -667,12 +667,12 @@ func (e *Engine) Len() int { return e.size }
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// Shard returns shard i's index (read-only; used for seeding per-shard
-// WALs and in tests).
+// Shard returns shard i's index (read-only; used in tests).
 func (e *Engine) Shard(i int) *core.Index { return e.shards[i] }
 
-// Epoch returns the maximum shard epoch — shards publish independently,
-// so this is an advisory high-water mark, not a global snapshot version.
+// Epoch returns the engine's publish sequence number: the maximum shard
+// epoch, since every publish stamps the shards it touches with the new
+// epoch. At one shard it is the shard's epoch.
 func (e *Engine) Epoch() uint64 {
 	var max uint64
 	for _, six := range e.shards {
@@ -774,24 +774,16 @@ func (e *Engine) Stats() Stats {
 
 // countDistinct recomputes the distinct object count by enumerating
 // every shard's entries and counting each one only in its home shard.
-// Used after WAL recovery, where per-shard logs replay independently and
-// the cross-shard total is not recorded anywhere.
+// Used when migrating a directory of per-shard logs, which recorded no
+// cross-shard total.
 func (e *Engine) countDistinct() int {
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for s := range e.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			n := 0
-			e.shards[s].ForEach(func(ent spatial.Entry) {
-				if e.lay.shardOf(ent.Rect.MinX) == s {
-					n++
-				}
-			})
-			total.Add(int64(n))
-		}(s)
+	n := 0
+	for s, six := range e.shards {
+		six.ForEach(func(ent spatial.Entry) {
+			if e.lay.shardOf(ent.Rect.MinX) == s {
+				n++
+			}
+		})
 	}
-	wg.Wait()
-	return int(total.Load())
+	return n
 }

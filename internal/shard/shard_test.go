@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -319,8 +318,8 @@ func TestDurableManifestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dur.Live().Len() != d.Len() {
-		t.Fatalf("seeded Len = %d, want %d", dur.Live().Len(), d.Len())
+	if got := dur.Live().Snapshot().Len(); got != d.Len() {
+		t.Fatalf("seeded Len = %d, want %d", got, d.Len())
 	}
 	if err := dur.Close(); err != nil {
 		t.Fatal(err)
@@ -330,32 +329,36 @@ func TestDurableManifestWins(t *testing.T) {
 	// another grid and shard count: the manifest must override all three.
 	otherSeed := Build(testDataset(14, 10, 0.05),
 		core.Options{NX: 8, NY: 8, Space: geom.Rect{MaxX: 2, MaxY: 2}}, 2)
-	dur2, infos, err := Open(wal.Options{Dir: dir,
+	dur2, info, err := Open(wal.Options{Dir: dir,
 		Index: core.Options{NX: 64, NY: 64, Space: geom.Rect{MaxX: 9, MaxY: 9}}}, otherSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dur2.Close()
-	if got := dur2.Live().Shards(); got != 3 {
+	if got := dur2.Live().Snapshot().Shards(); got != 3 {
 		t.Fatalf("reopen shards = %d, manifest pins 3", got)
 	}
-	if got := dur2.Live().Len(); got != d.Len() {
+	if got := dur2.Live().Snapshot().Len(); got != d.Len() {
 		t.Fatalf("reopen Len = %d, want %d (other seed must be ignored)", got, d.Len())
 	}
-	if len(infos) != 3 {
-		t.Fatalf("reopen returned %d infos, want 3", len(infos))
+	if !info.CheckpointLoaded {
+		t.Fatalf("reopen RecoveryInfo = %+v, want the seed's checkpoint loaded", info)
 	}
 	snap := dur2.Live().Snapshot()
 	if nx, ny := snap.GridDims(); nx != 16 || ny != 16 {
 		t.Fatalf("reopen grid = %dx%d, manifest pins 16x16", nx, ny)
 	}
 
-	// The per-shard WAL directories follow the shard-%03d naming.
-	if _, err := readManifest(dir); err != nil {
+	// The manifest is at the current version, beside the one log.
+	m, err := readManifest(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shardDir(dir, 0); got != filepath.Join(dir, "shard-000") {
-		t.Errorf("shardDir = %s", got)
+	if m.Version != manifestVersion {
+		t.Errorf("manifest version %d, want %d", m.Version, manifestVersion)
+	}
+	if ckpts, segs, _ := wal.Files(dir); len(ckpts) == 0 || len(segs) == 0 {
+		t.Errorf("top level holds %d checkpoints and %d log segments, want both", len(ckpts), len(segs))
 	}
 }
 

@@ -1,10 +1,11 @@
-// DurableLive: a core.Live index whose mutation stream is journaled and
+// Durable: an apply loop whose mutation stream is journaled and
 // checkpointed, recovering to exactly the acknowledged state on restart.
 package wal
 
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -97,15 +98,37 @@ type Stats struct {
 	Recovery RecoveryInfo
 }
 
-// DurableLive couples a core.Live index with the write-ahead log: every
-// mutation batch is journaled (and fsynced per Options.Policy) before it
-// is applied or acknowledged, checkpoints bound replay time, and Open
-// restores the acknowledged state after a crash. All methods are safe
-// for concurrent use.
-type DurableLive struct {
+// Codec stores the value of an apply loop in checkpoint files: Save
+// writes it, Load reads it back (from a *bufio.Reader, so a value of
+// several parts can be read part by part), and Empty makes the value a
+// directory with no checkpoint starts from.
+type Codec[T any, P core.State[T]] struct {
+	Load  func(r io.Reader) (P, error)
+	Save  func(w io.Writer, v P) error
+	Empty func() P
+}
+
+// indexCodec is the Codec of one index: the core persist format, and an
+// empty index of opts on a cold start.
+func indexCodec(opts core.Options) Codec[core.Index, *core.Index] {
+	return Codec[core.Index, *core.Index]{
+		Load:  core.Load,
+		Save:  func(w io.Writer, ix *core.Index) error { _, err := ix.WriteTo(w); return err },
+		Empty: func() *core.Index { return core.New(opts) },
+	}
+}
+
+// Durable couples an apply loop with the write-ahead log: every mutation
+// batch is journaled (and fsynced per Options.Policy) at the epoch it
+// publishes as before it is applied or acknowledged, checkpoints of the
+// loop's snapshots bound replay time, and opening restores the
+// acknowledged state after a crash. All methods are safe for concurrent
+// use.
+type Durable[T any, P core.State[T]] struct {
 	dir    string
 	opt    Options
-	live   *core.Live
+	save   func(io.Writer, P) error
+	live   *core.Loop[T, P]
 	log    *appendLog
 	logger *slog.Logger
 	rec    RecoveryInfo
@@ -124,10 +147,22 @@ type DurableLive struct {
 	closeErr  error
 }
 
+// DurableLive is the Durable of one index.
+type DurableLive = Durable[core.Index, *core.Index]
+
 // Open recovers (or cold-starts) the index stored in opts.Dir and wraps
 // it in a journaling Live index. The returned RecoveryInfo reports what
 // recovery found; after a clean shutdown it shows zero replayed records.
 func Open(opts Options) (*DurableLive, RecoveryInfo, error) {
+	return OpenState(opts, opts.Seed, indexCodec(opts.Index))
+}
+
+// OpenState is Open for any loop value: it recovers the value stored in
+// opts.Dir with c (the newest readable checkpoint plus the log tail) or,
+// when the directory holds no state, starts from seed — checkpointed
+// before any mutation is accepted — or from c.Empty when seed is nil.
+// opts.Seed and opts.Index are not used.
+func OpenState[T any, P core.State[T]](opts Options, seed P, c Codec[T, P]) (*Durable[T, P], RecoveryInfo, error) {
 	if opts.Dir == "" {
 		return nil, RecoveryInfo{}, fmt.Errorf("wal: Options.Dir is required")
 	}
@@ -139,34 +174,35 @@ func Open(opts Options) (*DurableLive, RecoveryInfo, error) {
 		return nil, RecoveryInfo{}, fmt.Errorf("wal: creating data dir: %w", err)
 	}
 
-	ix, segs, info, err := Recover(opts.Dir, opts.Index, opts.Logger)
+	v, segs, info, err := recoverState(opts.Dir, c, opts.Logger)
 	if err != nil {
 		return nil, info, err
 	}
 	fresh := !info.CheckpointLoaded && info.SkippedBadCkpts == 0 &&
 		info.Segments == 0 && info.ReplayedRecords == 0 && info.SkippedRecords == 0
-	if opts.Seed != nil {
+	if seed != nil {
 		if fresh {
-			ix = opts.Seed
-			if err := writeCheckpoint(opts.Dir, ix); err != nil {
+			v = seed
+			if err := WriteCheckpoint(opts.Dir, v.Epoch(), func(w io.Writer) error { return c.Save(w, v) }); err != nil {
 				return nil, info, fmt.Errorf("wal: checkpointing seed index: %w", err)
 			}
-			info.CheckpointEpoch = ix.Epoch()
+			info.CheckpointEpoch = v.Epoch()
 			info.CheckpointLoaded = true
-			info.Epoch = ix.Epoch()
+			info.Epoch = v.Epoch()
 		} else {
 			opts.Logger.Warn("durability dir has prior state; ignoring seed index",
-				"dir", opts.Dir, "epoch", ix.Epoch())
+				"dir", opts.Dir, "epoch", v.Epoch())
 		}
 	}
 
-	log, err := openLog(opts.Dir, ix.Epoch()+1, segs, opts.SegmentBytes, opts.Policy, opts.SyncEvery, opts.Logger)
+	log, err := openLog(opts.Dir, v.Epoch()+1, segs, opts.SegmentBytes, opts.Policy, opts.SyncEvery, opts.Logger)
 	if err != nil {
 		return nil, info, err
 	}
-	d := &DurableLive{
+	d := &Durable[T, P]{
 		dir:    opts.Dir,
 		opt:    opts,
+		save:   c.Save,
 		log:    log,
 		logger: opts.Logger,
 		rec:    info,
@@ -179,20 +215,20 @@ func Open(opts Options) (*DurableLive, RecoveryInfo, error) {
 	}
 	liveOpts := opts.Live
 	liveOpts.Journal = d.journal
-	d.live = core.NewLive(ix, liveOpts)
+	d.live = core.NewLoop(v, liveOpts)
 	d.wg.Add(1)
 	go d.checkpointLoop()
 	return d, info, nil
 }
 
-// Live returns the underlying live index. Mutations submitted through it
-// are journaled — the write-ahead hook lives inside the apply loop, so
-// there is no undurable side door.
-func (d *DurableLive) Live() *core.Live { return d.live }
+// Live returns the apply loop. Mutations submitted through it are
+// journaled — the write-ahead hook lives inside the loop, so there is
+// no undurable side door.
+func (d *Durable[T, P]) Live() *core.Loop[T, P] { return d.live }
 
 // journal is the core.LiveOptions.Journal hook: append-before-publish,
 // plus the automatic checkpoint trigger.
-func (d *DurableLive) journal(epoch uint64, muts []core.Mutation) error {
+func (d *Durable[T, P]) journal(epoch uint64, muts []core.Mutation) error {
 	if err := d.log.Append(epoch, muts); err != nil {
 		return err
 	}
@@ -206,7 +242,7 @@ func (d *DurableLive) journal(epoch uint64, muts []core.Mutation) error {
 	return nil
 }
 
-func (d *DurableLive) checkpointLoop() {
+func (d *Durable[T, P]) checkpointLoop() {
 	defer d.wg.Done()
 	for {
 		select {
@@ -225,7 +261,7 @@ func (d *DurableLive) checkpointLoop() {
 // checkpoint files. It returns the checkpointed epoch, and is a cheap
 // no-op when no mutations were published since the last checkpoint.
 // Writers and readers are never paused: the snapshot is immutable.
-func (d *DurableLive) Checkpoint() (uint64, error) {
+func (d *Durable[T, P]) Checkpoint() (uint64, error) {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	snap := d.live.Snapshot()
@@ -238,7 +274,7 @@ func (d *DurableLive) Checkpoint() (uint64, error) {
 	// refires promptly instead of waiting out a whole fresh interval.
 	saved := d.sinceCkpt.Swap(0)
 	start := time.Now()
-	if err := writeCheckpoint(d.dir, snap); err != nil {
+	if err := WriteCheckpoint(d.dir, epoch, func(w io.Writer) error { return d.save(w, snap) }); err != nil {
 		d.sinceCkpt.Add(saved)
 		return 0, err
 	}
@@ -253,7 +289,7 @@ func (d *DurableLive) Checkpoint() (uint64, error) {
 
 // dropOldCheckpoints keeps the newest checkpoint plus one predecessor
 // (a cheap hedge against a latent bad write) and removes the rest.
-func (d *DurableLive) dropOldCheckpoints(newest uint64) {
+func (d *Durable[T, P]) dropOldCheckpoints(newest uint64) {
 	ckpts, _, err := listState(d.dir)
 	if err != nil {
 		return
@@ -269,17 +305,18 @@ func (d *DurableLive) dropOldCheckpoints(newest uint64) {
 	}
 }
 
-// writeCheckpoint atomically persists ix as dir's checkpoint for its
-// epoch: write to a temp file, fsync, rename, fsync the directory.
-func writeCheckpoint(dir string, ix *core.Index) error {
-	final := filepath.Join(dir, checkpointName(ix.Epoch()))
+// WriteCheckpoint atomically persists what save writes as dir's
+// checkpoint for epoch: write to a temp file, fsync, rename, fsync the
+// directory.
+func WriteCheckpoint(dir string, epoch uint64, save func(io.Writer) error) error {
+	final := filepath.Join(dir, checkpointName(epoch))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := ix.WriteTo(bw); err == nil {
+	if err = save(bw); err == nil {
 		err = bw.Flush()
 	}
 	if err == nil {
@@ -296,11 +333,12 @@ func writeCheckpoint(dir string, ix *core.Index) error {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: publishing checkpoint: %w", err)
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// syncDir fsyncs a directory so renames within it are durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so the entries created, renamed or removed
+// in it are durable.
+func SyncDir(dir string) error {
 	df, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -316,7 +354,7 @@ func syncDir(dir string) error {
 }
 
 // Stats reports the durability counters.
-func (d *DurableLive) Stats() Stats {
+func (d *Durable[T, P]) Stats() Stats {
 	ls := d.log.Stats()
 	s := Stats{
 		Policy:          d.opt.Policy,
@@ -348,7 +386,7 @@ func (d *DurableLive) Stats() Stats {
 // final batches are journaled on the way out), and closes the log with a
 // final fsync. A recovered restart after a clean Close replays only the
 // frames above the last checkpoint. Close is idempotent.
-func (d *DurableLive) Close() error {
+func (d *Durable[T, P]) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.stop)
 		d.wg.Wait()

@@ -172,14 +172,20 @@ func scanSegment(r io.Reader, fn func(epoch uint64, muts []core.Mutation) error)
 	}
 }
 
-// HasState reports whether dir holds durability state (checkpoints or
-// log segments). A missing directory is simply stateless.
-func HasState(dir string) (bool, error) {
+// Files lists the paths of dir's checkpoint and log segment files,
+// oldest first. A missing directory holds neither.
+func Files(dir string) (checkpoints, segments []string, err error) {
 	ckpts, segs, err := listState(dir)
 	if os.IsNotExist(err) {
-		return false, nil
+		return nil, nil, nil
 	}
-	return len(ckpts)+len(segs) > 0, err
+	for _, m := range ckpts {
+		checkpoints = append(checkpoints, m.path)
+	}
+	for _, m := range segs {
+		segments = append(segments, m.path)
+	}
+	return checkpoints, segments, err
 }
 
 // listState scans dir for checkpoint and segment files.
@@ -240,22 +246,30 @@ func quarantine(logger *slog.Logger, path string, cause error) {
 	logger.Warn("quarantined unreadable checkpoint", "path", path, "renamed", bad, "cause", cause)
 }
 
-// Recover rebuilds the index state stored in dir: the newest readable
+// Recover rebuilds the index state stored in dir: recoverState with the
+// one-index codec, whose cold start is an empty index of opts.
+func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, []segmentMeta, RecoveryInfo, error) {
+	return recoverState(dir, indexCodec(opts), logger)
+}
+
+// recoverState rebuilds the value stored in dir: the newest readable
 // checkpoint, plus a replay of every log frame above the checkpoint
-// epoch. opts builds the starting index on a cold start (no checkpoint
-// files at all). When checkpoint files exist but an older one loads,
-// the unreadable newer ones are quarantined (renamed to .bad); when
-// none loads, Recover returns an error and leaves every file in place —
-// the log alone cannot prove it reconstructs the checkpointed state, so
-// healing to an empty index would silently destroy durable data.
+// epoch through the value's in-place Apply — the same routing the apply
+// loop's Next uses. c.Empty is the starting value on a cold start (no
+// checkpoint files at all). When checkpoint files exist but an older one
+// loads, the unreadable newer ones are quarantined (renamed to .bad);
+// when none loads, recoverState returns an error and leaves every file
+// in place — the log alone cannot prove it reconstructs the checkpointed
+// state, so healing to an empty value would silently destroy durable
+// data.
 //
 // The log tail is healed, not rejected: the first torn or corrupt frame
 // ends the replay, the segment is truncated back to the last intact
 // frame, and any later segment files are removed (their frames would
 // leave an epoch gap). Segment files that are empty or fully covered by
 // the checkpoint are pruned. The surviving segments together with the
-// returned index are exactly the acknowledged, durable state.
-func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, []segmentMeta, RecoveryInfo, error) {
+// returned value are exactly the acknowledged, durable state.
+func recoverState[T any, P core.State[T]](dir string, c Codec[T, P], logger *slog.Logger) (P, []segmentMeta, RecoveryInfo, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
@@ -267,7 +281,7 @@ func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, [
 
 	// Newest readable checkpoint wins. An unreadable one is skipped, not
 	// fatal — an older checkpoint can still cover it — but never deleted.
-	var ix *core.Index
+	var ix P
 	type badCkpt struct {
 		path  string
 		cause error
@@ -276,8 +290,8 @@ func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, [
 	for i := len(ckpts) - 1; i >= 0 && ix == nil; i-- {
 		f, err := os.Open(ckpts[i].path)
 		if err == nil {
-			var loaded *core.Index
-			loaded, err = core.Load(bufio.NewReader(f))
+			var loaded P
+			loaded, err = c.Load(bufio.NewReader(f))
 			f.Close()
 			if err == nil && loaded.Epoch() != ckpts[i].first {
 				err = fmt.Errorf("checkpoint epoch %d does not match file name", loaded.Epoch())
@@ -311,7 +325,7 @@ func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, [
 		quarantine(logger, b.path, b.cause)
 	}
 	if ix == nil {
-		ix = core.New(opts)
+		ix = c.Empty()
 	}
 
 	// Replay segments in epoch order. A segment whose successor starts
@@ -347,14 +361,7 @@ func Recover(dir string, opts core.Options, logger *slog.Logger) (*core.Index, [
 			if epoch != ix.Epoch()+1 {
 				return fmt.Errorf("%w: epoch %d after %d", errCorrupt, epoch, ix.Epoch())
 			}
-			for _, m := range muts {
-				if m.Delete {
-					ix.Delete(m.Entry.ID, m.Entry.Rect)
-				} else {
-					ix.Insert(m.Entry)
-				}
-			}
-			ix.SetEpoch(epoch)
+			ix.Apply(epoch, muts, make([]bool, len(muts)))
 			info.ReplayedRecords++
 			info.ReplayedMutations += len(muts)
 			frames++

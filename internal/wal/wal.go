@@ -202,6 +202,8 @@ func openLog(dir string, nextEpoch uint64, sealed []segmentMeta,
 // openSegment creates the active segment file. The name is asserted
 // fresh (O_EXCL): recovery removes empty and fully-covered segments, so
 // a collision would mean an epoch-accounting bug, not a dirty directory.
+// The directory is fsynced once per new segment, so the file's entry is
+// durable before any frame in it can be acknowledged under SyncAlways.
 func (l *appendLog) openSegment(firstEpoch uint64) error {
 	path := filepath.Join(l.dir, segmentName(firstEpoch))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -214,6 +216,10 @@ func (l *appendLog) openSegment(firstEpoch uint64) error {
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
+	}
+	if err := SyncDir(l.dir); err != nil {
+		f.Close()
+		return err
 	}
 	l.f = f
 	l.active = segmentMeta{path: path, first: firstEpoch, size: segHeaderSize}

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand"
 	"os"
@@ -506,6 +508,23 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 	defer d.Close()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("stale checkpoint tmp survived recovery: %v", err)
+	}
+}
+
+// TestWriteCheckpointSaveError: a checkpoint whose encoding fails is
+// reported and never published under a checkpoint name.
+func TestWriteCheckpointSaveError(t *testing.T) {
+	dir := t.TempDir()
+	errSave := fmt.Errorf("encode failed")
+	err := WriteCheckpoint(dir, 3, func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return errSave
+	})
+	if !errors.Is(err, errSave) {
+		t.Fatalf("WriteCheckpoint error = %v, want the save error", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed checkpoint left %v behind", entries)
 	}
 }
 

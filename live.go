@@ -9,33 +9,26 @@ import (
 // ShardedLive.
 var ErrLiveClosed = core.ErrLiveClosed
 
-// ErrBacklogFull is returned for mutations submitted while a shard's
-// pending backlog is at LiveOptions.MaxBacklog. Nothing is enqueued;
-// back off and retry once the backlog drains.
+// ErrBacklogFull is returned for mutations submitted while a
+// ShardedLive's pending backlog is at LiveOptions.MaxBacklog. Nothing is
+// enqueued; back off and retry once the backlog drains.
 var ErrBacklogFull = core.ErrBacklogFull
 
-// LiveOptions tune the single-writer apply loop of each shard of a
-// ShardedLive.
+// LiveOptions tune the single-writer apply loop of a ShardedLive. A
+// publish applies up to 256 pending mutations; up to 1024 submissions
+// queue behind it before Apply blocks.
 type LiveOptions struct {
-	// MaxBatch caps the mutations applied per published snapshot. A
-	// publish copies only the tile pages its batch touches, so there is
-	// little fixed cost for larger batches to amortize — they mainly
-	// share one journal append and fsync; smaller ones reduce
-	// writer-observed latency. Defaults to 256.
-	MaxBatch int
 	// MaxBacklog bounds the accepted-but-unpublished mutation backlog
-	// per shard: a submission arriving while the backlog is at the bound
-	// fails immediately with ErrBacklogFull instead of queuing, so a
-	// mutation flood sheds load instead of growing memory without bound.
-	// 0 means unbounded.
+	// per engine: a submission arriving while the backlog is at the
+	// bound fails immediately with ErrBacklogFull instead of queuing, so
+	// a mutation flood sheds load instead of growing memory without
+	// bound. A rejected batch is rejected whole, on every shard. 0 means
+	// unbounded.
 	MaxBacklog int
 }
 
 func (o LiveOptions) toCore() core.LiveOptions {
-	return core.LiveOptions{
-		MaxBatch:   o.MaxBatch,
-		MaxBacklog: o.MaxBacklog,
-	}
+	return core.LiveOptions{MaxBacklog: o.MaxBacklog}
 }
 
 // Mutation is one pending update for ShardedLive.Apply: an insertion of
@@ -52,13 +45,13 @@ type Mutation struct {
 // its object (inserts are always true).
 type ApplyResult = core.ApplyResult
 
-// LiveStats is a point-in-time view of a ShardedLive's apply loops: the
+// LiveStats is a point-in-time view of a ShardedLive's apply loop: the
 // current snapshot epoch and size, the pending-mutation backlog, totals
 // of applied mutations and publishes, and the size and wall time of the
 // most recent publish.
 type LiveStats = core.LiveStats
 
-// coreMutations converts a mutation batch for the apply loops.
+// coreMutations converts a mutation batch for the apply loop.
 func coreMutations(muts []Mutation) []core.Mutation {
 	cms := make([]core.Mutation, len(muts))
 	for i, m := range muts {

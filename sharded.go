@@ -1,7 +1,6 @@
 package twolayer
 
 import (
-	"github.com/twolayer/twolayer/internal/core"
 	"github.com/twolayer/twolayer/internal/shard"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
@@ -197,8 +196,11 @@ func (s *Sharded) Len() int { return s.eng.Len() }
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return s.eng.Shards() }
 
-// Epoch returns the maximum shard epoch — shards publish independently,
-// so this is an advisory high-water mark.
+// Epoch returns the snapshot's epoch: the publish sequence number of a
+// ShardedLive, which rises by one per published batch, whatever shards
+// it touched, and never goes back across a durable restart. It is the
+// maximum shard epoch (ShardStat.Epoch): a publish stamps every shard
+// it touches with it.
 func (s *Sharded) Epoch() uint64 { return s.eng.Epoch() }
 
 // GridDims returns the global grid's tile counts per dimension (the
@@ -243,22 +245,23 @@ func (s *Sharded) Stats() ShardedStats { return s.eng.Stats() }
 
 // ShardedLive is the package's one updatable handle, at any shard count.
 // Readers call Snapshot and query the immutable engine it returns with
-// no locks; each shard's single-writer apply loop (and, under
-// OpenDurable, its WAL) batches mutations, applies them copy-on-write
-// (copying only the tile pages a batch touches) and publishes the next
-// epoch. A mutation call returns once its batch is published, so the
-// caller observes its own write in every later Snapshot. Visibility is
-// atomic per shard: a cross-shard batch appears shard by shard, and a
-// Snapshot may interleave epochs across shards. Queries stay
-// duplicate-free throughout. All methods are safe for concurrent use.
+// no locks. One single-writer apply loop (and, under OpenDurable, one
+// write-ahead log) batches mutations, routes each to the shards its MBR
+// intersects, applies them copy-on-write to those shards alone (copying
+// only the tile pages a batch touches) and publishes the next engine,
+// every shard at one epoch, with one atomic store. So a batch is
+// visible everywhere at once: a reader sees every object exactly once,
+// an object moving across a slab edge included. A mutation call returns
+// once its batch is published, so the caller observes its own write in
+// every later Snapshot. All methods are safe for concurrent use.
 type ShardedLive struct {
 	l *shard.Live
 }
 
-// ShardedLiveFrom wraps a built engine, which becomes the epoch-0 state
-// of every shard: OneShard(ix) for an index, BuildShardedRects(nil, …)
-// for an empty one. It takes ownership of s: do not query s directly
-// afterward. Snapshots serve MBR (filtering) queries only.
+// ShardedLiveFrom wraps a built engine, which becomes the epoch-0 state:
+// OneShard(ix) for an index, BuildShardedRects(nil, …) for an empty one.
+// It takes ownership of s: do not query s directly afterward. Snapshots
+// serve MBR (filtering) queries only.
 func ShardedLiveFrom(s *Sharded, lo LiveOptions) *ShardedLive {
 	return &ShardedLive{l: shard.LiveFrom(s.eng, lo.toCore())}
 }
@@ -270,45 +273,42 @@ func ShardedLiveFrom(s *Sharded, lo LiveOptions) *ShardedLive {
 // bookkeeping (Stats) and per-shard spans (Traced).
 func OneShard(ix *Index) *Sharded { return &Sharded{eng: shard.One(ix.core)} }
 
-// Snapshot returns an immutable engine over the shards' current
-// snapshots — S atomic loads, no locks. Pin one snapshot per request.
+// Snapshot returns the current immutable engine — one atomic load, no
+// locks. Pin one snapshot per request.
 func (sl *ShardedLive) Snapshot() *Sharded {
 	return &Sharded{eng: sl.l.Snapshot()}
 }
 
-// Insert adds one object, blocking until every shard its MBR intersects
-// has published the insertion, and returns the epoch that made it
-// visible. An inverted rectangle, or one with a NaN or infinite
-// coordinate, is reported as an error.
+// Insert adds one object, blocking until it is published, and returns
+// the epoch that made it visible. An inverted rectangle, or one with a
+// NaN or infinite coordinate, is reported as an error.
 func (sl *ShardedLive) Insert(id ID, mbr Rect) (epoch uint64, err error) {
-	return sl.l.Insert(core.Mutation{Entry: spatial.Entry{ID: id, Rect: mbr}})
+	return sl.l.Insert(spatial.Entry{ID: id, Rect: mbr})
 }
 
 // Delete removes the object with the given ID and exact MBR from every
-// shard holding a replica, reporting whether it was found anywhere.
+// shard holding a replica, reporting whether it was found.
 func (sl *ShardedLive) Delete(id ID, mbr Rect) (found bool, epoch uint64, err error) {
-	return sl.l.Delete(core.Mutation{Entry: spatial.Entry{ID: id, Rect: mbr}})
+	return sl.l.Delete(id, mbr)
 }
 
-// Apply routes each mutation to every shard its rectangle intersects
-// and applies the per-shard batches concurrently, blocking until all
-// involved shards have published. Validation is all-or-nothing (an
-// invalid rectangle rejects the whole batch before anything is
-// enqueued); visibility is atomic per shard, not across shards.
+// Apply publishes a batch of mutations in one snapshot and blocks until
+// it is visible: all-or-nothing, across shards too. An invalid
+// rectangle rejects the whole batch before anything is enqueued. The
+// result's Epoch is the snapshot's (Sharded.Epoch).
 func (sl *ShardedLive) Apply(muts []Mutation) (ApplyResult, error) {
 	return sl.l.Apply(coreMutations(muts))
 }
 
 // Len returns the number of distinct objects currently indexed.
-func (sl *ShardedLive) Len() int { return sl.l.Len() }
+func (sl *ShardedLive) Len() int { return sl.l.Snapshot().Len() }
 
 // Shards returns the shard count.
-func (sl *ShardedLive) Shards() int { return sl.l.Shards() }
+func (sl *ShardedLive) Shards() int { return sl.l.Snapshot().Shards() }
 
-// Stats aggregates the per-shard apply-loop counters (sums for
-// throughput counters, maxima for Epoch and LastPublish, the distinct
-// object count for Objects).
+// Stats reports the apply loop's counters; Epoch and Objects are the
+// current snapshot's.
 func (sl *ShardedLive) Stats() LiveStats { return sl.l.Stats() }
 
-// Close drains and stops every shard's apply loop. Idempotent.
+// Close drains and stops the apply loop. Idempotent.
 func (sl *ShardedLive) Close() { sl.l.Close() }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	twolayer "github.com/twolayer/twolayer"
 )
@@ -503,6 +504,81 @@ func TestShardedLiveMutateWhileQuery(t *testing.T) {
 	sameIDs(t, "final contents", sorted(got), want)
 }
 
+// TestShardedLiveMoveSeenOnce: while a writer moves one object back and
+// forth across a slab edge, each move one Apply of a delete and an
+// insert, every full-space SearchIDs and SearchCount sees the object
+// exactly once: a batch that spans shards is published whole, in one
+// snapshot of every shard.
+func TestShardedLiveMoveSeenOnce(t *testing.T) {
+	unit := twolayer.Rect{MaxX: 1, MaxY: 1}
+	all := twolayer.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
+	for _, shards := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			opts := twolayer.Options{GridSize: 64, Space: unit}
+			sl := twolayer.ShardedLiveFrom(twolayer.BuildShardedRects(nil, opts,
+				twolayer.ShardedOptions{Shards: shards}), twolayer.LiveOptions{})
+			defer sl.Close()
+			edge := 0.5 // shard 1's first column, 64/S of 64
+			if shards > 1 {
+				edge = float64(64/shards) / 64
+			}
+			at := [2]twolayer.Rect{
+				{MinX: edge - 0.01, MinY: 0.5, MaxX: edge - 0.005, MaxY: 0.505},
+				{MinX: edge + 0.005, MinY: 0.5, MaxX: edge + 0.01, MaxY: 0.505},
+			}
+			if _, err := sl.Insert(1, at[0]); err != nil {
+				t.Fatal(err)
+			}
+
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			var bad [2]string
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					var ids []twolayer.ID
+					for reads := 0; ; reads++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						snap := sl.Snapshot()
+						n := 0
+						if r == 0 {
+							ids, _ = snap.SearchIDs(twolayer.Query{Window: &all}, ids[:0])
+							n = len(ids)
+						} else {
+							n, _ = snap.SearchCount(twolayer.Query{Window: &all})
+						}
+						if n != 1 {
+							bad[r] = fmt.Sprintf("read %d at epoch %d saw the object %d times", reads, snap.Epoch(), n)
+							return
+						}
+					}
+				}(r)
+			}
+			deadline := time.Now().Add(200 * time.Millisecond)
+			for i := 0; time.Now().Before(deadline); i++ {
+				if _, err := sl.Apply([]twolayer.Mutation{
+					{Delete: true, ID: 1, MBR: at[i%2]},
+					{ID: 1, MBR: at[(i+1)%2]},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			for r, msg := range bad {
+				if msg != "" {
+					t.Errorf("%s reader: %s", []string{"SearchIDs", "SearchCount"}[r], msg)
+				}
+			}
+		})
+	}
+}
+
 // TestShardedLiveFromAndSnapshot covers promotion of a built engine to
 // a live one and read-your-writes visibility through snapshots.
 func TestShardedLiveFromAndSnapshot(t *testing.T) {
@@ -561,7 +637,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 	rects := randRects(rnd, 600, 0.05)
 	seed := twolayer.BuildShardedRects(rects, twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 3})
 
-	d, infos, err := twolayer.OpenDurable(
+	d, info, err := twolayer.OpenDurable(
 		twolayer.Options{GridSize: 16},
 		twolayer.LiveOptions{},
 		twolayer.DurableOptions{Dir: dir, Seed: seed},
@@ -569,8 +645,8 @@ func TestShardedDurableRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 3 {
-		t.Fatalf("cold open returned %d RecoveryInfos, want 3", len(infos))
+	if !info.CheckpointLoaded || info.ReplayedRecords != 0 {
+		t.Fatalf("cold open RecoveryInfo = %+v, want the seed checkpointed and nothing replayed", info)
 	}
 	var muts []twolayer.Mutation
 	for i := 0; i < 50; i++ {
@@ -604,7 +680,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 
 	// Reopen with an 8-shard seed: the manifest's 3-shard layout wins.
 	other := twolayer.BuildShardedRects(rects[:10], twolayer.Options{GridSize: 16}, twolayer.ShardedOptions{Shards: 8})
-	d2, infos, err := twolayer.OpenDurable(
+	d2, info, err := twolayer.OpenDurable(
 		twolayer.Options{},
 		twolayer.LiveOptions{},
 		twolayer.DurableOptions{Dir: dir, Seed: other},
@@ -616,17 +692,9 @@ func TestShardedDurableRecovery(t *testing.T) {
 	if got := d2.Live().Shards(); got != 3 {
 		t.Fatalf("reopened with %d shards, manifest pins 3", got)
 	}
-	if len(infos) != 3 {
-		t.Fatalf("reopen returned %d RecoveryInfos, want 3", len(infos))
-	}
-	replayed := false
-	for _, ri := range infos {
-		if ri.ReplayedRecords > 0 {
-			replayed = true
-		}
-	}
-	if !replayed {
-		t.Error("no shard replayed any WAL records")
+	// One log: the bulk and the delete are one frame each.
+	if info.ReplayedRecords != 2 || info.ReplayedMutations != len(muts)+1 || info.Epoch != 2 {
+		t.Errorf("RecoveryInfo = %+v, want 2 frames of %d mutations replayed up to epoch 2", info, len(muts)+1)
 	}
 	if d2.Live().Len() != wantLen {
 		t.Fatalf("recovered Len = %d, want %d", d2.Live().Len(), wantLen)
@@ -641,7 +709,8 @@ func TestShardedDurableRecovery(t *testing.T) {
 		t.Error("Stats().Recovery reports no checkpoint loaded despite the seed")
 	}
 
-	// The on-disk layout is one manifest plus one WAL dir per shard.
+	// The on-disk layout is one manifest beside one log, with no
+	// directory per shard.
 	if _, err := os.Stat(filepath.Join(dir, "shards.json")); err != nil {
 		t.Errorf("manifest missing: %v", err)
 	}
@@ -649,14 +718,17 @@ func TestShardedDurableRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardDirs := 0
+	shardDirs, segments := 0, 0
 	for _, e := range entries {
 		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
 			shardDirs++
 		}
+		if strings.HasPrefix(e.Name(), "wal-") {
+			segments++
+		}
 	}
-	if shardDirs != 3 {
-		t.Errorf("found %d shard-* dirs, want 3", shardDirs)
+	if shardDirs != 0 || segments == 0 {
+		t.Errorf("found %d shard-* dirs and %d log segments, want none and one log", shardDirs, segments)
 	}
 }
 
