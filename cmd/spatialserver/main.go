@@ -21,7 +21,7 @@
 // Every endpoint routes through the scatter-gather engine
 // (docs/SHARDING.md); without -shards it has one shard, the index
 // itself. With -shards N it is N self-contained two-layer indices over
-// contiguous slabs of the tile space, queried in parallel with
+// contiguous slabs of the tile space, which a query walks in order with
 // duplicate-free merging. Combined with -live one apply loop publishes
 // every shard of each snapshot at once; combined with -data-dir that
 // loop journals to one write-ahead log. The directory decides the
@@ -156,7 +156,7 @@ func main() {
 	trace := flag.Bool("trace", false, "attach a per-stage trace to every single-query response (clients can also opt in per request)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries (batches included) slower than this many milliseconds, with their trace (0 = off)")
 	live := flag.Bool("live", false, "serve in live mode: accept updates on POST /v1/insert, /v1/delete, /v1/bulk (disables exact-geometry queries)")
-	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded, negative = one per GOMAXPROCS)")
+	shards := flag.Int("shards", 0, "serve through a scatter-gather engine with this many spatial shards (0 = unsharded)")
 	dataDir := flag.String("data-dir", "", "durable live mode: directory for the write-ahead log and checkpoints; implies -live, recovers automatically on startup")
 	fsync := flag.String("fsync", "interval", `durable mode fsync policy: "always", "interval", or "none"`)
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "durable mode: background fsync period under -fsync=interval")
@@ -180,6 +180,9 @@ func main() {
 	}
 	if *gridSize < 0 {
 		fail(fmt.Errorf("-grid must be >= 0"))
+	}
+	if *shards < 0 {
+		fail(fmt.Errorf("-shards must be >= 0"))
 	}
 
 	durable := *dataDir != ""

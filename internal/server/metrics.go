@@ -391,10 +391,10 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	r.Gauge("twolayer_shard_count",
 		"Spatial shards of the scatter-gather engine (1 when unsharded).").Set(float64(nShards))
 	r.CounterFunc("twolayer_shard_single_queries_total",
-		"Queries answered by one shard (fast path, no fan-out).",
+		"Queries whose shape covers one shard.",
 		func() float64 { return float64(shardStats().SingleShard) })
 	r.CounterFunc("twolayer_shard_fanout_queries_total",
-		"Queries fanned out to two or more shards and merged.",
+		"Queries whose shape covers two or more shards, walked in order.",
 		func() float64 { return float64(shardStats().Fanout) })
 	queries := r.CounterVecFunc("twolayer_shard_queries_total",
 		"Queries routed to each shard (fan-out counts every shard scanned).", "shard")

@@ -60,10 +60,14 @@ type manifest struct {
 func (m manifest) layout(opts core.Options) layout {
 	return makeLayout(core.Options{
 		NX: m.NX, NY: m.NY,
-		Space:        geom.Rect{MinX: m.MinX, MinY: m.MinY, MaxX: m.MaxX, MaxY: m.MaxY},
+		Space:        m.space(),
 		Decompose:    opts.Decompose,
 		BuildThreads: opts.BuildThreads,
 	}, m.Shards)
+}
+
+func (m manifest) space() geom.Rect {
+	return geom.Rect{MinX: m.MinX, MinY: m.MinY, MaxX: m.MaxX, MaxY: m.MaxY}
 }
 
 // hasManifest reports whether dir holds sharded durability state (a
@@ -84,13 +88,24 @@ func readManifest(dir string) (manifest, error) {
 	if err != nil {
 		return manifest{}, err
 	}
+	return parseManifest(data)
+}
+
+// parseManifest decodes and checks a manifest's bytes.
+func parseManifest(data []byte) (manifest, error) {
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return manifest{}, fmt.Errorf("shard: parsing %s: %w", manifestName, err)
 	}
-	if m.Shards < 1 || m.NX < 1 || m.NY < 1 {
+	// The bounds of core.Load's snapshot header, and a shard owns at
+	// least one column: anything else is corruption, never a layout to
+	// clamp or default into a different one.
+	if m.Shards < 1 || m.Shards > m.NX || m.NX > 1<<20 || m.NY < 1 || m.NY > 1<<20 {
 		return manifest{}, fmt.Errorf("shard: manifest %s has invalid layout (%d shards, %dx%d grid)",
 			manifestName, m.Shards, m.NX, m.NY)
+	}
+	if sp := m.space(); !sp.Valid() || !sp.Finite() || sp.Width() <= 0 || sp.Height() <= 0 {
+		return manifest{}, fmt.Errorf("shard: manifest %s has invalid space %v", manifestName, sp)
 	}
 	if m.Version < 1 || m.Version > manifestVersion {
 		return manifest{}, fmt.Errorf("shard: manifest %s has unsupported version %d", manifestName, m.Version)

@@ -3,16 +3,15 @@
 // column slabs, each backed by a self-contained core.Index (live.go
 // publishes all of them as one value from one apply loop, durable.go
 // journals that loop in one write-ahead log). Queries route by their
-// MBR — a query landing in one slab runs directly against that shard
-// (the single-shard fast path), a query spanning several slabs fans out
-// in parallel and merges per-shard results.
+// MBR to the shards whose slabs it covers and walk them in order on the
+// caller's goroutine; one shard is the same walk with one step.
 //
 // Objects crossing a slab boundary are replicated into every shard their
 // MBR intersects, exactly like the two-layer scheme replicates objects
 // across tiles inside a shard. Deduplication therefore reuses the
 // paper's reference-tile idea one level up: the shard holding the MBR's
 // bottom-left x-coordinate (shardOf(MinX)) is the object's home shard,
-// and during a fan-out over shards [q0,q1] a shard s reports an object
+// and during a walk over shards [q0,q1] a shard s reports an object
 // only when s is the first shard of the cover (s == q0 — the analogue of
 // the query-relative reference tile) or s is the object's home shard.
 // Equivalently the unique reporter is max(q0, home): every (query,
@@ -177,8 +176,8 @@ type ShardStat struct {
 // Stats is a point-in-time snapshot of the engine's scatter-gather
 // counters.
 type Stats struct {
-	// SingleShard counts queries answered on the single-shard fast path;
-	// Fanout counts queries that scattered to two or more shards.
+	// SingleShard counts queries whose MBR covered one shard; Fanout
+	// counts queries whose MBR covered two or more.
 	SingleShard uint64
 	Fanout      uint64
 	PerShard    []ShardStat
@@ -286,7 +285,9 @@ func oneLayout(ix *core.Index) layout {
 }
 
 // errExactNeedsDataset mirrors the core error for engines that lost
-// their geometries (live snapshots).
+// their geometries (live snapshots). Every shard of an engine with a
+// dataset holds it too, so once a query passes Validate and this check
+// no shard's Search can fail.
 var errExactNeedsDataset = errors.New("shard: exact queries require an engine built over a Dataset")
 
 // work is one query's evaluation on shard s, run on ix: the shard's
@@ -323,52 +324,39 @@ func (e *Engine) scan(s int, traced bool, w work) Span {
 	return sp
 }
 
-// single runs a query that touches only shard s on the caller's
-// goroutine, counted as a single-shard query. w does not escape, so the
-// fast path of Search and SearchCount streams and counts without
-// allocating. spans, when non-nil, traces the scan and receives its
-// Span.
-func (e *Engine) single(s int, spans *[]Span, w work) {
-	e.met.single.Add(1)
-	sp := e.scan(s, spans != nil, w)
-	if spans != nil {
-		*spans = append(*spans, sp)
-	}
-}
-
-// scatter runs w on every shard of [lo, hi] and, when spans is non-nil,
-// traces the scans and appends their Spans in shard order: concurrently,
-// counted as one fan-out, or as single when the range is one shard. The
-// callers keep only their per-shard work and their merge.
-func (e *Engine) scatter(lo, hi int, spans *[]Span, w work) {
+// count counts one query over shards lo..hi: a single-shard query or a
+// fan-out.
+func (e *Engine) count(lo, hi int) {
 	if lo == hi {
-		e.single(lo, spans, w)
-		return
-	}
-	e.met.fanout.Add(1)
-	spanBuf := make([]Span, hi-lo+1)
-	var wg sync.WaitGroup
-	for s := lo; s <= hi; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			spanBuf[s-lo] = e.scan(s, spans != nil, w)
-		}()
-	}
-	wg.Wait()
-	if spans != nil {
-		*spans = append(*spans, spanBuf...)
+		e.met.single.Add(1)
+	} else {
+		e.met.fanout.Add(1)
 	}
 }
 
-// Search evaluates q scatter-gather and streams every matching entry to
-// fn exactly once, on the caller's goroutine. A query whose MBR lands in
-// one slab runs directly against that shard; otherwise all covered
-// shards scan in parallel into private buffers (deduplicating with the
-// home-shard rule) and results are emitted in shard order. It reports
-// whether the query ran to completion (false once fn stops it or Limit
-// results were delivered). spans, when non-nil, receives one Span per
-// shard scanned.
+// scatter runs w on the shards lo..hi in order on the caller's
+// goroutine, counted once as a single-shard query or a fan-out, and
+// stops after the shard in which *stop became true. spans, when
+// non-nil, traces the scans and receives their Spans in shard order.
+// w does not escape and nothing is buffered, so an untraced walk
+// allocates nothing.
+func (e *Engine) scatter(lo, hi int, spans *[]Span, stop *bool, w work) {
+	e.count(lo, hi)
+	for s := lo; s <= hi && !*stop; s++ {
+		sp := e.scan(s, spans != nil, w)
+		if spans != nil {
+			*spans = append(*spans, sp)
+		}
+	}
+}
+
+// Search evaluates q and streams every matching entry to fn exactly
+// once, on the caller's goroutine: the covered shards run in order, each
+// passing on only the matches it owns for this query (layout.ownedFrom,
+// which filters nothing in the cover's first shard). It reports whether
+// the query ran to completion (false once fn stops it or Limit results
+// were delivered); either way no further shard is scanned. spans, when
+// non-nil, receives one Span per shard scanned.
 func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span) (complete bool, err error) {
 	if err := q.Validate(); err != nil {
 		return false, err
@@ -377,61 +365,25 @@ func (e *Engine) Search(q core.Query, fn func(spatial.Entry) bool, spans *[]Span
 		return false, errExactNeedsDataset
 	}
 	lo, hi := e.lay.rangeOf(q.MBR())
-	if lo == hi {
-		// Single-shard fast path: the shard's own result stream is already
-		// duplicate free, no buffering needed.
-		e.single(lo, spans, func(_ int, ix *core.Index) int {
-			n := 0
-			complete, err = ix.Search(q, func(ent spatial.Entry) bool {
-				n++
-				return fn(ent)
-			})
-			return n
-		})
-		return complete, err
-	}
-
-	// Scatter: each covered shard scans concurrently into a private
-	// buffer, keeping only entries it owns for this query. The per-shard
-	// limit still applies — no shard can contribute more than Limit
-	// results, so each stops as early as possible.
 	sub := q
 	sub.Limit = 0
-	bufs := make([][]spatial.Entry, hi-lo+1)
-	e.scatter(lo, hi, spans, func(s int, ix *core.Index) int {
-		var kept []spatial.Entry
+	stopped, emitted := false, 0
+	e.scatter(lo, hi, spans, &stopped, func(s int, ix *core.Index) int {
+		n := 0
 		from := e.lay.ownedFrom(s, lo)
+		// q passed the checks above, so no shard's Search can fail.
 		ix.Search(sub, func(ent spatial.Entry) bool {
-			if ent.Rect.MinX >= from {
-				kept = append(kept, ent)
-				if q.Limit > 0 && len(kept) >= q.Limit {
-					return false
-				}
+			if ent.Rect.MinX < from {
+				return true
 			}
-			return true
-		})
-		bufs[s-lo] = kept
-		return len(kept)
-	})
-
-	// Gather: emit in shard order on the caller's goroutine, honoring
-	// the limit across shards.
-	emitted := 0
-	for _, buf := range bufs {
-		for i := range buf {
-			if q.Limit > 0 && emitted >= q.Limit {
-				return false, nil
-			}
-			if !fn(buf[i]) {
-				return false, nil
-			}
+			n++
 			emitted++
-		}
-	}
-	if q.Limit > 0 && emitted >= q.Limit {
-		return false, nil
-	}
-	return true, nil
+			stopped = !fn(ent) || emitted == q.Limit
+			return !stopped
+		})
+		return n
+	})
+	return !stopped, nil
 }
 
 // SearchIDs evaluates q and returns all matching IDs, appending to buf.
@@ -447,16 +399,16 @@ func (e *Engine) SearchIDs(q core.Query, buf []spatial.ID) ([]spatial.ID, error)
 }
 
 // SearchCount evaluates q and returns the number of matching objects
-// without buffering results: fanned-out shards count their owned matches
-// independently and the counts sum. A Limit caps the total like it caps
-// streamed results.
+// without buffering results: the covered shards count their owned
+// matches in order and the counts sum. A Limit caps the total like it
+// caps streamed results, and no shard is counted once it is reached.
 //
 // Plain window, disk and region queries push the count all the way
 // down: every shard of the cover runs the count kernel under the
 // home-shard dedup rule expressed as a coordinate filter
 // (layout.ownedFrom). No entry is streamed through a callback anywhere
 // on that path; exact queries stream under the same filter.
-func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error) {
+func (e *Engine) SearchCount(q core.Query, spans *[]Span) (int, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
 	}
@@ -464,30 +416,20 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 		return 0, errExactNeedsDataset
 	}
 	lo, hi := e.lay.rangeOf(q.MBR())
-	if lo == hi {
-		e.single(lo, spans, func(_ int, ix *core.Index) int {
-			total, err = ix.SearchCount(q)
-			return total
-		})
-		return total, err
-	}
-
 	sub := q
 	sub.Limit = 0
-	perShard := make([]int, hi-lo+1)
-	e.scatter(lo, hi, spans, func(s int, ix *core.Index) int {
+	stopped, total := false, 0
+	e.scatter(lo, hi, spans, &stopped, func(s int, ix *core.Index) int {
 		n := 0
 		from := e.lay.ownedFrom(s, lo)
 		switch {
 		case q.Exact:
+			// As in Search, no shard's Search can fail here.
 			ix.Search(sub, func(ent spatial.Entry) bool {
 				if ent.Rect.MinX >= from {
 					n++
-					if q.Limit > 0 && n >= q.Limit {
-						return false
-					}
 				}
-				return true
+				return q.Limit == 0 || total+n < q.Limit
 			})
 		case q.Window != nil:
 			n = ix.WindowCountFiltered(*q.Window, from)
@@ -496,12 +438,10 @@ func (e *Engine) SearchCount(q core.Query, spans *[]Span) (total int, err error)
 		default:
 			n = ix.RegionCountFiltered(q.Region, from)
 		}
-		perShard[s-lo] = n
+		total += n
+		stopped = q.Limit > 0 && total >= q.Limit
 		return n
 	})
-	for _, n := range perShard {
-		total += n
-	}
 	if q.Limit > 0 && total > q.Limit {
 		total = q.Limit
 	}
@@ -532,15 +472,17 @@ func (h *knnHeap) Push(x any)   { *h = append(*h, x.(knnItem)) }
 func (h *knnHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // KNN returns the k nearest neighbors of q by MBR distance (exact
-// geometric distance when exact is set, which requires geometries). All
-// shards answer their local top-k in parallel — nearness gives no slab
-// bound, the k-th neighbor may live anywhere — and the per-shard sorted
-// lists merge through a k-way min-heap that drops boundary-replicated
-// duplicates by ID. spans, when non-nil, receives one Span per shard.
+// geometric distance when exact is set, which requires geometries).
+// The shard whose slab holds q.X answers its local top-k first. A
+// nearer object than its k-th is stored in every shard its MBR meets,
+// one of them within that distance of q.X in x, so only the shards
+// whose slabs lie that close answer too, in order; with fewer than k
+// neighbors in the first shard, every shard answers. The per-shard
+// sorted lists merge through a k-way min-heap that drops
+// boundary-replicated duplicates by ID. spans, when non-nil, receives
+// one Span per shard read, in shard order.
 func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neighbor {
 	if exact && e.dataset == nil {
-		// Refuse before the fan-out, where a shard's panic would escape
-		// the caller's goroutine.
 		panic("shard: KNNExact requires an engine built over a Dataset")
 	}
 	if k <= 0 {
@@ -548,16 +490,35 @@ func (e *Engine) KNN(q geom.Point, k int, exact bool, spans *[]Span) []core.Neig
 	}
 	S := len(e.shards)
 	per := make([][]core.Neighbor, S)
-	e.scatter(0, S-1, spans, func(s int, ix *core.Index) int {
+	w := func(s int, ix *core.Index) int {
 		if exact {
 			per[s] = ix.KNNExact(q, k)
 		} else {
 			per[s] = ix.KNN(q, k)
 		}
 		return len(per[s])
-	})
-	if S == 1 {
-		return per[0]
+	}
+	home := e.lay.shardOf(q.X)
+	first := e.scan(home, spans != nil, w)
+	lo, hi := 0, S-1
+	if n := len(per[home]); n == k {
+		// Widened so that rounding in Dist cannot drop a shard at exactly
+		// the k-th distance.
+		reach := per[home][n-1].Dist * (1 + 1e-9)
+		lo, hi = e.lay.rangeOf(geom.Rect{MinX: q.X - reach, MaxX: q.X + reach})
+	}
+	e.count(lo, hi)
+	for s := lo; s <= hi; s++ {
+		sp := first
+		if s != home {
+			sp = e.scan(s, spans != nil, w)
+		}
+		if spans != nil {
+			*spans = append(*spans, sp)
+		}
+	}
+	if lo == hi {
+		return per[home]
 	}
 
 	h := make(knnHeap, 0, S)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -188,9 +189,11 @@ func TestScatterBookkeeping(t *testing.T) {
 				return n
 			}
 		}
+		// k is more than a shard of S > 1 holds, so every shard answers
+		// (TestKNNReadsNearShards covers a k the first shard satisfies).
 		knn := func(exact bool) func(*[]Span) int {
 			return func(spans *[]Span) int {
-				if got := e.KNN(center, 5, exact, spans); len(got) != 5 {
+				if got := e.KNN(center, 1000, exact, spans); len(got) != 1000 {
 					t.Fatalf("S=%d: KNN returned %d neighbors", shards, len(got))
 				}
 				return -1 // every shard reports its own top k
@@ -230,6 +233,15 @@ func TestScatterBookkeeping(t *testing.T) {
 			if ds, df := after.SingleShard-before.SingleShard, after.Fanout-before.Fanout; ds != wantSingle || df != wantFanout {
 				t.Errorf("%s over shards [%d,%d]: single +%d fanout +%d, want +%d +%d", ctx, lo, hi, ds, df, wantSingle, wantFanout)
 			}
+			// A Limit ends the walk in the shard where it is reached.
+			if tc.name == "Search wide limit" {
+				for i, sum := 0, 0; i < len(spans); i++ {
+					if sum += spans[i].Results; sum >= tc.want {
+						hi = lo + i
+						break
+					}
+				}
+			}
 			if len(spans) != hi-lo+1 {
 				t.Fatalf("%s: %d spans over shards [%d,%d]", ctx, len(spans), lo, hi)
 			}
@@ -243,9 +255,7 @@ func TestScatterBookkeeping(t *testing.T) {
 				scanned[sp.Shard], reported[sp.Shard] = 1, uint64(sp.Results)
 				sum += sp.Results
 			}
-			// A limited fan-out buffers up to Limit results per shard, so only
-			// unlimited queries' spans sum to the answer.
-			if tc.want >= 0 && tc.name != "Search wide limit" && sum != got {
+			if tc.want >= 0 && sum != got {
 				t.Errorf("%s: spans report %d results, the query %d", ctx, sum, got)
 			}
 			for s := range after.PerShard {
@@ -510,5 +520,132 @@ func TestQueryStatsSumsShards(t *testing.T) {
 	if want := int64(scans) + 2*workers*rounds; got.Queries != want || got.Results == 0 {
 		t.Errorf("Queries = %d (results %d), want %d shard scans + %d batch shards",
 			got.Queries, got.Results, scans, 2*workers*rounds)
+	}
+}
+
+// TestStopEndsTheWalk: the covered shards are walked in order, and a
+// query that is done — its Limit reached, or fn returning false — scans
+// no further shard, so a full-space query on 7 shards that stops at its
+// first match reads only the first shard.
+func TestStopEndsTheWalk(t *testing.T) {
+	d := testDataset(31, 700, 0.05)
+	all := geom.Rect{MaxX: 1, MaxY: 1}
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine) (int, bool)
+	}{
+		{"Search limit 1", func(e *Engine) (int, bool) {
+			n := 0
+			complete, err := e.Search(core.Query{Window: &all, Limit: 1}, func(spatial.Entry) bool { n++; return true }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n, complete
+		}},
+		{"Search fn stops", func(e *Engine) (int, bool) {
+			n := 0
+			complete, err := e.Search(core.Query{Window: &all}, func(spatial.Entry) bool { n++; return false }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n, complete
+		}},
+		{"SearchCount limit 1", func(e *Engine) (int, bool) {
+			n, err := e.SearchCount(core.Query{Window: &all, Limit: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n, false
+		}},
+	} {
+		e := Build(d, core.Options{NX: 28, NY: 28, Space: all}, 7)
+		if n, complete := tc.run(e); n != 1 || complete {
+			t.Errorf("%s: %d results, complete %v; want 1, false", tc.name, n, complete)
+		}
+		for s, st := range e.Stats().PerShard {
+			want := uint64(0)
+			if s == 0 {
+				want = 1
+			}
+			if st.Queries != want {
+				t.Errorf("%s: shard %d scanned %d times, want %d", tc.name, s, st.Queries, want)
+			}
+		}
+	}
+}
+
+// TestWalkDoesNotAllocate: a query scans its shards on the caller's
+// goroutine with no per-query buffers, so a count across the slab edge
+// of a 2-shard engine, and a one-shard engine's Search and SearchCount
+// (the engine every unsharded server answers through), allocate nothing.
+func TestWalkDoesNotAllocate(t *testing.T) {
+	d := testDataset(32, 2000, 0.02)
+	opts := core.Options{NX: 32, NY: 32, Space: geom.Rect{MaxX: 1, MaxY: 1}}
+	two, one := Build(d, opts, 2), Build(d, opts, 1)
+	edge := geom.Rect{MinX: 0.4, MinY: 0.3, MaxX: 0.6, MaxY: 0.5} // the slab edge is x = 0.5
+	if lo, hi := two.lay.rangeOf(edge); lo != 0 || hi != 1 {
+		t.Fatalf("window covers shards [%d,%d], want [0,1]", lo, hi)
+	}
+	q := core.Query{Window: &edge}
+	n := 0
+	fn := func(spatial.Entry) bool { n++; return true }
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"S=2 SearchCount", func() { _, _ = two.SearchCount(q, nil) }},
+		{"S=1 SearchCount", func() { _, _ = one.SearchCount(q, nil) }},
+		{"S=1 Search", func() { _, _ = one.Search(q, fn, nil) }},
+	} {
+		if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
+			t.Errorf("%s allocates %.1f times per query, want 0", tc.name, avg)
+		}
+	}
+	if n == 0 {
+		t.Fatal("Search found nothing")
+	}
+}
+
+// TestKNNReadsNearShards: kNN reads the shard holding q.X and then only
+// the shards whose slabs lie within its k-th neighbor's distance of q.X
+// in x, and still answers what the unsharded index answers — for points
+// deep inside a slab, on and beside slab edges, and outside the space.
+func TestKNNReadsNearShards(t *testing.T) {
+	d := testDataset(33, 3000, 0.03)
+	opts := core.Options{NX: 28, NY: 28, Space: geom.Rect{MaxX: 1, MaxY: 1}}
+	oracle := core.Build(d, opts)
+	e := Build(d, opts, 7) // slab edges at multiples of 1/7
+	edge := e.lay.bounds[2]
+	for _, tc := range []struct {
+		name  string
+		q     geom.Point
+		reads int // shards read at k = 8; 0 to skip
+	}{
+		{"mid-slab", geom.Point{X: edge + 0.07, Y: 0.5}, 1},
+		{"on an edge", geom.Point{X: edge, Y: 0.5}, 2},
+		{"just left of an edge", geom.Point{X: math.Nextafter(edge, 0), Y: 0.3}, 2},
+		{"left of the space", geom.Point{X: -0.2, Y: 0.5}, 0},
+		{"right of the space", geom.Point{X: 1.3, Y: 0.7}, 0},
+	} {
+		for _, k := range []int{1, 8} {
+			before := e.Stats()
+			got := e.KNN(tc.q, k, false, nil)
+			want := oracle.KNN(tc.q, k)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d: %d neighbors, want %d", tc.name, k, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Dist != want[i].Dist {
+					t.Errorf("%s k=%d: neighbor %d at %g, want %g", tc.name, k, i, got[i].Dist, want[i].Dist)
+				}
+			}
+			reads := 0
+			for s, st := range e.Stats().PerShard {
+				reads += int(st.Queries - before.PerShard[s].Queries)
+			}
+			if k == 8 && tc.reads > 0 && reads != tc.reads {
+				t.Errorf("%s k=%d: read %d shards, want %d", tc.name, k, reads, tc.reads)
+			}
+		}
 	}
 }

@@ -7,25 +7,19 @@ import (
 
 // ShardedOptions configure the sharded engine on top of Options.
 type ShardedOptions struct {
-	// Shards is the number of spatial shards. <= 0 selects
-	// DefaultThreads(); the count is always clamped to the grid's column
-	// count (a shard owns at least one tile column).
+	// Shards is the number of spatial shards. <= 0 selects one; the
+	// count is always clamped to the grid's column count (a shard owns at
+	// least one tile column).
 	Shards int
-}
-
-func (so ShardedOptions) resolved() int {
-	if so.Shards <= 0 {
-		return DefaultThreads()
-	}
-	return so.Shards
 }
 
 // Sharded is a scatter-gather engine over S self-contained two-layer
 // indices, each owning a contiguous slab of the grid's tile columns.
-// Queries whose MBR lands in one slab run directly against that shard;
-// wider queries fan out in parallel and merge, deduplicating
-// boundary-replicated objects with the same reference-tile idea the
-// two-layer scheme uses inside a shard (see docs/SHARDING.md).
+// A query runs the shards its MBR covers in order on the caller's
+// goroutine, deduplicating boundary-replicated objects with the same
+// reference-tile idea the two-layer scheme uses inside a shard (see
+// docs/SHARDING.md). On one node a larger S buys a layout ready to
+// distribute, not speed.
 //
 // Sharded exposes the query surface of Index — Search, SearchIDs,
 // SearchCount, KNN, KNNExact, BatchWindowCounts, BatchDiskCounts — and is
@@ -52,13 +46,14 @@ func buildSharded(d *spatial.Dataset, opts Options, so ShardedOptions) *Sharded 
 	if err := opts.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Sharded{eng: shard.Build(d, opts.autoTuned(d.Len()), so.resolved())}
+	return &Sharded{eng: shard.Build(d, opts.autoTuned(d.Len()), so.Shards)}
 }
 
-// Search evaluates q scatter-gather and streams every matching object to
-// fn exactly once, on the caller's goroutine; fn returns false to stop
-// early. Semantics match Index.Search — same completion flag, same
-// errors — plus parallel fan-out when the query spans several shards.
+// Search evaluates q shard by shard and streams every matching object
+// to fn exactly once, on the caller's goroutine; fn returns false to
+// stop early. Semantics match Index.Search — same completion flag, same
+// errors. Once fn stops the query or a Limit is reached, no further
+// shard is scanned.
 func (s *Sharded) Search(q Query, fn func(id ID, mbr Rect) bool) (complete bool, err error) {
 	return s.eng.Search(q.toCore(), func(e spatial.Entry) bool {
 		return fn(e.ID, e.Rect)
@@ -72,15 +67,16 @@ func (s *Sharded) SearchIDs(q Query, buf []ID) ([]ID, error) {
 }
 
 // SearchCount evaluates q and returns the number of matching objects; a
-// Limit caps the count. Fanned-out shards count independently, without
-// buffering results.
+// Limit caps the count. The covered shards count their own matches in
+// turn, without buffering results, until the Limit is reached.
 func (s *Sharded) SearchCount(q Query) (int, error) {
 	return s.eng.SearchCount(q.toCore(), nil)
 }
 
 // KNN returns the k objects whose MBRs are nearest to q, ascending by
-// distance (ties broken by ID). All shards answer in parallel and merge
-// through a k-way heap. Like Index.KNN it keeps no state on the engine,
+// distance (ties broken by ID). The shard holding q answers first, then
+// only the shards near enough to hold a nearer object, and the lists
+// merge through a k-way heap. Like Index.KNN it keeps no state on the engine,
 // so any number of goroutines may call it at once.
 func (s *Sharded) KNN(q Point, k int) []Neighbor {
 	return s.eng.KNN(q, k, false, nil)
@@ -233,8 +229,8 @@ func (s *Sharded) QueryStats() Stats { return s.eng.QueryStats() }
 // ShardStat is the per-shard slice of ShardedStats.
 type ShardStat = shard.ShardStat
 
-// ShardedStats snapshots the engine's scatter-gather counters: fast-path
-// vs fan-out query totals and, per shard, stored entries, epoch, routed
+// ShardedStats snapshots the engine's scatter-gather counters:
+// single-shard vs fan-out query totals and, per shard, stored entries, epoch, routed
 // queries, cumulative scan time, and results contributed.
 type ShardedStats = shard.Stats
 

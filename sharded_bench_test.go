@@ -2,6 +2,7 @@ package twolayer_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -9,10 +10,11 @@ import (
 	twolayer "github.com/twolayer/twolayer"
 )
 
-// Sharded-engine benchmarks: scatter-gather query latency and live
-// mutation throughput across shard counts. docs/SHARDING.md discusses
-// the expected scaling (Apply throughput grows with shards because each shard
-// publishes a copy-on-write clone of only its own slab).
+// Sharded-engine benchmarks: query latency and live mutation throughput
+// across shard counts. Neither is expected to scale with shards on one
+// node: a query walks its shards in order on the caller's goroutine, and
+// one apply loop publishes every shard (docs/SHARDING.md, "Why shard at
+// all").
 
 func shardedBenchRects(n int) []twolayer.Rect {
 	rnd := rand.New(rand.NewSource(42))
@@ -42,7 +44,9 @@ func shardedBenchName(shards int) string {
 
 // benchCounter is the read surface Index and Sharded share.
 type benchCounter interface {
+	SearchIDs(q twolayer.Query, buf []twolayer.ID) ([]twolayer.ID, error)
 	SearchCount(q twolayer.Query) (int, error)
+	KNN(q twolayer.Point, k int) []twolayer.Neighbor
 	BatchWindowCounts(queries []twolayer.Rect, strategy twolayer.BatchStrategy, threads int) []int
 }
 
@@ -65,7 +69,7 @@ func shardedBenchWindows() []twolayer.Rect {
 }
 
 // BenchmarkShardedWindow measures mixed window queries — mostly
-// slab-local (the fast path), some spanning — through the plain index
+// slab-local, some spanning a slab edge — through the plain index
 // and through the sharded engine at increasing shard counts.
 func BenchmarkShardedWindow(b *testing.B) {
 	rects := shardedBenchRects(200_000)
@@ -85,6 +89,61 @@ func BenchmarkShardedWindow(b *testing.B) {
 			}
 			benchSink = sink
 		})
+	}
+}
+
+// BenchmarkShardedKinds measures the other query kinds over the same
+// data and query positions as BenchmarkShardedWindow (which is the
+// window count): window searches that stream their IDs, disk and
+// hexagonal-region counts whose MBRs are those windows, and 10-nearest-
+// neighbor queries at their corners, which every shard answers.
+func BenchmarkShardedKinds(b *testing.B) {
+	rects := shardedBenchRects(200_000)
+	windows := shardedBenchWindows()
+	disks := make([]twolayer.Disk, len(windows))
+	hexes := make([]*twolayer.Polygon, len(windows))
+	for i, w := range windows {
+		r := (w.MaxX - w.MinX) / 2
+		c := twolayer.Point{X: w.MinX + r, Y: w.MinY + r}
+		disks[i] = twolayer.Disk{Center: c, Radius: r}
+		ring := make([]twolayer.Point, 6)
+		for j := range ring {
+			a := float64(j) * math.Pi / 3
+			ring[j] = twolayer.Point{X: c.X + r*math.Cos(a), Y: c.Y + r*math.Sin(a)}
+		}
+		hexes[i] = twolayer.NewPolygon(ring...)
+	}
+	kinds := []struct {
+		name string
+		run  func(sh benchCounter, i int) int
+	}{
+		{"window", func(sh benchCounter, i int) int {
+			ids, _ := sh.SearchIDs(twolayer.Query{Window: &windows[i]}, nil)
+			return len(ids)
+		}},
+		{"disk", func(sh benchCounter, i int) int {
+			n, _ := sh.SearchCount(twolayer.Query{Disk: &disks[i]})
+			return n
+		}},
+		{"region", func(sh benchCounter, i int) int {
+			n, _ := sh.SearchCount(twolayer.Query{Region: hexes[i]})
+			return n
+		}},
+		{"knn", func(sh benchCounter, i int) int {
+			return len(sh.KNN(twolayer.Point{X: windows[i].MinX, Y: windows[i].MinY}, 10))
+		}},
+	}
+	for _, shards := range shardedBenchRows {
+		sh := shardedBenchEngine(rects, twolayer.Options{GridSize: 512}, shards)
+		for _, k := range kinds {
+			b.Run(k.name+"/"+shardedBenchName(shards), func(b *testing.B) {
+				sink := 0
+				for i := 0; i < b.N; i++ {
+					sink += k.run(sh, i%len(windows))
+				}
+				benchSink = sink
+			})
+		}
 	}
 }
 

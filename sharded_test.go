@@ -748,10 +748,12 @@ func TestShardedConstructorValidation(t *testing.T) {
 	if sh.Shards() > 4 {
 		t.Errorf("Shards = %d, want <= grid columns (4)", sh.Shards())
 	}
-	// Zero/negative resolve to DefaultThreads() shards, clamped likewise.
-	sh = twolayer.BuildShardedRects(randRects(rnd, 100, 0.1),
-		twolayer.Options{GridSize: 64}, twolayer.ShardedOptions{})
-	if want := min(twolayer.DefaultThreads(), 64); sh.Shards() != want {
-		t.Errorf("default Shards = %d, want %d", sh.Shards(), want)
+	// Zero/negative resolve to one shard.
+	for _, n := range []int{0, -3} {
+		sh = twolayer.BuildShardedRects(randRects(rnd, 100, 0.1),
+			twolayer.Options{GridSize: 64}, twolayer.ShardedOptions{Shards: n})
+		if sh.Shards() != 1 {
+			t.Errorf("Shards(%d) = %d, want 1", n, sh.Shards())
+		}
 	}
 }
