@@ -65,13 +65,13 @@ bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
 # One iteration of every Go micro-benchmark in the root package, in
-# internal/core (BenchmarkPublish), of the CSV reader's and of the HTTP
-# handlers', so they keep compiling and running (CI runs this),
-# with allocs/op in the log: a callback that starts escaping shows there
-# before it shows in ns/op. Use
+# internal/core (BenchmarkPublish), of the CSV reader's, of the float
+# codec's and of the HTTP handlers', so they keep compiling and running
+# (CI runs this), with allocs/op in the log: a callback that starts
+# escaping shows there before it shows in ns/op. Use
 # `go test -run '^$$' -bench <regexp> -benchmem .` to measure one.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/dataio ./internal/server
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/dataio ./internal/floatconv ./internal/server
 
 # Non-test Go lines outside bench/: the size ROADMAP aim 2 tracks and
 # every simplicity PR reports before and after. One line per package the
@@ -103,7 +103,10 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzV1Batch$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzV1Bulk$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime $(FUZZTIME) ./internal/floatconv
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime $(FUZZTIME) ./internal/floatconv
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDataset$$' -fuzztime $(FUZZTIME) ./internal/dataio
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/wkt
 
 experiments:
 	$(GO) run ./cmd/experiments -exp all

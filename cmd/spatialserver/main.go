@@ -43,6 +43,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -327,6 +328,10 @@ func main() {
 	default:
 		shardCount = shardedIdx.Shards()
 		cfg.Sharded = shardedIdx
+	}
+	// A live engine keeps MBRs only: free the parsed geometries before the heap doubles past them.
+	if *dataPath != "" && (durable || *live) {
+		runtime.GC()
 	}
 	srv := server.New(cfg)
 

@@ -8,7 +8,9 @@
 // Object IDs are implicit row numbers, matching the dense-ID convention.
 //
 // Both CSV readers stream their input through one block reader that
-// parses on GOMAXPROCS workers (readBlocks).
+// parses on GOMAXPROCS workers (readBlocks). A coordinate is read in
+// place by internal/floatconv's kernel, which gives strconv.ParseFloat's
+// bits; a field it does not decide goes to strconv.ParseFloat itself.
 package dataio
 
 import (
@@ -25,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/twolayer/twolayer/internal/floatconv"
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
@@ -394,7 +397,16 @@ func parseRect(s []byte) (geom.Rect, error) {
 // nextField parses the float before the first comma of *s, field i of
 // its row counting from 0, and advances *s past that comma. NaN and ±Inf
 // are refused: no index or JSON answer can carry them.
+//
+// A plain decimal that ends at the comma or the line is read in place by
+// the float kernel; any other field (spaces, junk, an empty field, a
+// form the kernel leaves to strconv) is cut out, trimmed and read by
+// strconv, so its value and its error are what they always were.
 func nextField(s *[]byte, i int) (float64, error) {
+	if v, n := floatconv.ParsePrefix(*s); n > 0 && (n == len(*s) || (*s)[n] == ',') {
+		*s = (*s)[min(n+1, len(*s)):]
+		return v, nil
+	}
 	field, rest, _ := bytes.Cut(*s, comma)
 	*s = rest
 	v, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)

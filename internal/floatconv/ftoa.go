@@ -1,4 +1,4 @@
-package server
+package floatconv
 
 import (
 	"encoding/binary"
@@ -8,20 +8,20 @@ import (
 	"strconv"
 )
 
-// The float formatter of the wire codec: the shortest decimal that
-// reads back as a float64, found by Schubfach (R. Giulietti, "The
-// Schubfach way to render doubles", 2020, the algorithm behind Java 19's
-// Double.toString) and laid out as encoding/json lays it out. For every
+// The writing direction: the shortest decimal that reads back as a
+// float64, found by Schubfach (R. Giulietti, "The Schubfach way to
+// render doubles", 2020, the algorithm behind Java 19's Double.toString)
+// and laid out as encoding/json lays it out. For every
 // normal float64 it picks the digits strconv.AppendFloat(…, -1, 64)
 // picks: the shortest decimal inside the rounding interval, the closest
 // one to the value when several have that length, ties to even. Zero
 // and the subnormals still go through strconv.
 
-// appendFloat appends a finite f as encoding/json writes a float64: the
+// AppendFloat appends a finite f as encoding/json writes a float64: the
 // shortest decimal that reads back as f, in exponent form below 1e-6
 // and from 1e21 on, with a one-digit negative exponent not padded to
 // two.
-func appendFloat(dst []byte, f float64) []byte {
+func AppendFloat(dst []byte, f float64) []byte {
 	b := math.Float64bits(f)
 	be := int(b>>52) & 0x7ff
 	switch {

@@ -1,4 +1,4 @@
-package server
+package floatconv
 
 import (
 	"bytes"
@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// strconvFloat is appendFloat as it was written over strconv before the
+// strconvFloat is AppendFloat as it was written over strconv before the
 // Schubfach kernel: the reference every test here compares against.
 func strconvFloat(dst []byte, f float64) []byte {
 	format := byte('f')
@@ -54,9 +54,9 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 	var got, want []byte
 	check := func(f float64) {
 		for _, v := range []float64{f, -f} {
-			got, want = appendFloat(got[:0], v), strconvFloat(want[:0], v)
+			got, want = AppendFloat(got[:0], v), strconvFloat(want[:0], v)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("appendFloat(%#x) = %s, strconv writes %s", math.Float64bits(v), got, want)
+				t.Fatalf("AppendFloat(%#x) = %s, strconv writes %s", math.Float64bits(v), got, want)
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func TestFloorLogs(t *testing.T) {
 }
 
 // FuzzAppendFloat compares the kernel with strconv on raw bit patterns.
-// NaN and ±Inf are skipped: checkFloat refuses them before encoding.
+// NaN and ±Inf are skipped: AppendFloat takes finite floats only.
 func FuzzAppendFloat(f *testing.F) {
 	for _, v := range boundaryFloats() {
 		f.Add(math.Float64bits(v))
@@ -148,8 +148,8 @@ func FuzzAppendFloat(f *testing.F) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Skip()
 		}
-		if got, want := appendFloat(nil, v), strconvFloat(nil, v); !bytes.Equal(got, want) {
-			t.Fatalf("appendFloat(%#x) = %s, strconv writes %s", b, got, want)
+		if got, want := AppendFloat(nil, v), strconvFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("AppendFloat(%#x) = %s, strconv writes %s", b, got, want)
 		}
 	})
 }
@@ -176,7 +176,7 @@ func BenchmarkAppendFloat(b *testing.B) {
 		for _, enc := range []struct {
 			name string
 			fn   func([]byte, float64) []byte
-		}{{"strconv", strconvFloat}, {"kernel", appendFloat}} {
+		}{{"strconv", strconvFloat}, {"kernel", AppendFloat}} {
 			b.Run(in.name+"/"+enc.name, func(b *testing.B) {
 				buf := make([]byte, 0, 32)
 				for i := 0; i < b.N; i++ {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	twolayer "github.com/twolayer/twolayer"
+	"github.com/twolayer/twolayer/internal/floatconv"
 	"github.com/twolayer/twolayer/internal/obsv"
 )
 
@@ -320,7 +321,7 @@ func (s *scanner) float(v *float64) bool {
 	if !ok {
 		return false
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	f, err := floatconv.ParseFloat(lit)
 	*v = f
 	return err == nil
 }
@@ -435,13 +436,13 @@ func appendResult(dst []byte, h hit, withMBR bool) ([]byte, error) {
 		}
 	}
 	dst = append(dst, `,"mbr":{"min_x":`...)
-	dst = appendFloat(dst, h.mbr.MinX)
+	dst = floatconv.AppendFloat(dst, h.mbr.MinX)
 	dst = append(dst, `,"min_y":`...)
-	dst = appendFloat(dst, h.mbr.MinY)
+	dst = floatconv.AppendFloat(dst, h.mbr.MinY)
 	dst = append(dst, `,"max_x":`...)
-	dst = appendFloat(dst, h.mbr.MaxX)
+	dst = floatconv.AppendFloat(dst, h.mbr.MaxX)
 	dst = append(dst, `,"max_y":`...)
-	dst = appendFloat(dst, h.mbr.MaxY)
+	dst = floatconv.AppendFloat(dst, h.mbr.MaxY)
 	return append(dst, "}}"...), nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	twolayer "github.com/twolayer/twolayer"
+	"github.com/twolayer/twolayer/internal/floatconv"
 )
 
 // rangeResponse is a /v1/window or /v1/disk answer as encoding/json
@@ -212,6 +213,43 @@ func TestWireMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAppendFloat sends a float both ways through the wire codec: an
+// answer whose MBR carries it must be encoding/json's bytes, and a
+// window request carrying those bytes must scan back to its bits. NaN
+// and ±Inf are skipped: checkFloat refuses them before encoding.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range edgeFloats {
+		f.Add(math.Float64bits(v))
+	}
+	// Every power of ten, where the layout and the reader's paths turn.
+	for p := -323; p <= 308; p++ {
+		v, err := strconv.ParseFloat("1e"+strconv.Itoa(p), 64)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		v := math.Float64frombits(b)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Skip()
+		}
+		results := []hit{{id: 1, mbr: twolayer.Rect{MinX: v, MinY: -v, MaxX: -v, MaxY: v}}}
+		got, err := appendRange(nil, &rangeAnswer{count: 1, results: results, withMBR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := rangeResponse{Count: 1, Results: []rangeResult{{1, &rectJSON{v, -v, -v, v}}}}
+		if want := encodingJSON(t, ref); !bytes.Equal(got, want) {
+			t.Fatalf("appendRange(%#x):\n got %s\nwant %s", b, got, want)
+		}
+		req := `{"window":{"min_x":` + string(floatconv.AppendFloat(nil, v)) + `,"min_y":0,"max_x":1,"max_y":1}}`
+		if env, ok := scanEnvelope([]byte(req)); !ok || math.Float64bits(env.Window.MinX) != b {
+			t.Fatalf("scanEnvelope(%s) = %+v, %v; want min_x bits %#x", req, env.Window, ok, b)
+		}
+	})
 }
 
 // referenceDecode decodes data with encoding/json as decodeJSON does

@@ -7,6 +7,8 @@ package spatial
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"github.com/twolayer/twolayer/internal/geom"
 )
@@ -42,12 +44,31 @@ func NewDataset(rects []geom.Rect) *Dataset {
 	return &Dataset{Entries: entries}
 }
 
+// mbrShard is the fewest geometries a worker of NewGeomDataset takes:
+// fewer walk their vertices faster than a goroutine starts.
+const mbrShard = 1 << 12
+
 // NewGeomDataset builds a dataset from exact geometries, deriving MBRs.
+// Up to GOMAXPROCS workers walk the vertices, the caller among them,
+// each over a contiguous range of geometries.
 func NewGeomDataset(geoms []geom.Geometry) *Dataset {
 	entries := make([]Entry, len(geoms))
-	for i, g := range geoms {
-		entries[i] = Entry{Rect: g.MBR(), ID: ID(i)}
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			entries[i] = Entry{Rect: geoms[i].MBR(), ID: ID(i)}
+		}
 	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(geoms)/mbrShard))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(len(geoms)*w/workers, len(geoms)*(w+1)/workers)
+		}()
+	}
+	fill(0, len(geoms)/workers)
+	wg.Wait()
 	return &Dataset{Entries: entries, Geoms: geoms}
 }
 

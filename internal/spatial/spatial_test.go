@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/twolayer/twolayer/internal/geom"
@@ -45,6 +46,29 @@ func TestNewGeomDataset(t *testing.T) {
 	}
 	if d.Geom(1) != geoms[1] {
 		t.Error("Geom lookup mismatch")
+	}
+}
+
+// TestNewGeomDatasetWorkers checks the entries the workers derive, on
+// counts around the per-worker minimum and with several workers at
+// once, against the geometries' own MBRs in order.
+func TestNewGeomDatasetWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, n := range []int{0, 1, mbrShard - 1, mbrShard, 2*mbrShard + 1, 4*mbrShard + 3, 10 * mbrShard} {
+		geoms := make([]geom.Geometry, n)
+		for i := range geoms {
+			x := float64(i)
+			geoms[i] = geom.NewLineString(geom.Point{X: x, Y: -x}, geom.Point{X: x + 1, Y: x / 2}, geom.Point{X: x - 1, Y: 0})
+		}
+		d := NewGeomDataset(geoms)
+		if len(d.Entries) != n {
+			t.Fatalf("n=%d: %d entries", n, len(d.Entries))
+		}
+		for i, e := range d.Entries {
+			if e.ID != ID(i) || e.Rect != geoms[i].MBR() {
+				t.Fatalf("n=%d: entry %d = %+v, want ID %d rect %v", n, i, e, i, geoms[i].MBR())
+			}
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/twolayer/twolayer/internal/floatconv"
 	"github.com/twolayer/twolayer/internal/geom"
 )
 
@@ -134,7 +135,7 @@ func (p *parser) number() (float64, error) {
 	if start == p.pos {
 		return 0, p.errf("expected number")
 	}
-	v, err := strconv.ParseFloat(p.in[start:p.pos], 64)
+	v, err := floatconv.ParseFloat(p.in[start:p.pos])
 	if err != nil {
 		return 0, p.errf("bad number %q", p.in[start:p.pos])
 	}
@@ -313,5 +314,7 @@ func polygonFromRing(ring []geom.Point) (geom.Geometry, error) {
 	if len(ring) < 3 {
 		return nil, fmt.Errorf("wkt: polygon ring needs at least three distinct vertices")
 	}
-	return geom.NewPolygon(ring...), nil
+	// Not geom.NewPolygon: it would drop a closing vertex again, and panic
+	// on a ring such as (0 0, 0 0, 0 0, 0 0) that this check let through.
+	return &geom.Polygon{Ring: ring}, nil
 }
