@@ -471,19 +471,6 @@ func BenchmarkAblationClassSelection(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDirectory: dense array vs hash-map tile directory.
-func BenchmarkAblationDirectory(b *testing.B) {
-	benchData()
-	b.Run("dense", func(b *testing.B) {
-		ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid})
-		runWindows(b, ix.WindowCount)
-	})
-	b.Run("sparse", func(b *testing.B) {
-		ix := core.Build(benchRoads, core.Options{NX: benchGrid, NY: benchGrid, SparseDirectory: true})
-		runWindows(b, ix.WindowCount)
-	})
-}
-
 // BenchmarkExtensionKNN: k-nearest-neighbor search, two-layer ring
 // expansion vs R-tree best-first (the paper's future-work query type).
 func BenchmarkExtensionKNN(b *testing.B) {

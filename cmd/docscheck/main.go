@@ -1,4 +1,4 @@
-// Command docscheck keeps the documentation honest. It runs six checks
+// Command docscheck keeps the documentation honest. It runs five checks
 // and exits non-zero if any fails:
 //
 //  1. Metric coverage, in both directions: every metric family the
@@ -7,8 +7,9 @@
 //     a registered family, so a deleted family cannot outlive its code
 //     in the docs. The name set is obtained by constructing a real
 //     durable-mode server, which registers every group (http, query,
-//     index, partition, admission, live, WAL, checkpoint, shard,
-//     process), so the check cannot drift from the code.
+//     index, partition, admission, live, WAL, checkpoint, recovery,
+//     shard, process), so the check cannot drift from the code. GET /v1/stats
+//     renders the same families as JSON, so it covers that document too.
 //  2. Flag coverage, in both directions: every flag cmd/spatialserver
 //     registers (a flag.<Type>("name", …) call in its main.go, read with
 //     go/parser) must have a row in docs/SERVER.md's flag table, and
@@ -20,19 +21,12 @@
 //     internal/, cmd/, ndim/, examples/ or docs/; a trailing .Ident is a
 //     Go name and resolves by its directory), so a deleted file or
 //     directory cannot outlive its mention.
-//  4. /v1/stats key coverage, in both directions: every object key in
-//     the GET /v1/stats document of the same server (collected
-//     recursively; the class names under admission.classes are data,
-//     not keys) must be mentioned in backticks under docs/OBSERVABILITY.md
-//     "GET /v1/stats schema", and every key mentioned there must be
-//     emitted, so a key removed from the code cannot outlive it in the
-//     docs.
-//  5. Trace field coverage, in both directions: every key of a traced
+//  4. Trace field coverage, in both directions: every key of a traced
 //     /v1/window answer's "trace" object must have a row in the table
 //     under docs/OBSERVABILITY.md "Trace fields", every key of its
 //     per-shard spans one under "Shard spans", and every row of either
 //     table must name a key the trace emits at that level.
-//  6. Root package name coverage, in both directions: every exported
+//  5. Root package name coverage, in both directions: every exported
 //     top-level name of the root package's non-test files (functions,
 //     types, constants and variables, read with go/parser) must appear
 //     in the first column of DESIGN.md §8's "Root package: functions,
@@ -70,8 +64,8 @@ import (
 )
 
 // checkServer builds a throwaway durable-mode server — every metric
-// group, every /v1/stats section and the trace of a one-shard engine —
-// and runs the metric, /v1/stats and trace field checks against docPath.
+// group and the trace of a one-shard engine — and runs the metric and
+// trace field checks against docPath.
 func checkServer(docPath string) []string {
 	dir, err := os.MkdirTemp("", "docscheck-wal-")
 	if err != nil {
@@ -92,13 +86,11 @@ func checkServer(docPath string) []string {
 	defer dl.Close()
 	s := server.New(server.Config{Durable: dl, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	failures := checkRows("metric", s.Metrics().Registry().Names(), nil, docPath, nil, captured(metricRowRe))
-	keys, err := emittedKeys(s, httptest.NewRequest(http.MethodGet, "/v1/stats", nil), "", "admission.classes")
-	failures = append(failures, checkStatsKeys(keys, err, docPath)...)
 	traced := func() *http.Request {
 		return httptest.NewRequest(http.MethodPost, "/v1/window",
 			strings.NewReader(`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1},"trace":true}`))
 	}
-	keys, err = emittedKeys(s, traced(), "trace", "class_entries_scanned", "shards")
+	keys, err := emittedKeys(s, traced(), "trace", "class_entries_scanned", "shards")
 	// queue_wait_us is emitted only when the request queued for admission.
 	fields := append(slices.Collect(maps.Keys(keys)), "queue_wait_us")
 	failures = append(failures, checkRows("trace field", fields, err, docPath, traceSectionRe, captured(fieldRowRe))...)
@@ -144,58 +136,6 @@ func emittedKeys(s *server.Server, req *http.Request, field string, data ...stri
 	}
 	walk("", doc)
 	return keys, nil
-}
-
-// optionalStatsKeys are documented /v1/stats keys that a healthy server
-// does not emit.
-var optionalStatsKeys = []string{"log_failed"}
-
-// statsSectionRe captures docs/OBSERVABILITY.md's /v1/stats schema
-// section; codeSpanRe a backticked span (possibly across lines), whose
-// identifiers are key mentions unless it opens with "/", "-" or
-// "twolayer_" (a path, a flag or a metric family); keyRe one identifier.
-var (
-	statsSectionRe = regexp.MustCompile(`(?ms)^## GET /v1/stats schema\n(.*?)(?:^## |\z)`)
-	codeSpanRe     = regexp.MustCompile("`([^`]+)`")
-	keyRe          = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
-)
-
-// checkStatsKeys fails every emitted /v1/stats key not mentioned in the
-// schema section of docPath and every mentioned key nothing emits.
-func checkStatsKeys(keys map[string]bool, err error, docPath string) (failures []string) {
-	if err != nil {
-		return []string{fmt.Sprintf("collecting /v1/stats keys: %v", err)}
-	}
-	doc, err := os.ReadFile(docPath)
-	if err != nil {
-		return []string{err.Error()}
-	}
-	section := statsSectionRe.FindSubmatch(doc)
-	if section == nil {
-		return []string{docPath + ` has no "GET /v1/stats schema" section`}
-	}
-	documented := make(map[string]bool)
-	for _, span := range codeSpanRe.FindAllStringSubmatch(string(section[1]), -1) {
-		if strings.HasPrefix(span[1], "/") || strings.HasPrefix(span[1], "-") ||
-			strings.HasPrefix(span[1], "twolayer_") {
-			continue
-		}
-		for _, k := range keyRe.FindAllString(span[1], -1) {
-			documented[k] = true
-		}
-	}
-	for k := range documented {
-		if !keys[k] && !slices.Contains(optionalStatsKeys, k) {
-			failures = append(failures, fmt.Sprintf("/v1/stats key %s is documented in %s but not emitted", k, docPath))
-		}
-	}
-	for k := range keys {
-		if !documented[k] {
-			failures = append(failures, fmt.Sprintf("/v1/stats key %s is emitted but not documented in %s", k, docPath))
-		}
-	}
-	slices.Sort(failures)
-	return failures
 }
 
 // metricRowRe, flagRowRe and fieldRowRe match the first cell of a table
@@ -449,5 +389,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, /v1/stats keys, trace fields and root package names and methods covered)\n", len(mdFiles))
+	fmt.Printf("docscheck: ok (%d markdown files, metric names, server flags, trace fields and root package names and methods covered)\n", len(mdFiles))
 }

@@ -1,6 +1,7 @@
 // Command spatialserver serves spatial queries over a two-layer index as
 // a long-lived HTTP/JSON service: POST /v1/{window,disk,knn,batch}, with
-// GET /v1/stats, /metrics, and /healthz for observability. The index is
+// GET /metrics, the same samples as JSON on GET /v1/stats, and /healthz
+// for observability. The index is
 // built once from a dataset file (or loaded from a binary snapshot) and
 // then served concurrently; with -live it additionally accepts updates on
 // POST /v1/insert, /v1/delete, and /v1/bulk, serving every query from an

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
 
@@ -89,7 +90,9 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 	// Pass 1: count replicas per (tile, class). Workers own contiguous
 	// entry shards; counts land in one shared flat array via atomic adds
 	// (spread over 4*numTiles addresses, so contention is negligible).
+	// Each worker also takes the union of its shard's MBRs (the extent).
 	counts := make([]int32, 4*numTiles)
+	extents := make([]geom.Rect, threads)
 	firstInvalid := int64(math.MaxInt64)
 	var invalid atomic.Int64
 	invalid.Store(firstInvalid)
@@ -98,8 +101,9 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 		lo := len(entries) * w / threads
 		hi := len(entries) * (w + 1) / threads
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
+			ext := noExtent
 			for i := lo; i < hi; i++ {
 				e := &entries[i]
 				if !e.Rect.Valid() || !e.Rect.Finite() {
@@ -111,6 +115,7 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 					}
 					continue
 				}
+				ext = ext.Union(e.Rect)
 				ax, ay, bx, by := ix.g.CoverRect(e.Rect)
 				for ty := ay; ty <= by; ty++ {
 					row := ty * nx
@@ -120,7 +125,8 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 					}
 				}
 			}
-		}(lo, hi)
+			extents[w] = ext
+		}(w, lo, hi)
 	}
 	wg.Wait()
 	if bad := invalid.Load(); bad != int64(math.MaxInt64) {
@@ -230,5 +236,8 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 	wg.Wait()
 
 	ix.size = len(entries)
+	for _, ext := range extents {
+		ix.extent = ix.extent.Union(ext)
+	}
 	return true
 }

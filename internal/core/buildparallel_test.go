@@ -99,23 +99,26 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		d := spatial.NewDataset(randRects(rnd, n, maxSide))
 		opts := Options{
 			NX: grid, NY: grid, Space: d.MBR(),
-			Decompose: decompose, SparseDirectory: sparse,
+			Decompose: decompose,
 		}
 		cfg := fmt.Sprintf("iter %d (n=%d grid=%d sparse=%v dec=%v threads=%d)",
 			iter, n, grid, sparse, decompose, threads)
 
 		seqOpts := opts
 		seqOpts.BuildThreads = 1
-		seq := Build(d, seqOpts)
+		seq := withDirectory(sparse, func() *Index { return Build(d, seqOpts) })
 		parOpts := opts
 		parOpts.BuildThreads = threads
-		par := Build(d, parOpts)
+		par := withDirectory(sparse, func() *Index { return Build(d, parOpts) })
 
 		if seq.Len() != par.Len() {
 			t.Fatalf("%s: size %d (seq) vs %d (par)", cfg, seq.Len(), par.Len())
 		}
 		if seq.numTiles != par.numTiles {
 			t.Fatalf("%s: %d tiles (seq) vs %d (par)", cfg, seq.numTiles, par.numTiles)
+		}
+		if seq.extent != d.MBR() || par.extent != d.MBR() {
+			t.Fatalf("%s: extent %v (seq) and %v (par), want the data's %v", cfg, seq.extent, par.extent, d.MBR())
 		}
 		if par.Epoch() != 0 {
 			t.Fatalf("%s: parallel build published epoch %d, want 0", cfg, par.Epoch())

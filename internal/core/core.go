@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/grid"
@@ -79,17 +80,12 @@ type Options struct {
 	// fall back to the sequential path regardless of the setting. The
 	// value also parallelizes decomposed-table builds.
 	BuildThreads int
-	// SparseDirectory forces the hash-map tile directory. By default the
-	// index uses a dense directory when NX*NY <= DenseDirectoryLimit.
-	SparseDirectory bool
-	// DenseDirectoryLimit overrides the dense-directory cutoff
-	// (default 1<<25 tiles, a 128 MB directory).
-	DenseDirectoryLimit int
 }
 
-// DefaultDenseDirectoryLimit is the largest tile count for which a dense
-// tile directory is used by default.
-const DefaultDenseDirectoryLimit = 1 << 25
+// denseDirectoryLimit is the largest tile count New gives a dense tile
+// directory (1<<25 tiles, a 128 MB directory); a larger grid gets the
+// hash-map one. A variable so that tests can force the hash map.
+var denseDirectoryLimit = 1 << 25
 
 // SuggestGridSize returns a grid granularity (tiles per dimension) for a
 // dataset of n objects, targeting roughly one object per tile — the
@@ -110,9 +106,6 @@ func SuggestGridSize(n int) int {
 func (o Options) Validate() error {
 	if o.NX < 0 || o.NY < 0 {
 		return fmt.Errorf("core: negative grid dimensions %dx%d", o.NX, o.NY)
-	}
-	if o.DenseDirectoryLimit < 0 {
-		return fmt.Errorf("core: negative DenseDirectoryLimit %d", o.DenseDirectoryLimit)
 	}
 	if o.Space != (geom.Rect{}) {
 		if !o.Space.Valid() || o.Space.Width() <= 0 || o.Space.Height() <= 0 {
@@ -137,9 +130,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Space == (geom.Rect{}) {
 		o.Space = geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	}
-	if o.DenseDirectoryLimit == 0 {
-		o.DenseDirectoryLimit = DefaultDenseDirectoryLimit
 	}
 	return o
 }
@@ -222,6 +212,11 @@ type Index struct {
 
 	dataset *spatial.Dataset // for refinement; may be nil
 	size    int              // number of distinct objects inserted
+
+	// extent is the union of every MBR inserted (by Build, Load or
+	// Insert; Delete keeps it, so it still bounds every entry), and
+	// inverted while none was. kNN bounds its rings by it (ringDistSq).
+	extent geom.Rect
 
 	// epoch is the copy-on-write generation of this index: 0 for a
 	// directly built index, the publish sequence number for snapshots
@@ -330,15 +325,25 @@ func (ix *Index) CloneCOW() *Index {
 	return &cp
 }
 
-// New builds an empty two-layer index.
-func New(opts Options) *Index {
+// noExtent is the extent of an index nothing was inserted into: the
+// identity of Rect.Union.
+var noExtent = geom.Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
+
+// New builds an empty two-layer index, with a dense tile directory
+// unless the grid has more than denseDirectoryLimit tiles.
+func New(opts Options) *Index { return newIndex(opts, false) }
+
+// newIndex is New; sparse gives the hash-map tile directory whatever the
+// grid size.
+func newIndex(opts Options, sparse bool) *Index {
 	opts = opts.withDefaults()
 	ix := &Index{
-		g:    grid.New(opts.Space, opts.NX, opts.NY),
-		opts: opts,
-		met:  &totals{},
+		g:      grid.New(opts.Space, opts.NX, opts.NY),
+		opts:   opts,
+		met:    &totals{},
+		extent: noExtent,
 	}
-	if !opts.SparseDirectory && opts.NX*opts.NY <= opts.DenseDirectoryLimit {
+	if !sparse && opts.NX*opts.NY <= denseDirectoryLimit {
 		ix.dense = newDenseDir(opts.NX*opts.NY, 0)
 	} else {
 		ix.sparse = make(map[int32]*dirPage)
@@ -489,6 +494,7 @@ func (ix *Index) insert(e spatial.Entry) {
 		}
 	}
 	ix.size++
+	ix.extent = ix.extent.Union(e.Rect)
 }
 
 // Insert adds one object to the index; an inverted MBR, or one with a

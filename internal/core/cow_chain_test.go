@@ -386,12 +386,12 @@ func chainBase(rnd *rand.Rand, cfg chainConfig, n int) (*Index, []spatial.Entry)
 		r.MinX, r.MaxX, r.MinY, r.MaxY = r.MinX*0.3, r.MaxX*0.3, r.MinY*0.3, r.MaxY*0.3
 	}
 	d := spatial.NewDataset(rects)
-	opts := Options{NX: chainGrid, NY: chainGrid, Space: unitSquare,
-		SparseDirectory: cfg.sparse, Decompose: cfg.decompose, BuildThreads: 1}
+	opts := Options{NX: chainGrid, NY: chainGrid, Space: unitSquare, Decompose: cfg.decompose, BuildThreads: 1}
 	if cfg.parallel {
 		opts.BuildThreads = 3
 	}
-	return Build(d, opts), append([]spatial.Entry(nil), d.Entries...)
+	ix := withDirectory(cfg.sparse, func() *Index { return Build(d, opts) })
+	return ix, append([]spatial.Entry(nil), d.Entries...)
 }
 
 // chainRect draws a rectangle anywhere in the space, up to two tiles

@@ -311,8 +311,9 @@ func chainFuzzBase(sparse, decompose bool) (*Index, []spatial.Entry) {
 		rects[i] = geom.Rect{MinX: x, MinY: 0.25 / chainGrid, MaxX: x + 0.5/chainGrid, MaxY: 0.75 / chainGrid}
 	}
 	d := spatial.NewDataset(rects)
-	ix := Build(d, Options{NX: chainGrid, NY: chainGrid, Space: unitSquare,
-		SparseDirectory: sparse, Decompose: decompose, BuildThreads: 1})
+	ix := withDirectory(sparse, func() *Index {
+		return Build(d, Options{NX: chainGrid, NY: chainGrid, Space: unitSquare, Decompose: decompose, BuildThreads: 1})
+	})
 	return ix, d.Entries
 }
 
@@ -483,6 +484,10 @@ func FuzzKNN(f *testing.F) {
 	f.Add(int64(2), uint8(0), uint8(63), uint8(29), -0.5, 2.0, uint8(1))
 	f.Add(int64(3), uint8(62), uint8(2), uint8(0), 0.25, 0.75, uint8(3))
 	f.Add(int64(4), uint8(6), uint8(12), uint8(16), 1.0, 0.0, uint8(2))
+	// Outside the space, where the rings are bounded by the objects' extent.
+	f.Add(int64(5), uint8(31), uint8(31), uint8(9), 1.2, 0.5, uint8(0))
+	f.Add(int64(6), uint8(40), uint8(17), uint8(9), -0.3, 1.4, uint8(0))
+	f.Add(int64(7), uint8(3), uint8(50), uint8(29), 0.5, -3.0, uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, nx8, ny8, k8 uint8, qx, qy float64, snap uint8) {
 		if math.IsNaN(qx) || math.IsNaN(qy) || math.Abs(qx) > 1e9 || math.Abs(qy) > 1e9 {
 			t.Skip()

@@ -49,7 +49,7 @@ func kernelConfigsOverDataset(t *testing.T, d *spatial.Dataset) map[string]*Inde
 		"plain-64x64":      Build(d, Options{NX: 64, NY: 64, Space: unitSquare}),
 		"decomposed-8x8":   Build(d, Options{NX: 8, NY: 8, Space: unitSquare, Decompose: true}),
 		"decomposed-64":    Build(d, Options{NX: 64, NY: 64, Space: unitSquare, Decompose: true}),
-		"sparse-dir":       Build(d, Options{NX: 32, NY: 32, Space: unitSquare, SparseDirectory: true}),
+		"sparse-dir":       withDirectory(true, func() *Index { return Build(d, Options{NX: 32, NY: 32, Space: unitSquare}) }),
 		"stats-view-8x8":   Build(d, Options{NX: 8, NY: 8, Space: unitSquare}).View(&Stats{}),
 		"stats-view-64x64": Build(d, Options{NX: 64, NY: 64, Space: unitSquare}).View(&Stats{}),
 		"live-snap-16x16":  liveSnap(16),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -56,6 +57,45 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 					seen[got[i].ID] = true
 				}
 			}
+		}
+	}
+}
+
+// TestKNNOutsideSpace: a query point outside the space gets the
+// brute-force answer, on a built index and after deletes and inserts
+// sticking out of the space, which the index's extent follows. On the
+// built index, where objects lie evenly in the space, it reads at most
+// 10x the tiles a point inside reads.
+func TestKNNOutsideSpace(t *testing.T) {
+	rnd := rand.New(rand.NewSource(137))
+	ix, d := buildRandom(rnd, 20000, 0.005, Options{NX: 128, NY: 128, Space: geom.Rect{MaxX: 1, MaxY: 1}})
+	tiles := func(q geom.Point) int64 {
+		var st Stats
+		ix.View(&st).KNN(q, 10)
+		return st.TilesVisited
+	}
+	outside := []geom.Point{{X: 1.2, Y: 0.5}, {X: -0.3, Y: 1.4}, {X: 0.5, Y: -0.2}, {X: 3, Y: -2}}
+	inside := tiles(geom.Point{X: 0.5, Y: 0.5})
+	for _, q := range outside {
+		sameDists(t, fmt.Sprintf("built q=%v", q), ix.KNN(q, 10), bruteKNN(d.Entries, q, 10))
+		if got := tiles(q); got > 10*inside {
+			t.Errorf("q=%v visited %d tiles, a point inside %d", q, got, inside)
+		}
+	}
+
+	entries := append([]spatial.Entry(nil), d.Entries[100:]...)
+	for i := range 100 {
+		ix.Delete(d.Entries[i].ID, d.Entries[i].Rect)
+	}
+	for i := range 40 {
+		x, y := 0.98+rnd.Float64()*0.02, rnd.Float64()
+		e := spatial.Entry{ID: spatial.ID(len(d.Entries) + i), Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + 0.06, MaxY: y + 0.01}}
+		ix.Insert(e)
+		entries = append(entries, e)
+	}
+	for _, q := range outside {
+		for _, k := range []int{1, 10, 60} {
+			sameDists(t, fmt.Sprintf("updated q=%v k=%d", q, k), ix.KNN(q, k), bruteKNN(entries, q, k))
 		}
 	}
 }

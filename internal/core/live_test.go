@@ -59,7 +59,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 // and sparse directories.
 func TestCloneCOWNewTiles(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
-		ix := New(Options{NX: 16, NY: 16, Space: unitSquare, SparseDirectory: sparse})
+		ix := withDirectory(sparse, func() *Index { return New(Options{NX: 16, NY: 16, Space: unitSquare}) })
 		ix.Insert(spatial.Entry{ID: 0, Rect: geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.12, MaxY: 0.12}})
 		cl := ix.CloneCOW()
 		// Far corner: guaranteed new tiles.

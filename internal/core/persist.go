@@ -199,9 +199,8 @@ func Load(r io.Reader) (*Index, error) {
 	// have actually been read: tile pages are allocated one at a time as
 	// tiles arrive and entry preallocations are capped, so a corrupt
 	// header cannot demand gigabytes before the decoder hits EOF.
-	ix := New(Options{NX: int(nx), NY: int(ny), Space: space,
-		Decompose: flags&flagDecompose != 0, SparseDirectory: true})
-	ix.opts.SparseDirectory = false // restore the default directory policy
+	ix := newIndex(Options{NX: int(nx), NY: int(ny), Space: space,
+		Decompose: flags&flagDecompose != 0}, true)
 	ix.size = int(size)
 	ix.epoch = epoch
 	const preallocCap = 1 << 10
@@ -238,6 +237,7 @@ func Load(r io.Reader) (*Index, error) {
 				return nil, fmt.Errorf("core: corrupt entry rect %v", e.Rect)
 			}
 			run = append(run, e)
+			ix.extent = ix.extent.Union(e.Rect)
 		}
 		t.run = run
 		var end int32
@@ -253,7 +253,7 @@ func Load(r io.Reader) (*Index, error) {
 	// directory allocation proportional to the bytes actually decoded (a
 	// corrupt header cannot demand a 128 MB directory for three tiles of
 	// data).
-	if n := int(nx) * int(ny); n <= ix.opts.DenseDirectoryLimit &&
+	if n := int(nx) * int(ny); n <= denseDirectoryLimit &&
 		n <= max(1<<20, 256*ix.numTiles) {
 		ix.dense, ix.sparse = newDenseDir(n, ix.epoch), nil
 	}

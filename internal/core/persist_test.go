@@ -14,13 +14,19 @@ import (
 // to the original, for plain, decomposed and sparse-directory indices.
 func TestPersistRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(181))
-	for _, opts := range []Options{
-		{NX: 16, NY: 16},
-		{NX: 16, NY: 16, Decompose: true},
-		{NX: 16, NY: 16, SparseDirectory: true},
-		{NX: 1, NY: 1},
+	for _, tc := range []struct {
+		opts   Options
+		sparse bool
+	}{
+		{Options{NX: 16, NY: 16}, false},
+		{Options{NX: 16, NY: 16, Decompose: true}, false},
+		{Options{NX: 16, NY: 16}, true},
+		{Options{NX: 1, NY: 1}, false},
 	} {
-		orig, _ := buildRandom(rnd, 800, 0.1, opts)
+		orig := withDirectory(tc.sparse, func() *Index {
+			ix, _ := buildRandom(rnd, 800, 0.1, tc.opts)
+			return ix
+		})
 		var buf bytes.Buffer
 		n, err := orig.WriteTo(&buf)
 		if err != nil {
@@ -214,11 +220,14 @@ func TestPersistMatchesReferenceEncoder(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"plain":      {NX: 16, NY: 16, BuildThreads: 1},
 		"decomposed": {NX: 16, NY: 16, Decompose: true, BuildThreads: 1},
-		"sparse":     {NX: 40, NY: 40, SparseDirectory: true, BuildThreads: 1},
+		"sparse":     {NX: 40, NY: 40, BuildThreads: 1},
 		"parallel":   {NX: 16, NY: 16, BuildThreads: 3},
 		"one tile":   {NX: 1, NY: 1},
 	} {
-		indices[name], _ = buildRandom(rnd, 600, 0.1, opts)
+		indices[name] = withDirectory(name == "sparse", func() *Index {
+			ix, _ := buildRandom(rnd, 600, 0.1, opts)
+			return ix
+		})
 	}
 	indices["empty"] = New(Options{NX: 8, NY: 8})
 

@@ -23,10 +23,7 @@ func TestQuickWindowEquivalence(t *testing.T) {
 		rects := randRects(rnd, n, maxSide)
 		d := spatial.NewDataset(rects)
 		opts := Options{NX: nx, NY: ny, Decompose: rnd.Intn(2) == 1}
-		if rnd.Intn(2) == 1 {
-			opts.SparseDirectory = true
-		}
-		ix := Build(d, opts)
+		ix := withDirectory(rnd.Intn(2) == 1, func() *Index { return Build(d, opts) })
 		for q := 0; q < 10; q++ {
 			w := randWindow(rnd, 0.5)
 			got := sortIDs(windowIDs(ix, w))

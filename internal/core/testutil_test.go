@@ -66,6 +66,16 @@ func noDuplicates(t *testing.T, ids []spatial.ID, context string) {
 	}
 }
 
+// withDirectory returns build(), during which New gives every grid the
+// hash-map tile directory if sparse is set (and the default otherwise).
+func withDirectory(sparse bool, build func() *Index) *Index {
+	if sparse {
+		defer func(saved int) { denseDirectoryLimit = saved }(denseDirectoryLimit)
+		denseDirectoryLimit = 0
+	}
+	return build()
+}
+
 // buildRandom builds an index over n random rects with the given options.
 func buildRandom(rnd *rand.Rand, n int, maxSide float64, opts Options) (*Index, *spatial.Dataset) {
 	d := spatial.NewDataset(randRects(rnd, n, maxSide))

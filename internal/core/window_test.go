@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/twolayer/twolayer/internal/datagen"
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
@@ -150,7 +151,7 @@ func TestSparseDirectory(t *testing.T) {
 	d1 := spatial.NewDataset(rects)
 	d2 := spatial.NewDataset(rects)
 	denseIx := Build(d1, Options{NX: 32, NY: 32})
-	sparseIx := Build(d2, Options{NX: 32, NY: 32, SparseDirectory: true})
+	sparseIx := withDirectory(true, func() *Index { return Build(d2, Options{NX: 32, NY: 32}) })
 	if denseIx.sparse != nil || sparseIx.dense != nil {
 		t.Fatal("directory styles not as configured")
 	}
@@ -218,12 +219,33 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
+// BenchmarkAblationDirectory: dense array vs hash-map tile directory,
+// counting windows of 0.1% relative extent over 200K ROADS-like objects
+// on a 512² grid.
+func BenchmarkAblationDirectory(b *testing.B) {
+	d := datagen.RealLikeDataset(datagen.Roads, 200_000, 20210419)
+	windows := datagen.Windows(d, datagen.QuerySpec{N: 1000, RelExtent: 0.001, Seed: 20210421})
+	for _, sparse := range []bool{false, true} {
+		name := map[bool]string{false: "dense", true: "sparse"}[sparse]
+		b.Run(name, func(b *testing.B) {
+			ix := withDirectory(sparse, func() *Index { return Build(d, Options{NX: 512, NY: 512}) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				n += ix.WindowCount(windows[i%len(windows)])
+			}
+			b.ReportMetric(float64(n)/float64(b.N), "results/op")
+		})
+	}
+}
+
 // TestBatchOnSparseDirectory exercises the sparse slot lookup in batch
 // processing.
 func TestBatchOnSparseDirectory(t *testing.T) {
 	rnd := rand.New(rand.NewSource(12))
 	rects := randRects(rnd, 400, 0.05)
-	ix := Build(spatial.NewDataset(rects), Options{NX: 16, NY: 16, SparseDirectory: true})
+	ix := withDirectory(true, func() *Index { return Build(spatial.NewDataset(rects), Options{NX: 16, NY: 16}) })
 	queries := make([]geom.Rect, 30)
 	for i := range queries {
 		queries[i] = randWindow(rnd, 0.3)

@@ -123,10 +123,10 @@ func (r Rect) Intersection(s Rect) Rect {
 // Union returns the minimum rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 

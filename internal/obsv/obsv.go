@@ -1,6 +1,7 @@
 // Package obsv is a small, dependency-free metrics registry exposing
 // counters, gauges, and histograms in the Prometheus text exposition
-// format (version 0.0.4).
+// format (version 0.0.4), and the same samples as one JSON document
+// (MarshalJSON).
 //
 // It exists so the serving layer can publish engine metrics — query
 // latencies, live-index publish rates, WAL fsync latencies, partition
@@ -20,10 +21,12 @@
 package obsv
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,9 +53,20 @@ func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()
 
 // series is one rendered line: a label set and a value source.
 type series interface {
-	labels() string // rendered {k="v",...} or ""
+	labels() string        // rendered {k="v",...} or ""
+	labelValues() []string // in the order of the family's label keys
 	write(w io.Writer, name string) error
+	appendJSON(b []byte) []byte
 }
+
+// labelSet is a series' label values, rendered once at creation.
+type labelSet struct {
+	lbl  string
+	vals []string
+}
+
+func (l labelSet) labels() string        { return l.lbl }
+func (l labelSet) labelValues() []string { return l.vals }
 
 // family is one registered metric family: a name, HELP/TYPE metadata,
 // and its series (one per label set; exactly one for unlabeled
@@ -60,10 +74,21 @@ type series interface {
 type family struct {
 	name string
 	help string
-	typ  string // "counter", "gauge", "histogram"
+	typ  string   // "counter", "gauge", "histogram"
+	keys []string // label keys; none for unlabeled instruments
 
 	mu     sync.Mutex
 	series []series
+}
+
+// labelString renders the label values of one of f's series, one per
+// label key.
+func (f *family) labelString(values []string) string {
+	if len(values) != len(f.keys) {
+		panic(fmt.Sprintf("obsv: %s expects %d label values, got %d",
+			f.name, len(f.keys), len(values)))
+	}
+	return renderLabels(f.keys, values)
 }
 
 func (f *family) add(s series) {
@@ -98,7 +123,7 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-func (r *Registry) register(name, help, typ string) *family {
+func (r *Registry) register(name, help, typ string, keys ...string) *family {
 	if !validName(name) {
 		panic(fmt.Sprintf("obsv: invalid metric name %q", name))
 	}
@@ -107,7 +132,7 @@ func (r *Registry) register(name, help, typ string) *family {
 	if _, dup := r.byName[name]; dup {
 		panic(fmt.Sprintf("obsv: metric %q registered twice", name))
 	}
-	f := &family{name: name, help: help, typ: typ}
+	f := &family{name: name, help: help, typ: typ, keys: keys}
 	r.fams = append(r.fams, f)
 	r.byName[name] = f
 	return f
@@ -190,12 +215,21 @@ func formatValue(v float64) string {
 	}
 }
 
+// appendJSONValue writes v as formatValue does, and NaN and ±Inf, which
+// JSON cannot spell, as null.
+func appendJSONValue(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	return append(b, formatValue(v)...)
+}
+
 // ---- counter --------------------------------------------------------------
 
 // Counter is a monotonically increasing value.
 type Counter struct {
 	val atomicFloat
-	lbl string
+	labelSet
 }
 
 // Inc adds one.
@@ -213,11 +247,11 @@ func (c *Counter) Add(v float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.val.Load() }
 
-func (c *Counter) labels() string { return c.lbl }
 func (c *Counter) write(w io.Writer, name string) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", name, c.lbl, formatValue(c.val.Load()))
 	return err
 }
+func (c *Counter) appendJSON(b []byte) []byte { return appendJSONValue(b, c.val.Load()) }
 
 // Counter registers and returns an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
@@ -230,32 +264,27 @@ func (r *Registry) Counter(name, help string) *Counter {
 // CounterVec is a counter family keyed by one or more label values.
 type CounterVec struct {
 	fam  *family
-	keys []string
 	mu   sync.Mutex
 	kids map[string]*Counter
 }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVec {
-	f := r.register(name, help, "counter")
-	return &CounterVec{fam: f, keys: labelKeys, kids: make(map[string]*Counter)}
+	f := r.register(name, help, "counter", labelKeys...)
+	return &CounterVec{fam: f, kids: make(map[string]*Counter)}
 }
 
 // With returns the counter for the given label values, creating it on
 // first use. The child is cached; hot paths should hold the returned
 // *Counter rather than calling With per update.
 func (v *CounterVec) With(labelValues ...string) *Counter {
-	if len(labelValues) != len(v.keys) {
-		panic(fmt.Sprintf("obsv: %s expects %d label values, got %d",
-			v.fam.name, len(v.keys), len(labelValues)))
-	}
-	lbl := renderLabels(v.keys, labelValues)
+	lbl := v.fam.labelString(labelValues)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if c, ok := v.kids[lbl]; ok {
 		return c
 	}
-	c := &Counter{lbl: lbl}
+	c := &Counter{labelSet: labelSet{lbl, slices.Clone(labelValues)}}
 	v.kids[lbl] = c
 	v.fam.add(c)
 	return c
@@ -266,7 +295,7 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 // Gauge is a value that can go up and down.
 type Gauge struct {
 	val atomicFloat
-	lbl string
+	labelSet
 }
 
 // Set stores the value.
@@ -278,11 +307,11 @@ func (g *Gauge) Add(v float64) { g.val.Add(v) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.val.Load() }
 
-func (g *Gauge) labels() string { return g.lbl }
 func (g *Gauge) write(w io.Writer, name string) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", name, g.lbl, formatValue(g.val.Load()))
 	return err
 }
+func (g *Gauge) appendJSON(b []byte) []byte { return appendJSONValue(b, g.val.Load()) }
 
 // Gauge registers and returns an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
@@ -294,15 +323,15 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // funcSeries is a series whose value is computed at scrape time.
 type funcSeries struct {
-	fn  func() float64
-	lbl string
+	fn func() float64
+	labelSet
 }
 
-func (s *funcSeries) labels() string { return s.lbl }
 func (s *funcSeries) write(w io.Writer, name string) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.lbl, formatValue(s.fn()))
 	return err
 }
+func (s *funcSeries) appendJSON(b []byte) []byte { return appendJSONValue(b, s.fn()) }
 
 // GaugeFunc registers a gauge whose value is fn(), evaluated at every
 // scrape. This is how point-in-time engine state (snapshot epoch, log
@@ -322,46 +351,32 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 
 // GaugeVecFunc registers a gauge family whose children are callbacks,
 // added with its Add method (label values + fn per child).
-type GaugeVecFunc struct {
-	fam  *family
-	keys []string
-}
+type GaugeVecFunc struct{ fam *family }
 
 // GaugeVecFunc registers a labeled callback gauge family.
 func (r *Registry) GaugeVecFunc(name, help string, labelKeys ...string) *GaugeVecFunc {
-	f := r.register(name, help, "gauge")
-	return &GaugeVecFunc{fam: f, keys: labelKeys}
+	f := r.register(name, help, "gauge", labelKeys...)
+	return &GaugeVecFunc{fam: f}
 }
 
 // Add registers one child evaluated at scrape time.
 func (v *GaugeVecFunc) Add(fn func() float64, labelValues ...string) {
-	if len(labelValues) != len(v.keys) {
-		panic(fmt.Sprintf("obsv: %s expects %d label values, got %d",
-			v.fam.name, len(v.keys), len(labelValues)))
-	}
-	v.fam.add(&funcSeries{fn: fn, lbl: renderLabels(v.keys, labelValues)})
+	v.fam.add(&funcSeries{fn, labelSet{v.fam.labelString(labelValues), slices.Clone(labelValues)}})
 }
 
 // CounterVecFunc registers a counter family whose children are callbacks,
 // added with its Add method. Each fn must be monotone, like CounterFunc.
-type CounterVecFunc struct {
-	fam  *family
-	keys []string
-}
+type CounterVecFunc struct{ fam *family }
 
 // CounterVecFunc registers a labeled callback counter family.
 func (r *Registry) CounterVecFunc(name, help string, labelKeys ...string) *CounterVecFunc {
-	f := r.register(name, help, "counter")
-	return &CounterVecFunc{fam: f, keys: labelKeys}
+	f := r.register(name, help, "counter", labelKeys...)
+	return &CounterVecFunc{fam: f}
 }
 
 // Add registers one child evaluated at scrape time.
 func (v *CounterVecFunc) Add(fn func() float64, labelValues ...string) {
-	if len(labelValues) != len(v.keys) {
-		panic(fmt.Sprintf("obsv: %s expects %d label values, got %d",
-			v.fam.name, len(v.keys), len(labelValues)))
-	}
-	v.fam.add(&funcSeries{fn: fn, lbl: renderLabels(v.keys, labelValues)})
+	v.fam.add(&funcSeries{fn, labelSet{v.fam.labelString(labelValues), slices.Clone(labelValues)}})
 }
 
 // ---- histogram ------------------------------------------------------------
@@ -382,7 +397,7 @@ type Histogram struct {
 	counts []atomic.Uint64 // one per bound; +Inf is implicit via count
 	sum    atomicFloat
 	count  atomic.Uint64
-	lbl    string
+	labelSet
 }
 
 // Observe records one observation.
@@ -402,7 +417,13 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations recorded.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-func (h *Histogram) labels() string { return h.lbl }
+// appendJSON renders the count and sum only; the buckets stay on the
+// text exposition.
+func (h *Histogram) appendJSON(b []byte) []byte {
+	b = strconv.AppendUint(append(b, `{"count":`...), h.count.Load(), 10)
+	return append(appendJSONValue(append(b, `,"sum":`...), h.sum.Load()), '}')
+}
+
 func (h *Histogram) write(w io.Writer, name string) error {
 	// Per-bucket counts are stored non-cumulative; exposition is
 	// cumulative per the format.
@@ -435,7 +456,7 @@ func (h *Histogram) writeBucket(w io.Writer, name, le string, n uint64) error {
 	return err
 }
 
-func newHistogram(bounds []float64, lbl string) *Histogram {
+func newHistogram(bounds []float64, ls labelSet) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
@@ -445,9 +466,9 @@ func newHistogram(bounds []float64, lbl string) *Histogram {
 		}
 	}
 	return &Histogram{
-		bounds: bounds,
-		counts: make([]atomic.Uint64, len(bounds)),
-		lbl:    lbl,
+		bounds:   bounds,
+		counts:   make([]atomic.Uint64, len(bounds)),
+		labelSet: ls,
 	}
 }
 
@@ -455,7 +476,7 @@ func newHistogram(bounds []float64, lbl string) *Histogram {
 // DefBuckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	f := r.register(name, help, "histogram")
-	h := newHistogram(buckets, "")
+	h := newHistogram(buckets, labelSet{})
 	f.add(h)
 	return h
 }
@@ -463,7 +484,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct {
 	fam    *family
-	keys   []string
 	bounds []float64
 	mu     sync.Mutex
 	kids   map[string]*Histogram
@@ -472,9 +492,9 @@ type HistogramVec struct {
 // HistogramVec registers a labeled histogram family; nil buckets selects
 // DefBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labelKeys ...string) *HistogramVec {
-	f := r.register(name, help, "histogram")
+	f := r.register(name, help, "histogram", labelKeys...)
 	return &HistogramVec{
-		fam: f, keys: labelKeys, bounds: buckets,
+		fam: f, bounds: buckets,
 		kids: make(map[string]*Histogram),
 	}
 }
@@ -482,17 +502,13 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelKeys 
 // With returns the histogram for the given label values, creating it on
 // first use. Hot paths should cache the child.
 func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	if len(labelValues) != len(v.keys) {
-		panic(fmt.Sprintf("obsv: %s expects %d label values, got %d",
-			v.fam.name, len(v.keys), len(labelValues)))
-	}
-	lbl := renderLabels(v.keys, labelValues)
+	lbl := v.fam.labelString(labelValues)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if h, ok := v.kids[lbl]; ok {
 		return h
 	}
-	h := newHistogram(v.bounds, lbl)
+	h := newHistogram(v.bounds, labelSet{lbl, slices.Clone(labelValues)})
 	v.kids[lbl] = h
 	v.fam.add(h)
 	return h
@@ -524,6 +540,67 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return cw.n, nil
+}
+
+// jsonPath is where a family lands in the JSON rendering: its name
+// without the namespace (the text up to the first '_'), split at the
+// next '_' into a section and a field, so "twolayer_index_objects" is
+// index.objects. A name with fewer parts lands at what is left of it.
+func jsonPath(name string) []string {
+	_, rest, ok := strings.Cut(name, "_")
+	if !ok {
+		return []string{name}
+	}
+	if section, field, ok := strings.Cut(rest, "_"); ok {
+		return []string{section, field}
+	}
+	return []string{rest}
+}
+
+// MarshalJSON renders every family as one JSON object from the same
+// samples WriteTo reads. A family lands at its jsonPath; a labeled
+// series nests one object per label value, in the order of the family's
+// label keys; a histogram is {"count":n,"sum":s} (its buckets stay on
+// the text exposition); a value is written as in the text exposition,
+// except NaN and ±Inf, which are null. Object keys are sorted.
+func (r *Registry) MarshalJSON() ([]byte, error) {
+	r.mu.Lock()
+	fams := slices.Clone(r.fams)
+	r.mu.Unlock()
+	doc := make(map[string]any)
+	// put stores v at path, making the objects on the way, and fails
+	// where another value already is.
+	put := func(path []string, v any) bool {
+		obj := doc
+		for _, k := range path[:len(path)-1] {
+			if obj[k] == nil {
+				obj[k] = make(map[string]any)
+			}
+			next, isObj := obj[k].(map[string]any)
+			if !isObj {
+				return false
+			}
+			obj = next
+		}
+		last := path[len(path)-1]
+		if obj[last] != nil {
+			return false
+		}
+		obj[last] = v
+		return true
+	}
+	for _, f := range fams {
+		path := jsonPath(f.name)
+		// A labeled family is an object even before its first series.
+		ok := len(f.keys) == 0 || put(path, make(map[string]any))
+		for _, s := range f.snapshotSeries() {
+			ok = ok && put(slices.Concat(path, s.labelValues()), json.RawMessage(s.appendJSON(nil)))
+		}
+		if !ok {
+			return nil, fmt.Errorf("obsv: %s collides with another family in the JSON rendering", f.name)
+		}
+	}
+	return json.Marshal(doc)
 }
 
 func escapeHelp(h string) string {

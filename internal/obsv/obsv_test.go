@@ -1,6 +1,8 @@
 package obsv
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +53,55 @@ test_latency_seconds_count 3
 `
 	if got := b.String(); got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestMarshalJSON locks the JSON rendering: sections split at the first
+// '_' after the namespace, integers without an exponent, NaN and ±Inf as
+// null, one nesting level per label value in label-key order, and a
+// histogram as its count and sum.
+func TestMarshalJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_ops_total", "").Add(1e6)
+	r.GaugeFunc("test_ratio_nan", "", math.NaN)
+	r.GaugeFunc("test_ratio_inf", "", func() float64 { return math.Inf(1) })
+	r.GaugeFunc("test_ratio_neg_inf", "", func() float64 { return math.Inf(-1) })
+	r.Gauge("test_ratio_half", "").Set(0.5)
+	layer := r.CounterVec("test_layer_total", "", "layer", "endpoint")
+	layer.With("encode", "v1/window").Add(2)
+	layer.With("decode", "v1/window").Inc()
+	layer.With("decode", "v1/disk").Add(3)
+	r.GaugeVecFunc("test_shard_objects", "", "shard")
+	h := r.Histogram("test_latency_seconds", "", []float64{0.1, 1})
+	h.Observe(0.25)
+	h.Observe(2)
+	r.Gauge("up", "").Set(1)
+
+	got, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(got) {
+		t.Fatalf("invalid JSON: %s", got)
+	}
+	want := `{"latency":{"seconds":{"count":2,"sum":2.25}},` +
+		`"layer":{"total":{"decode":{"v1/disk":3,"v1/window":1},"encode":{"v1/window":2}}},` +
+		`"ops":{"total":1000000},` +
+		`"ratio":{"half":0.5,"inf":null,"nan":null,"neg_inf":null},` +
+		`"shard":{"objects":{}},` +
+		`"up":1}`
+	if string(got) != want {
+		t.Errorf("JSON rendering\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMarshalJSONCollision fails a family whose path is another's object.
+func TestMarshalJSONCollision(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("test_up", "")
+	r.Gauge("test_up_total", "")
+	if _, err := r.MarshalJSON(); err == nil {
+		t.Error("test_up and test_up_total rendered without a collision")
 	}
 }
 

@@ -31,8 +31,9 @@ import (
 // deadline that expires in the queue answers 503 (the timeout status),
 // and so does a client that goes away, counted apart as "canceled".
 // Every shed carries Retry-After: 1.
-// /v1/stats, /healthz, and /metrics bypass admission entirely: the
-// observability surface must stay reachable on an overloaded node.
+// /metrics, its JSON rendering /v1/stats, and /healthz bypass admission
+// entirely: the observability surface must stay reachable on an
+// overloaded node.
 //
 // Mutation backpressure is the second half of the valve: the apply
 // backlog bound (twolayer.LiveOptions.MaxBacklog, per engine: one apply
@@ -52,8 +53,8 @@ const (
 	numClasses
 )
 
-// classNames are the label values of the twolayer_admission_* metric
-// group and the keys of the /v1/stats "admission" section.
+// classNames are the class label values of the twolayer_admission_*
+// metric group (and so the keys under admission.<field> in /v1/stats).
 var classNames = [numClasses]string{"read", "mutate", "batch"}
 
 // shedReason reports why acquire did not admit a request.
@@ -93,7 +94,8 @@ func defaultMaxInflight() int {
 
 // classGate is one endpoint class's admission state: a token-channel
 // semaphore (capacity = in-flight limit; receiving a token admits),
-// occupancy counters, and outcome counters for /v1/stats and /metrics.
+// occupancy counters, and outcome counters, which the
+// twolayer_admission_* families read.
 // Goroutines blocked on the token channel are served in arrival order
 // by the runtime, and a released token is handed to the oldest waiter
 // before it can land in the buffer, so the wait queue is FIFO whenever

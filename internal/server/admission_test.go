@@ -148,10 +148,8 @@ func TestAdmissionDisabled(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	var stats statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &stats)
-	if stats.Admission != nil {
-		t.Fatal("/stats has an admission section with admission disabled")
+	if st := getStats(t, s.Handler()); st.has("admission") {
+		t.Fatal("/v1/stats has an admission section with admission disabled")
 	}
 	m := scrapeMetrics(t, s.Handler())
 	for series := range m {
@@ -169,22 +167,20 @@ func TestAdmissionStatsAndMetrics(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
-	var stats statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &stats)
-	if stats.Admission == nil {
-		t.Fatal("/stats is missing the admission section")
+	st := getStats(t, s.Handler())
+	if !st.has("admission") {
+		t.Fatal("/v1/stats is missing the admission section")
 	}
 	for _, name := range classNames {
-		cl, ok := stats.Admission.Classes[name]
-		if !ok {
+		if !st.has("admission.admitted_total." + name) {
 			t.Fatalf("admission section is missing class %q", name)
 		}
-		if cl.MaxInflight <= 0 {
-			t.Fatalf("class %q max_inflight = %d, want > 0", name, cl.MaxInflight)
+		if got := st.num(t, "admission.max_inflight."+name); got <= 0 {
+			t.Fatalf("class %q max_inflight = %g, want > 0", name, got)
 		}
 	}
-	if got := stats.Admission.Classes["read"].Admitted; got < 1 {
-		t.Fatalf("read admitted_total = %d, want >= 1", got)
+	if got := st.num(t, "admission.admitted_total.read"); got < 1 {
+		t.Fatalf("read admitted_total = %g, want >= 1", got)
 	}
 	m := scrapeMetrics(t, s.Handler())
 	if v := m[`twolayer_admission_admitted_total{class="read"}`]; v < 1 {
@@ -217,10 +213,8 @@ func TestAdmissionTraceQueueWait(t *testing.T) {
 func TestBatchValidatedBeforeAdmission(t *testing.T) {
 	s := testServer(t, nil)
 	h := s.Handler()
-	admitted := func() uint64 {
-		var st statsResponse
-		do(t, h, "GET", "/v1/stats", "", &st)
-		return st.Admission.Classes["batch"].Admitted
+	admitted := func() float64 {
+		return getStats(t, h).num(t, "admission.admitted_total.batch")
 	}
 	for _, c := range []struct{ body, want string }{
 		{`{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1},{"min_x":1,"min_y":0,"max_x":0,"max_y":1}]}`, "windows[1]"},
@@ -232,11 +226,11 @@ func TestBatchValidatedBeforeAdmission(t *testing.T) {
 		}
 	}
 	if got := admitted(); got != 0 {
-		t.Errorf("batch admitted_total = %d after two rejected batches, want 0", got)
+		t.Errorf("batch admitted_total = %g after two rejected batches, want 0", got)
 	}
 	do(t, h, "POST", "/v1/batch", `{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`, nil)
 	if got := admitted(); got != 1 {
-		t.Errorf("batch admitted_total = %d after one valid batch, want 1", got)
+		t.Errorf("batch admitted_total = %g after one valid batch, want 1", got)
 	}
 }
 
@@ -408,16 +402,15 @@ func TestBacklogRejection(t *testing.T) {
 		t.Fatalf("%d backlog 503s did not mention the backlog", badBody.Load())
 	}
 
-	var stats statsResponse
-	do(t, h, "GET", "/v1/stats", "", &stats)
-	if stats.Admission == nil || stats.Admission.Backlog == nil {
-		t.Fatal("/stats is missing the admission backlog section on a live server")
+	st := getStats(t, h)
+	if !st.has("admission.backlog") {
+		t.Fatal("/v1/stats is missing the admission backlog on a live server")
 	}
-	if got := stats.Admission.Backlog.Limit; got != 1 {
-		t.Fatalf("backlog limit = %d, want 1", got)
+	if got := st.num(t, "admission.backlog_limit"); got != 1 {
+		t.Fatalf("backlog limit = %g, want 1", got)
 	}
 	if r := rejected.Load(); r > 0 {
-		if stats.Admission.Backlog.Rejected == 0 {
+		if st.num(t, "admission.backlog_rejected_total") == 0 {
 			t.Fatalf("%d 503s were served but rejected_total is 0", r)
 		}
 	} else {

@@ -74,11 +74,9 @@ func TestConcurrentQueries(t *testing.T) {
 
 	// The aggregate must have observed every request: single queries,
 	// count-only ones and batches alike.
-	var stats statsResponse
-	do(t, h, "GET", "/v1/stats", "", &stats)
-	wantObserved := int64(workers * perWorker)
-	if stats.QueriesObserved != wantObserved {
-		t.Errorf("queries_observed = %d, want %d", stats.QueriesObserved, wantObserved)
+	wantObserved := float64(workers * perWorker)
+	if got := getStats(t, h).num(t, "queries.observed_total"); got != wantObserved {
+		t.Errorf("queries.observed_total = %g, want %g", got, wantObserved)
 	}
 	m := scrapeMetrics(t, h)
 	for _, ep := range []string{"v1/window", "v1/disk", "v1/knn", "v1/batch"} {

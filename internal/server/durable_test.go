@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	twolayer "github.com/twolayer/twolayer"
@@ -47,6 +48,37 @@ func insertBody(id int) string {
 		id, x, y, x+0.05, y+0.05)
 }
 
+// TestStatsRendersEveryFamily: on a durable two-shard server, which
+// registers every metric group, each family twolayer_<section>_<field>
+// of the registry is at <section>.<field> in GET /v1/stats, every
+// section there comes from a family, and index.objects is the engine's
+// object count.
+func TestStatsRendersEveryFamily(t *testing.T) {
+	s, dl := durableServer(t, t.TempDir(), 2)
+	for id := 1; id <= 12; id++ {
+		if w := do(t, s.Handler(), "POST", "/v1/insert", insertBody(id), nil); w.Code != http.StatusOK {
+			t.Fatalf("insert %d: status %d", id, w.Code)
+		}
+	}
+	st := getStats(t, s.Handler())
+	sections := make(map[string]bool)
+	for _, name := range s.Metrics().Registry().Names() {
+		section, field, _ := strings.Cut(strings.TrimPrefix(name, "twolayer_"), "_")
+		sections[section] = true
+		if !st.has(section + "." + field) {
+			t.Errorf("family %s is not at %s.%s in /v1/stats", name, section, field)
+		}
+	}
+	for section := range st {
+		if !sections[section] {
+			t.Errorf("/v1/stats section %q comes from no family", section)
+		}
+	}
+	if got, want := st.num(t, "index.objects"), dl.Snapshot().Len(); got != float64(want) || want != 12 {
+		t.Errorf("index.objects = %g, Len() = %d, want both 12", got, want)
+	}
+}
+
 // TestDurableServerRecovery: acked mutations served by one server
 // incarnation survive into the next one over the same data dir, on one
 // shard and on two.
@@ -72,17 +104,16 @@ func TestDurableServerRecovery(t *testing.T) {
 		if win.Count != 25 {
 			t.Fatalf("S=%d: recovered server serves %d objects, want 25", shards, win.Count)
 		}
-		var st statsResponse
-		do(t, s2.Handler(), "GET", "/v1/stats", "", &st)
-		if st.Durability == nil || st.Durability.ReplayedRecords == 0 || st.Shards.Count != shards {
-			t.Fatalf("S=%d: recovered stats: durability %+v, shards %d", shards, st.Durability, st.Shards.Count)
+		st := getStats(t, s2.Handler())
+		if !st.has("wal") || st.num(t, "recovery.replayed_records") == 0 || st.num(t, "shard.count") != float64(shards) {
+			t.Fatalf("S=%d: recovered stats: recovery %v, shard count %v", shards, st["recovery"], st["shard"])
 		}
 	}
 }
 
 // TestCheckpointEndpoint: POST /v1/checkpoint writes one checkpoint
-// file of the engine's snapshot, reports its epoch, and the durability
-// stats section reflects it. The ten inserts put ids 1–4 and 10 left of
+// file of the engine's snapshot, reports its epoch, and the wal and
+// checkpoint stats sections reflect it. The ten inserts put ids 1–4 and 10 left of
 // x = 0.5 and ids 5–9 right of it; with one or two shards each insert
 // publishes one engine epoch.
 func TestCheckpointEndpoint(t *testing.T) {
@@ -114,22 +145,22 @@ func TestCheckpointEndpoint(t *testing.T) {
 			t.Fatalf("S=%d: layout manifest present = %v, want %v", tc.shards, err == nil, tc.manifest)
 		}
 
-		var st statsResponse
-		do(t, s.Handler(), "GET", "/v1/stats", "", &st)
-		if st.Durability == nil {
-			t.Fatalf("S=%d: stats response has no durability section in durable mode", tc.shards)
+		st := getStats(t, s.Handler())
+		if !st.has("wal") {
+			t.Fatalf("S=%d: stats response has no wal section in durable mode", tc.shards)
 		}
-		if st.Durability.CheckpointEpoch != uint64(tc.epoch) || st.Durability.Checkpoints != 1 ||
-			st.Durability.AppendedRecords != 10 || st.Durability.Segments != 1 {
-			t.Fatalf("S=%d: durability stats = %+v", tc.shards, st.Durability)
+		if st.num(t, "checkpoint.epoch") != float64(tc.epoch) || st.num(t, "checkpoints.total") != 1 ||
+			st.num(t, "wal.appended_records_total") != 10 || st.num(t, "wal.segments") != 1 {
+			t.Fatalf("S=%d: durability stats: wal %v, checkpoint %v, checkpoints %v",
+				tc.shards, st["wal"], st["checkpoint"], st["checkpoints"])
 		}
-		if st.Live == nil || st.Live.Epoch != uint64(tc.epoch) {
-			t.Fatalf("S=%d: durable mode must also report live stats, got %+v", tc.shards, st.Live)
+		if !st.has("live") || st.num(t, "live.epoch") != float64(tc.epoch) {
+			t.Fatalf("S=%d: durable mode must also report live stats, got %v", tc.shards, st["live"])
 		}
 	}
 }
 
-// TestCheckpointAbsentOutsideDurableMode: the endpoint and the stats
+// TestCheckpointAbsentOutsideDurableMode: the endpoint and the wal stats
 // section only exist with Config.Durable.
 func TestCheckpointAbsentOutsideDurableMode(t *testing.T) {
 	s, _ := liveServer(t, nil)
@@ -137,9 +168,7 @@ func TestCheckpointAbsentOutsideDurableMode(t *testing.T) {
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("POST /v1/checkpoint in plain live mode: status %d, want 404", w.Code)
 	}
-	var st statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &st)
-	if st.Durability != nil {
+	if st := getStats(t, s.Handler()); st.has("wal") || st.has("checkpoint") || st.has("recovery") {
 		t.Fatal("plain live mode reports a durability stats section")
 	}
 }
@@ -172,10 +201,8 @@ func TestDurableServerCorruptTail(t *testing.T) {
 	}
 
 	s2, _ := durableServer(t, dir, 1)
-	var st statsResponse
-	do(t, s2.Handler(), "GET", "/v1/stats", "", &st)
-	if st.Durability == nil || !st.Durability.RecoveryTruncatedLog {
-		t.Fatalf("recovery did not report log truncation: %+v", st.Durability)
+	if st := getStats(t, s2.Handler()); st.num(t, "recovery.truncated_log") != 1 {
+		t.Fatalf("recovery did not report log truncation: %v", st["recovery"])
 	}
 	var win rangeResponse
 	do(t, s2.Handler(), "POST", "/v1/window",
@@ -232,17 +259,15 @@ func TestShardedDurableServer(t *testing.T) {
 	}
 
 	h = func() http.Handler { s, _ := durableServer(t, dir, 1); return s.Handler() }()
-	var st statsResponse
-	do(t, h, "GET", "/v1/stats", "", &st)
-	if st.Durability == nil {
-		t.Fatal("sharded durable stats has no durability section")
+	st := getStats(t, h)
+	if !st.has("wal") {
+		t.Fatal("sharded durable stats has no wal section")
 	}
-	if st.Shards.Count != 2 {
-		t.Fatalf("restart asking for one shard serves %d, the directory pins 2", st.Shards.Count)
+	if got := st.num(t, "shard.count"); got != 2 {
+		t.Fatalf("restart asking for one shard serves %g, the directory pins 2", got)
 	}
-	if st.Index.Objects != 2 || st.Durability.ReplayedRecords != 1 {
-		t.Fatalf("recovered objects = %d, replayed records = %d; want 2 and 1",
-			st.Index.Objects, st.Durability.ReplayedRecords)
+	if objects, replayed := st.num(t, "index.objects"), st.num(t, "recovery.replayed_records"); objects != 2 || replayed != 1 {
+		t.Fatalf("recovered objects = %g, replayed records = %g; want 2 and 1", objects, replayed)
 	}
 	var resp rangeResponse
 	do(t, h, "POST", "/v1/window", `{`+fullWindow+`}`, &resp)

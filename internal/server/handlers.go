@@ -376,17 +376,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // ---- stats & health -------------------------------------------------------
 
-type indexInfoJSON struct {
-	Objects           int     `json:"objects"`
-	GridNX            int     `json:"grid_nx"`
-	GridNY            int     `json:"grid_ny"`
-	ReplicationFactor float64 `json:"replication_factor"`
-	MemoryBytes       int     `json:"memory_bytes"`
-	ExactGeometries   bool    `json:"exact_geometries"`
-}
-
-// countersJSON is the core counter set: of the engine's total in
-// /v1/stats, of one evaluation in a trace.
+// countersJSON is the core counter set of one evaluation in a trace.
 type countersJSON struct {
 	TilesVisited         int64           `json:"tiles_visited"`
 	PartitionsScanned    int64           `json:"partitions_scanned"`
@@ -417,242 +407,11 @@ func newCountersJSON(st *twolayer.Stats) countersJSON {
 	}
 }
 
-// partitionsJSON reports the shape of the served index's partitioning
-// (Index.PartitionStats), recomputed per /v1/stats request.
-type partitionsJSON struct {
-	GridTiles         int             `json:"grid_tiles"`
-	OccupiedTiles     int             `json:"occupied_tiles"`
-	Objects           int             `json:"objects"`
-	Replicas          int             `json:"replicas"`
-	ClassEntries      classCountsJSON `json:"class_entries"`
-	MaxTileEntries    int             `json:"max_tile_entries"`
-	MeanTileEntries   float64         `json:"mean_tile_entries"`
-	SkewRatio         float64         `json:"skew_ratio"`
-	ReplicationFactor float64         `json:"replication_factor"`
-	BoundaryRatio     float64         `json:"boundary_ratio"`
-}
-
-// liveStatsJSON reports the apply loop of a live-mode server: the
-// published epoch, the mutation backlog, and publish totals/latency.
-// Naming follows the /v1/stats conventions (docs/OBSERVABILITY.md):
-// snake_case, cumulative counters end in _total, durations are float
-// seconds with a _seconds suffix.
-type liveStatsJSON struct {
-	Epoch               uint64  `json:"epoch"`
-	PendingMutations    int64   `json:"pending_mutations"`
-	AppliedMutations    uint64  `json:"applied_mutations_total"`
-	Publishes           uint64  `json:"publishes_total"`
-	LastBatchMutations  int64   `json:"last_batch_mutations"`
-	LastPublishSeconds  float64 `json:"last_publish_seconds"`
-	PublishSecondsTotal float64 `json:"publish_seconds_total"`
-}
-
-// durabilityJSON reports the durability engine of a durable-mode
-// server: log shape, fsync and checkpoint counters with cumulative
-// latencies, and what startup recovery replayed. Same naming
-// conventions as liveStatsJSON.
-type durabilityJSON struct {
-	FsyncPolicy            string  `json:"fsync_policy"`
-	Segments               int     `json:"segments"`
-	LogBytes               int64   `json:"log_bytes"`
-	AppendedRecords        uint64  `json:"appended_records_total"`
-	AppendedBytes          uint64  `json:"appended_bytes_total"`
-	Fsyncs                 uint64  `json:"fsyncs_total"`
-	Rotations              uint64  `json:"rotations_total"`
-	PrunedSegments         uint64  `json:"pruned_segments_total"`
-	AppendSecondsTotal     float64 `json:"append_seconds_total"`
-	FsyncSecondsTotal      float64 `json:"fsync_seconds_total"`
-	Checkpoints            uint64  `json:"checkpoints_total"`
-	CheckpointEpoch        uint64  `json:"checkpoint_epoch"`
-	CheckpointAgeSeconds   float64 `json:"checkpoint_age_seconds"`
-	CheckpointSecondsTotal float64 `json:"checkpoint_seconds_total"`
-	SinceCheckpoint        int64   `json:"mutations_since_checkpoint"`
-	ReplayedRecords        int     `json:"replayed_records"`
-	ReplayedMutations      int     `json:"replayed_mutations"`
-	RecoveryTruncatedLog   bool    `json:"recovery_truncated_log"`
-	// LogFailed is non-empty once the log hit an unrecoverable write or
-	// fsync error; all mutations are being rejected until the node is
-	// restarted on a healthy disk.
-	LogFailed string `json:"log_failed,omitempty"`
-}
-
-// shardStatJSON is one shard's slice of the "shards" stats section.
-type shardStatJSON struct {
-	Shard       int     `json:"shard"`
-	Objects     int     `json:"objects"`
-	Epoch       uint64  `json:"epoch"`
-	Queries     uint64  `json:"queries_total"`
-	BusySeconds float64 `json:"busy_seconds_total"`
-	Results     uint64  `json:"results_total"`
-}
-
-// shardsJSON reports the scatter-gather engine every server runs (one
-// shard when unsharded): fast-path vs fan-out query totals and
-// per-shard load.
-type shardsJSON struct {
-	Count              int             `json:"count"`
-	SingleShardQueries uint64          `json:"single_shard_queries_total"`
-	FanoutQueries      uint64          `json:"fanout_queries_total"`
-	PerShard           []shardStatJSON `json:"per_shard"`
-}
-
-// admissionClassJSON is one endpoint class's slice of the "admission"
-// stats section: its configured limits, current occupancy, and outcome
-// totals (same naming conventions as liveStatsJSON).
-type admissionClassJSON struct {
-	MaxInflight   int    `json:"max_inflight"`
-	QueueDepth    int    `json:"queue_depth"`
-	Inflight      int64  `json:"inflight"`
-	Queued        int64  `json:"queued"`
-	Admitted      uint64 `json:"admitted_total"`
-	ShedQueueFull uint64 `json:"shed_queue_full_total"`
-	ShedExpired   uint64 `json:"shed_expired_total"`
-	ShedCanceled  uint64 `json:"shed_canceled_total"`
-}
-
-// admissionBacklogJSON reports the mutation-backpressure half of the
-// overload valve (live modes only): the apply backlog against its bound
-// and how many submissions the bound rejected.
-type admissionBacklogJSON struct {
-	PendingMutations int64  `json:"pending_mutations"`
-	Limit            int    `json:"limit"`
-	Rejected         uint64 `json:"rejected_total"`
-}
-
-// admissionJSON is the "admission" stats section, present when
-// admission control is enabled (Config.MaxInflight >= 0).
-type admissionJSON struct {
-	Classes map[string]admissionClassJSON `json:"classes"`
-	Backlog *admissionBacklogJSON         `json:"backlog,omitempty"`
-}
-
-type statsResponse struct {
-	Index           indexInfoJSON   `json:"index"`
-	Partitions      partitionsJSON  `json:"partitions"`
-	Shards          shardsJSON      `json:"shards"`
-	Live            *liveStatsJSON  `json:"live,omitempty"`
-	Durability      *durabilityJSON `json:"durability,omitempty"`
-	Admission       *admissionJSON  `json:"admission,omitempty"`
-	TracingEnabled  bool            `json:"tracing_enabled"`
-	QueriesObserved int64           `json:"queries_observed"`
-	Counters        countersJSON    `json:"counters"`
-}
-
+// handleStats serves the metrics registry as one JSON document: the
+// samples of GET /metrics, family twolayer_<section>_<field> at
+// {"<section>":{"<field>":…}} (obsv.Registry.MarshalJSON).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	idx := s.pin()
-	nx, ny := idx.GridDims()
-	st := idx.Stats()
-	shards := shardsJSON{
-		Count:              len(st.PerShard),
-		SingleShardQueries: st.SingleShard,
-		FanoutQueries:      st.Fanout,
-		PerShard:           make([]shardStatJSON, len(st.PerShard)),
-	}
-	for i, ps := range st.PerShard {
-		shards.PerShard[i] = shardStatJSON{
-			Shard:       i,
-			Objects:     ps.Objects,
-			Epoch:       ps.Epoch,
-			Queries:     ps.Queries,
-			BusySeconds: float64(ps.BusyNS) / 1e9,
-			Results:     ps.Results,
-		}
-	}
-	var live *liveStatsJSON
-	var backlog *admissionBacklogJSON
-	if s.live != nil {
-		ls := s.live.Stats()
-		live = &liveStatsJSON{
-			Epoch:               ls.Epoch,
-			PendingMutations:    ls.Pending,
-			AppliedMutations:    ls.Applied,
-			Publishes:           ls.Publishes,
-			LastBatchMutations:  ls.LastBatch,
-			LastPublishSeconds:  ls.LastPublish.Seconds(),
-			PublishSecondsTotal: ls.PublishTotal.Seconds(),
-		}
-		backlog = &admissionBacklogJSON{
-			PendingMutations: ls.Pending,
-			Limit:            ls.BacklogLimit,
-			Rejected:         ls.Rejected,
-		}
-	}
-	var durability *durabilityJSON
-	if s.ckpt != nil {
-		ds := s.ckpt.Stats()
-		durability = &durabilityJSON{
-			FsyncPolicy:            ds.Policy.String(),
-			Segments:               ds.Segments,
-			LogBytes:               ds.LogBytes,
-			AppendedRecords:        ds.AppendedRecords,
-			AppendedBytes:          ds.AppendedBytes,
-			Fsyncs:                 ds.Fsyncs,
-			Rotations:              ds.Rotations,
-			PrunedSegments:         ds.PrunedSegments,
-			AppendSecondsTotal:     ds.AppendTotal.Seconds(),
-			FsyncSecondsTotal:      ds.FsyncTotal.Seconds(),
-			Checkpoints:            ds.Checkpoints,
-			CheckpointEpoch:        ds.CheckpointEpoch,
-			CheckpointAgeSeconds:   ds.CheckpointAge.Seconds(),
-			CheckpointSecondsTotal: ds.CheckpointTotal.Seconds(),
-			SinceCheckpoint:        ds.SinceCheckpoint,
-			ReplayedRecords:        ds.Recovery.ReplayedRecords,
-			ReplayedMutations:      ds.Recovery.ReplayedMutations,
-			RecoveryTruncatedLog:   ds.Recovery.TruncatedTail,
-			LogFailed:              ds.Failed,
-		}
-	}
-	var admissionSec *admissionJSON
-	if s.adm != nil {
-		admissionSec = &admissionJSON{
-			Classes: make(map[string]admissionClassJSON, numClasses),
-			Backlog: backlog,
-		}
-		for c := admissionClass(0); c < numClasses; c++ {
-			g := s.adm.gates[c]
-			admissionSec.Classes[g.name] = admissionClassJSON{
-				MaxInflight:   g.maxInflight,
-				QueueDepth:    g.queueDepth,
-				Inflight:      g.inflight.Load(),
-				Queued:        g.queued.Load(),
-				Admitted:      g.admitted.Load(),
-				ShedQueueFull: g.shed[shedQueueFull-1].Load(),
-				ShedExpired:   g.shed[shedExpired-1].Load(),
-				ShedCanceled:  g.shed[shedCanceled-1].Load(),
-			}
-		}
-	}
-	ps := idx.PartitionStats()
-	snap := idx.QueryStats()
-	writeJSON(w, http.StatusOK, statsResponse{
-		Index: indexInfoJSON{
-			Objects:           idx.Len(),
-			GridNX:            nx,
-			GridNY:            ny,
-			ReplicationFactor: idx.ReplicationFactor(),
-			MemoryBytes:       idx.MemoryFootprint(),
-			ExactGeometries:   idx.HasExactGeometries(),
-		},
-		Partitions: partitionsJSON{
-			GridTiles:         ps.GridTiles,
-			OccupiedTiles:     ps.OccupiedTiles,
-			Objects:           ps.Objects,
-			Replicas:          ps.Replicas,
-			ClassEntries:      classCountsJSON{int64(ps.ClassCounts[0]), int64(ps.ClassCounts[1]), int64(ps.ClassCounts[2]), int64(ps.ClassCounts[3])},
-			MaxTileEntries:    ps.MaxTileEntries,
-			MeanTileEntries:   ps.MeanTileEntries,
-			SkewRatio:         ps.SkewRatio,
-			ReplicationFactor: ps.ReplicationFactor,
-			BoundaryRatio:     ps.BoundaryRatio,
-		},
-		Shards:          shards,
-		Live:            live,
-		Durability:      durability,
-		Admission:       admissionSec,
-		TracingEnabled:  s.cfg.EnableTracing,
-		QueriesObserved: snap.Queries,
-		Counters:        newCountersJSON(&snap),
-	})
+	writeJSON(w, http.StatusOK, s.metrics.reg)
 }
 
 // handleCheckpoint (POST /v1/checkpoint, durable mode) forces a checkpoint

@@ -66,6 +66,54 @@ func do(t *testing.T, h http.Handler, method, path, body string, out any) *httpt
 	return w
 }
 
+// statsDoc is a GET /v1/stats document: the metrics registry rendered
+// as JSON, family twolayer_<section>_<field> at <section>.<field> and
+// one level more per label value.
+type statsDoc map[string]any
+
+// getStats fetches /v1/stats.
+func getStats(t *testing.T, h http.Handler) statsDoc {
+	t.Helper()
+	var st statsDoc
+	if w := do(t, h, "GET", "/v1/stats", "", &st); w.Code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d", w.Code)
+	}
+	return st
+}
+
+// lookup returns the value at a dotted path ("index.objects") and
+// whether the document has it.
+func (st statsDoc) lookup(path string) (any, bool) {
+	var v any = map[string]any(st)
+	for _, k := range strings.Split(path, ".") {
+		obj, ok := v.(map[string]any)
+		if !ok {
+			return nil, false
+		}
+		if v, ok = obj[k]; !ok {
+			return nil, false
+		}
+	}
+	return v, true
+}
+
+// has reports whether the document has a value at path.
+func (st statsDoc) has(path string) bool {
+	_, ok := st.lookup(path)
+	return ok
+}
+
+// num returns the number at path, failing the test if there is none.
+func (st statsDoc) num(t *testing.T, path string) float64 {
+	t.Helper()
+	v, _ := st.lookup(path)
+	f, ok := v.(float64)
+	if !ok {
+		t.Fatalf("/v1/stats %s = %v, want a number", path, v)
+	}
+	return f
+}
+
 // scrapeMetrics fetches /metrics and parses the Prometheus text format
 // into a map keyed by the full series identity (`name{labels}`), e.g.
 // `twolayer_http_requests_total{endpoint="v1/window"}`.
@@ -313,19 +361,18 @@ func TestStatsAggregation(t *testing.T) {
 		do(t, s.Handler(), "POST", "/v1/window",
 			`{"window":{"min_x":0,"min_y":0,"max_x":1,"max_y":1}}`, nil)
 	}
-	var resp statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &resp)
-	if resp.QueriesObserved != 3 {
-		t.Errorf("queries_observed = %d, want 3", resp.QueriesObserved)
+	st := getStats(t, s.Handler())
+	if got := st.num(t, "queries.observed_total"); got != 3 {
+		t.Errorf("queries.observed_total = %g, want 3", got)
 	}
-	if resp.Counters.Results != 300 {
-		t.Errorf("counters.results = %d, want 300", resp.Counters.Results)
+	if got := st.num(t, "query.results_total"); got != 300 {
+		t.Errorf("query.results_total = %g, want 300", got)
 	}
-	if resp.Counters.TilesVisited == 0 {
-		t.Error("counters.tiles_visited = 0 after three queries")
+	if st.num(t, "query.tiles_visited_total") == 0 {
+		t.Error("query.tiles_visited_total = 0 after three queries")
 	}
-	if resp.Index.Objects != 100 || resp.Index.GridNX != 16 || !resp.Index.ExactGeometries {
-		t.Errorf("index info = %+v", resp.Index)
+	if st.num(t, "index.objects") != 100 || st.num(t, "index.grid_nx") != 16 || st.num(t, "index.exact_geometries") != 1 {
+		t.Errorf("index section = %v", st["index"])
 	}
 }
 
@@ -371,20 +418,20 @@ func TestShardedStatsCounted(t *testing.T) {
 			`{"windows":[{"min_x":0,"min_y":0,"max_x":1,"max_y":1}]}`, nil); w.Code != http.StatusOK {
 			t.Fatalf("%s: batch status %d", name, w.Code)
 		}
-		var resp statsResponse
-		do(t, h, "GET", "/v1/stats", "", &resp)
-		if resp.QueriesObserved <= 0 || resp.Counters.Results <= 0 {
-			t.Errorf("%s: queries_observed = %d, counters.results = %d, want both > 0",
-				name, resp.QueriesObserved, resp.Counters.Results)
+		st := getStats(t, h)
+		observed, results := st.num(t, "queries.observed_total"), st.num(t, "query.results_total")
+		if observed <= 0 || results <= 0 {
+			t.Errorf("%s: queries.observed_total = %g, query.results_total = %g, want both > 0",
+				name, observed, results)
 		}
 		m := scrapeMetrics(t, h)
-		if got := m["twolayer_query_results_total"]; got != float64(resp.Counters.Results) {
-			t.Errorf("%s: twolayer_query_results_total = %g, counters.results = %d",
-				name, got, resp.Counters.Results)
+		if got := m["twolayer_query_results_total"]; got != results {
+			t.Errorf("%s: twolayer_query_results_total = %g, query.results_total = %g",
+				name, got, results)
 		}
-		if got := m["twolayer_queries_observed_total"]; got != float64(resp.QueriesObserved) {
-			t.Errorf("%s: twolayer_queries_observed_total = %g, queries_observed = %d",
-				name, got, resp.QueriesObserved)
+		if got := m["twolayer_queries_observed_total"]; got != observed {
+			t.Errorf("%s: twolayer_queries_observed_total = %g, queries.observed_total = %g",
+				name, got, observed)
 		}
 	}
 }

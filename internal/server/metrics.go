@@ -14,8 +14,10 @@ import (
 )
 
 // Metrics is the server's engine-wide metrics surface, served on
-// GET /metrics in the Prometheus text exposition format. It wraps one
-// obsv.Registry holding every instrument group the server publishes:
+// GET /metrics in the Prometheus text exposition format and on
+// GET /v1/stats as the same samples rendered as JSON
+// (obsv.Registry.MarshalJSON). It wraps one obsv.Registry holding every
+// instrument group the server publishes:
 //
 //   - twolayer_http_*: per-endpoint request counts, errors, timeouts,
 //     and latency histograms, recorded by the instrument middleware.
@@ -32,9 +34,10 @@ import (
 //     short-lived cache (the partition walk is O(occupied tiles)).
 //   - twolayer_live_*: apply-loop state of a live-mode server (epoch,
 //     backlog, publish totals and latency).
-//   - twolayer_wal_* / twolayer_checkpoint*: durability-engine state of
-//     a durable-mode server (log shape, fsync and checkpoint counters
-//     and cumulative latencies).
+//   - twolayer_wal_* / twolayer_checkpoint* / twolayer_recovery_*:
+//     durability-engine state of a durable-mode server (log shape, fsync
+//     and checkpoint counters and cumulative latencies, and what startup
+//     recovery replayed).
 //   - twolayer_process_*: process-level gauges.
 //
 // Engine groups are registered as scrape-time callbacks reading the
@@ -96,7 +99,7 @@ type partitionCache struct {
 }
 
 // partitionRefresh is the maximum staleness of partition gauges.
-const partitionRefresh = 5 * time.Second
+const partitionRefresh = time.Second
 
 func (p *partitionCache) get() twolayer.PartitionStats {
 	p.mu.Lock()
@@ -110,6 +113,14 @@ func (p *partitionCache) get() twolayer.PartitionStats {
 
 // classLabels maps core class indices (A..D) to label values.
 var classLabels = [4]string{"A", "B", "C", "D"}
+
+// flag is a boolean as a gauge value: 1 for true, 0 for false.
+func flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // newMetrics builds the registry for s, pre-registering the http series
 // of every routed endpoint so all series exist (at zero) from the first
@@ -147,6 +158,8 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		"Queries evaluated with per-request tracing attached.")
 	m.slow = r.Counter("twolayer_slow_queries_total",
 		"Queries at or above the slow-query threshold (logged with their trace).")
+	r.Gauge("twolayer_tracing_enabled",
+		"1 when every query is traced (Config.EnableTracing), else 0.").Set(flag(s.cfg.EnableTracing))
 
 	// ---- admission group --------------------------------------------------
 	// Registered only when admission control is on (Config.MaxInflight
@@ -155,6 +168,10 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		m.admQueueWait = r.HistogramVec("twolayer_admission_queue_wait_seconds",
 			"Time admitted requests spent in the admission wait queue (0 for fast-path admissions), per class.",
 			nil, "class")
+		maxInflight := r.GaugeVecFunc("twolayer_admission_max_inflight",
+			"Configured in-flight slots, per class.", "class")
+		queueDepth := r.GaugeVecFunc("twolayer_admission_queue_depth",
+			"Configured admission wait-queue bound, per class.", "class")
 		inflight := r.GaugeVecFunc("twolayer_admission_inflight",
 			"Requests currently holding an in-flight slot, per class.", "class")
 		queued := r.GaugeVecFunc("twolayer_admission_queued",
@@ -167,6 +184,8 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		for c := admissionClass(0); c < numClasses; c++ {
 			g := s.adm.gates[c]
 			m.admQueueWait.With(g.name)
+			maxInflight.Add(func() float64 { return float64(g.maxInflight) }, g.name)
+			queueDepth.Add(func() float64 { return float64(g.queueDepth) }, g.name)
 			inflight.Add(func() float64 { return float64(g.inflight.Load()) }, g.name)
 			queued.Add(func() float64 { return float64(g.queued.Load()) }, g.name)
 			admitted.Add(func() float64 { return float64(g.admitted.Load()) }, g.name)
@@ -201,6 +220,12 @@ func newMetrics(s *Server, routes []route) *Metrics {
 	r.GaugeFunc("twolayer_index_memory_bytes",
 		"Approximate data size of the served index: entries, tile directory and read tables.",
 		func() float64 { return float64(s.pin().MemoryFootprint()) })
+	nx, ny := s.pin().GridDims()
+	r.Gauge("twolayer_index_grid_nx", "Columns of the primary grid.").Set(float64(nx))
+	r.Gauge("twolayer_index_grid_ny", "Rows of the primary grid.").Set(float64(ny))
+	r.Gauge("twolayer_index_exact_geometries",
+		"1 when the served index holds exact geometries (exact queries and refinement), else 0.").
+		Set(flag(s.pin().HasExactGeometries()))
 
 	parts := &partitionCache{fetch: func() twolayer.PartitionStats {
 		return s.pin().PartitionStats()
@@ -360,12 +385,11 @@ func newMetrics(s *Server, routes []route) *Metrics {
 			func() float64 { return durable.Stats().FsyncTotal.Seconds() })
 		r.GaugeFunc("twolayer_wal_failed",
 			"1 once the log hit an unrecoverable write/fsync error (mutations rejected), else 0.",
-			func() float64 {
-				if durable.Stats().Failed != "" {
-					return 1
-				}
-				return 0
-			})
+			func() float64 { return flag(durable.Stats().Failed != "") })
+		ds := durable.Stats()
+		r.GaugeVecFunc("twolayer_wal_fsync_policy",
+			"Always 1, labeled by the configured fsync policy (always, interval, none).", "policy").
+			Add(func() float64 { return 1 }, ds.Policy.String())
 		r.CounterFunc("twolayer_checkpoints_total",
 			"Checkpoints written since start.",
 			func() float64 { return float64(durable.Stats().Checkpoints) })
@@ -381,6 +405,12 @@ func newMetrics(s *Server, routes []route) *Metrics {
 		r.GaugeFunc("twolayer_mutations_since_checkpoint",
 			"Mutations journaled since the newest checkpoint (replay cost of a crash now).",
 			func() float64 { return float64(durable.Stats().SinceCheckpoint) })
+		r.Gauge("twolayer_recovery_replayed_records",
+			"Log records startup recovery replayed on top of the checkpoint.").Set(float64(ds.Recovery.ReplayedRecords))
+		r.Gauge("twolayer_recovery_replayed_mutations",
+			"Mutations in the replayed records.").Set(float64(ds.Recovery.ReplayedMutations))
+		r.Gauge("twolayer_recovery_truncated_log",
+			"1 when startup recovery cut a torn or corrupt log tail, else 0.").Set(flag(ds.Recovery.TruncatedTail))
 	}
 
 	// ---- shard group ------------------------------------------------------
@@ -459,7 +489,8 @@ func (m *Metrics) observe(endpoint string, status int, elapsed time.Duration) {
 	m.latency.With(endpoint).Observe(elapsed.Seconds())
 }
 
-// Registry exposes the underlying obsv registry (for Names and tests).
+// Registry exposes the underlying obsv registry, which GET /v1/stats
+// renders as JSON.
 func (m *Metrics) Registry() *obsv.Registry { return m.reg }
 
 // ServeHTTP renders the registry in the Prometheus text format.

@@ -151,16 +151,15 @@ func TestLiveStatsExposed(t *testing.T) {
 	do(t, s.Handler(), "POST", "/v1/insert",
 		`{"id":7,"mbr":{"min_x":0.1,"min_y":0.1,"max_x":0.2,"max_y":0.2}}`, nil)
 
-	var st statsResponse
-	do(t, s.Handler(), "GET", "/v1/stats", "", &st)
-	if st.Live == nil {
+	st := getStats(t, s.Handler())
+	if !st.has("live") {
 		t.Fatal("live stats section missing on a live-mode server")
 	}
-	if st.Live.Epoch == 0 || st.Live.AppliedMutations != 1 || st.Live.Publishes == 0 {
-		t.Fatalf("live stats %+v, want epoch > 0, applied 1, publishes > 0", st.Live)
+	if st.num(t, "live.epoch") == 0 || st.num(t, "live.applied_mutations_total") != 1 || st.num(t, "live.publishes_total") == 0 {
+		t.Fatalf("live stats %v, want epoch > 0, applied 1, publishes > 0", st["live"])
 	}
-	if st.Index.Objects != 1 {
-		t.Fatalf("index objects %d, want 1", st.Index.Objects)
+	if got := st.num(t, "index.objects"); got != 1 {
+		t.Fatalf("index objects %g, want 1", got)
 	}
 
 	var hz map[string]any
@@ -170,9 +169,7 @@ func TestLiveStatsExposed(t *testing.T) {
 	}
 
 	// Static servers omit the live section.
-	var stStatic statsResponse
-	do(t, testServer(t, nil).Handler(), "GET", "/v1/stats", "", &stStatic)
-	if stStatic.Live != nil {
+	if getStats(t, testServer(t, nil).Handler()).has("live") {
 		t.Fatal("static server reported live stats")
 	}
 }
@@ -280,10 +277,8 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 	if win.Count != want {
 		t.Fatalf("final count %d, want %d", win.Count, want)
 	}
-	var st statsResponse
-	do(t, h, "GET", "/v1/stats", "", &st)
-	if st.Live.PendingMutations != 0 {
-		t.Fatalf("pending mutations %d after quiescence, want 0", st.Live.PendingMutations)
+	if got := getStats(t, h).num(t, "live.pending_mutations"); got != 0 {
+		t.Fatalf("pending mutations %g after quiescence, want 0", got)
 	}
 }
 

@@ -15,13 +15,14 @@
 // the shared index or snapshot directly; only traced requests take a
 // private view (Index.Traced), so their counters are per-request. Every
 // query adds its counters to the engine's always-on total
-// (QueryStats), published on GET /v1/stats and GET /metrics beside the
-// per-endpoint latency/error metrics.
+// (QueryStats), published as metric families beside the per-endpoint
+// latency/error metrics: GET /metrics serves them as Prometheus text and
+// GET /v1/stats as JSON, both from one registry (Metrics).
 // Either mode can be served by one index or by a sharded scatter-gather
 // engine, and both are served as the engine: an unsharded index is its
 // one-shard case (twolayer.OneShard; a live or durable engine of one
 // shard is the same case), so New maps the configured topology once and
-// every handler, trace, stats section and metric reads the same pinned
+// every handler, trace and metric reads the same pinned
 // *twolayer.Sharded snapshot.
 //
 // See docs/SERVER.md for the full API reference and operator guide.
@@ -52,8 +53,8 @@ const (
 
 // Config configures a Server. Exactly one of the four engine fields —
 // Index, Sharded, ShardedLive and Durable — must be set. An Index is
-// served as its one-shard engine, so every server has the same traces,
-// /v1/stats sections and twolayer_shard_* metrics.
+// served as its one-shard engine, so every server has the same traces
+// and twolayer_shard_* metrics.
 type Config struct {
 	// Index is the shared index all requests query (static mode).
 	Index *twolayer.Index
@@ -71,7 +72,8 @@ type Config struct {
 	// Durable is an updatable engine backed by the durability engine
 	// (one write-ahead log and checkpoints for every shard). It implies live
 	// mode — all live endpoints are mounted — and additionally mounts
-	// POST /v1/checkpoint and a "durability" section on GET /v1/stats.
+	// POST /v1/checkpoint and registers the twolayer_wal_*,
+	// twolayer_checkpoint* and twolayer_recovery_* metric families.
 	// The server does not close it; the owner should Close it after
 	// shutdown (a clean close fsyncs the log tail).
 	Durable *twolayer.DurableLive
@@ -105,7 +107,7 @@ type Config struct {
 	QueueDepth int
 
 	// CollectStats has no effect: the engine counts every query anyway,
-	// and GET /v1/stats and /metrics read that total.
+	// and the twolayer_query_* families read that total.
 	//
 	// Deprecated: query counters are always collected.
 	CollectStats bool

@@ -146,15 +146,13 @@ func TestEnableTracingConfig(t *testing.T) {
 		t.Fatal("EnableTracing did not attach a trace")
 	}
 
-	var st statsResponse
-	do(t, srv.Handler(), "GET", "/v1/stats", "", &st)
-	if !st.TracingEnabled {
-		t.Fatal("/stats tracing_enabled = false with EnableTracing on")
+	st := getStats(t, srv.Handler())
+	if st.num(t, "tracing.enabled") != 1 {
+		t.Fatal("/v1/stats tracing.enabled = 0 with EnableTracing on")
 	}
 	// Traced queries still feed the shared stats aggregate.
-	if st.QueriesObserved != 1 || st.Counters.TilesVisited <= 0 {
-		t.Fatalf("traced query missing from aggregate: observed=%d counters=%+v",
-			st.QueriesObserved, st.Counters)
+	if st.num(t, "queries.observed_total") != 1 || st.num(t, "query.tiles_visited_total") <= 0 {
+		t.Fatalf("traced query missing from aggregate: query section %v", st["query"])
 	}
 }
 
@@ -178,10 +176,29 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("twolayer_traced_queries_total = %v, want 0", got)
 	}
 	// The threshold path still feeds the stats aggregate.
-	var st statsResponse
-	do(t, srv.Handler(), "GET", "/v1/stats", "", &st)
-	if st.QueriesObserved != 1 {
-		t.Fatalf("queries_observed = %d, want 1", st.QueriesObserved)
+	if got := getStats(t, srv.Handler()).num(t, "queries.observed_total"); got != 1 {
+		t.Fatalf("queries.observed_total = %g, want 1", got)
+	}
+}
+
+// counters reads the engine's core counter total from a /v1/stats
+// document (the twolayer_query_*_total families) as countersJSON.
+func (st statsDoc) counters(t *testing.T) countersJSON {
+	t.Helper()
+	n := func(field string) int64 { return int64(st.num(t, "query."+field+"_total")) }
+	class := func(c string) int64 { return int64(st.num(t, "query.class_entries_scanned_total."+c)) }
+	return countersJSON{
+		TilesVisited:         n("tiles_visited"),
+		PartitionsScanned:    n("partitions_scanned"),
+		EntriesScanned:       n("entries_scanned"),
+		ClassEntriesScanned:  classCountsJSON{class("A"), class("B"), class("C"), class("D")},
+		Comparisons:          n("comparisons"),
+		Results:              n("results"),
+		DuplicatesAvoided:    n("duplicates_avoided"),
+		SecondaryFilterTests: n("secondary_filter_tests"),
+		SecondaryFilterHits:  n("secondary_filter_hits"),
+		RefinementTests:      n("refinement_tests"),
+		DistanceComputations: n("distance_computations"),
 	}
 }
 
@@ -229,7 +246,7 @@ func logged(c countersJSON) countersJSON {
 
 // TestTraceCountsRequestWork: on one, two and seven shards, a traced
 // request's top-level counters are the work the request added to the
-// engine's total (/v1/stats counters), for every query kind, and on one
+// engine's total (/v1/stats query section), for every query kind, and on one
 // shard also the work Index.Traced records for the same query. A batch
 // answers without a trace, so its slow-query log line is held to the
 // same rule; every kind's log line carries the trace's counters.
@@ -284,8 +301,7 @@ func TestTraceCountsRequestWork(t *testing.T) {
 		h := New(cfg).Handler()
 		for _, k := range kinds {
 			ctx := fmt.Sprintf("S=%d %s", shards, k.name)
-			var before, after statsResponse
-			do(t, h, "GET", "/v1/stats", "", &before)
+			before := getStats(t, h).counters(t)
 			logs.Reset()
 			req := httptest.NewRequest("POST", k.path, strings.NewReader(k.body))
 			req.Header.Set("X-Trace", "1")
@@ -297,7 +313,7 @@ func TestTraceCountsRequestWork(t *testing.T) {
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
 				t.Fatalf("%s: status %d, err %v: %s", ctx, w.Code, err, w.Body.String())
 			}
-			do(t, h, "GET", "/v1/stats", "", &after)
+			after := getStats(t, h).counters(t)
 			kind, fromLog := slowLogCounters(t, logs.Bytes())
 			if want := strings.TrimPrefix(k.path, "/v1/"); kind != want {
 				t.Errorf("%s: slow log kind %q, want %q", ctx, kind, want)
@@ -313,14 +329,14 @@ func TestTraceCountsRequestWork(t *testing.T) {
 					t.Errorf("%s: slow log counters %+v, trace %+v", ctx, fromLog, logged(got))
 				}
 			}
-			sum := before.Counters
+			sum := before
 			addCounters(reflect.ValueOf(&sum).Elem(), reflect.ValueOf(got))
 			if k.path == "/v1/batch" {
-				after.Counters = logged(after.Counters)
+				after = logged(after)
 				sum = logged(sum)
 			}
-			if sum != after.Counters {
-				t.Errorf("%s: stats counters moved from %+v to %+v, the trace says %+v", ctx, before.Counters, after.Counters, got)
+			if sum != after {
+				t.Errorf("%s: stats counters moved from %+v to %+v, the trace says %+v", ctx, before, after, got)
 			}
 			if got.EntriesScanned == 0 {
 				t.Errorf("%s: trace counted no entries", ctx)

@@ -222,16 +222,16 @@ func TestShardedServerEquivalence(t *testing.T) {
 		t.Error("sharded trace has no shard spans")
 	}
 
-	// Every server runs the engine: /stats has a shards section and the
+	// Every server runs the engine: /v1/stats has a shard section and the
 	// shard metric group is registered, with one shard when unsharded.
 	for _, tc := range []struct {
 		srv    *Server
 		shards int
 	}{{sharded, 4}, {single, 1}} {
-		var st statsResponse
-		do(t, tc.srv.Handler(), "GET", "/v1/stats", "", &st)
-		if st.Shards.Count != tc.shards || len(st.Shards.PerShard) != tc.shards {
-			t.Fatalf("stats shards section = %+v, want %d shards", st.Shards, tc.shards)
+		st := getStats(t, tc.srv.Handler())
+		perShard, _ := st.lookup("shard.objects")
+		if st.num(t, "shard.count") != float64(tc.shards) || len(perShard.(map[string]any)) != tc.shards {
+			t.Fatalf("stats shard section = %v, want %d shards", st["shard"], tc.shards)
 		}
 		m := scrapeMetrics(t, tc.srv.Handler())
 		if m["twolayer_shard_count"] != float64(tc.shards) {
@@ -282,16 +282,15 @@ func TestShardedLiveServer(t *testing.T) {
 		t.Fatalf("bulk: %d %s", w.Code, w.Body.String())
 	}
 
-	var st statsResponse
-	do(t, h, "GET", "/v1/stats", "", &st)
-	if st.Live == nil {
+	st := getStats(t, h)
+	if !st.has("live") {
 		t.Fatal("sharded live stats has no live section")
 	}
-	if st.Shards.Count != 4 {
-		t.Fatalf("sharded live stats shards = %+v", st.Shards)
+	if got := st.num(t, "shard.count"); got != 4 {
+		t.Fatalf("sharded live stats shard.count = %g", got)
 	}
-	if st.Index.Objects != 2 {
-		t.Fatalf("stats objects = %d, want 2", st.Index.Objects)
+	if got := st.num(t, "index.objects"); got != 2 {
+		t.Fatalf("stats objects = %g, want 2", got)
 	}
 
 	// Exact queries must be refused: live engines drop geometries.

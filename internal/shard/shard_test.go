@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -645,6 +646,35 @@ func TestKNNReadsNearShards(t *testing.T) {
 			}
 			if k == 8 && tc.reads > 0 && reads != tc.reads {
 				t.Errorf("%s k=%d: read %d shards, want %d", tc.name, k, reads, tc.reads)
+			}
+		}
+	}
+}
+
+// TestKNNOutsideSpace: for query points outside the space, where each
+// shard bounds its rings by its objects' extent, kNN at S = 2 and 7
+// answers the brute-force distances.
+func TestKNNOutsideSpace(t *testing.T) {
+	d := testDataset(35, 4000, 0.03)
+	opts := core.Options{NX: 40, NY: 40, Space: geom.Rect{MaxX: 1, MaxY: 1}}
+	for _, shards := range []int{2, 7} {
+		e := Build(d, opts, shards)
+		for _, q := range []geom.Point{{X: 1.2, Y: 0.5}, {X: -0.3, Y: 1.4}, {X: 0.4, Y: -0.2}, {X: 2, Y: 2}} {
+			want := make([]float64, len(d.Entries))
+			for i, en := range d.Entries {
+				want[i] = math.Sqrt(en.Rect.DistSqToPoint(q))
+			}
+			slices.Sort(want)
+			for _, k := range []int{1, 10, 100} {
+				got := e.KNN(q, k, false, nil)
+				if len(got) != k {
+					t.Fatalf("S=%d q=%v k=%d: %d neighbors", shards, q, k, len(got))
+				}
+				for i := range got {
+					if math.Abs(got[i].Dist-want[i]) > 1e-12 {
+						t.Fatalf("S=%d q=%v k=%d: neighbor %d at %g, want %g", shards, q, k, i, got[i].Dist, want[i])
+					}
+				}
 			}
 		}
 	}
