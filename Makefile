@@ -65,10 +65,11 @@ bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
 # One iteration of every Go micro-benchmark in the root package, in
-# internal/core (BenchmarkPublish), of the CSV reader's, of the float
-# codec's and of the HTTP handlers', so they keep compiling and running
-# (CI runs this), with allocs/op in the log: a callback that starts
-# escaping shows there before it shows in ns/op. Use
+# internal/core (BenchmarkPublish, BenchmarkLoad), of the CSV reader's,
+# of the float codec's and of the HTTP handlers', so they keep compiling
+# and running (CI runs this), with allocs/op in the log: a callback that
+# starts escaping, or a checkpoint load that allocates per tile again,
+# shows there before it shows in ns/op. Use
 # `go test -run '^$$' -bench <regexp> -benchmem .` to measure one.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/core ./internal/dataio ./internal/floatconv ./internal/server

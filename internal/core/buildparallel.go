@@ -151,11 +151,7 @@ func (ix *Index) buildParallel(entries []spatial.Entry, threads int) bool {
 	}
 	// The tile table is built in place: all pages are carved from one
 	// slab, exactly as the entry storage below is.
-	pageSlab := make([]tilePage, (occupied+tilePageMask)>>tilePageShift)
-	ix.pages = make([]*tilePage, len(pageSlab))
-	for i := range pageSlab {
-		ix.pages[i] = &pageSlab[i]
-	}
+	ix.pages = appendTilePages(nil, (occupied+tilePageMask)>>tilePageShift, ix.epoch)
 	slab := make([]spatial.Entry, total)
 	fill := make([]int32, 4*occupied) // per (slot, class) write cursor into slab
 

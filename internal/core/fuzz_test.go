@@ -266,6 +266,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(v1.Bytes())
 	f.Add([]byte("TL2I"))
 	f.Add([]byte{})
+	f.Add(repeatedTileID(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"unsafe"
 
 	"github.com/twolayer/twolayer/internal/spatial"
@@ -36,12 +37,12 @@ import (
 // a tile's entries in one allocation.
 //
 // Allocation. The parallel build knows the tile count and carves all
-// tile pages out of one slab; New does the same for the dense
-// directory. Pages carved from a slab keep the whole slab reachable for
-// as long as any one of them is referenced by a live snapshot.
-// Everything that grows incrementally (sequential inserts, Load, the
-// tail page of a Live index, first-touch copies) allocates one page at
-// a time.
+// tile pages out of one slab (appendTilePages); Load carves them from
+// slabs of up to 64 pages, and New carves the dense directory from one.
+// Pages carved from a slab keep the whole slab reachable for as long as
+// any one of them is referenced by a live snapshot. Everything that
+// grows incrementally (sequential inserts, the tail page of a Live
+// index, first-touch copies) allocates one page at a time.
 //
 // Page sizes are compile-time constants chosen by measurement. A publish
 // pays a fixed cost, copying the tile-page references (8 bytes per
@@ -108,6 +109,19 @@ func newDenseDir(n int, epoch uint64) []*dirPage {
 		dir[i] = slab[i].init(epoch)
 	}
 	return dir
+}
+
+// appendTilePages appends n empty tile pages owned by epoch to pages,
+// all carved from one slab: the one bulk way to make tile pages, used by
+// the parallel build and by Load.
+func appendTilePages(pages []*tilePage, n int, epoch uint64) []*tilePage {
+	slab := make([]tilePage, n)
+	pages = slices.Grow(pages, n)
+	for i := range slab {
+		slab[i].epoch = epoch
+		pages = append(pages, &slab[i])
+	}
+	return pages
 }
 
 // tile returns the tile header stored at slot, for reading.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/twolayer/twolayer/internal/datagen"
 	"github.com/twolayer/twolayer/internal/geom"
 	"github.com/twolayer/twolayer/internal/spatial"
 )
@@ -151,6 +154,8 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		"truncated":   good[:len(good)/2],
 		"header only": good[:16],
 	}
+	cases["repeated tile ID"] = repeatedTileID(t)
+
 	for name, data := range cases {
 		if _, err := Load(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: expected error", name)
@@ -297,6 +302,165 @@ func TestPersistFlagFollowsTables(t *testing.T) {
 		}
 		if loaded.Decomposed() != tc.want {
 			t.Errorf("%s: loaded Decomposed() = %v, want %v", tc.name, loaded.Decomposed(), tc.want)
+		}
+	}
+}
+
+// repeatedTileID returns the v2 snapshot of a two-tile index whose
+// second tile carries the first one's tile ID. The directory can point
+// at one of them only, so the other's object would be lost to queries.
+func repeatedTileID(tb testing.TB) []byte {
+	tb.Helper()
+	ix := New(Options{NX: 2, NY: 1, Space: geom.Rect{MaxX: 2, MaxY: 1}})
+	ix.Insert(spatial.Entry{ID: 1, Rect: geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}})
+	ix.Insert(spatial.Entry{ID: 2, Rect: geom.Rect{MinX: 1.2, MinY: 0.2, MaxX: 1.4, MaxY: 0.4}})
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	snap := buf.Bytes()
+	first := 4 + persistHeaderMax // magic, then the v2 header
+	second := first + persistTile + persistEntry
+	copy(snap[second:second+4], snap[first:first+4])
+	return snap
+}
+
+// TestLoadReferenceBytes: the reference encoder's v1 and v2 bytes decode
+// to the tiles they were written from, slot for slot, with the epoch of
+// the header (0 for v1) and the union of the entries as the extent. Runs
+// up to a chunk long are carved with cap = len, so an insert into one
+// never writes into its neighbour.
+func TestLoadReferenceBytes(t *testing.T) {
+	rnd := rand.New(rand.NewSource(187))
+	indices := map[string]*Index{}
+	for name, opts := range map[string]Options{
+		"plain":      {NX: 16, NY: 16},
+		"decomposed": {NX: 16, NY: 16, Decompose: true},
+		"sparse":     {NX: 40, NY: 40},
+		// One tile of 3,000 entries: longer than the first entry chunk,
+		// and more than a 4 KB reader's buffer holds.
+		"one tile": {NX: 1, NY: 1},
+	} {
+		indices[name] = withDirectory(name == "sparse", func() *Index {
+			n := 600
+			if name == "one tile" {
+				n = 3000
+			}
+			ix, _ := buildRandom(rnd, n, 0.1, opts)
+			return ix
+		})
+	}
+	indices["empty"] = New(Options{NX: 8, NY: 8})
+	mutated := indices["plain"].CloneCOW()
+	for _, e := range indices["plain"].Dataset().Entries[:300] {
+		mutated.Delete(e.ID, e.Rect)
+	}
+	mutated.SetEpoch(9)
+	indices["post-mutation"] = mutated
+
+	for name, ix := range indices {
+		want := noExtent
+		for slot := 0; slot < ix.numTiles; slot++ {
+			for _, e := range ix.tile(slot).run {
+				want = want.Union(e.Rect)
+			}
+		}
+		for version := uint32(1); version <= persistVersion; version++ {
+			got, err := Load(bytes.NewReader(referenceEncode(ix, version)))
+			if err != nil {
+				t.Fatalf("%s v%d: %v", name, version, err)
+			}
+			if wantEpoch := map[uint32]uint64{1: 0, 2: ix.epoch}[version]; got.Epoch() != wantEpoch {
+				t.Errorf("%s v%d: epoch %d, want %d", name, version, got.Epoch(), wantEpoch)
+			}
+			if got.extent != want || got.Len() != ix.Len() || got.numTiles != ix.numTiles {
+				t.Fatalf("%s v%d: extent %v, Len %d, %d tiles; want %v, %d, %d",
+					name, version, got.extent, got.Len(), got.numTiles, want, ix.Len(), ix.numTiles)
+			}
+			for slot := 0; slot < ix.numTiles; slot++ {
+				g, w := got.tile(slot), ix.tile(slot)
+				id := ix.tileID(slot)
+				if got.tileID(slot) != id || got.slotOf(id) != int32(slot) || g.end != w.end || !slices.Equal(g.run, w.run) {
+					t.Fatalf("%s v%d: slot %d differs from the source tile", name, version, slot)
+				}
+				if len(g.run) <= loadChunkMin && cap(g.run) != len(g.run) {
+					t.Fatalf("%s v%d: slot %d run has cap %d for %d entries", name, version, slot, cap(g.run), len(g.run))
+				}
+			}
+		}
+	}
+}
+
+// TestLoadStopsAtSnapshotEnd: read from a *bufio.Reader, Load consumes
+// its snapshot and not one byte more, so snapshots written back to back
+// (a sharded checkpoint) are read one after another.
+func TestLoadStopsAtSnapshotEnd(t *testing.T) {
+	rnd := rand.New(rand.NewSource(188))
+	small, _ := buildRandom(rnd, 300, 0.1, Options{NX: 8, NY: 8})
+	big, _ := buildRandom(rnd, 3000, 0.1, Options{NX: 1, NY: 1})
+	var stream bytes.Buffer
+	for _, ix := range []*Index{small, big, small} {
+		if _, err := ix.WriteTo(&stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := small.writeVersion(&stream, 1); err != nil {
+		t.Fatal(err)
+	}
+	stream.WriteByte(0xA5)
+	for _, size := range []int{4096, 1 << 20} {
+		br := bufio.NewReaderSize(bytes.NewReader(stream.Bytes()), size)
+		for i, want := range []int{small.Len(), big.Len(), small.Len(), small.Len()} {
+			ix, err := Load(br)
+			if err != nil {
+				t.Fatalf("%d B reader, snapshot %d: %v", size, i, err)
+			}
+			if ix.Len() != want {
+				t.Fatalf("%d B reader, snapshot %d: Len %d, want %d", size, i, ix.Len(), want)
+			}
+		}
+		if b, err := br.ReadByte(); err != nil || b != 0xA5 {
+			t.Fatalf("%d B reader: byte after the last snapshot = %#x, %v; want 0xa5", size, b, err)
+		}
+	}
+}
+
+// TestLoadAllocatesPerPage: Load allocates in chunks and slabs, so a
+// 50K-object snapshot costs fewer allocations than it has tile pages,
+// let alone tiles.
+func TestLoadAllocatesPerPage(t *testing.T) {
+	d := datagen.RealLikeDataset(datagen.Roads, 50_000, 20210419)
+	ix := Build(d, Options{NX: 256, NY: 256})
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pages := float64(len(ix.pages))
+	t.Logf("%d tiles, %.0f pages: %.0f allocations", ix.numTiles, pages, allocs)
+	if allocs >= pages {
+		t.Fatalf("Load made %.0f allocations for %d tiles on %.0f pages, want fewer than one per page", allocs, ix.numTiles, pages)
+	}
+}
+
+// BenchmarkLoad decodes the snapshot of the 200K ROADS-like index of
+// BenchmarkAblationDirectory through a 1 MiB reader, as recovery reads a
+// checkpoint; allocs/op shows an allocation per tile coming back.
+func BenchmarkLoad(b *testing.B) {
+	d := datagen.RealLikeDataset(datagen.Roads, 200_000, 20210419)
+	var buf bytes.Buffer
+	if _, err := Build(d, Options{NX: 512, NY: 512}).WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Load(bufio.NewReaderSize(bytes.NewReader(buf.Bytes()), 1<<20)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -48,10 +48,10 @@ type Rect struct {
 // RectFromPoints returns the minimum rectangle containing both p and q.
 func RectFromPoints(p, q Point) Rect {
 	return Rect{
-		MinX: math.Min(p.X, q.X),
-		MinY: math.Min(p.Y, q.Y),
-		MaxX: math.Max(p.X, q.X),
-		MaxY: math.Max(p.Y, q.Y),
+		MinX: min(p.X, q.X),
+		MinY: min(p.Y, q.Y),
+		MaxX: max(p.X, q.X),
+		MaxY: max(p.Y, q.Y),
 	}
 }
 
@@ -113,10 +113,10 @@ func (r Rect) ContainsPoint(p Point) bool {
 // intersect, the result is not Valid.
 func (r Rect) Intersection(s Rect) Rect {
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}
 }
 
@@ -154,16 +154,16 @@ func (r Rect) DistToPoint(p Point) float64 {
 
 // DistSqToPoint returns the squared minimum distance from r to p.
 func (r Rect) DistSqToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+	dx := max(0, max(r.MinX-p.X, p.X-r.MaxX))
+	dy := max(0, max(r.MinY-p.Y, p.Y-r.MaxY))
 	return dx*dx + dy*dy
 }
 
 // MaxDistSqToPoint returns the squared maximum distance from any point of r
 // to p. Useful for deciding whether r lies entirely inside a disk.
 func (r Rect) MaxDistSqToPoint(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
-	dy := math.Max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
+	dx := max(math.Abs(p.X-r.MinX), math.Abs(p.X-r.MaxX))
+	dy := max(math.Abs(p.Y-r.MinY), math.Abs(p.Y-r.MaxY))
 	return dx*dx + dy*dy
 }
 

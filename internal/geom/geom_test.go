@@ -194,3 +194,76 @@ func TestRectGeometryHelpers(t *testing.T) {
 		t.Errorf("Expand = %v", e)
 	}
 }
+
+// TestMinMaxBuiltinsMatchMath pins the helpers that use the min and max
+// builtins to the results math.Min and math.Max gave them, bit for bit,
+// NaN and ±0 included. The builtins compile to a few instructions where
+// math.Min/math.Max are a call each. They differ in one case only: a NaN
+// beside the infinity math.Min (-Inf) or math.Max (+Inf) checks first,
+// where math returns the infinity and the builtin NaN. Both are
+// non-finite, and no reader passes a non-finite coordinate on.
+func TestMinMaxBuiltinsMatchMath(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	sameRect := func(a, b Rect) bool {
+		return same(a.MinX, b.MinX) && same(a.MinY, b.MinY) && same(a.MaxX, b.MaxX) && same(a.MaxY, b.MaxY)
+	}
+	all := []float64{nan, negZero, 0, -1, 1, 0.5, -inf, inf}
+	for _, a := range all {
+		for _, b := range all {
+			gotMin, gotMax := min(a, b), max(a, b)
+			wantMin, wantMax := math.Min(a, b), math.Max(a, b)
+			if math.IsNaN(a) || math.IsNaN(b) {
+				wantMin, wantMax = nan, nan // the one difference, see above
+			}
+			if !same(gotMin, wantMin) || !same(gotMax, wantMax) {
+				t.Fatalf("min/max(%v, %v) = %v/%v, want %v/%v", a, b, gotMin, gotMax, wantMin, wantMax)
+			}
+		}
+	}
+
+	values := []float64{nan, negZero, 0, -1, 1, 0.5, 2}
+	for _, a := range values {
+		for _, b := range values {
+			p, q := Point{a, b}, Point{b, a}
+			want := Rect{math.Min(p.X, q.X), math.Min(p.Y, q.Y), math.Max(p.X, q.X), math.Max(p.Y, q.Y)}
+			if got := RectFromPoints(p, q); !sameRect(got, want) {
+				t.Errorf("RectFromPoints(%v, %v) = %v, want %v", p, q, got, want)
+			}
+			r, s := Rect{a, a, b, b}, Rect{b, -1, a, 1}
+			want = Rect{math.Max(r.MinX, s.MinX), math.Max(r.MinY, s.MinY), math.Min(r.MaxX, s.MaxX), math.Min(r.MaxY, s.MaxY)}
+			if got := r.Intersection(s); !sameRect(got, want) {
+				t.Errorf("%v.Intersection(%v) = %v, want %v", r, s, got, want)
+			}
+			dx := math.Max(0, math.Max(r.MinX-q.X, q.X-r.MaxX))
+			dy := math.Max(0, math.Max(r.MinY-q.Y, q.Y-r.MaxY))
+			if got := r.DistSqToPoint(q); !same(got, dx*dx+dy*dy) {
+				t.Errorf("%v.DistSqToPoint(%v) = %v, want %v", r, q, got, dx*dx+dy*dy)
+			}
+			dx = math.Max(math.Abs(q.X-r.MinX), math.Abs(q.X-r.MaxX))
+			dy = math.Max(math.Abs(q.Y-r.MinY), math.Abs(q.Y-r.MaxY))
+			if got := r.MaxDistSqToPoint(q); !same(got, dx*dx+dy*dy) {
+				t.Errorf("%v.MaxDistSqToPoint(%v) = %v, want %v", r, q, got, dx*dx+dy*dy)
+			}
+			pts := []Point{p, q, {a, a}}
+			want = Rect{inf, inf, -inf, -inf}
+			for _, v := range pts {
+				want = Rect{math.Min(want.MinX, v.X), math.Min(want.MinY, v.Y), math.Max(want.MaxX, v.X), math.Max(want.MaxY, v.Y)}
+			}
+			if got := (&LineString{Points: pts}).MBR(); !sameRect(got, want) {
+				t.Errorf("LineString%v.MBR() = %v, want %v", pts, got, want)
+			}
+			if got := (&Polygon{Ring: pts}).MBR(); !sameRect(got, want) {
+				t.Errorf("Polygon%v.MBR() = %v, want %v", pts, got, want)
+			}
+			seg, x := Segment{p, q}, Point{b, b}
+			wantOn := math.Min(seg.A.X, seg.B.X) <= x.X && x.X <= math.Max(seg.A.X, seg.B.X) &&
+				math.Min(seg.A.Y, seg.B.Y) <= x.Y && x.Y <= math.Max(seg.A.Y, seg.B.Y)
+			if got := onSegment(seg, x); got != wantOn {
+				t.Errorf("onSegment(%v, %v) = %v, want %v", seg, x, got, wantOn)
+			}
+		}
+	}
+}

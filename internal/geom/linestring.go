@@ -30,10 +30,10 @@ func (l *LineString) Segment(i int) Segment {
 func (l *LineString) MBR() Rect {
 	r := Rect{math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)}
 	for _, p := range l.Points {
-		r.MinX = math.Min(r.MinX, p.X)
-		r.MinY = math.Min(r.MinY, p.Y)
-		r.MaxX = math.Max(r.MaxX, p.X)
-		r.MaxY = math.Max(r.MaxY, p.Y)
+		r.MinX = min(r.MinX, p.X)
+		r.MinY = min(r.MinY, p.Y)
+		r.MaxX = max(r.MaxX, p.X)
+		r.MaxY = max(r.MaxY, p.Y)
 	}
 	return r
 }

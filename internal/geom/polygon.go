@@ -41,10 +41,10 @@ func (p *Polygon) Edge(i int) Segment {
 func (p *Polygon) MBR() Rect {
 	r := Rect{math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)}
 	for _, v := range p.Ring {
-		r.MinX = math.Min(r.MinX, v.X)
-		r.MinY = math.Min(r.MinY, v.Y)
-		r.MaxX = math.Max(r.MaxX, v.X)
-		r.MaxY = math.Max(r.MaxY, v.Y)
+		r.MinX = min(r.MinX, v.X)
+		r.MinY = min(r.MinY, v.Y)
+		r.MaxX = max(r.MaxX, v.X)
+		r.MaxY = max(r.MaxY, v.Y)
 	}
 	return r
 }

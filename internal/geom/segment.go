@@ -18,8 +18,8 @@ func orientation(a, b, c Point) float64 {
 
 // onSegment reports whether point p, known to be collinear with s, lies on s.
 func onSegment(s Segment, p Point) bool {
-	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
-		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
+	return min(s.A.X, s.B.X) <= p.X && p.X <= max(s.A.X, s.B.X) &&
+		min(s.A.Y, s.B.Y) <= p.Y && p.Y <= max(s.A.Y, s.B.Y)
 }
 
 // Intersects reports whether segments s and t share at least one point.

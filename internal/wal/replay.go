@@ -291,7 +291,9 @@ func recoverState[T any, P core.State[T]](dir string, c Codec[T, P], logger *slo
 		f, err := os.Open(ckpts[i].path)
 		if err == nil {
 			var loaded P
-			loaded, err = c.Load(bufio.NewReader(f))
+			// 1 MiB, as WriteCheckpoint writes: a 45 MB checkpoint is
+			// then ~45 reads, not ~11K.
+			loaded, err = c.Load(bufio.NewReaderSize(f, 1<<20))
 			f.Close()
 			if err == nil && loaded.Epoch() != ckpts[i].first {
 				err = fmt.Errorf("checkpoint epoch %d does not match file name", loaded.Epoch())
